@@ -22,6 +22,7 @@ import numpy as np
 
 from . import serialize
 from .engine import (
+    POLE_CAP,
     gram_schmidt_orf,
     lebesgue_arf,
     lebesgue_orf,
@@ -30,7 +31,7 @@ from .engine import (
 from .errors import DomainError, OrfkitError
 from .measure import boundary_grid, builtin_measure, measure_from_config
 from .ratfun import PoleSequence
-from .transforms import arf_explicit, arf_quad, arf_recurrence
+from .transforms import arf_discrepancy, arf_explicit, arf_quad, arf_recurrence
 from .verify import CHECK_NAMES, VerifyContext, run_verification
 
 TABLE_POINTS = 256
@@ -41,12 +42,19 @@ class ConfigError(DomainError):
     pass
 
 
+def _number(convert, value, what):
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be numeric, got {value!r}") from exc
+
+
 def _complex_pairs(raw, what):
     out = []
     for item in raw:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise ConfigError(f"{what} entries must be [re, im] pairs")
-        out.append(complex(float(item[0]), float(item[1])))
+        out.append(complex(_number(float, item[0], what), _number(float, item[1], what)))
     return out
 
 
@@ -75,8 +83,8 @@ class JobConfig:
         if any(abs(b) >= 1.0 for b in poles):
             raise ConfigError("every pole must satisfy |beta| < 1")
         allow = bool(raw.get("allow_poles_near_circle", False))
-        if not allow and any(abs(b) > 0.9 for b in poles):
-            raise ConfigError("|beta| > 0.9 requires allow_poles_near_circle: true")
+        if not allow and any(abs(b) > POLE_CAP for b in poles):
+            raise ConfigError(f"|beta| > {POLE_CAP} requires allow_poles_near_circle: true")
         lambdas = None
         if raw.get("lambdas") is not None:
             lambdas = _complex_pairs(raw["lambdas"], "lambdas")
@@ -90,7 +98,7 @@ class JobConfig:
             if lambdas is None:
                 raise ConfigError("n_max is required for measure-only configs")
             n_max = len(lambdas)
-        n_max = int(n_max)
+        n_max = _number(int, n_max, "n_max")
         if n_max < 0:
             raise ConfigError("n_max must be >= 0")
         if lambdas is not None and len(lambdas) != n_max:
@@ -99,7 +107,7 @@ class JobConfig:
             raise ConfigError("poles must list beta_0..beta_n_max")
         arf_order = raw.get("arf_order")
         if arf_order is not None:
-            arf_order = int(arf_order)
+            arf_order = _number(int, arf_order, "arf_order")
             if not 0 <= arf_order <= n_max:
                 raise ConfigError("arf_order must satisfy 0 <= k <= n_max")
         source = raw.get("source")
@@ -117,12 +125,9 @@ class JobConfig:
         grid = raw.get("grid")
         env = os.environ.get("ORFKIT_GRID")
         if env:
-            try:
-                grid = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"ORFKIT_GRID must be an integer, got {env!r}") from exc
+            grid = _number(int, env, "ORFKIT_GRID")
         if grid is not None:
-            grid = int(grid)
+            grid = _number(int, grid, "grid")
             if grid < 256 or grid & (grid - 1):
                 raise ConfigError("grid must be a power of two >= 256")
         return cls(
@@ -132,7 +137,7 @@ class JobConfig:
             n_max=n_max,
             arf_order=arf_order,
             tolerances=tolerances,
-            seed=int(raw.get("seed", 0)),
+            seed=_number(int, raw.get("seed", 0), "seed"),
             source=source,
             allow_poles_near_circle=allow,
             grid=grid,
@@ -227,14 +232,7 @@ def cmd_arf(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     system = build_system(cfg)
     arf = arf_recurrence(system, k)
-    quad = arf_quad(system, k)
-    _, t = boundary_grid(512)
-    disc = 0.0
-    for n in range(k, cfg.n_max + 1):
-        phi_e, psi_e = arf_explicit(system, k, n, quad=quad)
-        lv = arf.level(n)
-        disc = max(disc, float(np.max(np.abs(phi_e(t) - lv.phi(t)))))
-        disc = max(disc, float(np.max(np.abs(psi_e(t) - lv.psi(t)))))
+    disc = arf_discrepancy(arf)
     serialize.write_json_atomic(os.path.join(args.out, f"arf_{k}.json"), serialize.arf_to_dict(arf))
     theta = arf.mu_k.params["theta"]
     w = arf.mu_k.params["w"]
@@ -279,8 +277,8 @@ def cmd_example(args) -> int:
     except ValueError as exc:
         raise ConfigError("--beta1 must be 're,im'") from exc
     beta1 = complex(re, im)
-    if abs(beta1) > 0.9:
-        raise ConfigError("|beta1| <= 0.9 required")
+    if abs(beta1) > POLE_CAP:
+        raise ConfigError(f"|beta1| <= {POLE_CAP} required")
     n = args.n
     if n < 1:
         raise ConfigError("--n must be >= 1")

@@ -58,8 +58,8 @@ SECOND_KIND_RADIUS = 0.3
 class OrfLevel:
     """One rung of the ladder: the four functions plus recurrence data.
 
-    lam/e/rho are None at level 0. d is the determinant-formula constant,
-    2 in the orthonormal normalization used throughout.
+    lam/e/rho are None at level 0. The determinant-formula constant is 2
+    at every level in the orthonormal normalization used throughout.
     """
 
     n: int
@@ -70,24 +70,22 @@ class OrfLevel:
     lam: complex | None
     e: float | None
     rho: complex | None
-    d: float
 
 
 class OrfSystem:
     """Immutable ladder of levels 0..n_max over a pole sequence.
 
-    source is "measure" or "parameters"; both normalizations produced by
-    this package are orthonormal. A measure-sourced system keeps its
-    measure; every system carries an evaluable C-function.
+    source is "measure" or "parameters"; both are orthonormal. A
+    measure-sourced system keeps its measure; every system carries an
+    evaluable C-function.
     """
 
-    __slots__ = ("poles", "levels", "source", "normalization", "measure", "caratheodory", "n_points")
+    __slots__ = ("poles", "levels", "source", "measure", "caratheodory", "n_points")
 
     def __init__(self, poles, levels, source, measure=None, caratheodory=None, n_points=None):
         self.poles = poles
         self.levels = tuple(levels)
         self.source = source
-        self.normalization = "orthonormal"
         self.measure = measure
         self.caratheodory = caratheodory
         self.n_points = n_points
@@ -115,7 +113,10 @@ class ParaPair:
     Psi: RatFun
 
 
-def _check_pole_cap(poles, n_max, allow_poles_near_circle):
+def _check_poles(poles, n_max, allow_poles_near_circle):
+    """A ladder through level n_max needs beta_0..beta_n_max within the cap."""
+    if len(poles) < n_max + 1:
+        raise DomainError("pole sequence shorter than n_max + 1")
     used = np.abs(poles.beta[: n_max + 1])
     if used.max() > POLE_CAP:
         if not allow_poles_near_circle:
@@ -123,7 +124,7 @@ def _check_pole_cap(poles, n_max, allow_poles_near_circle):
                 f"|beta| up to {used.max():.3f} exceeds the {POLE_CAP} cap; "
                 "pass allow_poles_near_circle=True to override"
             )
-        warnings.warn("poles beyond 0.9 degrade quadrature accuracy", stacklevel=3)
+        warnings.warn(f"poles beyond {POLE_CAP} degrade quadrature accuracy", stacklevel=3)
 
 
 def _blaschke_basis(poles, k) -> RatFun:
@@ -150,6 +151,17 @@ def _fit_step(poles, n, phi_prev, phi_star_prev, phi_n):
     return a, b, resid, scale
 
 
+def _fit_parameters(poles, n, phi_prev, phi_star_prev, phi_n):
+    """(lambda_n, e_n, rho_n) = (conj(b/a), |a|, a/|a|) from the _fit_step
+    coefficients; FitResidualTooLarge when the fit does not close."""
+    a, b, resid, scale = _fit_step(poles, n, phi_prev, phi_star_prev, phi_n)
+    if resid > 1e-9 * scale:
+        raise FitResidualTooLarge(
+            f"level {n} does not satisfy the recurrence (residual {resid:.2e} vs scale {scale:.2e})"
+        )
+    return complex(np.conj(b / a)), float(abs(a)), complex(a / abs(a))
+
+
 def extract_parameters(system: OrfSystem, n: int):
     """Recover (lambda_n, e_n, rho_n) from consecutive levels by inverting the
     recurrence in least squares over 16 interior sample points.
@@ -159,12 +171,16 @@ def extract_parameters(system: OrfSystem, n: int):
     """
     if n < 1 or n > system.n_max:
         raise DomainError("extraction needs 1 <= n <= n_max")
-    prev, cur = system.level(n - 1), system.level(n)
-    a, b, resid, scale = _fit_step(system.poles, n, prev.phi, prev.phi_star, cur.phi)
-    if resid > 1e-9 * scale:
-        raise FitResidualTooLarge(f"recurrence fit residual {resid:.2e} vs scale {scale:.2e}")
-    lam = np.conj(b / a)
-    return complex(lam), float(abs(a)), complex(a / abs(a))
+    prev = system.level(n - 1)
+    return _fit_parameters(system.poles, n, prev.phi, prev.phi_star, system.level(n).phi)
+
+
+def _padded_polymul(a, b, size):
+    """Coefficients of a*b zero-padded to size (polymul trims trailing zeros)."""
+    out = np.zeros(size, dtype=complex)
+    c = npp.polymul(a, b)
+    out[: c.size] = c
+    return out
 
 
 def recurrence_step(prev: OrfLevel, lam, rho, poles: PoleSequence, n: int, e=None) -> OrfLevel:
@@ -188,16 +204,10 @@ def recurrence_step(prev: OrfLevel, lam, rho, poles: PoleSequence, n: int, e=Non
     up = eta_prev * np.array([-b_prev, 1.0])      # eta_{n-1} (z - beta_{n-1})
     down = np.array([1.0, -np.conj(b_prev)])      # 1 - conj(beta_{n-1}) z
 
-    def pmul(a, b):
-        # polymul trims trailing zeros; restore the full degree-n size
-        out = np.zeros(n + 1, dtype=complex)
-        c = npp.polymul(a, b)
-        out[: c.size] = c
-        return out
-
     def step(f, f_star, sign):
-        row1 = e * rho * (pmul(up, f.numer) + sign * np.conj(lam) * pmul(down, f_star.numer))
-        row2 = e * sigma * (sign * lam * pmul(up, f.numer) + pmul(down, f_star.numer))
+        a, b = _padded_polymul(up, f.numer, n + 1), _padded_polymul(down, f_star.numer, n + 1)
+        row1 = e * rho * (a + sign * np.conj(lam) * b)
+        row2 = e * sigma * (sign * lam * a + b)
         new = RatFun(poles, row1, n)
         new_star = superstar(new)
         scale = max(np.max(np.abs(row1)), 1e-300)
@@ -207,13 +217,22 @@ def recurrence_step(prev: OrfLevel, lam, rho, poles: PoleSequence, n: int, e=Non
 
     phi, phi_star = step(prev.phi, prev.phi_star, +1)
     psi, psi_star = step(prev.psi, prev.psi_star, -1)
-    return OrfLevel(n, phi, phi_star, psi, psi_star, lam, e, rho, 2.0)
+    return OrfLevel(n, phi, phi_star, psi, psi_star, lam, e, rho)
 
 
 def _level_zero(poles, phi0) -> OrfLevel:
     phi = RatFun(poles, [phi0], 0)
     phi_star = superstar(phi)
-    return OrfLevel(0, phi, phi_star, phi, phi_star, None, None, None, 2.0)
+    return OrfLevel(0, phi, phi_star, phi, phi_star, None, None, None)
+
+
+def _run_recurrence(poles, level0: OrfLevel, params) -> list:
+    """Level 0, then one recurrence_step per (lambda_n, rho_n, e_n) triple
+    (e_n None for the orthonormal default)."""
+    levels = [level0]
+    for n, (lam, rho, e) in enumerate(params, start=1):
+        levels.append(recurrence_step(levels[-1], lam, rho, poles, n, e=e))
+    return levels
 
 
 def synthesize(lambdas, poles: PoleSequence, phi0=1.0, allow_poles_near_circle=False) -> OrfSystem:
@@ -225,13 +244,11 @@ def synthesize(lambdas, poles: PoleSequence, phi0=1.0, allow_poles_near_circle=F
     """
     lambdas = [complex(v) for v in lambdas]
     n_max = len(lambdas)
-    _check_pole_cap(poles, n_max, allow_poles_near_circle)
+    _check_poles(poles, n_max, allow_poles_near_circle)
     phi0 = complex(phi0)
     if abs(abs(phi0) - 1.0) > 1e-12:
         raise DomainError("initial value must be unimodular in the orthonormal normalization")
-    levels = [_level_zero(poles, phi0)]
-    for i, lam in enumerate(lambdas, start=1):
-        levels.append(recurrence_step(levels[-1], lam, 1.0, poles, i))
+    levels = _run_recurrence(poles, _level_zero(poles, phi0), ((lam, 1.0, None) for lam in lambdas))
     system = OrfSystem(
         poles, levels, source="parameters", n_points=_completion_grid(levels[-1], n_max)
     )
@@ -289,6 +306,17 @@ def measure_from_system(system: OrfSystem) -> CircleMeasure:
     return mu
 
 
+def _herglotz_means(kp, t, w, f_t, nodes, f_nodes) -> np.ndarray:
+    """mean_t D(t, z) (f(t) - f(z)) w(t) at each node z, D the Riesz-Herglotz
+    kernel. One node at a time: a (nodes x N) product rounds differently."""
+    zt = kp.zeta0(t)
+    out = np.empty(len(nodes), dtype=complex)
+    for i, (z, fz) in enumerate(zip(nodes, f_nodes)):
+        zz = kp.zeta0(z)
+        out[i] = ((zt + zz) / (zt - zz) * (f_t - fz) * w).mean()
+    return out
+
+
 def _second_kind(mu, poles, kp, phi: RatFun, n: int, n_points: int) -> RatFun:
     """Quadrature realization of the second-kind companion of phi (degree n)."""
     theta, t = boundary_grid(n_points)
@@ -298,19 +326,12 @@ def _second_kind(mu, poles, kp, phi: RatFun, n: int, n_points: int) -> RatFun:
     if n == 0:
         return RatFun(poles, [mean_phi], 0)
 
-    def values(nodes):
-        out = np.empty(nodes.size, dtype=complex)
-        zt = kp.zeta0(t)
-        for i, z in enumerate(nodes):
-            dk = (zt + kp.zeta0(z)) / (zt - kp.zeta0(z))
-            out[i] = ((dk * (phi_t - phi(z)) * w).mean()) + mean_phi
-        return out
-
     for attempt in range(2):
         nodes = SECOND_KIND_RADIUS * np.exp(
             2j * np.pi * (np.arange(n + 1) + 0.5 * attempt) / (n + 1)
         )
-        rhs = values(nodes) * poles.pi(n, nodes)
+        values = _herglotz_means(kp, t, w, phi_t, nodes, (phi(z) for z in nodes)) + mean_phi
+        rhs = values * poles.pi(n, nodes)
         # Solve in the rescaled variable z/R so the Vandermonde is unitary-like.
         vander = np.vander(nodes / SECOND_KIND_RADIUS, n + 1, increasing=True)
         try:
@@ -350,15 +371,10 @@ def gram_schmidt_orf(
     """
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    if len(poles) < n_max + 1:
-        raise DomainError("pole sequence shorter than n_max + 1")
-    _check_pole_cap(poles, n_max, allow_poles_near_circle)
+    _check_poles(poles, n_max, allow_poles_near_circle)
     n_points = n_points or default_grid(n_max)
     theta, t = boundary_grid(n_points)
     w = mu.weight(theta)
-
-    def ip(u, v):
-        return complex((u * np.conj(v) * w).mean())
 
     phis, vals = [], []
     for k in range(n_max + 1):
@@ -366,10 +382,10 @@ def gram_schmidt_orf(
         v = np.asarray(cand(t))
         for _ in range(2):
             for f, fv in zip(phis, vals):
-                c = ip(v, fv)
+                c = complex(_ip(v, fv, w))
                 cand = combine(1.0, cand, -c, f)
                 v = v - c * fv
-        nrm = np.sqrt(ip(v, v).real)
+        nrm = np.sqrt(_ip(v, v, w).real)
         if not nrm > 1e-10:
             raise RankDeficiency(f"basis numerically dependent at level {k}")
         cand, v = (1.0 / nrm) * cand, v / nrm
@@ -380,45 +396,41 @@ def gram_schmidt_orf(
         phis.append(u * cand)
         vals.append(u * v)
 
-    gram = np.empty((n_max + 1, n_max + 1), dtype=complex)
-    for i in range(n_max + 1):
-        for j in range(n_max + 1):
-            gram[i, j] = ip(vals[i], vals[j])
-    defect = float(np.max(np.abs(gram - np.eye(n_max + 1))))
+    defect = _gram_defect(vals, w)
     if defect > TOL_ORTHO:
         raise NumericalFailure(f"Gram matrix deviates from identity by {defect:.2e}")
 
     kp = KernelParams(poles.beta[0])
     levels = []
-    for k in range(n_max + 1):
-        psi = _second_kind(mu, poles, kp, phis[k], k, n_points)
-        if k == 0:
-            levels.append(OrfLevel(0, phis[0], superstar(phis[0]), psi, superstar(psi), None, None, None, 2.0))
-            continue
-        a, b, resid, scale = _fit_step(poles, k, phis[k - 1], superstar(phis[k - 1]), phis[k])
-        if resid > 1e-9 * scale:
-            raise FitResidualTooLarge(
-                f"level {k} does not satisfy the recurrence (residual {resid:.2e})"
-            )
-        levels.append(
-            OrfLevel(
-                k,
-                phis[k],
-                superstar(phis[k]),
-                psi,
-                superstar(psi),
-                complex(np.conj(b / a)),
-                float(abs(a)),
-                complex(a / abs(a)),
-                2.0,
-            )
-        )
+    for k, phi in enumerate(phis):
+        psi = _second_kind(mu, poles, kp, phi, k, n_points)
+        params = (None, None, None)
+        if k:
+            prev = levels[-1]
+            params = _fit_parameters(poles, k, prev.phi, prev.phi_star, phi)
+        levels.append(OrfLevel(k, phi, superstar(phi), psi, superstar(psi), *params))
     hint = mu.caratheodory_hint
     if hint is not None and hint.beta0 == complex(poles.beta[0]):
         F = hint
     else:
         F = caratheodory_from_measure(mu, poles.beta[0], n_points=n_points)
     return OrfSystem(poles, levels, source="measure", measure=mu, caratheodory=F, n_points=n_points)
+
+
+def _ip(u, v, w):
+    """Weighted inner product <u, v> of sampled functions (uniform-grid quadrature)."""
+    return (u * np.conj(v) * w).mean()
+
+
+def _gram_defect(vals, w) -> float:
+    """Sup deviation from the identity of the Gram matrix of sampled
+    functions under the boundary weight w (uniform-grid quadrature)."""
+    defect = 0.0
+    for i, vi in enumerate(vals):
+        for j, vj in enumerate(vals):
+            g = _ip(vi, vj, w)
+            defect = max(defect, abs(g - (1.0 if i == j else 0.0)))
+    return float(defect)
 
 
 def zeros_factor(poles: PoleSequence, m: int, z):
@@ -447,6 +459,15 @@ def para_pair(system: OrfSystem, n: int, tau) -> ParaPair:
     )
 
 
+def _min_separation(pts) -> float:
+    """Smallest pairwise distance among the points (inf for fewer than two)."""
+    if len(pts) < 2:
+        return np.inf
+    diffs = np.abs(pts[:, None] - pts[None, :])
+    np.fill_diagonal(diffs, np.inf)
+    return float(diffs.min())
+
+
 def para_zeros(pair: ParaPair) -> np.ndarray:
     """Zeros of the para-orthogonal numerator: companion-matrix eigenvalues
     plus one Newton polish. All must sit on the circle and be simple."""
@@ -469,30 +490,36 @@ def para_zeros(pair: ParaPair) -> np.ndarray:
     off = np.abs(np.abs(roots) - 1.0)
     if np.any(off > 1e-9):
         raise ZeroOffCircle(f"para zero left the circle by {off.max():.2e}")
-    if roots.size > 1:
-        diffs = np.abs(roots[:, None] - roots[None, :])
-        np.fill_diagonal(diffs, np.inf)
-        if diffs.min() < 1e-8:
-            raise ZeroCollision(f"para zeros separated by only {diffs.min():.2e}")
+    sep = _min_separation(roots)
+    if sep < 1e-8:
+        raise ZeroCollision(f"para zeros separated by only {sep:.2e}")
     return roots[np.argsort(np.angle(roots))]
+
+
+def identity_residual(f: RatFun, g: RatFun, f_star: RatFun, g_star: RatFun, n_points: int = 512):
+    """Complex constant d and relative sup residual (against Re d) of
+    f^* g + f g^* = d P_m B_m on the circle, m and the poles taken from f.
+    The starred pair is passed in, so a check covers stored f^*, g^* too."""
+    m = f.n
+    poles = f.poles
+    _, t = boundary_grid(n_points)
+    left = f_star(t) * g(t) + f(t) * g_star(t)
+    kp = KernelParams(poles.beta[0])
+    right = poisson_kernel(kp, t, poles.beta[m]) * blaschke_product(poles, m, t)
+    j0 = int(np.argmax(np.abs(right)))
+    d = left[j0] / right[j0]
+    resid = float(np.max(np.abs(left - float(d.real) * right)) / np.max(np.abs(left)))
+    return d, resid
 
 
 def determinant_residual(system: OrfSystem, n: int, n_points: int = 512):
     """Constant d_n and sup residual of phi_n^* psi_n + phi_n psi_n^* = d_n P_n B_n
     over a boundary grid. Orthonormal ladders must give d_n = 2."""
     lv = system.level(n)
-    theta, t = boundary_grid(n_points)
-    left = lv.phi_star(t) * lv.psi(t) + lv.phi(t) * lv.psi_star(t)
-    right = poisson_kernel(system.kernel, t, system.poles.beta[n]) * blaschke_product(
-        system.poles, n, t
-    )
-    j0 = int(np.argmax(np.abs(right)))
-    d = left[j0] / right[j0]
-    if system.normalization == "orthonormal" and abs(d - 2.0) > 1e-9:
+    d, resid = identity_residual(lv.phi, lv.psi, lv.phi_star, lv.psi_star, n_points)
+    if abs(d - 2.0) > 1e-9:
         raise NumericalFailure(f"determinant constant {d} differs from 2")
-    d_real = float(d.real)
-    resid = float(np.max(np.abs(left - d_real * right)) / np.max(np.abs(left)))
-    return d_real, resid
+    return float(d.real), resid
 
 
 @dataclass(frozen=True)
@@ -530,11 +557,8 @@ def interpolation_residuals(
     """
     poles = system.poles
     pts = poles.beta[: n + 1]
-    if n >= 1:
-        diffs = np.abs(pts[:, None] - pts[None, :])
-        np.fill_diagonal(diffs, np.inf)
-        if diffs.min() < 1e-12:
-            raise DomainError("interpolation residuals need pairwise distinct beta_0..beta_n")
+    if _min_separation(pts) < 1e-12:
+        raise DomainError("interpolation residuals need pairwise distinct beta_0..beta_n")
     lv = system.level(n)
     kp = system.kernel
 
@@ -584,16 +608,9 @@ def second_kind_functional_residual(
     lv = system.level(n)
     zs = 0.45 * np.exp(2j * np.pi * (np.arange(6) + 0.21) / 6)
 
-    def lft(vals_t, vals_z):
-        out = np.empty(zs.size, dtype=complex)
-        zt = kp.zeta0(t)
-        for i, z in enumerate(zs):
-            dk = (zt + kp.zeta0(z)) / (zt - kp.zeta0(z))
-            out[i] = ((dk * (vals_t - vals_z[i]) * w).mean()) + (vals_t * w).mean()
-        return out
-
     f_t, f_z = substar_eval(h1, t), substar_eval(h1, zs)
-    lhs1 = lft(lv.phi(t) * f_t, lv.phi(zs) * f_z)
+    vals_t = lv.phi(t) * f_t
+    lhs1 = _herglotz_means(kp, t, w, vals_t, zs, lv.phi(zs) * f_z) + (vals_t * w).mean()
     rhs1 = lv.psi(zs) * f_z
     res1 = np.max(np.abs(lhs1 - rhs1)) / max(np.max(np.abs(rhs1)), 1e-30)
 
@@ -602,13 +619,8 @@ def second_kind_functional_residual(
     else:
         g_t = substar_eval(h2, t) / blaschke_factor(poles, n, t)
         g_z = substar_eval(h2, zs) / blaschke_factor(poles, n, zs)
-    zt = kp.zeta0(t)
-    lhs2 = np.empty(zs.size, dtype=complex)
     vals_t = lv.phi_star(t) * g_t
-    vals_z = lv.phi_star(zs) * g_z
-    for i, z in enumerate(zs):
-        dk = (zt + kp.zeta0(z)) / (zt - kp.zeta0(z))
-        lhs2[i] = ((dk * (vals_t - vals_z[i]) * w).mean()) - (vals_t * w).mean()
+    lhs2 = _herglotz_means(kp, t, w, vals_t, zs, lv.phi_star(zs) * g_z) - (vals_t * w).mean()
     rhs2 = -lv.psi_star(zs) * g_z
     res2 = np.max(np.abs(lhs2 - rhs2)) / max(np.max(np.abs(rhs2)), 1e-30)
     return float(max(res1, res2))

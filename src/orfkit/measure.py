@@ -264,14 +264,6 @@ def weight_from_caratheodory(F: CaratheodoryFn, beta0, theta, radial_offset=BOUN
     return w
 
 
-def measure_from_caratheodory(F: CaratheodoryFn, n_points: int = 2048) -> CircleMeasure:
-    """Sampled-table measure with the density recovered from F."""
-    _check_grid(n_points)
-    theta, _ = boundary_grid(n_points)
-    w = weight_from_caratheodory(F, F.beta0, theta)
-    return builtin_measure("samples", theta=theta, w=w)
-
-
 def ratio_caratheodory(num, den, beta0) -> CaratheodoryFn:
     """C-function realized as a pointwise ratio num(z)/den(z) of evaluables."""
 

@@ -3,10 +3,15 @@
 Complex numbers are stored as [re, im] pairs; floats go through the JSON
 writer's shortest round-trip representation (and through %.17g in CSV),
 so a dump/load cycle reproduces every double bit-exactly.
+
+The per-level "d": 2.0, the top-level "normalization": "orthonormal" and
+the associated ladder's "c": [2.0, ...] are fixed by the orthonormal
+normalization; they are written as format constants and ignored on load.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -48,14 +53,14 @@ def system_to_dict(system: OrfSystem) -> dict:
                 "lambda": None if lv.lam is None else _c(lv.lam),
                 "e": lv.e,
                 "rho": None if lv.rho is None else _c(lv.rho),
-                "d": lv.d,
+                "d": 2.0,
             }
         )
     return {
         "kind": "orf_system",
         "poles": _carray(system.poles.beta),
         "source": system.source,
-        "normalization": system.normalization,
+        "normalization": "orthonormal",
         "n_points": system.n_points,
         "levels": levels,
     }
@@ -78,7 +83,6 @@ def system_from_dict(data: dict) -> OrfSystem:
                 None if item["lambda"] is None else _from_c(item["lambda"]),
                 item["e"],
                 None if item["rho"] is None else _from_c(item["rho"]),
-                item["d"],
             )
         )
     return OrfSystem(
@@ -93,7 +97,7 @@ def arf_to_dict(arf) -> dict:
     out = {
         "kind": "arf_system",
         "order": arf.order,
-        "c": list(arf.c),
+        "c": [2.0] * (arf.system.n_max + 1),
         "system": system_to_dict(arf.system),
         "mu_weight": None,
     }
@@ -109,32 +113,26 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, indent=1)
 
 
-def write_json_atomic(path, obj: dict):
-    """Write JSON via a temp file and rename, so readers never see a torn file."""
+def _write_atomic(path, lines):
+    """Write via a temp file and rename, so readers never see a torn file."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(dumps(obj))
-            fh.write("\n")
+            fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json_atomic(path, obj: dict):
+    """JSON with a trailing newline, written atomically."""
+    _write_atomic(path, [dumps(obj), "\n"])
 
 
 def write_csv_atomic(path, header, rows):
     """CSV with 17-significant-digit decimals (lossless for doubles)."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    body = (",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+    _write_atomic(path, itertools.chain([",".join(header) + "\n"], body))

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .errors import (
     ConditionUnchecked,
@@ -35,18 +34,17 @@ from .measure import (
 from .engine import (
     OrfSystem,
     _level_zero,
+    _padded_polymul,
+    _run_recurrence,
     caratheodory_from_system,
+    identity_residual,
     para_pair,
-    recurrence_step,
     zeros_factor,
 )
 from .ratfun import (
-    KernelParams,
     PoleSequence,
     RatFun,
     blaschke_factor,
-    blaschke_product,
-    poisson_kernel,
     superstar,
 )
 
@@ -63,18 +61,6 @@ class QuadConditionReport:
     a42_f_min: float
     tolerance: float
     passed: bool
-
-    def as_dict(self):
-        return {
-            "a1_residual": self.a1_residual,
-            "a2_min": self.a2_min,
-            "a3_max": self.a3_max,
-            "a33_min": self.a33_min,
-            "a42_max": self.a42_max,
-            "a42_f_min": self.a42_f_min,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
 
 
 @dataclass(frozen=True)
@@ -305,14 +291,8 @@ def apply_transform(system: OrfSystem, quad: SelfReciprocalQuad, c_n, n: int, re
         out[: quo.size] = quo
         return RatFun(res_poles, out, r + n)
 
-    full = m + N + r + 1
-
     def pm(a, b):
-        # polymul trims trailing zeros; restore the full product size
-        out = np.zeros(full, dtype=complex)
-        c = npp.polymul(a, b)
-        out[: c.size] = c
-        return out
+        return _padded_polymul(a, b, m + N + r + 1)
 
     G = reduce(pm(lv.phi.numer, quad.A.numer) + pm(lv.psi.numer, quad.B.numer))
     H = reduce(pm(lv.phi_star.numer, quad.A.numer) - pm(lv.psi_star.numer, quad.B.numer))
@@ -365,7 +345,7 @@ def arf_quad(system: OrfSystem, k: int, F: CaratheodoryFn | None = None) -> Self
 
 def arf_explicit(system: OrfSystem, k: int, n: int, quad: SelfReciprocalQuad | None = None):
     """Order-k associated pair at level n through the explicit transform with
-    the orthonormal constant c_{n,k} = sqrt(d_k d_n) = 2.
+    the orthonormal constant c_{n,k} = sqrt(d_k d_n) = sqrt(2 * 2) = 2.
 
     The base level n = k is returned as the exact constant 1 (no division)."""
     if not 0 <= k <= n <= system.n_max:
@@ -375,8 +355,7 @@ def arf_explicit(system: OrfSystem, k: int, n: int, quad: SelfReciprocalQuad | N
         one = RatFun(shifted, [1.0], 0)
         return one, one
     quad = quad if quad is not None else arf_quad(system, k)
-    c_nk = float(np.sqrt(system.level(k).d * system.level(n).d))
-    G, _, J, _ = apply_transform(system, quad, c_nk, n - k)
+    G, _, J, _ = apply_transform(system, quad, 2.0, n - k)
     return G, J
 
 
@@ -389,7 +368,6 @@ class ArfSystem:
     base: OrfSystem
     order: int
     system: OrfSystem
-    c: tuple
     F_k: CaratheodoryFn | None
     mu_k: CircleMeasure | None
 
@@ -402,6 +380,21 @@ class ArfSystem:
         return self.system.level(n - self.order)
 
 
+def _arf_ratio_terms(system: OrfSystem, F: CaratheodoryFn, k: int):
+    """Numerator and denominator Phi_{k,tau} F + Psi_{k,tau}, tau = 1 and -1,
+    of the order-k transformed C-function."""
+    pp1 = para_pair(system, k, 1.0)
+    ppm = para_pair(system, k, -1.0)
+
+    def num(z):
+        return np.asarray(pp1.Phi(z)) * np.asarray(F(z)) + np.asarray(pp1.Psi(z))
+
+    def den(z):
+        return np.asarray(ppm.Phi(z)) * np.asarray(F(z)) + np.asarray(ppm.Psi(z))
+
+    return num, den
+
+
 def arf_anchor_residual(system: OrfSystem, F: CaratheodoryFn, k: int) -> float:
     """Deviation of the transformed C-function from 1 at its anchor beta_k.
 
@@ -410,15 +403,12 @@ def arf_anchor_residual(system: OrfSystem, F: CaratheodoryFn, k: int) -> float:
     then the vanishing defect of their difference, scaled by the size of
     the denominator nearby, which is the numerical content of the limit.
     """
-    pp1 = para_pair(system, k, 1.0)
-    ppm = para_pair(system, k, -1.0)
+    num_fn, den_fn = _arf_ratio_terms(system, F, k)
     b_k = system.poles.beta[k]
-    fb = complex(F(b_k))
-    num = complex(pp1.Phi(b_k)) * fb + complex(pp1.Psi(b_k))
-    den = complex(ppm.Phi(b_k)) * fb + complex(ppm.Psi(b_k))
+    num, den = complex(num_fn(b_k)), complex(den_fn(b_k))
     ring = b_k + 0.3 * np.exp(2j * np.pi * (np.arange(16) + 0.41) / 16)
     ring = ring[np.abs(ring) < 0.97]
-    den_scale = float(np.max(np.abs(ppm.Phi(ring) * np.asarray(F(ring)) + ppm.Psi(ring))))
+    den_scale = float(np.max(np.abs(den_fn(ring))))
     if abs(den) > 1e-6 * den_scale:
         return abs(num / den - 1.0)
     return abs(num - den) / den_scale
@@ -433,17 +423,7 @@ def arf_caratheodory(
     Asserts the anchor value 1 (within 1e-9) and positive real part on a
     seeded disk sample before returning.
     """
-    pp1 = para_pair(system, k, 1.0)
-    ppm = para_pair(system, k, -1.0)
-
-    def num(z):
-        return np.asarray(pp1.Phi(z)) * np.asarray(F(z)) + np.asarray(pp1.Psi(z))
-
-    def den(z):
-        return np.asarray(ppm.Phi(z)) * np.asarray(F(z)) + np.asarray(ppm.Psi(z))
-
-    Fk = ratio_caratheodory(num, den, system.poles.beta[k])
-
+    Fk = ratio_caratheodory(*_arf_ratio_terms(system, F, k), system.poles.beta[k])
     anchor = arf_anchor_residual(system, F, k)
     if anchor > 1e-9:
         raise NumericalFailure(f"transformed C-function anchor defect {anchor:.2e}")
@@ -480,10 +460,8 @@ def arf_recurrence(
         )
     else:
         shifted = PoleSequence(system.poles.beta[k : n_top + 1])
-        levels = [_level_zero(shifted, 1.0)]
-        for m in range(1, n_top - k + 1):
-            src = system.level(k + m)
-            levels.append(recurrence_step(levels[-1], src.lam, src.rho, shifted, m, e=src.e))
+        params = ((lv.lam, lv.rho, lv.e) for lv in system.levels[k + 1 : n_top + 1])
+        levels = _run_recurrence(shifted, _level_zero(shifted, 1.0), params)
         sub = OrfSystem(shifted, levels, source="parameters", n_points=system.n_points)
 
     F_k = mu_k = None
@@ -496,7 +474,23 @@ def arf_recurrence(
         mu_k = builtin_measure("samples", theta=theta, w=w)
         sub.measure = mu_k
     sub.caratheodory = F_k if F_k is not None else caratheodory_from_system(sub)
-    return ArfSystem(system, k, sub, (2.0,) * (n_top - k + 1), F_k, mu_k)
+    return ArfSystem(system, k, sub, F_k, mu_k)
+
+
+def arf_discrepancy(arf: ArfSystem) -> float:
+    """Sup distance on the circle between the explicit (transform) and the
+    recurrence route of an associated ladder, over phi and psi at every
+    level order..n_max."""
+    system, k = arf.base, arf.order
+    quad = arf_quad(system, k)
+    _, t = boundary_grid(512)
+    worst = 0.0
+    for n in range(k, arf.n_max + 1):
+        phi_e, psi_e = arf_explicit(system, k, n, quad=quad)
+        lv = arf.level(n)
+        worst = max(worst, float(np.max(np.abs(phi_e(t) - lv.phi(t)))))
+        worst = max(worst, float(np.max(np.abs(psi_e(t) - lv.psi(t)))))
+    return worst
 
 
 @dataclass(frozen=True)
@@ -560,14 +554,5 @@ def remark_identity_residual(G: RatFun, J: RatFun, n_points: int = 512):
     """Constant dtilde and sup residual of G^* J + G J^* = dtilde Ptilde Btilde
     over the tilde pole sequence carried by G (same contract as the base
     determinant identity)."""
-    m = G.n
-    poles = G.poles
-    _, t = boundary_grid(n_points)
-    left = superstar(G)(t) * J(t) + G(t) * superstar(J)(t)
-    kp = KernelParams(poles.beta[0])
-    right = poisson_kernel(kp, t, poles.beta[m]) * blaschke_product(poles, m, t)
-    j0 = int(np.argmax(np.abs(right)))
-    d = left[j0] / right[j0]
-    d_real = float(d.real)
-    resid = float(np.max(np.abs(left - d_real * right)) / np.max(np.abs(left)))
-    return d_real, resid
+    d, resid = identity_residual(G, J, superstar(G), superstar(J), n_points)
+    return float(d.real), resid

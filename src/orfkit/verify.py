@@ -16,12 +16,15 @@ from . import serialize
 from .engine import (
     OrfSystem,
     _fit_step,
+    _gram_defect,
+    _min_separation,
+    _run_recurrence,
     determinant_residual,
+    extract_parameters,
     interpolation_residuals,
     measure_from_system,
     para_pair,
     para_zeros,
-    recurrence_step,
     second_kind_functional_residual,
     second_kind_integral,
     synthesize,
@@ -32,7 +35,7 @@ from .ratfun import PoleSequence
 from .transforms import (
     apply_transform,
     arf_anchor_residual,
-    arf_explicit,
+    arf_discrepancy,
     arf_quad,
     arf_recurrence,
     relation_residuals,
@@ -85,23 +88,13 @@ class VerifyContext:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
 
-def _gram_defect(system, mu, n_points):
-    vals = []
-    _, t = boundary_grid(n_points)
-    theta, _ = boundary_grid(n_points)
-    w = mu.weight(theta)
-    for lv in system.levels:
-        vals.append(np.asarray(lv.phi(t)))
-    defect = 0.0
-    for i, vi in enumerate(vals):
-        for j, vj in enumerate(vals):
-            g = (vi * np.conj(vj) * w).mean()
-            defect = max(defect, abs(g - (1.0 if i == j else 0.0)))
-    return float(defect)
+def _sampled_gram_defect(system, mu, n_points):
+    theta, t = boundary_grid(n_points)
+    return _gram_defect([np.asarray(lv.phi(t)) for lv in system.levels], mu.weight(theta))
 
 
 def check_orthonormality(ctx):
-    return _gram_defect(ctx.system, ctx.measure, ctx.grid)
+    return _sampled_gram_defect(ctx.system, ctx.measure, ctx.grid)
 
 
 def check_recurrence_fit(ctx):
@@ -131,18 +124,10 @@ def check_para_zeros(ctx):
     return worst
 
 
-def _recurrence_rebuild(system):
-    levels = [system.level(0)]
-    for n in range(1, system.n_max + 1):
-        src = system.level(n)
-        levels.append(recurrence_step(levels[-1], src.lam, src.rho, system.poles, n, e=src.e))
-    return levels
-
-
 def check_second_kind(ctx):
     s = ctx.system
     mu = ctx.measure
-    rebuilt = _recurrence_rebuild(s)
+    rebuilt = _run_recurrence(s.poles, s.level(0), ((lv.lam, lv.rho, lv.e) for lv in s.levels[1:]))
     _, t = boundary_grid(512)
     worst = 0.0
     for n in range(s.n_max + 1):
@@ -151,20 +136,11 @@ def check_second_kind(ctx):
     return worst
 
 
-def _distinct(beta, upto):
-    pts = beta[: upto + 1]
-    if pts.size < 2:
-        return True
-    d = np.abs(pts[:, None] - pts[None, :])
-    np.fill_diagonal(d, np.inf)
-    return d.min() > 1e-12
-
-
 def check_interpolation(ctx):
     s = ctx.system
     worst = 0.0
     for n in range(s.n_max + 1):
-        if not _distinct(s.poles.beta, n):
+        if not _min_separation(s.poles.beta[: n + 1]) > 1e-12:
             continue
         rep = interpolation_residuals(s, ctx.F, n, seed=ctx.seed)
         worst = max(worst, rep.max_residual() / rep.scale)
@@ -182,16 +158,9 @@ def check_multiplier_identities(ctx):
 
 def check_arf_consistency(ctx):
     s = ctx.system
-    _, t = boundary_grid(512)
     worst = 0.0
     for k in range(min(3, s.n_max) + 1):
-        quad = arf_quad(s, k)
-        rec = arf_recurrence(s, k, attach_measure=False)
-        for n in range(k, s.n_max + 1):
-            phi_e, psi_e = arf_explicit(s, k, n, quad=quad)
-            lv = rec.level(n)
-            worst = max(worst, float(np.max(np.abs(phi_e(t) - lv.phi(t)))))
-            worst = max(worst, float(np.max(np.abs(psi_e(t) - lv.psi(t)))))
+        worst = max(worst, arf_discrepancy(arf_recurrence(s, k, attach_measure=False)))
     return worst
 
 
@@ -200,7 +169,7 @@ def check_arf_orthogonality(ctx):
     worst = 0.0
     for k in range(min(2, s.n_max) + 1):
         arf = arf_recurrence(s, k)
-        worst = max(worst, _gram_defect(arf.system, arf.mu_k, ctx.grid))
+        worst = max(worst, _sampled_gram_defect(arf.system, arf.mu_k, ctx.grid))
     return worst
 
 
@@ -249,9 +218,7 @@ def check_roundtrip_lambda(ctx):
     synth = synthesize(lams, poles)
     worst = 0.0
     for i in range(1, n + 1):
-        prev, cur = synth.level(i - 1), synth.level(i)
-        a, b, _, _ = _fit_step(poles, i, prev.phi, prev.phi_star, cur.phi)
-        worst = max(worst, abs(np.conj(b / a) - lams[i - 1]))
+        worst = max(worst, abs(extract_parameters(synth, i)[0] - lams[i - 1]))
     return worst
 
 

@@ -126,6 +126,22 @@ class TestConfigValidation:
         )
         assert main(["synth", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"n_max": "one"},
+            {"seed": "x"},
+            {"poles": [["a", 0], [0.5, 0], [0, 0]]},
+            {"arf_order": "first"},
+            {"grid": "big"},
+            {"n_max": [2]},
+        ],
+    )
+    def test_non_numeric_values(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path, {**WORKED, **override})
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{")

@@ -82,6 +82,12 @@ class TestGramSchmidt:
             gram_schmidt_orf(lebesgue, poles, 1)
         with pytest.warns(UserWarning):
             gram_schmidt_orf(lebesgue, poles, 1, allow_poles_near_circle=True)
+        # both constructors reject a pole sequence that stops before n_max
+        short = PoleSequence([0.0, 0.5])
+        with pytest.raises(DomainError, match="shorter"):
+            gram_schmidt_orf(lebesgue, short, 2)
+        with pytest.raises(DomainError, match="shorter"):
+            synthesize([0.1, 0.2], short)
 
 
 class TestRecurrenceStep:

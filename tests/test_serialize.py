@@ -16,7 +16,11 @@ from orfkit.serialize import (
 
 def test_roundtrip_bit_exact(synth_system):
     blob = dumps(system_to_dict(synth_system))
-    again = system_from_dict(json.loads(blob))
+    data = json.loads(blob)
+    # format constants of the orthonormal normalization
+    assert data["normalization"] == "orthonormal"
+    assert all(level["d"] == 2.0 for level in data["levels"])
+    again = system_from_dict(data)
     assert dumps(system_to_dict(again)) == blob
     for n in range(synth_system.n_max + 1):
         assert np.array_equal(again.level(n).phi.numer, synth_system.level(n).phi.numer)
