@@ -26,9 +26,13 @@ BOUNDARY_APPROACH = 1e-6
 MAX_MODULUS = 1.0 - 1e-7
 
 
+def _grid_angles(n_points: int):
+    return 2.0 * np.pi * np.arange(n_points) / n_points
+
+
 def boundary_grid(n_points: int):
     """Uniform angles theta_j = 2 pi j / N and the points t_j = exp(i theta_j)."""
-    theta = 2.0 * np.pi * np.arange(n_points) / n_points
+    theta = _grid_angles(n_points)
     return theta, np.exp(1j * theta)
 
 
@@ -91,6 +95,11 @@ def builtin_measure(kind: str, alpha=None, theta=None, w=None) -> CircleMeasure:
     kind = "poisson":         w(theta) = (1 - |alpha|^2)/|e^(i theta) - alpha|^2, |alpha| < 1.
     kind = "samples":         strictly positive values on a uniform theta grid,
                               extended by trigonometric interpolation.
+
+    A sampled density is exact at its M table nodes: on the grid 2 pi j / N
+    with N dividing M it returns the stored samples. Any other uniform grid
+    2 pi j / N is evaluated once per grid size and kept in the measure, so
+    later calls return the same values. Other angles cost O(N M) each call.
     """
     if kind == "lebesgue":
         return CircleMeasure("lebesgue", lambda th: np.ones_like(np.asarray(th, float)), mass=1.0)
@@ -110,12 +119,25 @@ def builtin_measure(kind: str, alpha=None, theta=None, w=None) -> CircleMeasure:
         if np.any(vals <= 0):
             raise NonPositiveWeight("sample table must be strictly positive")
         m = th.size
-        expected = 2.0 * np.pi * np.arange(m) / m
-        if np.max(np.abs(th - expected)) > 1e-9:
+        if np.max(np.abs(th - _grid_angles(m))) > 1e-9:
             raise DomainError("sample table must sit on the uniform grid 2 pi j / M")
         coeffs = np.fft.fft(vals) / m
         freqs = np.fft.fftfreq(m, d=1.0 / m)
-        fn = lambda t: np.real(_trig_eval(coeffs, freqs, t))
+        # density on each uniform grid, by size; read-only, as callers share it
+        on_grid = {m: vals.copy()}
+        on_grid[m].flags.writeable = False
+
+        def fn(t):
+            n = t.size
+            if t.ndim == 1 and n and np.array_equal(t, _grid_angles(n)):
+                if m % n == 0:
+                    return on_grid[m][:: m // n]
+                if n not in on_grid:
+                    on_grid[n] = np.real(_trig_eval(coeffs, freqs, t))
+                    on_grid[n].flags.writeable = False
+                return on_grid[n]
+            return np.real(_trig_eval(coeffs, freqs, t)).reshape(t.shape)
+
         return CircleMeasure("samples", fn, params={"theta": th, "w": vals}, mass=float(vals.mean()))
     raise DomainError(f"unknown measure kind {kind!r}")
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from orfkit import (
     DomainError,
@@ -14,9 +14,12 @@ from orfkit import (
     inner_product,
     measure_from_config,
     substar_eval,
+    synthesize,
     weight_from_caratheodory,
 )
-from orfkit.measure import CaratheodoryFn, boundary_grid, default_grid
+from orfkit import measure
+from orfkit.measure import CaratheodoryFn, _trig_eval, boundary_grid, default_grid
+from orfkit.verify import DEFAULT_TOLERANCES, VerifyContext, check_arf_orthogonality
 
 
 def monomial(k):
@@ -74,6 +77,79 @@ class TestBuiltinMeasures:
         assert_allclose(mu.weight(theta), 1.0)
         with pytest.raises(DomainError):
             measure_from_config({"type": "atomic"})
+
+
+def sampled_table(m=256):
+    theta, _ = boundary_grid(m)
+    w = 1.3 + 0.4 * np.cos(2 * theta) - 0.2 * np.sin(theta)
+    return builtin_measure("samples", theta=theta, w=w), w
+
+
+def dense_weight(w, theta):
+    m = w.size
+    coeffs = np.fft.fft(w) / m
+    freqs = np.fft.fftfreq(m, d=1.0 / m)
+    return np.real(_trig_eval(coeffs, freqs, theta)) / w.mean()
+
+
+@pytest.mark.parametrize("kind", ["lebesgue", "poisson", "samples"])
+def test_weight_keeps_input_shape(kind):
+    if kind == "samples":
+        mu = sampled_table()[0]
+    else:
+        mu = builtin_measure(kind, alpha=0.3 + 0.1j if kind == "poisson" else None)
+    assert mu.weight(0.0).shape == ()
+    assert float(mu.weight(0.0)) > 0
+    assert mu.weight(np.full((2, 3), 0.7)).shape == (2, 3)
+
+
+class TestSampledGrids:
+    """The sampled density on uniform grids equals the dense interpolant."""
+
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_table_nodes_return_samples(self, r):
+        mu, w = sampled_table()
+        assert_array_equal(mu.weight(boundary_grid(w.size // r)[0]), w[::r] / mu.mass)
+
+    def test_finer_grid_matches_dense_on_every_call(self):
+        mu, w = sampled_table()
+        theta, _ = boundary_grid(1024)
+        expected = dense_weight(w, theta)
+        assert_array_equal(mu.weight(theta), expected)
+        assert_array_equal(mu.weight(theta), expected)
+
+    def test_off_grid_angles_use_dense_path(self):
+        mu, w = sampled_table()
+        shifted = boundary_grid(256)[0] + 1e-3
+        angles = np.random.default_rng(5).uniform(0.0, 2 * np.pi, size=300)
+        for theta in (shifted, angles):
+            assert_array_equal(mu.weight(theta), dense_weight(w, theta))
+
+    def test_returned_arrays_are_private(self):
+        mu, w = sampled_table()
+        for n in (256, 128, 1024):
+            theta, _ = boundary_grid(n)
+            first = mu.weight(theta)
+            expected = first.copy()
+            first[:] = -1.0
+            assert_array_equal(mu.weight(theta), expected)
+
+    def test_empty_angles(self):
+        mu, _ = sampled_table()
+        assert mu.weight(np.array([])).shape == (0,)
+
+    def test_arf_orthogonality_stays_on_table_nodes(self, monkeypatch):
+        # the order-k densities are tables on the verify grid itself, so the
+        # check must never fall back to the dense kernel
+        s = synthesize(disk_points(8, n=3, cap=0.3), PoleSequence(disk_points(9, n=4, cap=0.6)))
+        s.n_points = 1024
+        ctx = VerifyContext(s, seed=0, tolerances={})
+
+        def dense(*args):
+            raise AssertionError("dense trigonometric evaluation on a table grid")
+
+        monkeypatch.setattr(measure, "_trig_eval", dense)
+        assert check_arf_orthogonality(ctx) <= DEFAULT_TOLERANCES["arf_orthogonality"]
 
 
 class TestInnerProduct:
