@@ -31,7 +31,7 @@ from .engine import (
 from .errors import DomainError, OrfkitError
 from .measure import boundary_grid, builtin_measure, measure_from_config
 from .ratfun import PoleSequence
-from .transforms import arf_discrepancy, arf_explicit, arf_quad, arf_recurrence
+from .transforms import arf_discrepancy, arf_explicit, arf_recurrence
 from .verify import CHECK_NAMES, VerifyContext, run_verification
 
 TABLE_POINTS = 256
@@ -305,13 +305,12 @@ def cmd_example(args) -> int:
     rng = np.random.default_rng(0)
     zs = 0.8 * np.sqrt(rng.uniform(size=50)) * np.exp(2j * np.pi * rng.uniform(size=50))
     line("C-function is 1 on the disk", float(np.max(np.abs(system.caratheodory(zs) - 1.0))), 1e-10)
-    quad = arf_quad(system, 1)
+    arf = arf_recurrence(system, 1)
     err = 0.0
     for m in range(1, n + 1):
-        phi_e, _ = arf_explicit(system, 1, m, quad=quad)
+        phi_e, _ = arf_explicit(system, 1, m, quad=arf.quad)
         err = max(err, float(np.max(np.abs(phi_e(t) - lebesgue_arf(poles, 1, m)(t)))))
     line("order-1 associated functions vs closed form", err, 1e-9)
-    arf = arf_recurrence(system, 1)
     theta = arf.mu_k.params["theta"]
     target = (1.0 - abs(beta1) ** 2) / np.abs(np.exp(1j * theta) - beta1) ** 2
     line("recovered order-1 density vs closed form", float(np.max(np.abs(arf.mu_k.params["w"] - target))), 1e-8)

@@ -93,13 +93,6 @@ class PoleSequence:
             out = out * (z - self.beta[j])
         return out
 
-    def pi_coeffs(self, n):
-        """Ascending coefficients of pi_n."""
-        out = np.array([1.0 + 0.0j])
-        for j in range(1, n + 1):
-            out = npp.polymul(out, [1.0, -np.conj(self.beta[j])])
-        return out
-
     def shifted(self, k):
         """The sequence beta_k, beta_{k+1}, ... used by order-k associated systems."""
         if not 0 <= k < len(self):

@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from .engine import OrfLevel, OrfSystem
+from .engine import OrfLevel, OrfSystem, caratheodory_from_system
 from .errors import DomainError
 from .ratfun import PoleSequence, RatFun
 
@@ -85,28 +85,22 @@ def system_from_dict(data: dict) -> OrfSystem:
                 None if item["rho"] is None else _from_c(item["rho"]),
             )
         )
-    return OrfSystem(
-        poles,
-        levels,
-        source=data["source"],
-        n_points=data.get("n_points"),
-    )
+    system = OrfSystem(poles, levels, source=data["source"], n_points=data.get("n_points"))
+    system.caratheodory = caratheodory_from_system(system)
+    return system
 
 
 def arf_to_dict(arf) -> dict:
-    out = {
+    return {
         "kind": "arf_system",
         "order": arf.order,
         "c": [2.0] * (arf.system.n_max + 1),
         "system": system_to_dict(arf.system),
-        "mu_weight": None,
-    }
-    if arf.mu_k is not None:
-        out["mu_weight"] = {
+        "mu_weight": {
             "theta": [float(v) for v in arf.mu_k.params["theta"]],
             "w": [float(v) for v in arf.mu_k.params["w"]],
-        }
-    return out
+        },
+    }
 
 
 def dumps(obj: dict) -> str:

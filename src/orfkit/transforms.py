@@ -14,6 +14,7 @@ running the recurrence with shifted parameters, and the two must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -318,7 +319,7 @@ def transformed_caratheodory(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> Car
     return ratio_caratheodory(num, den, quad.tilde_poles.beta[0])
 
 
-def arf_quad(system: OrfSystem, k: int, F: CaratheodoryFn | None = None) -> SelfReciprocalQuad:
+def arf_quad(system: OrfSystem, k: int) -> SelfReciprocalQuad:
     """Quad generating the order-k associated ladder: built from the level-k
     para-orthogonal pairs at tau = -1 and tau = +1, with signature 1 and the
     single tilde point beta_k. The condition check runs by construction."""
@@ -336,8 +337,7 @@ def arf_quad(system: OrfSystem, k: int, F: CaratheodoryFn | None = None) -> Self
         r=0,
         tilde_poles=PoleSequence([system.poles.beta[k]]),
     )
-    F = F or system.caratheodory
-    report = check_quad(quad, F, system.poles, depth=system.n_max - k)
+    report = check_quad(quad, system.caratheodory, system.poles, depth=system.n_max - k)
     if not report.passed:
         raise NumericalFailure(f"associated quad failed its own condition check: {report}")
     return replace(quad, report=report)
@@ -362,14 +362,17 @@ def arf_explicit(system: OrfSystem, k: int, n: int, quad: SelfReciprocalQuad | N
 @dataclass(frozen=True)
 class ArfSystem:
     """Order-k associated ladder: a plain ladder over the shifted poles
-    beta_k, beta_{k+1}, ..., plus its transformed C-function and recovered
-    orthogonality density when the base C-function is available."""
+    beta_k, beta_{k+1}, ..., built by the shifted recurrence.
+
+    Everything else derived from (base, order) is computed on first access
+    and kept: `quad` (the quad of the level-k para-orthogonal pairs), `F_k`
+    (the transformed C-function) and `mu_k` (the density recovered from
+    F_k). A failure in one of them is raised at that first access.
+    """
 
     base: OrfSystem
     order: int
     system: OrfSystem
-    F_k: CaratheodoryFn | None
-    mu_k: CircleMeasure | None
 
     @property
     def n_max(self):
@@ -378,6 +381,21 @@ class ArfSystem:
     def level(self, n):
         """Level by original index n (order <= n <= n_max)."""
         return self.system.level(n - self.order)
+
+    @cached_property
+    def quad(self) -> SelfReciprocalQuad:
+        return arf_quad(self.base, self.order)
+
+    @cached_property
+    def F_k(self) -> CaratheodoryFn:
+        return arf_caratheodory(self.base, self.base.caratheodory, self.order)
+
+    @cached_property
+    def mu_k(self) -> CircleMeasure:
+        """Samples of the F_k boundary density on the base ladder's grid."""
+        theta, _ = boundary_grid(self.base.n_points or 2048)
+        w = weight_from_caratheodory(self.F_k, self.system.poles.beta[0], theta)
+        return builtin_measure("samples", theta=theta, w=w)
 
 
 def _arf_ratio_terms(system: OrfSystem, F: CaratheodoryFn, k: int):
@@ -414,67 +432,41 @@ def arf_anchor_residual(system: OrfSystem, F: CaratheodoryFn, k: int) -> float:
     return abs(num - den) / den_scale
 
 
-def arf_caratheodory(
-    system: OrfSystem, F: CaratheodoryFn, k: int, n_check: int = 200, seed: int = 0
-) -> CaratheodoryFn:
+def arf_caratheodory(system: OrfSystem, F: CaratheodoryFn, k: int) -> CaratheodoryFn:
     """Transformed C-function of the order-k associated ladder:
     (Phi_{k,1} F + Psi_{k,1})/(Phi_{k,-1} F + Psi_{k,-1}), anchored at beta_k.
 
     Asserts the anchor value 1 (within 1e-9) and positive real part on a
-    seeded disk sample before returning.
+    fixed seeded sample of 200 disk points before returning.
     """
     Fk = ratio_caratheodory(*_arf_ratio_terms(system, F, k), system.poles.beta[k])
     anchor = arf_anchor_residual(system, F, k)
     if anchor > 1e-9:
         raise NumericalFailure(f"transformed C-function anchor defect {anchor:.2e}")
-    rng = np.random.default_rng(seed)
-    zs = 0.95 * np.sqrt(rng.uniform(size=n_check)) * np.exp(2j * np.pi * rng.uniform(size=n_check))
+    rng = np.random.default_rng(0)
+    zs = 0.95 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
     re_min = float(np.min(np.real(np.asarray(Fk(zs)))))
     if re_min <= 0.0:
         raise NumericalFailure(f"transformed C-function lost positivity (min Re = {re_min:.2e})")
     return Fk
 
 
-def arf_recurrence(
-    system: OrfSystem,
-    k: int,
-    n_max: int | None = None,
-    F: CaratheodoryFn | None = None,
-    attach_measure: bool = True,
-) -> ArfSystem:
+def arf_recurrence(system: OrfSystem, k: int) -> ArfSystem:
     """Order-k associated ladder by running the recurrence with the stored
     parameters shifted by k, over the shifted pole sequence, from the
-    constant initial level 1.
-
-    With attach_measure the transformed C-function and the density recovered
-    from it are attached, which is what the orthogonality check consumes.
-    """
-    n_top = system.n_max if n_max is None else n_max
-    if not 0 <= k <= n_top <= system.n_max:
-        raise DomainError("need 0 <= k <= n_max <= system.n_max")
+    constant initial level 1. Its quad, F_k and mu_k follow on first use."""
+    if not 0 <= k <= system.n_max:
+        raise DomainError("arf order k must satisfy 0 <= k <= n_max")
     if k == 0:
         # order 0 leaves the ladder untouched
-        sub = OrfSystem(
-            system.poles, system.levels[: n_top + 1], source=system.source,
-            n_points=system.n_points,
-        )
+        sub = OrfSystem(system.poles, system.levels, source=system.source, n_points=system.n_points)
     else:
-        shifted = PoleSequence(system.poles.beta[k : n_top + 1])
-        params = ((lv.lam, lv.rho, lv.e) for lv in system.levels[k + 1 : n_top + 1])
+        shifted = PoleSequence(system.poles.beta[k : system.n_max + 1])
+        params = ((lv.lam, lv.rho, lv.e) for lv in system.levels[k + 1 :])
         levels = _run_recurrence(shifted, _level_zero(shifted, 1.0), params)
         sub = OrfSystem(shifted, levels, source="parameters", n_points=system.n_points)
-
-    F_k = mu_k = None
-    if attach_measure:
-        F_base = F or system.caratheodory
-        F_k = arf_caratheodory(system, F_base, k)
-        grid = system.n_points or 2048
-        theta, _ = boundary_grid(grid)
-        w = weight_from_caratheodory(F_k, sub.poles.beta[0], theta)
-        mu_k = builtin_measure("samples", theta=theta, w=w)
-        sub.measure = mu_k
-    sub.caratheodory = F_k if F_k is not None else caratheodory_from_system(sub)
-    return ArfSystem(system, k, sub, F_k, mu_k)
+    sub.caratheodory = caratheodory_from_system(sub)
+    return ArfSystem(system, k, sub)
 
 
 def arf_discrepancy(arf: ArfSystem) -> float:
@@ -482,7 +474,7 @@ def arf_discrepancy(arf: ArfSystem) -> float:
     recurrence route of an associated ladder, over phi and psi at every
     level order..n_max."""
     system, k = arf.base, arf.order
-    quad = arf_quad(system, k)
+    quad = arf.quad
     _, t = boundary_grid(512)
     worst = 0.0
     for n in range(k, arf.n_max + 1):
@@ -518,8 +510,8 @@ def relation_residuals(system: OrfSystem, j: int, k: int, n: int, n_points: int 
     plus the same relations with phi and psi exchanged."""
     if not 0 <= j <= k <= n <= system.n_max:
         raise DomainError("need 0 <= j <= k <= n <= n_max")
-    aj = arf_recurrence(system, j, attach_measure=False)
-    ak = arf_recurrence(system, k, attach_measure=False)
+    aj = arf_recurrence(system, j)
+    ak = arf_recurrence(system, k)
     _, t = boundary_grid(n_points)
 
     jn, jk, kn = aj.level(n), aj.level(k), ak.level(n)

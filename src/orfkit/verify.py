@@ -8,7 +8,8 @@ executes a selection (default: all) and returns a name-keyed mapping.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .transforms import (
     apply_transform,
     arf_anchor_residual,
     arf_discrepancy,
-    arf_quad,
     arf_recurrence,
     relation_residuals,
     remark_identity_residual,
@@ -65,16 +65,24 @@ CHECK_NAMES = tuple(DEFAULT_TOLERANCES)
 
 @dataclass
 class VerifyContext:
-    """Everything a check needs: the system, its measure and C-function, and
-    the shared RNG seed for sampled checks."""
+    """Everything a check needs: the system, its measure and C-function, its
+    associated ladders, and the shared RNG seed for sampled checks. The
+    measure and each associated ladder are built once per context."""
 
     system: OrfSystem
     seed: int
     tolerances: dict
+    arfs: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
+    @cached_property
     def measure(self):
         return self.system.measure or measure_from_system(self.system)
+
+    def arf(self, k):
+        """The order-k associated ladder of the system."""
+        if k not in self.arfs:
+            self.arfs[k] = arf_recurrence(self.system, k)
+        return self.arfs[k]
 
     @property
     def F(self):
@@ -160,15 +168,14 @@ def check_arf_consistency(ctx):
     s = ctx.system
     worst = 0.0
     for k in range(min(3, s.n_max) + 1):
-        worst = max(worst, arf_discrepancy(arf_recurrence(s, k, attach_measure=False)))
+        worst = max(worst, arf_discrepancy(ctx.arf(k)))
     return worst
 
 
 def check_arf_orthogonality(ctx):
-    s = ctx.system
     worst = 0.0
-    for k in range(min(2, s.n_max) + 1):
-        arf = arf_recurrence(s, k)
+    for k in range(min(2, ctx.system.n_max) + 1):
+        arf = ctx.arf(k)
         worst = max(worst, _sampled_gram_defect(arf.system, arf.mu_k, ctx.grid))
     return worst
 
@@ -187,7 +194,7 @@ def check_remark(ctx):
     s = ctx.system
     worst = 0.0
     for k in range(1, min(3, s.n_max) + 1):
-        quad = arf_quad(s, k)
+        quad = ctx.arf(k).quad
         for n in range(1, s.n_max - k + 1):
             G, _, J, _ = apply_transform(s, quad, 2.0, n)
             d, resid = remark_identity_residual(G, J)
@@ -202,8 +209,7 @@ def check_positivity(ctx):
     worst = 0.0
     for k in range(min(3, s.n_max) + 1):
         worst = max(worst, arf_anchor_residual(s, ctx.F, k))
-        arf = arf_recurrence(s, k)
-        re = np.real(np.asarray(arf.F_k(zs)))
+        re = np.real(np.asarray(ctx.arf(k).F_k(zs)))
         if np.min(re) <= 0:
             worst = max(worst, 1.0)
     return worst

@@ -165,7 +165,7 @@ def test_criterion_07_arf_dual_construction(golden, measure_systems, synth_syste
     for system in [measure_systems[1], synth_systems[0]]:
         for k in range(4):
             quad = arf_quad(system, k)
-            rec = arf_recurrence(system, k, attach_measure=False)
+            rec = arf_recurrence(system, k)
             for n in range(k, 9):
                 phi_e, psi_e = arf_explicit(system, k, n, quad=quad)
                 worst = max(worst, float(np.max(np.abs(phi_e(t) - rec.level(n).phi(t)))))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 from numpy.testing import assert_allclose
 
-from orfkit import arf_recurrence
+from orfkit import PoleSequence, arf_recurrence, synthesize
 from orfkit.serialize import (
     arf_to_dict,
     dumps,
@@ -12,6 +12,11 @@ from orfkit.serialize import (
     write_csv_atomic,
     write_json_atomic,
 )
+from orfkit.verify import CHECK_NAMES, VerifyContext, run_verification
+
+
+def _reloaded(system):
+    return system_from_dict(json.loads(dumps(system_to_dict(system))))
 
 
 def test_roundtrip_bit_exact(synth_system):
@@ -35,6 +40,21 @@ def test_roundtrip_measure_system(poisson_system):
     again = system_from_dict(json.loads(blob))
     assert dumps(system_to_dict(again)) == blob
     assert np.array_equal(again.poles.beta, poisson_system.poles.beta)
+
+
+def test_reloaded_ladder_verifies_identically():
+    # a reloaded ladder carries the same C-function psi*_m/phi*_m as synthesize
+    poles = PoleSequence([0.0, 0.4 + 0.1j, -0.3 + 0.2j, 0.1 - 0.5j])
+    s = synthesize([0.3 + 0.1j, -0.2 + 0.25j, 0.1 - 0.4j], poles)
+    report = run_verification(VerifyContext(s, seed=0, tolerances={}))
+    again = run_verification(VerifyContext(_reloaded(s), seed=0, tolerances={}))
+    assert dumps(again) == dumps(report)
+    assert [name for name, entry in report.items() if entry["pass"]] == list(CHECK_NAMES)
+
+
+def test_reloaded_measure_ladder_passes_all_checks(poisson_system):
+    report = run_verification(VerifyContext(_reloaded(poisson_system), seed=0, tolerances={}))
+    assert [name for name, entry in report.items() if entry["pass"]] == list(CHECK_NAMES)
 
 
 def test_arf_serialization(worked_system):

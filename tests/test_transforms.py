@@ -24,9 +24,10 @@ from orfkit import (
     superstar,
     transformed_caratheodory,
 )
+from orfkit import transforms
 from orfkit.engine import _fit_step
 from orfkit.measure import boundary_grid, constant_caratheodory
-from orfkit.transforms import arf_anchor_residual
+from orfkit.transforms import arf_anchor_residual, arf_discrepancy
 
 SQ3 = np.sqrt(3.0)
 
@@ -209,7 +210,7 @@ class TestArfExplicit:
 
 class TestArfRecurrence:
     def test_order_zero_reproduces_base(self, synth_system):
-        arf = arf_recurrence(synth_system, 0, attach_measure=False)
+        arf = arf_recurrence(synth_system, 0)
         for n in range(synth_system.n_max + 1):
             assert_allclose(arf.level(n).phi.numer, synth_system.level(n).phi.numer, atol=1e-13)
 
@@ -217,14 +218,14 @@ class TestArfRecurrence:
         for s in (synth_system, poisson_system):
             for k in range(min(3, s.n_max) + 1):
                 quad = arf_quad(s, k)
-                rec = arf_recurrence(s, k, attach_measure=False)
+                rec = arf_recurrence(s, k)
                 for n in range(k, s.n_max + 1):
                     phi_e, psi_e = arf_explicit(s, k, n, quad=quad)
                     assert sup_diff(phi_e, rec.level(n).phi) < 1e-9
                     assert sup_diff(psi_e, rec.level(n).psi) < 1e-9
 
     def test_worked_first_equals_second_kind(self, worked_system):
-        arf = arf_recurrence(worked_system, 1, attach_measure=False)
+        arf = arf_recurrence(worked_system, 1)
         for n in (1, 2):
             assert_allclose(arf.level(n).phi.numer, arf.level(n).psi.numer, atol=1e-13)
 
@@ -300,3 +301,40 @@ class TestRemarkIdentity:
                     d, resid = remark_identity_residual(G, J)
                     assert abs(d - 2.0) < 1e-10
                     assert resid < 1e-10
+
+
+class TestArfSystemLaziness:
+    def test_ladder_needs_no_quad_or_caratheodory(self, monkeypatch, synth_system):
+        def fail(*args, **kwargs):
+            raise AssertionError("derived part built before it was used")
+
+        monkeypatch.setattr(transforms, "arf_caratheodory", fail)
+        monkeypatch.setattr(transforms, "check_quad", fail)
+        s = synth_system
+        for k in range(s.n_max + 1):
+            arf = arf_recurrence(s, k)
+            for n in range(k, s.n_max + 1):
+                arf.level(n).phi(0.3)
+        assert relation_residuals(s, 0, 1, 2).max_residual() < 1e-10
+
+    def test_derived_parts_built_once(self, monkeypatch, poisson_system):
+        calls = {"arf_caratheodory": 0, "check_quad": 0}
+
+        def counted(name):
+            original = getattr(transforms, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(transforms, name, wrapper)
+
+        counted("arf_caratheodory")
+        counted("check_quad")
+        arf = arf_recurrence(poisson_system, 2)
+        assert calls == {"arf_caratheodory": 0, "check_quad": 0}
+        assert arf.F_k is arf.F_k
+        assert arf.mu_k is arf.mu_k
+        assert arf.quad is arf.quad
+        assert arf_discrepancy(arf) < 1e-9
+        assert calls == {"arf_caratheodory": 1, "check_quad": 1}
