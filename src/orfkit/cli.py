@@ -163,7 +163,7 @@ class JobConfig:
             raise ConfigError(str(exc)) from exc
 
 
-def build_system(cfg: JobConfig, cross_check: bool = True):
+def build_system(cfg: JobConfig):
     """Build the configured ladder; when both sources are present, build both
     and require them to agree (phase-invariant comparison)."""
     poles = PoleSequence(cfg.poles)
@@ -180,7 +180,7 @@ def build_system(cfg: JobConfig, cross_check: bool = True):
         )
         if cfg.grid:
             synth.n_points = cfg.grid
-    if cross_check and gs is not None and synth is not None:
+    if gs is not None and synth is not None:
         _, t = boundary_grid(TABLE_POINTS)
         worst = 0.0
         for n in range(cfg.n_max + 1):

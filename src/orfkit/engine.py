@@ -330,6 +330,7 @@ def _second_kind(mu, poles, kp, phi: RatFun, n: int, n_points: int) -> RatFun:
         nodes = SECOND_KIND_RADIUS * np.exp(
             2j * np.pi * (np.arange(n + 1) + 0.5 * attempt) / (n + 1)
         )
+        # phi node by node: an array evaluation differs in the last bits and would change orf.json
         values = _herglotz_means(kp, t, w, phi_t, nodes, (phi(z) for z in nodes)) + mean_phi
         rhs = values * poles.pi(n, nodes)
         # Solve in the rescaled variable z/R so the Vandermonde is unitary-like.
@@ -560,14 +561,11 @@ def interpolation_residuals(
     if _min_separation(pts) < 1e-12:
         raise DomainError("interpolation residuals need pairwise distinct beta_0..beta_n")
     lv = system.level(n)
-    kp = system.kernel
 
-    first = np.array(
-        [abs(lv.phi(b) * complex(F(b)) + lv.psi(b)) for b in pts[:n]], dtype=float
-    )
-    second = np.array(
-        [abs(lv.phi_star(b) * complex(F(b)) - lv.psi_star(b)) for b in pts], dtype=float
-    )
+    f_pts = np.asarray(F(pts))
+    line_pts = lv.phi(pts) * f_pts + lv.psi(pts)
+    first = np.abs(line_pts[:n])
+    second = np.abs(lv.phi_star(pts) * f_pts - lv.psi_star(pts))
 
     rng = np.random.default_rng(seed)
     zs = 0.7 * np.sqrt(rng.uniform(size=n_samples)) * np.exp(2j * np.pi * rng.uniform(size=n_samples))
@@ -576,10 +574,7 @@ def interpolation_residuals(
     g = line_a / zeros_factor(poles, n, zs)
     scale = float(np.max(np.abs(line_a)))
 
-    b_n = poles.beta[n]
-    g_anchor = abs(
-        (lv.phi(b_n) * complex(F(b_n)) + lv.psi(b_n)) / complex(zeros_factor(poles, n, b_n))
-    )
+    g_anchor = abs(line_pts[n] / complex(zeros_factor(poles, n, pts[n])))
 
     para_res = 0.0
     for tau in (1.0, 1.0j, -1.0, -1.0j):
@@ -591,13 +586,11 @@ def interpolation_residuals(
     return InterpolationReport(n, first, second, float(np.min(np.abs(g))), g_anchor, para_res, scale)
 
 
-def second_kind_functional_residual(
-    system: OrfSystem, mu: CircleMeasure, n: int, seed: int = 0, n_points=None
-) -> float:
+def second_kind_functional_residual(system: OrfSystem, mu: CircleMeasure, n: int, seed: int = 0) -> float:
     """Residual of the extended functional identities relating phi_n, psi_n
     through the kernel, tested with a random multiplier f in L_{(n-1)*} and
     g in zeta_{n*} L_{(n-1)*}. Relative sup over interior sample points."""
-    n_points = n_points or system.n_points or default_grid(system.n_max)
+    n_points = system.n_points or default_grid(system.n_max)
     poles, kp = system.poles, system.kernel
     theta, t = boundary_grid(n_points)
     w = mu.weight(theta)

@@ -184,10 +184,11 @@ class CaratheodoryFn:
     """Evaluable holomorphic function on the disk with positive real part.
 
     Normalized so F(beta0) = 1; beta0 anchors the Herglotz kernel that ties
-    the function to its measure.
+    the function to its measure. `anchor_residual` is the measured defect of
+    F(beta0) = 1 when the builder checked it, else None.
     """
 
-    __slots__ = ("evaluator", "beta0")
+    __slots__ = ("evaluator", "beta0", "anchor_residual")
 
     def __init__(self, evaluator, beta0):
         beta0 = complex(beta0)
@@ -195,6 +196,7 @@ class CaratheodoryFn:
             raise DomainError("|beta_0| < 1 required")
         self.evaluator = evaluator
         self.beta0 = beta0
+        self.anchor_residual = None
 
     def __call__(self, z):
         out = self.evaluator(np.asarray(z, dtype=complex))
@@ -261,7 +263,7 @@ def caratheodory_from_measure(mu: CircleMeasure, beta0, n_points: int = 2048) ->
     return CaratheodoryFn(ev, beta0)
 
 
-def weight_from_caratheodory(F: CaratheodoryFn, beta0, theta, radial_offset=BOUNDARY_APPROACH):
+def weight_from_caratheodory(F: CaratheodoryFn, beta0, theta):
     """Recover the boundary density w(theta) from a C-function.
 
     w(theta) = Re F(r e^(i theta)) (1 - |beta0|^2)/|e^(i theta) - beta0|^2
@@ -271,14 +273,14 @@ def weight_from_caratheodory(F: CaratheodoryFn, beta0, theta, radial_offset=BOUN
     the Lebesgue density, the case that pins the formula down.
 
     Re F at radius r smooths the density at scale 1 - r, a first-order bias;
-    two radii (finest 1 - radial_offset) and Richardson extrapolation cancel
+    two radii (finest 1 - BOUNDARY_APPROACH) and Richardson extrapolation cancel
     it, leaving a quadratically small error.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     b0 = complex(beta0)
     t = np.exp(1j * theta)
-    near = np.real(np.asarray(F((1.0 - radial_offset) * t)))
-    far = np.real(np.asarray(F((1.0 - 2.0 * radial_offset) * t)))
+    near = np.real(np.asarray(F((1.0 - BOUNDARY_APPROACH) * t)))
+    far = np.real(np.asarray(F((1.0 - 2.0 * BOUNDARY_APPROACH) * t)))
     vals = 2.0 * near - far
     w = vals * (1.0 - abs(b0) ** 2) / np.abs(t - b0) ** 2
     if np.any(w < 0):

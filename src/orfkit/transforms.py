@@ -49,6 +49,9 @@ from .ratfun import (
     superstar,
 )
 
+# threshold of the transform conditions that check_quad tests
+QUAD_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class QuadConditionReport:
@@ -102,7 +105,7 @@ def identity_quad(poles: PoleSequence) -> SelfReciprocalQuad:
     one = RatFun(poles, [1.0], 0)
     zero = RatFun(poles, [0.0], 0)
     quad = SelfReciprocalQuad(one, zero, zero, one, 1.0, 0, 0, PoleSequence([poles.beta[0]]))
-    report = QuadConditionReport(0.0, np.inf, 0.0, 1.0, 0.0, 1.0, 1e-8, True)
+    report = QuadConditionReport(0.0, np.inf, 0.0, 1.0, 0.0, 1.0, QUAD_TOL, True)
     return replace(quad, report=report)
 
 
@@ -134,18 +137,20 @@ def _deflate_reciprocal(p, c):
     return q, abs(p[m] + c * q[m - 1])
 
 
-def _safe_ratio(num_fn, den_fn, pts, singular, radius=1e-5):
-    """den-quotient at pts, replacing evaluations that collide with a known
-    zero of the denominator by a small-circle average (a removable 0/0)."""
-    out = np.empty(len(pts), dtype=complex)
-    singular = np.asarray(singular, dtype=complex) if len(singular) else np.empty(0, complex)
-    for i, p in enumerate(pts):
-        if singular.size and np.min(np.abs(p - singular)) < 1e-8:
-            ring = p + radius * np.exp(2j * np.pi * (np.arange(4) + 0.5) / 4)
-            out[i] = np.mean(np.asarray(num_fn(ring)) / np.asarray(den_fn(ring)))
-        else:
-            out[i] = complex(np.asarray(num_fn(p)) / np.asarray(den_fn(p)))
-    return out
+def _safe_ratio(num_fn, den_fn, pts, singular):
+    """Numerator values and quotient num/den at pts, each function evaluated
+    once on one array. A point within 1e-8 of a known zero of the denominator
+    (a removable 0/0) takes the mean quotient over a 4-point ring of radius
+    1e-5 around it instead, so the division never runs there."""
+    near = (np.abs(pts[:, None] - singular[None, :]) < 1e-8).any(axis=1)
+    small = pts[near, None] + 1e-5 * np.exp(2j * np.pi * (np.arange(4) + 0.5) / 4)
+    z = np.concatenate([pts, small.ravel()])
+    num, den = np.asarray(num_fn(z)), np.asarray(den_fn(z))
+    divide = np.concatenate([~near, np.ones(z.size - pts.size, dtype=bool)])
+    q = np.divide(num, den, out=np.zeros_like(num), where=divide)
+    ratio = q[: pts.size]
+    ratio[near] = q[pts.size :].reshape(-1, 4).mean(axis=1)
+    return num[: pts.size], ratio
 
 
 def check_quad(
@@ -153,7 +158,6 @@ def check_quad(
     F: CaratheodoryFn,
     base_poles: PoleSequence,
     depth: int = 0,
-    tol: float = 1e-8,
 ) -> QuadConditionReport:
     """Numerically verify the transform conditions for a quad against F.
 
@@ -175,27 +179,25 @@ def check_quad(
 
     _, t512 = boundary_grid(512)
     ring = 0.62 * np.exp(2j * np.pi * (np.arange(48) + 0.13) / 48)
+    zeros_b = base_poles.beta[:N]
 
     if N > 0:
-        scale_b = max(float(np.max(np.abs(quad.B(t512)))), 1e-300)
-        a2_min = float(min(abs(complex(quad.B(b))) for b in base_poles.beta[:N])) / scale_b
+        b_abs = np.abs(quad.B(np.concatenate([zeros_b, t512])))
+        a2_min = float(np.min(b_abs[:N])) / max(float(np.max(b_abs[N:])), 1e-300)
     else:
         a2_min = np.inf
 
     def a_minus_bf(z):
         return np.asarray(quad.A(z)) - np.asarray(quad.B(z)) * np.asarray(F(z))
 
-    scale3 = max(float(np.max(np.abs(a_minus_bf(ring)))), 1e-300)
-    if N > 0:
-        a3_max = float(max(abs(complex(a_minus_bf(b))) for b in base_poles.beta[:N])) / scale3
-    else:
-        a3_max = 0.0
-
-    zeros_g = list(base_poles.beta[:N])
-    g_pts = list(quad.tilde_poles.beta) + list(base_poles.beta[N + 1 : N + depth + 1])
-    g_den = lambda z: zeros_factor(base_poles, N, z)
-    g_req = _safe_ratio(a_minus_bf, g_den, g_pts, zeros_g)
-    g_ring = _safe_ratio(a_minus_bf, g_den, ring, zeros_g)
+    # A - B F and g = (A - B F)/(zeta_0 B_{N-1}) at beta_0..beta_{N-1}, the
+    # tilde and shifted points, and the ring; g at beta_0..beta_{N-1} is unused
+    g_pts = np.concatenate([quad.tilde_poles.beta, base_poles.beta[N + 1 : N + depth + 1]])
+    pts = np.concatenate([zeros_b, g_pts, ring])
+    amb, g = _safe_ratio(a_minus_bf, lambda z: zeros_factor(base_poles, N, z), pts, zeros_b)
+    scale3 = max(float(np.max(np.abs(amb[-ring.size :]))), 1e-300)
+    a3_max = float(np.max(np.abs(amb[:N]))) / scale3 if N > 0 else 0.0
+    g_req, g_ring = g[N : N + g_pts.size], g[-ring.size :]
     scale_g = float(max(np.max(np.abs(g_req)), np.max(np.abs(g_ring))))
     a33_min = float(np.min(np.abs(g_req))) / scale_g if scale_g > 0 else 0.0
 
@@ -204,32 +206,30 @@ def check_quad(
             quad.C(z)
         )
 
-    scale42 = max(float(np.max(np.abs(adbc(ring)))), 1e-300)
-    vanish_pts = list(base_poles.beta[:N]) + list(quad.tilde_poles.beta[:r])
-    if vanish_pts:
-        a42_max = float(max(abs(complex(adbc(b))) for b in vanish_pts)) / scale42
-    else:
-        a42_max = 0.0
-
     def f_den(z):
         return zeros_factor(base_poles, N, z) * zeros_factor(quad.tilde_poles, r, z)
 
-    f_ring = _safe_ratio(adbc, f_den, ring, vanish_pts)
+    # A D - B C at its required zeros and on the ring, its cofactor f on the ring
+    vanish_pts = np.concatenate([zeros_b, quad.tilde_poles.beta[:r]])
+    det, f = _safe_ratio(adbc, f_den, np.concatenate([vanish_pts, ring]), vanish_pts)
+    scale42 = max(float(np.max(np.abs(det[-ring.size :]))), 1e-300)
+    a42_max = float(np.max(np.abs(det[: vanish_pts.size]))) / scale42 if vanish_pts.size else 0.0
+    f_ring = f[-ring.size :]
     scale_f = float(np.max(np.abs(f_ring)))
     a42_f_min = float(np.min(np.abs(f_ring))) / scale_f if scale_f > 0 else 0.0
 
     passed = bool(
-        a1 <= tol
+        a1 <= QUAD_TOL
         and (N == 0 or a2_min > 1e-10)
-        and a3_max <= tol
-        and a33_min > tol
-        and a42_max <= tol
-        and a42_f_min > tol
+        and a3_max <= QUAD_TOL
+        and a33_min > QUAD_TOL
+        and a42_max <= QUAD_TOL
+        and a42_f_min > QUAD_TOL
     )
-    return QuadConditionReport(a1, a2_min, a3_max, a33_min, a42_max, a42_f_min, tol, passed)
+    return QuadConditionReport(a1, a2_min, a3_max, a33_min, a42_max, a42_f_min, QUAD_TOL, passed)
 
 
-def apply_transform(system: OrfSystem, quad: SelfReciprocalQuad, c_n, n: int, report=None):
+def apply_transform(system: OrfSystem, quad: SelfReciprocalQuad, c_n, n: int):
     """Transform level N + n of the ladder into (G, H, J, K) over the tilde poles.
 
     The numerators are formed by polynomial arithmetic and the common factor
@@ -237,10 +237,9 @@ def apply_transform(system: OrfSystem, quad: SelfReciprocalQuad, c_n, n: int, re
     1e-10 of the numerator scale means the quad conditions do not actually
     hold. Post-asserts the superstar pairing G^* = tau_A H, J^* = tau_A K.
     """
-    report = report if report is not None else quad.report
-    if report is None:
+    if quad.report is None:
         raise ConditionUnchecked("run check_quad before applying a transform")
-    if not report.passed:
+    if not quad.report.passed:
         raise DomainError("quad failed its condition check")
     c_n = float(c_n)
     if c_n == 0.0:
@@ -436,13 +435,14 @@ def arf_caratheodory(system: OrfSystem, F: CaratheodoryFn, k: int) -> Caratheodo
     """Transformed C-function of the order-k associated ladder:
     (Phi_{k,1} F + Psi_{k,1})/(Phi_{k,-1} F + Psi_{k,-1}), anchored at beta_k.
 
-    Asserts the anchor value 1 (within 1e-9) and positive real part on a
-    fixed seeded sample of 200 disk points before returning.
+    Asserts the anchor value 1 (within 1e-9), kept as its `anchor_residual`,
+    and positive real part on a fixed seeded sample of 200 disk points
+    before returning.
     """
     Fk = ratio_caratheodory(*_arf_ratio_terms(system, F, k), system.poles.beta[k])
-    anchor = arf_anchor_residual(system, F, k)
-    if anchor > 1e-9:
-        raise NumericalFailure(f"transformed C-function anchor defect {anchor:.2e}")
+    Fk.anchor_residual = arf_anchor_residual(system, F, k)
+    if Fk.anchor_residual > 1e-9:
+        raise NumericalFailure(f"transformed C-function anchor defect {Fk.anchor_residual:.2e}")
     rng = np.random.default_rng(0)
     zs = 0.95 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
     re_min = float(np.min(np.real(np.asarray(Fk(zs)))))
@@ -504,15 +504,17 @@ class RelationReport:
         )
 
 
-def relation_residuals(system: OrfSystem, j: int, k: int, n: int, n_points: int = 256) -> RelationReport:
-    """Check the three relations tying associated ladders of orders j and k
-    at level n (orthonormal normalization, so all coupling constants are 1),
-    plus the same relations with phi and psi exchanged."""
+def relation_residuals(aj: ArfSystem, ak: ArfSystem, n: int) -> RelationReport:
+    """Check the three relations tying the associated ladders aj and ak of
+    orders j and k of one base ladder at level n (orthonormal normalization,
+    so all coupling constants are 1), plus the same relations with phi and
+    psi exchanged."""
+    system, j, k = aj.base, aj.order, ak.order
+    if ak.base is not system:
+        raise DomainError("both associated ladders must come from one base ladder")
     if not 0 <= j <= k <= n <= system.n_max:
         raise DomainError("need 0 <= j <= k <= n <= n_max")
-    aj = arf_recurrence(system, j)
-    ak = arf_recurrence(system, k)
-    _, t = boundary_grid(n_points)
+    _, t = boundary_grid(256)
 
     jn, jk, kn = aj.level(n), aj.level(k), ak.level(n)
     pj_n, pj_n_s = jn.phi(t), jn.phi_star(t)
@@ -542,9 +544,9 @@ def relation_residuals(system: OrfSystem, j: int, k: int, n: int, n_points: int 
     return RelationReport(r1, r2, r3, r1s, r2s, r3s)
 
 
-def remark_identity_residual(G: RatFun, J: RatFun, n_points: int = 512):
+def remark_identity_residual(G: RatFun, J: RatFun):
     """Constant dtilde and sup residual of G^* J + G J^* = dtilde Ptilde Btilde
     over the tilde pole sequence carried by G (same contract as the base
     determinant identity)."""
-    d, resid = identity_residual(G, J, superstar(G), superstar(J), n_points)
+    d, resid = identity_residual(G, J, superstar(G), superstar(J))
     return float(d.real), resid

@@ -35,7 +35,6 @@ from .measure import boundary_grid
 from .ratfun import PoleSequence
 from .transforms import (
     apply_transform,
-    arf_anchor_residual,
     arf_discrepancy,
     arf_recurrence,
     relation_residuals,
@@ -186,7 +185,7 @@ def check_relations(ctx):
     for j, k, n in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
         if n > s.n_max:
             continue
-        worst = max(worst, relation_residuals(s, j, k, n).max_residual())
+        worst = max(worst, relation_residuals(ctx.arf(j), ctx.arf(k), n).max_residual())
     return worst
 
 
@@ -208,9 +207,9 @@ def check_positivity(ctx):
     zs = 0.9 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
     worst = 0.0
     for k in range(min(3, s.n_max) + 1):
-        worst = max(worst, arf_anchor_residual(s, ctx.F, k))
-        re = np.real(np.asarray(ctx.arf(k).F_k(zs)))
-        if np.min(re) <= 0:
+        Fk = ctx.arf(k).F_k
+        worst = max(worst, Fk.anchor_residual)
+        if np.min(np.real(np.asarray(Fk(zs)))) <= 0:
             worst = max(worst, 1.0)
     return worst
 

@@ -199,7 +199,7 @@ def test_criterion_09_relations(measure_systems, synth_systems):
     worst = 0.0
     for system in [measure_systems[0], synth_systems[1]]:
         for j, k, n in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-            rep = relation_residuals(system, j, k, n)
+            rep = relation_residuals(arf_recurrence(system, j), arf_recurrence(system, k), n)
             worst = max(worst, rep.max_residual())
     assert _line("criterion 9: order-mixing relations (incl. swapped)", worst, 1e-10)
 

@@ -25,7 +25,7 @@ from orfkit import (
     transformed_caratheodory,
 )
 from orfkit import transforms
-from orfkit.engine import _fit_step
+from orfkit.engine import _fit_step, zeros_factor
 from orfkit.measure import boundary_grid, constant_caratheodory
 from orfkit.transforms import arf_anchor_residual, arf_discrepancy
 
@@ -97,6 +97,34 @@ class TestCheckQuad:
         rep = check_quad(bad, synth_system.caratheodory, synth_system.poles, depth=1)
         assert not rep.passed
         assert rep.a1_residual > 1e-2
+
+    def test_safe_ratio_matches_pointwise_reference(self, worked_system, synth_system):
+        # the point-by-point loop that _safe_ratio replaced; in the worked
+        # system the order-2 tilde point beta_2 = beta_0 = 0 is a removable 0/0
+        def reference(num_fn, den_fn, pts, singular):
+            out = []
+            for p in pts:
+                if np.min(np.abs(p - singular)) < 1e-8:
+                    ring = p + 1e-5 * np.exp(2j * np.pi * (np.arange(4) + 0.5) / 4)
+                    out.append(np.mean(num_fn(ring) / den_fn(ring)))
+                else:
+                    out.append(num_fn(p) / den_fn(p))
+            return np.array(out)
+
+        for s, k in ((worked_system, 2), (synth_system, 1), (synth_system, 3)):
+            quad, F, zeros = arf_quad(s, k), s.caratheodory, s.poles.beta[:k]
+
+            def num(z):
+                return np.asarray(quad.A(z)) - np.asarray(quad.B(z)) * np.asarray(F(z))
+
+            def den(z):
+                return zeros_factor(s.poles, k, z)
+
+            ring = 0.62 * np.exp(2j * np.pi * (np.arange(48) + 0.13) / 48)
+            pts = np.concatenate([zeros, quad.tilde_poles.beta, s.poles.beta[k + 1 :], ring])
+            values, ratio = transforms._safe_ratio(num, den, pts, zeros)
+            assert_allclose(values, num(pts), rtol=0, atol=1e-14 * np.max(np.abs(values)))
+            assert_allclose(ratio, reference(num, den, pts, zeros), rtol=1e-13)
 
     def test_general_r_check_path(self, synth_system):
         # r = 1 with btilde_1 = beta_1: embedding degree-1 members into the
@@ -264,23 +292,23 @@ class TestArfCaratheodory:
 
 class TestRelations:
     def test_trivial_when_orders_match(self, synth_system):
-        rep = relation_residuals(synth_system, 1, 1, 3)
+        rep = relation_residuals(arf_recurrence(synth_system, 1), arf_recurrence(synth_system, 1), 3)
         assert rep.max_residual() < 1e-12
 
     def test_worked(self, worked_system):
-        rep = relation_residuals(worked_system, 0, 1, 2)
+        rep = relation_residuals(arf_recurrence(worked_system, 0), arf_recurrence(worked_system, 1), 2)
         assert rep.max_residual() < 1e-10
 
     @pytest.mark.parametrize("jkn", [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
     def test_random_systems(self, jkn, synth_system, poisson_system):
         j, k, n = jkn
         for s in (synth_system, poisson_system):
-            rep = relation_residuals(s, j, k, n)
+            rep = relation_residuals(arf_recurrence(s, j), arf_recurrence(s, k), n)
             assert rep.max_residual() < 1e-10
 
     def test_bad_order_rejected(self, synth_system):
         with pytest.raises(DomainError):
-            relation_residuals(synth_system, 2, 1, 3)
+            relation_residuals(arf_recurrence(synth_system, 2), arf_recurrence(synth_system, 1), 3)
 
 
 class TestRemarkIdentity:
@@ -315,7 +343,7 @@ class TestArfSystemLaziness:
             arf = arf_recurrence(s, k)
             for n in range(k, s.n_max + 1):
                 arf.level(n).phi(0.3)
-        assert relation_residuals(s, 0, 1, 2).max_residual() < 1e-10
+        assert relation_residuals(arf_recurrence(s, 0), arf_recurrence(s, 1), 2).max_residual() < 1e-10
 
     def test_derived_parts_built_once(self, monkeypatch, poisson_system):
         calls = {"arf_caratheodory": 0, "check_quad": 0}
