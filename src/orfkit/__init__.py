@@ -9,7 +9,6 @@ from .errors import (
     DivisionRemainderTooLarge,
     DomainError,
     FitResidualTooLarge,
-    InterpolationSingular,
     KernelSingularity,
     NegativeDensity,
     NonPositiveWeight,

@@ -18,7 +18,6 @@ from numpy.polynomial import polynomial as npp
 from .errors import (
     DomainError,
     FitResidualTooLarge,
-    InterpolationSingular,
     NumericalFailure,
     ParameterOutOfDisk,
     RankDeficiency,
@@ -50,8 +49,6 @@ TOL_ORTHO = 1e-9
 # Quadrature accuracy degrades as poles approach the circle; beyond this the
 # constructors demand an explicit override.
 POLE_CAP = 0.9
-# Reconstruction nodes for the second-kind quadrature sit on this circle.
-SECOND_KIND_RADIUS = 0.3
 
 
 @dataclass(frozen=True)
@@ -139,15 +136,18 @@ def _fit_step(poles, n, phi_prev, phi_star_prev, phi_n):
     Returns (a, b, residual, scale) with the residual in sup norm over the
     sample and scale = max |phi_n| there.
     """
-    zs = 0.6 * np.exp(2j * np.pi * (np.arange(16) + 0.37) / 16)
-    lhs = phi_n(zs) * poles.varpi(n, zs) / poles.varpi(n - 1, zs)
+    # golden-angle points on the circle: |phi_n| stays O(1) there, and no
+    # power z^k aliases the constant as it does on equispaced points
+    zs = np.exp(2j * np.pi * ((np.arange(16) + 0.37) * (np.sqrt(5.0) - 1.0) / 2.0 % 1.0))
+    phi_z = phi_n(zs)
+    lhs = phi_z * poles.varpi(n, zs) / poles.varpi(n - 1, zs)
     col1 = blaschke_factor(poles, n - 1, zs) * phi_prev(zs)
     col2 = phi_star_prev(zs)
     mat = np.stack([col1, col2], axis=1)
     sol, *_ = np.linalg.lstsq(mat, lhs, rcond=None)
     a, b = sol
     resid = float(np.max(np.abs(mat @ sol - lhs)))
-    scale = float(np.max(np.abs(phi_n(zs))))
+    scale = float(np.max(np.abs(phi_z)))
     return a, b, resid, scale
 
 
@@ -164,7 +164,7 @@ def _fit_parameters(poles, n, phi_prev, phi_star_prev, phi_n):
 
 def extract_parameters(system: OrfSystem, n: int):
     """Recover (lambda_n, e_n, rho_n) from consecutive levels by inverting the
-    recurrence in least squares over 16 interior sample points.
+    recurrence in least squares over 16 points of the unit circle.
 
     Raises FitResidualTooLarge when the levels do not actually satisfy a
     recurrence (wrong poles, broken orthogonality).
@@ -306,53 +306,45 @@ def measure_from_system(system: OrfSystem) -> CircleMeasure:
     return mu
 
 
+def _circle_nodes(count: int, n_points: int) -> np.ndarray:
+    """count equispaced points on |z| = 1, turned by half a step of the
+    quadrature grid 2 pi j / n_points so that none of them lies on it."""
+    return np.exp(1j * (2.0 * np.pi * np.arange(count) / count + np.pi / n_points))
+
+
 def _herglotz_means(kp, t, w, f_t, nodes, f_nodes) -> np.ndarray:
-    """mean_t D(t, z) (f(t) - f(z)) w(t) at each node z, D the Riesz-Herglotz
-    kernel. One node at a time: a (nodes x N) product rounds differently."""
-    zt = kp.zeta0(t)
-    out = np.empty(len(nodes), dtype=complex)
-    for i, (z, fz) in enumerate(zip(nodes, f_nodes)):
-        zz = kp.zeta0(z)
-        out[i] = ((zt + zz) / (zt - zz) * (f_t - fz) * w).mean()
-    return out
+    """mean_t D(t, z) (f(t) - f(z)) w(t) at each node z, D the Riesz-Herglotz kernel."""
+    zt, zz = kp.zeta0(t), kp.zeta0(nodes)[:, None]
+    return ((zt + zz) / (zt - zz) * (f_t - f_nodes[:, None]) * w).mean(axis=1)
 
 
 def _second_kind(mu, poles, kp, phi: RatFun, n: int, n_points: int) -> RatFun:
-    """Quadrature realization of the second-kind companion of phi (degree n)."""
+    """Quadrature realization of the second-kind companion of phi (degree n).
+
+    psi(z) = mean_t D(t, z) (phi(t) - phi(z)) w(t) + mean_t phi(t) w(t) is
+    taken at the nodes z_k = e^{i delta} omega^k, omega = e^{2 pi i/(n+1)},
+    on |z| = 1, where the difference quotient is smooth and the trapezoidal
+    rule still converges geometrically. The numerator psi pi_n has the values
+    sum_j c_j e^{i j delta} omega^{jk} there, so one FFT gives c_j once the
+    phase e^{i j delta} is removed. The turn delta = pi / n_points puts each
+    node between two quadrature nodes, where the quotient is never 0/0.
+    """
     theta, t = boundary_grid(n_points)
     w = mu.weight(theta)
     phi_t = phi(t)
-    mean_phi = complex((phi_t * w).mean())
-    if n == 0:
-        return RatFun(poles, [mean_phi], 0)
-
-    for attempt in range(2):
-        nodes = SECOND_KIND_RADIUS * np.exp(
-            2j * np.pi * (np.arange(n + 1) + 0.5 * attempt) / (n + 1)
-        )
-        # phi node by node: an array evaluation differs in the last bits and would change orf.json
-        values = _herglotz_means(kp, t, w, phi_t, nodes, (phi(z) for z in nodes)) + mean_phi
-        rhs = values * poles.pi(n, nodes)
-        # Solve in the rescaled variable z/R so the Vandermonde is unitary-like.
-        vander = np.vander(nodes / SECOND_KIND_RADIUS, n + 1, increasing=True)
-        try:
-            coeffs = np.linalg.solve(vander, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if np.max(np.abs(vander @ coeffs - rhs)) > 1e-8 * max(1.0, np.max(np.abs(rhs))):
-            continue
-        coeffs = coeffs / SECOND_KIND_RADIUS ** np.arange(n + 1)
-        return RatFun(poles, coeffs, n)
-    raise InterpolationSingular("second-kind reconstruction nodes were unusable")
+    nodes = _circle_nodes(n + 1, n_points)
+    values = _herglotz_means(kp, t, w, phi_t, nodes, phi(nodes)) + (phi_t * w).mean()
+    coeffs = np.fft.fft(values * poles.pi(n, nodes)) / (n + 1)
+    return RatFun(poles, coeffs * np.exp(-1j * np.pi / n_points * np.arange(n + 1)), n)
 
 
-def second_kind_integral(mu: CircleMeasure, system: OrfSystem, n: int, n_points=None) -> RatFun:
+def second_kind_integral(mu: CircleMeasure, system: OrfSystem, n: int) -> RatFun:
     """Second-kind function of level n straight from its defining quadrature.
 
     Independent of the recurrence route: the two must agree, which the
     verification suite checks.
     """
-    n_points = n_points or system.n_points or default_grid(system.n_max)
+    n_points = system.n_points or default_grid(system.n_max)
     return _second_kind(mu, system.poles, system.kernel, system.level(n).phi, n, n_points)
 
 
@@ -497,13 +489,14 @@ def para_zeros(pair: ParaPair) -> np.ndarray:
     return roots[np.argsort(np.angle(roots))]
 
 
-def identity_residual(f: RatFun, g: RatFun, f_star: RatFun, g_star: RatFun, n_points: int = 512):
+def identity_residual(f: RatFun, g: RatFun, f_star: RatFun, g_star: RatFun):
     """Complex constant d and relative sup residual (against Re d) of
-    f^* g + f g^* = d P_m B_m on the circle, m and the poles taken from f.
-    The starred pair is passed in, so a check covers stored f^*, g^* too."""
+    f^* g + f g^* = d P_m B_m on a 512-point boundary grid, m and the poles
+    taken from f. The starred pair is passed in, so a check covers stored
+    f^*, g^* too."""
     m = f.n
     poles = f.poles
-    _, t = boundary_grid(n_points)
+    _, t = boundary_grid(512)
     left = f_star(t) * g(t) + f(t) * g_star(t)
     kp = KernelParams(poles.beta[0])
     right = poisson_kernel(kp, t, poles.beta[m]) * blaschke_product(poles, m, t)
@@ -513,11 +506,11 @@ def identity_residual(f: RatFun, g: RatFun, f_star: RatFun, g_star: RatFun, n_po
     return d, resid
 
 
-def determinant_residual(system: OrfSystem, n: int, n_points: int = 512):
+def determinant_residual(system: OrfSystem, n: int):
     """Constant d_n and sup residual of phi_n^* psi_n + phi_n psi_n^* = d_n P_n B_n
     over a boundary grid. Orthonormal ladders must give d_n = 2."""
     lv = system.level(n)
-    d, resid = identity_residual(lv.phi, lv.psi, lv.phi_star, lv.psi_star, n_points)
+    d, resid = identity_residual(lv.phi, lv.psi, lv.phi_star, lv.psi_star)
     if abs(d - 2.0) > 1e-9:
         raise NumericalFailure(f"determinant constant {d} differs from 2")
     return float(d.real), resid
@@ -546,15 +539,17 @@ class InterpolationReport:
 
 
 def interpolation_residuals(
-    system: OrfSystem, F: CaratheodoryFn, n: int, n_samples: int = 100, seed: int = 0
+    system: OrfSystem, F: CaratheodoryFn, n: int, seed: int = 0
 ) -> InterpolationReport:
     """Check the interpolation structure of level n against the C-function F.
 
     (phi_n F + psi_n) must vanish at beta_0..beta_{n-1}, the starred line at
     beta_0..beta_n, and the analytic witness g_n = (phi_n F + psi_n)/(zeta_0
-    B_{n-1}) must stay away from zero on a disk sample. Requires pairwise
-    distinct beta_0..beta_n; the repeated-pole multiplicity variant lives in
-    the test suite only.
+    B_{n-1}) must stay away from zero on a 100-point disk sample. The para
+    lines are formed there from the superstars of the four functions, by
+    (f + tau g)^* = f^* + conj(tau) g^*. Requires pairwise distinct
+    beta_0..beta_n; the repeated-pole multiplicity variant lives in the test
+    suite only.
     """
     poles = system.poles
     pts = poles.beta[: n + 1]
@@ -568,20 +563,23 @@ def interpolation_residuals(
     second = np.abs(lv.phi_star(pts) * f_pts - lv.psi_star(pts))
 
     rng = np.random.default_rng(seed)
-    zs = 0.7 * np.sqrt(rng.uniform(size=n_samples)) * np.exp(2j * np.pi * rng.uniform(size=n_samples))
+    zs = 0.7 * np.sqrt(rng.uniform(size=100)) * np.exp(2j * np.pi * rng.uniform(size=100))
     fz = np.asarray(F(zs))
-    line_a = lv.phi(zs) * fz + lv.psi(zs)
+    funcs = (lv.phi, lv.phi_star, lv.psi, lv.psi_star)
+    phi, phi_s, psi, psi_s = (f(zs) for f in funcs)
+    line_a = phi * fz + psi
     g = line_a / zeros_factor(poles, n, zs)
     scale = float(np.max(np.abs(line_a)))
 
     g_anchor = abs(line_pts[n] / complex(zeros_factor(poles, n, pts[n])))
 
-    para_res = 0.0
-    for tau in (1.0, 1.0j, -1.0, -1.0j):
-        pp = para_pair(system, n, tau)
-        lhs = superstar(pp.Phi)(zs) * fz - superstar(pp.Psi)(zs)
-        rhs = np.conj(tau) * (pp.Phi(zs) * fz + pp.Psi(zs))
-        para_res = max(para_res, float(np.max(np.abs(lhs - rhs)) / scale))
+    # para pair Phi = phi + tau phi^*, Psi = psi - tau psi^*, one row per tau
+    s_phi, s_phi_s, s_psi, s_psi_s = (superstar(f)(zs) for f in funcs)
+    tau = np.array([1.0, 1.0j, -1.0, -1.0j])[:, None]
+    ct = np.conj(tau)
+    lhs = (s_phi + ct * s_phi_s) * fz - (s_psi - ct * s_psi_s)
+    rhs = ct * ((phi + tau * phi_s) * fz + psi - tau * psi_s)
+    para_res = float(np.max(np.abs(lhs - rhs)) / scale)
 
     return InterpolationReport(n, first, second, float(np.min(np.abs(g))), g_anchor, para_res, scale)
 
@@ -589,7 +587,7 @@ def interpolation_residuals(
 def second_kind_functional_residual(system: OrfSystem, mu: CircleMeasure, n: int, seed: int = 0) -> float:
     """Residual of the extended functional identities relating phi_n, psi_n
     through the kernel, tested with a random multiplier f in L_{(n-1)*} and
-    g in zeta_{n*} L_{(n-1)*}. Relative sup over interior sample points."""
+    g in zeta_{n*} L_{(n-1)*}. Relative sup over six points of the circle."""
     n_points = system.n_points or default_grid(system.n_max)
     poles, kp = system.poles, system.kernel
     theta, t = boundary_grid(n_points)
@@ -599,7 +597,8 @@ def second_kind_functional_residual(system: OrfSystem, mu: CircleMeasure, n: int
     h1 = RatFun(poles, rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1), deg)
     h2 = RatFun(poles, rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1), deg)
     lv = system.level(n)
-    zs = 0.45 * np.exp(2j * np.pi * (np.arange(6) + 0.21) / 6)
+    # on the circle h_* is as tame as h, and off the grid the means never meet 0/0
+    zs = _circle_nodes(6, n_points)
 
     f_t, f_z = substar_eval(h1, t), substar_eval(h1, zs)
     vals_t = lv.phi(t) * f_t

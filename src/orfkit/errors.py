@@ -50,10 +50,6 @@ class FitResidualTooLarge(OrfkitError):
     """Least-squares recurrence fit did not close; input is not a valid ladder."""
 
 
-class InterpolationSingular(OrfkitError):
-    """Reconstruction nodes produced an unusable linear system."""
-
-
 class ZeroOffCircle(OrfkitError):
     """A para-orthogonal zero left the unit circle beyond tolerance."""
 

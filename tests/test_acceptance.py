@@ -109,7 +109,7 @@ def test_criterion_03_determinant_formula(synth_systems):
     worst = 0.0
     for system in synth_systems:
         for n in range(9):
-            d, resid = determinant_residual(system, n, n_points=512)
+            d, resid = determinant_residual(system, n)
             worst = max(worst, resid, abs(d - 2.0))
     assert _line("criterion 3: determinant formula (5 random configs)", worst, 1e-10)
 
@@ -151,7 +151,7 @@ def test_criterion_06_interpolation(measure_systems, synth_systems):
     for system in measure_systems + synth_systems[:2]:
         F = system.caratheodory
         for n in range(system.n_max + 1):
-            rep = interpolation_residuals(system, F, n, n_samples=100)
+            rep = interpolation_residuals(system, F, n)
             worst = max(worst, rep.max_residual() / rep.scale)
             g_ok = g_ok and rep.g_min > 1e-8 * rep.scale and rep.g_at_anchor > 1e-8 * rep.scale
     ok = _line("criterion 6: interpolation residuals", worst, 1e-8)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
@@ -5,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from orfkit import (
     DomainError,
+    OrfSystem,
     ParameterOutOfDisk,
     PoleSequence,
     builtin_measure,
@@ -22,10 +25,22 @@ from orfkit import (
     superstar,
     synthesize,
 )
-from orfkit.engine import _fit_step, _level_zero
+from orfkit.engine import (
+    _circle_nodes,
+    _fit_step,
+    _herglotz_means,
+    _level_zero,
+)
 from orfkit.measure import boundary_grid
 
 SQ3 = np.sqrt(3.0)
+
+
+def _with_level(s, n, **changes):
+    """A copy of the ladder with some functions of level n replaced."""
+    levels = list(s.levels)
+    levels[n] = dataclasses.replace(levels[n], **changes)
+    return OrfSystem(s.poles, levels, s.source, s.measure, s.caratheodory, s.n_points)
 
 
 def sup_diff(f, g, n=256):
@@ -188,6 +203,23 @@ class TestSecondKind:
         psi = second_kind_integral(poisson_system.measure, poisson_system, 0)
         assert_allclose(psi.numer, poisson_system.level(0).phi.numer, atol=1e-13)
 
+    def test_nodes_off_the_grid(self):
+        # no node meets a quadrature node, where the difference quotient is 0/0:
+        # each stays at least 1/(2 count) of a grid step away
+        for count in (1, 3, 5, 17, 33, 65):
+            steps = np.angle(_circle_nodes(count, 256)) * 256 / (2 * np.pi)
+            assert np.min(np.abs(steps - np.round(steps))) > 0.4 / count
+
+    def test_herglotz_means_match_nodewise_loop(self, poisson_system):
+        s, kp = poisson_system, poisson_system.kernel
+        theta, t = boundary_grid(s.n_points)
+        w = s.measure.weight(theta)
+        phi = s.level(4).phi
+        nodes = _circle_nodes(5, s.n_points)
+        zt = kp.zeta0(t)
+        ref = [((zt + kp.zeta0(z)) / (zt - kp.zeta0(z)) * (phi(t) - phi(z)) * w).mean() for z in nodes]
+        assert_allclose(_herglotz_means(kp, t, w, phi(t), nodes, phi(nodes)), ref, rtol=1e-13)
+
     def test_integral_matches_recurrence(self, poisson_system):
         s = poisson_system
         lv = _level_zero(s.poles, s.level(0).phi.numer[0])
@@ -286,6 +318,14 @@ class TestInterpolation:
             assert rep.max_residual() < 1e-8 * rep.scale
             assert rep.g_min > 1e-8 * rep.scale
 
+    def test_para_lines_compare_stored_superstars(self, poisson_system):
+        # a stored phi_n^* off by a relative 1e-6 breaks the para lines
+        s = poisson_system
+        clean = interpolation_residuals(s, s.caratheodory, 3)
+        wrong = _with_level(s, 3, phi_star=(1 + 1e-6) * s.level(3).phi_star)
+        assert clean.para_residual < 1e-12
+        assert interpolation_residuals(wrong, s.caratheodory, 3).para_residual > 1e-8
+
     def test_repeated_poles_rejected(self, worked_system):
         with pytest.raises(DomainError):
             interpolation_residuals(worked_system, worked_system.caratheodory, 2)
@@ -317,6 +357,16 @@ class TestFunctionalIdentities:
                 poisson_system, poisson_system.measure, n, seed=n
             )
             assert res < 1e-7
+
+    def test_wrong_second_kind_is_caught(self, poisson_system):
+        from orfkit.engine import second_kind_functional_residual
+
+        # psi_4 off by a relative 1e-6 gives a residual of that size
+        s = poisson_system
+        lv = s.level(4)
+        wrong = _with_level(s, 4, psi=(1 + 1e-6) * lv.psi, psi_star=(1 + 1e-6) * lv.psi_star)
+        assert second_kind_functional_residual(s, s.measure, 4) < 1e-12
+        assert 5e-7 < second_kind_functional_residual(wrong, s.measure, 4) < 2e-6
 
 
 class TestRationalCompletion:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orfkit import PoleSequence, ratfun, synthesize, transforms, verify
+from orfkit import PoleSequence, builtin_measure, cli, gram_schmidt_orf, ratfun, synthesize, transforms, verify
 from orfkit.verify import CHECK_NAMES, VerifyContext, run_verification
 
 
@@ -12,6 +12,24 @@ def _ladder():
         cap * np.sqrt(rng.uniform(size=4)) * np.exp(2j * np.pi * rng.uniform(size=4)) for cap in (0.5, 0.6)
     )
     return synthesize(lams, PoleSequence(np.concatenate([[0.0], betas])))
+
+
+def _disk(rng, cap, size):
+    return cap * np.sqrt(rng.uniform(size=size)) * np.exp(2j * np.pi * rng.uniform(size=size))
+
+
+def _measure_ladder(kind, n, seed):
+    # beta_0 = 0 as above, the other poles up to 0.7 and a Poisson alpha up to 0.6
+    rng = np.random.default_rng(seed)
+    poles = PoleSequence(np.concatenate([[0.0], _disk(rng, 0.7, n)]))
+    if kind == "lebesgue":
+        return gram_schmidt_orf(builtin_measure("lebesgue"), poles, n)
+    return gram_schmidt_orf(builtin_measure("poisson", alpha=complex(_disk(rng, 0.6, 1)[0])), poles, n)
+
+
+def _failing(system, which=None):
+    report = run_verification(VerifyContext(system, seed=0, tolerances={}), which)
+    return {name: entry["residual"] for name, entry in report.items() if not entry["pass"]}
 
 
 def _count(monkeypatch, calls, module, name):
@@ -62,3 +80,26 @@ def test_check_quad_evaluates_on_arrays(monkeypatch, k):
     report = transforms.check_quad(quad, s.caratheodory, s.poles, depth=s.n_max - k)
     assert report == quad.report and report.passed
     assert calls["evaluate"] <= 40
+
+
+@pytest.mark.parametrize("kind, n, seed", [("poisson", 16, 0), ("lebesgue", 24, 1)])
+def test_measure_ladder_beyond_n_12(kind, n, seed):
+    # the second-kind companions set the accuracy of every check and of the
+    # associated ladder built from them
+    s = _measure_ladder(kind, n, seed)
+    assert _failing(s) == {}
+    assert transforms.arf_discrepancy(transforms.arf_recurrence(s, 1)) < cli.ARF_AGREEMENT
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_polynomial_ladder(n):
+    # Lebesgue with every pole at 0 is the monomial ladder, all lambda_n = 0
+    s = gram_schmidt_orf(builtin_measure("lebesgue"), PoleSequence([0.0] * (n + 1)), n)
+    assert max(abs(lv.lam) for lv in s.levels[1:]) < 1e-12
+    assert _failing(s) == {}
+
+
+def test_synthesized_n_32_second_kind():
+    rng = np.random.default_rng(2)
+    s = synthesize(_disk(rng, 0.2, 32), PoleSequence(_disk(rng, 0.7, 33)))
+    assert _failing(s, ["second_kind", "multiplier_identities"]) == {}
