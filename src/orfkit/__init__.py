@@ -29,6 +29,7 @@ from .ratfun import (
     blaschke_product,
     combine,
     evaluate,
+    evaluate_stack,
     herglotz_kernel,
     poisson_kernel,
     substar_eval,

@@ -27,6 +27,7 @@ from .errors import (
 from .measure import (
     CaratheodoryFn,
     CircleMeasure,
+    _grid_memo,
     boundary_grid,
     caratheodory_from_measure,
     custom_measure,
@@ -40,6 +41,7 @@ from .ratfun import (
     blaschke_factor,
     blaschke_product,
     combine,
+    evaluate_stack,
     poisson_kernel,
     substar_eval,
     superstar,
@@ -67,6 +69,10 @@ class OrfLevel:
     lam: complex | None
     e: float | None
     rho: complex | None
+
+    def values(self, z) -> np.ndarray:
+        """phi, phi^*, psi, psi^* at z, stacked along a leading axis of length 4."""
+        return evaluate_stack((self.phi, self.phi_star, self.psi, self.psi_star), z)
 
 
 class OrfSystem:
@@ -141,8 +147,8 @@ def _fit_step(poles, n, phi_prev, phi_star_prev, phi_n):
     zs = np.exp(2j * np.pi * ((np.arange(16) + 0.37) * (np.sqrt(5.0) - 1.0) / 2.0 % 1.0))
     phi_z = phi_n(zs)
     lhs = phi_z * poles.varpi(n, zs) / poles.varpi(n - 1, zs)
-    col1 = blaschke_factor(poles, n - 1, zs) * phi_prev(zs)
-    col2 = phi_star_prev(zs)
+    prev_z, col2 = evaluate_stack((phi_prev, phi_star_prev), zs)
+    col1 = blaschke_factor(poles, n - 1, zs) * prev_z
     mat = np.stack([col1, col2], axis=1)
     sol, *_ = np.linalg.lstsq(mat, lhs, rcond=None)
     a, b = sol
@@ -283,7 +289,9 @@ def caratheodory_from_system(system: OrfSystem) -> CaratheodoryFn:
     with respect to it through level m.
     """
     top = system.level(system.n_max)
-    return ratio_caratheodory(top.psi_star, top.phi_star, system.poles.beta[0])
+    return ratio_caratheodory(
+        lambda z: evaluate_stack((top.psi_star, top.phi_star), z), system.poles.beta[0]
+    )
 
 
 def measure_from_system(system: OrfSystem) -> CircleMeasure:
@@ -291,7 +299,8 @@ def measure_from_system(system: OrfSystem) -> CircleMeasure:
     w(theta) = (1 - |beta_m|^2) / (|t - beta_m|^2 |phi*_m(t)|^2).
 
     The measure carries that C-function as its exact hint, so consumers
-    anchored at the same beta_0 skip the moment-series reconstruction.
+    anchored at the same beta_0 skip the moment-series reconstruction. The
+    density is computed once per uniform grid 2 pi j / N.
     """
     m = system.n_max
     b_m = system.poles.beta[m]
@@ -301,7 +310,7 @@ def measure_from_system(system: OrfSystem) -> CircleMeasure:
         t = np.exp(1j * np.asarray(theta, dtype=float))
         return (1.0 - abs(b_m) ** 2) / (np.abs(t - b_m) ** 2 * np.abs(phi_star(t)) ** 2)
 
-    mu = custom_measure(fn, label="rational")
+    mu = custom_measure(_grid_memo(fn), label="rational")
     mu.caratheodory_hint = caratheodory_from_system(system)
     return mu
 
@@ -344,8 +353,7 @@ def second_kind_integral(mu: CircleMeasure, system: OrfSystem, n: int) -> RatFun
     Independent of the recurrence route: the two must agree, which the
     verification suite checks.
     """
-    n_points = system.n_points or default_grid(system.n_max)
-    return _second_kind(mu, system.poles, system.kernel, system.level(n).phi, n, n_points)
+    return _second_kind(mu, system.poles, system.kernel, system.level(n).phi, n, system.n_points)
 
 
 def gram_schmidt_orf(
@@ -417,13 +425,16 @@ def _ip(u, v, w):
 
 def _gram_defect(vals, w) -> float:
     """Sup deviation from the identity of the Gram matrix of sampled
-    functions under the boundary weight w (uniform-grid quadrature)."""
-    defect = 0.0
-    for i, vi in enumerate(vals):
-        for j, vj in enumerate(vals):
-            g = _ip(vi, vj, w)
-            defect = max(defect, abs(g - (1.0 if i == j else 0.0)))
-    return float(defect)
+    functions under the boundary weight w (uniform-grid quadrature).
+
+    The matrix is summed over blocks of 1024 grid points, so the stacked
+    samples take a block's worth of memory, not the grid's.
+    """
+    gram = 0.0
+    for lo in range(0, w.size, 1024):
+        v = np.array([x[lo : lo + 1024] for x in vals])
+        gram = gram + (v * w[lo : lo + 1024]) @ v.conj().T
+    return float(np.max(np.abs(gram / w.size - np.eye(len(vals)))))
 
 
 def zeros_factor(poles: PoleSequence, m: int, z):
@@ -497,7 +508,8 @@ def identity_residual(f: RatFun, g: RatFun, f_star: RatFun, g_star: RatFun):
     m = f.n
     poles = f.poles
     _, t = boundary_grid(512)
-    left = f_star(t) * g(t) + f(t) * g_star(t)
+    fs_t, g_t, f_t, gs_t = evaluate_stack((f_star, g, f, g_star), t)
+    left = fs_t * g_t + f_t * gs_t
     kp = KernelParams(poles.beta[0])
     right = poisson_kernel(kp, t, poles.beta[m]) * blaschke_product(poles, m, t)
     j0 = int(np.argmax(np.abs(right)))
@@ -558,15 +570,18 @@ def interpolation_residuals(
     lv = system.level(n)
 
     f_pts = np.asarray(F(pts))
-    line_pts = lv.phi(pts) * f_pts + lv.psi(pts)
+    phi, phi_s, psi, psi_s = lv.values(pts)
+    line_pts = phi * f_pts + psi
     first = np.abs(line_pts[:n])
-    second = np.abs(lv.phi_star(pts) * f_pts - lv.psi_star(pts))
+    second = np.abs(phi_s * f_pts - psi_s)
 
     rng = np.random.default_rng(seed)
     zs = 0.7 * np.sqrt(rng.uniform(size=100)) * np.exp(2j * np.pi * rng.uniform(size=100))
     fz = np.asarray(F(zs))
     funcs = (lv.phi, lv.phi_star, lv.psi, lv.psi_star)
-    phi, phi_s, psi, psi_s = (f(zs) for f in funcs)
+    phi, phi_s, psi, psi_s, s_phi, s_phi_s, s_psi, s_psi_s = evaluate_stack(
+        funcs + tuple(superstar(f) for f in funcs), zs
+    )
     line_a = phi * fz + psi
     g = line_a / zeros_factor(poles, n, zs)
     scale = float(np.max(np.abs(line_a)))
@@ -574,7 +589,6 @@ def interpolation_residuals(
     g_anchor = abs(line_pts[n] / complex(zeros_factor(poles, n, pts[n])))
 
     # para pair Phi = phi + tau phi^*, Psi = psi - tau psi^*, one row per tau
-    s_phi, s_phi_s, s_psi, s_psi_s = (superstar(f)(zs) for f in funcs)
     tau = np.array([1.0, 1.0j, -1.0, -1.0j])[:, None]
     ct = np.conj(tau)
     lhs = (s_phi + ct * s_phi_s) * fz - (s_psi - ct * s_psi_s)
@@ -588,7 +602,7 @@ def second_kind_functional_residual(system: OrfSystem, mu: CircleMeasure, n: int
     """Residual of the extended functional identities relating phi_n, psi_n
     through the kernel, tested with a random multiplier f in L_{(n-1)*} and
     g in zeta_{n*} L_{(n-1)*}. Relative sup over six points of the circle."""
-    n_points = system.n_points or default_grid(system.n_max)
+    n_points = system.n_points
     poles, kp = system.poles, system.kernel
     theta, t = boundary_grid(n_points)
     w = mu.weight(theta)
@@ -600,10 +614,12 @@ def second_kind_functional_residual(system: OrfSystem, mu: CircleMeasure, n: int
     # on the circle h_* is as tame as h, and off the grid the means never meet 0/0
     zs = _circle_nodes(6, n_points)
 
+    phi_t, phi_s_t = evaluate_stack((lv.phi, lv.phi_star), t)
+    phi_z, phi_s_z, psi_z, psi_s_z = lv.values(zs)
     f_t, f_z = substar_eval(h1, t), substar_eval(h1, zs)
-    vals_t = lv.phi(t) * f_t
-    lhs1 = _herglotz_means(kp, t, w, vals_t, zs, lv.phi(zs) * f_z) + (vals_t * w).mean()
-    rhs1 = lv.psi(zs) * f_z
+    vals_t = phi_t * f_t
+    lhs1 = _herglotz_means(kp, t, w, vals_t, zs, phi_z * f_z) + (vals_t * w).mean()
+    rhs1 = psi_z * f_z
     res1 = np.max(np.abs(lhs1 - rhs1)) / max(np.max(np.abs(rhs1)), 1e-30)
 
     if n == 0:
@@ -611,9 +627,9 @@ def second_kind_functional_residual(system: OrfSystem, mu: CircleMeasure, n: int
     else:
         g_t = substar_eval(h2, t) / blaschke_factor(poles, n, t)
         g_z = substar_eval(h2, zs) / blaschke_factor(poles, n, zs)
-    vals_t = lv.phi_star(t) * g_t
-    lhs2 = _herglotz_means(kp, t, w, vals_t, zs, lv.phi_star(zs) * g_z) - (vals_t * w).mean()
-    rhs2 = -lv.psi_star(zs) * g_z
+    vals_t = phi_s_t * g_t
+    lhs2 = _herglotz_means(kp, t, w, vals_t, zs, phi_s_z * g_z) - (vals_t * w).mean()
+    rhs2 = -psi_s_z * g_z
     res2 = np.max(np.abs(lhs2 - rhs2)) / max(np.max(np.abs(rhs2)), 1e-30)
     return float(max(res1, res2))
 

@@ -30,10 +30,48 @@ def _grid_angles(n_points: int):
     return 2.0 * np.pi * np.arange(n_points) / n_points
 
 
+# boundary_grid's arrays by size; read-only, as callers share them
+_GRIDS = {}
+
+
 def boundary_grid(n_points: int):
-    """Uniform angles theta_j = 2 pi j / N and the points t_j = exp(i theta_j)."""
-    theta = _grid_angles(n_points)
-    return theta, np.exp(1j * theta)
+    """Uniform angles theta_j = 2 pi j / N and the points t_j = exp(i theta_j).
+
+    Computed once per size and kept; the arrays are read-only.
+    """
+    grid = _GRIDS.get(n_points)
+    if grid is None:
+        theta = _grid_angles(n_points)
+        t = np.exp(1j * theta)
+        theta.flags.writeable = t.flags.writeable = False
+        grid = _GRIDS[n_points] = (theta, t)
+    return grid
+
+
+def _uniform_size(theta) -> int:
+    """N when theta is exactly the grid 2 pi j / N, else 0."""
+    n = theta.size
+    if theta.ndim != 1 or not n:
+        return 0
+    grid = _GRIDS[n][0] if n in _GRIDS else _grid_angles(n)
+    return n if theta is grid or np.array_equal(theta, grid) else 0
+
+
+def _grid_memo(fn):
+    """fn (an elementwise density of angles) computed once per exact uniform
+    grid 2 pi j / N and kept read-only; other angles are computed each call."""
+    on_grid = {}
+
+    def memo(theta):
+        n = _uniform_size(theta)
+        if not n:
+            return fn(theta)
+        if n not in on_grid:
+            on_grid[n] = np.asarray(fn(theta), dtype=float)
+            on_grid[n].flags.writeable = False
+        return on_grid[n]
+
+    return memo
 
 
 def default_grid(n_max: int) -> int:
@@ -123,20 +161,13 @@ def builtin_measure(kind: str, alpha=None, theta=None, w=None) -> CircleMeasure:
             raise DomainError("sample table must sit on the uniform grid 2 pi j / M")
         coeffs = np.fft.fft(vals) / m
         freqs = np.fft.fftfreq(m, d=1.0 / m)
-        # density on each uniform grid, by size; read-only, as callers share it
-        on_grid = {m: vals.copy()}
-        on_grid[m].flags.writeable = False
+        table = vals.copy()
+        table.flags.writeable = False
+        dense = _grid_memo(lambda t: np.real(_trig_eval(coeffs, freqs, t)).reshape(t.shape))
 
         def fn(t):
-            n = t.size
-            if t.ndim == 1 and n and np.array_equal(t, _grid_angles(n)):
-                if m % n == 0:
-                    return on_grid[m][:: m // n]
-                if n not in on_grid:
-                    on_grid[n] = np.real(_trig_eval(coeffs, freqs, t))
-                    on_grid[n].flags.writeable = False
-                return on_grid[n]
-            return np.real(_trig_eval(coeffs, freqs, t)).reshape(t.shape)
+            n = _uniform_size(t)
+            return table[:: m // n] if n and m % n == 0 else dense(t)
 
         return CircleMeasure("samples", fn, params={"theta": th, "w": vals}, mass=float(vals.mean()))
     raise DomainError(f"unknown measure kind {kind!r}")
@@ -288,13 +319,12 @@ def weight_from_caratheodory(F: CaratheodoryFn, beta0, theta):
     return w
 
 
-def ratio_caratheodory(num, den, beta0) -> CaratheodoryFn:
-    """C-function realized as a pointwise ratio num(z)/den(z) of evaluables."""
+def ratio_caratheodory(terms, beta0) -> CaratheodoryFn:
+    """C-function realized as a pointwise ratio top/bot, where terms(z)
+    returns the pair (top, bot) of values at z in one call."""
 
     def ev(z):
-        z = np.asarray(z, dtype=complex)
-        top = np.asarray(num(z))
-        bot = np.asarray(den(z))
+        top, bot = terms(np.asarray(z, dtype=complex))
         if np.any(np.abs(bot) < 1e-13 * (np.abs(top) + np.abs(bot) + 1.0)):
             raise DenominatorVanishes("ratio C-function hit a zero of its denominator")
         return top / bot

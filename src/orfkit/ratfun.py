@@ -148,19 +148,69 @@ def evaluate(f: RatFun, z) -> complex | np.ndarray:
     """Evaluate f at z (scalar or array): Horner numerator over the pole product.
 
     Raises PoleProximity if any point is within tolerance of a pole
-    1/conj(beta_j), j = 1..n.
+    1/conj(beta_j), j = 1..n. This is the one-member case of evaluate_stack.
     """
-    z = np.asarray(z, dtype=complex)
-    num = npp.polyval(z, f.numer)
-    den = np.ones_like(z)
-    tol = _pole_tol(z)
-    for j in range(1, f.n + 1):
-        fac = 1.0 - np.conj(f.poles.beta[j]) * z
-        if np.any(np.abs(fac) < tol):
-            raise PoleProximity(f"evaluation within tolerance of pole 1/conj(beta_{j})")
-        den = den * fac
-    out = num / den
+    out = _stack_values(f.poles, f.n, f.numer[None, :], np.asarray(z, dtype=complex))[0]
     return out if out.ndim else complex(out)
+
+
+def evaluate_stack(fs, z) -> np.ndarray:
+    """Values of the RatFuns fs at z, as an array of shape (len(fs),) + shape(z).
+
+    The functions must share one degree n and one pole prefix beta_0..beta_n
+    (PoleMismatch otherwise), so they share the denominator pi_n(z): one
+    Horner pass runs over the stacked numerators and pi_n is built once.
+    Each row is bit-identical to evaluate on that function alone.
+    """
+    f0 = fs[0]
+    n, beta = f0.n, f0.poles.beta[: f0.n + 1]
+    for f in fs[1:]:
+        if f.n != n or not (f.poles is f0.poles or np.array_equal(f.poles.beta[: n + 1], beta)):
+            raise PoleMismatch("stacked functions need one degree and one pole prefix")
+    return _stack_values(f0.poles, n, np.stack([f.numer for f in fs]), np.asarray(z, dtype=complex))
+
+
+def _stack_values(poles, n, numers, z):
+    """Rows numers (m, n+1) of numerator coefficients over pi_n, evaluated at z.
+
+    Horner runs as c_n + 0 z, then c_{n-i} + acc z, and pi_n multiplies in
+    the factors (1 - conj(beta_j) z) for j = 1..n: the same operations, in
+    the same order, as numpy.polynomial's polyval over a per-factor product.
+    Horner runs on z1, z with a leading axis of length 1, so a single
+    member at a single point multiplies two arrays of one shape: numpy
+    takes a different complex-multiply loop for a one-element broadcast,
+    and that one rounds differently.
+    """
+    c = numers.reshape(numers.shape + (1,) * z.ndim)
+    z1 = z[None]
+    acc = c[:, -1] + z1 * 0
+    for i in range(2, n + 2):
+        acc = c[:, -i] + acc * z1
+    conj_beta = np.conj(poles.beta[1 : n + 1])
+    if n:
+        _pole_guard(conj_beta, z)
+    den = np.ones_like(z)
+    for cb in conj_beta:
+        den = den * (1.0 - cb * z)
+    return acc / den
+
+
+def _pole_guard(conj_beta, z):
+    """PoleProximity naming the first j with |1 - conj(beta_j) z| < TAU_POLE (1 + |z|)
+    at some point.
+
+    As |1 - conj(b) z| >= 1 - |b||z|, no factor is near where
+    1 - max|b| |z| clears twice the tolerance; only the other points are
+    tested factor by factor.
+    """
+    abs_z = np.abs(z)
+    tol = TAU_POLE * (1.0 + abs_z)
+    near = 1.0 - float(np.max(np.abs(conj_beta))) * abs_z <= 2.0 * tol
+    if np.any(near):
+        zn, tn = z[near], tol[near]
+        for j, cb in enumerate(conj_beta, start=1):
+            if np.any(np.abs(1.0 - cb * zn) < tn):
+                raise PoleProximity(f"evaluation within tolerance of pole 1/conj(beta_{j})")
 
 
 def substar_eval(f: RatFun, z) -> complex | np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .engine import OrfLevel, OrfSystem, caratheodory_from_system
 from .errors import DomainError
+from .measure import default_grid
 from .ratfun import PoleSequence, RatFun
 
 
@@ -85,7 +86,9 @@ def system_from_dict(data: dict) -> OrfSystem:
                 None if item["rho"] is None else _from_c(item["rho"]),
             )
         )
-    system = OrfSystem(poles, levels, source=data["source"], n_points=data.get("n_points"))
+    # a ladder stored without its grid gets the default one for its size
+    n_points = data.get("n_points") or default_grid(len(levels) - 1)
+    system = OrfSystem(poles, levels, source=data["source"], n_points=n_points)
     system.caratheodory = caratheodory_from_system(system)
     return system
 

@@ -46,6 +46,7 @@ from .ratfun import (
     PoleSequence,
     RatFun,
     blaschke_factor,
+    evaluate_stack,
     superstar,
 )
 
@@ -188,7 +189,8 @@ def check_quad(
         a2_min = np.inf
 
     def a_minus_bf(z):
-        return np.asarray(quad.A(z)) - np.asarray(quad.B(z)) * np.asarray(F(z))
+        a, b = evaluate_stack((quad.A, quad.B), z)
+        return a - b * np.asarray(F(z))
 
     # A - B F and g = (A - B F)/(zeta_0 B_{N-1}) at beta_0..beta_{N-1}, the
     # tilde and shifted points, and the ring; g at beta_0..beta_{N-1} is unused
@@ -202,9 +204,8 @@ def check_quad(
     a33_min = float(np.min(np.abs(g_req))) / scale_g if scale_g > 0 else 0.0
 
     def adbc(z):
-        return np.asarray(quad.A(z)) * np.asarray(quad.D(z)) - np.asarray(quad.B(z)) * np.asarray(
-            quad.C(z)
-        )
+        a, b, c, d = evaluate_stack((quad.A, quad.B, quad.C, quad.D), z)
+        return a * d - b * c
 
     def f_den(z):
         return zeros_factor(base_poles, N, z) * zeros_factor(quad.tilde_poles, r, z)
@@ -309,13 +310,12 @@ def apply_transform(system: OrfSystem, quad: SelfReciprocalQuad, c_n, n: int):
 def transformed_caratheodory(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> CaratheodoryFn:
     """The transformed C-function (-C + D F)/(A - B F), anchored at btilde_0."""
 
-    def num(z):
-        return -np.asarray(quad.C(z)) + np.asarray(quad.D(z)) * np.asarray(F(z))
+    def terms(z):
+        a, b, c, d = evaluate_stack((quad.A, quad.B, quad.C, quad.D), z)
+        f = np.asarray(F(z))
+        return -c + d * f, a - b * f
 
-    def den(z):
-        return np.asarray(quad.A(z)) - np.asarray(quad.B(z)) * np.asarray(F(z))
-
-    return ratio_caratheodory(num, den, quad.tilde_poles.beta[0])
+    return ratio_caratheodory(terms, quad.tilde_poles.beta[0])
 
 
 def arf_quad(system: OrfSystem, k: int) -> SelfReciprocalQuad:
@@ -364,9 +364,10 @@ class ArfSystem:
     beta_k, beta_{k+1}, ..., built by the shifted recurrence.
 
     Everything else derived from (base, order) is computed on first access
-    and kept: `quad` (the quad of the level-k para-orthogonal pairs), `F_k`
-    (the transformed C-function) and `mu_k` (the density recovered from
-    F_k). A failure in one of them is raised at that first access.
+    and kept: `quad` (the quad of the level-k para-orthogonal pairs),
+    `explicit` (the pairs of the explicit transform route), `F_k` (the
+    transformed C-function) and `mu_k` (the density recovered from F_k). A
+    failure in one of them is raised at that first access.
     """
 
     base: OrfSystem
@@ -386,30 +387,37 @@ class ArfSystem:
         return arf_quad(self.base, self.order)
 
     @cached_property
+    def explicit(self) -> tuple:
+        """arf_explicit(base, order, n, quad) for n = order..n_max, in order."""
+        return tuple(
+            arf_explicit(self.base, self.order, n, quad=self.quad)
+            for n in range(self.order, self.n_max + 1)
+        )
+
+    @cached_property
     def F_k(self) -> CaratheodoryFn:
         return arf_caratheodory(self.base, self.base.caratheodory, self.order)
 
     @cached_property
     def mu_k(self) -> CircleMeasure:
         """Samples of the F_k boundary density on the base ladder's grid."""
-        theta, _ = boundary_grid(self.base.n_points or 2048)
+        theta, _ = boundary_grid(self.base.n_points)
         w = weight_from_caratheodory(self.F_k, self.system.poles.beta[0], theta)
         return builtin_measure("samples", theta=theta, w=w)
 
 
 def _arf_ratio_terms(system: OrfSystem, F: CaratheodoryFn, k: int):
-    """Numerator and denominator Phi_{k,tau} F + Psi_{k,tau}, tau = 1 and -1,
-    of the order-k transformed C-function."""
+    """terms(z) -> (numerator, denominator) Phi_{k,tau} F + Psi_{k,tau}, tau = 1
+    and -1, of the order-k transformed C-function; F is evaluated once."""
     pp1 = para_pair(system, k, 1.0)
     ppm = para_pair(system, k, -1.0)
 
-    def num(z):
-        return np.asarray(pp1.Phi(z)) * np.asarray(F(z)) + np.asarray(pp1.Psi(z))
+    def terms(z):
+        phi1, psi1, phim, psim = evaluate_stack((pp1.Phi, pp1.Psi, ppm.Phi, ppm.Psi), z)
+        f = np.asarray(F(z))
+        return phi1 * f + psi1, phim * f + psim
 
-    def den(z):
-        return np.asarray(ppm.Phi(z)) * np.asarray(F(z)) + np.asarray(ppm.Psi(z))
-
-    return num, den
+    return terms
 
 
 def arf_anchor_residual(system: OrfSystem, F: CaratheodoryFn, k: int) -> float:
@@ -420,12 +428,12 @@ def arf_anchor_residual(system: OrfSystem, F: CaratheodoryFn, k: int) -> float:
     then the vanishing defect of their difference, scaled by the size of
     the denominator nearby, which is the numerical content of the limit.
     """
-    num_fn, den_fn = _arf_ratio_terms(system, F, k)
+    terms = _arf_ratio_terms(system, F, k)
     b_k = system.poles.beta[k]
-    num, den = complex(num_fn(b_k)), complex(den_fn(b_k))
+    num, den = (complex(v) for v in terms(b_k))
     ring = b_k + 0.3 * np.exp(2j * np.pi * (np.arange(16) + 0.41) / 16)
     ring = ring[np.abs(ring) < 0.97]
-    den_scale = float(np.max(np.abs(den_fn(ring))))
+    den_scale = float(np.max(np.abs(terms(ring)[1])))
     if abs(den) > 1e-6 * den_scale:
         return abs(num / den - 1.0)
     return abs(num - den) / den_scale
@@ -439,7 +447,7 @@ def arf_caratheodory(system: OrfSystem, F: CaratheodoryFn, k: int) -> Caratheodo
     and positive real part on a fixed seeded sample of 200 disk points
     before returning.
     """
-    Fk = ratio_caratheodory(*_arf_ratio_terms(system, F, k), system.poles.beta[k])
+    Fk = ratio_caratheodory(_arf_ratio_terms(system, F, k), system.poles.beta[k])
     Fk.anchor_residual = arf_anchor_residual(system, F, k)
     if Fk.anchor_residual > 1e-9:
         raise NumericalFailure(f"transformed C-function anchor defect {Fk.anchor_residual:.2e}")
@@ -473,15 +481,13 @@ def arf_discrepancy(arf: ArfSystem) -> float:
     """Sup distance on the circle between the explicit (transform) and the
     recurrence route of an associated ladder, over phi and psi at every
     level order..n_max."""
-    system, k = arf.base, arf.order
-    quad = arf.quad
     _, t = boundary_grid(512)
     worst = 0.0
-    for n in range(k, arf.n_max + 1):
-        phi_e, psi_e = arf_explicit(system, k, n, quad=quad)
+    for n, (phi_e, psi_e) in enumerate(arf.explicit, start=arf.order):
         lv = arf.level(n)
-        worst = max(worst, float(np.max(np.abs(phi_e(t) - lv.phi(t)))))
-        worst = max(worst, float(np.max(np.abs(psi_e(t) - lv.psi(t)))))
+        pe, qe, p, q = evaluate_stack((phi_e, psi_e, lv.phi, lv.psi), t)
+        worst = max(worst, float(np.max(np.abs(pe - p))))
+        worst = max(worst, float(np.max(np.abs(qe - q))))
     return worst
 
 
@@ -516,13 +522,9 @@ def relation_residuals(aj: ArfSystem, ak: ArfSystem, n: int) -> RelationReport:
         raise DomainError("need 0 <= j <= k <= n <= n_max")
     _, t = boundary_grid(256)
 
-    jn, jk, kn = aj.level(n), aj.level(k), ak.level(n)
-    pj_n, pj_n_s = jn.phi(t), jn.phi_star(t)
-    qj_n, qj_n_s = jn.psi(t), jn.psi_star(t)
-    pj_k, pj_k_s = jk.phi(t), jk.phi_star(t)
-    qj_k, qj_k_s = jk.psi(t), jk.psi_star(t)
-    pk_n, pk_n_s = kn.phi(t), kn.phi_star(t)
-    qk_n, qk_n_s = kn.psi(t), kn.psi_star(t)
+    pj_n, pj_n_s, qj_n, qj_n_s = aj.level(n).values(t)
+    pj_k, pj_k_s, qj_k, qj_k_s = aj.level(k).values(t)
+    pk_n, pk_n_s, qk_n, qk_n_s = ak.level(n).values(t)
 
     def rel(lhs, rhs):
         return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)))

@@ -32,9 +32,8 @@ from .engine import (
 )
 from .errors import OrfkitError
 from .measure import boundary_grid
-from .ratfun import PoleSequence
+from .ratfun import PoleSequence, evaluate_stack
 from .transforms import (
-    apply_transform,
     arf_discrepancy,
     arf_recurrence,
     relation_residuals,
@@ -87,10 +86,6 @@ class VerifyContext:
     def F(self):
         return self.system.caratheodory
 
-    @property
-    def grid(self):
-        return self.system.n_points or 1024
-
     def tol(self, name):
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
@@ -101,7 +96,7 @@ def _sampled_gram_defect(system, mu, n_points):
 
 
 def check_orthonormality(ctx):
-    return _sampled_gram_defect(ctx.system, ctx.measure, ctx.grid)
+    return _sampled_gram_defect(ctx.system, ctx.measure, ctx.system.n_points)
 
 
 def check_recurrence_fit(ctx):
@@ -138,8 +133,8 @@ def check_second_kind(ctx):
     _, t = boundary_grid(512)
     worst = 0.0
     for n in range(s.n_max + 1):
-        psi_int = second_kind_integral(mu, s, n)
-        worst = max(worst, float(np.max(np.abs(psi_int(t) - rebuilt[n].psi(t)))))
+        psi_int, psi_rec = evaluate_stack((second_kind_integral(mu, s, n), rebuilt[n].psi), t)
+        worst = max(worst, float(np.max(np.abs(psi_int - psi_rec))))
     return worst
 
 
@@ -175,7 +170,7 @@ def check_arf_orthogonality(ctx):
     worst = 0.0
     for k in range(min(2, ctx.system.n_max) + 1):
         arf = ctx.arf(k)
-        worst = max(worst, _sampled_gram_defect(arf.system, arf.mu_k, ctx.grid))
+        worst = max(worst, _sampled_gram_defect(arf.system, arf.mu_k, ctx.system.n_points))
     return worst
 
 
@@ -193,9 +188,8 @@ def check_remark(ctx):
     s = ctx.system
     worst = 0.0
     for k in range(1, min(3, s.n_max) + 1):
-        quad = ctx.arf(k).quad
-        for n in range(1, s.n_max - k + 1):
-            G, _, J, _ = apply_transform(s, quad, 2.0, n)
+        # levels k + 1..n_max of the explicit route that arf_consistency built
+        for G, J in ctx.arf(k).explicit[1:]:
             d, resid = remark_identity_residual(G, J)
             worst = max(worst, resid, abs(d - 2.0))
     return worst
@@ -232,7 +226,7 @@ def check_roundtrip_measure(ctx):
 
     mu = ctx.measure
     theta, _ = boundary_grid(512)
-    F = caratheodory_from_measure(mu, ctx.system.poles.beta[0], n_points=ctx.grid)
+    F = caratheodory_from_measure(mu, ctx.system.poles.beta[0], n_points=ctx.system.n_points)
     w = weight_from_caratheodory(F, ctx.system.poles.beta[0], theta)
     return float(np.max(np.abs(w - mu.weight(theta))))
 

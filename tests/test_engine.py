@@ -28,6 +28,7 @@ from orfkit import (
 from orfkit.engine import (
     _circle_nodes,
     _fit_step,
+    _gram_defect,
     _herglotz_means,
     _level_zero,
 )
@@ -83,6 +84,23 @@ class TestGramSchmidt:
             for j, vj in enumerate(vals):
                 g = (vi * np.conj(vj) * w).mean()
                 assert abs(g - (i == j)) < 1e-10
+
+    @pytest.mark.parametrize("n_points", [512, 4096])
+    def test_gram_defect_matches_pairwise_loop(self, n_points):
+        # functions far from orthonormal, so the defect is O(1) and each
+        # entry of the blocked matrix product is compared with its loop value
+        rng = np.random.default_rng(4)
+        theta, t = boundary_grid(n_points)
+        w = builtin_measure("poisson", alpha=0.3 + 0.2j).weight(theta)
+        vals = [npp.polyval(t, rng.standard_normal(k + 1)) for k in range(5)]
+        for scale in np.eye(5):
+            scaled = [v * (1.0 + 3.0 * s) for v, s in zip(vals, scale)]
+            expected = max(
+                abs((vi * np.conj(vj) * w).mean() - (i == j))
+                for i, vi in enumerate(scaled)
+                for j, vj in enumerate(scaled)
+            )
+            assert_allclose(_gram_defect(scaled, w), expected, rtol=1e-12)
 
     def test_phase_convention(self, poisson_system):
         for n in range(poisson_system.n_max + 1):

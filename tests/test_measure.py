@@ -17,7 +17,7 @@ from orfkit import (
     synthesize,
     weight_from_caratheodory,
 )
-from orfkit import measure
+from orfkit import measure, measure_from_system, ratfun
 from orfkit.measure import CaratheodoryFn, _trig_eval, boundary_grid, default_grid
 from orfkit.verify import DEFAULT_TOLERANCES, VerifyContext, check_arf_orthogonality
 
@@ -150,6 +150,36 @@ class TestSampledGrids:
 
         monkeypatch.setattr(measure, "_trig_eval", dense)
         assert check_arf_orthogonality(ctx) <= DEFAULT_TOLERANCES["arf_orthogonality"]
+
+
+def test_boundary_grid_is_shared_and_read_only():
+    theta, t = boundary_grid(512)
+    again = boundary_grid(512)
+    assert again[0] is theta and again[1] is t
+    assert not theta.flags.writeable and not t.flags.writeable
+    assert_array_equal(theta, 2.0 * np.pi * np.arange(512) / 512)
+    assert_array_equal(t, np.exp(1j * theta))
+
+
+def test_rational_density_once_per_grid(monkeypatch):
+    s = synthesize(disk_points(3, n=3, cap=0.4), PoleSequence(disk_points(4, n=4, cap=0.6)))
+    mu = measure_from_system(s)
+    b_m, phi_star = s.poles.beta[3], s.level(3).phi_star
+    calls = []
+    original = ratfun.evaluate
+    monkeypatch.setattr(ratfun, "evaluate", lambda f, z: calls.append(np.size(z)) or original(f, z))
+    theta, t = boundary_grid(1024)
+    direct = (1.0 - abs(b_m) ** 2) / (np.abs(t - b_m) ** 2 * np.abs(phi_star(t)) ** 2) / mu.mass
+    calls.clear()
+    first = mu.weight(theta)
+    assert_array_equal(first, direct)
+    first[:] = -1.0
+    assert_array_equal(mu.weight(theta.copy()), direct)
+    assert calls == [1024]
+    # angles off every uniform grid are evaluated on each call
+    off = theta[:10] + 1e-3
+    assert_array_equal(mu.weight(off), mu.weight(off))
+    assert calls == [1024, 10, 10]
 
 
 class TestInnerProduct:

@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 from numpy.testing import assert_allclose
 
 from orfkit import (
@@ -14,11 +17,14 @@ from orfkit import (
     blaschke_factor,
     blaschke_product,
     combine,
+    evaluate_stack,
     herglotz_kernel,
     poisson_kernel,
     substar_eval,
     superstar,
+    synthesize,
 )
+from orfkit.ratfun import TAU_POLE
 
 SQ3 = np.sqrt(3.0)
 
@@ -251,3 +257,125 @@ class TestCombine:
         g = RatFun(PoleSequence([0.0, 0.4]), [1.0, 0.0], 1)
         with pytest.raises(PoleMismatch):
             combine(1.0, f, 1.0, g)
+
+
+def reference_eval(f, z):
+    """The per-function evaluation the kernel replaces: numpy.polynomial's
+    polyval over the product of (1 - conj(beta_j) z), j = 1..n in order,
+    with a proximity test per factor."""
+    z = np.asarray(z, dtype=complex)
+    den = np.ones_like(z)
+    for j in range(1, f.n + 1):
+        fac = 1.0 - np.conj(f.poles.beta[j]) * z
+        if np.any(np.abs(fac) < TAU_POLE * (1.0 + np.abs(z))):
+            raise PoleProximity(f"evaluation within tolerance of pole 1/conj(beta_{j})")
+        den = den * fac
+    out = npp.polyval(z, f.numer) / den
+    return out if out.ndim else complex(out)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def seeded_level(n, seed=3):
+    rng = np.random.default_rng(seed)
+    lams = 0.5 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    poles = 0.7 * np.sqrt(rng.uniform(size=n + 1)) * np.exp(2j * np.pi * rng.uniform(size=n + 1))
+    return synthesize(lams, PoleSequence(poles)).level(n)
+
+
+class TestEvaluationKernel:
+    """evaluate and evaluate_stack return the reference bits exactly."""
+
+    POINTS = {
+        "scalar": 0.31 - 0.42j,
+        "0-d": np.asarray(-0.6 + 0.2j),
+        "1-d": np.concatenate([disk_grid(8, n=37, cap=0.95), circle(16)]),
+        "2-d": disk_grid(9, n=35, cap=0.95).reshape(5, 7),
+        "one point": np.array([0.2 + 0.7j]),
+    }
+
+    @pytest.mark.parametrize("n", [0, 1, 6, 24])
+    @pytest.mark.parametrize("kind", list(POINTS))
+    def test_matches_reference_bits(self, n, kind):
+        z = self.POINTS[kind]
+        lv = seeded_level(n)
+        funcs = (lv.phi, lv.phi_star, lv.psi, lv.psi_star)
+        stacked = evaluate_stack(funcs, z)
+        assert stacked.shape == (4,) + np.shape(z)
+        for f, row in zip(funcs, stacked):
+            ref = reference_eval(f, z)
+            single = f(z)
+            assert type(single) is type(ref)
+            assert same_bits(single, ref)
+            assert same_bits(row, ref)
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_stack_rows_match_single_calls(self, n):
+        lv = seeded_level(n, seed=5)
+        funcs = (lv.phi, superstar(lv.phi), lv.psi_star, 2.0 * lv.psi)
+        z = disk_grid(10, n=64)
+        stacked = evaluate_stack(funcs, z)
+        for f, row in zip(funcs, stacked):
+            assert same_bits(row, f(z))
+        assert same_bits(evaluate_stack(funcs[:1], z)[0], funcs[0](z))
+
+    def test_pole_proximity_names_the_same_factor(self):
+        rng = np.random.default_rng(6)
+        poles = PoleSequence(0.8 * np.exp(2j * np.pi * rng.uniform(size=6)))
+        f = RatFun(poles, rng.standard_normal(6) + 1j * rng.standard_normal(6), 5)
+        for j in range(1, 6):
+            z = np.array([0.1, 0.2j, 1.0 / np.conj(poles.beta[j]) * (1.0 + 1e-15)])
+            for args in ((f, z), (f, z[2])):
+                with pytest.raises(PoleProximity) as expected:
+                    reference_eval(*args)
+                with pytest.raises(PoleProximity) as got:
+                    f(args[1])
+                assert str(got.value) == str(expected.value)
+                assert f"beta_{j})" in str(got.value)
+            with pytest.raises(PoleProximity, match=rf"beta_{j}\)"):
+                evaluate_stack((f, superstar(f)), z)
+
+    def test_repeated_pole_names_its_first_index(self):
+        f = RatFun(PoleSequence([0.0, 0.3, 0.5, 0.5]), [1.0, 2.0, 3.0, 4.0], 3)
+        with pytest.raises(PoleProximity, match=r"beta_2\)"):
+            f(np.array([0.0, 2.0]))
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.9, 0.99, 1.01, 1.1, 1.9, 2.1, 3.0])
+    def test_threshold_matches_reference(self, ratio):
+        # |1 - conj(beta) z| at ratio times the tolerance, along the ray and off it
+        b = 0.6 * np.exp(0.7j)
+        f = RatFun(PoleSequence([0.0, 0.3, b]), [1.0, -2.0, 0.5j], 2)
+        pole = 1.0 / np.conj(b)
+        tol = TAU_POLE * (1.0 + abs(pole))
+        for direction in (1.0, 1j, -1.0):
+            z = np.array([0.0, pole - ratio * tol * direction / np.conj(b)])
+            try:
+                expected = reference_eval(f, z)
+            except PoleProximity as exc:
+                with pytest.raises(PoleProximity, match=re.escape(str(exc))):
+                    f(z)
+            else:
+                assert same_bits(f(z), expected)
+
+    def test_point_off_the_pole_passes(self):
+        # near enough to fail the bound test, far enough to pass the factor test
+        f = RatFun(PoleSequence([0.0, 0.5]), [1.0, 1.0], 1)
+        z = np.array([2.0 * (1.0 + 1e-11)])
+        assert same_bits(f(z), reference_eval(f, z))
+
+    def test_mixed_degree_rejected(self):
+        poles = PoleSequence([0.0, 0.5, 0.2j])
+        with pytest.raises(PoleMismatch):
+            evaluate_stack((RatFun(poles, [1.0, 2.0], 1), RatFun(poles, [1.0, 2.0, 3.0], 2)), 0.1)
+
+    def test_mixed_poles_rejected(self):
+        f = RatFun(PoleSequence([0.0, 0.5, 0.2j]), [1.0, 2.0, 3.0], 2)
+        g = RatFun(PoleSequence([0.0, 0.5, 0.3j]), [1.0, 2.0, 3.0], 2)
+        with pytest.raises(PoleMismatch):
+            evaluate_stack((f, g), 0.1)
+        # poles beyond the declared degree do not matter
+        h = RatFun(PoleSequence([0.0, 0.5, 0.2j, 0.7]), [1.0, 2.0, 3.0], 2)
+        assert same_bits(evaluate_stack((f, h), 0.1), [f(0.1), h(0.1)])

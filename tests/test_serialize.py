@@ -3,7 +3,7 @@ import json
 import numpy as np
 from numpy.testing import assert_allclose
 
-from orfkit import PoleSequence, arf_recurrence, synthesize
+from orfkit import CircleMeasure, PoleSequence, arf_recurrence, default_grid, synthesize
 from orfkit.serialize import (
     arf_to_dict,
     dumps,
@@ -55,6 +55,34 @@ def test_reloaded_ladder_verifies_identically():
 def test_reloaded_measure_ladder_passes_all_checks(poisson_system):
     report = run_verification(VerifyContext(_reloaded(poisson_system), seed=0, tolerances={}))
     assert [name for name, entry in report.items() if entry["pass"]] == list(CHECK_NAMES)
+
+
+def test_reload_without_grid_uses_one_default(monkeypatch):
+    # a ladder stored without n_points gets default_grid(n_max) on reload,
+    # and every grid-dependent check and the order-k density use that grid
+    rng = np.random.default_rng(12)
+    lams = 0.2 * np.sqrt(rng.uniform(size=16)) * np.exp(2j * np.pi * rng.uniform(size=16))
+    poles = 0.6 * np.sqrt(rng.uniform(size=17)) * np.exp(2j * np.pi * rng.uniform(size=17))
+    data = system_to_dict(synthesize(lams, PoleSequence(poles)))
+    data["n_points"] = None
+    again = system_from_dict(json.loads(dumps(data)))
+    grid = default_grid(16)
+    assert again.n_points == grid == 2048
+    assert arf_recurrence(again, 1).mu_k.params["theta"].size == grid
+    sizes = set()
+    weight = CircleMeasure.weight
+
+    def spy(mu, theta):
+        sizes.add(np.size(theta))
+        return weight(mu, theta)
+
+    monkeypatch.setattr(CircleMeasure, "weight", spy)
+    report = run_verification(
+        VerifyContext(again, seed=0, tolerances={}),
+        ["orthonormality", "second_kind", "multiplier_identities", "arf_orthogonality"],
+    )
+    assert all(entry["pass"] for entry in report.values())
+    assert sizes == {grid}
 
 
 def test_arf_serialization(worked_system):

@@ -54,6 +54,8 @@ def test_verify_builds_each_order_once(monkeypatch):
         (transforms, "arf_recurrence"),
         (verify, "arf_anchor_residual"),
         (transforms, "arf_anchor_residual"),
+        (transforms, "apply_transform"),
+        (verify, "apply_transform"),
     ):
         # a name counts wherever a caller looks it up
         if hasattr(module, name):
@@ -61,13 +63,16 @@ def test_verify_builds_each_order_once(monkeypatch):
     report = run_verification(VerifyContext(s, seed=0, tolerances={}))
     assert [name for name, entry in report.items() if entry["pass"]] == list(CHECK_NAMES)
     # orders 0..3 each get one ladder, one quad, one transformed C-function
-    # and one anchor residual, which positivity reads back
+    # and one anchor residual, which positivity reads back; the explicit
+    # transforms of levels k + 1..4 are built once (4 + 3 + 2 + 1) and the
+    # remark check reuses those of orders 1..3
     assert calls == {
         "check_quad": 4,
         "arf_caratheodory": 4,
         "measure_from_system": 1,
         "arf_recurrence": 4,
         "arf_anchor_residual": 4,
+        "apply_transform": 10,
     }
 
 
