@@ -23,6 +23,7 @@ import numpy as np
 from . import serialize
 from .engine import (
     POLE_CAP,
+    OrfSystem,
     gram_schmidt_orf,
     lebesgue_arf,
     lebesgue_orf,
@@ -179,7 +180,7 @@ def build_system(cfg: JobConfig):
             cfg.lambdas, poles, allow_poles_near_circle=cfg.allow_poles_near_circle
         )
         if cfg.grid:
-            synth.n_points = cfg.grid
+            synth = OrfSystem(synth.poles, synth.levels, synth.source, n_points=cfg.grid)
     if gs is not None and synth is not None:
         _, t = boundary_grid(TABLE_POINTS)
         worst = 0.0

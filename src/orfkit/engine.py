@@ -80,7 +80,8 @@ class OrfSystem:
 
     source is "measure" or "parameters"; both are orthonormal. A
     measure-sourced system keeps its measure; every system carries an
-    evaluable C-function.
+    evaluable C-function, by default the rational completion psi*_m/phi*_m
+    of its top level m.
     """
 
     __slots__ = ("poles", "levels", "source", "measure", "caratheodory", "n_points")
@@ -90,7 +91,7 @@ class OrfSystem:
         self.levels = tuple(levels)
         self.source = source
         self.measure = measure
-        self.caratheodory = caratheodory
+        self.caratheodory = caratheodory or caratheodory_from_system(self)
         self.n_points = n_points
 
     @property
@@ -255,11 +256,7 @@ def synthesize(lambdas, poles: PoleSequence, phi0=1.0, allow_poles_near_circle=F
     if abs(abs(phi0) - 1.0) > 1e-12:
         raise DomainError("initial value must be unimodular in the orthonormal normalization")
     levels = _run_recurrence(poles, _level_zero(poles, phi0), ((lam, 1.0, None) for lam in lambdas))
-    system = OrfSystem(
-        poles, levels, source="parameters", n_points=_completion_grid(levels[-1], n_max)
-    )
-    system.caratheodory = caratheodory_from_system(system)
-    return system
+    return OrfSystem(poles, levels, source="parameters", n_points=_completion_grid(levels[-1], n_max))
 
 
 def _completion_grid(top: OrfLevel, n_max: int) -> int:
@@ -298,9 +295,8 @@ def measure_from_system(system: OrfSystem) -> CircleMeasure:
     """Boundary density of the C-function psi*_m/phi*_m in closed form:
     w(theta) = (1 - |beta_m|^2) / (|t - beta_m|^2 |phi*_m(t)|^2).
 
-    The measure carries that C-function as its exact hint, so consumers
-    anchored at the same beta_0 skip the moment-series reconstruction. The
-    density is computed once per uniform grid 2 pi j / N.
+    The density is computed once per uniform grid 2 pi j / N. Its
+    C-function comes back through the moment series like any other's.
     """
     m = system.n_max
     b_m = system.poles.beta[m]
@@ -310,9 +306,7 @@ def measure_from_system(system: OrfSystem) -> CircleMeasure:
         t = np.exp(1j * np.asarray(theta, dtype=float))
         return (1.0 - abs(b_m) ** 2) / (np.abs(t - b_m) ** 2 * np.abs(phi_star(t)) ** 2)
 
-    mu = custom_measure(_grid_memo(fn), label="rational")
-    mu.caratheodory_hint = caratheodory_from_system(system)
-    return mu
+    return custom_measure(_grid_memo(fn), label="rational")
 
 
 def _circle_nodes(count: int, n_points: int) -> np.ndarray:
@@ -410,11 +404,7 @@ def gram_schmidt_orf(
             prev = levels[-1]
             params = _fit_parameters(poles, k, prev.phi, prev.phi_star, phi)
         levels.append(OrfLevel(k, phi, superstar(phi), psi, superstar(psi), *params))
-    hint = mu.caratheodory_hint
-    if hint is not None and hint.beta0 == complex(poles.beta[0]):
-        F = hint
-    else:
-        F = caratheodory_from_measure(mu, poles.beta[0], n_points=n_points)
+    F = caratheodory_from_measure(mu, poles.beta[0], n_points=n_points)
     return OrfSystem(poles, levels, source="measure", measure=mu, caratheodory=F, n_points=n_points)
 
 

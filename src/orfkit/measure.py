@@ -104,7 +104,7 @@ class CircleMeasure:
     rejects non-positive sampled densities.
     """
 
-    __slots__ = ("kind", "params", "_fn", "mass", "caratheodory_hint")
+    __slots__ = ("kind", "params", "_fn", "mass")
 
     def __init__(self, kind, fn, params=None, mass=None):
         self.kind = kind
@@ -117,8 +117,6 @@ class CircleMeasure:
                 raise NonPositiveWeight("density must be strictly positive")
             mass = float(vals.mean())
         self.mass = mass
-        # closed-form C-function, when the producer knows it exactly
-        self.caratheodory_hint = None
 
     def weight(self, theta):
         """Normalized density at the given angles."""
@@ -241,55 +239,64 @@ def constant_caratheodory(beta0) -> CaratheodoryFn:
 
 
 def _moment_series(mu, kp, n_points):
-    theta, t = boundary_grid(n_points)
-    w = mu.weight(theta)
+    """Moments c_k = mean_t w(t) zeta_0(t)^(-k), k = 0..N-1, from one FFT,
+    and the rounding floor 64 eps max g below which they carry no digits.
+
+    The nodes s_j = e^(2 pi i j/N) are pulled back through zeta_0: with
+    u = s/eta_0, t = zeta_0^(-1)(s) has the angle
+    arg s - arg eta_0 - 2 arg(1 + conj(beta_0) u), and
+    dtheta/darg s = (1 - |beta_0|^2)/|1 + conj(beta_0) u|^2. The pulled-back
+    density g_j = w(theta_j) dtheta/darg s has the Fourier coefficients
+    c = fft(g)/N. As conj(beta_0) u = |beta_0| s, beta_0 = 0 gives exactly
+    the grid angles 2 pi j / N, so sampled and per-grid densities serve it.
+    """
+    arg_s, s = boundary_grid(n_points)
+    b0 = kp.beta0
+    v = 1.0 + abs(b0) * s
+    w = mu.weight(arg_s + np.angle(b0) - 2.0 * np.angle(v))
     if np.any(w <= 0):
         raise NonPositiveWeight("sampled density non-positive on the quadrature grid")
-    zinv = 1.0 / kp.zeta0(t)
-    acc = w.astype(complex) / n_points
-    coeffs = [0.0 + 0.0j]
-    quiet = 0
-    for _ in range(1, n_points // 4 + 1):
-        acc = acc * zinv
-        ck = acc.sum()
-        coeffs.append(2.0 * ck)
-        if abs(ck) < 1e-16:
-            quiet += 1
-            if quiet >= 4:
-                return np.array(coeffs)
-        else:
-            quiet = 0
-    return None
+    g = w * (1.0 - abs(b0) ** 2) / np.abs(v) ** 2
+    return np.fft.fft(g) / n_points, 64.0 * np.finfo(float).eps * float(g.max())
 
 
 def caratheodory_from_measure(mu: CircleMeasure, beta0, n_points: int = 2048) -> CaratheodoryFn:
     """C-function F(z) of the measure, anchored at beta0.
 
     Uses the geometric expansion of the Herglotz kernel in powers of
-    zeta_0(z)/zeta_0(t): F(z) = 1 + 2 sum_k c_k zeta_0(z)^k with moments
-    c_k computed by quadrature. The series converges geometrically for the
-    analytic densities in scope, uniformly up to the boundary guard, so the
-    radial probe used in density recovery stays accurate. The grid doubles
-    until the moment tail dies (densities with structure very close to the
-    circle need more terms).
+    zeta_0(z)/zeta_0(t): F(z) = 1 + 2 sum_k c_k zeta_0(z)^k with the
+    moments c_k of `_moment_series`. The series converges geometrically for
+    the analytic densities in scope, uniformly up to the boundary guard, so
+    the radial probe used in density recovery stays accurate. A grid of N
+    points is accepted when the moments N/4 <= k < N/2 are at or below the
+    rounding floor, and the series then ends at the last moment above it;
+    otherwise N doubles, up to 65536 (densities with structure very close
+    to the circle need more terms).
     """
     _check_grid(n_points)
     kp = KernelParams(beta0)
-    c = None
     n = n_points
-    while c is None and n <= 65536:
-        c = _moment_series(mu, kp, n)
+    while True:
+        c, floor = _moment_series(mu, kp, n)
+        tail = float(np.max(np.abs(c[n // 4 : n // 2])))
+        if tail <= floor:
+            break
+        if n >= 65536:
+            raise NumericalFailure(
+                f"moment series did not converge on grids up to {n}: its tail is "
+                f"{tail / floor:.1e} times the rounding floor; the density has "
+                "structure too close to the circle"
+            )
         n *= 2
-    if c is None:
-        raise NumericalFailure(
-            "moment series did not converge; poles or density too close to the circle"
-        )
+    last = np.flatnonzero(np.abs(c[: n // 4]) > floor)[-1]
+    coeffs = 2.0 * c[: last + 1]
+    coeffs[0] = 0.0
 
     def ev(z):
         z = np.asarray(z, dtype=complex)
         if np.any(np.abs(z) > MAX_MODULUS):
             raise KernelSingularity("C-function evaluation requires |z| <= 1 - 1e-7")
-        return 1.0 + npp.polyval(kp.zeta0(z), c)
+        return 1.0 + npp.polyval(kp.zeta0(z), coeffs)
 
     return CaratheodoryFn(ev, beta0)
 

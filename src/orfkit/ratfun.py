@@ -173,9 +173,9 @@ def evaluate_stack(fs, z) -> np.ndarray:
 def _stack_values(poles, n, numers, z):
     """Rows numers (m, n+1) of numerator coefficients over pi_n, evaluated at z.
 
-    Horner runs as c_n + 0 z, then c_{n-i} + acc z, and pi_n multiplies in
-    the factors (1 - conj(beta_j) z) for j = 1..n: the same operations, in
-    the same order, as numpy.polynomial's polyval over a per-factor product.
+    Horner runs as c_n + 0 z, then c_{n-i} + acc z, and the quotient is by
+    PoleSequence.pi: the same operations, in the same order, as
+    numpy.polynomial's polyval over a per-factor product.
     Horner runs on z1, z with a leading axis of length 1, so a single
     member at a single point multiplies two arrays of one shape: numpy
     takes a different complex-multiply loop for a one-element broadcast,
@@ -186,13 +186,9 @@ def _stack_values(poles, n, numers, z):
     acc = c[:, -1] + z1 * 0
     for i in range(2, n + 2):
         acc = c[:, -i] + acc * z1
-    conj_beta = np.conj(poles.beta[1 : n + 1])
     if n:
-        _pole_guard(conj_beta, z)
-    den = np.ones_like(z)
-    for cb in conj_beta:
-        den = den * (1.0 - cb * z)
-    return acc / den
+        _pole_guard(np.conj(poles.beta[1 : n + 1]), z)
+    return acc / poles.pi(n, z)
 
 
 def _pole_guard(conj_beta, z):

@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from .engine import OrfLevel, OrfSystem, caratheodory_from_system
+from .engine import OrfLevel, OrfSystem
 from .errors import DomainError
 from .measure import default_grid
 from .ratfun import PoleSequence, RatFun
@@ -88,9 +88,7 @@ def system_from_dict(data: dict) -> OrfSystem:
         )
     # a ladder stored without its grid gets the default one for its size
     n_points = data.get("n_points") or default_grid(len(levels) - 1)
-    system = OrfSystem(poles, levels, source=data["source"], n_points=n_points)
-    system.caratheodory = caratheodory_from_system(system)
-    return system
+    return OrfSystem(poles, levels, source=data["source"], n_points=n_points)
 
 
 def arf_to_dict(arf) -> dict:

@@ -37,7 +37,6 @@ from .engine import (
     _level_zero,
     _padded_polymul,
     _run_recurrence,
-    caratheodory_from_system,
     identity_residual,
     para_pair,
     zeros_factor,
@@ -473,7 +472,6 @@ def arf_recurrence(system: OrfSystem, k: int) -> ArfSystem:
         params = ((lv.lam, lv.rho, lv.e) for lv in system.levels[k + 1 :])
         levels = _run_recurrence(shifted, _level_zero(shifted, 1.0), params)
         sub = OrfSystem(shifted, levels, source="parameters", n_points=system.n_points)
-    sub.caratheodory = caratheodory_from_system(sub)
     return ArfSystem(system, k, sub)
 
 

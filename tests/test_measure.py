@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -7,10 +9,12 @@ from orfkit import (
     KernelSingularity,
     NegativeDensity,
     NonPositiveWeight,
+    NumericalFailure,
     PoleSequence,
     RatFun,
     builtin_measure,
     caratheodory_from_measure,
+    caratheodory_from_system,
     inner_product,
     measure_from_config,
     substar_eval,
@@ -19,6 +23,7 @@ from orfkit import (
 )
 from orfkit import measure, measure_from_system, ratfun
 from orfkit.measure import CaratheodoryFn, _trig_eval, boundary_grid, default_grid
+from orfkit.ratfun import KernelParams
 from orfkit.verify import DEFAULT_TOLERANCES, VerifyContext, check_arf_orthogonality
 
 
@@ -273,6 +278,66 @@ class TestCaratheodory:
             dx = (F(z + h) - F(z - h)) / (2 * h)
             dy = (F(z + 1j * h) - F(z - 1j * h)) / (2j * h)
             assert abs(dx - dy) < 1e-7
+
+
+def _direct_moments(mu, beta0, n_points, count):
+    """c_k = mean_t w(t) zeta_0(t)^(-k), k = 0..count, one product per k."""
+    theta, t = boundary_grid(n_points)
+    zinv = 1.0 / KernelParams(beta0).zeta0(t)
+    acc = mu.weight(theta).astype(complex)
+    out = [acc.mean()]
+    for _ in range(count):
+        acc = acc * zinv
+        out.append(acc.mean())
+    return np.array(out)
+
+
+def _table_measure(m):
+    theta = 2.0 * np.pi * np.arange(m) / m
+    return builtin_measure("samples", theta=theta, w=2.0 + np.cos(3.0 * theta) + 0.5 * np.sin(theta))
+
+
+class TestMomentSeries:
+    @pytest.mark.parametrize("beta0", [0.0, 0.3 - 0.4j])
+    @pytest.mark.parametrize("kind", ["lebesgue", "poisson", "samples"])
+    def test_fft_matches_direct_sum(self, kind, beta0):
+        mu = {
+            "lebesgue": builtin_measure("lebesgue"),
+            "poisson": builtin_measure("poisson", alpha=0.5 + 0.2j),
+            "samples": _table_measure(64),
+        }[kind]
+        c, floor = measure._moment_series(mu, KernelParams(beta0), 2048)
+        assert_allclose(c[:41], _direct_moments(mu, beta0, 4096, 40), rtol=0, atol=1e-14)
+        assert 0 < floor < 1e-12
+
+    def test_grid_angles_at_beta0_zero(self, monkeypatch):
+        # beta_0 = 0 pulls back to the grid 2 pi j / N itself, so a table
+        # that N divides answers from its samples, never the dense kernel
+        mu = _table_measure(4096)
+
+        def dense(*args):
+            raise AssertionError("dense trigonometric evaluation on a table grid")
+
+        monkeypatch.setattr(measure, "_trig_eval", dense)
+        F = caratheodory_from_measure(mu, 0.0)
+        assert np.min(np.real(F(disk_points(5)))) > 0
+
+    def test_rational_measure_gives_its_completion(self):
+        # a lambda ladder's density goes back through the series to the
+        # ladder's own psi*_m/phi*_m, anchored away from the origin
+        lams, betas = disk_points(10, n=6, cap=0.4), disk_points(11, n=7, cap=0.7)
+        assert abs(betas[0]) > 0.1
+        s = synthesize(lams, PoleSequence(betas))
+        F = caratheodory_from_measure(measure_from_system(s), betas[0])
+        zs = disk_points(7, n=200, cap=0.9)
+        assert_allclose(F(zs), caratheodory_from_system(s)(zs), rtol=0, atol=1e-12)
+
+    def test_failure_names_grid_and_tail(self):
+        mu = builtin_measure("poisson", alpha=0.9999)
+        start = time.perf_counter()
+        with pytest.raises(NumericalFailure, match=r"grids up to 65536: its tail is .* times the rounding floor"):
+            caratheodory_from_measure(mu, 0.0)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestWeightRecovery:
