@@ -134,38 +134,54 @@ def builtin_measure(kind: str, alpha=None, theta=None, w=None) -> CircleMeasure:
 
     A sampled density is exact at its M table nodes: on the grid 2 pi j / N
     with N dividing M it returns the stored samples. Any other uniform grid
-    2 pi j / N is evaluated once per grid size and kept in the measure, so
-    later calls return the same values. Other angles cost O(N M) each call.
+    2 pi j / N takes one inverse FFT: the coefficients c_k fold into N bins
+    b_r = sum_{k = r mod N} c_k, since e^(i k theta_j) depends on k only
+    mod N there, and the interpolant is Re(N ifft(b)), an unscaled inverse
+    FFT: O(N log N), and the same bits on every call. Other angles cost
+    O(N M) each call.
     """
     if kind == "lebesgue":
         return CircleMeasure("lebesgue", lambda th: np.ones_like(np.asarray(th, float)), mass=1.0)
     if kind == "poisson":
         a = complex(alpha)
-        if abs(a) >= 1.0:
+        if not abs(a) < 1.0:
             raise DomainError("poisson measure needs |alpha| < 1")
         def fn(th):
             t = np.exp(1j * np.asarray(th, float))
             return (1.0 - abs(a) ** 2) / np.abs(t - a) ** 2
         return CircleMeasure("poisson", fn, params={"alpha": a}, mass=1.0)
     if kind == "samples":
-        th = np.asarray(theta, dtype=float)
-        vals = np.asarray(w, dtype=float)
+        try:
+            th = np.asarray(theta, dtype=float)
+            vals = np.asarray(w, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"samples theta and w must be arrays of numbers: {exc}") from exc
         if th.ndim != 1 or th.shape != vals.shape or th.size < 4:
             raise DomainError("samples measure needs matching theta/w arrays")
+        if not (np.isfinite(th).all() and np.isfinite(vals).all()):
+            raise DomainError("samples theta and w must be finite")
         if np.any(vals <= 0):
             raise NonPositiveWeight("sample table must be strictly positive")
         m = th.size
         if np.max(np.abs(th - _grid_angles(m))) > 1e-9:
             raise DomainError("sample table must sit on the uniform grid 2 pi j / M")
         coeffs = np.fft.fft(vals) / m
-        freqs = np.fft.fftfreq(m, d=1.0 / m)
+        # the frequencies of fftfreq(M, 1/M) as integers; that float array
+        # misses them by an ulp for some M (49, 98, 103, ...)
+        freqs = np.arange(m)
+        freqs[(m + 1) // 2 :] -= m
         table = vals.copy()
         table.flags.writeable = False
-        dense = _grid_memo(lambda t: np.real(_trig_eval(coeffs, freqs, t)).reshape(t.shape))
 
         def fn(t):
             n = _uniform_size(t)
-            return table[:: m // n] if n and m % n == 0 else dense(t)
+            if not n:
+                return np.real(_trig_eval(coeffs, freqs, t)).reshape(t.shape)
+            if m % n == 0:
+                return table[:: m // n]
+            bins = freqs % n
+            b = np.bincount(bins, coeffs.real, n) + 1j * np.bincount(bins, coeffs.imag, n)
+            return np.real(np.fft.ifft(b, norm="forward"))
 
         return CircleMeasure("samples", fn, params={"theta": th, "w": vals}, mass=float(vals.mean()))
     raise DomainError(f"unknown measure kind {kind!r}")
@@ -187,7 +203,11 @@ def measure_from_config(spec: dict) -> CircleMeasure:
         a = spec.get("alpha")
         if not (isinstance(a, (list, tuple)) and len(a) == 2):
             raise DomainError("poisson measure spec needs \"alpha\": [re, im]")
-        return builtin_measure("poisson", alpha=complex(a[0], a[1]))
+        try:
+            alpha = complex(a[0], a[1])
+        except (TypeError, OverflowError) as exc:
+            raise DomainError(f"poisson \"alpha\" must hold two numbers: {exc}") from exc
+        return builtin_measure("poisson", alpha=alpha)
     if kind == "samples":
         return builtin_measure("samples", theta=spec.get("theta"), w=spec.get("w"))
     raise DomainError(f"unknown measure type {kind!r}")

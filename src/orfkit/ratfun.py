@@ -197,11 +197,16 @@ def _pole_guard(conj_beta, z):
 
     As |1 - conj(b) z| >= 1 - |b||z|, no factor is near where
     1 - max|b| |z| clears twice the tolerance; only the other points are
-    tested factor by factor.
+    tested factor by factor. Both sides are monotone in |z| in floating
+    point too, so when the largest |z| clears, every point does.
     """
     abs_z = np.abs(z)
+    b_max = float(np.max(np.abs(conj_beta)))
+    z_max = float(abs_z.max(initial=0.0))
+    if 1.0 - b_max * z_max > 2.0 * TAU_POLE * (1.0 + z_max):
+        return
     tol = TAU_POLE * (1.0 + abs_z)
-    near = 1.0 - float(np.max(np.abs(conj_beta))) * abs_z <= 2.0 * tol
+    near = 1.0 - b_max * abs_z <= 2.0 * tol
     if np.any(near):
         zn, tn = z[near], tol[near]
         for j, cb in enumerate(conj_beta, start=1):

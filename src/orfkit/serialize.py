@@ -128,6 +128,8 @@ def write_json_atomic(path, obj: dict):
 
 
 def write_csv_atomic(path, header, rows):
-    """CSV with 17-significant-digit decimals (lossless for doubles)."""
-    body = (",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+    """CSV of a 2-D float array with 17-significant-digit decimals (lossless
+    for doubles), one %-format per row."""
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    body = (row_format % tuple(row) for row in rows.tolist())
     _write_atomic(path, itertools.chain([",".join(header) + "\n"], body))

@@ -135,6 +135,12 @@ class TestConfigValidation:
             {"arf_order": "first"},
             {"grid": "big"},
             {"n_max": [2]},
+            {"measure": {"type": "samples", "theta": [0, 1.5707963267948966, 3.141592653589793,
+                                                      4.71238898038469], "w": ["a", 1, 1, 1]}},
+            {"measure": {"type": "poisson", "alpha": ["x", 0]}},
+            {"measure": {"type": "samples", "theta": [0, 1.5707963267948966, 3.141592653589793,
+                                                      4.71238898038469], "w": [float("nan"), 1, 1, 1]}},
+            {"measure": {"type": "poisson", "alpha": [float("nan"), 0]}},
         ],
     )
     def test_non_numeric_values(self, tmp_path, capsys, override):

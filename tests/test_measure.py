@@ -1,4 +1,6 @@
+import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,9 +24,13 @@ from orfkit import (
     weight_from_caratheodory,
 )
 from orfkit import measure, measure_from_system, ratfun
+from orfkit.cli import main
 from orfkit.measure import CaratheodoryFn, _trig_eval, boundary_grid, default_grid
 from orfkit.ratfun import KernelParams
 from orfkit.verify import DEFAULT_TOLERANCES, VerifyContext, check_arf_orthogonality
+
+
+EPS = np.finfo(float).eps
 
 
 def monomial(k):
@@ -119,9 +125,58 @@ class TestSampledGrids:
     def test_finer_grid_matches_dense_on_every_call(self):
         mu, w = sampled_table()
         theta, _ = boundary_grid(1024)
-        expected = dense_weight(w, theta)
-        assert_array_equal(mu.weight(theta), expected)
-        assert_array_equal(mu.weight(theta), expected)
+        first = mu.weight(theta)
+        assert_allclose(first, dense_weight(w, theta), rtol=0, atol=8 * EPS * first.max())
+        assert_array_equal(mu.weight(theta), first)
+
+    @pytest.mark.parametrize("m", [256, 300, 768])
+    def test_grid_matches_closed_form(self, m):
+        # zero-padding (N > M), folding (N < M) and a table size that is not
+        # a power of two, against the trig polynomial the table samples
+        def exact(theta):
+            return 1.0 + 0.4 * np.cos(theta - 0.7) + 0.25 * np.cos(2.0 * theta + 1.1)
+
+        w = exact(boundary_grid(m)[0])
+        mu = builtin_measure("samples", theta=boundary_grid(m)[0], w=w)
+        for n in (256, 512, 1024, 8192):
+            if m % n == 0:
+                continue
+            theta, _ = boundary_grid(n)
+            got = mu.weight(theta)
+            assert_allclose(got * mu.mass, exact(theta), rtol=0, atol=8 * EPS * w.max())
+            assert_array_equal(mu.weight(theta), got)
+
+    def test_fine_grid_memory(self):
+        # one inverse FFT of N bins, not an (N x M) block of exponentials
+        mu, _ = sampled_table(512)
+        theta, _ = boundary_grid(8192)
+        tracemalloc.start()
+        try:
+            mu.weight(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("command", [["synth"], ["arf", "--order", "1"], ["verify"]])
+    def test_cli_on_table_config_stays_off_dense_path(self, tmp_path, monkeypatch, command):
+        # beta_0 = 0 and a 256-point table on the 1024 grid: every density
+        # the CLI reads sits on an exact uniform grid
+        theta, _ = boundary_grid(256)
+        w = 1.3 + 0.4 * np.cos(2 * theta) - 0.2 * np.sin(theta)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "poles": [[0, 0], [0.3, -0.2], [-0.1, 0.4]],
+            "measure": {"type": "samples", "theta": theta.tolist(), "w": w.tolist()},
+            "n_max": 2,
+            "grid": 1024,
+        }))
+
+        def dense(*args):
+            raise AssertionError("dense trigonometric evaluation on a uniform grid")
+
+        monkeypatch.setattr(measure, "_trig_eval", dense)
+        assert main(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 0
 
     def test_off_grid_angles_use_dense_path(self):
         mu, w = sampled_table()

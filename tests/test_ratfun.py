@@ -343,6 +343,19 @@ class TestEvaluationKernel:
         with pytest.raises(PoleProximity, match=r"beta_2\)"):
             f(np.array([0.0, 2.0]))
 
+    def test_one_near_point_among_many_far(self):
+        # the scalar bound sees the near point through max |z| alone
+        poles = PoleSequence([0.0, 0.3, 0.6 * np.exp(0.7j), -0.5j])
+        f = RatFun(poles, [1.0, -2.0, 0.5j, 0.25], 3)
+        rng = np.random.default_rng(4)
+        z = 0.9 * np.sqrt(rng.uniform(size=4096)) * np.exp(2j * np.pi * rng.uniform(size=4096))
+        z[2718] = 1.0 / np.conj(poles.beta[3]) * (1.0 + 1e-15)
+        with pytest.raises(PoleProximity) as expected:
+            reference_eval(f, z)
+        assert "beta_3)" in str(expected.value)
+        with pytest.raises(PoleProximity, match=re.escape(str(expected.value))):
+            f(z)
+
     @pytest.mark.parametrize("ratio", [0.5, 0.9, 0.99, 1.01, 1.1, 1.9, 2.1, 3.0])
     def test_threshold_matches_reference(self, ratio):
         # |1 - conj(beta) z| at ratio times the tolerance, along the ray and off it

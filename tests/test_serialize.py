@@ -105,6 +105,14 @@ def test_csv_17g_roundtrip(tmp_path):
     assert np.array_equal(parsed, vals)
 
 
+def test_csv_matches_per_value_format(tmp_path):
+    vals = np.array([[-0.0, 1.0, 5e-324], [1e308, np.nan, np.inf], [-np.inf, 0.1, -2.5e-17]])
+    path = tmp_path / "t.csv"
+    write_csv_atomic(path, ["a", "b", "c"], vals)
+    expected = "a,b,c\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in vals)
+    assert path.read_text() == expected
+
+
 def test_json_atomic_write(tmp_path, synth_system):
     path = tmp_path / "s.json"
     write_json_atomic(path, system_to_dict(synth_system))
