@@ -29,7 +29,7 @@ from .engine import (
     lebesgue_orf,
     synthesize,
 )
-from .errors import DomainError, OrfkitError
+from .errors import DomainError, NonPositiveWeight, OrfkitError
 from .measure import boundary_grid, builtin_measure, measure_from_config
 from .ratfun import PoleSequence
 from .transforms import arf_discrepancy, arf_explicit, arf_recurrence
@@ -160,7 +160,7 @@ class JobConfig:
             return None
         try:
             return measure_from_config(self.measure_spec)
-        except DomainError as exc:
+        except (DomainError, NonPositiveWeight) as exc:
             raise ConfigError(str(exc)) from exc
 
 

@@ -131,12 +131,6 @@ def _check_poles(poles, n_max, allow_poles_near_circle):
         warnings.warn(f"poles beyond {POLE_CAP} degrade quadrature accuracy", stacklevel=3)
 
 
-def _blaschke_basis(poles, k) -> RatFun:
-    """B_k as a canonical RatFun of degree k."""
-    numer = poles.upsilon(k) * npp.polyfromroots(poles.beta[1 : k + 1]) if k else [1.0]
-    return RatFun(poles, numer, k)
-
-
 def _fit_step(poles, n, phi_prev, phi_star_prev, phi_n):
     """Least-squares fit of phi_n varpi_n/varpi_{n-1} = a zeta_{n-1} phi_{n-1} + b phi*_{n-1}.
 
@@ -357,41 +351,48 @@ def gram_schmidt_orf(
     n_points=None,
     allow_poles_near_circle=False,
 ) -> OrfSystem:
-    """Orthonormal ladder for a measure via modified Gram-Schmidt on B_0..B_n.
+    """Orthonormal ladder for a measure from one weighted QR of B_0..B_n.
 
-    Two orthogonalization passes keep the Gram matrix at working precision.
-    Phases are fixed so phi_n^*(beta_n) is real and positive; second-kind
-    companions come from quadrature and the recurrence data from the
-    least-squares inversion.
+    The values of B_0..B_n on the grid 2 pi j / N, rows scaled by sqrt(w/N),
+    go through one Householder QR (Cholesky of the Gram matrix would square
+    its condition number). With R's diagonal made real and positive,
+    phi_k = sum_j B_j (R^-1)_jk, so phi_k^*(beta_k) = 1/R_kk > 0 fixes the
+    phase. The numerators come from those of B_0..B_k lifted to degree k;
+    second-kind companions come from quadrature and the recurrence data
+    from the least-squares inversion.
     """
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
     _check_poles(poles, n_max, allow_poles_near_circle)
     n_points = n_points or default_grid(n_max)
+    if n_max >= n_points:
+        raise RankDeficiency(f"basis numerically dependent at level {n_points}")
     theta, t = boundary_grid(n_points)
     w = mu.weight(theta)
 
-    phis, vals = [], []
-    for k in range(n_max + 1):
-        cand = _blaschke_basis(poles, k)
-        v = np.asarray(cand(t))
-        for _ in range(2):
-            for f, fv in zip(phis, vals):
-                c = complex(_ip(v, fv, w))
-                cand = combine(1.0, cand, -c, f)
-                v = v - c * fv
-        nrm = np.sqrt(_ip(v, v, w).real)
-        if not nrm > 1e-10:
-            raise RankDeficiency(f"basis numerically dependent at level {k}")
-        cand, v = (1.0 / nrm) * cand, v / nrm
-        s = superstar(cand)(poles.beta[k])
-        if abs(s) < 1e-12:
-            raise RankDeficiency(f"phase anchor phi_{k}^*(beta_{k}) vanished")
-        u = s / abs(s)
-        phis.append(u * cand)
-        vals.append(u * v)
+    factors = [np.ones_like(t)] + [blaschke_factor(poles, j, t) for j in range(1, n_max + 1)]
+    basis = np.cumprod(np.stack(factors, axis=1), axis=1)
+    r = np.linalg.qr(basis * np.sqrt(w / n_points)[:, None], mode="r")
+    diag = np.diagonal(r)
+    small = np.flatnonzero(~(np.abs(diag) > 1e-10))
+    if small.size:
+        raise RankDeficiency(f"basis numerically dependent at level {small[0]}")
+    coef = np.linalg.inv(r * (np.conj(diag) / np.abs(diag))[:, None])
 
-    defect = _gram_defect(vals, w)
+    # column j holds the numerator of B_j at degree k; each level multiplies
+    # every column by 1 - conj(beta_k) z and appends eta_k (z - beta_k) B_{k-1}
+    lifted = np.ones((1, 1), dtype=complex)
+    phis = []
+    for k in range(n_max + 1):
+        if k:
+            b = poles.beta[k]
+            pad = np.zeros((1, k), dtype=complex)
+            up, down = np.vstack([lifted, pad]), np.vstack([pad, lifted])
+            top = poles.eta(k) * (down[:, -1] - b * up[:, -1])
+            lifted = np.column_stack([up - np.conj(b) * down, top])
+        phis.append(RatFun(poles, lifted @ coef[: k + 1, k], k))
+
+    defect = _gram_defect([phi(t) for phi in phis], w)
     if defect > TOL_ORTHO:
         raise NumericalFailure(f"Gram matrix deviates from identity by {defect:.2e}")
 
@@ -406,11 +407,6 @@ def gram_schmidt_orf(
         levels.append(OrfLevel(k, phi, superstar(phi), psi, superstar(psi), *params))
     F = caratheodory_from_measure(mu, poles.beta[0], n_points=n_points)
     return OrfSystem(poles, levels, source="measure", measure=mu, caratheodory=F, n_points=n_points)
-
-
-def _ip(u, v, w):
-    """Weighted inner product <u, v> of sampled functions (uniform-grid quadrature)."""
-    return (u * np.conj(v) * w).mean()
 
 
 def _gram_defect(vals, w) -> float:

@@ -148,6 +148,14 @@ class TestConfigValidation:
         assert main(["synth", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("w0", [0.0, -1.0])
+    def test_nonpositive_sample(self, tmp_path, capsys, w0):
+        theta = (2 * np.pi * np.arange(8) / 8).tolist()
+        measure = {"type": "samples", "theta": theta, "w": [w0] + [1.0] * 7}
+        cfg = write_config(tmp_path, {**WORKED, "measure": measure})
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{")

@@ -7,11 +7,15 @@ from numpy.testing import assert_allclose
 
 from orfkit import (
     DomainError,
+    KernelParams,
     OrfSystem,
     ParameterOutOfDisk,
     PoleSequence,
+    RankDeficiency,
+    RatFun,
     builtin_measure,
     caratheodory_from_system,
+    combine,
     determinant_residual,
     extract_parameters,
     gram_schmidt_orf,
@@ -25,12 +29,15 @@ from orfkit import (
     superstar,
     synthesize,
 )
+from orfkit import engine
 from orfkit.engine import (
     _circle_nodes,
+    _fit_parameters,
     _fit_step,
     _gram_defect,
     _herglotz_means,
     _level_zero,
+    _second_kind,
 )
 from orfkit.measure import boundary_grid
 
@@ -42,6 +49,47 @@ def _with_level(s, n, **changes):
     levels = list(s.levels)
     levels[n] = dataclasses.replace(levels[n], **changes)
     return OrfSystem(s.poles, levels, s.source, s.measure, s.caratheodory, s.n_points)
+
+
+def disk_poles(seed, count, beta0, cap=0.7):
+    rng = np.random.default_rng(seed)
+    beta = cap * np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
+    beta[0] = beta0
+    return PoleSequence(beta)
+
+
+def _ip(u, v, w):
+    return (u * np.conj(v) * w).mean()
+
+
+def reference_gram_schmidt(mu, poles, n_max, n_points):
+    """phi_0..phi_n by the per-coefficient route: modified Gram-Schmidt in
+    two passes on B_0..B_n built with polyfromroots, each step rebasing
+    numerators through combine, and the phase fixed by evaluating
+    phi_k^*(beta_k)."""
+    theta, t = boundary_grid(n_points)
+    w = mu.weight(theta)
+    phis, vals = [], []
+    for k in range(n_max + 1):
+        numer = poles.upsilon(k) * npp.polyfromroots(poles.beta[1 : k + 1]) if k else [1.0]
+        cand = RatFun(poles, numer, k)
+        v = np.asarray(cand(t))
+        for _ in range(2):
+            for f, fv in zip(phis, vals):
+                c = complex(_ip(v, fv, w))
+                cand = combine(1.0, cand, -c, f)
+                v = v - c * fv
+        nrm = np.sqrt(_ip(v, v, w).real)
+        cand, v = (1.0 / nrm) * cand, v / nrm
+        s = superstar(cand)(poles.beta[k])
+        u = s / abs(s)
+        phis.append(u * cand)
+        vals.append(u * v)
+    return phis
+
+
+def _rel(a, b, floor=0.0):
+    return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), floor))
 
 
 def sup_diff(f, g, n=256):
@@ -101,6 +149,50 @@ class TestGramSchmidt:
                 for j, vj in enumerate(scaled)
             )
             assert_allclose(_gram_defect(scaled, w), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 12, 24])
+    @pytest.mark.parametrize("beta0", [0.0, 0.3 - 0.4j])
+    @pytest.mark.parametrize("kind", ["lebesgue", "poisson", "samples"])
+    def test_matches_per_coefficient_reference(self, kind, beta0, n):
+        theta = boundary_grid(512)[0]
+        mu = {
+            "lebesgue": builtin_measure("lebesgue"),
+            "poisson": builtin_measure("poisson", alpha=0.3 - 0.2j),
+            "samples": builtin_measure("samples", theta=theta, w=1.0 + 0.4 * np.cos(theta - 0.7)),
+        }[kind]
+        poles = disk_poles(n, n + 1, beta0)
+        s = gram_schmidt_orf(mu, poles, n)
+        ref = reference_gram_schmidt(mu, poles, n, s.n_points)
+        kp = KernelParams(beta0)
+        ref_lams = []
+        for k, phi in enumerate(ref):
+            lv = s.level(k)
+            assert _rel(lv.phi.numer, phi.numer) < 1e-12
+            psi = _second_kind(mu, poles, kp, phi, k, s.n_points)
+            assert _rel(lv.psi.numer, psi.numer) < 1e-12
+            if k:
+                ref_lams.append(_fit_parameters(poles, k, ref[k - 1], superstar(ref[k - 1]), phi)[0])
+        # lambda lives in the unit disk and vanishes for Lebesgue, so its
+        # relative error is taken against a scale of at least 1
+        lams = np.array([s.level(k).lam for k in range(1, n + 1)])
+        assert _rel(lams, np.array(ref_lams), floor=1.0) < 1e-12
+
+    def test_gram_schmidt_makes_no_combine_calls(self, monkeypatch):
+        def no_combine(*args):
+            raise AssertionError("combine called")
+
+        monkeypatch.setattr(engine, "combine", no_combine)
+        mu = builtin_measure("poisson", alpha=0.3 - 0.2j)
+        s = gram_schmidt_orf(mu, disk_poles(3, 7, 0.2j), 6)
+        assert s.n_max == 6
+
+    def test_more_levels_than_grid_points(self, lebesgue):
+        with pytest.raises(RankDeficiency, match="level 256"):
+            gram_schmidt_orf(lebesgue, PoleSequence([0.0] * 257), 256, n_points=256)
+        s = gram_schmidt_orf(lebesgue, PoleSequence([0.0] * 256), 255, n_points=256)
+        top = np.zeros(256)
+        top[255] = 1.0
+        assert_allclose(s.level(255).phi.numer, top, atol=1e-12)
 
     def test_phase_convention(self, poisson_system):
         for n in range(poisson_system.n_max + 1):
