@@ -506,11 +506,10 @@ def identity_residual(f: RatFun, g: RatFun, f_star: RatFun, g_star: RatFun):
 
 def determinant_residual(system: OrfSystem, n: int):
     """Constant d_n and sup residual of phi_n^* psi_n + phi_n psi_n^* = d_n P_n B_n
-    over a boundary grid. Orthonormal ladders must give d_n = 2."""
+    over a boundary grid. Orthonormal ladders must give d_n = 2; a caller
+    compares d_n with 2 itself."""
     lv = system.level(n)
     d, resid = identity_residual(lv.phi, lv.psi, lv.phi_star, lv.psi_star)
-    if abs(d - 2.0) > 1e-9:
-        raise NumericalFailure(f"determinant constant {d} differs from 2")
     return float(d.real), resid
 
 

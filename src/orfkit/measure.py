@@ -20,10 +20,9 @@ from .errors import (
 )
 from .ratfun import KernelParams
 
-# Radius used when a C-function is probed on its way to the boundary.
-BOUNDARY_APPROACH = 1e-6
-# C-functions built from quadrature reject evaluation beyond this modulus.
-MAX_MODULUS = 1.0 - 1e-7
+# C-functions built from quadrature reject evaluation beyond this modulus:
+# the closed disk, up to rounding.
+MAX_MODULUS = 1.0 + 1e-12
 
 
 def _grid_angles(n_points: int):
@@ -253,11 +252,6 @@ class CaratheodoryFn:
         return out if out.ndim else complex(out)
 
 
-def constant_caratheodory(beta0) -> CaratheodoryFn:
-    """The trivial C-function F = 1 (Lebesgue-type normalization)."""
-    return CaratheodoryFn(lambda z: np.ones_like(np.asarray(z, dtype=complex)), beta0)
-
-
 def _moment_series(mu, kp, n_points):
     """Moments c_k = mean_t w(t) zeta_0(t)^(-k), k = 0..N-1, from one FFT,
     and the rounding floor 64 eps max g below which they carry no digits.
@@ -285,13 +279,12 @@ def caratheodory_from_measure(mu: CircleMeasure, beta0, n_points: int = 2048) ->
 
     Uses the geometric expansion of the Herglotz kernel in powers of
     zeta_0(z)/zeta_0(t): F(z) = 1 + 2 sum_k c_k zeta_0(z)^k with the
-    moments c_k of `_moment_series`. The series converges geometrically for
-    the analytic densities in scope, uniformly up to the boundary guard, so
-    the radial probe used in density recovery stays accurate. A grid of N
-    points is accepted when the moments N/4 <= k < N/2 are at or below the
-    rounding floor, and the series then ends at the last moment above it;
-    otherwise N doubles, up to 65536 (densities with structure very close
-    to the circle need more terms).
+    moments c_k of `_moment_series`. A grid of N points is accepted when
+    the moments N/4 <= k < N/2 are at or below the rounding floor, and the
+    series then ends at the last moment above it; otherwise N doubles, up
+    to 65536 (densities with structure very close to the circle need more
+    terms). The dropped tail is below rounding, so the finite series is
+    accurate on the closed disk, the circle included.
     """
     _check_grid(n_points)
     kp = KernelParams(beta0)
@@ -315,7 +308,7 @@ def caratheodory_from_measure(mu: CircleMeasure, beta0, n_points: int = 2048) ->
     def ev(z):
         z = np.asarray(z, dtype=complex)
         if np.any(np.abs(z) > MAX_MODULUS):
-            raise KernelSingularity("C-function evaluation requires |z| <= 1 - 1e-7")
+            raise KernelSingularity("C-function evaluation requires |z| <= 1")
         return 1.0 + npp.polyval(kp.zeta0(z), coeffs)
 
     return CaratheodoryFn(ev, beta0)
@@ -324,23 +317,18 @@ def caratheodory_from_measure(mu: CircleMeasure, beta0, n_points: int = 2048) ->
 def weight_from_caratheodory(F: CaratheodoryFn, beta0, theta):
     """Recover the boundary density w(theta) from a C-function.
 
-    w(theta) = Re F(r e^(i theta)) (1 - |beta0|^2)/|e^(i theta) - beta0|^2
-    along the radial approach r -> 1. The beta0-dependent factor compensates
-    the anchored Poisson kernel; with F = 1 and beta0 = beta_1 this
-    reproduces the rational modification (1 - |beta_1|^2)/|t - beta_1|^2 of
-    the Lebesgue density, the case that pins the formula down.
-
-    Re F at radius r smooths the density at scale 1 - r, a first-order bias;
-    two radii (finest 1 - BOUNDARY_APPROACH) and Richardson extrapolation cancel
-    it, leaving a quadratically small error.
+    w(theta) = Re F(t) (1 - |beta0|^2)/|t - beta0|^2 at t = e^(i theta).
+    The beta0-dependent factor compensates the anchored Poisson kernel; with
+    F = 1 and beta0 = beta_1 this reproduces the rational modification
+    (1 - |beta_1|^2)/|t - beta_1|^2 of the Lebesgue density, the case that
+    pins the formula down. F is read on the circle itself: the C-functions
+    built here (ratios of rational functions, moment series cut below
+    rounding) are analytic across it.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     b0 = complex(beta0)
     t = np.exp(1j * theta)
-    near = np.real(np.asarray(F((1.0 - BOUNDARY_APPROACH) * t)))
-    far = np.real(np.asarray(F((1.0 - 2.0 * BOUNDARY_APPROACH) * t)))
-    vals = 2.0 * near - far
-    w = vals * (1.0 - abs(b0) ** 2) / np.abs(t - b0) ** 2
+    w = np.real(np.asarray(F(t))) * (1.0 - abs(b0) ** 2) / np.abs(t - b0) ** 2
     if np.any(w < 0):
         raise NegativeDensity("recovered density negative; F is not a C-function here")
     return w

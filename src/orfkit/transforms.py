@@ -34,6 +34,7 @@ from .measure import (
 )
 from .engine import (
     OrfSystem,
+    _completion_grid,
     _level_zero,
     _padded_polymul,
     _run_recurrence,
@@ -365,8 +366,9 @@ class ArfSystem:
     Everything else derived from (base, order) is computed on first access
     and kept: `quad` (the quad of the level-k para-orthogonal pairs),
     `explicit` (the pairs of the explicit transform route), `F_k` (the
-    transformed C-function) and `mu_k` (the density recovered from F_k). A
-    failure in one of them is raised at that first access.
+    transformed C-function) and `mu_k` (the density of F_k, sampled on this
+    order's own grid). A failure in one of them is raised at that first
+    access.
     """
 
     base: OrfSystem
@@ -399,8 +401,14 @@ class ArfSystem:
 
     @cached_property
     def mu_k(self) -> CircleMeasure:
-        """Samples of the F_k boundary density on the base ladder's grid."""
-        theta, _ = boundary_grid(self.base.n_points)
+        """Samples of the F_k boundary density, Re F_k on the circle.
+
+        The grid is the larger of the base ladder's and the completion grid
+        of this ladder's own top level, whose zeros can lie closer to the
+        circle than the base ladder's.
+        """
+        own = _completion_grid(self.system.levels[-1], self.system.n_max)
+        theta, _ = boundary_grid(max(self.base.n_points, own))
         w = weight_from_caratheodory(self.F_k, self.system.poles.beta[0], theta)
         return builtin_measure("samples", theta=theta, w=w)
 

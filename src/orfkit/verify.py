@@ -170,7 +170,7 @@ def check_arf_orthogonality(ctx):
     worst = 0.0
     for k in range(min(2, ctx.system.n_max) + 1):
         arf = ctx.arf(k)
-        worst = max(worst, _sampled_gram_defect(arf.system, arf.mu_k, ctx.system.n_points))
+        worst = max(worst, _sampled_gram_defect(arf.system, arf.mu_k, arf.mu_k.params["w"].size))
     return worst
 
 

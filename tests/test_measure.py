@@ -321,10 +321,16 @@ class TestCaratheodory:
             F = caratheodory_from_measure(mu, 0.1)
             assert np.min(np.real(F(disk_points(4)))) > 0
 
-    def test_rejects_near_boundary(self):
+    def test_rejects_outside_disk(self):
         F = caratheodory_from_measure(builtin_measure("lebesgue"), 0.0)
         with pytest.raises(KernelSingularity):
-            F(1.0 - 1e-9)
+            F(1.0 + 1e-9)
+
+    def test_finite_on_circle(self):
+        # the series is cut below rounding, so it converges on |z| = 1
+        F = caratheodory_from_measure(builtin_measure("poisson", alpha=0.4 - 0.3j), 0.1 + 0.1j)
+        _, t = boundary_grid(512)
+        assert np.isfinite(F(t)).all()
 
     def test_holomorphic_cauchy_riemann(self):
         F = caratheodory_from_measure(builtin_measure("poisson", alpha=0.4), 0.2)
@@ -415,7 +421,7 @@ class TestWeightRecovery:
         F = caratheodory_from_measure(mu, beta0)
         theta, _ = boundary_grid(512)
         w = weight_from_caratheodory(F, beta0, theta)
-        assert np.max(np.abs(w - mu.weight(theta))) < 1e-6
+        assert np.max(np.abs(w - mu.weight(theta))) < 1e-12
 
     def test_negative_density_detected(self):
         F = CaratheodoryFn(lambda z: -np.ones_like(z), 0.0)

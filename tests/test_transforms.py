@@ -26,7 +26,7 @@ from orfkit import (
 )
 from orfkit import transforms
 from orfkit.engine import _fit_step, zeros_factor
-from orfkit.measure import boundary_grid, constant_caratheodory
+from orfkit.measure import CaratheodoryFn, boundary_grid
 from orfkit.transforms import arf_anchor_residual, arf_discrepancy
 
 SQ3 = np.sqrt(3.0)
@@ -87,7 +87,7 @@ class TestCheckQuad:
         a = RatFun(poles, [1.0, 0.0, -1.0], 2)
         b = RatFun(poles, [0.0, 1.0, 0.0], 2)
         quad = SelfReciprocalQuad(a, b, b, a, 1.0, 2, 0, PoleSequence([-0.3]))
-        rep = check_quad(quad, constant_caratheodory(0.0), poles, depth=0)
+        rep = check_quad(quad, CaratheodoryFn(lambda z: np.ones_like(z), 0.0), poles, depth=0)
         assert not rep.passed
         assert rep.a2_min < 1e-10
 

@@ -1,7 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from orfkit import PoleSequence, builtin_measure, cli, gram_schmidt_orf, measure, ratfun, synthesize, transforms, verify
+from orfkit import (
+    OrfSystem,
+    PoleSequence,
+    builtin_measure,
+    cli,
+    gram_schmidt_orf,
+    measure,
+    ratfun,
+    synthesize,
+    transforms,
+    verify,
+)
 from orfkit.verify import CHECK_NAMES, VerifyContext, run_verification
 
 
@@ -137,3 +150,37 @@ def test_poisson_ladder_with_random_beta0(monkeypatch):
     s = gram_schmidt_orf(mu, PoleSequence(_disk(rng, 0.7, 17)), 16)
     assert _failing(s) == {}
     assert grids and max(grids) <= 2048
+
+
+@pytest.mark.parametrize(
+    "seed, check, limit, rows",
+    [
+        pytest.param(8, "arf_orthogonality", 1e-12, 4096, id="seed-8"),
+        pytest.param(4, "roundtrip_measure", 1e-6, 16384, id="seed-4"),
+    ],
+)
+def test_densities_read_on_the_circle(seed, check, limit, rows):
+    # Re F on |t| = 1 leaves rounding error only: the two-radius probe left
+    # 4.0e-6 in roundtrip_measure on seed 4, and the base ladder's grid of
+    # 2048 left 1.2e-7 in arf_orthogonality on seed 8, whose order 1 needs
+    # 4096 points
+    rng = np.random.default_rng(seed)
+    lams, betas = _disk(rng, 0.4, 12), _disk(rng, 0.7, 13)
+    ctx = VerifyContext(synthesize(lams, PoleSequence(betas)), seed=0, tolerances={})
+    assert run_verification(ctx, [check])[check]["residual"] <= limit
+    assert ctx.arf(1).mu_k.params["w"].size == rows
+
+
+def test_wrong_determinant_constant_fails_the_check():
+    # a level scaled by 1.01 turns d_n = 2 into 2.0402: a failed check with
+    # a finite residual, not an error
+    s = _ladder()
+    lv = s.level(2)
+    levels = list(s.levels)
+    levels[2] = dataclasses.replace(
+        lv, phi=1.01 * lv.phi, phi_star=1.01 * lv.phi_star, psi=1.01 * lv.psi, psi_star=1.01 * lv.psi_star
+    )
+    scaled = OrfSystem(s.poles, levels, s.source, n_points=s.n_points)
+    entry = run_verification(VerifyContext(scaled, seed=0, tolerances={}), ["determinant"])["determinant"]
+    assert not entry["pass"] and "error" not in entry
+    assert entry["residual"] == pytest.approx(0.0402, rel=1e-6)
