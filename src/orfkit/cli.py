@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -50,6 +51,18 @@ def _number(convert, value, what):
         raise ConfigError(f"{what} must be numeric, got {value!r}") from exc
 
 
+def _tolerance(name, value):
+    """A check's tolerance: a JSON number, finite and >= 0."""
+    if name not in CHECK_NAMES:
+        raise ConfigError(f"unknown tolerance {name!r}; known: {', '.join(CHECK_NAMES)}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"tolerance {name!r} must be a number, got {value!r}")
+    tol = _number(float, value, f"tolerance {name!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"tolerance {name!r} must be finite and >= 0, got {value!r}")
+    return tol
+
+
 def _complex_pairs(raw, what):
     out = []
     for item in raw:
@@ -83,7 +96,9 @@ class JobConfig:
         poles = _complex_pairs(raw["poles"], "poles")
         if any(abs(b) >= 1.0 for b in poles):
             raise ConfigError("every pole must satisfy |beta| < 1")
-        allow = bool(raw.get("allow_poles_near_circle", False))
+        allow = raw.get("allow_poles_near_circle", False)
+        if not isinstance(allow, bool):
+            raise ConfigError("allow_poles_near_circle must be true or false")
         if not allow and any(abs(b) > POLE_CAP for b in poles):
             raise ConfigError(f"|beta| > {POLE_CAP} requires allow_poles_near_circle: true")
         lambdas = None
@@ -123,6 +138,7 @@ class JobConfig:
         tolerances = raw.get("tolerances") or {}
         if not isinstance(tolerances, dict):
             raise ConfigError("tolerances must be an object")
+        tolerances = {name: _tolerance(name, value) for name, value in tolerances.items()}
         grid = raw.get("grid")
         env = os.environ.get("ORFKIT_GRID")
         if env:

@@ -28,6 +28,7 @@ from .measure import (
     CaratheodoryFn,
     CircleMeasure,
     _grid_memo,
+    _grid_points_size,
     boundary_grid,
     caratheodory_from_measure,
     custom_measure,
@@ -43,7 +44,6 @@ from .ratfun import (
     combine,
     evaluate_stack,
     poisson_kernel,
-    substar_eval,
     superstar,
 )
 
@@ -81,10 +81,11 @@ class OrfSystem:
     source is "measure" or "parameters"; both are orthonormal. A
     measure-sourced system keeps its measure; every system carries an
     evaluable C-function, by default the rational completion psi*_m/phi*_m
-    of its top level m.
+    of its top level m. Its para-orthogonal pairs are built on first use
+    and kept (`para_pair`).
     """
 
-    __slots__ = ("poles", "levels", "source", "measure", "caratheodory", "n_points")
+    __slots__ = ("poles", "levels", "source", "measure", "caratheodory", "n_points", "_pairs")
 
     def __init__(self, poles, levels, source, measure=None, caratheodory=None, n_points=None):
         self.poles = poles
@@ -93,6 +94,7 @@ class OrfSystem:
         self.measure = measure
         self.caratheodory = caratheodory or caratheodory_from_system(self)
         self.n_points = n_points
+        self._pairs = {}
 
     @property
     def n_max(self):
@@ -277,12 +279,14 @@ def caratheodory_from_system(system: OrfSystem) -> CaratheodoryFn:
 
     It is holomorphic with positive real part (phi*_m is zero-free on the
     closed disk), satisfies F(beta_0) = 1, and the ladder is orthonormal
-    with respect to it through level m.
+    with respect to it through level m. Its values on the points of a
+    `boundary_grid(N)` are computed once and kept: each associated density
+    reads them.
     """
     top = system.level(system.n_max)
-    return ratio_caratheodory(
-        lambda z: evaluate_stack((top.psi_star, top.phi_star), z), system.poles.beta[0]
-    )
+    F = ratio_caratheodory(lambda z: evaluate_stack((top.psi_star, top.phi_star), z), system.poles.beta[0])
+    F.evaluator = _grid_memo(F.evaluator, _grid_points_size)
+    return F
 
 
 def measure_from_system(system: OrfSystem) -> CircleMeasure:
@@ -436,17 +440,24 @@ def zeros_factor(poles: PoleSequence, m: int, z):
 
 
 def para_pair(system: OrfSystem, n: int, tau) -> ParaPair:
-    """Para-orthogonal pair Phi = phi_n + tau phi_n^*, Psi = psi_n - tau psi_n^*."""
+    """Para-orthogonal pair Phi = phi_n + tau phi_n^*, Psi = psi_n - tau psi_n^*.
+
+    A function and its superstar share one degree and one denominator, so
+    the pair adds numerators. Built once per (n, tau) and kept on the system.
+    """
     tau = complex(tau)
     if abs(abs(tau) - 1.0) > 1e-12:
         raise DomainError("tau must be unimodular")
-    lv = system.level(n)
-    return ParaPair(
-        n,
-        tau,
-        combine(1.0, lv.phi, tau, lv.phi_star),
-        combine(1.0, lv.psi, -tau, lv.psi_star),
-    )
+    pair = system._pairs.get((n, tau))
+    if pair is None:
+        lv = system.level(n)
+        pair = system._pairs[n, tau] = ParaPair(
+            n,
+            tau,
+            RatFun(lv.phi.poles, lv.phi.numer + tau * lv.phi_star.numer, n),
+            RatFun(lv.psi.poles, lv.psi.numer - tau * lv.psi_star.numer, n),
+        )
+    return pair
 
 
 def _min_separation(pts) -> float:
@@ -461,6 +472,42 @@ def _min_separation(pts) -> float:
 def para_zeros(pair: ParaPair) -> np.ndarray:
     """Zeros of the para-orthogonal numerator: companion-matrix eigenvalues
     plus one Newton polish. All must sit on the circle and be simple."""
+    return para_zeros_stack([pair])[0]
+
+
+def para_zeros_stack(pairs) -> list:
+    """para_zeros of each pair, in order. The companion matrices of one size
+    go through one batched eigvals and the polish runs on their rows
+    together; a pair that fails raises as para_zeros would, after every
+    earlier pair has passed."""
+    coeffs, error = [], None
+    for pair in pairs:
+        try:
+            coeffs.append(_para_numerator(pair))
+        except DomainError as exc:
+            error = exc
+            break
+    roots = [None] * len(coeffs)
+    for size in {c.size for c in coeffs}:
+        rows = [i for i, c in enumerate(coeffs) if c.size == size]
+        for i, r in zip(rows, _polished_roots(np.stack([coeffs[i] for i in rows]))):
+            roots[i] = r
+    out = []
+    for r in roots:
+        off = np.abs(np.abs(r) - 1.0)
+        if np.any(off > 1e-9):
+            raise ZeroOffCircle(f"para zero left the circle by {off.max():.2e}")
+        sep = _min_separation(r)
+        if sep < 1e-8:
+            raise ZeroCollision(f"para zeros separated by only {sep:.2e}")
+        out.append(r[np.argsort(np.angle(r))])
+    if error is not None:
+        raise error
+    return out
+
+
+def _para_numerator(pair: ParaPair) -> np.ndarray:
+    """Numerator of Phi up to its last coefficient above 1e-13 of the largest."""
     c = pair.Phi.numer
     scale = float(np.max(np.abs(c)))
     if scale == 0.0:
@@ -470,20 +517,34 @@ def para_zeros(pair: ParaPair) -> np.ndarray:
         m -= 1
     if m < 1:
         raise DomainError("numerator degree must be >= 1")
-    trimmed = c[: m + 1]
-    roots = npp.polyroots(trimmed)
-    deriv = npp.polyder(trimmed)
-    pv = npp.polyval(roots, trimmed)
-    dv = npp.polyval(roots, deriv)
+    return c[: m + 1]
+
+
+def _polished_roots(c) -> np.ndarray:
+    """Roots of each row of c (k, m + 1), leading coefficients nonzero, as
+    numpy.polynomial's polyroots finds them (companion eigenvalues, sorted),
+    then one Newton step wherever the derivative is nonzero."""
+    m = c.shape[1] - 1
+    if m == 1:
+        roots = -c[:, :1] / c[:, 1:]
+    else:
+        companion = np.zeros((c.shape[0], m, m), dtype=complex)
+        companion[:, np.arange(1, m), np.arange(m - 1)] = 1
+        companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
+        roots = np.linalg.eigvals(companion)
+        roots.sort(axis=1)
+    pv = _polyval_rows(roots, c)
+    dv = _polyval_rows(roots, c[:, 1:] * np.arange(1, m + 1))
     ok = np.abs(dv) > 0
-    roots = np.where(ok, roots - np.where(ok, pv / np.where(ok, dv, 1.0), 0.0), roots)
-    off = np.abs(np.abs(roots) - 1.0)
-    if np.any(off > 1e-9):
-        raise ZeroOffCircle(f"para zero left the circle by {off.max():.2e}")
-    sep = _min_separation(roots)
-    if sep < 1e-8:
-        raise ZeroCollision(f"para zeros separated by only {sep:.2e}")
-    return roots[np.argsort(np.angle(roots))]
+    return np.where(ok, roots - np.where(ok, pv / np.where(ok, dv, 1.0), 0.0), roots)
+
+
+def _polyval_rows(x, c):
+    """Horner on each row: sum_j c[i, j] x[i]^j, as numpy.polynomial's polyval."""
+    acc = c[:, -1:] + x * 0
+    for i in range(2, c.shape[1] + 1):
+        acc = c[:, -i, None] + acc * x
+    return acc
 
 
 def identity_residual(f: RatFun, g: RatFun, f_star: RatFun, g_star: RatFun):
@@ -491,16 +552,32 @@ def identity_residual(f: RatFun, g: RatFun, f_star: RatFun, g_star: RatFun):
     f^* g + f g^* = d P_m B_m on a 512-point boundary grid, m and the poles
     taken from f. The starred pair is passed in, so a check covers stored
     f^*, g^* too."""
-    m = f.n
-    poles = f.poles
+    d, resid = identity_residual_stack([f], [g], [f_star], [g_star])
+    return complex(d[0]), float(resid[0])
+
+
+def identity_residual_stack(fs, gs, f_stars, g_stars):
+    """identity_residual of each (f, g, f^*, g^*), as arrays (d, resid).
+
+    The functions may have different degrees over one pole prefix: they are
+    evaluated in one call, and B_m grows one Blaschke factor at a time."""
+    rows = len(fs)
     _, t = boundary_grid(512)
-    fs_t, g_t, f_t, gs_t = evaluate_stack((f_star, g, f, g_star), t)
+    fs_t, g_t, f_t, gs_t = evaluate_stack((*f_stars, *gs, *fs, *g_stars), t).reshape(4, rows, -1)
     left = fs_t * g_t + f_t * gs_t
+    degs = np.array([f.n for f in fs])
+    poles = fs[int(np.argmax(degs))].poles
     kp = KernelParams(poles.beta[0])
-    right = poisson_kernel(kp, t, poles.beta[m]) * blaschke_product(poles, m, t)
-    j0 = int(np.argmax(np.abs(right)))
-    d = left[j0] / right[j0]
-    resid = float(np.max(np.abs(left - float(d.real) * right)) / np.max(np.abs(left)))
+    right = np.empty_like(left)
+    blaschke = np.ones_like(t)
+    for m in range(int(degs.max()) + 1):
+        if m:
+            blaschke = blaschke * blaschke_factor(poles, m, t)
+        if np.any(degs == m):
+            right[degs == m] = poisson_kernel(kp, t, poles.beta[m]) * blaschke
+    at = np.argmax(np.abs(right), axis=1)
+    d = left[np.arange(rows), at] / right[np.arange(rows), at]
+    resid = np.max(np.abs(left - d.real[:, None] * right), axis=1) / np.max(np.abs(left), axis=1)
     return d, resid
 
 
@@ -508,9 +585,16 @@ def determinant_residual(system: OrfSystem, n: int):
     """Constant d_n and sup residual of phi_n^* psi_n + phi_n psi_n^* = d_n P_n B_n
     over a boundary grid. Orthonormal ladders must give d_n = 2; a caller
     compares d_n with 2 itself."""
-    lv = system.level(n)
-    d, resid = identity_residual(lv.phi, lv.psi, lv.phi_star, lv.psi_star)
-    return float(d.real), resid
+    d, resid = determinant_residual_stack(system, [n])
+    return float(d[0]), float(resid[0])
+
+
+def determinant_residual_stack(system: OrfSystem, levels):
+    """determinant_residual at each of the levels, as arrays (d_n, resid),
+    from one identity_residual_stack."""
+    phi, phi_s, psi, psi_s = zip(*(_four(system.level(n)) for n in levels))
+    d, resid = identity_residual_stack(phi, psi, phi_s, psi_s)
+    return d.real, resid
 
 
 @dataclass(frozen=True)
@@ -548,75 +632,121 @@ def interpolation_residuals(
     beta_0..beta_n; the repeated-pole multiplicity variant lives in the test
     suite only.
     """
+    return interpolation_residual_stack(system, F, [n], seed)[0]
+
+
+def interpolation_residual_stack(system: OrfSystem, F: CaratheodoryFn, levels, seed: int = 0) -> list:
+    """interpolation_residuals at each of the levels, in order.
+
+    F is read once at beta_0..beta_m, m the highest level, and once on the
+    disk sample; the functions of every level (and their superstars) are
+    evaluated in one call per point set. Requires pairwise distinct
+    beta_0..beta_m.
+    """
     poles = system.poles
-    pts = poles.beta[: n + 1]
+    levels = list(levels)
+    pts = poles.beta[: max(levels) + 1]
     if _min_separation(pts) < 1e-12:
         raise DomainError("interpolation residuals need pairwise distinct beta_0..beta_n")
-    lv = system.level(n)
-
+    funcs = [f for n in levels for f in _four(system.level(n))]
     f_pts = np.asarray(F(pts))
-    phi, phi_s, psi, psi_s = lv.values(pts)
-    line_pts = phi * f_pts + psi
-    first = np.abs(line_pts[:n])
-    second = np.abs(phi_s * f_pts - psi_s)
+    at_pts = evaluate_stack(funcs, pts).reshape(len(levels), 4, -1)
 
     rng = np.random.default_rng(seed)
     zs = 0.7 * np.sqrt(rng.uniform(size=100)) * np.exp(2j * np.pi * rng.uniform(size=100))
     fz = np.asarray(F(zs))
-    funcs = (lv.phi, lv.phi_star, lv.psi, lv.psi_star)
-    phi, phi_s, psi, psi_s, s_phi, s_phi_s, s_psi, s_psi_s = evaluate_stack(
-        funcs + tuple(superstar(f) for f in funcs), zs
-    )
-    line_a = phi * fz + psi
-    g = line_a / zeros_factor(poles, n, zs)
-    scale = float(np.max(np.abs(line_a)))
-
-    g_anchor = abs(line_pts[n] / complex(zeros_factor(poles, n, pts[n])))
+    at_zs = evaluate_stack(funcs + [superstar(f) for f in funcs], zs).reshape(2, len(levels), 4, -1)
+    # zeta_0 B_{n-1} on the sample, B growing one Blaschke factor at a time
+    zeros_at = {}
+    blaschke = np.ones_like(zs)
+    zeta0 = np.asarray(system.kernel.zeta0(zs))
+    for m in range(max(levels) + 1):
+        if m > 1:
+            blaschke = blaschke * blaschke_factor(poles, m - 1, zs)
+        zeros_at[m] = zeta0 * blaschke if m else np.ones_like(zs)
 
     # para pair Phi = phi + tau phi^*, Psi = psi - tau psi^*, one row per tau
     tau = np.array([1.0, 1.0j, -1.0, -1.0j])[:, None]
     ct = np.conj(tau)
-    lhs = (s_phi + ct * s_phi_s) * fz - (s_psi - ct * s_psi_s)
-    rhs = ct * ((phi + tau * phi_s) * fz + psi - tau * psi_s)
-    para_res = float(np.max(np.abs(lhs - rhs)) / scale)
+    reports = []
+    for i, n in enumerate(levels):
+        phi, phi_s, psi, psi_s = at_pts[i, :, : n + 1]
+        line_pts = phi * f_pts[: n + 1] + psi
+        first = np.abs(line_pts[:n])
+        second = np.abs(phi_s * f_pts[: n + 1] - psi_s)
 
-    return InterpolationReport(n, first, second, float(np.min(np.abs(g))), g_anchor, para_res, scale)
+        (phi, phi_s, psi, psi_s), (s_phi, s_phi_s, s_psi, s_psi_s) = at_zs[:, i]
+        line_a = phi * fz + psi
+        g = line_a / zeros_at[n]
+        scale = float(np.max(np.abs(line_a)))
+        g_anchor = abs(line_pts[n] / complex(zeros_factor(poles, n, pts[n])))
+        lhs = (s_phi + ct * s_phi_s) * fz - (s_psi - ct * s_psi_s)
+        rhs = ct * ((phi + tau * phi_s) * fz + psi - tau * psi_s)
+        para_res = float(np.max(np.abs(lhs - rhs)) / scale)
+        reports.append(
+            InterpolationReport(n, first, second, float(np.min(np.abs(g))), g_anchor, para_res, scale)
+        )
+    return reports
+
+
+def _four(lv: OrfLevel):
+    return lv.phi, lv.phi_star, lv.psi, lv.psi_star
 
 
 def second_kind_functional_residual(system: OrfSystem, mu: CircleMeasure, n: int, seed: int = 0) -> float:
     """Residual of the extended functional identities relating phi_n, psi_n
     through the kernel, tested with a random multiplier f in L_{(n-1)*} and
     g in zeta_{n*} L_{(n-1)*}. Relative sup over six points of the circle."""
+    return float(second_kind_functional_residual_stack(system, mu, [n], seed)[0])
+
+
+def second_kind_functional_residual_stack(system: OrfSystem, mu: CircleMeasure, levels, seed: int = 0):
+    """second_kind_functional_residual at each of the levels, as an array.
+
+    The Riesz-Herglotz kernel D(t, z) at the six nodes is formed once, so a
+    level's means are D @ (f w)/N - f(z) (D @ w)/N. The values on the
+    quadrature grid are formed one level at a time: no table of every level
+    on the grid is held.
+    """
     n_points = system.n_points
     poles, kp = system.poles, system.kernel
     theta, t = boundary_grid(n_points)
     w = mu.weight(theta)
-    rng = np.random.default_rng(seed)
-    deg = max(n - 1, 0)
-    h1 = RatFun(poles, rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1), deg)
-    h2 = RatFun(poles, rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1), deg)
-    lv = system.level(n)
     # on the circle h_* is as tame as h, and off the grid the means never meet 0/0
     zs = _circle_nodes(6, n_points)
+    zt, zz = kp.zeta0(t), kp.zeta0(zs)[:, None]
+    kernel = (zt + zz) / (zt - zz)
+    kernel_w = kernel @ w / n_points
+    at_zs = evaluate_stack([f for n in levels for f in _four(system.level(n))], zs).reshape(-1, 4, zs.size)
+    # the multipliers enter as substar values, conj(h(1/conj(z)))
+    inv_t, inv_zs = 1.0 / np.conj(t), 1.0 / np.conj(zs)
 
-    phi_t, phi_s_t = evaluate_stack((lv.phi, lv.phi_star), t)
-    phi_z, phi_s_z, psi_z, psi_s_z = lv.values(zs)
-    f_t, f_z = substar_eval(h1, t), substar_eval(h1, zs)
-    vals_t = phi_t * f_t
-    lhs1 = _herglotz_means(kp, t, w, vals_t, zs, phi_z * f_z) + (vals_t * w).mean()
-    rhs1 = psi_z * f_z
-    res1 = np.max(np.abs(lhs1 - rhs1)) / max(np.max(np.abs(rhs1)), 1e-30)
+    def means(vals_t, vals_z):
+        fw = vals_t * w
+        return kernel @ fw / n_points - vals_z * kernel_w, fw.mean()
 
-    if n == 0:
-        g_t, g_z = substar_eval(h2, t), substar_eval(h2, zs)
-    else:
-        g_t = substar_eval(h2, t) / blaschke_factor(poles, n, t)
-        g_z = substar_eval(h2, zs) / blaschke_factor(poles, n, zs)
-    vals_t = phi_s_t * g_t
-    lhs2 = _herglotz_means(kp, t, w, vals_t, zs, phi_s_z * g_z) - (vals_t * w).mean()
-    rhs2 = -psi_s_z * g_z
-    res2 = np.max(np.abs(lhs2 - rhs2)) / max(np.max(np.abs(rhs2)), 1e-30)
-    return float(max(res1, res2))
+    out = []
+    for n, (phi_z, phi_s_z, psi_z, psi_s_z) in zip(levels, at_zs):
+        rng = np.random.default_rng(seed)
+        deg = max(n - 1, 0)
+        h = [
+            RatFun(poles, rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1), deg)
+            for _ in range(2)
+        ]
+        (f_t, g_t), (f_z, g_z) = np.conj(evaluate_stack(h, inv_t)), np.conj(evaluate_stack(h, inv_zs))
+        if n:
+            g_t, g_z = g_t / blaschke_factor(poles, n, t), g_z / blaschke_factor(poles, n, zs)
+        lv = system.level(n)
+        phi_t, phi_s_t = evaluate_stack((lv.phi, lv.phi_star), t)
+
+        herglotz, mean = means(phi_t * f_t, phi_z * f_z)
+        rhs1 = psi_z * f_z
+        res1 = np.max(np.abs(herglotz + mean - rhs1)) / max(np.max(np.abs(rhs1)), 1e-30)
+        herglotz, mean = means(phi_s_t * g_t, phi_s_z * g_z)
+        rhs2 = -psi_s_z * g_z
+        res2 = np.max(np.abs(herglotz - mean - rhs2)) / max(np.max(np.abs(rhs2)), 1e-30)
+        out.append(max(res1, res2))
+    return np.array(out, dtype=float)
 
 
 def lebesgue_orf(poles: PoleSequence, n: int) -> RatFun:

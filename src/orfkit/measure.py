@@ -56,17 +56,25 @@ def _uniform_size(theta) -> int:
     return n if theta is grid or np.array_equal(theta, grid) else 0
 
 
-def _grid_memo(fn):
-    """fn (an elementwise density of angles) computed once per exact uniform
-    grid 2 pi j / N and kept read-only; other angles are computed each call."""
+def _grid_points_size(z) -> int:
+    """N when z is exactly the points of a boundary_grid(N) already made, else 0."""
+    grid = _GRIDS.get(z.size) if z.ndim == 1 else None
+    return z.size if grid is not None and (z is grid[1] or np.array_equal(z, grid[1])) else 0
+
+
+def _grid_memo(fn, size=_uniform_size):
+    """fn (elementwise) computed once per exact uniform grid and kept
+    read-only; size(x) is the grid's N when the argument x is one, else 0.
+    By default x is angles, 2 pi j / N; other arguments are computed each
+    call."""
     on_grid = {}
 
-    def memo(theta):
-        n = _uniform_size(theta)
+    def memo(x):
+        n = size(x)
         if not n:
-            return fn(theta)
+            return fn(x)
         if n not in on_grid:
-            on_grid[n] = np.asarray(fn(theta), dtype=float)
+            on_grid[n] = np.asarray(fn(x))
             on_grid[n].flags.writeable = False
         return on_grid[n]
 
@@ -284,7 +292,8 @@ def caratheodory_from_measure(mu: CircleMeasure, beta0, n_points: int = 2048) ->
     series then ends at the last moment above it; otherwise N doubles, up
     to 65536 (densities with structure very close to the circle need more
     terms). The dropped tail is below rounding, so the finite series is
-    accurate on the closed disk, the circle included.
+    accurate on the closed disk, the circle included. Its values on the
+    points of a `boundary_grid(N)` are computed once and kept.
     """
     _check_grid(n_points)
     kp = KernelParams(beta0)
@@ -311,7 +320,7 @@ def caratheodory_from_measure(mu: CircleMeasure, beta0, n_points: int = 2048) ->
             raise KernelSingularity("C-function evaluation requires |z| <= 1")
         return 1.0 + npp.polyval(kp.zeta0(z), coeffs)
 
-    return CaratheodoryFn(ev, beta0)
+    return CaratheodoryFn(_grid_memo(ev, _grid_points_size), beta0)
 
 
 def weight_from_caratheodory(F: CaratheodoryFn, beta0, theta):

@@ -150,32 +150,50 @@ def evaluate(f: RatFun, z) -> complex | np.ndarray:
     Raises PoleProximity if any point is within tolerance of a pole
     1/conj(beta_j), j = 1..n. This is the one-member case of evaluate_stack.
     """
-    out = _stack_values(f.poles, f.n, f.numer[None, :], np.asarray(z, dtype=complex))[0]
+    out = evaluate_stack((f,), z)[0]
     return out if out.ndim else complex(out)
 
 
 def evaluate_stack(fs, z) -> np.ndarray:
     """Values of the RatFuns fs at z, as an array of shape (len(fs),) + shape(z).
 
-    The functions must share one degree n and one pole prefix beta_0..beta_n
-    (PoleMismatch otherwise), so they share the denominator pi_n(z): one
-    Horner pass runs over the stacked numerators and pi_n is built once.
-    Each row is bit-identical to evaluate on that function alone.
+    The functions may have different degrees but must share one pole prefix:
+    each f over beta_0..beta_{f.n} must agree there with the member of
+    highest degree n (PoleMismatch otherwise). The denominators pi_0..pi_n
+    come from one running product and the pole-proximity test runs once;
+    one Horner pass runs over the stacked numerators of each degree, and
+    each row is divided by its own pi. Each row is bit-identical to
+    evaluate on that function alone. Points near a pole of the
+    highest-degree member raise PoleProximity for the whole stack.
     """
-    f0 = fs[0]
-    n, beta = f0.n, f0.poles.beta[: f0.n + 1]
-    for f in fs[1:]:
-        if f.n != n or not (f.poles is f0.poles or np.array_equal(f.poles.beta[: n + 1], beta)):
-            raise PoleMismatch("stacked functions need one degree and one pole prefix")
-    return _stack_values(f0.poles, n, np.stack([f.numer for f in fs]), np.asarray(z, dtype=complex))
+    top = max(fs, key=lambda f: f.n)
+    beta = top.poles.beta
+    for f in fs:
+        if not (f.poles is top.poles or np.array_equal(f.poles.beta[: f.n + 1], beta[: f.n + 1])):
+            raise PoleMismatch("stacked functions need one pole prefix")
+    z = np.asarray(z, dtype=complex)
+    if top.n:
+        _pole_guard(np.conj(beta[1 : top.n + 1]), z)
+    if all(f.n == top.n for f in fs):
+        return _horner(np.array([f.numer for f in fs]), z) / top.poles.pi(top.n, z)
+    rows = {}
+    for i, f in enumerate(fs):
+        rows.setdefault(f.n, []).append(i)
+    out = np.empty((len(fs),) + z.shape, dtype=complex)
+    pi = np.ones_like(z)
+    for j in range(top.n + 1):
+        if j:
+            pi = pi * (1.0 - np.conj(beta[j]) * z)
+        if j in rows:
+            out[rows[j]] = _horner(np.array([fs[i].numer for i in rows[j]]), z) / pi
+    return out
 
 
-def _stack_values(poles, n, numers, z):
-    """Rows numers (m, n+1) of numerator coefficients over pi_n, evaluated at z.
+def _horner(numers, z):
+    """The rows numers (m, n+1) of polynomial coefficients, evaluated at z.
 
-    Horner runs as c_n + 0 z, then c_{n-i} + acc z, and the quotient is by
-    PoleSequence.pi: the same operations, in the same order, as
-    numpy.polynomial's polyval over a per-factor product.
+    Horner runs as c_n + 0 z, then c_{n-i} + acc z: the same operations, in
+    the same order, as numpy.polynomial's polyval.
     Horner runs on z1, z with a leading axis of length 1, so a single
     member at a single point multiplies two arrays of one shape: numpy
     takes a different complex-multiply loop for a one-element broadcast,
@@ -184,11 +202,9 @@ def _stack_values(poles, n, numers, z):
     c = numers.reshape(numers.shape + (1,) * z.ndim)
     z1 = z[None]
     acc = c[:, -1] + z1 * 0
-    for i in range(2, n + 2):
+    for i in range(2, numers.shape[1] + 1):
         acc = c[:, -i] + acc * z1
-    if n:
-        _pole_guard(np.conj(poles.beta[1 : n + 1]), z)
-    return acc / poles.pi(n, z)
+    return acc
 
 
 def _pole_guard(conj_beta, z):

@@ -36,7 +36,6 @@ from .engine import (
     OrfSystem,
     _completion_grid,
     _level_zero,
-    _padded_polymul,
     _run_recurrence,
     identity_residual,
     para_pair,
@@ -111,31 +110,34 @@ def identity_quad(poles: PoleSequence) -> SelfReciprocalQuad:
 
 
 def _deflate_root(p, r):
-    """Divide p by (z - r) from the leading coefficient; stable for |r| <= 1.
+    """Divide each row of p by (z - r) from the leading coefficient; stable
+    for |r| <= 1. Zeros above a row's own leading coefficient stay zeros.
 
-    Returns (quotient, |remainder|).
+    Returns (quotients, |remainders|).
     """
-    m = p.size - 1
-    q = np.zeros(m, dtype=complex)
-    acc = p[m]
-    for i in range(m - 1, -1, -1):
-        q[i] = acc
-        acc = p[i] + r * acc
-    return q, abs(acc)
+    q = np.zeros((p.shape[0], p.shape[1] - 1), dtype=complex)
+    acc = p[:, -1]
+    for i in range(p.shape[1] - 2, -1, -1):
+        q[:, i] = acc
+        acc = p[:, i] + r * acc
+    return q, np.abs(acc)
 
 
-def _deflate_reciprocal(p, c):
-    """Divide p by (1 - c z) from the constant term; stable for |c| < 1.
+def _deflate_reciprocal(p, c, sizes):
+    """Divide each row of p by (1 - c z) from the constant term; stable for
+    |c| < 1. Row i holds sizes[i] coefficients and zeros above them.
 
-    Returns (quotient, |remainder|), the remainder sitting at the top degree.
+    Returns (quotients, |remainders|), each remainder taken at its row's top
+    degree and each quotient zero above its own size.
     """
-    m = p.size - 1
-    q = np.zeros(m, dtype=complex)
-    acc = 0.0 + 0.0j
-    for i in range(m):
-        acc = p[i] + c * acc
-        q[i] = acc
-    return q, abs(p[m] + c * q[m - 1])
+    q = np.zeros(p.shape, dtype=complex)
+    acc = np.zeros(p.shape[0], dtype=complex)
+    for i in range(p.shape[1]):
+        acc = p[:, i] + c * acc
+        q[:, i] = acc
+    rem = np.abs(q[np.arange(p.shape[0]), sizes - 1])
+    q[np.arange(p.shape[1]) >= (sizes - 1)[:, None]] = 0.0
+    return q[:, :-1], rem
 
 
 def _safe_ratio(num_fn, den_fn, pts, singular):
@@ -230,13 +232,18 @@ def check_quad(
     return QuadConditionReport(a1, a2_min, a3_max, a33_min, a42_max, a42_f_min, QUAD_TOL, passed)
 
 
-def apply_transform(system: OrfSystem, quad: SelfReciprocalQuad, c_n, n: int):
+def apply_transform(system: OrfSystem, quad: SelfReciprocalQuad, c_n, n):
     """Transform level N + n of the ladder into (G, H, J, K) over the tilde poles.
 
     The numerators are formed by polynomial arithmetic and the common factor
     of c_n P_N B_N is cancelled by synthetic division; a remainder above
     1e-10 of the numerator scale means the quad conditions do not actually
     hold. Post-asserts the superstar pairing G^* = tau_A H, J^* = tau_A K.
+
+    n may also be a sequence of offsets. Their levels then go through one
+    pass, as rows of one array per function, and the result is one
+    (G, H, J, K) per offset, in order; every row keeps its own remainder,
+    overflow and pairing test, and the first level that fails one raises.
     """
     if quad.report is None:
         raise ConditionUnchecked("run check_quad before applying a transform")
@@ -246,12 +253,13 @@ def apply_transform(system: OrfSystem, quad: SelfReciprocalQuad, c_n, n: int):
     if c_n == 0.0:
         raise DomainError("c_n must be nonzero")
     N, r = quad.N, quad.r
-    m = N + n
-    if n < 0 or m > system.n_max:
-        raise DomainError(f"transform level N + n = {m} outside the ladder")
+    offsets = [int(v) for v in np.atleast_1d(n)]
+    for v in offsets:
+        if v < 0 or N + v > system.n_max:
+            raise DomainError(f"transform level N + n = {N + v} outside the ladder")
     base = system.poles
-    lv = system.level(m)
-    res_poles = PoleSequence(np.concatenate([quad.tilde_poles.beta, base.beta[N + 1 : m + 1]]))
+    top = N + max(offsets)
+    res_poles = PoleSequence(np.concatenate([quad.tilde_poles.beta, base.beta[N + 1 : top + 1]]))
 
     if N == 0:
         kappa = c_n + 0.0j
@@ -260,51 +268,60 @@ def apply_transform(system: OrfSystem, quad: SelfReciprocalQuad, c_n, n: int):
         kappa = c_n * base.eta(N) * base.upsilon(N - 1) * (1.0 - abs(b_n) ** 2) / (
             1.0 - abs(b0) ** 2
         )
+
+    # numerators of phi, phi^*, psi, psi^* at each level, zero-padded to degree top
+    numers = np.zeros((4, len(offsets), top + 1), dtype=complex)
+    for i, v in enumerate(offsets):
+        lv = system.level(N + v)
+        for row, f in zip(numers[:, i], (lv.phi, lv.phi_star, lv.psi, lv.psi_star)):
+            row[: N + v + 1] = f.numer
+    # [G; H; J; K] = sum_j z^j M_j [phi; phi^*; psi; psi^*], M_j holding the
+    # j-th coefficients of A, B, C and D; level N + v has 2N + r + v + 1 of them
+    a, b, c, d = (f.numer for f in (quad.A, quad.B, quad.C, quad.D))
+    num = np.zeros((4, len(offsets), top + N + r + 1), dtype=complex)
+    for j in range(N + r + 1):
+        m = np.array([[a[j], 0, b[j], 0], [0, a[j], 0, -b[j]], [c[j], 0, d[j], 0], [0, -c[j], 0, d[j]]])
+        num[:, :, j : j + top + 1] += np.tensordot(m, numers, axes=1)
+    num = num.reshape(4 * len(offsets), -1)
+    sizes = np.tile([2 * N + r + v + 1 for v in offsets], 4)
+    scale = np.maximum(np.max(np.abs(num), axis=1), 1e-300)
     # the known common factor: (z - beta_0)(1 - conj(beta_0) z) times
     # (z - beta_j)(1 - conj(beta_j) z) for j = 1..N-1, removed one stable
     # deflation at a time; nothing to remove when N = 0
     roots = [base.beta[0]] + list(base.beta[1:N]) if N > 0 else []
-    recips = [np.conj(b) for b in roots]
+    quo, worst = num, np.zeros(num.shape[0])
+    for root in roots:
+        quo, rem = _deflate_root(quo, root)
+        worst, sizes = np.maximum(worst, rem), sizes - 1
+    for root in roots:
+        quo, rem = _deflate_reciprocal(quo, np.conj(root), sizes)
+        worst, sizes = np.maximum(worst, rem), sizes - 1
+    quo = quo / kappa
+    target = np.tile([r + v + 1 for v in offsets], 4)
+    beyond = np.arange(quo.shape[1]) >= target[:, None]
+    overflow = np.max(np.abs(quo) * beyond, axis=1, initial=0.0)
+    quo_scale = np.maximum(np.max(np.abs(quo), axis=1), 1e-300)
 
-    def reduce(num):
-        scale = max(float(np.max(np.abs(num))), 1e-300)
-        quo = np.asarray(num, dtype=complex)
-        worst = 0.0
-        for root in roots:
-            quo, rem = _deflate_root(quo, root)
-            worst = max(worst, rem)
-        for c in recips:
-            quo, rem = _deflate_reciprocal(quo, c)
-            worst = max(worst, rem)
-        if worst > 1e-10 * scale:
-            raise DivisionRemainderTooLarge(
-                f"cancellation remainder {worst:.2e} vs scale {scale:.2e}"
-            )
-        quo = quo / kappa
-        if quo.size > r + n + 1:
-            overflow = float(np.max(np.abs(quo[r + n + 1 :])))
-            if overflow > 1e-10 * max(float(np.max(np.abs(quo))), 1e-300):
+    out = []
+    for i, v in enumerate(offsets):
+        funcs = []
+        for row in range(i, num.shape[0], len(offsets)):
+            if worst[row] > 1e-10 * scale[row]:
                 raise DivisionRemainderTooLarge(
-                    f"quotient degree exceeds the target space by {overflow:.2e}"
+                    f"cancellation remainder {worst[row]:.2e} vs scale {scale[row]:.2e}"
                 )
-            quo = quo[: r + n + 1]
-        out = np.zeros(r + n + 1, dtype=complex)
-        out[: quo.size] = quo
-        return RatFun(res_poles, out, r + n)
-
-    def pm(a, b):
-        return _padded_polymul(a, b, m + N + r + 1)
-
-    G = reduce(pm(lv.phi.numer, quad.A.numer) + pm(lv.psi.numer, quad.B.numer))
-    H = reduce(pm(lv.phi_star.numer, quad.A.numer) - pm(lv.psi_star.numer, quad.B.numer))
-    J = reduce(pm(lv.phi.numer, quad.C.numer) + pm(lv.psi.numer, quad.D.numer))
-    K = reduce(pm(lv.psi_star.numer, quad.D.numer) - pm(lv.phi_star.numer, quad.C.numer))
-
-    for x, y in ((G, H), (J, K)):
-        scale = max(float(np.max(np.abs(y.numer))), 1e-300)
-        if float(np.max(np.abs(superstar(x).numer - quad.tau_A * y.numer))) > 1e-10 * scale:
-            raise NumericalFailure("transform outputs violate the superstar pairing")
-    return G, H, J, K
+            if overflow[row] > 1e-10 * quo_scale[row]:
+                raise DivisionRemainderTooLarge(
+                    f"quotient degree exceeds the target space by {overflow[row]:.2e}"
+                )
+            funcs.append(RatFun(res_poles, quo[row, : r + v + 1], r + v))
+        G, H, J, K = funcs
+        for x, y in ((G, H), (J, K)):
+            y_scale = max(float(np.max(np.abs(y.numer))), 1e-300)
+            if float(np.max(np.abs(superstar(x).numer - quad.tau_A * y.numer))) > 1e-10 * y_scale:
+                raise NumericalFailure("transform outputs violate the superstar pairing")
+        out.append((G, H, J, K))
+    return out[0] if np.ndim(n) == 0 else tuple(out)
 
 
 def transformed_caratheodory(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> CaratheodoryFn:
@@ -389,11 +406,11 @@ class ArfSystem:
 
     @cached_property
     def explicit(self) -> tuple:
-        """arf_explicit(base, order, n, quad) for n = order..n_max, in order."""
-        return tuple(
-            arf_explicit(self.base, self.order, n, quad=self.quad)
-            for n in range(self.order, self.n_max + 1)
-        )
+        """arf_explicit(base, order, n, quad) for n = order..n_max, in order;
+        the levels above the order come from one apply_transform pass."""
+        above = range(1, self.n_max - self.order + 1)
+        moved = apply_transform(self.base, self.quad, 2.0, above) if above else ()
+        return (arf_explicit(self.base, self.order, self.order),) + tuple((G, J) for G, _, J, _ in moved)
 
     @cached_property
     def F_k(self) -> CaratheodoryFn:
@@ -488,13 +505,13 @@ def arf_discrepancy(arf: ArfSystem) -> float:
     recurrence route of an associated ladder, over phi and psi at every
     level order..n_max."""
     _, t = boundary_grid(512)
-    worst = 0.0
-    for n, (phi_e, psi_e) in enumerate(arf.explicit, start=arf.order):
-        lv = arf.level(n)
-        pe, qe, p, q = evaluate_stack((phi_e, psi_e, lv.phi, lv.psi), t)
-        worst = max(worst, float(np.max(np.abs(pe - p))))
-        worst = max(worst, float(np.max(np.abs(qe - q))))
-    return worst
+    funcs = [
+        f
+        for (phi_e, psi_e), lv in zip(arf.explicit, arf.system.levels)
+        for f in (phi_e, psi_e, lv.phi, lv.psi)
+    ]
+    pe, qe, p, q = evaluate_stack(funcs, t).reshape(-1, 4, t.size).transpose(1, 0, 2)
+    return float(max(np.max(np.abs(pe - p)), np.max(np.abs(qe - q))))
 
 
 @dataclass(frozen=True)

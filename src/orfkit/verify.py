@@ -20,24 +20,24 @@ from .engine import (
     _gram_defect,
     _min_separation,
     _run_recurrence,
-    determinant_residual,
+    determinant_residual_stack,
     extract_parameters,
-    interpolation_residuals,
+    identity_residual_stack,
+    interpolation_residual_stack,
     measure_from_system,
     para_pair,
-    para_zeros,
-    second_kind_functional_residual,
+    para_zeros_stack,
+    second_kind_functional_residual_stack,
     second_kind_integral,
     synthesize,
 )
 from .errors import OrfkitError
 from .measure import boundary_grid
-from .ratfun import PoleSequence, evaluate_stack
+from .ratfun import PoleSequence, evaluate_stack, superstar
 from .transforms import (
     arf_discrepancy,
     arf_recurrence,
     relation_residuals,
-    remark_identity_residual,
 )
 
 DEFAULT_TOLERANCES = {
@@ -110,20 +110,14 @@ def check_recurrence_fit(ctx):
 
 
 def check_determinant(ctx):
-    worst = 0.0
-    for n in range(ctx.system.n_max + 1):
-        d, resid = determinant_residual(ctx.system, n)
-        worst = max(worst, resid, abs(d - 2.0))
-    return worst
+    d, resid = determinant_residual_stack(ctx.system, range(ctx.system.n_max + 1))
+    return float(max(np.max(resid), np.max(np.abs(d - 2.0))))
 
 
 def check_para_zeros(ctx):
-    worst = 0.0
-    for n in range(1, ctx.system.n_max + 1):
-        for tau in (1.0, 1.0j, -1.0, -1.0j):
-            zs = para_zeros(para_pair(ctx.system, n, tau))
-            worst = max(worst, float(np.max(np.abs(np.abs(zs) - 1.0))))
-    return worst
+    s = ctx.system
+    pairs = [para_pair(s, n, tau) for n in range(1, s.n_max + 1) for tau in (1.0, 1.0j, -1.0, -1.0j)]
+    return max((float(np.max(np.abs(np.abs(zs) - 1.0))) for zs in para_zeros_stack(pairs)), default=0.0)
 
 
 def check_second_kind(ctx):
@@ -131,20 +125,18 @@ def check_second_kind(ctx):
     mu = ctx.measure
     rebuilt = _run_recurrence(s.poles, s.level(0), ((lv.lam, lv.rho, lv.e) for lv in s.levels[1:]))
     _, t = boundary_grid(512)
-    worst = 0.0
-    for n in range(s.n_max + 1):
-        psi_int, psi_rec = evaluate_stack((second_kind_integral(mu, s, n), rebuilt[n].psi), t)
-        worst = max(worst, float(np.max(np.abs(psi_int - psi_rec))))
-    return worst
+    # the quadrature runs level by level; the comparison is one evaluation
+    integral = [second_kind_integral(mu, s, n) for n in range(s.n_max + 1)]
+    psi_int, psi_rec = np.split(evaluate_stack(integral + [lv.psi for lv in rebuilt], t), 2)
+    return float(np.max(np.abs(psi_int - psi_rec)))
 
 
 def check_interpolation(ctx):
     s = ctx.system
+    # distinct poles beta_0..beta_n hold for a first run of levels
+    levels = [n for n in range(s.n_max + 1) if _min_separation(s.poles.beta[: n + 1]) > 1e-12]
     worst = 0.0
-    for n in range(s.n_max + 1):
-        if not _min_separation(s.poles.beta[: n + 1]) > 1e-12:
-            continue
-        rep = interpolation_residuals(s, ctx.F, n, seed=ctx.seed)
+    for rep in interpolation_residual_stack(s, ctx.F, levels, seed=ctx.seed):
         worst = max(worst, rep.max_residual() / rep.scale)
         if rep.g_min <= 1e-8 * rep.scale or rep.g_at_anchor <= 1e-8 * rep.scale:
             worst = max(worst, 1.0)
@@ -152,10 +144,9 @@ def check_interpolation(ctx):
 
 
 def check_multiplier_identities(ctx):
-    worst = 0.0
-    for n in range(ctx.system.n_max + 1):
-        worst = max(worst, second_kind_functional_residual(ctx.system, ctx.measure, n, seed=ctx.seed))
-    return worst
+    s = ctx.system
+    levels = range(s.n_max + 1)
+    return float(np.max(second_kind_functional_residual_stack(s, ctx.measure, levels, seed=ctx.seed)))
 
 
 def check_arf_consistency(ctx):
@@ -189,9 +180,11 @@ def check_remark(ctx):
     worst = 0.0
     for k in range(1, min(3, s.n_max) + 1):
         # levels k + 1..n_max of the explicit route that arf_consistency built
-        for G, J in ctx.arf(k).explicit[1:]:
-            d, resid = remark_identity_residual(G, J)
-            worst = max(worst, resid, abs(d - 2.0))
+        above = ctx.arf(k).explicit[1:]
+        if above:
+            Gs, Js = zip(*above)
+            d, resid = identity_residual_stack(Gs, Js, [superstar(G) for G in Gs], [superstar(J) for J in Js])
+            worst = max(worst, float(np.max(resid)), float(np.max(np.abs(d.real - 2.0))))
     return worst
 
 

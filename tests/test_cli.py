@@ -156,6 +156,44 @@ class TestConfigValidation:
         assert main(["synth", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "tolerances",
+        [
+            {"orthonormality": "loose"},
+            {"orthonormality": True},
+            {"orthonormality": -1e-9},
+            {"orthonormality": float("inf")},
+            {"orthonormality": float("nan")},
+            {"orthonormality": 10**400},
+        ],
+    )
+    def test_tolerance_must_be_a_finite_nonnegative_number(self, tmp_path, capsys, tolerances):
+        # a string once ended verify in a ValueError traceback
+        cfg = write_config(tmp_path, {**WORKED, "tolerances": tolerances})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error: tolerance 'orthonormality'" in capsys.readouterr().err
+
+    def test_unknown_tolerance_name_rejected(self, tmp_path, capsys):
+        # a misspelt check name once left its check at the default tolerance
+        cfg = write_config(tmp_path, {**WORKED, "tolerances": {"orthonormalty": 1e-6}})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "unknown tolerance 'orthonormalty'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["false", 0, 1, None])
+    def test_pole_cap_override_must_be_boolean(self, tmp_path, capsys, flag):
+        # bool("false") is True: the string once switched the override on
+        cfg = write_config(
+            tmp_path,
+            {
+                "poles": [[0, 0], [0.95, 0]],
+                "measure": {"type": "lebesgue"},
+                "n_max": 1,
+                "allow_poles_near_circle": flag,
+            },
+        )
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "allow_poles_near_circle must be true or false" in capsys.readouterr().err
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{")

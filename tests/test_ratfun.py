@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from orfkit import (
     DivisionByZeroBlaschke,
@@ -379,10 +379,27 @@ class TestEvaluationKernel:
         z = np.array([2.0 * (1.0 + 1e-11)])
         assert same_bits(f(z), reference_eval(f, z))
 
-    def test_mixed_degree_rejected(self):
-        poles = PoleSequence([0.0, 0.5, 0.2j])
+    @pytest.mark.parametrize("size", [1, 6, 100, 512])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_degree_rows_match_single_calls(self, seed, size):
+        # all four functions of levels 0..12 in one stack; beta_0 is drawn
+        # with the other poles, so it is nonzero
+        rng = np.random.default_rng(seed)
+        poles = PoleSequence(disk_grid(seed, n=13, cap=0.7))
+        assert poles.beta[0] != 0
+        s = synthesize(disk_grid(seed + 10, n=12, cap=0.5), poles)
+        funcs = [f for lv in s.levels for f in (lv.phi, lv.phi_star, lv.psi, lv.psi_star)]
+        z = 0.95 * np.sqrt(rng.uniform(size=size)) * np.exp(2j * np.pi * rng.uniform(size=size))
+        stacked = evaluate_stack(funcs, z)
+        assert stacked.shape == (len(funcs), size)
+        for f, row in zip(funcs, stacked):
+            assert_array_equal(row, f(z))
+        # lower degrees need only agree on their own prefix
+        short = RatFun(PoleSequence(poles.beta[:4]), s.level(3).phi.numer, 3)
+        assert_array_equal(evaluate_stack((s.level(12).psi, short), z)[1], short(z))
+        other = RatFun(PoleSequence(np.concatenate([poles.beta[:3], [0.1]])), s.level(3).phi.numer, 3)
         with pytest.raises(PoleMismatch):
-            evaluate_stack((RatFun(poles, [1.0, 2.0], 1), RatFun(poles, [1.0, 2.0, 3.0], 2)), 0.1)
+            evaluate_stack((s.level(12).psi, other), z)
 
     def test_mixed_poles_rejected(self):
         f = RatFun(PoleSequence([0.0, 0.5, 0.2j]), [1.0, 2.0, 3.0], 2)

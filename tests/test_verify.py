@@ -1,21 +1,36 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 
 from orfkit import (
+    DivisionRemainderTooLarge,
+    KernelParams,
+    OrfkitError,
     OrfSystem,
     PoleSequence,
+    RatFun,
+    blaschke_factor,
+    blaschke_product,
     builtin_measure,
     cli,
+    combine,
+    evaluate_stack,
     gram_schmidt_orf,
     measure,
+    poisson_kernel,
     ratfun,
+    substar_eval,
+    superstar,
     synthesize,
     transforms,
     verify,
 )
-from orfkit.verify import CHECK_NAMES, VerifyContext, run_verification
+from orfkit.engine import _circle_nodes, _min_separation, zeros_factor
+from orfkit.measure import boundary_grid
+from orfkit.verify import CHECK_NAMES, DEFAULT_TOLERANCES, VerifyContext, run_verification
 
 
 def _ladder():
@@ -76,7 +91,7 @@ def test_verify_builds_each_order_once(monkeypatch):
     assert [name for name, entry in report.items() if entry["pass"]] == list(CHECK_NAMES)
     # orders 0..3 each get one ladder, one quad, one transformed C-function
     # and one anchor residual, which positivity reads back; the explicit
-    # transforms of levels k + 1..4 are built once (4 + 3 + 2 + 1) and the
+    # transforms of levels k + 1..4 are built in one pass per order and the
     # remark check reuses those of orders 1..3
     assert calls == {
         "check_quad": 4,
@@ -84,7 +99,7 @@ def test_verify_builds_each_order_once(monkeypatch):
         "measure_from_system": 1,
         "arf_recurrence": 4,
         "arf_anchor_residual": 4,
-        "apply_transform": 10,
+        "apply_transform": 4,
     }
 
 
@@ -184,3 +199,267 @@ def test_wrong_determinant_constant_fails_the_check():
     entry = run_verification(VerifyContext(scaled, seed=0, tolerances={}), ["determinant"])["determinant"]
     assert not entry["pass"] and "error" not in entry
     assert entry["residual"] == pytest.approx(0.0402, rel=1e-6)
+
+
+# -- per-level references ------------------------------------------------------
+# The checks below once ran one level (or one order, or one pair) per call.
+# These are those bodies, kept to pin the stacked checks to them.
+
+
+def reference_identity_residual(f, g, f_star, g_star):
+    m, poles = f.n, f.poles
+    _, t = boundary_grid(512)
+    fs_t, g_t, f_t, gs_t = evaluate_stack((f_star, g, f, g_star), t)
+    left = fs_t * g_t + f_t * gs_t
+    right = poisson_kernel(KernelParams(poles.beta[0]), t, poles.beta[m]) * blaschke_product(poles, m, t)
+    j0 = int(np.argmax(np.abs(right)))
+    d = left[j0] / right[j0]
+    return float(d.real), float(np.max(np.abs(left - float(d.real) * right)) / np.max(np.abs(left)))
+
+
+def reference_determinant(ctx):
+    worst = 0.0
+    for lv in ctx.system.levels:
+        d, resid = reference_identity_residual(lv.phi, lv.psi, lv.phi_star, lv.psi_star)
+        worst = max(worst, resid, abs(d - 2.0))
+    return worst
+
+
+def reference_para_zeros(c):
+    scale = float(np.max(np.abs(c)))
+    m = c.size - 1
+    while m >= 0 and abs(c[m]) < 1e-13 * scale:
+        m -= 1
+    trimmed = c[: m + 1]
+    roots = npp.polyroots(trimmed)
+    pv = npp.polyval(roots, trimmed)
+    dv = npp.polyval(roots, npp.polyder(trimmed))
+    ok = np.abs(dv) > 0
+    roots = np.where(ok, roots - np.where(ok, pv / np.where(ok, dv, 1.0), 0.0), roots)
+    off = np.abs(np.abs(roots) - 1.0)
+    if np.any(off > 1e-9) or _min_separation(roots) < 1e-8:
+        return np.inf
+    return float(np.max(off))
+
+
+def reference_check_para_zeros(ctx):
+    worst = 0.0
+    for lv in ctx.system.levels[1:]:
+        for tau in (1.0, 1.0j, -1.0, -1.0j):
+            worst = max(worst, reference_para_zeros(combine(1.0, lv.phi, tau, lv.phi_star).numer))
+    return worst
+
+
+def reference_interpolation(s, F, n, seed):
+    poles = s.poles
+    pts = poles.beta[: n + 1]
+    lv = s.level(n)
+    f_pts = np.asarray(F(pts))
+    phi, phi_s, psi, psi_s = lv.values(pts)
+    line_pts = phi * f_pts + psi
+    first, second = np.abs(line_pts[:n]), np.abs(phi_s * f_pts - psi_s)
+    rng = np.random.default_rng(seed)
+    zs = 0.7 * np.sqrt(rng.uniform(size=100)) * np.exp(2j * np.pi * rng.uniform(size=100))
+    fz = np.asarray(F(zs))
+    funcs = (lv.phi, lv.phi_star, lv.psi, lv.psi_star)
+    phi, phi_s, psi, psi_s, s_phi, s_phi_s, s_psi, s_psi_s = evaluate_stack(
+        funcs + tuple(superstar(f) for f in funcs), zs
+    )
+    line_a = phi * fz + psi
+    g = line_a / zeros_factor(poles, n, zs)
+    scale = float(np.max(np.abs(line_a)))
+    g_anchor = abs(line_pts[n] / complex(zeros_factor(poles, n, pts[n])))
+    tau = np.array([1.0, 1.0j, -1.0, -1.0j])[:, None]
+    ct = np.conj(tau)
+    lhs = (s_phi + ct * s_phi_s) * fz - (s_psi - ct * s_psi_s)
+    rhs = ct * ((phi + tau * phi_s) * fz + psi - tau * psi_s)
+    para_res = float(np.max(np.abs(lhs - rhs)) / scale)
+    worst = max([0.0] + [float(x.max()) for x in (first, second) if x.size] + [para_res * scale]) / scale
+    if float(np.min(np.abs(g))) <= 1e-8 * scale or g_anchor <= 1e-8 * scale:
+        worst = max(worst, 1.0)
+    return worst
+
+
+def reference_check_interpolation(ctx):
+    s = ctx.system
+    return max(
+        reference_interpolation(s, ctx.F, n, ctx.seed)
+        for n in range(s.n_max + 1)
+        if _min_separation(s.poles.beta[: n + 1]) > 1e-12
+    )
+
+
+def reference_multiplier(s, mu, n, seed):
+    N = s.n_points
+    poles, kp = s.poles, s.kernel
+    theta, t = boundary_grid(N)
+    w = mu.weight(theta)
+    rng = np.random.default_rng(seed)
+    deg = max(n - 1, 0)
+    h1 = RatFun(poles, rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1), deg)
+    h2 = RatFun(poles, rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1), deg)
+    lv = s.level(n)
+    zs = _circle_nodes(6, N)
+
+    def means(f_t, f_z):
+        zt, zz = kp.zeta0(t), kp.zeta0(zs)[:, None]
+        return ((zt + zz) / (zt - zz) * (f_t - f_z[:, None]) * w).mean(axis=1)
+
+    phi_t, phi_s_t = evaluate_stack((lv.phi, lv.phi_star), t)
+    phi_z, phi_s_z, psi_z, psi_s_z = lv.values(zs)
+    f_t, f_z = substar_eval(h1, t), substar_eval(h1, zs)
+    lhs1 = means(phi_t * f_t, phi_z * f_z) + (phi_t * f_t * w).mean()
+    rhs1 = psi_z * f_z
+    g_t, g_z = substar_eval(h2, t), substar_eval(h2, zs)
+    if n:
+        g_t, g_z = g_t / blaschke_factor(poles, n, t), g_z / blaschke_factor(poles, n, zs)
+    lhs2 = means(phi_s_t * g_t, phi_s_z * g_z) - (phi_s_t * g_t * w).mean()
+    rhs2 = -psi_s_z * g_z
+    return float(max(
+        np.max(np.abs(lhs1 - rhs1)) / max(np.max(np.abs(rhs1)), 1e-30),
+        np.max(np.abs(lhs2 - rhs2)) / max(np.max(np.abs(rhs2)), 1e-30),
+    ))
+
+
+def reference_check_multiplier(ctx):
+    s = ctx.system
+    return max(reference_multiplier(s, ctx.measure, n, ctx.seed) for n in range(s.n_max + 1))
+
+
+def _padded_polymul(a, b, size):
+    out = np.zeros(size, dtype=complex)
+    c = npp.polymul(a, b)
+    out[: c.size] = c
+    return out
+
+
+def _deflate_root(p, r):
+    q, acc = np.zeros(p.size - 1, dtype=complex), p[-1]
+    for i in range(p.size - 2, -1, -1):
+        q[i] = acc
+        acc = p[i] + r * acc
+    return q, abs(acc)
+
+
+def _deflate_reciprocal(p, c):
+    q, acc = np.zeros(p.size - 1, dtype=complex), 0.0 + 0.0j
+    for i in range(p.size - 1):
+        acc = p[i] + c * acc
+        q[i] = acc
+    return q, abs(p[-1] + c * q[-1])
+
+
+def reference_explicit(system, quad, n):
+    """(G, J) of level N + n, one level per call: the products by polymul and
+    the common factor removed from one numerator at a time."""
+    N, r = quad.N, quad.r
+    m = N + n
+    base = system.poles
+    lv = system.level(m)
+    res_poles = PoleSequence(np.concatenate([quad.tilde_poles.beta, base.beta[N + 1 : m + 1]]))
+    kappa = 2.0 + 0.0j
+    if N:
+        kappa = 2.0 * base.eta(N) * base.upsilon(N - 1) * (1.0 - abs(base.beta[N]) ** 2) / (
+            1.0 - abs(base.beta[0]) ** 2
+        )
+    roots = [base.beta[0]] + list(base.beta[1:N]) if N > 0 else []
+
+    def reduce(num):
+        scale = max(float(np.max(np.abs(num))), 1e-300)
+        quo, worst = num, 0.0
+        for root in roots:
+            quo, rem = _deflate_root(quo, root)
+            worst = max(worst, rem)
+        for root in roots:
+            quo, rem = _deflate_reciprocal(quo, np.conj(root))
+            worst = max(worst, rem)
+        if worst > 1e-10 * scale:
+            raise DivisionRemainderTooLarge(f"cancellation remainder {worst:.2e}")
+        return RatFun(res_poles, quo / kappa, r + n)
+
+    def pm(a, b):
+        return _padded_polymul(a.numer, b.numer, m + N + r + 1)
+
+    return reduce(pm(lv.phi, quad.A) + pm(lv.psi, quad.B)), reduce(pm(lv.phi, quad.C) + pm(lv.psi, quad.D))
+
+
+def reference_arf_consistency(ctx):
+    _, t = boundary_grid(512)
+    worst = 0.0
+    for k in range(min(3, ctx.system.n_max) + 1):
+        arf = ctx.arf(k)
+        for n in range(k, ctx.system.n_max + 1):
+            lv = arf.level(n)
+            if n == k:
+                one = RatFun(lv.phi.poles, [1.0], 0)
+                phi_e = psi_e = one
+            else:
+                phi_e, psi_e = reference_explicit(ctx.system, arf.quad, n - k)
+            pe, qe, p, q = evaluate_stack((phi_e, psi_e, lv.phi, lv.psi), t)
+            worst = max(worst, float(np.max(np.abs(pe - p))), float(np.max(np.abs(qe - q))))
+    return worst
+
+
+def reference_remark(ctx):
+    worst = 0.0
+    for k in range(1, min(3, ctx.system.n_max) + 1):
+        for n in range(k + 1, ctx.system.n_max + 1):
+            G, J = reference_explicit(ctx.system, ctx.arf(k).quad, n - k)
+            d, resid = reference_identity_residual(G, J, superstar(G), superstar(J))
+            worst = max(worst, resid, abs(d - 2.0))
+    return worst
+
+
+REFERENCES = {
+    "determinant": reference_determinant,
+    "para_zeros": reference_check_para_zeros,
+    "interpolation": reference_check_interpolation,
+    "multiplier_identities": reference_check_multiplier,
+    "arf_consistency": reference_arf_consistency,
+    "remark": reference_remark,
+}
+
+
+def _lambda_ladder(n, seed):
+    rng = np.random.default_rng(seed)
+    betas = _disk(rng, 0.7, n + 1)
+    return synthesize(_disk(rng, 0.5, n), PoleSequence(betas))
+
+
+@pytest.mark.parametrize(
+    "kind, n, seed",
+    [
+        ("lambdas", 2, 0), ("lambdas", 5, 1), ("lambdas", 8, 2), ("lambdas", 12, 3),
+        ("poisson", 3, 4), ("poisson", 7, 5), ("poisson", 12, 6),
+        ("lebesgue", 2, 7), ("lebesgue", 10, 8),
+    ],
+)
+def test_stacked_checks_match_per_level_references(kind, n, seed):
+    s = _lambda_ladder(n, seed) if kind == "lambdas" else _measure_ladder(kind, n, seed)
+    ctx = VerifyContext(s, seed=seed, tolerances={})
+    report = run_verification(ctx, list(REFERENCES))
+    for name, reference in REFERENCES.items():
+        try:
+            expected = reference(ctx)
+        except OrfkitError:
+            expected = np.inf
+        entry = report[name]
+        assert entry["pass"] == (expected <= DEFAULT_TOLERANCES[name]), name
+        assert entry["residual"] == expected or abs(entry["residual"] - expected) <= 1e-12, name
+
+
+def test_verify_memory_stays_per_level():
+    # no table of every level on the quadrature grid: a stacked 8192-point
+    # table would lift the peak past 3 MiB
+    rng = np.random.default_rng(12)
+    s = synthesize(_disk(rng, 0.5, 6), PoleSequence(_disk(rng, 0.7, 7)))
+    ctx = VerifyContext(OrfSystem(s.poles, s.levels, s.source, n_points=8192), seed=0, tolerances={})
+    boundary_grid(8192)
+    tracemalloc.start()
+    try:
+        report = run_verification(ctx, [c for c in CHECK_NAMES if c != "roundtrip_measure"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(entry["pass"] for entry in report.values())
+    assert peak <= 3 * 2**20
