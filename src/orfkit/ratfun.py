@@ -174,8 +174,6 @@ def evaluate_stack(fs, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if top.n:
         _pole_guard(np.conj(beta[1 : top.n + 1]), z)
-    if all(f.n == top.n for f in fs):
-        return _horner(np.array([f.numer for f in fs]), z) / top.poles.pi(top.n, z)
     rows = {}
     for i, f in enumerate(fs):
         rows.setdefault(f.n, []).append(i)
@@ -198,12 +196,16 @@ def _horner(numers, z):
     member at a single point multiplies two arrays of one shape: numpy
     takes a different complex-multiply loop for a one-element broadcast,
     and that one rounds differently.
+    The sum is taken in place, so a pass holds two tables of values, not
+    three; a complex sum has the same bits in either order. The product is
+    not: numpy's in-place multiply rounds one-element arrays differently.
     """
     c = numers.reshape(numers.shape + (1,) * z.ndim)
     z1 = z[None]
     acc = c[:, -1] + z1 * 0
     for i in range(2, numers.shape[1] + 1):
-        acc = c[:, -i] + acc * z1
+        acc = acc * z1
+        acc += c[:, -i]
     return acc
 
 

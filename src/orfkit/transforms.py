@@ -233,17 +233,21 @@ def check_quad(
 
 
 def apply_transform(system: OrfSystem, quad: SelfReciprocalQuad, c_n, n):
-    """Transform level N + n of the ladder into (G, H, J, K) over the tilde poles.
+    """Transform level N + n of the ladder into (G, H, J, K) over the tilde poles:
+    the one-level case of apply_transform_stack."""
+    return apply_transform_stack(system, quad, c_n, [n])[0]
+
+
+def apply_transform_stack(system: OrfSystem, quad: SelfReciprocalQuad, c_n, offsets):
+    """(G, H, J, K) over the tilde poles for each level N + n, n in offsets, in order.
 
     The numerators are formed by polynomial arithmetic and the common factor
     of c_n P_N B_N is cancelled by synthetic division; a remainder above
     1e-10 of the numerator scale means the quad conditions do not actually
     hold. Post-asserts the superstar pairing G^* = tau_A H, J^* = tau_A K.
-
-    n may also be a sequence of offsets. Their levels then go through one
-    pass, as rows of one array per function, and the result is one
-    (G, H, J, K) per offset, in order; every row keeps its own remainder,
-    overflow and pairing test, and the first level that fails one raises.
+    The levels go through one pass, as rows of one array per function;
+    every row keeps its own remainder, overflow and pairing test, and the
+    first level that fails one raises.
     """
     if quad.report is None:
         raise ConditionUnchecked("run check_quad before applying a transform")
@@ -253,7 +257,7 @@ def apply_transform(system: OrfSystem, quad: SelfReciprocalQuad, c_n, n):
     if c_n == 0.0:
         raise DomainError("c_n must be nonzero")
     N, r = quad.N, quad.r
-    offsets = [int(v) for v in np.atleast_1d(n)]
+    offsets = [int(v) for v in offsets]
     for v in offsets:
         if v < 0 or N + v > system.n_max:
             raise DomainError(f"transform level N + n = {N + v} outside the ladder")
@@ -321,7 +325,7 @@ def apply_transform(system: OrfSystem, quad: SelfReciprocalQuad, c_n, n):
             if float(np.max(np.abs(superstar(x).numer - quad.tau_A * y.numer))) > 1e-10 * y_scale:
                 raise NumericalFailure("transform outputs violate the superstar pairing")
         out.append((G, H, J, K))
-    return out[0] if np.ndim(n) == 0 else tuple(out)
+    return tuple(out)
 
 
 def transformed_caratheodory(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> CaratheodoryFn:
@@ -407,10 +411,13 @@ class ArfSystem:
     @cached_property
     def explicit(self) -> tuple:
         """arf_explicit(base, order, n, quad) for n = order..n_max, in order;
-        the levels above the order come from one apply_transform pass."""
+        the levels above the order come from one apply_transform_stack pass.
+        The quad is built, and its conditions checked, at every order, the
+        top one included."""
+        head = arf_explicit(self.base, self.order, self.order, quad=self.quad)
         above = range(1, self.n_max - self.order + 1)
-        moved = apply_transform(self.base, self.quad, 2.0, above) if above else ()
-        return (arf_explicit(self.base, self.order, self.order),) + tuple((G, J) for G, _, J, _ in moved)
+        moved = apply_transform_stack(self.base, self.quad, 2.0, above) if above else ()
+        return (head,) + tuple((G, J) for G, _, J, _ in moved)
 
     @cached_property
     def F_k(self) -> CaratheodoryFn:

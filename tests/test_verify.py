@@ -81,8 +81,8 @@ def test_verify_builds_each_order_once(monkeypatch):
         (transforms, "arf_recurrence"),
         (verify, "arf_anchor_residual"),
         (transforms, "arf_anchor_residual"),
-        (transforms, "apply_transform"),
-        (verify, "apply_transform"),
+        (transforms, "apply_transform_stack"),
+        (verify, "apply_transform_stack"),
     ):
         # a name counts wherever a caller looks it up
         if hasattr(module, name):
@@ -99,8 +99,20 @@ def test_verify_builds_each_order_once(monkeypatch):
         "measure_from_system": 1,
         "arf_recurrence": 4,
         "arf_anchor_residual": 4,
-        "apply_transform": 4,
+        "apply_transform_stack": 4,
     }
+
+
+def test_verify_checks_the_top_order_quad(monkeypatch):
+    # with n_max = 2 the top order has no level above it to transform, yet
+    # its quad is still built and checked, as at every order
+    rng = np.random.default_rng(4)
+    s = synthesize(_disk(rng, 0.5, 2), PoleSequence(np.concatenate([[0.0], _disk(rng, 0.6, 2)])))
+    calls = {}
+    _count(monkeypatch, calls, transforms, "check_quad")
+    report = run_verification(VerifyContext(s, seed=0, tolerances={}))
+    assert all(entry["pass"] for entry in report.values())
+    assert calls == {"check_quad": s.n_max + 1}
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -388,13 +400,14 @@ def reference_arf_consistency(ctx):
     worst = 0.0
     for k in range(min(3, ctx.system.n_max) + 1):
         arf = ctx.arf(k)
+        quad = arf.quad  # built and checked at every order, as arf_explicit did
         for n in range(k, ctx.system.n_max + 1):
             lv = arf.level(n)
             if n == k:
                 one = RatFun(lv.phi.poles, [1.0], 0)
                 phi_e = psi_e = one
             else:
-                phi_e, psi_e = reference_explicit(ctx.system, arf.quad, n - k)
+                phi_e, psi_e = reference_explicit(ctx.system, quad, n - k)
             pe, qe, p, q = evaluate_stack((phi_e, psi_e, lv.phi, lv.psi), t)
             worst = max(worst, float(np.max(np.abs(pe - p))), float(np.max(np.abs(qe - q))))
     return worst
