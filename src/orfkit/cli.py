@@ -32,7 +32,7 @@ from .engine import (
 )
 from .errors import DomainError, NonPositiveWeight, OrfkitError
 from .measure import boundary_grid, builtin_measure, measure_from_config
-from .ratfun import PoleSequence
+from .ratfun import PoleSequence, evaluate_stack
 from .transforms import arf_discrepancy, arf_explicit, arf_recurrence
 from .verify import CHECK_NAMES, VerifyContext, run_verification
 
@@ -49,6 +49,13 @@ def _number(convert, value, what):
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} must be numeric, got {value!r}") from exc
+
+
+def _integer(value, what):
+    """A JSON integer; floats, booleans and strings are config errors."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _tolerance(name, value):
@@ -114,7 +121,7 @@ class JobConfig:
             if lambdas is None:
                 raise ConfigError("n_max is required for measure-only configs")
             n_max = len(lambdas)
-        n_max = _number(int, n_max, "n_max")
+        n_max = _integer(n_max, "n_max")
         if n_max < 0:
             raise ConfigError("n_max must be >= 0")
         if lambdas is not None and len(lambdas) != n_max:
@@ -123,7 +130,7 @@ class JobConfig:
             raise ConfigError("poles must list beta_0..beta_n_max")
         arf_order = raw.get("arf_order")
         if arf_order is not None:
-            arf_order = _number(int, arf_order, "arf_order")
+            arf_order = _integer(arf_order, "arf_order")
             if not 0 <= arf_order <= n_max:
                 raise ConfigError("arf_order must satisfy 0 <= k <= n_max")
         source = raw.get("source")
@@ -140,13 +147,13 @@ class JobConfig:
             raise ConfigError("tolerances must be an object")
         tolerances = {name: _tolerance(name, value) for name, value in tolerances.items()}
         grid = raw.get("grid")
+        if grid is not None:
+            grid = _integer(grid, "grid")
         env = os.environ.get("ORFKIT_GRID")
         if env:
             grid = _number(int, env, "ORFKIT_GRID")
-        if grid is not None:
-            grid = _number(int, grid, "grid")
-            if grid < 256 or grid & (grid - 1):
-                raise ConfigError("grid must be a power of two >= 256")
+        if grid is not None and (grid < 256 or grid & (grid - 1)):
+            raise ConfigError("grid must be a power of two >= 256")
         return cls(
             poles=poles,
             lambdas=lambdas,
@@ -154,7 +161,7 @@ class JobConfig:
             n_max=n_max,
             arf_order=arf_order,
             tolerances=tolerances,
-            seed=_number(int, raw.get("seed", 0), "seed"),
+            seed=_integer(raw.get("seed", 0), "seed"),
             source=source,
             allow_poles_near_circle=allow,
             grid=grid,
@@ -217,13 +224,12 @@ def build_system(cfg: JobConfig):
 
 def _write_table(path, system, n_points=TABLE_POINTS):
     theta, t = boundary_grid(n_points)
-    header = ["theta"]
-    cols = [theta]
-    for n in range(system.n_max + 1):
-        vals = np.asarray(system.level(n).phi(t))
-        header += [f"phi{n}_re", f"phi{n}_im"]
-        cols += [vals.real, vals.imag]
-    rows = np.stack(cols, axis=1)
+    vals = evaluate_stack([lv.phi for lv in system.levels], t)
+    header = ["theta"] + [f"phi{n}_{part}" for n in range(system.n_max + 1) for part in ("re", "im")]
+    rows = np.empty((n_points, len(header)))
+    rows[:, 0] = theta
+    rows[:, 1::2] = vals.real.T
+    rows[:, 2::2] = vals.imag.T
     serialize.write_csv_atomic(path, header, rows)
 
 
@@ -334,7 +340,7 @@ def cmd_example(args) -> int:
     return 0 if ok else 1
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orfkit",
         description="Orthogonal rational functions on the unit circle with "
@@ -346,29 +352,34 @@ def main(argv=None) -> int:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=".")
     p.add_argument("--table-points", type=int, default=TABLE_POINTS)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("arf", help="build an associated ladder and write arf_k.json / mu_k.csv")
     p.add_argument("--config", required=True)
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_arf)
 
     p = sub.add_parser("verify", help="run identity checks and write verify.json")
     p.add_argument("--config", required=True)
     p.add_argument("--check", action="append", default=None)
     p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("example", help="run the worked Lebesgue example")
     p.add_argument("which", choices=["lebesgue"])
     p.add_argument("--beta1", default="0.5,0")
     p.add_argument("--n", type=int, default=2)
-    p.set_defaults(func=cmd_example)
+    return parser
 
-    args = parser.parse_args(argv)
+
+# built once per process; each parse_args call starts from a fresh namespace
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
+    # looked up by name at each call, so a replaced cmd_* function is the one run
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

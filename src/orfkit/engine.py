@@ -41,7 +41,6 @@ from .ratfun import (
     RatFun,
     blaschke_factor,
     blaschke_product,
-    combine,
     evaluate_stack,
     poisson_kernel,
     superstar,
@@ -133,20 +132,22 @@ def _check_poles(poles, n_max, allow_poles_near_circle):
         warnings.warn(f"poles beyond {POLE_CAP} degrade quadrature accuracy", stacklevel=3)
 
 
-def _fit_step(poles, n, phi_prev, phi_star_prev, phi_n):
-    """Least-squares fit of phi_n varpi_n/varpi_{n-1} = a zeta_{n-1} phi_{n-1} + b phi*_{n-1}.
+# golden-angle points on the circle: |phi_n| stays O(1) there, and no power
+# z^k aliases the constant as it does on equispaced points
+_FIT_POINTS = np.exp(2j * np.pi * ((np.arange(16) + 0.37) * (np.sqrt(5.0) - 1.0) / 2.0 % 1.0))
+
+
+def _fit_values(poles, n, prev_z, star_z, phi_z):
+    """Least-squares fit of phi_n varpi_n/varpi_{n-1} = a zeta_{n-1} phi_{n-1} + b phi*_{n-1}
+    from the values of phi_{n-1}, phi*_{n-1} and phi_n at the 16 fit points.
 
     Returns (a, b, residual, scale) with the residual in sup norm over the
     sample and scale = max |phi_n| there.
     """
-    # golden-angle points on the circle: |phi_n| stays O(1) there, and no
-    # power z^k aliases the constant as it does on equispaced points
-    zs = np.exp(2j * np.pi * ((np.arange(16) + 0.37) * (np.sqrt(5.0) - 1.0) / 2.0 % 1.0))
-    phi_z = phi_n(zs)
+    zs = _FIT_POINTS
     lhs = phi_z * poles.varpi(n, zs) / poles.varpi(n - 1, zs)
-    prev_z, col2 = evaluate_stack((phi_prev, phi_star_prev), zs)
     col1 = blaschke_factor(poles, n - 1, zs) * prev_z
-    mat = np.stack([col1, col2], axis=1)
+    mat = np.stack([col1, star_z], axis=1)
     sol, *_ = np.linalg.lstsq(mat, lhs, rcond=None)
     a, b = sol
     resid = float(np.max(np.abs(mat @ sol - lhs)))
@@ -154,15 +155,34 @@ def _fit_step(poles, n, phi_prev, phi_star_prev, phi_n):
     return a, b, resid, scale
 
 
-def _fit_parameters(poles, n, phi_prev, phi_star_prev, phi_n):
+def _fit_step(poles, n, phi_prev, phi_star_prev, phi_n):
+    """_fit_values of one level, from the functions themselves."""
+    prev_z, star_z = evaluate_stack((phi_prev, phi_star_prev), _FIT_POINTS)
+    return _fit_values(poles, n, prev_z, star_z, phi_n(_FIT_POINTS))
+
+
+def _fit_ladder(poles, phis, stars) -> list:
+    """_fit_step at every level 1..m of phi_0..phi_m (with their superstars),
+    from one evaluation of all of them at the fit points."""
+    m = len(phis) - 1
+    vals = evaluate_stack(list(phis) + list(stars), _FIT_POINTS)
+    return [_fit_values(poles, n, vals[n - 1], vals[m + n], vals[n]) for n in range(1, m + 1)]
+
+
+def _parameters(n, fit):
     """(lambda_n, e_n, rho_n) = (conj(b/a), |a|, a/|a|) from the _fit_step
-    coefficients; FitResidualTooLarge when the fit does not close."""
-    a, b, resid, scale = _fit_step(poles, n, phi_prev, phi_star_prev, phi_n)
+    result; FitResidualTooLarge when the fit does not close."""
+    a, b, resid, scale = fit
     if resid > 1e-9 * scale:
         raise FitResidualTooLarge(
             f"level {n} does not satisfy the recurrence (residual {resid:.2e} vs scale {scale:.2e})"
         )
     return complex(np.conj(b / a)), float(abs(a)), complex(a / abs(a))
+
+
+def _fit_parameters(poles, n, phi_prev, phi_star_prev, phi_n):
+    """_parameters of one level, from the functions themselves."""
+    return _parameters(n, _fit_step(poles, n, phi_prev, phi_star_prev, phi_n))
 
 
 def extract_parameters(system: OrfSystem, n: int):
@@ -178,10 +198,21 @@ def extract_parameters(system: OrfSystem, n: int):
     return _fit_parameters(system.poles, n, prev.phi, prev.phi_star, system.level(n).phi)
 
 
+def _trimmed(c):
+    """c without its trailing zero coefficients, keeping at least one."""
+    if c.size == 1 or c[-1] != 0:
+        return c
+    nz = np.flatnonzero(c)
+    return c[: nz[-1] + 1] if nz.size else c[:1]
+
+
 def _padded_polymul(a, b, size):
-    """Coefficients of a*b zero-padded to size (polymul trims trailing zeros)."""
+    """Coefficients of a*b zero-padded to size: numpy.polynomial's polymul,
+    which trims trailing zeros around one convolve, without its series
+    checks. The trim matters for the bits: it decides which factor np.convolve
+    runs over, and so the order in which two products are summed."""
     out = np.zeros(size, dtype=complex)
-    c = npp.polymul(a, b)
+    c = np.convolve(_trimmed(a), _trimmed(b))
     out[: c.size] = c
     return out
 
@@ -313,28 +344,35 @@ def _circle_nodes(count: int, n_points: int) -> np.ndarray:
     return np.exp(1j * (2.0 * np.pi * np.arange(count) / count + np.pi / n_points))
 
 
-def _herglotz_means(kp, t, w, f_t, nodes, f_nodes) -> np.ndarray:
-    """mean_t D(t, z) (f(t) - f(z)) w(t) at each node z, D the Riesz-Herglotz kernel."""
-    zt, zz = kp.zeta0(t), kp.zeta0(nodes)[:, None]
+def _herglotz_means(kp, zt, w, f_t, nodes, f_nodes) -> np.ndarray:
+    """mean_t D(t, z) (f(t) - f(z)) w(t) at each node z, D the Riesz-Herglotz
+    kernel; zt holds zeta_0(t) on the grid."""
+    zz = kp.zeta0(nodes)[:, None]
     return ((zt + zz) / (zt - zz) * (f_t - f_nodes[:, None]) * w).mean(axis=1)
 
 
 def _second_kind(mu, poles, kp, phi: RatFun, n: int, n_points: int) -> RatFun:
-    """Quadrature realization of the second-kind companion of phi (degree n).
+    """_second_kind_on_grid, reading the weight, zeta_0 and phi on the grid
+    2 pi j / n_points itself."""
+    theta, t = boundary_grid(n_points)
+    return _second_kind_on_grid(poles, kp, phi, n, mu.weight(theta), kp.zeta0(t), phi(t))
+
+
+def _second_kind_on_grid(poles, kp, phi: RatFun, n: int, w, zt, phi_t) -> RatFun:
+    """Quadrature realization of the second-kind companion of phi (degree n)
+    from the weight w, zeta_0(t) and phi(t) on the grid t = e^{2 pi i j / N}.
 
     psi(z) = mean_t D(t, z) (phi(t) - phi(z)) w(t) + mean_t phi(t) w(t) is
     taken at the nodes z_k = e^{i delta} omega^k, omega = e^{2 pi i/(n+1)},
     on |z| = 1, where the difference quotient is smooth and the trapezoidal
     rule still converges geometrically. The numerator psi pi_n has the values
     sum_j c_j e^{i j delta} omega^{jk} there, so one FFT gives c_j once the
-    phase e^{i j delta} is removed. The turn delta = pi / n_points puts each
+    phase e^{i j delta} is removed. The turn delta = pi / N puts each
     node between two quadrature nodes, where the quotient is never 0/0.
     """
-    theta, t = boundary_grid(n_points)
-    w = mu.weight(theta)
-    phi_t = phi(t)
+    n_points = w.size
     nodes = _circle_nodes(n + 1, n_points)
-    values = _herglotz_means(kp, t, w, phi_t, nodes, phi(nodes)) + (phi_t * w).mean()
+    values = _herglotz_means(kp, zt, w, phi_t, nodes, phi(nodes)) + (phi_t * w).mean()
     coeffs = np.fft.fft(values * poles.pi(n, nodes)) / (n + 1)
     return RatFun(poles, coeffs * np.exp(-1j * np.pi / n_points * np.arange(n + 1)), n)
 
@@ -346,6 +384,19 @@ def second_kind_integral(mu: CircleMeasure, system: OrfSystem, n: int) -> RatFun
     verification suite checks.
     """
     return _second_kind(mu, system.poles, system.kernel, system.level(n).phi, n, system.n_points)
+
+
+def second_kind_integral_stack(mu: CircleMeasure, system: OrfSystem, levels) -> list:
+    """second_kind_integral at each of the levels, in order. The weight and
+    zeta_0 are read on the grid once; each level's phi is evaluated there
+    on its own, so no table of every level on the grid is held."""
+    theta, t = boundary_grid(system.n_points)
+    w, zt = mu.weight(theta), system.kernel.zeta0(t)
+    out = []
+    for n in levels:
+        phi = system.level(n).phi
+        out.append(_second_kind_on_grid(system.poles, system.kernel, phi, n, w, zt, phi(t)))
+    return out
 
 
 def gram_schmidt_orf(
@@ -396,19 +447,20 @@ def gram_schmidt_orf(
             lifted = np.column_stack([up - np.conj(b) * down, top])
         phis.append(RatFun(poles, lifted @ coef[: k + 1, k], k))
 
-    defect = _gram_defect([phi(t) for phi in phis], w)
+    vals = evaluate_stack(phis, t)
+    defect = _gram_defect(vals, w)
     if defect > TOL_ORTHO:
         raise NumericalFailure(f"Gram matrix deviates from identity by {defect:.2e}")
 
     kp = KernelParams(poles.beta[0])
+    zt = kp.zeta0(t)
+    stars = [superstar(phi) for phi in phis]
+    fits = _fit_ladder(poles, phis, stars)
+    params = [(None, None, None)] + [_parameters(k, fit) for k, fit in enumerate(fits, start=1)]
     levels = []
-    for k, phi in enumerate(phis):
-        psi = _second_kind(mu, poles, kp, phi, k, n_points)
-        params = (None, None, None)
-        if k:
-            prev = levels[-1]
-            params = _fit_parameters(poles, k, prev.phi, prev.phi_star, phi)
-        levels.append(OrfLevel(k, phi, superstar(phi), psi, superstar(psi), *params))
+    for k, (phi, phi_t, phi_star) in enumerate(zip(phis, vals, stars)):
+        psi = _second_kind_on_grid(poles, kp, phi, k, w, zt, phi_t)
+        levels.append(OrfLevel(k, phi, phi_star, psi, superstar(psi), *params[k]))
     F = caratheodory_from_measure(mu, poles.beta[0], n_points=n_points)
     return OrfSystem(poles, levels, source="measure", measure=mu, caratheodory=F, n_points=n_points)
 
@@ -560,21 +612,19 @@ def identity_residual_stack(fs, gs, f_stars, g_stars):
     """identity_residual of each (f, g, f^*, g^*), as arrays (d, resid).
 
     The functions may have different degrees over one pole prefix: they are
-    evaluated in one call, and B_m grows one Blaschke factor at a time."""
+    evaluated in one call, B_m grows one Blaschke factor at a time, and the
+    Poisson kernels P(t, beta_m) of every row come from one broadcast."""
     rows = len(fs)
     _, t = boundary_grid(512)
     fs_t, g_t, f_t, gs_t = evaluate_stack((*f_stars, *gs, *fs, *g_stars), t).reshape(4, rows, -1)
     left = fs_t * g_t + f_t * gs_t
     degs = np.array([f.n for f in fs])
     poles = fs[int(np.argmax(degs))].poles
-    kp = KernelParams(poles.beta[0])
-    right = np.empty_like(left)
-    blaschke = np.ones_like(t)
-    for m in range(int(degs.max()) + 1):
-        if m:
-            blaschke = blaschke * blaschke_factor(poles, m, t)
-        if np.any(degs == m):
-            right[degs == m] = poisson_kernel(kp, t, poles.beta[m]) * blaschke
+    blaschke = [np.ones_like(t)]
+    for m in range(1, int(degs.max()) + 1):
+        blaschke.append(blaschke[-1] * blaschke_factor(poles, m, t))
+    kernels = poisson_kernel(KernelParams(poles.beta[0]), t, poles.beta[degs][:, None])
+    right = kernels * np.stack(blaschke)[degs]
     at = np.argmax(np.abs(right), axis=1)
     d = left[np.arange(rows), at] / right[np.arange(rows), at]
     resid = np.max(np.abs(left - d.real[:, None] * right), axis=1) / np.max(np.abs(left), axis=1)
@@ -704,9 +754,10 @@ def second_kind_functional_residual_stack(system: OrfSystem, mu: CircleMeasure, 
     """second_kind_functional_residual at each of the levels, as an array.
 
     The Riesz-Herglotz kernel D(t, z) at the six nodes is formed once, so a
-    level's means are D @ (f w)/N - f(z) (D @ w)/N. The values on the
-    quadrature grid are formed one level at a time: no table of every level
-    on the grid is held.
+    level's means are D @ (f w)/N - f(z) (D @ w)/N. The functions and the
+    multipliers of every level are evaluated at the nodes in one call each.
+    The values on the quadrature grid are formed one level at a time: no
+    table of every level on the grid is held.
     """
     n_points = system.n_points
     poles, kp = system.poles, system.kernel
@@ -718,22 +769,28 @@ def second_kind_functional_residual_stack(system: OrfSystem, mu: CircleMeasure, 
     kernel = (zt + zz) / (zt - zz)
     kernel_w = kernel @ w / n_points
     at_zs = evaluate_stack([f for n in levels for f in _four(system.level(n))], zs).reshape(-1, 4, zs.size)
+    # the multipliers f, g of each level, the same draws for every level
+    mults = []
+    for n in levels:
+        rng = np.random.default_rng(seed)
+        deg = max(n - 1, 0)
+        mults += [
+            RatFun(poles, rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1), deg)
+            for _ in range(2)
+        ]
     # the multipliers enter as substar values, conj(h(1/conj(z)))
     inv_t, inv_zs = 1.0 / np.conj(t), 1.0 / np.conj(zs)
+    mults_z = np.conj(evaluate_stack(mults, inv_zs)).reshape(-1, 2, zs.size)
 
     def means(vals_t, vals_z):
         fw = vals_t * w
         return kernel @ fw / n_points - vals_z * kernel_w, fw.mean()
 
     out = []
-    for n, (phi_z, phi_s_z, psi_z, psi_s_z) in zip(levels, at_zs):
-        rng = np.random.default_rng(seed)
-        deg = max(n - 1, 0)
-        h = [
-            RatFun(poles, rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1), deg)
-            for _ in range(2)
-        ]
-        (f_t, g_t), (f_z, g_z) = np.conj(evaluate_stack(h, inv_t)), np.conj(evaluate_stack(h, inv_zs))
+    for i, n in enumerate(levels):
+        phi_z, phi_s_z, psi_z, psi_s_z = at_zs[i]
+        f_z, g_z = mults_z[i]
+        f_t, g_t = np.conj(evaluate_stack(mults[2 * i : 2 * i + 2], inv_t))
         if n:
             g_t, g_z = g_t / blaschke_factor(poles, n, t), g_z / blaschke_factor(poles, n, zs)
         lv = system.level(n)

@@ -37,7 +37,7 @@ class PoleSequence:
     defines zeta_0 and the kernels. Repeated entries are allowed.
     """
 
-    __slots__ = ("beta",)
+    __slots__ = ("beta", "_ups")
 
     def __init__(self, beta):
         arr = np.atleast_1d(np.asarray(beta, dtype=complex)).copy()
@@ -47,6 +47,7 @@ class PoleSequence:
             raise DomainError("all poles beta_k must satisfy |beta_k| < 1")
         arr.flags.writeable = False
         self.beta = arr
+        self._ups = [1.0 + 0.0j]
 
     def __len__(self):
         return self.beta.size
@@ -63,11 +64,15 @@ class PoleSequence:
         return np.conj(b) / abs(b) if b != 0 else 1.0 + 0.0j
 
     def upsilon(self, k):
-        """Product eta_1 * ... * eta_k (equals 1 for k <= 0)."""
-        out = 1.0 + 0.0j
-        for j in range(1, k + 1):
-            out *= self.eta(j)
-        return out
+        """Product eta_1 * ... * eta_k (equals 1 for k <= 0).
+
+        The prefix products are kept as they are first asked for, each one
+        the previous times the next eta, as a running product would form it.
+        """
+        ups = self._ups
+        while len(ups) <= k:
+            ups.append(ups[-1] * self.eta(len(ups)))
+        return ups[max(k, 0)]
 
     def varpi(self, k, z):
         """1 - conj(beta_k) z."""
@@ -110,7 +115,10 @@ class RatFun:
     __slots__ = ("poles", "n", "numer")
 
     def __init__(self, poles: PoleSequence, numer, n: int | None = None):
-        arr = np.atleast_1d(np.asarray(numer, dtype=complex)).copy()
+        if isinstance(numer, np.ndarray) and numer.ndim == 1 and numer.dtype == complex:
+            arr = numer.copy()
+        else:
+            arr = np.atleast_1d(np.asarray(numer, dtype=complex)).copy()
         if n is None:
             n = arr.size - 1
         if arr.size != n + 1:
@@ -172,8 +180,9 @@ def evaluate_stack(fs, z) -> np.ndarray:
         if not (f.poles is top.poles or np.array_equal(f.poles.beta[: f.n + 1], beta[: f.n + 1])):
             raise PoleMismatch("stacked functions need one pole prefix")
     z = np.asarray(z, dtype=complex)
+    conj_beta = np.conj(beta[1 : top.n + 1])
     if top.n:
-        _pole_guard(np.conj(beta[1 : top.n + 1]), z)
+        _pole_guard(conj_beta, z)
     rows = {}
     for i, f in enumerate(fs):
         rows.setdefault(f.n, []).append(i)
@@ -181,7 +190,7 @@ def evaluate_stack(fs, z) -> np.ndarray:
     pi = np.ones_like(z)
     for j in range(top.n + 1):
         if j:
-            pi = pi * (1.0 - np.conj(beta[j]) * z)
+            pi = pi * (1.0 - conj_beta[j - 1] * z)
         if j in rows:
             out[rows[j]] = _horner(np.array([fs[i].numer for i in rows[j]]), z) / pi
     return out
@@ -219,7 +228,7 @@ def _pole_guard(conj_beta, z):
     point too, so when the largest |z| clears, every point does.
     """
     abs_z = np.abs(z)
-    b_max = float(np.max(np.abs(conj_beta)))
+    b_max = float(np.abs(conj_beta).max())
     z_max = float(abs_z.max(initial=0.0))
     if 1.0 - b_max * z_max > 2.0 * TAU_POLE * (1.0 + z_max):
         return

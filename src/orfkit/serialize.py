@@ -11,7 +11,6 @@ normalization; they are written as format constants and ignored on load.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import tempfile
@@ -98,14 +97,55 @@ def arf_to_dict(arf) -> dict:
         "c": [2.0] * (arf.system.n_max + 1),
         "system": system_to_dict(arf.system),
         "mu_weight": {
-            "theta": [float(v) for v in arf.mu_k.params["theta"]],
-            "w": [float(v) for v in arf.mu_k.params["w"]],
+            "theta": np.asarray(arf.mu_k.params["theta"], dtype=float).tolist(),
+            "w": np.asarray(arf.mu_k.params["w"], dtype=float).tolist(),
         },
     }
 
 
-def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=1)
+# "<prefix><index>@" stands in for a table while the rest of an object is dumped
+_TABLE = "@orfkit-table-"
+# plain numbers; a bool is an int subclass and stays out
+_NUMBERS = {float, int}
+
+
+def dumps(obj) -> str:
+    """json.dumps(obj, indent=1), byte for byte.
+
+    Python's indented encoder formats one value at a time. A dict entry that
+    is a list of 16 or more plain numbers (a density table) is instead
+    rendered by the C encoder, which writes each number as the same text,
+    and its ", " separators are turned into the indented layout. Each such
+    list stands in the object as a marker string while the rest is dumped
+    with indent=1, and is spliced back at its own depth. Lists inside lists
+    are left to the indented encoder, so the search stays off the many short
+    [re, im] pairs of a ladder.
+    """
+    tables = []
+
+    def strip(value, depth):
+        if isinstance(value, dict):
+            return {key: strip(v, depth + 1) for key, v in value.items()}
+        if isinstance(value, list) and len(value) >= 16 and set(map(type, value)) <= _NUMBERS:
+            tables.append((value, depth))
+            return f"{_TABLE}{len(tables) - 1}@"
+        return value
+
+    stripped = strip(obj, 0)
+    if not tables:
+        return json.dumps(obj, indent=1)
+    text = json.dumps(stripped, indent=1)
+    pieces = text.split('"' + _TABLE)
+    if len(pieces) != len(tables) + 1:
+        # a string of the object itself looks like a marker
+        return json.dumps(obj, indent=1)
+    out = [pieces[0]]
+    for piece in pieces[1:]:
+        index, rest = piece.split('@"', 1)
+        values, depth = tables[int(index)]
+        inner = "\n" + " " * (depth + 1)
+        out += ["[", inner, json.dumps(values)[1:-1].replace(", ", "," + inner), "\n", " " * depth, "]", rest]
+    return "".join(out)
 
 
 def _write_atomic(path, lines):
@@ -129,7 +169,7 @@ def write_json_atomic(path, obj: dict):
 
 def write_csv_atomic(path, header, rows):
     """CSV of a 2-D float array with 17-significant-digit decimals (lossless
-    for doubles), one %-format per row."""
+    for doubles), the whole body from one %-format."""
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
-    body = (row_format % tuple(row) for row in rows.tolist())
-    _write_atomic(path, itertools.chain([",".join(header) + "\n"], body))
+    body = (row_format * len(rows)) % tuple(np.asarray(rows, dtype=float).ravel().tolist())
+    _write_atomic(path, [",".join(header) + "\n", body])

@@ -459,12 +459,13 @@ def arf_anchor_residual(system: OrfSystem, F: CaratheodoryFn, k: int) -> float:
     then the vanishing defect of their difference, scaled by the size of
     the denominator nearby, which is the numerical content of the limit.
     """
-    terms = _arf_ratio_terms(system, F, k)
     b_k = system.poles.beta[k]
-    num, den = (complex(v) for v in terms(b_k))
     ring = b_k + 0.3 * np.exp(2j * np.pi * (np.arange(16) + 0.41) / 16)
     ring = ring[np.abs(ring) < 0.97]
-    den_scale = float(np.max(np.abs(terms(ring)[1])))
+    # beta_k and the ring in one evaluation
+    nums, dens = _arf_ratio_terms(system, F, k)(np.concatenate([[b_k], ring]))
+    num, den = complex(nums[0]), complex(dens[0])
+    den_scale = float(np.max(np.abs(dens[1:])))
     if abs(den) > 1e-6 * den_scale:
         return abs(num / den - 1.0)
     return abs(num - den) / den_scale
@@ -545,35 +546,53 @@ def relation_residuals(aj: ArfSystem, ak: ArfSystem, n: int) -> RelationReport:
     orders j and k of one base ladder at level n (orthonormal normalization,
     so all coupling constants are 1), plus the same relations with phi and
     psi exchanged."""
-    system, j, k = aj.base, aj.order, ak.order
-    if ak.base is not system:
+    if ak.base is not aj.base:
         raise DomainError("both associated ladders must come from one base ladder")
-    if not 0 <= j <= k <= n <= system.n_max:
-        raise DomainError("need 0 <= j <= k <= n <= n_max")
-    _, t = boundary_grid(256)
+    return relation_residual_stack({aj.order: aj, ak.order: ak}, [(aj.order, ak.order, n)])[0]
 
-    pj_n, pj_n_s, qj_n, qj_n_s = aj.level(n).values(t)
-    pj_k, pj_k_s, qj_k, qj_k_s = aj.level(k).values(t)
-    pk_n, pk_n_s, qk_n, qk_n_s = ak.level(n).values(t)
+
+def relation_residual_stack(arfs: dict, triples) -> list:
+    """relation_residuals of arfs[j], arfs[k] at level n for each (j, k, n)
+    of triples, in order. Every level of each order's ladder is evaluated on
+    the 256-point boundary grid in one call per order."""
+    system = next(iter(arfs.values())).base
+    if any(arf.base is not system for arf in arfs.values()):
+        raise DomainError("the associated ladders must come from one base ladder")
+    for j, k, n in triples:
+        if not 0 <= j <= k <= n <= system.n_max:
+            raise DomainError("need 0 <= j <= k <= n <= n_max")
+    _, t = boundary_grid(256)
+    tables = {}
+    for order in sorted({i for j, k, _ in triples for i in (j, k)}):
+        levels = arfs[order].system.levels
+        funcs = [f for lv in levels for f in (lv.phi, lv.phi_star, lv.psi, lv.psi_star)]
+        tables[order] = evaluate_stack(funcs, t).reshape(len(levels), 4, t.size)
 
     def rel(lhs, rhs):
         return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)))
 
-    r1 = rel(2 * pj_n, (pj_k + pj_k_s) * pk_n + (pj_k - pj_k_s) * qk_n)
-    r2 = rel(2 * pj_n, (pk_n + qk_n) * pj_k + (pk_n - qk_n) * pj_k_s)
-    r1s = rel(2 * qj_n, (qj_k + qj_k_s) * qk_n + (qj_k - qj_k_s) * pk_n)
-    r2s = rel(2 * qj_n, (qk_n + pk_n) * qj_k + (qk_n - pk_n) * qj_k_s)
-
     beta = system.poles.beta
-    pr = (1.0 - abs(beta[n]) ** 2) / (1.0 - abs(beta[k]) ** 2)
-    pr = pr * system.poles.varpi(k, t) * system.poles.varpi_star(k, t)
-    pr = pr / (system.poles.varpi(n, t) * system.poles.varpi_star(n, t))
-    br = np.ones_like(t)
-    for i in range(k + 1, n + 1):
-        br = br * blaschke_factor(system.poles, i, t)
-    r3 = rel(2 * pr * br * pj_k, (qk_n_s + pk_n_s) * pj_n + (qk_n - pk_n) * pj_n_s)
-    r3s = rel(2 * pr * br * qj_k, (pk_n_s + qk_n_s) * qj_n + (pk_n - qk_n) * qj_n_s)
-    return RelationReport(r1, r2, r3, r1s, r2s, r3s)
+    out = []
+    for j, k, n in triples:
+        pj_n, pj_n_s, qj_n, qj_n_s = tables[j][n - j]
+        pj_k, pj_k_s, qj_k, qj_k_s = tables[j][k - j]
+        pk_n, pk_n_s, qk_n, qk_n_s = tables[k][n - k]
+
+        r1 = rel(2 * pj_n, (pj_k + pj_k_s) * pk_n + (pj_k - pj_k_s) * qk_n)
+        r2 = rel(2 * pj_n, (pk_n + qk_n) * pj_k + (pk_n - qk_n) * pj_k_s)
+        r1s = rel(2 * qj_n, (qj_k + qj_k_s) * qk_n + (qj_k - qj_k_s) * pk_n)
+        r2s = rel(2 * qj_n, (qk_n + pk_n) * qj_k + (qk_n - pk_n) * qj_k_s)
+
+        pr = (1.0 - abs(beta[n]) ** 2) / (1.0 - abs(beta[k]) ** 2)
+        pr = pr * system.poles.varpi(k, t) * system.poles.varpi_star(k, t)
+        pr = pr / (system.poles.varpi(n, t) * system.poles.varpi_star(n, t))
+        br = np.ones_like(t)
+        for i in range(k + 1, n + 1):
+            br = br * blaschke_factor(system.poles, i, t)
+        r3 = rel(2 * pr * br * pj_k, (qk_n_s + pk_n_s) * pj_n + (qk_n - pk_n) * pj_n_s)
+        r3s = rel(2 * pr * br * qj_k, (pk_n_s + qk_n_s) * qj_n + (pk_n - qk_n) * qj_n_s)
+        out.append(RelationReport(r1, r2, r3, r1s, r2s, r3s))
+    return out
 
 
 def remark_identity_residual(G: RatFun, J: RatFun):

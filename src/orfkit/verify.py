@@ -16,19 +16,19 @@ import numpy as np
 from . import serialize
 from .engine import (
     OrfSystem,
-    _fit_step,
+    _fit_ladder,
     _gram_defect,
     _min_separation,
+    _parameters,
     _run_recurrence,
     determinant_residual_stack,
-    extract_parameters,
     identity_residual_stack,
     interpolation_residual_stack,
     measure_from_system,
     para_pair,
     para_zeros_stack,
     second_kind_functional_residual_stack,
-    second_kind_integral,
+    second_kind_integral_stack,
     synthesize,
 )
 from .errors import OrfkitError
@@ -37,7 +37,7 @@ from .ratfun import PoleSequence, evaluate_stack, superstar
 from .transforms import (
     arf_discrepancy,
     arf_recurrence,
-    relation_residuals,
+    relation_residual_stack,
 )
 
 DEFAULT_TOLERANCES = {
@@ -91,8 +91,14 @@ class VerifyContext:
 
 
 def _sampled_gram_defect(system, mu, n_points):
+    # one evaluation of every level on the grid; the table ends with the check
     theta, t = boundary_grid(n_points)
-    return _gram_defect([np.asarray(lv.phi(t)) for lv in system.levels], mu.weight(theta))
+    return _gram_defect(evaluate_stack([lv.phi for lv in system.levels], t), mu.weight(theta))
+
+
+def _ladder_fits(system):
+    """_fit_step at every level 1..n_max, from one evaluation at the fit points."""
+    return _fit_ladder(system.poles, [lv.phi for lv in system.levels], [lv.phi_star for lv in system.levels])
 
 
 def check_orthonormality(ctx):
@@ -100,11 +106,8 @@ def check_orthonormality(ctx):
 
 
 def check_recurrence_fit(ctx):
-    s = ctx.system
     worst = 0.0
-    for n in range(1, s.n_max + 1):
-        prev, cur = s.level(n - 1), s.level(n)
-        _, _, resid, scale = _fit_step(s.poles, n, prev.phi, prev.phi_star, cur.phi)
+    for _, _, resid, scale in _ladder_fits(ctx.system):
         worst = max(worst, resid / scale)
     return worst
 
@@ -126,7 +129,7 @@ def check_second_kind(ctx):
     rebuilt = _run_recurrence(s.poles, s.level(0), ((lv.lam, lv.rho, lv.e) for lv in s.levels[1:]))
     _, t = boundary_grid(512)
     # the quadrature runs level by level; the comparison is one evaluation
-    integral = [second_kind_integral(mu, s, n) for n in range(s.n_max + 1)]
+    integral = second_kind_integral_stack(mu, s, range(s.n_max + 1))
     psi_int, psi_rec = np.split(evaluate_stack(integral + [lv.psi for lv in rebuilt], t), 2)
     return float(np.max(np.abs(psi_int - psi_rec)))
 
@@ -166,13 +169,11 @@ def check_arf_orthogonality(ctx):
 
 
 def check_relations(ctx):
-    s = ctx.system
-    worst = 0.0
-    for j, k, n in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-        if n > s.n_max:
-            continue
-        worst = max(worst, relation_residuals(ctx.arf(j), ctx.arf(k), n).max_residual())
-    return worst
+    triples = [t for t in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)) if t[2] <= ctx.system.n_max]
+    if not triples:
+        return 0.0
+    arfs = {order: ctx.arf(order) for j, k, _ in triples for order in (j, k)}
+    return max(rep.max_residual() for rep in relation_residual_stack(arfs, triples))
 
 
 def check_remark(ctx):
@@ -209,8 +210,8 @@ def check_roundtrip_lambda(ctx):
     poles = s.poles if len(s.poles) >= n + 1 else PoleSequence(np.concatenate([s.poles.beta, [0.0]]))
     synth = synthesize(lams, poles)
     worst = 0.0
-    for i in range(1, n + 1):
-        worst = max(worst, abs(extract_parameters(synth, i)[0] - lams[i - 1]))
+    for i, fit in enumerate(_ladder_fits(synth), start=1):
+        worst = max(worst, abs(_parameters(i, fit)[0] - lams[i - 1]))
     return worst
 
 
@@ -225,8 +226,10 @@ def check_roundtrip_measure(ctx):
 
 
 def check_serialization(ctx):
-    blob = serialize.dumps(serialize.system_to_dict(ctx.system))
-    again = serialize.dumps(serialize.system_to_dict(serialize.system_from_dict(json.loads(blob))))
+    # compact dumps: they differ from the artifact's indented ones only in
+    # whitespace, so they are equal exactly when those are
+    blob = json.dumps(serialize.system_to_dict(ctx.system))
+    again = json.dumps(serialize.system_to_dict(serialize.system_from_dict(json.loads(blob))))
     return 0.0 if blob == again else 1.0
 
 

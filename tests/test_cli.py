@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from orfkit import cli
 from orfkit.cli import main
+from orfkit.measure import boundary_grid
+from orfkit.serialize import system_from_dict
 
 SQ3 = np.sqrt(3.0)
 
@@ -11,6 +14,17 @@ WORKED = {
     "poles": [[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]],
     "measure": {"type": "lebesgue"},
     "n_max": 2,
+}
+
+# the config file shown in README.md
+README_CONFIG = {
+    "poles": [[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]],
+    "measure": {"type": "lebesgue"},
+    "lambdas": [[0.0, 0.0], [0.0, 0.0]],
+    "n_max": 2,
+    "arf_order": 1,
+    "seed": 0,
+    "tolerances": {"determinant": 1e-10},
 }
 
 
@@ -35,6 +49,25 @@ class TestSynth:
         t = np.exp(1j * theta)
         phi1 = rows[:, header.index("phi1_re")] + 1j * rows[:, header.index("phi1_im")]
         assert np.max(np.abs(phi1 - (SQ3 / 2) * t / (1 - 0.5 * t))) < 1e-10
+
+    def test_table_matches_per_level_rows(self, tmp_path):
+        # the table is one evaluation of every level; each column keeps the
+        # bits of that level's own evaluation, written one row at a time
+        rng = np.random.default_rng(2)
+        lams = (0.3 * rng.uniform(size=(4, 2))).tolist()
+        poles = (0.5 * rng.uniform(size=(5, 2))).tolist()
+        cfg = write_config(tmp_path, {"poles": poles, "lambdas": lams, "n_max": 4})
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path), "--table-points", "300"]) == 0
+        system = system_from_dict(json.loads((tmp_path / "orf.json").read_text()))
+        theta, t = boundary_grid(300)
+        lines = ["theta" + "".join(f",phi{n}_re,phi{n}_im" for n in range(5))]
+        for j in range(300):
+            vals = [theta[j]]
+            for lv in system.levels:
+                v = lv.phi(t)[j]
+                vals += [v.real, v.imag]
+            lines.append(",".join("%.17g" % x for x in vals))
+        assert (tmp_path / "orf_table.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_polynomial_config(self, tmp_path):
         cfg = write_config(
@@ -199,6 +232,38 @@ class TestConfigValidation:
         path.write_text("{")
         assert main(["synth", "--config", str(path), "--out", str(tmp_path)]) == 2
 
+    # each of these once ran with exit 0: n_max 2.7 built an n_max = 2
+    # ladder, grid 1024.5 ran on 1024, arf_order 1.9 ran order 1 and seed
+    # true ran seed 1
+    @pytest.mark.parametrize("value", [2.7, 2.0, True, "2"])
+    def test_n_max_must_be_an_integer(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, {**WORKED, "n_max": value})
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "n_max must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, False, "1"])
+    def test_seed_must_be_an_integer(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, {**WORKED, "seed": value})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "seed must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [1.9, 1.0, True, "1"])
+    def test_arf_order_must_be_an_integer(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, {**WORKED, "arf_order": value})
+        assert main(["arf", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "arf_order must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [1024.5, 1024.0, True, "1024"])
+    def test_grid_must_be_an_integer(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, {**WORKED, "grid": value})
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "grid must be an integer" in capsys.readouterr().err
+
+    def test_integer_fields_accept_integers(self, tmp_path):
+        cfg = write_config(tmp_path, {**WORKED, "seed": 3, "arf_order": 1, "grid": 1024})
+        assert main(["arf", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "arf_1.json").is_file()
+
     def test_grid_env_override(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, WORKED)
         monkeypatch.setenv("ORFKIT_GRID", "512")
@@ -253,6 +318,25 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads((tmp_path / "verify.json").read_text())
         assert set(report) == {"determinant", "para_zeros"}
+
+    def test_one_parser_serves_many_calls(self, tmp_path, monkeypatch):
+        # the parser is built once per process: each call starts from fresh
+        # defaults, so a verify.json holds exactly the checks of its own call
+        cfg = write_config(tmp_path, README_CONFIG)
+        one, two, three = (tmp_path / name for name in ("one", "two", "three"))
+        assert main(["verify", "--config", cfg, "--out", str(one), "--check", "determinant"]) == 0
+        argv = ["verify", "--config", cfg, "--out", str(two), "--check", "para_zeros", "--check", "determinant"]
+        assert main(argv) == 0
+        assert main(["verify", "--config", cfg, "--out", str(three)]) == 0
+        assert list(json.loads((one / "verify.json").read_text())) == ["determinant"]
+        assert list(json.loads((two / "verify.json").read_text())) == ["para_zeros", "determinant"]
+        assert len(json.loads((three / "verify.json").read_text())) == 15
+        # the command is looked up by name at each call
+        calls = []
+        monkeypatch.setattr(cli, "cmd_synth", lambda args: calls.append(args.config) or 0)
+        assert main(["synth", "--config", cfg]) == 0
+        assert calls == [cfg]
+        assert not (tmp_path / "orf.json").exists()
 
     def test_unknown_check(self, tmp_path):
         cfg = write_config(tmp_path, WORKED)

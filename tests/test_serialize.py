@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from orfkit import CircleMeasure, PoleSequence, arf_recurrence, default_grid, synthesize
@@ -120,3 +121,73 @@ def test_json_atomic_write(tmp_path, synth_system):
     again = system_from_dict(data)
     assert_allclose(again.level(1).phi.numer, synth_system.level(1).phi.numer, rtol=0)
     assert not list(tmp_path.glob("*.tmp"))
+
+
+# -- exact-bytes writers -------------------------------------------------------
+
+
+def _floats(rng, size):
+    """Seeded doubles spread over many decades, some of them whole numbers."""
+    vals = rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size=size)
+    vals[::7] = np.round(vals[::7])
+    return vals.tolist()
+
+
+def _nested(seed):
+    rng = np.random.default_rng(seed)
+    return {
+        "kind": "a, b ] [c]",
+        "empty": [],
+        "one": _floats(rng, 1),
+        "nine": _floats(rng, 9),
+        "table": _floats(rng, 2048),
+        "special": [float("nan"), float("inf"), -float("inf"), -0.0, 0.0] + _floats(rng, 20),
+        "with_int": _floats(rng, 10) + [3, -7, 2**70] + _floats(rng, 10),
+        "bools": [True, False] * 10,
+        "strings": ["x, y", "]", "[1.0, 2.0]", ", ]"] * 5,
+        "pairs": [_floats(rng, 2) for _ in range(20)],
+        "tables_in_a_list": [_floats(rng, 40), _floats(rng, 17)],
+        "k, ]": {"deeper": {"table": _floats(rng, 100), "note": "], ["}, "n": None},
+        "ints": list(range(-5, 40)),
+        "levels": [{"phi": [_floats(rng, 2)], "w": _floats(rng, 16)}, {}],
+    }
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dumps_equals_indented_json(seed):
+    obj = _nested(seed)
+    assert dumps(obj) == json.dumps(obj, indent=1)
+    for key in ("table", "special", "with_int", "empty", "strings"):
+        assert dumps(obj[key]) == json.dumps(obj[key], indent=1)
+        assert dumps({key: obj[key]}) == json.dumps({key: obj[key]}, indent=1)
+
+
+def test_dumps_with_a_marker_like_string():
+    # a string that looks like the stand-in of a table still dumps exactly
+    rng = np.random.default_rng(9)
+    for text in ("@orfkit-table-0@", "@orfkit-table-1@", "@orfkit-table-"):
+        obj = {"a": _floats(rng, 32), "b": text, "c": [text, _floats(rng, 20)], text: _floats(rng, 24)}
+        assert dumps(obj) == json.dumps(obj, indent=1)
+
+
+def test_arf_dump_equals_indented_json(worked_system):
+    data = arf_to_dict(arf_recurrence(worked_system, 1))
+    assert len(data["mu_weight"]["w"]) >= 1024
+    assert dumps(data) == json.dumps(data, indent=1)
+
+
+def reference_csv_body(header, rows):
+    """The body as it was written before: one %-format per row."""
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    return "".join(row_format % tuple(row) for row in rows.tolist())
+
+
+@pytest.mark.parametrize("shape", [(1024, 2), (256, 13)])
+def test_csv_one_format_matches_per_row(tmp_path, shape):
+    rng = np.random.default_rng(shape[1])
+    rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    rows.flat[:6] = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.0]
+    header = [f"c{i}" for i in range(shape[1])]
+    path = tmp_path / "t.csv"
+    write_csv_atomic(path, header, rows)
+    assert path.read_text() == ",".join(header) + "\n" + reference_csv_body(header, rows)

@@ -27,7 +27,8 @@ from orfkit import (
 from orfkit import transforms
 from orfkit.engine import _fit_step, zeros_factor
 from orfkit.measure import CaratheodoryFn, boundary_grid
-from orfkit.transforms import arf_anchor_residual, arf_discrepancy
+from orfkit.ratfun import blaschke_factor
+from orfkit.transforms import arf_anchor_residual, arf_discrepancy, relation_residual_stack
 
 SQ3 = np.sqrt(3.0)
 
@@ -309,6 +310,50 @@ class TestRelations:
     def test_bad_order_rejected(self, synth_system):
         with pytest.raises(DomainError):
             relation_residuals(arf_recurrence(synth_system, 2), arf_recurrence(synth_system, 1), 3)
+
+
+def reference_relation_residuals(aj, ak, n):
+    """The relations of one (j, k, n), each level evaluated on its own."""
+    system, k = aj.base, ak.order
+    _, t = boundary_grid(256)
+    pj_n, pj_n_s, qj_n, qj_n_s = aj.level(n).values(t)
+    pj_k, pj_k_s, qj_k, qj_k_s = aj.level(k).values(t)
+    pk_n, pk_n_s, qk_n, qk_n_s = ak.level(n).values(t)
+
+    def rel(lhs, rhs):
+        return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)))
+
+    beta = system.poles.beta
+    pr = (1.0 - abs(beta[n]) ** 2) / (1.0 - abs(beta[k]) ** 2)
+    pr = pr * system.poles.varpi(k, t) * system.poles.varpi_star(k, t)
+    pr = pr / (system.poles.varpi(n, t) * system.poles.varpi_star(n, t))
+    br = np.ones_like(t)
+    for i in range(k + 1, n + 1):
+        br = br * blaschke_factor(system.poles, i, t)
+    return (
+        rel(2 * pj_n, (pj_k + pj_k_s) * pk_n + (pj_k - pj_k_s) * qk_n),
+        rel(2 * pj_n, (pk_n + qk_n) * pj_k + (pk_n - qk_n) * pj_k_s),
+        rel(2 * pr * br * pj_k, (qk_n_s + pk_n_s) * pj_n + (qk_n - pk_n) * pj_n_s),
+        rel(2 * qj_n, (qj_k + qj_k_s) * qk_n + (qj_k - qj_k_s) * pk_n),
+        rel(2 * qj_n, (qk_n + pk_n) * qj_k + (qk_n - pk_n) * qj_k_s),
+        rel(2 * pr * br * qj_k, (pk_n_s + qk_n_s) * qj_n + (pk_n - qk_n) * qj_n_s),
+    )
+
+
+def test_relation_stack_matches_per_triple(synth_system, poisson_system):
+    # one table per order gives every residual of the per-triple form, bit for bit
+    triples = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (1, 1, 4), (0, 3, 4)]
+    for s in (synth_system, poisson_system):
+        arfs = {k: arf_recurrence(s, k) for k in range(4)}
+        for (j, k, n), rep in zip(triples, relation_residual_stack(arfs, triples), strict=True):
+            got = (rep.rel1, rep.rel2, rep.rel3, rep.rel1_swapped, rep.rel2_swapped, rep.rel3_swapped)
+            assert got == reference_relation_residuals(arfs[j], arfs[k], n)
+
+
+def test_relation_stack_needs_one_base(synth_system, poisson_system):
+    arfs = {0: arf_recurrence(synth_system, 0), 1: arf_recurrence(poisson_system, 1)}
+    with pytest.raises(DomainError):
+        relation_residual_stack(arfs, [(0, 1, 2)])
 
 
 class TestRemarkIdentity:
