@@ -43,7 +43,7 @@ class PoleSequence:
         arr = np.atleast_1d(np.asarray(beta, dtype=complex)).copy()
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("pole sequence must be a nonempty 1-d list")
-        if np.any(np.abs(arr) >= 1.0):
+        if (np.abs(arr) >= 1.0).any():
             raise DomainError("all poles beta_k must satisfy |beta_k| < 1")
         arr.flags.writeable = False
         self.beta = arr
@@ -234,10 +234,10 @@ def _pole_guard(conj_beta, z):
         return
     tol = TAU_POLE * (1.0 + abs_z)
     near = 1.0 - b_max * abs_z <= 2.0 * tol
-    if np.any(near):
+    if near.any():
         zn, tn = z[near], tol[near]
         for j, cb in enumerate(conj_beta, start=1):
-            if np.any(np.abs(1.0 - cb * zn) < tn):
+            if (np.abs(1.0 - cb * zn) < tn).any():
                 raise PoleProximity(f"evaluation within tolerance of pole 1/conj(beta_{j})")
 
 
@@ -251,7 +251,7 @@ def substar_eval(f: RatFun, z) -> complex | np.ndarray:
     if f.n == 0:
         out = np.full_like(z, np.conj(f.numer[0]))
         return out if out.ndim else complex(out)
-    if np.any(np.abs(z) < _pole_tol(z)):
+    if (np.abs(z) < _pole_tol(z)).any():
         raise DomainError("substar of a non-constant function is singular at z = 0")
     return np.conj(evaluate(f, 1.0 / np.conj(z)))
 
@@ -297,7 +297,7 @@ def blaschke_factor(poles: PoleSequence, k: int, z) -> complex | np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     den = poles.varpi(k, z)
-    if np.any(np.abs(den) < _pole_tol(z)):
+    if (np.abs(den) < _pole_tol(z)).any():
         raise PoleProximity(f"zeta_{k} evaluated too close to its pole")
     out = poles.eta(k) * poles.varpi_star(k, z) / den
     return out if out.ndim else complex(out)
@@ -310,7 +310,7 @@ def blaschke_product(poles: PoleSequence, k: int, z) -> complex | np.ndarray:
         raise DomainError("Blaschke product index must be >= -1")
     if k == -1:
         z0 = np.asarray(blaschke_factor(poles, 0, z))
-        if np.any(np.abs(z0) < TAU_POLE):
+        if (np.abs(z0) < TAU_POLE).any():
             raise DivisionByZeroBlaschke("B_{-1} requested at a zero of zeta_0")
         out = 1.0 / z0
         return out if out.ndim else complex(out)
@@ -334,7 +334,7 @@ class KernelParams:
     def zeta0(self, z):
         z = np.asarray(z, dtype=complex)
         den = 1.0 - np.conj(self.beta0) * z
-        if np.any(np.abs(den) < _pole_tol(z)):
+        if (np.abs(den) < _pole_tol(z)).any():
             raise PoleProximity("zeta_0 evaluated too close to its pole")
         eta0 = np.conj(self.beta0) / abs(self.beta0) if self.beta0 != 0 else 1.0
         return eta0 * (z - self.beta0) / den
@@ -348,7 +348,7 @@ def herglotz_kernel(kp: KernelParams, t, z) -> complex | np.ndarray:
     zt = np.asarray(kp.zeta0(t))
     zz = np.asarray(kp.zeta0(z))
     den = zt - zz
-    if np.any(np.abs(den) < 1e-12 * (np.abs(zt) + np.abs(zz) + 1.0)):
+    if (np.abs(den) < 1e-12 * (np.abs(zt) + np.abs(zz) + 1.0)).any():
         raise KernelSingularity("Herglotz kernel evaluated with zeta_0(t) ~ zeta_0(z)")
     out = (zt + zz) / den
     return out if out.ndim else complex(out)
@@ -362,9 +362,9 @@ def poisson_kernel(kp: KernelParams, t, z) -> complex | np.ndarray:
     """
     t = np.asarray(t, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(np.abs(t) - 1.0) > 1e-8):
+    if (np.abs(np.abs(t) - 1.0) > 1e-8).any():
         raise DomainError("Poisson kernel requires |t| = 1")
-    if np.any(np.abs(z) >= 1.0):
+    if (np.abs(z) >= 1.0).any():
         raise DomainError("Poisson kernel requires |z| < 1")
     b0 = kp.beta0
     num = (1.0 - np.abs(z) ** 2) * (1.0 - np.conj(b0) * t) * (t - b0)

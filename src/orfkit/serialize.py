@@ -29,7 +29,7 @@ def _c(z):
 
 
 def _carray(arr):
-    return [_c(v) for v in np.asarray(arr)]
+    return np.ascontiguousarray(arr, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def _from_c(pair):
