@@ -34,6 +34,15 @@ def write_config(tmp_path, data, name="config.json"):
     return str(path)
 
 
+def _assert_same_text(got, want):
+    """Equality of long texts, failing with the first difference only (a
+    full diff of two long texts takes minutes)."""
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        lo = max(i - 40, 0)
+        pytest.fail(f"texts differ at {i}: {got[lo : i + 40]!r} vs {want[lo : i + 40]!r}")
+
+
 class TestSynth:
     def test_worked_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, WORKED)
@@ -67,7 +76,7 @@ class TestSynth:
                 v = lv.phi(t)[j]
                 vals += [v.real, v.imag]
             lines.append(",".join("%.17g" % x for x in vals))
-        assert (tmp_path / "orf_table.csv").read_text() == "\n".join(lines) + "\n"
+        _assert_same_text((tmp_path / "orf_table.csv").read_text(), "\n".join(lines) + "\n")
 
     def test_polynomial_config(self, tmp_path):
         cfg = write_config(

@@ -554,18 +554,24 @@ def _numerators(systems):
 
 def _recurrence_cases(n):
     """(lambdas, poles) of seeded ladders: beta_0 != 0, all poles 0 (with
-    zero and nonzero lambdas) and a mix of zero and nonzero poles with zero
-    lambdas, whose numerators carry trailing zeros of different lengths."""
+    zero and nonzero lambdas), and poles of which a random half are 0. With
+    zero lambdas the numerators then carry runs of trailing zeros of many
+    lengths, the case in which trimming decides the order of a sum."""
     rng = np.random.default_rng(n)
-    lams = 0.5 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
-    beta = 0.7 * np.sqrt(rng.uniform(size=n + 1)) * np.exp(2j * np.pi * rng.uniform(size=n + 1))
-    mixed = np.where(np.arange(n + 1) % 2 == 0, 0.0, beta)
-    return [
-        (lams, PoleSequence(beta)),
+
+    def disk(cap, size):
+        return cap * np.sqrt(rng.uniform(size=size)) * np.exp(2j * np.pi * rng.uniform(size=size))
+
+    lams = disk(0.5, n)
+    cases = [
+        (lams, PoleSequence(disk(0.7, n + 1))),
         (lams, PoleSequence(np.zeros(n + 1))),
         (np.zeros(n), PoleSequence(np.zeros(n + 1))),
-        (np.zeros(n), PoleSequence(mixed)),
     ]
+    for i in range(8):
+        beta = np.where(rng.uniform(size=n + 1) < 0.5, 0.0, disk(0.7, n + 1))
+        cases.append((np.zeros(n) if i % 2 else disk(0.5, n) * (rng.uniform(size=n) < 0.5), PoleSequence(beta)))
+    return cases
 
 
 class TestBitIdenticalKernels:

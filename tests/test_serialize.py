@@ -126,6 +126,15 @@ def test_json_atomic_write(tmp_path, synth_system):
 # -- exact-bytes writers -------------------------------------------------------
 
 
+def _assert_same_text(got, want):
+    """Equality of long texts, failing with the first difference only (a
+    full diff of two long texts takes minutes)."""
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        lo = max(i - 40, 0)
+        pytest.fail(f"texts differ at {i}: {got[lo : i + 40]!r} vs {want[lo : i + 40]!r}")
+
+
 def _floats(rng, size):
     """Seeded doubles spread over many decades, some of them whole numbers."""
     vals = rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size=size)
@@ -156,10 +165,10 @@ def _nested(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_dumps_equals_indented_json(seed):
     obj = _nested(seed)
-    assert dumps(obj) == json.dumps(obj, indent=1)
+    _assert_same_text(dumps(obj), json.dumps(obj, indent=1))
     for key in ("table", "special", "with_int", "empty", "strings"):
-        assert dumps(obj[key]) == json.dumps(obj[key], indent=1)
-        assert dumps({key: obj[key]}) == json.dumps({key: obj[key]}, indent=1)
+        _assert_same_text(dumps(obj[key]), json.dumps(obj[key], indent=1))
+        _assert_same_text(dumps({key: obj[key]}), json.dumps({key: obj[key]}, indent=1))
 
 
 def test_dumps_with_a_marker_like_string():
@@ -167,13 +176,13 @@ def test_dumps_with_a_marker_like_string():
     rng = np.random.default_rng(9)
     for text in ("@orfkit-table-0@", "@orfkit-table-1@", "@orfkit-table-"):
         obj = {"a": _floats(rng, 32), "b": text, "c": [text, _floats(rng, 20)], text: _floats(rng, 24)}
-        assert dumps(obj) == json.dumps(obj, indent=1)
+        _assert_same_text(dumps(obj), json.dumps(obj, indent=1))
 
 
 def test_arf_dump_equals_indented_json(worked_system):
     data = arf_to_dict(arf_recurrence(worked_system, 1))
     assert len(data["mu_weight"]["w"]) >= 1024
-    assert dumps(data) == json.dumps(data, indent=1)
+    _assert_same_text(dumps(data), json.dumps(data, indent=1))
 
 
 def reference_csv_body(header, rows):
@@ -190,4 +199,4 @@ def test_csv_one_format_matches_per_row(tmp_path, shape):
     header = [f"c{i}" for i in range(shape[1])]
     path = tmp_path / "t.csv"
     write_csv_atomic(path, header, rows)
-    assert path.read_text() == ",".join(header) + "\n" + reference_csv_body(header, rows)
+    _assert_same_text(path.read_text(), ",".join(header) + "\n" + reference_csv_body(header, rows))
