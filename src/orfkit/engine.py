@@ -769,7 +769,7 @@ def second_kind_functional_residual_stack(system: OrfSystem, mu: CircleMeasure, 
     kernel = (zt + zz) / (zt - zz)
     kernel_w = kernel @ w / n_points
     at_zs = evaluate_stack([f for n in levels for f in _four(system.level(n))], zs).reshape(-1, 4, zs.size)
-    # the multipliers f, g of each level, the same draws for every level
+    # the multipliers f, g of each level, from a stream seeded afresh per level
     mults = []
     for n in levels:
         rng = np.random.default_rng(seed)

@@ -553,8 +553,8 @@ def relation_residuals(aj: ArfSystem, ak: ArfSystem, n: int) -> RelationReport:
 
 def relation_residual_stack(arfs: dict, triples) -> list:
     """relation_residuals of arfs[j], arfs[k] at level n for each (j, k, n)
-    of triples, in order. Every level of each order's ladder is evaluated on
-    the 256-point boundary grid in one call per order."""
+    of triples, in order. Every level of each ladder in arfs (keyed by
+    order) is evaluated on the 256-point boundary grid in one call."""
     system = next(iter(arfs.values())).base
     if any(arf.base is not system for arf in arfs.values()):
         raise DomainError("the associated ladders must come from one base ladder")
@@ -563,8 +563,8 @@ def relation_residual_stack(arfs: dict, triples) -> list:
             raise DomainError("need 0 <= j <= k <= n <= n_max")
     _, t = boundary_grid(256)
     tables = {}
-    for order in sorted({i for j, k, _ in triples for i in (j, k)}):
-        levels = arfs[order].system.levels
+    for order, arf in arfs.items():
+        levels = arf.system.levels
         funcs = [f for lv in levels for f in (lv.phi, lv.phi_star, lv.psi, lv.psi_star)]
         tables[order] = evaluate_stack(funcs, t).reshape(len(levels), 4, t.size)
 

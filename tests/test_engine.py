@@ -589,14 +589,6 @@ class TestBitIdenticalKernels:
         for got, ref in zip(fast, _numerators(built()), strict=True):
             assert_array_equal(got, ref)
 
-    def test_lebesgue_polynomial_arfs_match_polymul(self, monkeypatch, lebesgue):
-        s = gram_schmidt_orf(lebesgue, PoleSequence(np.zeros(9)), 8)
-        fast = _numerators(arf_recurrence(s, k).system for k in range(4))
-        monkeypatch.setattr(engine, "_padded_polymul", reference_padded_polymul)
-        ref = _numerators(arf_recurrence(s, k).system for k in range(4))
-        for got, want in zip(fast, ref, strict=True):
-            assert_array_equal(got, want)
-
     def test_cached_upsilon_matches_running_product(self):
         rng = np.random.default_rng(5)
         beta = 0.8 * np.sqrt(rng.uniform(size=24)) * np.exp(2j * np.pi * rng.uniform(size=24))
