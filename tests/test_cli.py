@@ -34,15 +34,6 @@ def write_config(tmp_path, data, name="config.json"):
     return str(path)
 
 
-def _assert_same_text(got, want):
-    """Equality of long texts, failing with the first difference only (a
-    full diff of two long texts takes minutes)."""
-    if got != want:
-        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
-        lo = max(i - 40, 0)
-        pytest.fail(f"texts differ at {i}: {got[lo : i + 40]!r} vs {want[lo : i + 40]!r}")
-
-
 class TestSynth:
     def test_worked_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, WORKED)
@@ -69,14 +60,15 @@ class TestSynth:
         assert main(["synth", "--config", cfg, "--out", str(tmp_path), "--table-points", "300"]) == 0
         system = system_from_dict(json.loads((tmp_path / "orf.json").read_text()))
         theta, t = boundary_grid(300)
+        cols = [lv.phi(t) for lv in system.levels]
         lines = ["theta" + "".join(f",phi{n}_re,phi{n}_im" for n in range(5))]
         for j in range(300):
-            vals = [theta[j]]
-            for lv in system.levels:
-                v = lv.phi(t)[j]
-                vals += [v.real, v.imag]
+            vals = [theta[j]] + [x for col in cols for x in (col[j].real, col[j].imag)]
             lines.append(",".join("%.17g" % x for x in vals))
-        _assert_same_text((tmp_path / "orf_table.csv").read_text(), "\n".join(lines) + "\n")
+        text = (tmp_path / "orf_table.csv").read_text()
+        assert text.endswith("\n") and len(text.splitlines()) == len(lines)
+        for got, want in zip(text.splitlines(), lines):
+            assert got == want
 
     def test_polynomial_config(self, tmp_path):
         cfg = write_config(
