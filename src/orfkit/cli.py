@@ -210,7 +210,7 @@ def build_system(cfg: JobConfig):
         for n in range(cfg.n_max + 1):
             worst = max(
                 worst,
-                float(np.abs(np.abs(gs.level(n).phi(t)) - np.abs(synth.level(n).phi(t))).max()),
+                float(np.max(np.abs(np.abs(gs.level(n).phi(t)) - np.abs(synth.level(n).phi(t))))),
             )
             if n >= 1:
                 worst = max(worst, abs(abs(gs.level(n).lam) - abs(synth.level(n).lam)))
@@ -319,7 +319,7 @@ def cmd_example(args) -> int:
         print(f"[{'PASS' if good else 'FAIL'}] {label}: {value:.3e} (tol {tol:.1e})")
 
     err = max(
-        float(np.abs(system.level(m).phi(t) - lebesgue_orf(poles, m)(t)).max())
+        float(np.max(np.abs(system.level(m).phi(t) - lebesgue_orf(poles, m)(t))))
         for m in range(n + 1)
     )
     line("orthonormal functions vs closed form", err, 1e-10)
@@ -327,16 +327,16 @@ def cmd_example(args) -> int:
     line("recurrence parameters vanish", lam, 1e-10)
     rng = np.random.default_rng(0)
     zs = 0.8 * np.sqrt(rng.uniform(size=50)) * np.exp(2j * np.pi * rng.uniform(size=50))
-    line("C-function is 1 on the disk", float(np.abs(system.caratheodory(zs) - 1.0).max()), 1e-10)
+    line("C-function is 1 on the disk", float(np.max(np.abs(system.caratheodory(zs) - 1.0))), 1e-10)
     arf = arf_recurrence(system, 1)
     err = 0.0
     for m in range(1, n + 1):
         phi_e, _ = arf_explicit(system, 1, m, quad=arf.quad)
-        err = max(err, float(np.abs(phi_e(t) - lebesgue_arf(poles, 1, m)(t)).max()))
+        err = max(err, float(np.max(np.abs(phi_e(t) - lebesgue_arf(poles, 1, m)(t)))))
     line("order-1 associated functions vs closed form", err, 1e-9)
     theta = arf.mu_k.params["theta"]
     target = (1.0 - abs(beta1) ** 2) / np.abs(np.exp(1j * theta) - beta1) ** 2
-    line("recovered order-1 density vs closed form", float(np.abs(arf.mu_k.params["w"] - target).max()), 1e-8)
+    line("recovered order-1 density vs closed form", float(np.max(np.abs(arf.mu_k.params["w"] - target))), 1e-8)
     return 0 if ok else 1
 
 

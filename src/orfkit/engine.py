@@ -297,7 +297,7 @@ def _completion_grid(top: OrfLevel, n_max: int) -> int:
     if top.n == 0:
         return base
     roots = npp.polyroots(top.phi.numer)
-    rho = float(np.abs(roots).max()) if roots.size else 0.0
+    rho = float(np.max(np.abs(roots))) if roots.size else 0.0
     if rho <= 0.5:
         return base
     needed = int(np.ceil(30.0 / -np.log(min(rho, 0.9999))))
@@ -476,7 +476,7 @@ def _gram_defect(vals, w) -> float:
     for lo in range(0, w.size, 1024):
         v = np.array([x[lo : lo + 1024] for x in vals])
         gram = gram + (v * w[lo : lo + 1024]) @ v.conj().T
-    return float(np.abs(gram / w.size - np.eye(len(vals))).max())
+    return float(np.max(np.abs(gram / w.size - np.eye(len(vals)))))
 
 
 def zeros_factor(poles: PoleSequence, m: int, z):
@@ -627,7 +627,7 @@ def identity_residual_stack(fs, gs, f_stars, g_stars):
     right = kernels * np.stack(blaschke)[degs]
     at = np.argmax(np.abs(right), axis=1)
     d = left[np.arange(rows), at] / right[np.arange(rows), at]
-    resid = np.abs(left - d.real[:, None] * right).max(axis=1) / np.abs(left).max(axis=1)
+    resid = np.max(np.abs(left - d.real[:, None] * right), axis=1) / np.max(np.abs(left), axis=1)
     return d, resid
 
 
@@ -728,13 +728,13 @@ def interpolation_residual_stack(system: OrfSystem, F: CaratheodoryFn, levels, s
         (phi, phi_s, psi, psi_s), (s_phi, s_phi_s, s_psi, s_psi_s) = at_zs[:, i]
         line_a = phi * fz + psi
         g = line_a / zeros_at[n]
-        scale = float(np.abs(line_a).max())
+        scale = float(np.max(np.abs(line_a)))
         g_anchor = abs(line_pts[n] / complex(zeros_factor(poles, n, pts[n])))
         lhs = (s_phi + ct * s_phi_s) * fz - (s_psi - ct * s_psi_s)
         rhs = ct * ((phi + tau * phi_s) * fz + psi - tau * psi_s)
-        para_res = float(np.abs(lhs - rhs).max() / scale)
+        para_res = float(np.max(np.abs(lhs - rhs)) / scale)
         reports.append(
-            InterpolationReport(n, first, second, float(np.abs(g).min()), g_anchor, para_res, scale)
+            InterpolationReport(n, first, second, float(np.min(np.abs(g))), g_anchor, para_res, scale)
         )
     return reports
 
@@ -798,10 +798,10 @@ def second_kind_functional_residual_stack(system: OrfSystem, mu: CircleMeasure, 
 
         herglotz, mean = means(phi_t * f_t, phi_z * f_z)
         rhs1 = psi_z * f_z
-        res1 = np.abs(herglotz + mean - rhs1).max() / max(np.abs(rhs1).max(), 1e-30)
+        res1 = np.max(np.abs(herglotz + mean - rhs1)) / max(np.max(np.abs(rhs1)), 1e-30)
         herglotz, mean = means(phi_s_t * g_t, phi_s_z * g_z)
         rhs2 = -psi_s_z * g_z
-        res2 = np.abs(herglotz - mean - rhs2).max() / max(np.abs(rhs2).max(), 1e-30)
+        res2 = np.max(np.abs(herglotz - mean - rhs2)) / max(np.max(np.abs(rhs2)), 1e-30)
         out.append(max(res1, res2))
     return np.array(out, dtype=float)
 

@@ -120,7 +120,7 @@ class CircleMeasure:
         if mass is None:
             theta, _ = boundary_grid(8192)
             vals = np.asarray(fn(theta), dtype=float)
-            if (vals <= 0).any():
+            if np.any(vals <= 0):
                 raise NonPositiveWeight("density must be strictly positive")
             mass = float(vals.mean())
         self.mass = mass
@@ -167,10 +167,10 @@ def builtin_measure(kind: str, alpha=None, theta=None, w=None) -> CircleMeasure:
             raise DomainError("samples measure needs matching theta/w arrays")
         if not (np.isfinite(th).all() and np.isfinite(vals).all()):
             raise DomainError("samples theta and w must be finite")
-        if (vals <= 0).any():
+        if np.any(vals <= 0):
             raise NonPositiveWeight("sample table must be strictly positive")
         m = th.size
-        if np.abs(th - _grid_angles(m)).max() > 1e-9:
+        if np.max(np.abs(th - _grid_angles(m))) > 1e-9:
             raise DomainError("sample table must sit on the uniform grid 2 pi j / M")
         coeffs = np.fft.fft(vals) / m
         # the frequencies of fftfreq(M, 1/M) as integers; that float array
@@ -230,7 +230,7 @@ def inner_product(mu: CircleMeasure, f, g, n_points: int = 1024) -> complex:
     _check_grid(n_points)
     theta, t = boundary_grid(n_points)
     w = mu.weight(theta)
-    if (w <= 0).any():
+    if np.any(w <= 0):
         raise NonPositiveWeight("sampled density non-positive on the quadrature grid")
     vals = np.asarray(f(t)) * np.conj(np.asarray(g(t))) * w
     return complex(vals.mean())
@@ -276,7 +276,7 @@ def _moment_series(mu, kp, n_points):
     b0 = kp.beta0
     v = 1.0 + abs(b0) * s
     w = mu.weight(arg_s + np.angle(b0) - 2.0 * np.angle(v))
-    if (w <= 0).any():
+    if np.any(w <= 0):
         raise NonPositiveWeight("sampled density non-positive on the quadrature grid")
     g = w * (1.0 - abs(b0) ** 2) / np.abs(v) ** 2
     return np.fft.fft(g) / n_points, 64.0 * np.finfo(float).eps * float(g.max())
@@ -300,7 +300,7 @@ def caratheodory_from_measure(mu: CircleMeasure, beta0, n_points: int = 2048) ->
     n = n_points
     while True:
         c, floor = _moment_series(mu, kp, n)
-        tail = float(np.abs(c[n // 4 : n // 2]).max())
+        tail = float(np.max(np.abs(c[n // 4 : n // 2])))
         if tail <= floor:
             break
         if n >= 65536:
@@ -338,7 +338,7 @@ def weight_from_caratheodory(F: CaratheodoryFn, beta0, theta):
     b0 = complex(beta0)
     t = np.exp(1j * theta)
     w = np.real(np.asarray(F(t))) * (1.0 - abs(b0) ** 2) / np.abs(t - b0) ** 2
-    if (w < 0).any():
+    if np.any(w < 0):
         raise NegativeDensity("recovered density negative; F is not a C-function here")
     return w
 

@@ -68,10 +68,15 @@ class PoleSequence:
 
         The prefix products are kept as they are first asked for, each one
         the previous times the next eta, as a running product would form it.
+        A longer list is built on a copy and stored in one assignment, so
+        callers racing on one sequence at worst repeat the work.
         """
         ups = self._ups
-        while len(ups) <= k:
-            ups.append(ups[-1] * self.eta(len(ups)))
+        if len(ups) <= k:
+            ups = list(ups)
+            while len(ups) <= k:
+                ups.append(ups[-1] * self.eta(len(ups)))
+            self._ups = ups
         return ups[max(k, 0)]
 
     def varpi(self, k, z):
@@ -115,10 +120,7 @@ class RatFun:
     __slots__ = ("poles", "n", "numer")
 
     def __init__(self, poles: PoleSequence, numer, n: int | None = None):
-        if isinstance(numer, np.ndarray) and numer.ndim == 1 and numer.dtype == complex:
-            arr = numer.copy()
-        else:
-            arr = np.atleast_1d(np.asarray(numer, dtype=complex)).copy()
+        arr = np.array(numer, dtype=complex, ndmin=1)
         if n is None:
             n = arr.size - 1
         if arr.size != n + 1:
@@ -234,10 +236,10 @@ def _pole_guard(conj_beta, z):
         return
     tol = TAU_POLE * (1.0 + abs_z)
     near = 1.0 - b_max * abs_z <= 2.0 * tol
-    if near.any():
+    if np.any(near):
         zn, tn = z[near], tol[near]
         for j, cb in enumerate(conj_beta, start=1):
-            if (np.abs(1.0 - cb * zn) < tn).any():
+            if np.any(np.abs(1.0 - cb * zn) < tn):
                 raise PoleProximity(f"evaluation within tolerance of pole 1/conj(beta_{j})")
 
 
@@ -251,7 +253,7 @@ def substar_eval(f: RatFun, z) -> complex | np.ndarray:
     if f.n == 0:
         out = np.full_like(z, np.conj(f.numer[0]))
         return out if out.ndim else complex(out)
-    if (np.abs(z) < _pole_tol(z)).any():
+    if np.any(np.abs(z) < _pole_tol(z)):
         raise DomainError("substar of a non-constant function is singular at z = 0")
     return np.conj(evaluate(f, 1.0 / np.conj(z)))
 
@@ -310,7 +312,7 @@ def blaschke_product(poles: PoleSequence, k: int, z) -> complex | np.ndarray:
         raise DomainError("Blaschke product index must be >= -1")
     if k == -1:
         z0 = np.asarray(blaschke_factor(poles, 0, z))
-        if (np.abs(z0) < TAU_POLE).any():
+        if np.any(np.abs(z0) < TAU_POLE):
             raise DivisionByZeroBlaschke("B_{-1} requested at a zero of zeta_0")
         out = 1.0 / z0
         return out if out.ndim else complex(out)
@@ -348,7 +350,7 @@ def herglotz_kernel(kp: KernelParams, t, z) -> complex | np.ndarray:
     zt = np.asarray(kp.zeta0(t))
     zz = np.asarray(kp.zeta0(z))
     den = zt - zz
-    if (np.abs(den) < 1e-12 * (np.abs(zt) + np.abs(zz) + 1.0)).any():
+    if np.any(np.abs(den) < 1e-12 * (np.abs(zt) + np.abs(zz) + 1.0)):
         raise KernelSingularity("Herglotz kernel evaluated with zeta_0(t) ~ zeta_0(z)")
     out = (zt + zz) / den
     return out if out.ndim else complex(out)
@@ -362,9 +364,9 @@ def poisson_kernel(kp: KernelParams, t, z) -> complex | np.ndarray:
     """
     t = np.asarray(t, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    if (np.abs(np.abs(t) - 1.0) > 1e-8).any():
+    if np.any(np.abs(np.abs(t) - 1.0) > 1e-8):
         raise DomainError("Poisson kernel requires |t| = 1")
-    if (np.abs(z) >= 1.0).any():
+    if np.any(np.abs(z) >= 1.0):
         raise DomainError("Poisson kernel requires |z| < 1")
     b0 = kp.beta0
     num = (1.0 - np.abs(z) ** 2) * (1.0 - np.conj(b0) * t) * (t - b0)

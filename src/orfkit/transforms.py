@@ -186,7 +186,7 @@ def check_quad(
 
     if N > 0:
         b_abs = np.abs(quad.B(np.concatenate([zeros_b, t512])))
-        a2_min = float(b_abs[:N].min()) / max(float(b_abs[N:].max()), 1e-300)
+        a2_min = float(np.min(b_abs[:N])) / max(float(np.max(b_abs[N:])), 1e-300)
     else:
         a2_min = np.inf
 
@@ -199,11 +199,11 @@ def check_quad(
     g_pts = np.concatenate([quad.tilde_poles.beta, base_poles.beta[N + 1 : N + depth + 1]])
     pts = np.concatenate([zeros_b, g_pts, ring])
     amb, g = _safe_ratio(a_minus_bf, lambda z: zeros_factor(base_poles, N, z), pts, zeros_b)
-    scale3 = max(float(np.abs(amb[-ring.size :]).max()), 1e-300)
-    a3_max = float(np.abs(amb[:N]).max()) / scale3 if N > 0 else 0.0
+    scale3 = max(float(np.max(np.abs(amb[-ring.size :]))), 1e-300)
+    a3_max = float(np.max(np.abs(amb[:N]))) / scale3 if N > 0 else 0.0
     g_req, g_ring = g[N : N + g_pts.size], g[-ring.size :]
-    scale_g = float(max(np.abs(g_req).max(), np.abs(g_ring).max()))
-    a33_min = float(np.abs(g_req).min()) / scale_g if scale_g > 0 else 0.0
+    scale_g = float(max(np.max(np.abs(g_req)), np.max(np.abs(g_ring))))
+    a33_min = float(np.min(np.abs(g_req))) / scale_g if scale_g > 0 else 0.0
 
     def adbc(z):
         a, b, c, d = evaluate_stack((quad.A, quad.B, quad.C, quad.D), z)
@@ -215,11 +215,11 @@ def check_quad(
     # A D - B C at its required zeros and on the ring, its cofactor f on the ring
     vanish_pts = np.concatenate([zeros_b, quad.tilde_poles.beta[:r]])
     det, f = _safe_ratio(adbc, f_den, np.concatenate([vanish_pts, ring]), vanish_pts)
-    scale42 = max(float(np.abs(det[-ring.size :]).max()), 1e-300)
-    a42_max = float(np.abs(det[: vanish_pts.size]).max()) / scale42 if vanish_pts.size else 0.0
+    scale42 = max(float(np.max(np.abs(det[-ring.size :]))), 1e-300)
+    a42_max = float(np.max(np.abs(det[: vanish_pts.size]))) / scale42 if vanish_pts.size else 0.0
     f_ring = f[-ring.size :]
-    scale_f = float(np.abs(f_ring).max())
-    a42_f_min = float(np.abs(f_ring).min()) / scale_f if scale_f > 0 else 0.0
+    scale_f = float(np.max(np.abs(f_ring)))
+    a42_f_min = float(np.min(np.abs(f_ring))) / scale_f if scale_f > 0 else 0.0
 
     passed = bool(
         a1 <= QUAD_TOL
@@ -288,7 +288,7 @@ def apply_transform_stack(system: OrfSystem, quad: SelfReciprocalQuad, c_n, offs
         num[:, :, j : j + top + 1] += np.tensordot(m, numers, axes=1)
     num = num.reshape(4 * len(offsets), -1)
     sizes = np.tile([2 * N + r + v + 1 for v in offsets], 4)
-    scale = np.maximum(np.abs(num).max(axis=1), 1e-300)
+    scale = np.maximum(np.max(np.abs(num), axis=1), 1e-300)
     # the known common factor: (z - beta_0)(1 - conj(beta_0) z) times
     # (z - beta_j)(1 - conj(beta_j) z) for j = 1..N-1, removed one stable
     # deflation at a time; nothing to remove when N = 0
@@ -303,8 +303,8 @@ def apply_transform_stack(system: OrfSystem, quad: SelfReciprocalQuad, c_n, offs
     quo = quo / kappa
     target = np.tile([r + v + 1 for v in offsets], 4)
     beyond = np.arange(quo.shape[1]) >= target[:, None]
-    overflow = (np.abs(quo) * beyond).max(axis=1, initial=0.0)
-    quo_scale = np.maximum(np.abs(quo).max(axis=1), 1e-300)
+    overflow = np.max(np.abs(quo) * beyond, axis=1, initial=0.0)
+    quo_scale = np.maximum(np.max(np.abs(quo), axis=1), 1e-300)
 
     out = []
     for i, v in enumerate(offsets):
@@ -465,7 +465,7 @@ def arf_anchor_residual(system: OrfSystem, F: CaratheodoryFn, k: int) -> float:
     # beta_k and the ring in one evaluation
     nums, dens = _arf_ratio_terms(system, F, k)(np.concatenate([[b_k], ring]))
     num, den = complex(nums[0]), complex(dens[0])
-    den_scale = float(np.abs(dens[1:]).max())
+    den_scale = float(np.max(np.abs(dens[1:])))
     if abs(den) > 1e-6 * den_scale:
         return abs(num / den - 1.0)
     return abs(num - den) / den_scale
@@ -485,7 +485,7 @@ def arf_caratheodory(system: OrfSystem, F: CaratheodoryFn, k: int) -> Caratheodo
         raise NumericalFailure(f"transformed C-function anchor defect {Fk.anchor_residual:.2e}")
     rng = np.random.default_rng(0)
     zs = 0.95 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
-    re_min = float(np.real(np.asarray(Fk(zs))).min())
+    re_min = float(np.min(np.real(np.asarray(Fk(zs)))))
     if re_min <= 0.0:
         raise NumericalFailure(f"transformed C-function lost positivity (min Re = {re_min:.2e})")
     return Fk
@@ -519,7 +519,7 @@ def arf_discrepancy(arf: ArfSystem) -> float:
         for f in (phi_e, psi_e, lv.phi, lv.psi)
     ]
     pe, qe, p, q = evaluate_stack(funcs, t).reshape(-1, 4, t.size).transpose(1, 0, 2)
-    return float(max(np.abs(pe - p).max(), np.abs(qe - q).max()))
+    return float(max(np.max(np.abs(pe - p)), np.max(np.abs(qe - q))))
 
 
 @dataclass(frozen=True)
@@ -553,18 +553,22 @@ def relation_residuals(aj: ArfSystem, ak: ArfSystem, n: int) -> RelationReport:
 
 def relation_residual_stack(arfs: dict, triples) -> list:
     """relation_residuals of arfs[j], arfs[k] at level n for each (j, k, n)
-    of triples, in order. Every level of each ladder in arfs (keyed by
-    order) is evaluated on the 256-point boundary grid in one call."""
+    of triples, in order. The levels of each order's ladder (arfs is keyed
+    by order) up to the highest n of triples are evaluated on the 256-point
+    boundary grid in one call."""
     system = next(iter(arfs.values())).base
     if any(arf.base is not system for arf in arfs.values()):
         raise DomainError("the associated ladders must come from one base ladder")
     for j, k, n in triples:
         if not 0 <= j <= k <= n <= system.n_max:
             raise DomainError("need 0 <= j <= k <= n <= n_max")
+    if not triples:
+        return []
     _, t = boundary_grid(256)
+    hi = max(n for _, _, n in triples)
     tables = {}
-    for order, arf in arfs.items():
-        levels = arf.system.levels
+    for order in {o for j, k, _ in triples for o in (j, k)}:
+        levels = arfs[order].system.levels[: hi - order + 1]
         funcs = [f for lv in levels for f in (lv.phi, lv.phi_star, lv.psi, lv.psi_star)]
         tables[order] = evaluate_stack(funcs, t).reshape(len(levels), 4, t.size)
 

@@ -114,7 +114,7 @@ def check_recurrence_fit(ctx):
 
 def check_determinant(ctx):
     d, resid = determinant_residual_stack(ctx.system, range(ctx.system.n_max + 1))
-    return float(max(resid.max(), np.abs(d - 2.0).max()))
+    return float(max(np.max(resid), np.max(np.abs(d - 2.0))))
 
 
 def check_para_zeros(ctx):
@@ -131,7 +131,7 @@ def check_second_kind(ctx):
     # the quadrature runs level by level; the comparison is one evaluation
     integral = second_kind_integral_stack(mu, s, range(s.n_max + 1))
     psi_int, psi_rec = np.split(evaluate_stack(integral + [lv.psi for lv in rebuilt], t), 2)
-    return float(np.abs(psi_int - psi_rec).max())
+    return float(np.max(np.abs(psi_int - psi_rec)))
 
 
 def check_interpolation(ctx):
@@ -149,7 +149,7 @@ def check_interpolation(ctx):
 def check_multiplier_identities(ctx):
     s = ctx.system
     levels = range(s.n_max + 1)
-    return float(second_kind_functional_residual_stack(s, ctx.measure, levels, seed=ctx.seed).max())
+    return float(np.max(second_kind_functional_residual_stack(s, ctx.measure, levels, seed=ctx.seed)))
 
 
 def check_arf_consistency(ctx):
@@ -185,7 +185,7 @@ def check_remark(ctx):
         if above:
             Gs, Js = zip(*above)
             d, resid = identity_residual_stack(Gs, Js, [superstar(G) for G in Gs], [superstar(J) for J in Js])
-            worst = max(worst, float(resid.max()), float(np.abs(d.real - 2.0).max()))
+            worst = max(worst, float(np.max(resid)), float(np.max(np.abs(d.real - 2.0))))
     return worst
 
 
@@ -197,7 +197,7 @@ def check_positivity(ctx):
     for k in range(min(3, s.n_max) + 1):
         Fk = ctx.arf(k).F_k
         worst = max(worst, Fk.anchor_residual)
-        if np.real(np.asarray(Fk(zs))).min() <= 0:
+        if np.min(np.real(np.asarray(Fk(zs)))) <= 0:
             worst = max(worst, 1.0)
     return worst
 
@@ -222,7 +222,7 @@ def check_roundtrip_measure(ctx):
     theta, _ = boundary_grid(512)
     F = caratheodory_from_measure(mu, ctx.system.poles.beta[0], n_points=ctx.system.n_points)
     w = weight_from_caratheodory(F, ctx.system.poles.beta[0], theta)
-    return float(np.abs(w - mu.weight(theta)).max())
+    return float(np.max(np.abs(w - mu.weight(theta))))
 
 
 def check_serialization(ctx):

@@ -350,6 +350,23 @@ def test_relation_stack_matches_per_triple(synth_system, poisson_system):
             assert got == reference_relation_residuals(arfs[j], arfs[k], n)
 
 
+def test_relation_stack_reads_levels_up_to_highest_n(synth_system, monkeypatch):
+    # an n_max = 4 ladder: the triple (0, 1, 2) needs levels 0..2 of order 0
+    # and 1..2 of order 1, four functions each, whatever the ladder's length
+    arfs = {k: arf_recurrence(synth_system, k) for k in range(2)}
+    sizes = []
+    real = transforms.evaluate_stack
+
+    def counting(fs, z):
+        sizes.append(len(fs))
+        return real(fs, z)
+
+    monkeypatch.setattr(transforms, "evaluate_stack", counting)
+    relation_residual_stack(arfs, [(0, 1, 2)])
+    assert sorted(sizes) == [8, 12]
+    assert relation_residual_stack(arfs, []) == []
+
+
 def test_relation_stack_needs_one_base(synth_system, poisson_system):
     arfs = {0: arf_recurrence(synth_system, 0), 1: arf_recurrence(poisson_system, 1)}
     with pytest.raises(DomainError):
