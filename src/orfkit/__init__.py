@@ -61,7 +61,6 @@ from .engine import (
     para_pair,
     para_zeros,
     recurrence_step,
-    second_kind_integral,
     synthesize,
 )
 from .transforms import (

@@ -2,9 +2,11 @@
 
 A ladder holds, per level n, the orthonormal function phi_n, its superstar,
 the second-kind companion psi_n and its superstar, and the recurrence data
-(lambda_n, e_n, rho_n). Ladders come from a measure (Gram-Schmidt plus
-second-kind quadrature) or from recurrence parameters (synthesis); the two
-routes are kept independent so they can check each other.
+(lambda_n, e_n, rho_n). Every ladder is its poles and those parameters run
+through one recurrence: synthesis takes the parameters as given, the
+measure route fits them from one weighted QR. The second-kind quadrature
+against the measure builds no ladder; it stays as the independent check of
+the fitted parameters.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .measure import (
     _grid_points_size,
     boundary_grid,
     caratheodory_from_measure,
-    custom_measure,
     default_grid,
     ratio_caratheodory,
 )
@@ -77,11 +78,12 @@ class OrfLevel:
 class OrfSystem:
     """Immutable ladder of levels 0..n_max over a pole sequence.
 
-    source is "measure" or "parameters"; both are orthonormal. A
-    measure-sourced system keeps its measure; every system carries an
-    evaluable C-function, by default the rational completion psi*_m/phi*_m
-    of its top level m. Its para-orthogonal pairs are built on first use
-    and kept (`para_pair`).
+    source is "measure" or "parameters": where the recurrence data came
+    from. Both are orthonormal, and both are the recurrence run on that
+    data from level 0. A measure-sourced system keeps its measure; every
+    system carries an evaluable C-function, by default the rational
+    completion psi*_m/phi*_m of its top level m. Its para-orthogonal pairs
+    are built on first use and kept (`para_pair`).
     """
 
     __slots__ = ("poles", "levels", "source", "measure", "caratheodory", "n_points", "_pairs")
@@ -324,7 +326,8 @@ def measure_from_system(system: OrfSystem) -> CircleMeasure:
     """Boundary density of the C-function psi*_m/phi*_m in closed form:
     w(theta) = (1 - |beta_m|^2) / (|t - beta_m|^2 |phi*_m(t)|^2).
 
-    The density is computed once per uniform grid 2 pi j / N. Its
+    The density has mass 1 by construction, since the C-function takes 1
+    at beta_0, and is computed once per uniform grid 2 pi j / N. Its
     C-function comes back through the moment series like any other's.
     """
     m = system.n_max
@@ -335,7 +338,7 @@ def measure_from_system(system: OrfSystem) -> CircleMeasure:
         t = np.exp(1j * np.asarray(theta, dtype=float))
         return (1.0 - abs(b_m) ** 2) / (np.abs(t - b_m) ** 2 * np.abs(phi_star(t)) ** 2)
 
-    return custom_measure(_grid_memo(fn), label="rational")
+    return CircleMeasure("rational", _grid_memo(fn), mass=1.0)
 
 
 def _circle_nodes(count: int, n_points: int) -> np.ndarray:
@@ -349,13 +352,6 @@ def _herglotz_means(kp, zt, w, f_t, nodes, f_nodes) -> np.ndarray:
     kernel; zt holds zeta_0(t) on the grid."""
     zz = kp.zeta0(nodes)[:, None]
     return ((zt + zz) / (zt - zz) * (f_t - f_nodes[:, None]) * w).mean(axis=1)
-
-
-def _second_kind(mu, poles, kp, phi: RatFun, n: int, n_points: int) -> RatFun:
-    """_second_kind_on_grid, reading the weight, zeta_0 and phi on the grid
-    2 pi j / n_points itself."""
-    theta, t = boundary_grid(n_points)
-    return _second_kind_on_grid(poles, kp, phi, n, mu.weight(theta), kp.zeta0(t), phi(t))
 
 
 def _second_kind_on_grid(poles, kp, phi: RatFun, n: int, w, zt, phi_t) -> RatFun:
@@ -377,19 +373,14 @@ def _second_kind_on_grid(poles, kp, phi: RatFun, n: int, w, zt, phi_t) -> RatFun
     return RatFun(poles, coeffs * np.exp(-1j * np.pi / n_points * np.arange(n + 1)), n)
 
 
-def second_kind_integral(mu: CircleMeasure, system: OrfSystem, n: int) -> RatFun:
-    """Second-kind function of level n straight from its defining quadrature.
-
-    Independent of the recurrence route: the two must agree, which the
-    verification suite checks.
-    """
-    return _second_kind(mu, system.poles, system.kernel, system.level(n).phi, n, system.n_points)
-
-
 def second_kind_integral_stack(mu: CircleMeasure, system: OrfSystem, levels) -> list:
-    """second_kind_integral at each of the levels, in order. The weight and
-    zeta_0 are read on the grid once; each level's phi is evaluated there
-    on its own, so no table of every level on the grid is held."""
+    """Second-kind functions of the levels, in order, straight from their
+    defining quadrature (_second_kind_on_grid) against mu.
+
+    No ladder is built this way: the recurrence route must agree with it,
+    which the verification suite checks. The weight and zeta_0 are read on
+    the grid once; each level's phi is evaluated there on its own, so no
+    table of every level on the grid is held."""
     theta, t = boundary_grid(system.n_points)
     w, zt = mu.weight(theta), system.kernel.zeta0(t)
     out = []
@@ -397,6 +388,13 @@ def second_kind_integral_stack(mu: CircleMeasure, system: OrfSystem, levels) -> 
         phi = system.level(n).phi
         out.append(_second_kind_on_grid(system.poles, system.kernel, phi, n, w, zt, phi(t)))
     return out
+
+
+def _basis(poles, n_max, z) -> np.ndarray:
+    """B_0..B_n_max at the points z, one column each: the running product of
+    the Blaschke factors zeta_1..zeta_n_max."""
+    factors = [np.ones_like(z)] + [blaschke_factor(poles, j, z) for j in range(1, n_max + 1)]
+    return np.cumprod(np.stack(factors, axis=1), axis=1)
 
 
 def gram_schmidt_orf(
@@ -412,9 +410,9 @@ def gram_schmidt_orf(
     go through one Householder QR (Cholesky of the Gram matrix would square
     its condition number). With R's diagonal made real and positive,
     phi_k = sum_j B_j (R^-1)_jk, so phi_k^*(beta_k) = 1/R_kk > 0 fixes the
-    phase. The numerators come from those of B_0..B_k lifted to degree k;
-    second-kind companions come from quadrature and the recurrence data
-    from the least-squares inversion.
+    phase. (lambda_k, rho_k) are fitted from those phi_k at the fit points,
+    and the ladder, second-kind companions included, is the recurrence run
+    on them, as `synthesize` runs it.
     """
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
@@ -425,42 +423,27 @@ def gram_schmidt_orf(
     theta, t = boundary_grid(n_points)
     w = mu.weight(theta)
 
-    factors = [np.ones_like(t)] + [blaschke_factor(poles, j, t) for j in range(1, n_max + 1)]
-    basis = np.cumprod(np.stack(factors, axis=1), axis=1)
-    r = np.linalg.qr(basis * np.sqrt(w / n_points)[:, None], mode="r")
+    r = np.linalg.qr(_basis(poles, n_max, t) * np.sqrt(w / n_points)[:, None], mode="r")
     diag = np.diagonal(r)
     small = np.flatnonzero(~(np.abs(diag) > 1e-10))
     if small.size:
         raise RankDeficiency(f"basis numerically dependent at level {small[0]}")
     coef = np.linalg.inv(r * (np.conj(diag) / np.abs(diag))[:, None])
 
-    # column j holds the numerator of B_j at degree k; each level multiplies
-    # every column by 1 - conj(beta_k) z and appends eta_k (z - beta_k) B_{k-1}
-    lifted = np.ones((1, 1), dtype=complex)
-    phis = []
-    for k in range(n_max + 1):
-        if k:
-            b = poles.beta[k]
-            pad = np.zeros((1, k), dtype=complex)
-            up, down = np.vstack([lifted, pad]), np.vstack([pad, lifted])
-            top = poles.eta(k) * (down[:, -1] - b * up[:, -1])
-            lifted = np.column_stack([up - np.conj(b) * down, top])
-        phis.append(RatFun(poles, lifted @ coef[: k + 1, k], k))
+    # row k: phi_k at the fit points, and phi_k^* = B_k conj(phi_k) there (|z| = 1)
+    basis = _basis(poles, n_max, _FIT_POINTS)
+    phi_z = (basis @ coef).T
+    star_z = basis.T * np.conj(phi_z)
+    fitted = [
+        _parameters(k, _fit_values(poles, k, phi_z[k - 1], star_z[k - 1], phi_z[k])) for k in range(1, n_max + 1)
+    ]
+    # e_n at its orthonormal default, as synthesize runs the recurrence
+    params = ((lam, rho, None) for lam, _, rho in fitted)
+    levels = _run_recurrence(poles, _level_zero(poles, coef[0, 0]), params)
 
-    vals = evaluate_stack(phis, t)
-    defect = _gram_defect(vals, w)
+    defect = _gram_defect(evaluate_stack([lv.phi for lv in levels], t), w)
     if defect > TOL_ORTHO:
         raise NumericalFailure(f"Gram matrix deviates from identity by {defect:.2e}")
-
-    kp = KernelParams(poles.beta[0])
-    zt = kp.zeta0(t)
-    stars = [superstar(phi) for phi in phis]
-    fits = _fit_ladder(poles, phis, stars)
-    params = [(None, None, None)] + [_parameters(k, fit) for k, fit in enumerate(fits, start=1)]
-    levels = []
-    for k, (phi, phi_t, phi_star) in enumerate(zip(phis, vals, stars)):
-        psi = _second_kind_on_grid(poles, kp, phi, k, w, zt, phi_t)
-        levels.append(OrfLevel(k, phi, phi_star, psi, superstar(psi), *params[k]))
     F = caratheodory_from_measure(mu, poles.beta[0], n_points=n_points)
     return OrfSystem(poles, levels, source="measure", measure=mu, caratheodory=F, n_points=n_points)
 

@@ -106,23 +106,19 @@ def _trig_eval(coeffs, freqs, theta):
 class CircleMeasure:
     """Positive density on the circle against dtheta/2pi, normalized to mass 1.
 
-    Built through `builtin_measure` (lebesgue | poisson | samples) or from a
-    positive callable. Atoms and singular parts are out of scope: construction
-    rejects non-positive sampled densities.
+    Built through `builtin_measure` (lebesgue | poisson | samples), or as the
+    rational completion of a ladder (`engine.measure_from_system`). The
+    caller gives the density's mass, which each of them knows in closed
+    form. Atoms and singular parts are out of scope: construction rejects
+    non-positive sampled densities.
     """
 
     __slots__ = ("kind", "params", "_fn", "mass")
 
-    def __init__(self, kind, fn, params=None, mass=None):
+    def __init__(self, kind, fn, params=None, *, mass):
         self.kind = kind
         self.params = params or {}
         self._fn = fn
-        if mass is None:
-            theta, _ = boundary_grid(8192)
-            vals = np.asarray(fn(theta), dtype=float)
-            if np.any(vals <= 0):
-                raise NonPositiveWeight("density must be strictly positive")
-            mass = float(vals.mean())
         self.mass = mass
 
     def weight(self, theta):
@@ -192,11 +188,6 @@ def builtin_measure(kind: str, alpha=None, theta=None, w=None) -> CircleMeasure:
 
         return CircleMeasure("samples", fn, params={"theta": th, "w": vals}, mass=float(vals.mean()))
     raise DomainError(f"unknown measure kind {kind!r}")
-
-
-def custom_measure(fn, label="custom") -> CircleMeasure:
-    """Measure from an arbitrary strictly positive density callable."""
-    return CircleMeasure(label, fn)
 
 
 def measure_from_config(spec: dict) -> CircleMeasure:

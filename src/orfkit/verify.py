@@ -20,7 +20,6 @@ from .engine import (
     _gram_defect,
     _min_separation,
     _parameters,
-    _run_recurrence,
     determinant_residual_stack,
     identity_residual_stack,
     interpolation_residual_stack,
@@ -126,11 +125,10 @@ def check_para_zeros(ctx):
 def check_second_kind(ctx):
     s = ctx.system
     mu = ctx.measure
-    rebuilt = _run_recurrence(s.poles, s.level(0), ((lv.lam, lv.rho, lv.e) for lv in s.levels[1:]))
     _, t = boundary_grid(512)
     # the quadrature runs level by level; the comparison is one evaluation
     integral = second_kind_integral_stack(mu, s, range(s.n_max + 1))
-    psi_int, psi_rec = np.split(evaluate_stack(integral + [lv.psi for lv in rebuilt], t), 2)
+    psi_int, psi_rec = np.split(evaluate_stack(integral + [lv.psi for lv in s.levels], t), 2)
     return float(np.max(np.abs(psi_int - psi_rec)))
 
 

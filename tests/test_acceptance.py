@@ -27,7 +27,7 @@ from orfkit import (
     weight_from_caratheodory,
 )
 from orfkit import apply_transform
-from orfkit.engine import _fit_step, recurrence_step, second_kind_integral
+from orfkit.engine import _fit_step, recurrence_step, second_kind_integral_stack
 from orfkit.measure import boundary_grid
 from orfkit.serialize import dumps, system_from_dict, system_to_dict
 from orfkit.transforms import arf_anchor_residual
@@ -140,7 +140,7 @@ def test_criterion_05_second_kind_cross_check(measure_systems):
             src = system.level(n)
             rebuilt.append(recurrence_step(rebuilt[-1], src.lam, src.rho, system.poles, n, e=src.e))
         for n in range(9):
-            psi = second_kind_integral(system.measure, system, n)
+            psi = second_kind_integral_stack(system.measure, system, [n])[0]
             worst = max(worst, float(np.max(np.abs(psi(t) - rebuilt[n].psi(t)))))
     assert _line("criterion 5: second-kind integral vs recurrence", worst, 1e-8)
 

@@ -27,7 +27,6 @@ from orfkit import (
     para_pair,
     para_zeros,
     recurrence_step,
-    second_kind_integral,
     superstar,
     synthesize,
 )
@@ -40,7 +39,8 @@ from orfkit.engine import (
     _gram_defect,
     _herglotz_means,
     _level_zero,
-    _second_kind,
+    _run_recurrence,
+    _second_kind_on_grid,
     second_kind_integral_stack,
 )
 from orfkit.measure import boundary_grid
@@ -169,11 +169,13 @@ class TestGramSchmidt:
         s = gram_schmidt_orf(mu, poles, n)
         ref = reference_gram_schmidt(mu, poles, n, s.n_points)
         kp = KernelParams(beta0)
+        theta, t = boundary_grid(s.n_points)
+        w, zt = mu.weight(theta), kp.zeta0(t)
         ref_lams = []
         for k, phi in enumerate(ref):
             lv = s.level(k)
             assert _rel(lv.phi.numer, phi.numer) < 1e-12
-            psi = _second_kind(mu, poles, kp, phi, k, s.n_points)
+            psi = _second_kind_on_grid(poles, kp, phi, k, w, zt, phi(t))
             assert _rel(lv.psi.numer, psi.numer) < 1e-12
             if k:
                 ref_lams.append(_fit_parameters(poles, k, ref[k - 1], superstar(ref[k - 1]), phi)[0])
@@ -192,6 +194,31 @@ class TestGramSchmidt:
         assert s.n_max == 6
         # nor can engine reach a copy of combine taken before the patch
         assert not hasattr(engine, "combine")
+
+    @pytest.mark.parametrize("kind", ["poisson", "samples"])
+    def test_ladder_is_recurrence_of_its_parameters(self, kind):
+        # the measure route ends in the recurrence that synthesize runs, so
+        # the stored levels are that recurrence on the stored (lambda, rho, e)
+        theta = boundary_grid(512)[0]
+        mu = {
+            "poisson": builtin_measure("poisson", alpha=0.3 - 0.2j),
+            "samples": builtin_measure("samples", theta=theta, w=1.0 + 0.4 * np.cos(theta - 0.7)),
+        }[kind]
+        s = gram_schmidt_orf(mu, disk_poles(5, 13, 0.2 - 0.1j), 12)
+        params = ((lv.lam, lv.rho, lv.e) for lv in s.levels[1:])
+        rebuilt = _run_recurrence(s.poles, _level_zero(s.poles, s.level(0).phi.numer[0]), params)
+        for lv, ref in zip(s.levels, rebuilt, strict=True):
+            for name in ("phi", "phi_star", "psi", "psi_star"):
+                assert_array_equal(_bits(getattr(lv, name).numer), _bits(getattr(ref, name).numer))
+            assert (lv.lam, lv.e, lv.rho) == (ref.lam, ref.e, ref.rho)
+
+    def test_build_runs_no_quadrature(self, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("second-kind quadrature ran in a build")
+
+        monkeypatch.setattr(engine, "_second_kind_on_grid", no_quadrature)
+        s = gram_schmidt_orf(builtin_measure("poisson", alpha=0.3 - 0.2j), disk_poles(3, 7, 0.2j), 6)
+        assert s.n_max == 6
 
     def test_more_levels_than_grid_points(self, lebesgue):
         with pytest.raises(RankDeficiency, match="level 256"):
@@ -317,7 +344,7 @@ class TestExtraction:
 
 class TestSecondKind:
     def test_level_zero_is_phi(self, poisson_system):
-        psi = second_kind_integral(poisson_system.measure, poisson_system, 0)
+        psi = second_kind_integral_stack(poisson_system.measure, poisson_system, [0])[0]
         assert_allclose(psi.numer, poisson_system.level(0).phi.numer, atol=1e-13)
 
     def test_nodes_off_the_grid(self):
@@ -342,7 +369,7 @@ class TestSecondKind:
         lv = _level_zero(s.poles, s.level(0).phi.numer[0])
         for n in range(1, s.n_max + 1):
             lv = recurrence_step(lv, s.level(n).lam, s.level(n).rho, s.poles, n, e=s.level(n).e)
-            psi = second_kind_integral(s.measure, s, n)
+            psi = second_kind_integral_stack(s.measure, s, [n])[0]
             assert sup_diff(psi, lv.psi, 512) < 1e-8
 
     def test_full_degree(self, poisson_system):
@@ -618,7 +645,11 @@ class TestBitIdenticalKernels:
     def test_second_kind_stack_matches_per_level(self, poisson_system):
         s = poisson_system
         stacked = second_kind_integral_stack(s.measure, s, range(s.n_max + 1))
+        theta, t = boundary_grid(s.n_points)
         for n, psi in enumerate(stacked):
-            assert_array_equal(_bits(psi.numer), _bits(second_kind_integral(s.measure, s, n).numer))
-            # the build ran the same quadrature from its shared grid reads
-            assert_array_equal(_bits(psi.numer), _bits(s.level(n).psi.numer))
+            # the per-level quadrature, reading the grid itself
+            phi = s.level(n).phi
+            one = _second_kind_on_grid(s.poles, s.kernel, phi, n, s.measure.weight(theta), s.kernel.zeta0(t), phi(t))
+            assert_array_equal(_bits(psi.numer), _bits(one.numer))
+            # the build's psi comes from the recurrence, not from this quadrature
+            assert _rel(s.level(n).psi.numer, psi.numer) < 1e-12

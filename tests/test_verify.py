@@ -156,6 +156,28 @@ def test_synthesized_n_32_second_kind():
     assert _failing(s, ["second_kind", "multiplier_identities"]) == {}
 
 
+@pytest.mark.parametrize("kind", ["lebesgue", "poisson"])
+def test_measure_ladder_n_32_random_beta0(kind):
+    # beta_0 drawn with the other poles, all up to 0.85: these four identities
+    # failed by factors of 1.2-2.7 while each psi_n came from quadrature
+    rng = np.random.default_rng([32, 0, 7])
+    poles = PoleSequence(_disk(rng, 0.85, 33))
+    mu = builtin_measure("lebesgue") if kind == "lebesgue" else builtin_measure("poisson", alpha=0.3 - 0.2j)
+    s = gram_schmidt_orf(mu, poles, 32)
+    assert _failing(s, ["determinant", "interpolation", "arf_consistency", "remark"]) == {}
+
+
+def test_rational_completion_has_mass_one():
+    # the n = 64 ladder's grid is 32768 points; a mass taken as the density's
+    # mean on a fixed 8192-point grid was off by 1.2e-4
+    rng = np.random.default_rng(1)
+    poles = PoleSequence(_disk(rng, 0.7, 65))
+    s = synthesize(_disk(rng, 0.2, 64), poles)
+    ctx = VerifyContext(s, seed=0, tolerances={})
+    assert ctx.measure.mass == 1.0
+    assert verify.check_orthonormality(ctx) < 1e-9
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_roundtrip_measure_on_lambda_ladder(seed):
     # beta_0 is drawn with the other poles, so the moment series runs
