@@ -27,7 +27,6 @@ from .ratfun import (
     RatFun,
     blaschke_factor,
     blaschke_product,
-    combine,
     evaluate,
     evaluate_stack,
     herglotz_kernel,
@@ -51,10 +50,8 @@ from .engine import (
     OrfSystem,
     ParaPair,
     caratheodory_from_system,
-    determinant_residual,
     extract_parameters,
     gram_schmidt_orf,
-    interpolation_residuals,
     lebesgue_arf,
     lebesgue_orf,
     measure_from_system,
@@ -66,7 +63,6 @@ from .engine import (
 from .transforms import (
     ArfSystem,
     SelfReciprocalQuad,
-    apply_transform,
     arf_caratheodory,
     arf_explicit,
     arf_quad,
@@ -74,7 +70,6 @@ from .transforms import (
     check_quad,
     identity_quad,
     relation_residuals,
-    remark_identity_residual,
     transformed_caratheodory,
 )
 

@@ -51,10 +51,12 @@ def _number(convert, value, what):
         raise ConfigError(f"{what} must be numeric, got {value!r}") from exc
 
 
-def _integer(value, what):
-    """A JSON integer; floats, booleans and strings are config errors."""
+def _integer(value, what, low=None):
+    """A JSON integer, at least low if given; floats, booleans and strings are config errors."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"{what} must be >= {low}")
     return value
 
 
@@ -121,9 +123,7 @@ class JobConfig:
             if lambdas is None:
                 raise ConfigError("n_max is required for measure-only configs")
             n_max = len(lambdas)
-        n_max = _integer(n_max, "n_max")
-        if n_max < 0:
-            raise ConfigError("n_max must be >= 0")
+        n_max = _integer(n_max, "n_max", low=0)
         if lambdas is not None and len(lambdas) != n_max:
             raise ConfigError("lambdas must have exactly n_max entries")
         if n_max > len(poles) - 1:
@@ -161,7 +161,7 @@ class JobConfig:
             n_max=n_max,
             arf_order=arf_order,
             tolerances=tolerances,
-            seed=_integer(raw.get("seed", 0), "seed"),
+            seed=_integer(raw.get("seed", 0), "seed", low=0),
             source=source,
             allow_poles_near_circle=allow,
             grid=grid,

@@ -43,6 +43,7 @@ from .ratfun import (
     blaschke_factor,
     blaschke_product,
     evaluate_stack,
+    herglotz_kernel,
     poisson_kernel,
     superstar,
 )
@@ -51,6 +52,8 @@ TOL_ORTHO = 1e-9
 # Quadrature accuracy degrades as poles approach the circle; beyond this the
 # constructors demand an explicit override.
 POLE_CAP = 0.9
+# grid points per block of the sums over the quadrature grid
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -82,8 +85,9 @@ class OrfSystem:
     from. Both are orthonormal, and both are the recurrence run on that
     data from level 0. A measure-sourced system keeps its measure; every
     system carries an evaluable C-function, by default the rational
-    completion psi*_m/phi*_m of its top level m. Its para-orthogonal pairs
-    are built on first use and kept (`para_pair`).
+    completion psi*_m/phi*_m of its top level m. A system given no grid
+    size gets the default one for its n_max. Its para-orthogonal pairs are
+    built on first use and kept (`para_pair`).
     """
 
     __slots__ = ("poles", "levels", "source", "measure", "caratheodory", "n_points", "_pairs")
@@ -94,7 +98,7 @@ class OrfSystem:
         self.source = source
         self.measure = measure
         self.caratheodory = caratheodory or caratheodory_from_system(self)
-        self.n_points = n_points
+        self.n_points = n_points or default_grid(len(self.levels) - 1)
         self._pairs = {}
 
     @property
@@ -157,14 +161,8 @@ def _fit_values(poles, n, prev_z, star_z, phi_z):
     return a, b, resid, scale
 
 
-def _fit_step(poles, n, phi_prev, phi_star_prev, phi_n):
-    """_fit_values of one level, from the functions themselves."""
-    prev_z, star_z = evaluate_stack((phi_prev, phi_star_prev), _FIT_POINTS)
-    return _fit_values(poles, n, prev_z, star_z, phi_n(_FIT_POINTS))
-
-
 def _fit_ladder(poles, phis, stars) -> list:
-    """_fit_step at every level 1..m of phi_0..phi_m (with their superstars),
+    """_fit_values at every level 1..m of phi_0..phi_m (with their superstars),
     from one evaluation of all of them at the fit points."""
     m = len(phis) - 1
     vals = evaluate_stack(list(phis) + list(stars), _FIT_POINTS)
@@ -172,7 +170,7 @@ def _fit_ladder(poles, phis, stars) -> list:
 
 
 def _parameters(n, fit):
-    """(lambda_n, e_n, rho_n) = (conj(b/a), |a|, a/|a|) from the _fit_step
+    """(lambda_n, e_n, rho_n) = (conj(b/a), |a|, a/|a|) from the _fit_values
     result; FitResidualTooLarge when the fit does not close."""
     a, b, resid, scale = fit
     if resid > 1e-9 * scale:
@@ -180,11 +178,6 @@ def _parameters(n, fit):
             f"level {n} does not satisfy the recurrence (residual {resid:.2e} vs scale {scale:.2e})"
         )
     return complex(np.conj(b / a)), float(abs(a)), complex(a / abs(a))
-
-
-def _fit_parameters(poles, n, phi_prev, phi_star_prev, phi_n):
-    """_parameters of one level, from the functions themselves."""
-    return _parameters(n, _fit_step(poles, n, phi_prev, phi_star_prev, phi_n))
 
 
 def extract_parameters(system: OrfSystem, n: int):
@@ -197,7 +190,8 @@ def extract_parameters(system: OrfSystem, n: int):
     if n < 1 or n > system.n_max:
         raise DomainError("extraction needs 1 <= n <= n_max")
     prev = system.level(n - 1)
-    return _fit_parameters(system.poles, n, prev.phi, prev.phi_star, system.level(n).phi)
+    vals = evaluate_stack((prev.phi, prev.phi_star, system.level(n).phi), _FIT_POINTS)
+    return _parameters(n, _fit_values(system.poles, n, *vals))
 
 
 def _trimmed(c):
@@ -347,47 +341,44 @@ def _circle_nodes(count: int, n_points: int) -> np.ndarray:
     return np.exp(1j * (2.0 * np.pi * np.arange(count) / count + np.pi / n_points))
 
 
-def _herglotz_means(kp, zt, w, f_t, nodes, f_nodes) -> np.ndarray:
-    """mean_t D(t, z) (f(t) - f(z)) w(t) at each node z, D the Riesz-Herglotz
-    kernel; zt holds zeta_0(t) on the grid."""
-    zz = kp.zeta0(nodes)[:, None]
-    return ((zt + zz) / (zt - zz) * (f_t - f_nodes[:, None]) * w).mean(axis=1)
-
-
-def _second_kind_on_grid(poles, kp, phi: RatFun, n: int, w, zt, phi_t) -> RatFun:
-    """Quadrature realization of the second-kind companion of phi (degree n)
-    from the weight w, zeta_0(t) and phi(t) on the grid t = e^{2 pi i j / N}.
-
-    psi(z) = mean_t D(t, z) (phi(t) - phi(z)) w(t) + mean_t phi(t) w(t) is
-    taken at the nodes z_k = e^{i delta} omega^k, omega = e^{2 pi i/(n+1)},
-    on |z| = 1, where the difference quotient is smooth and the trapezoidal
-    rule still converges geometrically. The numerator psi pi_n has the values
-    sum_j c_j e^{i j delta} omega^{jk} there, so one FFT gives c_j once the
-    phase e^{i j delta} is removed. The turn delta = pi / N puts each
-    node between two quadrature nodes, where the quotient is never 0/0.
-    """
-    n_points = w.size
-    nodes = _circle_nodes(n + 1, n_points)
-    values = _herglotz_means(kp, zt, w, phi_t, nodes, phi(nodes)) + (phi_t * w).mean()
-    coeffs = np.fft.fft(values * poles.pi(n, nodes)) / (n + 1)
-    return RatFun(poles, coeffs * np.exp(-1j * np.pi / n_points * np.arange(n + 1)), n)
-
-
 def second_kind_integral_stack(mu: CircleMeasure, system: OrfSystem, levels) -> list:
     """Second-kind functions of the levels, in order, straight from their
-    defining quadrature (_second_kind_on_grid) against mu.
+    defining quadrature against mu on the grid t = e^{2 pi i j / N}:
+    psi_n(z) = mean_t D(t, z) (phi_n(t) - phi_n(z)) w(t) + mean_t phi_n(t) w(t),
+    D the Riesz-Herglotz kernel.
 
-    No ladder is built this way: the recurrence route must agree with it,
-    which the verification suite checks. The weight and zeta_0 are read on
-    the grid once; each level's phi is evaluated there on its own, so no
-    table of every level on the grid is held."""
-    theta, t = boundary_grid(system.n_points)
-    w, zt = mu.weight(theta), system.kernel.zeta0(t)
-    out = []
-    for n in levels:
-        phi = system.level(n).phi
-        out.append(_second_kind_on_grid(system.poles, system.kernel, phi, n, w, zt, phi(t)))
-    return out
+    Every level is taken at the same nodes z_k = e^{i delta} omega^k,
+    omega = e^{2 pi i/M}, M the smallest power of two above the highest
+    level, on |z| = 1, where the trapezoidal rule still converges
+    geometrically. With delta = pi / N each node sits midway between two
+    grid points (an M that does not divide N brings nodes within 1/(2M) of
+    a step of one, where D loses digits). The means are summed over blocks
+    of the grid as D @ (phi_n w) - phi_n(z) (D @ w), one kernel and one
+    evaluation of every phi_n per block, so no table of every node or
+    level on the whole grid is held. psi_n pi_n takes the values
+    sum_j c_j e^{i j delta} omega^{jk} at the nodes, so one M-point FFT
+    gives c_0..c_n once the phase e^{i j delta} is removed.
+    """
+    levels = list(levels)
+    if not levels:
+        return []
+    poles, kp, n_points = system.poles, system.kernel, system.n_points
+    phis = [system.level(n).phi for n in levels]
+    nodes = _circle_nodes(1 << max(levels).bit_length(), n_points)
+    theta, t = boundary_grid(n_points)
+    w = mu.weight(theta)
+    # the constant 1 rides along as the last row, so its row of D @ (f w) is D @ w
+    with_one = phis + [RatFun(poles, [1.0], 0)]
+    d_fw = f_w = 0.0
+    for lo in range(0, n_points, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        fw = evaluate_stack(with_one, t[block]) * w[block]
+        d_fw = d_fw + fw @ herglotz_kernel(kp, t[None, block], nodes[:, None]).T
+        f_w = f_w + fw.sum(axis=1)
+    values = (d_fw[:-1] - evaluate_stack(phis, nodes) * d_fw[-1] + f_w[:-1, None]) / n_points
+    values *= np.array([poles.pi(n, nodes) for n in levels])
+    coeffs = np.fft.fft(values, axis=1) / nodes.size * np.exp(-1j * np.pi / n_points * np.arange(nodes.size))
+    return [RatFun(poles, coeffs[i, : n + 1], n) for i, n in enumerate(levels)]
 
 
 def _basis(poles, n_max, z) -> np.ndarray:
@@ -452,13 +443,13 @@ def _gram_defect(vals, w) -> float:
     """Sup deviation from the identity of the Gram matrix of sampled
     functions under the boundary weight w (uniform-grid quadrature).
 
-    The matrix is summed over blocks of 1024 grid points, so the stacked
-    samples take a block's worth of memory, not the grid's.
+    The matrix is summed over blocks of the grid, so the stacked samples
+    take a block's worth of memory, not the grid's.
     """
     gram = 0.0
-    for lo in range(0, w.size, 1024):
-        v = np.array([x[lo : lo + 1024] for x in vals])
-        gram = gram + (v * w[lo : lo + 1024]) @ v.conj().T
+    for lo in range(0, w.size, _BLOCK):
+        v = np.array([x[lo : lo + _BLOCK] for x in vals])
+        gram = gram + (v * w[lo : lo + _BLOCK]) @ v.conj().T
     return float(np.max(np.abs(gram / w.size - np.eye(len(vals)))))
 
 
@@ -582,18 +573,11 @@ def _polyval_rows(x, c):
     return acc
 
 
-def identity_residual(f: RatFun, g: RatFun, f_star: RatFun, g_star: RatFun):
-    """Complex constant d and relative sup residual (against Re d) of
-    f^* g + f g^* = d P_m B_m on a 512-point boundary grid, m and the poles
-    taken from f. The starred pair is passed in, so a check covers stored
-    f^*, g^* too."""
-    d, resid = identity_residual_stack([f], [g], [f_star], [g_star])
-    return complex(d[0]), float(resid[0])
-
-
 def identity_residual_stack(fs, gs, f_stars, g_stars):
-    """identity_residual of each (f, g, f^*, g^*), as arrays (d, resid).
-
+    """Complex constant d and relative sup residual (against Re d) of
+    f^* g + f g^* = d P_m B_m on a 512-point boundary grid, as arrays
+    (d, resid), one row per (f, g, f^*, g^*); m and the poles come from f.
+    The starred functions are passed in, so a check covers stored ones too.
     The functions may have different degrees over one pole prefix: they are
     evaluated in one call, B_m grows one Blaschke factor at a time, and the
     Poisson kernels P(t, beta_m) of every row come from one broadcast."""
@@ -614,17 +598,11 @@ def identity_residual_stack(fs, gs, f_stars, g_stars):
     return d, resid
 
 
-def determinant_residual(system: OrfSystem, n: int):
-    """Constant d_n and sup residual of phi_n^* psi_n + phi_n psi_n^* = d_n P_n B_n
-    over a boundary grid. Orthonormal ladders must give d_n = 2; a caller
-    compares d_n with 2 itself."""
-    d, resid = determinant_residual_stack(system, [n])
-    return float(d[0]), float(resid[0])
-
-
 def determinant_residual_stack(system: OrfSystem, levels):
-    """determinant_residual at each of the levels, as arrays (d_n, resid),
-    from one identity_residual_stack."""
+    """Constant d_n and sup residual of phi_n^* psi_n + phi_n psi_n^* = d_n P_n B_n
+    over a boundary grid at each of the levels, as arrays (d_n, resid), from
+    one identity_residual_stack. Orthonormal ladders must give d_n = 2; a
+    caller compares d_n with 2 itself."""
     phi, phi_s, psi, psi_s = zip(*(_four(system.level(n)) for n in levels))
     d, resid = identity_residual_stack(phi, psi, phi_s, psi_s)
     return d.real, resid
@@ -652,29 +630,17 @@ class InterpolationReport:
         return max(vals)
 
 
-def interpolation_residuals(
-    system: OrfSystem, F: CaratheodoryFn, n: int, seed: int = 0
-) -> InterpolationReport:
-    """Check the interpolation structure of level n against the C-function F.
+def interpolation_residual_stack(system: OrfSystem, F: CaratheodoryFn, levels, seed: int = 0) -> list:
+    """Interpolation structure of each of the levels against the C-function
+    F, one report per level, in order.
 
     (phi_n F + psi_n) must vanish at beta_0..beta_{n-1}, the starred line at
     beta_0..beta_n, and the analytic witness g_n = (phi_n F + psi_n)/(zeta_0
     B_{n-1}) must stay away from zero on a 100-point disk sample. The para
     lines are formed there from the superstars of the four functions, by
-    (f + tau g)^* = f^* + conj(tau) g^*. Requires pairwise distinct
-    beta_0..beta_n; the repeated-pole multiplicity variant lives in the test
-    suite only.
-    """
-    return interpolation_residual_stack(system, F, [n], seed)[0]
-
-
-def interpolation_residual_stack(system: OrfSystem, F: CaratheodoryFn, levels, seed: int = 0) -> list:
-    """interpolation_residuals at each of the levels, in order.
-
-    F is read once at beta_0..beta_m, m the highest level, and once on the
-    disk sample; the functions of every level (and their superstars) are
-    evaluated in one call per point set. Requires pairwise distinct
-    beta_0..beta_m.
+    (f + tau g)^* = f^* + conj(tau) g^*. F and the functions of every level
+    are read once per point set. Requires pairwise distinct beta_0..beta_m,
+    m the highest level; the repeated-pole variant lives in the tests only.
     """
     poles = system.poles
     levels = list(levels)
@@ -726,30 +692,22 @@ def _four(lv: OrfLevel):
     return lv.phi, lv.phi_star, lv.psi, lv.psi_star
 
 
-def second_kind_functional_residual(system: OrfSystem, mu: CircleMeasure, n: int, seed: int = 0) -> float:
-    """Residual of the extended functional identities relating phi_n, psi_n
-    through the kernel, tested with a random multiplier f in L_{(n-1)*} and
-    g in zeta_{n*} L_{(n-1)*}. Relative sup over six points of the circle."""
-    return float(second_kind_functional_residual_stack(system, mu, [n], seed)[0])
-
-
 def second_kind_functional_residual_stack(system: OrfSystem, mu: CircleMeasure, levels, seed: int = 0):
-    """second_kind_functional_residual at each of the levels, as an array.
-
-    The Riesz-Herglotz kernel D(t, z) at the six nodes is formed once, so a
-    level's means are D @ (f w)/N - f(z) (D @ w)/N. The functions and the
-    multipliers of every level are evaluated at the nodes in one call each.
-    The values on the quadrature grid are formed one level at a time: no
-    table of every level on the grid is held.
+    """Residuals of the extended functional identities relating phi_n, psi_n
+    through the kernel, one per level, as an array: each tests a random
+    multiplier f in L_{(n-1)*} and g in zeta_{n*} L_{(n-1)*}, relative sup
+    over six points of the circle. D(t, z) at the six nodes is formed once,
+    so a level's means are D @ (f w)/N - f(z) (D @ w)/N. The functions and
+    multipliers of every level are evaluated at the nodes in one call each,
+    and on the quadrature grid one level at a time: no table of every level
+    on the grid is held.
     """
-    n_points = system.n_points
-    poles, kp = system.poles, system.kernel
+    poles, kp, n_points = system.poles, system.kernel, system.n_points
     theta, t = boundary_grid(n_points)
     w = mu.weight(theta)
     # on the circle h_* is as tame as h, and off the grid the means never meet 0/0
     zs = _circle_nodes(6, n_points)
-    zt, zz = kp.zeta0(t), kp.zeta0(zs)[:, None]
-    kernel = (zt + zz) / (zt - zz)
+    kernel = herglotz_kernel(kp, t, zs[:, None])
     kernel_w = kernel @ w / n_points
     at_zs = evaluate_stack([f for n in levels for f in _four(system.level(n))], zs).reshape(-1, 4, zs.size)
     # the multipliers f, g of each level, from a stream seeded afresh per level

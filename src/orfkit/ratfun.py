@@ -12,7 +12,6 @@ the first Blaschke factor zeta_0 and both kernels.
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .errors import (
     DivisionByZeroBlaschke,
@@ -266,30 +265,6 @@ def superstar(f: RatFun) -> RatFun:
     """
     ups = f.poles.upsilon(f.n)
     return RatFun(f.poles, ups * np.conj(f.numer[::-1]), f.n)
-
-
-def combine(a, f: RatFun, b, g: RatFun) -> RatFun:
-    """Linear combination a*f + b*g as a canonical RatFun.
-
-    The operands must share the same pole sequence; the lower-degree
-    numerator is rebased onto the common denominator by multiplying in the
-    missing (1 - conj(beta_j) z) factors.
-    """
-    m = max(f.n, g.n)
-    pf, pg = f.poles.beta[: f.n + 1], g.poles.beta[: g.n + 1]
-    common = f.poles if len(f.poles) >= len(g.poles) else g.poles
-    if len(common) < m + 1 or not (
-        np.array_equal(pf, common.beta[: f.n + 1]) and np.array_equal(pg, common.beta[: g.n + 1])
-    ):
-        raise PoleMismatch("operands do not share a pole sequence")
-
-    def rebase(h):
-        c = h.numer
-        for j in range(h.n + 1, m + 1):
-            c = npp.polymul(c, [1.0, -np.conj(common.beta[j])])
-        return np.concatenate([c, np.zeros(m + 1 - c.size, dtype=complex)])
-
-    return RatFun(common, a * rebase(f) + b * rebase(g), m)
 
 
 def blaschke_factor(poles: PoleSequence, k: int, z) -> complex | np.ndarray:

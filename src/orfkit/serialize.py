@@ -19,7 +19,6 @@ import numpy as np
 
 from .engine import OrfLevel, OrfSystem
 from .errors import DomainError
-from .measure import default_grid
 from .ratfun import PoleSequence, RatFun
 
 
@@ -85,9 +84,7 @@ def system_from_dict(data: dict) -> OrfSystem:
                 None if item["rho"] is None else _from_c(item["rho"]),
             )
         )
-    # a ladder stored without its grid gets the default one for its size
-    n_points = data.get("n_points") or default_grid(len(levels) - 1)
-    return OrfSystem(poles, levels, source=data["source"], n_points=n_points)
+    return OrfSystem(poles, levels, source=data["source"], n_points=data.get("n_points"))
 
 
 def arf_to_dict(arf) -> dict:

@@ -37,7 +37,6 @@ from .engine import (
     _completion_grid,
     _level_zero,
     _run_recurrence,
-    identity_residual,
     para_pair,
     zeros_factor,
 )
@@ -232,12 +231,6 @@ def check_quad(
     return QuadConditionReport(a1, a2_min, a3_max, a33_min, a42_max, a42_f_min, QUAD_TOL, passed)
 
 
-def apply_transform(system: OrfSystem, quad: SelfReciprocalQuad, c_n, n):
-    """Transform level N + n of the ladder into (G, H, J, K) over the tilde poles:
-    the one-level case of apply_transform_stack."""
-    return apply_transform_stack(system, quad, c_n, [n])[0]
-
-
 def apply_transform_stack(system: OrfSystem, quad: SelfReciprocalQuad, c_n, offsets):
     """(G, H, J, K) over the tilde poles for each level N + n, n in offsets, in order.
 
@@ -375,7 +368,7 @@ def arf_explicit(system: OrfSystem, k: int, n: int, quad: SelfReciprocalQuad | N
         one = RatFun(shifted, [1.0], 0)
         return one, one
     quad = quad if quad is not None else arf_quad(system, k)
-    G, _, J, _ = apply_transform(system, quad, 2.0, n - k)
+    G, _, J, _ = apply_transform_stack(system, quad, 2.0, [n - k])[0]
     return G, J
 
 
@@ -598,10 +591,3 @@ def relation_residual_stack(arfs: dict, triples) -> list:
         out.append(RelationReport(r1, r2, r3, r1s, r2s, r3s))
     return out
 
-
-def remark_identity_residual(G: RatFun, J: RatFun):
-    """Constant dtilde and sup residual of G^* J + G J^* = dtilde Ptilde Btilde
-    over the tilde pole sequence carried by G (same contract as the base
-    determinant identity)."""
-    d, resid = identity_residual(G, J, superstar(G), superstar(J))
-    return float(d.real), resid

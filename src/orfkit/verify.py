@@ -96,7 +96,7 @@ def _sampled_gram_defect(system, mu, n_points):
 
 
 def _ladder_fits(system):
-    """_fit_step at every level 1..n_max, from one evaluation at the fit points."""
+    """_fit_values at every level 1..n_max, from one evaluation at the fit points."""
     return _fit_ladder(system.poles, [lv.phi for lv in system.levels], [lv.phi_star for lv in system.levels])
 
 
@@ -124,10 +124,9 @@ def check_para_zeros(ctx):
 
 def check_second_kind(ctx):
     s = ctx.system
-    mu = ctx.measure
     _, t = boundary_grid(512)
-    # the quadrature runs level by level; the comparison is one evaluation
-    integral = second_kind_integral_stack(mu, s, range(s.n_max + 1))
+    # one quadrature for every level; the comparison is one evaluation
+    integral = second_kind_integral_stack(ctx.measure, s, range(s.n_max + 1))
     psi_int, psi_rec = np.split(evaluate_stack(integral + [lv.psi for lv in s.levels], t), 2)
     return float(np.max(np.abs(psi_int - psi_rec)))
 

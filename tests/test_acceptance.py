@@ -16,18 +16,23 @@ from orfkit import (
     arf_recurrence,
     builtin_measure,
     caratheodory_from_measure,
-    determinant_residual,
     gram_schmidt_orf,
-    interpolation_residuals,
     para_pair,
     para_zeros,
     relation_residuals,
-    remark_identity_residual,
+    superstar,
     synthesize,
     weight_from_caratheodory,
 )
-from orfkit import apply_transform
-from orfkit.engine import _fit_step, recurrence_step, second_kind_integral_stack
+from orfkit.engine import (
+    _fit_ladder,
+    determinant_residual_stack,
+    identity_residual_stack,
+    interpolation_residual_stack,
+    recurrence_step,
+    second_kind_integral_stack,
+)
+from orfkit.transforms import apply_transform_stack
 from orfkit.measure import boundary_grid
 from orfkit.serialize import dumps, system_from_dict, system_to_dict
 from orfkit.transforms import arf_anchor_residual
@@ -108,8 +113,7 @@ def test_criterion_02_orthonormality():
 def test_criterion_03_determinant_formula(synth_systems):
     worst = 0.0
     for system in synth_systems:
-        for n in range(9):
-            d, resid = determinant_residual(system, n)
+        for d, resid in zip(*determinant_residual_stack(system, range(9)), strict=True):
             worst = max(worst, resid, abs(d - 2.0))
     assert _line("criterion 3: determinant formula (5 random configs)", worst, 1e-10)
 
@@ -150,8 +154,7 @@ def test_criterion_06_interpolation(measure_systems, synth_systems):
     g_ok = True
     for system in measure_systems + synth_systems[:2]:
         F = system.caratheodory
-        for n in range(system.n_max + 1):
-            rep = interpolation_residuals(system, F, n)
+        for rep in interpolation_residual_stack(system, F, range(system.n_max + 1)):
             worst = max(worst, rep.max_residual() / rep.scale)
             g_ok = g_ok and rep.g_min > 1e-8 * rep.scale and rep.g_at_anchor > 1e-8 * rep.scale
     ok = _line("criterion 6: interpolation residuals", worst, 1e-8)
@@ -225,9 +228,9 @@ def test_criterion_11_remark_identity(measure_systems, synth_systems):
         for k in (1, 2, 3):
             quad = arf_quad(system, k)
             for n in range(1, system.n_max - k + 1):
-                G, _, J, _ = apply_transform(system, quad, 2.0, n)
-                d, resid = remark_identity_residual(G, J)
-                worst = max(worst, resid, abs(d - 2.0))
+                ((G, _, J, _),) = apply_transform_stack(system, quad, 2.0, [n])
+                d, resid = identity_residual_stack([G], [J], [superstar(G)], [superstar(J)])
+                worst = max(worst, resid[0], abs(d[0].real - 2.0))
     assert _line("criterion 11: transformed determinant identity", worst, 1e-10)
 
 
@@ -235,9 +238,8 @@ def test_criterion_12_round_trips(measure_systems):
     # synthesize -> extract
     system, lams = _random_synth(99, 8)
     worst = 0.0
-    for n in range(1, 9):
-        prev, cur = system.level(n - 1), system.level(n)
-        a, b, _, _ = _fit_step(system.poles, n, prev.phi, prev.phi_star, cur.phi)
+    fits = _fit_ladder(system.poles, [lv.phi for lv in system.levels], [lv.phi_star for lv in system.levels])
+    for n, (a, b, _, _) in enumerate(fits, start=1):
         worst = max(worst, abs(np.conj(b / a) - lams[n - 1]))
     ok = _line("criterion 12: synthesize -> extract recovers parameters", worst, 1e-10)
 

@@ -251,6 +251,13 @@ class TestConfigValidation:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "seed must be an integer" in capsys.readouterr().err
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        # a negative seed once reached numpy's default_rng and ended verify
+        # in a ValueError traceback
+        cfg = write_config(tmp_path, {**WORKED, "seed": -3})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", [1.9, 1.0, True, "1"])
     def test_arf_order_must_be_an_integer(self, tmp_path, capsys, value):
         cfg = write_config(tmp_path, {**WORKED, "arf_order": value})

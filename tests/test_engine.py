@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,12 +17,9 @@ from orfkit import (
     blaschke_factor,
     builtin_measure,
     caratheodory_from_system,
-    combine,
-    determinant_residual,
     evaluate_stack,
     extract_parameters,
     gram_schmidt_orf,
-    interpolation_residuals,
     lebesgue_orf,
     measure_from_system,
     para_pair,
@@ -34,13 +32,13 @@ from orfkit import engine, ratfun
 from orfkit.engine import (
     _circle_nodes,
     _fit_ladder,
-    _fit_parameters,
-    _fit_step,
     _gram_defect,
-    _herglotz_means,
     _level_zero,
+    _parameters,
     _run_recurrence,
-    _second_kind_on_grid,
+    determinant_residual_stack,
+    interpolation_residual_stack,
+    second_kind_functional_residual_stack,
     second_kind_integral_stack,
 )
 from orfkit.measure import boundary_grid
@@ -67,11 +65,21 @@ def _ip(u, v, w):
     return (u * np.conj(v) * w).mean()
 
 
+def _minus(f, c, g):
+    """f - c g over the poles of f, the numerator of g (of lower degree)
+    rebased onto the denominator of f one factor (1 - conj(beta_j) z) at a
+    time."""
+    numer = g.numer
+    for j in range(g.n + 1, f.n + 1):
+        numer = npp.polymul(numer, [1.0, -np.conj(f.poles.beta[j])])
+    return RatFun(f.poles, f.numer - c * np.pad(numer, (0, f.n + 1 - numer.size)), f.n)
+
+
 def reference_gram_schmidt(mu, poles, n_max, n_points):
     """phi_0..phi_n by the per-coefficient route: modified Gram-Schmidt in
     two passes on B_0..B_n built with polyfromroots, each step rebasing
-    numerators through combine, and the phase fixed by evaluating
-    phi_k^*(beta_k)."""
+    numerators onto the common denominator, and the phase fixed by
+    evaluating phi_k^*(beta_k)."""
     theta, t = boundary_grid(n_points)
     w = mu.weight(theta)
     phis, vals = [], []
@@ -82,7 +90,7 @@ def reference_gram_schmidt(mu, poles, n_max, n_points):
         for _ in range(2):
             for f, fv in zip(phis, vals):
                 c = complex(_ip(v, fv, w))
-                cand = combine(1.0, cand, -c, f)
+                cand = _minus(cand, c, f)
                 v = v - c * fv
         nrm = np.sqrt(_ip(v, v, w).real)
         cand, v = (1.0 / nrm) * cand, v / nrm
@@ -171,29 +179,24 @@ class TestGramSchmidt:
         kp = KernelParams(beta0)
         theta, t = boundary_grid(s.n_points)
         w, zt = mu.weight(theta), kp.zeta0(t)
-        ref_lams = []
         for k, phi in enumerate(ref):
             lv = s.level(k)
             assert _rel(lv.phi.numer, phi.numer) < 1e-12
-            psi = _second_kind_on_grid(poles, kp, phi, k, w, zt, phi(t))
+            psi = reference_second_kind_on_grid(poles, kp, phi, k, w, zt, phi(t))
             assert _rel(lv.psi.numer, psi.numer) < 1e-12
-            if k:
-                ref_lams.append(_fit_parameters(poles, k, ref[k - 1], superstar(ref[k - 1]), phi)[0])
+        fits = _fit_ladder(poles, ref, [superstar(phi) for phi in ref])
+        ref_lams = [_parameters(k, fit)[0] for k, fit in enumerate(fits, start=1)]
         # lambda lives in the unit disk and vanishes for Lebesgue, so its
         # relative error is taken against a scale of at least 1
         lams = np.array([s.level(k).lam for k in range(1, n + 1)])
         assert _rel(lams, np.array(ref_lams), floor=1.0) < 1e-12
 
-    def test_gram_schmidt_makes_no_combine_calls(self, monkeypatch):
-        def no_combine(*args):
-            raise AssertionError("combine called")
-
-        monkeypatch.setattr(ratfun, "combine", no_combine)
+    def test_gram_schmidt_makes_no_combine_calls(self):
+        # the numerator combination is gone: no module can call it
         mu = builtin_measure("poisson", alpha=0.3 - 0.2j)
         s = gram_schmidt_orf(mu, disk_poles(3, 7, 0.2j), 6)
         assert s.n_max == 6
-        # nor can engine reach a copy of combine taken before the patch
-        assert not hasattr(engine, "combine")
+        assert not hasattr(ratfun, "combine") and not hasattr(engine, "combine")
 
     @pytest.mark.parametrize("kind", ["poisson", "samples"])
     def test_ladder_is_recurrence_of_its_parameters(self, kind):
@@ -216,7 +219,8 @@ class TestGramSchmidt:
         def no_quadrature(*args):
             raise AssertionError("second-kind quadrature ran in a build")
 
-        monkeypatch.setattr(engine, "_second_kind_on_grid", no_quadrature)
+        monkeypatch.setattr(engine, "second_kind_integral_stack", no_quadrature)
+        monkeypatch.setattr(engine, "herglotz_kernel", no_quadrature)
         s = gram_schmidt_orf(builtin_measure("poisson", alpha=0.3 - 0.2j), disk_poles(3, 7, 0.2j), 6)
         assert s.n_max == 6
 
@@ -324,8 +328,8 @@ class TestExtraction:
         s = synth_system
         c = np.exp(0.7j)
         prev = s.level(0)
-        a0, b0, _, _ = _fit_step(s.poles, 1, prev.phi, prev.phi_star, s.level(1).phi)
-        a1, b1, _, _ = _fit_step(s.poles, 1, prev.phi, prev.phi_star, c * s.level(1).phi)
+        ((a0, b0, _, _),) = _fit_ladder(s.poles, [prev.phi, s.level(1).phi], [prev.phi_star, s.level(1).phi_star])
+        ((a1, b1, _, _),) = _fit_ladder(s.poles, [prev.phi, c * s.level(1).phi], [prev.phi_star, s.level(1).phi_star])
         assert abs(np.conj(b1 / a1) - np.conj(b0 / a0)) < 1e-12
         assert abs(a1 / abs(a1) - c * a0 / abs(a0)) < 1e-12
 
@@ -355,6 +359,8 @@ class TestSecondKind:
             assert np.min(np.abs(steps - np.round(steps))) > 0.4 / count
 
     def test_herglotz_means_match_nodewise_loop(self, poisson_system):
+        # psi_4 from the stack, at its five nodes, against the defining
+        # difference-form means taken one node at a time
         s, kp = poisson_system, poisson_system.kernel
         theta, t = boundary_grid(s.n_points)
         w = s.measure.weight(theta)
@@ -362,7 +368,8 @@ class TestSecondKind:
         nodes = _circle_nodes(5, s.n_points)
         zt = kp.zeta0(t)
         ref = [((zt + kp.zeta0(z)) / (zt - kp.zeta0(z)) * (phi(t) - phi(z)) * w).mean() for z in nodes]
-        assert_allclose(_herglotz_means(kp, zt, w, phi(t), nodes, phi(nodes)), ref, rtol=1e-13)
+        psi = second_kind_integral_stack(s.measure, s, [4])[0]
+        assert_allclose(psi(nodes), np.array(ref) + (phi(t) * w).mean(), rtol=1e-12)
 
     def test_integral_matches_recurrence(self, poisson_system):
         s = poisson_system
@@ -426,7 +433,7 @@ class TestParaOrthogonal:
 
 class TestDeterminant:
     def test_level_zero(self, worked_system):
-        d, resid = determinant_residual(worked_system, 0)
+        (d,), (resid,) = determinant_residual_stack(worked_system, [0])
         assert abs(d - 2.0) < 1e-12 and resid < 1e-12
 
     def test_polynomial_level_one(self):
@@ -438,41 +445,40 @@ class TestDeterminant:
 
     def test_residuals(self, synth_system, poisson_system):
         for s in (synth_system, poisson_system):
-            for n in range(s.n_max + 1):
-                d, resid = determinant_residual(s, n)
+            for d, resid in zip(*determinant_residual_stack(s, range(s.n_max + 1)), strict=True):
                 assert abs(d - 2.0) < 1e-9
                 assert resid < 1e-10
 
 
 class TestInterpolation:
     def test_worked_distinct_levels(self, worked_system):
-        rep = interpolation_residuals(worked_system, worked_system.caratheodory, 1)
+        (rep,) = interpolation_residual_stack(worked_system, worked_system.caratheodory, [1])
         assert rep.max_residual() < 1e-8 * rep.scale
         assert rep.g_min > 1e-8 * rep.scale
         assert rep.g_at_anchor > 1e-8 * rep.scale
 
     def test_level_zero(self, poisson_system):
-        rep = interpolation_residuals(poisson_system, poisson_system.caratheodory, 0)
+        (rep,) = interpolation_residual_stack(poisson_system, poisson_system.caratheodory, [0])
         assert rep.first_line.size == 0
         assert rep.second_line.size == 1 and rep.second_line[0] < 1e-10
 
     def test_all_levels(self, poisson_system):
-        for n in range(poisson_system.n_max + 1):
-            rep = interpolation_residuals(poisson_system, poisson_system.caratheodory, n)
+        levels = range(poisson_system.n_max + 1)
+        for rep in interpolation_residual_stack(poisson_system, poisson_system.caratheodory, levels):
             assert rep.max_residual() < 1e-8 * rep.scale
             assert rep.g_min > 1e-8 * rep.scale
 
     def test_para_lines_compare_stored_superstars(self, poisson_system):
         # a stored phi_n^* off by a relative 1e-6 breaks the para lines
         s = poisson_system
-        clean = interpolation_residuals(s, s.caratheodory, 3)
+        (clean,) = interpolation_residual_stack(s, s.caratheodory, [3])
         wrong = _with_level(s, 3, phi_star=(1 + 1e-6) * s.level(3).phi_star)
         assert clean.para_residual < 1e-12
-        assert interpolation_residuals(wrong, s.caratheodory, 3).para_residual > 1e-8
+        assert interpolation_residual_stack(wrong, s.caratheodory, [3])[0].para_residual > 1e-8
 
     def test_repeated_poles_rejected(self, worked_system):
         with pytest.raises(DomainError):
-            interpolation_residuals(worked_system, worked_system.caratheodory, 2)
+            interpolation_residual_stack(worked_system, worked_system.caratheodory, [2])
 
     def test_repeated_pole_multiplicity(self):
         # beta_2 = beta_0 = 0 doubles the zero of the starred line at 0:
@@ -494,23 +500,19 @@ class TestInterpolation:
 
 class TestFunctionalIdentities:
     def test_multiplied_second_kind(self, poisson_system):
-        from orfkit.engine import second_kind_functional_residual
-
         for n in range(poisson_system.n_max + 1):
-            res = second_kind_functional_residual(
-                poisson_system, poisson_system.measure, n, seed=n
+            (res,) = second_kind_functional_residual_stack(
+                poisson_system, poisson_system.measure, [n], seed=n
             )
             assert res < 1e-7
 
     def test_wrong_second_kind_is_caught(self, poisson_system):
-        from orfkit.engine import second_kind_functional_residual
-
         # psi_4 off by a relative 1e-6 gives a residual of that size
         s = poisson_system
         lv = s.level(4)
         wrong = _with_level(s, 4, psi=(1 + 1e-6) * lv.psi, psi_star=(1 + 1e-6) * lv.psi_star)
-        assert second_kind_functional_residual(s, s.measure, 4) < 1e-12
-        assert 5e-7 < second_kind_functional_residual(wrong, s.measure, 4) < 2e-6
+        assert second_kind_functional_residual_stack(s, s.measure, [4])[0] < 1e-12
+        assert 5e-7 < second_kind_functional_residual_stack(wrong, s.measure, [4])[0] < 2e-6
 
 
 class TestRationalCompletion:
@@ -637,19 +639,95 @@ class TestBitIdenticalKernels:
         for n, fit in enumerate(fits, start=1):
             prev, cur = s.level(n - 1), s.level(n)
             ref = reference_fit_step(s.poles, n, prev.phi, prev.phi_star, cur.phi)
-            one = _fit_step(s.poles, n, prev.phi, prev.phi_star, cur.phi)
-            for got, single, want in zip(fit, one, ref, strict=True):
+            for got, want in zip(fit, ref, strict=True):
                 assert_array_equal(_bits(got), _bits(want))
-                assert_array_equal(_bits(single), _bits(want))
 
     def test_second_kind_stack_matches_per_level(self, poisson_system):
         s = poisson_system
         stacked = second_kind_integral_stack(s.measure, s, range(s.n_max + 1))
-        theta, t = boundary_grid(s.n_points)
         for n, psi in enumerate(stacked):
-            # the per-level quadrature, reading the grid itself
-            phi = s.level(n).phi
-            one = _second_kind_on_grid(s.poles, s.kernel, phi, n, s.measure.weight(theta), s.kernel.zeta0(t), phi(t))
-            assert_array_equal(_bits(psi.numer), _bits(one.numer))
+            # the per-level difference-form quadrature, reading the grid itself
+            assert _rel(psi.numer, reference_second_kind(s.measure, s, n).numer) < 1e-12
             # the build's psi comes from the recurrence, not from this quadrature
             assert _rel(s.level(n).psi.numer, psi.numer) < 1e-12
+
+
+# -- the stacked second-kind quadrature ----------------------------------------
+# The per-level difference form the stack replaced: each level at its own
+# n + 1 nodes, through one (n + 1) x N table of D(t, z) (phi(t) - phi(z)) w(t).
+
+
+def reference_herglotz_means(kp, zt, w, f_t, nodes, f_nodes):
+    zz = kp.zeta0(nodes)[:, None]
+    return ((zt + zz) / (zt - zz) * (f_t - f_nodes[:, None]) * w).mean(axis=1)
+
+
+def reference_second_kind_on_grid(poles, kp, phi, n, w, zt, phi_t):
+    n_points = w.size
+    nodes = _circle_nodes(n + 1, n_points)
+    values = reference_herglotz_means(kp, zt, w, phi_t, nodes, phi(nodes)) + (phi_t * w).mean()
+    coeffs = np.fft.fft(values * poles.pi(n, nodes)) / (n + 1)
+    return RatFun(poles, coeffs * np.exp(-1j * np.pi / n_points * np.arange(n + 1)), n)
+
+
+def reference_second_kind(mu, s, n):
+    theta, t = boundary_grid(s.n_points)
+    phi = s.level(n).phi
+    return reference_second_kind_on_grid(s.poles, s.kernel, phi, n, mu.weight(theta), s.kernel.zeta0(t), phi(t))
+
+
+def _disk(rng, cap, size):
+    return cap * np.sqrt(rng.uniform(size=size)) * np.exp(2j * np.pi * rng.uniform(size=size))
+
+
+def _second_kind_case(kind, n, n_points):
+    """A seeded ladder through level n on an n_points grid, and its measure.
+    The poles are drawn first, beta_0 among them; "repeated" cycles through
+    three of them, "zeros" puts them all at 0."""
+    rng = np.random.default_rng([n, n_points])
+    beta = _disk(rng, 0.7, n + 1)
+    if kind == "repeated":
+        beta = beta[np.arange(n + 1) % 3]
+    elif kind == "zeros":
+        beta = np.zeros(n + 1)
+    if kind == "poisson":
+        s = gram_schmidt_orf(builtin_measure("poisson", alpha=0.3 - 0.2j), PoleSequence(beta), n, n_points=n_points)
+        return s, s.measure
+    s = synthesize(_disk(rng, 0.3, n), PoleSequence(beta))
+    s = OrfSystem(s.poles, s.levels, s.source, n_points=n_points)
+    return s, measure_from_system(s)
+
+
+class TestSecondKindStack:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 12])
+    @pytest.mark.parametrize("kind", ["lambdas", "poisson", "repeated", "zeros"])
+    def test_matches_per_level_reference(self, kind, n):
+        for n_points in (256, 2048, 8192):
+            s, mu = _second_kind_case(kind, n, n_points)
+            for levels in (range(n + 1), [n, n // 2], [n // 3]):
+                stacked = second_kind_integral_stack(mu, s, levels)
+                for m, psi in zip(levels, stacked, strict=True):
+                    assert psi.n == m
+                    assert _rel(psi.numer, reference_second_kind(mu, s, m).numer) < 1e-12
+
+    def test_empty_level_list(self, poisson_system):
+        assert second_kind_integral_stack(poisson_system.measure, poisson_system, []) == []
+
+    def test_memory_stays_per_block(self):
+        # n = 24 on 32768 points: a table of every node (or level) on the
+        # grid is 25 x 32768 complex values, 12.5 MiB, and the per-level
+        # difference form peaked at 26 MiB
+        rng = np.random.default_rng(24)
+        poles = PoleSequence(_disk(rng, 0.7, 25))
+        s = synthesize(_disk(rng, 0.3, 24), poles)
+        s = OrfSystem(s.poles, s.levels, s.source, n_points=32768)
+        mu = measure_from_system(s)
+        boundary_grid(32768)
+        tracemalloc.start()
+        try:
+            stacked = second_kind_integral_stack(mu, s, range(25))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+        assert max(_rel(psi.numer, lv.psi.numer) for psi, lv in zip(stacked, s.levels, strict=True)) < 1e-9

@@ -16,7 +16,6 @@ from orfkit import (
     RatFun,
     blaschke_factor,
     blaschke_product,
-    combine,
     evaluate_stack,
     herglotz_kernel,
     poisson_kernel,
@@ -228,35 +227,6 @@ class TestKernels:
         assert_allclose(
             poisson_kernel(kp, t, z).real, herglotz_kernel(kp, t, z).real, atol=1e-12
         )
-
-
-class TestCombine:
-    def test_cancellation(self):
-        p = PoleSequence([0.0, 0.5])
-        f = RatFun(p, [1.0, 2.0], 1)
-        out = combine(1.0, f, -1.0, f)
-        assert_allclose(out.numer, 0.0)
-
-    def test_scaling(self):
-        p = PoleSequence([0.0, 0.5])
-        f = RatFun(p, [1.0, 2.0], 1)
-        assert_allclose(combine(2.0, f, 0.0, f).numer, [2.0, 4.0])
-
-    def test_rebasing(self):
-        p = PoleSequence([0.0, 0.5])
-        one = RatFun(p, [1.0], 0)
-        g = RatFun(p, [0.3, -1.0j], 1)
-        out = combine(1.0, one, 1.0, g)
-        assert_allclose(out.numer, np.array([1.0, -0.5]) + g.numer)
-        # pointwise oracle
-        zs = disk_grid(7)
-        assert_allclose(out(zs), one(zs) + g(zs), rtol=1e-13)
-
-    def test_pole_mismatch(self):
-        f = RatFun(PoleSequence([0.0, 0.5]), [1.0, 0.0], 1)
-        g = RatFun(PoleSequence([0.0, 0.4]), [1.0, 0.0], 1)
-        with pytest.raises(PoleMismatch):
-            combine(1.0, f, 1.0, g)
 
 
 def reference_eval(f, z):

@@ -10,7 +10,6 @@ from orfkit import (
     PoleSequence,
     RatFun,
     SelfReciprocalQuad,
-    apply_transform,
     arf_caratheodory,
     arf_explicit,
     arf_quad,
@@ -20,15 +19,14 @@ from orfkit import (
     identity_quad,
     lebesgue_arf,
     relation_residuals,
-    remark_identity_residual,
     superstar,
     transformed_caratheodory,
 )
 from orfkit import transforms
-from orfkit.engine import _fit_step, zeros_factor
+from orfkit.engine import _FIT_POINTS, _fit_values, identity_residual_stack, zeros_factor
 from orfkit.measure import CaratheodoryFn, boundary_grid
-from orfkit.ratfun import blaschke_factor
-from orfkit.transforms import arf_anchor_residual, arf_discrepancy, relation_residual_stack
+from orfkit.ratfun import blaschke_factor, evaluate_stack
+from orfkit.transforms import arf_anchor_residual, arf_discrepancy, apply_transform_stack, relation_residual_stack
 
 SQ3 = np.sqrt(3.0)
 
@@ -156,21 +154,21 @@ class TestApplyTransform:
     def test_identity_quad_reproduces_ladder(self, synth_system):
         iq = identity_quad(synth_system.poles)
         for n in range(synth_system.n_max + 1):
-            G, H, J, K = apply_transform(synth_system, iq, 1.0, n)
+            ((G, H, J, K),) = apply_transform_stack(synth_system, iq, 1.0, [n])
             assert_allclose(G.numer, synth_system.level(n).phi.numer, atol=1e-14)
             assert_allclose(J.numer, synth_system.level(n).psi.numer, atol=1e-14)
             assert_allclose(H.numer, synth_system.level(n).phi_star.numer, atol=1e-14)
 
     def test_superstar_pairing(self, poisson_system):
         quad = arf_quad(poisson_system, 2)
-        G, H, J, K = apply_transform(poisson_system, quad, 2.0, 2)
+        ((G, H, J, K),) = apply_transform_stack(poisson_system, quad, 2.0, [2])
         assert_allclose(superstar(G).numer, H.numer, atol=1e-12)
         assert_allclose(superstar(J).numer, K.numer, atol=1e-12)
 
     def test_requires_report(self, synth_system):
         quad = replace(arf_quad(synth_system, 1), report=None)
         with pytest.raises(ConditionUnchecked):
-            apply_transform(synth_system, quad, 2.0, 1)
+            apply_transform_stack(synth_system, quad, 2.0, [1])
 
     def test_corrupted_quad_leaves_remainder(self, synth_system):
         quad = arf_quad(synth_system, 1)
@@ -178,16 +176,16 @@ class TestApplyTransform:
         numer[0] += 0.1
         bad = replace(quad, A=RatFun(quad.A.poles, numer, quad.A.n))
         with pytest.raises(DivisionRemainderTooLarge):
-            apply_transform(synth_system, bad, 2.0, 2)
+            apply_transform_stack(synth_system, bad, 2.0, [2])
 
     def test_transformed_pair_recurrence(self, synth_system):
         # shifted recurrence with gamma = conj(tau_A) lambda_{N+n} and the
         # stored e (the c-ratio is 1 here)
         s = synth_system
         quad = arf_quad(s, 1)
-        G1, _, _, _ = apply_transform(s, quad, 2.0, 1)
-        G2, _, _, _ = apply_transform(s, quad, 2.0, 2)
-        a, b, resid, scale = _fit_step(G2.poles, 2, G1, superstar(G1), G2)
+        ((G1, _, _, _),) = apply_transform_stack(s, quad, 2.0, [1])
+        ((G2, _, _, _),) = apply_transform_stack(s, quad, 2.0, [2])
+        a, b, resid, scale = _fit_values(G2.poles, 2, *evaluate_stack((G1, superstar(G1), G2), _FIT_POINTS))
         assert resid < 1e-9 * scale
         assert abs(np.conj(b / a) - s.level(3).lam) < 1e-10
         assert abs(abs(a) - s.level(3).e) < 1e-10
@@ -377,9 +375,9 @@ class TestRemarkIdentity:
     def test_identity_quad_reduces_to_base(self, synth_system):
         # with c_n = 1 the output is the ladder itself, so dtilde = d = 2
         iq = identity_quad(synth_system.poles)
-        G, _, J, _ = apply_transform(synth_system, iq, 1.0, synth_system.n_max)
-        d, resid = remark_identity_residual(G, J)
-        assert abs(d - 2.0) < 1e-10
+        ((G, _, J, _),) = apply_transform_stack(synth_system, iq, 1.0, [synth_system.n_max])
+        (d,), (resid,) = identity_residual_stack([G], [J], [superstar(G)], [superstar(J)])
+        assert abs(d.real - 2.0) < 1e-10
         assert resid < 1e-10
 
     def test_arf_transforms(self, synth_system, poisson_system):
@@ -387,9 +385,9 @@ class TestRemarkIdentity:
             for k in (1, 2):
                 quad = arf_quad(s, k)
                 for n in range(1, s.n_max - k + 1):
-                    G, _, J, _ = apply_transform(s, quad, 2.0, n)
-                    d, resid = remark_identity_residual(G, J)
-                    assert abs(d - 2.0) < 1e-10
+                    ((G, _, J, _),) = apply_transform_stack(s, quad, 2.0, [n])
+                    (d,), (resid,) = identity_residual_stack([G], [J], [superstar(G)], [superstar(J)])
+                    assert abs(d.real - 2.0) < 1e-10
                     assert resid < 1e-10
 
 

@@ -16,7 +16,6 @@ from orfkit import (
     blaschke_product,
     builtin_measure,
     cli,
-    combine,
     evaluate_stack,
     gram_schmidt_orf,
     measure,
@@ -29,7 +28,7 @@ from orfkit import (
     verify,
 )
 from orfkit.engine import _circle_nodes, _min_separation, zeros_factor
-from orfkit.measure import boundary_grid
+from orfkit.measure import boundary_grid, default_grid
 from orfkit.verify import CHECK_NAMES, DEFAULT_TOLERANCES, VerifyContext, run_verification
 
 
@@ -280,7 +279,7 @@ def reference_check_para_zeros(ctx):
     worst = 0.0
     for lv in ctx.system.levels[1:]:
         for tau in (1.0, 1.0j, -1.0, -1.0j):
-            worst = max(worst, reference_para_zeros(combine(1.0, lv.phi, tau, lv.phi_star).numer))
+            worst = max(worst, reference_para_zeros(lv.phi.numer + tau * lv.phi_star.numer))
     return worst
 
 
@@ -481,6 +480,17 @@ def test_stacked_checks_match_per_level_references(kind, n, seed):
         entry = report[name]
         assert entry["pass"] == (expected <= DEFAULT_TOLERANCES[name]), name
         assert entry["residual"] == expected or abs(entry["residual"] - expected) <= 1e-12, name
+
+
+def test_system_without_a_grid_gets_the_default():
+    # OrfSystem(poles, levels, source) once kept n_points None, and verify
+    # died in boundary_grid(None) with a TypeError
+    s = _ladder()
+    bare = OrfSystem(s.poles, s.levels, s.source)
+    assert bare.n_points == default_grid(s.n_max)
+    report = run_verification(VerifyContext(bare, seed=0, tolerances={}))
+    assert set(report) == set(CHECK_NAMES)
+    assert all(entry["pass"] for entry in report.values()), report
 
 
 def test_verify_memory_stays_per_level():
