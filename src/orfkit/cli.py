@@ -73,11 +73,17 @@ def _tolerance(name, value):
 
 
 def _complex_pairs(raw, what):
+    """A JSON list of [re, im] pairs with finite parts, as complex numbers."""
+    if not isinstance(raw, list):
+        raise ConfigError(f"{what} must be a list of [re, im] pairs, got {raw!r}")
     out = []
     for item in raw:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise ConfigError(f"{what} entries must be [re, im] pairs")
-        out.append(complex(_number(float, item[0], what), _number(float, item[1], what)))
+        re, im = _number(float, item[0], what), _number(float, item[1], what)
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ConfigError(f"{what} entries must be finite, got {item!r}")
+        out.append(complex(re, im))
     return out
 
 

@@ -73,10 +73,6 @@ class OrfLevel:
     e: float | None
     rho: complex | None
 
-    def values(self, z) -> np.ndarray:
-        """phi, phi^*, psi, psi^* at z, stacked along a leading axis of length 4."""
-        return evaluate_stack((self.phi, self.phi_star, self.psi, self.psi_star), z)
-
 
 class OrfSystem:
     """Immutable ladder of levels 0..n_max over a pole sequence.
@@ -608,84 +604,60 @@ def determinant_residual_stack(system: OrfSystem, levels):
     return d.real, resid
 
 
-@dataclass(frozen=True)
-class InterpolationReport:
-    """Residuals of the two interpolation lines and the sampled witness g_n."""
-
-    n: int
-    first_line: np.ndarray      # |(phi_n F + psi_n)(beta_j)|, j = 0..n-1
-    second_line: np.ndarray     # |(phi_n^* F - psi_n^*)(beta_j)|, j = 0..n
-    g_min: float                # min |g_n| over the disk sample
-    g_at_anchor: float          # |g_n(beta_n)|
-    para_residual: float        # para version: second line vs conj(tau) * first
-    scale: float
-
-    def max_residual(self):
-        vals = [0.0]
-        if self.first_line.size:
-            vals.append(float(self.first_line.max()))
-        if self.second_line.size:
-            vals.append(float(self.second_line.max()))
-        vals.append(self.para_residual * self.scale)
-        return max(vals)
+def _negative_modes(g, scale):
+    """Largest |Fourier mode| k = -N/4..-1 of each row of g, sampled on the
+    grid 2 pi j / N, over scale. The row extends analytically into the disk
+    exactly when these vanish; the modes nearer -N/2 are left out, as the
+    positive modes of an analytic row alias there."""
+    n = g.shape[-1]
+    modes = np.fft.fft(g, axis=-1)[..., n - n // 4 :]
+    return np.max(np.abs(modes), axis=-1) / (n * np.maximum(scale, 1e-300))
 
 
-def interpolation_residual_stack(system: OrfSystem, F: CaratheodoryFn, levels, seed: int = 0) -> list:
+def _zero_free(g):
+    """min |g| / max |g| of each row of g on the grid 2 pi j / N, or 0 where
+    the summed phase steps show that the row winds around the origin. An
+    analytic row has no zero in the closed disk exactly when this is > 0."""
+    mag = np.abs(g)
+    turns = np.round(np.sum(np.angle(np.roll(g, -1, axis=-1) * np.conj(g)), axis=-1) / (2 * np.pi))
+    return np.where(turns == 0, np.min(mag, axis=-1) / np.maximum(np.max(mag, axis=-1), 1e-300), 0.0)
+
+
+def interpolation_residual_stack(system: OrfSystem, F: CaratheodoryFn, levels):
     """Interpolation structure of each of the levels against the C-function
-    F, one report per level, in order.
+    F, as arrays (residual, witness), one entry per level, in order.
 
-    (phi_n F + psi_n) must vanish at beta_0..beta_{n-1}, the starred line at
-    beta_0..beta_n, and the analytic witness g_n = (phi_n F + psi_n)/(zeta_0
-    B_{n-1}) must stay away from zero on a 100-point disk sample. The para
-    lines are formed there from the superstars of the four functions, by
-    (f + tau g)^* = f^* + conj(tau) g^*. F and the functions of every level
-    are read once per point set. Requires pairwise distinct beta_0..beta_m,
-    m the highest level; the repeated-pole variant lives in the tests only.
+    phi_n F + psi_n must vanish at beta_0..beta_{n-1} and phi_n^* F - psi_n^*
+    at beta_0..beta_n, each to every pole's multiplicity. On the grid
+    2 pi j / N of the system the zeros factors zeta_0 B_{n-1} and zeta_0 B_n
+    are unimodular, so the cofactors are the lines times their conjugates:
+    g_n = (phi_n F + psi_n) conj(zeta_0 B_{n-1}) and, as f^* = B_n conj(f)
+    there, conj(zeta_0) (conj(phi_n) F - conj(psi_n)). The residual is the
+    largest negative Fourier mode of either over max |g_n|; the second line
+    is identically 0 at the top level of a lambda ladder, so its own
+    maximum would be rounding noise. The witness is _zero_free(g_n). Each
+    level is evaluated on the grid on its own, and conj(zeta_0 B_{n-1})
+    grows one factor per level.
     """
-    poles = system.poles
     levels = list(levels)
-    pts = poles.beta[: max(levels) + 1]
-    if _min_separation(pts) < 1e-12:
-        raise DomainError("interpolation residuals need pairwise distinct beta_0..beta_n")
-    funcs = [f for n in levels for f in _four(system.level(n))]
-    f_pts = np.asarray(F(pts))
-    at_pts = evaluate_stack(funcs, pts).reshape(len(levels), 4, -1)
-
-    rng = np.random.default_rng(seed)
-    zs = 0.7 * np.sqrt(rng.uniform(size=100)) * np.exp(2j * np.pi * rng.uniform(size=100))
-    fz = np.asarray(F(zs))
-    at_zs = evaluate_stack(funcs + [superstar(f) for f in funcs], zs).reshape(2, len(levels), 4, -1)
-    # zeta_0 B_{n-1} on the sample, B growing one Blaschke factor at a time
-    zeros_at = {}
-    blaschke = np.ones_like(zs)
-    zeta0 = np.asarray(system.kernel.zeta0(zs))
+    _, t = boundary_grid(system.n_points)
+    f_t = np.asarray(F(t))
+    conj_zeta0 = np.conj(system.kernel.zeta0(t))
+    out = {}
+    conj_zeros = np.ones_like(t)
     for m in range(max(levels) + 1):
-        if m > 1:
-            blaschke = blaschke * blaschke_factor(poles, m - 1, zs)
-        zeros_at[m] = zeta0 * blaschke if m else np.ones_like(zs)
-
-    # para pair Phi = phi + tau phi^*, Psi = psi - tau psi^*, one row per tau
-    tau = np.array([1.0, 1.0j, -1.0, -1.0j])[:, None]
-    ct = np.conj(tau)
-    reports = []
-    for i, n in enumerate(levels):
-        phi, phi_s, psi, psi_s = at_pts[i, :, : n + 1]
-        line_pts = phi * f_pts[: n + 1] + psi
-        first = np.abs(line_pts[:n])
-        second = np.abs(phi_s * f_pts[: n + 1] - psi_s)
-
-        (phi, phi_s, psi, psi_s), (s_phi, s_phi_s, s_psi, s_psi_s) = at_zs[:, i]
-        line_a = phi * fz + psi
-        g = line_a / zeros_at[n]
-        scale = float(np.max(np.abs(line_a)))
-        g_anchor = abs(line_pts[n] / complex(zeros_factor(poles, n, pts[n])))
-        lhs = (s_phi + ct * s_phi_s) * fz - (s_psi - ct * s_psi_s)
-        rhs = ct * ((phi + tau * phi_s) * fz + psi - tau * psi_s)
-        para_res = float(np.max(np.abs(lhs - rhs)) / scale)
-        reports.append(
-            InterpolationReport(n, first, second, float(np.min(np.abs(g))), g_anchor, para_res, scale)
-        )
-    return reports
+        if m == 1:
+            conj_zeros = conj_zeta0
+        elif m > 1:
+            conj_zeros = conj_zeros * np.conj(blaschke_factor(system.poles, m - 1, t))
+        if m in levels:
+            lv = system.level(m)
+            phi, psi = evaluate_stack((lv.phi, lv.psi), t)
+            g = (phi * f_t + psi) * conj_zeros
+            lines = np.stack([g, conj_zeta0 * (np.conj(phi) * f_t - np.conj(psi))])
+            out[m] = np.max(_negative_modes(lines, np.max(np.abs(g)))), _zero_free(g)
+    resid, witness = np.array([out[n] for n in levels], dtype=float).T
+    return resid, witness
 
 
 def _four(lv: OrfLevel):

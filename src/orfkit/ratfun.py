@@ -94,14 +94,6 @@ class PoleSequence:
             out = out * (1.0 - np.conj(self.beta[j]) * z)
         return out
 
-    def pi_star(self, n, z):
-        """prod_{j=1..n} (z - beta_j)."""
-        z = np.asarray(z, dtype=complex)
-        out = np.ones_like(z)
-        for j in range(1, n + 1):
-            out = out * (z - self.beta[j])
-        return out
-
     def shifted(self, k):
         """The sequence beta_k, beta_{k+1}, ... used by order-k associated systems."""
         if not 0 <= k < len(self):

@@ -36,7 +36,9 @@ from .engine import (
     OrfSystem,
     _completion_grid,
     _level_zero,
+    _negative_modes,
     _run_recurrence,
+    _zero_free,
     para_pair,
     zeros_factor,
 )
@@ -50,6 +52,8 @@ from .ratfun import (
 
 # threshold of the transform conditions that check_quad tests
 QUAD_TOL = 1e-8
+# threshold of the negative Fourier modes of the cofactors that check_quad reads
+VANISH_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -139,35 +143,22 @@ def _deflate_reciprocal(p, c, sizes):
     return q[:, :-1], rem
 
 
-def _safe_ratio(num_fn, den_fn, pts, singular):
-    """Numerator values and quotient num/den at pts, each function evaluated
-    once on one array. A point within 1e-8 of a known zero of the denominator
-    (a removable 0/0) takes the mean quotient over a 4-point ring of radius
-    1e-5 around it instead, so the division never runs there."""
-    near = (np.abs(pts[:, None] - singular[None, :]) < 1e-8).any(axis=1)
-    small = pts[near, None] + 1e-5 * np.exp(2j * np.pi * (np.arange(4) + 0.5) / 4)
-    z = np.concatenate([pts, small.ravel()])
-    num, den = np.asarray(num_fn(z)), np.asarray(den_fn(z))
-    divide = np.concatenate([~near, np.ones(z.size - pts.size, dtype=bool)])
-    q = np.divide(num, den, out=np.zeros_like(num), where=divide)
-    ratio = q[: pts.size]
-    ratio[near] = q[pts.size :].reshape(-1, 4).mean(axis=1)
-    return num[: pts.size], ratio
-
-
 def check_quad(
     quad: SelfReciprocalQuad,
     F: CaratheodoryFn,
     base_poles: PoleSequence,
-    depth: int = 0,
+    n_points: int,
 ) -> QuadConditionReport:
     """Numerically verify the transform conditions for a quad against F.
 
     Checks the four superstar sign relations, the nonvanishing of B at
-    beta_0..beta_{N-1}, the vanishing of A - B F at those points together
-    with the nonvanishing of its analytic cofactor g at the tilde and
-    shifted points, and the determinant condition on A D - B C with its
-    cofactor f. `depth` is the number of levels the transform will act on.
+    beta_0..beta_{N-1}, and on the grid 2 pi j / n_points the vanishing of
+    A - B F at those points with a zero-free cofactor g, and the
+    determinant condition that A D - B C vanishes there and at
+    btilde_0..btilde_{r-1}, with a zero-free cofactor f. The zeros factors
+    are unimodular on the grid, so each cofactor is the line times their
+    conjugate: it must have no negative Fourier modes (a3, a42, at most
+    VANISH_TOL) and no zero in the closed disk (a33, a42_f, above QUAD_TOL).
     """
     N, r = quad.N, quad.r
     tau = quad.tau_A
@@ -179,53 +170,28 @@ def check_quad(
             continue
         a1 = max(a1, float(np.abs(superstar(f).numer - sign * tau * f.numer).max()) / scale)
 
-    _, t512 = boundary_grid(512)
-    ring = 0.62 * np.exp(2j * np.pi * (np.arange(48) + 0.13) / 48)
-    zeros_b = base_poles.beta[:N]
-
+    _, t = boundary_grid(n_points)
+    a, b, c, d = evaluate_stack((quad.A, quad.B, quad.C, quad.D), t)
     if N > 0:
-        b_abs = np.abs(quad.B(np.concatenate([zeros_b, t512])))
-        a2_min = float(np.min(b_abs[:N])) / max(float(np.max(b_abs[N:])), 1e-300)
+        b_zeros = np.abs(quad.B(base_poles.beta[:N]))
+        a2_min = float(np.min(b_zeros)) / max(float(np.max(np.abs(b))), 1e-300)
     else:
         a2_min = np.inf
 
-    def a_minus_bf(z):
-        a, b = evaluate_stack((quad.A, quad.B), z)
-        return a - b * np.asarray(F(z))
-
-    # A - B F and g = (A - B F)/(zeta_0 B_{N-1}) at beta_0..beta_{N-1}, the
-    # tilde and shifted points, and the ring; g at beta_0..beta_{N-1} is unused
-    g_pts = np.concatenate([quad.tilde_poles.beta, base_poles.beta[N + 1 : N + depth + 1]])
-    pts = np.concatenate([zeros_b, g_pts, ring])
-    amb, g = _safe_ratio(a_minus_bf, lambda z: zeros_factor(base_poles, N, z), pts, zeros_b)
-    scale3 = max(float(np.max(np.abs(amb[-ring.size :]))), 1e-300)
-    a3_max = float(np.max(np.abs(amb[:N]))) / scale3 if N > 0 else 0.0
-    g_req, g_ring = g[N : N + g_pts.size], g[-ring.size :]
-    scale_g = float(max(np.max(np.abs(g_req)), np.max(np.abs(g_ring))))
-    a33_min = float(np.min(np.abs(g_req))) / scale_g if scale_g > 0 else 0.0
-
-    def adbc(z):
-        a, b, c, d = evaluate_stack((quad.A, quad.B, quad.C, quad.D), z)
-        return a * d - b * c
-
-    def f_den(z):
-        return zeros_factor(base_poles, N, z) * zeros_factor(quad.tilde_poles, r, z)
-
-    # A D - B C at its required zeros and on the ring, its cofactor f on the ring
-    vanish_pts = np.concatenate([zeros_b, quad.tilde_poles.beta[:r]])
-    det, f = _safe_ratio(adbc, f_den, np.concatenate([vanish_pts, ring]), vanish_pts)
-    scale42 = max(float(np.max(np.abs(det[-ring.size :]))), 1e-300)
-    a42_max = float(np.max(np.abs(det[: vanish_pts.size]))) / scale42 if vanish_pts.size else 0.0
-    f_ring = f[-ring.size :]
-    scale_f = float(np.max(np.abs(f_ring)))
-    a42_f_min = float(np.min(np.abs(f_ring))) / scale_f if scale_f > 0 else 0.0
+    conj_zeros = np.conj(zeros_factor(base_poles, N, t))
+    lines = np.stack([
+        (a - b * np.asarray(F(t))) * conj_zeros,
+        (a * d - b * c) * conj_zeros * np.conj(zeros_factor(quad.tilde_poles, r, t)),
+    ])
+    a3_max, a42_max = _negative_modes(lines, np.max(np.abs(lines), axis=1)).tolist()
+    a33_min, a42_f_min = _zero_free(lines).tolist()
 
     passed = bool(
         a1 <= QUAD_TOL
         and (N == 0 or a2_min > 1e-10)
-        and a3_max <= QUAD_TOL
+        and a3_max <= VANISH_TOL
         and a33_min > QUAD_TOL
-        and a42_max <= QUAD_TOL
+        and a42_max <= VANISH_TOL
         and a42_f_min > QUAD_TOL
     )
     return QuadConditionReport(a1, a2_min, a3_max, a33_min, a42_max, a42_f_min, QUAD_TOL, passed)
@@ -350,7 +316,7 @@ def arf_quad(system: OrfSystem, k: int) -> SelfReciprocalQuad:
         r=0,
         tilde_poles=PoleSequence([system.poles.beta[k]]),
     )
-    report = check_quad(quad, system.caratheodory, system.poles, depth=system.n_max - k)
+    report = check_quad(quad, system.caratheodory, system.poles, system.n_points)
     if not report.passed:
         raise NumericalFailure(f"associated quad failed its own condition check: {report}")
     return replace(quad, report=report)

@@ -178,6 +178,10 @@ class TestConfigValidation:
             {"measure": {"type": "samples", "theta": [0, 1.5707963267948966, 3.141592653589793,
                                                       4.71238898038469], "w": [float("nan"), 1, 1, 1]}},
             {"measure": {"type": "poisson", "alpha": [float("nan"), 0]}},
+            {"poles": 5},
+            {"lambdas": 3},
+            {"poles": [[float("nan"), 0], [0.5, 0], [0, 0]]},
+            {"lambdas": [[float("nan"), 0], [0, 0]]},
         ],
     )
     def test_non_numeric_values(self, tmp_path, capsys, override):

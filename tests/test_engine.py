@@ -43,6 +43,7 @@ from orfkit.engine import (
 )
 from orfkit.measure import boundary_grid
 from orfkit.transforms import arf_recurrence
+from orfkit.verify import VerifyContext, run_verification
 
 SQ3 = np.sqrt(3.0)
 
@@ -449,36 +450,53 @@ class TestDeterminant:
                 assert abs(d - 2.0) < 1e-9
                 assert resid < 1e-10
 
+    def test_stored_superstar_checked(self, poisson_system):
+        # the identity reads the stored phi_n^*: a relative 1e-6 in it fails
+        s = poisson_system
+        wrong = _with_level(s, 3, phi_star=(1 + 1e-6) * s.level(3).phi_star)
+        report = run_verification(VerifyContext(wrong, seed=0, tolerances={}), ["determinant"])
+        assert not report["determinant"]["pass"]
+
 
 class TestInterpolation:
     def test_worked_distinct_levels(self, worked_system):
-        (rep,) = interpolation_residual_stack(worked_system, worked_system.caratheodory, [1])
-        assert rep.max_residual() < 1e-8 * rep.scale
-        assert rep.g_min > 1e-8 * rep.scale
-        assert rep.g_at_anchor > 1e-8 * rep.scale
+        resid, witness = interpolation_residual_stack(worked_system, worked_system.caratheodory, [1])
+        assert resid[0] < 1e-12
+        assert witness[0] > 1e-8
 
     def test_level_zero(self, poisson_system):
-        (rep,) = interpolation_residual_stack(poisson_system, poisson_system.caratheodory, [0])
-        assert rep.first_line.size == 0
-        assert rep.second_line.size == 1 and rep.second_line[0] < 1e-10
+        # phi_0 (F + 1) vanishes nowhere; phi_0^* (F - 1) vanishes at beta_0
+        resid, witness = interpolation_residual_stack(poisson_system, poisson_system.caratheodory, [0])
+        assert resid[0] < 1e-12
+        assert witness[0] > 1e-8
 
     def test_all_levels(self, poisson_system):
         levels = range(poisson_system.n_max + 1)
-        for rep in interpolation_residual_stack(poisson_system, poisson_system.caratheodory, levels):
-            assert rep.max_residual() < 1e-8 * rep.scale
-            assert rep.g_min > 1e-8 * rep.scale
+        resid, witness = interpolation_residual_stack(poisson_system, poisson_system.caratheodory, levels)
+        assert resid.shape == witness.shape == (poisson_system.n_max + 1,)
+        assert np.all(resid < 1e-12)
+        assert np.all(witness > 1e-8)
 
-    def test_para_lines_compare_stored_superstars(self, poisson_system):
-        # a stored phi_n^* off by a relative 1e-6 breaks the para lines
+    @pytest.mark.parametrize(
+        "betas", [[0.0, 0.5, 0.0], [0.3] * 9, [0.0, 0.4, -0.3j] * 3], ids=["readme", "equal", "cyclic"]
+    )
+    def test_repeated_poles_checked(self, betas):
+        # a repeated pole is a zero of higher multiplicity, read at every level
+        s = gram_schmidt_orf(builtin_measure("lebesgue"), PoleSequence(betas), len(betas) - 1)
+        resid, witness = interpolation_residual_stack(s, s.caratheodory, range(s.n_max + 1))
+        assert resid.size == s.n_max + 1
+        assert np.all(resid < 1e-12)
+        assert np.all(witness > 1e-8)
+        report = run_verification(VerifyContext(s, seed=0, tolerances={}), ["interpolation"])
+        assert report["interpolation"]["pass"]
+
+    def test_perturbed_level_fails(self, poisson_system):
+        # a relative 1e-7 in phi_3 alone reads about 3e-8, far above 1e-10
         s = poisson_system
-        (clean,) = interpolation_residual_stack(s, s.caratheodory, [3])
-        wrong = _with_level(s, 3, phi_star=(1 + 1e-6) * s.level(3).phi_star)
-        assert clean.para_residual < 1e-12
-        assert interpolation_residual_stack(wrong, s.caratheodory, [3])[0].para_residual > 1e-8
-
-    def test_repeated_poles_rejected(self, worked_system):
-        with pytest.raises(DomainError):
-            interpolation_residual_stack(worked_system, worked_system.caratheodory, [2])
+        wrong = _with_level(s, 3, phi=(1 + 1e-7) * s.level(3).phi)
+        report = run_verification(VerifyContext(wrong, seed=0, tolerances={}), ["interpolation"])
+        assert not report["interpolation"]["pass"]
+        assert report["interpolation"]["residual"] > 1e-9
 
     def test_repeated_pole_multiplicity(self):
         # beta_2 = beta_0 = 0 doubles the zero of the starred line at 0:

@@ -168,7 +168,7 @@ class TestBlaschke:
         n = 3
         zs = disk_grid(6)
         lhs = blaschke_product(p, n, zs)
-        rhs = p.upsilon(n) * p.pi_star(n, zs) / p.pi(n, zs)
+        rhs = p.upsilon(n) * np.prod([zs - b for b in p.beta[1 : n + 1]], axis=0) / p.pi(n, zs)
         assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_inverse_factor(self):
