@@ -5,7 +5,6 @@ transforms, and associated ladders of arbitrary order."""
 from .errors import (
     ConditionUnchecked,
     DenominatorVanishes,
-    DivisionByZeroBlaschke,
     DivisionRemainderTooLarge,
     DomainError,
     FitResidualTooLarge,
@@ -63,8 +62,6 @@ from .engine import (
 from .transforms import (
     ArfSystem,
     SelfReciprocalQuad,
-    arf_caratheodory,
-    arf_explicit,
     arf_quad,
     arf_recurrence,
     check_quad,

@@ -33,7 +33,7 @@ from .engine import (
 from .errors import DomainError, NonPositiveWeight, OrfkitError
 from .measure import boundary_grid, builtin_measure, measure_from_config
 from .ratfun import PoleSequence, evaluate_stack
-from .transforms import arf_discrepancy, arf_explicit, arf_recurrence
+from .transforms import arf_discrepancy, arf_recurrence
 from .verify import CHECK_NAMES, VerifyContext, run_verification
 
 TABLE_POINTS = 256
@@ -148,7 +148,8 @@ class JobConfig:
             raise ConfigError("source 'measure' without a measure spec")
         if source == "lambdas" and lambdas is None:
             raise ConfigError("source 'lambdas' without lambdas")
-        tolerances = raw.get("tolerances") or {}
+        # only an absent key or null means none: [], 0, false and "" are not objects
+        tolerances = {} if raw.get("tolerances") is None else raw["tolerances"]
         if not isinstance(tolerances, dict):
             raise ConfigError("tolerances must be an object")
         tolerances = {name: _tolerance(name, value) for name, value in tolerances.items()}
@@ -306,7 +307,7 @@ def cmd_example(args) -> int:
     except ValueError as exc:
         raise ConfigError("--beta1 must be 're,im'") from exc
     beta1 = complex(re, im)
-    if abs(beta1) > POLE_CAP:
+    if not abs(beta1) <= POLE_CAP:
         raise ConfigError(f"|beta1| <= {POLE_CAP} required")
     n = args.n
     if n < 1:
@@ -335,10 +336,10 @@ def cmd_example(args) -> int:
     zs = 0.8 * np.sqrt(rng.uniform(size=50)) * np.exp(2j * np.pi * rng.uniform(size=50))
     line("C-function is 1 on the disk", float(np.max(np.abs(system.caratheodory(zs) - 1.0))), 1e-10)
     arf = arf_recurrence(system, 1)
-    err = 0.0
-    for m in range(1, n + 1):
-        phi_e, _ = arf_explicit(system, 1, m, quad=arf.quad)
-        err = max(err, float(np.max(np.abs(phi_e(t) - lebesgue_arf(poles, 1, m)(t)))))
+    err = max(
+        float(np.max(np.abs(phi_e(t) - lebesgue_arf(poles, 1, m)(t))))
+        for m, (phi_e, _) in enumerate(arf.explicit, start=1)
+    )
     line("order-1 associated functions vs closed form", err, 1e-9)
     theta = arf.mu_k.params["theta"]
     target = (1.0 - abs(beta1) ** 2) / np.abs(np.exp(1j * theta) - beta1) ** 2

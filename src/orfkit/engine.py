@@ -82,11 +82,10 @@ class OrfSystem:
     data from level 0. A measure-sourced system keeps its measure; every
     system carries an evaluable C-function, by default the rational
     completion psi*_m/phi*_m of its top level m. A system given no grid
-    size gets the default one for its n_max. Its para-orthogonal pairs are
-    built on first use and kept (`para_pair`).
+    size gets the default one for its n_max.
     """
 
-    __slots__ = ("poles", "levels", "source", "measure", "caratheodory", "n_points", "_pairs")
+    __slots__ = ("poles", "levels", "source", "measure", "caratheodory", "n_points")
 
     def __init__(self, poles, levels, source, measure=None, caratheodory=None, n_points=None):
         self.poles = poles
@@ -95,7 +94,6 @@ class OrfSystem:
         self.measure = measure
         self.caratheodory = caratheodory or caratheodory_from_system(self)
         self.n_points = n_points or default_grid(len(self.levels) - 1)
-        self._pairs = {}
 
     @property
     def n_max(self):
@@ -219,7 +217,7 @@ def recurrence_step(prev: OrfLevel, lam, rho, poles: PoleSequence, n: int, e=Non
     """
     lam = complex(lam)
     rho = complex(rho)
-    if abs(lam) >= 1.0:
+    if not abs(lam) < 1.0:
         raise ParameterOutOfDisk(f"|lambda_{n}| = {abs(lam):.4f} must be < 1")
     b_prev, b_n = poles.beta[n - 1], poles.beta[n]
     if e is None:
@@ -261,8 +259,9 @@ def _run_recurrence(poles, level0: OrfLevel, params) -> list:
     return levels
 
 
-def synthesize(lambdas, poles: PoleSequence, phi0=1.0, allow_poles_near_circle=False) -> OrfSystem:
-    """Build the ladder from recurrence parameters alone (rho_n = 1).
+def synthesize(lambdas, poles: PoleSequence, allow_poles_near_circle=False) -> OrfSystem:
+    """Build the ladder from recurrence parameters alone (rho_n = 1), from
+    the constant phi_0 = 1.
 
     Every |lambda_n| < 1 yields a ladder orthonormal with respect to some
     C-function; the canonical one attached here is the rational completion
@@ -271,10 +270,7 @@ def synthesize(lambdas, poles: PoleSequence, phi0=1.0, allow_poles_near_circle=F
     lambdas = [complex(v) for v in lambdas]
     n_max = len(lambdas)
     _check_poles(poles, n_max, allow_poles_near_circle)
-    phi0 = complex(phi0)
-    if abs(abs(phi0) - 1.0) > 1e-12:
-        raise DomainError("initial value must be unimodular in the orthonormal normalization")
-    levels = _run_recurrence(poles, _level_zero(poles, phi0), ((lam, 1.0, None) for lam in lambdas))
+    levels = _run_recurrence(poles, _level_zero(poles, 1.0), ((lam, 1.0, None) for lam in lambdas))
     return OrfSystem(poles, levels, source="parameters", n_points=_completion_grid(levels[-1], n_max))
 
 
@@ -465,21 +461,18 @@ def para_pair(system: OrfSystem, n: int, tau) -> ParaPair:
     """Para-orthogonal pair Phi = phi_n + tau phi_n^*, Psi = psi_n - tau psi_n^*.
 
     A function and its superstar share one degree and one denominator, so
-    the pair adds numerators. Built once per (n, tau) and kept on the system.
+    the pair adds numerators.
     """
     tau = complex(tau)
-    if abs(abs(tau) - 1.0) > 1e-12:
+    if not abs(abs(tau) - 1.0) <= 1e-12:
         raise DomainError("tau must be unimodular")
-    pair = system._pairs.get((n, tau))
-    if pair is None:
-        lv = system.level(n)
-        pair = system._pairs[n, tau] = ParaPair(
-            n,
-            tau,
-            RatFun(lv.phi.poles, lv.phi.numer + tau * lv.phi_star.numer, n),
-            RatFun(lv.psi.poles, lv.psi.numer - tau * lv.psi_star.numer, n),
-        )
-    return pair
+    lv = system.level(n)
+    return ParaPair(
+        n,
+        tau,
+        RatFun(lv.phi.poles, lv.phi.numer + tau * lv.phi_star.numer, n),
+        RatFun(lv.psi.poles, lv.psi.numer - tau * lv.psi_star.numer, n),
+    )
 
 
 def _min_separation(pts) -> float:

@@ -22,10 +22,6 @@ class PoleMismatch(OrfkitError):
     """Two rational functions do not share the same pole sequence."""
 
 
-class DivisionByZeroBlaschke(OrfkitError):
-    """Inverse Blaschke factor requested at its zero."""
-
-
 class KernelSingularity(OrfkitError):
     """Kernel evaluated at (t, z) too close to its singular set."""
 

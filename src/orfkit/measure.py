@@ -239,7 +239,7 @@ class CaratheodoryFn:
 
     def __init__(self, evaluator, beta0):
         beta0 = complex(beta0)
-        if abs(beta0) >= 1.0:
+        if not abs(beta0) < 1.0:
             raise DomainError("|beta_0| < 1 required")
         self.evaluator = evaluator
         self.beta0 = beta0

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
-    DivisionByZeroBlaschke,
     DomainError,
     KernelSingularity,
     PoleMismatch,
@@ -42,7 +41,7 @@ class PoleSequence:
         arr = np.atleast_1d(np.asarray(beta, dtype=complex)).copy()
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("pole sequence must be a nonempty 1-d list")
-        if (np.abs(arr) >= 1.0).any():
+        if not (np.abs(arr) < 1.0).all():
             raise DomainError("all poles beta_k must satisfy |beta_k| < 1")
         arr.flags.writeable = False
         self.beta = arr
@@ -273,16 +272,10 @@ def blaschke_factor(poles: PoleSequence, k: int, z) -> complex | np.ndarray:
 
 
 def blaschke_product(poles: PoleSequence, k: int, z) -> complex | np.ndarray:
-    """Blaschke product B_k(z); B_{-1} = 1/zeta_0, B_0 = 1, B_k = zeta_1...zeta_k."""
+    """Blaschke product B_k(z) = zeta_1...zeta_k, k >= 0; B_0 = 1."""
     z = np.asarray(z, dtype=complex)
-    if k < -1:
-        raise DomainError("Blaschke product index must be >= -1")
-    if k == -1:
-        z0 = np.asarray(blaschke_factor(poles, 0, z))
-        if np.any(np.abs(z0) < TAU_POLE):
-            raise DivisionByZeroBlaschke("B_{-1} requested at a zero of zeta_0")
-        out = 1.0 / z0
-        return out if out.ndim else complex(out)
+    if k < 0:
+        raise DomainError("Blaschke product index must be >= 0")
     out = np.ones_like(z)
     for j in range(1, k + 1):
         out = out * blaschke_factor(poles, j, z)
@@ -296,7 +289,7 @@ class KernelParams:
 
     def __init__(self, beta0):
         beta0 = complex(beta0)
-        if abs(beta0) >= 1.0:
+        if not abs(beta0) < 1.0:
             raise DomainError("|beta_0| < 1 required")
         self.beta0 = beta0
 
@@ -331,9 +324,9 @@ def poisson_kernel(kp: KernelParams, t, z) -> complex | np.ndarray:
     """
     t = np.asarray(t, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(np.abs(t) - 1.0) > 1e-8):
+    if not np.all(np.abs(np.abs(t) - 1.0) <= 1e-8):
         raise DomainError("Poisson kernel requires |t| = 1")
-    if np.any(np.abs(z) >= 1.0):
+    if not np.all(np.abs(z) < 1.0):
         raise DomainError("Poisson kernel requires |z| < 1")
     b0 = kp.beta0
     num = (1.0 - np.abs(z) ** 2) * (1.0 - np.conj(b0) * t) * (t - b0)

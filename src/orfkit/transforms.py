@@ -90,7 +90,7 @@ class SelfReciprocalQuad:
     report: QuadConditionReport | None = None
 
     def __post_init__(self):
-        if abs(abs(self.tau_A) - 1.0) > 1e-12:
+        if not abs(abs(self.tau_A) - 1.0) <= 1e-12:
             raise DomainError("tau_A must be unimodular")
         if self.N < 0 or self.r < 0:
             raise DomainError("N and r must be >= 0")
@@ -288,14 +288,55 @@ def apply_transform_stack(system: OrfSystem, quad: SelfReciprocalQuad, c_n, offs
 
 
 def transformed_caratheodory(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> CaratheodoryFn:
-    """The transformed C-function (-C + D F)/(A - B F), anchored at btilde_0."""
+    """The transformed C-function (-C + D F)/(A - B F), anchored at btilde_0.
+
+    Asserts the anchor value 1 (within 1e-9), kept as its `anchor_residual`,
+    and positive real part on a fixed seeded sample of 200 disk points
+    before returning.
+    """
+    Ft = ratio_caratheodory(_quad_terms(quad, F), quad.tilde_poles.beta[0])
+    Ft.anchor_residual = anchor_residual(quad, F)
+    if Ft.anchor_residual > 1e-9:
+        raise NumericalFailure(f"transformed C-function anchor defect {Ft.anchor_residual:.2e}")
+    rng = np.random.default_rng(0)
+    zs = 0.95 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+    re_min = float(np.min(np.real(np.asarray(Ft(zs)))))
+    if re_min <= 0.0:
+        raise NumericalFailure(f"transformed C-function lost positivity (min Re = {re_min:.2e})")
+    return Ft
+
+
+def _quad_terms(quad: SelfReciprocalQuad, F: CaratheodoryFn):
+    """terms(z) -> (-C + D F, A - B F), the numerator and denominator of the
+    transformed C-function; F is evaluated once per call."""
 
     def terms(z):
         a, b, c, d = evaluate_stack((quad.A, quad.B, quad.C, quad.D), z)
         f = np.asarray(F(z))
         return -c + d * f, a - b * f
 
-    return ratio_caratheodory(terms, quad.tilde_poles.beta[0])
+    return terms
+
+
+def anchor_residual(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> float:
+    """Deviation of the transformed C-function from 1 at its anchor btilde_0.
+
+    When both the numerator and denominator of the defining ratio vanish
+    there (a removable point, as when earlier poles repeat btilde_0), the
+    residual is the vanishing defect of their difference, scaled by the
+    size of the denominator on a ring nearby, which is the numerical
+    content of the limit.
+    """
+    b0 = quad.tilde_poles.beta[0]
+    ring = b0 + 0.3 * np.exp(2j * np.pi * (np.arange(16) + 0.41) / 16)
+    ring = ring[np.abs(ring) < 0.97]
+    # the anchor and the ring in one evaluation
+    nums, dens = _quad_terms(quad, F)(np.concatenate([[b0], ring]))
+    num, den = complex(nums[0]), complex(dens[0])
+    den_scale = float(np.max(np.abs(dens[1:])))
+    if abs(den) > 1e-6 * den_scale:
+        return abs(num / den - 1.0)
+    return abs(num - den) / den_scale
 
 
 def arf_quad(system: OrfSystem, k: int) -> SelfReciprocalQuad:
@@ -322,22 +363,6 @@ def arf_quad(system: OrfSystem, k: int) -> SelfReciprocalQuad:
     return replace(quad, report=report)
 
 
-def arf_explicit(system: OrfSystem, k: int, n: int, quad: SelfReciprocalQuad | None = None):
-    """Order-k associated pair at level n through the explicit transform with
-    the orthonormal constant c_{n,k} = sqrt(d_k d_n) = sqrt(2 * 2) = 2.
-
-    The base level n = k is returned as the exact constant 1 (no division)."""
-    if not 0 <= k <= n <= system.n_max:
-        raise DomainError("need 0 <= k <= n <= n_max")
-    if n == k:
-        shifted = PoleSequence(system.poles.beta[k : system.n_max + 1])
-        one = RatFun(shifted, [1.0], 0)
-        return one, one
-    quad = quad if quad is not None else arf_quad(system, k)
-    G, _, J, _ = apply_transform_stack(system, quad, 2.0, [n - k])[0]
-    return G, J
-
-
 @dataclass(frozen=True)
 class ArfSystem:
     """Order-k associated ladder: a plain ladder over the shifted poles
@@ -346,18 +371,14 @@ class ArfSystem:
     Everything else derived from (base, order) is computed on first access
     and kept: `quad` (the quad of the level-k para-orthogonal pairs),
     `explicit` (the pairs of the explicit transform route), `F_k` (the
-    transformed C-function) and `mu_k` (the density of F_k, sampled on this
-    order's own grid). A failure in one of them is raised at that first
-    access.
+    base C-function through that quad's transform) and `mu_k` (the density
+    of F_k, sampled on this order's own grid). A failure in one of them is
+    raised at that first access; F_k builds and checks the quad first.
     """
 
     base: OrfSystem
     order: int
     system: OrfSystem
-
-    @property
-    def n_max(self):
-        return self.order + self.system.n_max
 
     def level(self, n):
         """Level by original index n (order <= n <= n_max)."""
@@ -369,18 +390,20 @@ class ArfSystem:
 
     @cached_property
     def explicit(self) -> tuple:
-        """arf_explicit(base, order, n, quad) for n = order..n_max, in order;
-        the levels above the order come from one apply_transform_stack pass.
-        The quad is built, and its conditions checked, at every order, the
-        top one included."""
-        head = arf_explicit(self.base, self.order, self.order, quad=self.quad)
-        above = range(1, self.n_max - self.order + 1)
-        moved = apply_transform_stack(self.base, self.quad, 2.0, above) if above else ()
-        return (head,) + tuple((G, J) for G, _, J, _ in moved)
+        """Order-k pairs (phi, psi) at levels order..n_max of the base ladder,
+        in order: the exact constant 1 at the order, then one
+        apply_transform_stack pass with c_{n,k} = sqrt(d_k d_n) = 2. The
+        quad is built, and its conditions checked, at every order, the top
+        one included."""
+        quad = self.quad  # built even when no level lies above the order
+        one = RatFun(self.system.poles, [1.0], 0)
+        above = range(1, self.system.n_max + 1)
+        moved = apply_transform_stack(self.base, quad, 2.0, above) if above else ()
+        return ((one, one),) + tuple((G, J) for G, _, J, _ in moved)
 
     @cached_property
     def F_k(self) -> CaratheodoryFn:
-        return arf_caratheodory(self.base, self.base.caratheodory, self.order)
+        return transformed_caratheodory(self.quad, self.base.caratheodory)
 
     @cached_property
     def mu_k(self) -> CircleMeasure:
@@ -394,60 +417,6 @@ class ArfSystem:
         theta, _ = boundary_grid(max(self.base.n_points, own))
         w = weight_from_caratheodory(self.F_k, self.system.poles.beta[0], theta)
         return builtin_measure("samples", theta=theta, w=w)
-
-
-def _arf_ratio_terms(system: OrfSystem, F: CaratheodoryFn, k: int):
-    """terms(z) -> (numerator, denominator) Phi_{k,tau} F + Psi_{k,tau}, tau = 1
-    and -1, of the order-k transformed C-function; F is evaluated once."""
-    pp1 = para_pair(system, k, 1.0)
-    ppm = para_pair(system, k, -1.0)
-
-    def terms(z):
-        phi1, psi1, phim, psim = evaluate_stack((pp1.Phi, pp1.Psi, ppm.Phi, ppm.Psi), z)
-        f = np.asarray(F(z))
-        return phi1 * f + psi1, phim * f + psim
-
-    return terms
-
-
-def arf_anchor_residual(system: OrfSystem, F: CaratheodoryFn, k: int) -> float:
-    """Deviation of the transformed C-function from 1 at its anchor beta_k.
-
-    When earlier poles repeat beta_k, both the numerator and denominator of
-    the defining ratio vanish there (a removable point); the residual is
-    then the vanishing defect of their difference, scaled by the size of
-    the denominator nearby, which is the numerical content of the limit.
-    """
-    b_k = system.poles.beta[k]
-    ring = b_k + 0.3 * np.exp(2j * np.pi * (np.arange(16) + 0.41) / 16)
-    ring = ring[np.abs(ring) < 0.97]
-    # beta_k and the ring in one evaluation
-    nums, dens = _arf_ratio_terms(system, F, k)(np.concatenate([[b_k], ring]))
-    num, den = complex(nums[0]), complex(dens[0])
-    den_scale = float(np.max(np.abs(dens[1:])))
-    if abs(den) > 1e-6 * den_scale:
-        return abs(num / den - 1.0)
-    return abs(num - den) / den_scale
-
-
-def arf_caratheodory(system: OrfSystem, F: CaratheodoryFn, k: int) -> CaratheodoryFn:
-    """Transformed C-function of the order-k associated ladder:
-    (Phi_{k,1} F + Psi_{k,1})/(Phi_{k,-1} F + Psi_{k,-1}), anchored at beta_k.
-
-    Asserts the anchor value 1 (within 1e-9), kept as its `anchor_residual`,
-    and positive real part on a fixed seeded sample of 200 disk points
-    before returning.
-    """
-    Fk = ratio_caratheodory(_arf_ratio_terms(system, F, k), system.poles.beta[k])
-    Fk.anchor_residual = arf_anchor_residual(system, F, k)
-    if Fk.anchor_residual > 1e-9:
-        raise NumericalFailure(f"transformed C-function anchor defect {Fk.anchor_residual:.2e}")
-    rng = np.random.default_rng(0)
-    zs = 0.95 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
-    re_min = float(np.min(np.real(np.asarray(Fk(zs)))))
-    if re_min <= 0.0:
-        raise NumericalFailure(f"transformed C-function lost positivity (min Re = {re_min:.2e})")
-    return Fk
 
 
 def arf_recurrence(system: OrfSystem, k: int) -> ArfSystem:

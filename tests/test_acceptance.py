@@ -11,7 +11,6 @@ import pytest
 
 from orfkit import (
     PoleSequence,
-    arf_explicit,
     arf_quad,
     arf_recurrence,
     builtin_measure,
@@ -35,7 +34,7 @@ from orfkit.engine import (
 from orfkit.transforms import apply_transform_stack
 from orfkit.measure import boundary_grid
 from orfkit.serialize import dumps, system_from_dict, system_to_dict
-from orfkit.transforms import arf_anchor_residual
+from orfkit.transforms import anchor_residual
 
 SQ3 = np.sqrt(3.0)
 
@@ -166,15 +165,14 @@ def test_criterion_07_arf_dual_construction(golden, measure_systems, synth_syste
     _, t = boundary_grid(512)
     worst = 0.0
     for system in [measure_systems[1], synth_systems[0]]:
+        assert system.n_max == 8
         for k in range(4):
-            quad = arf_quad(system, k)
             rec = arf_recurrence(system, k)
-            for n in range(k, 9):
-                phi_e, psi_e = arf_explicit(system, k, n, quad=quad)
+            for n, (phi_e, psi_e) in enumerate(rec.explicit, start=k):
                 worst = max(worst, float(np.max(np.abs(phi_e(t) - rec.level(n).phi(t)))))
                 worst = max(worst, float(np.max(np.abs(psi_e(t) - rec.level(n).psi(t)))))
     ok = _line("criterion 7: explicit vs recursive associated ladders", worst, 1e-9)
-    phi, _ = arf_explicit(golden, 1, 2)
+    phi, _ = arf_recurrence(golden, 1).explicit[1]
     closed = float(np.max(np.abs(phi.numer - np.array([-1.0, 2.0]) / SQ3)))
     ok &= _line("criterion 7: worked closed form (2/sqrt(3))(z - 0.5)", closed, 1e-10)
     assert ok
@@ -214,8 +212,8 @@ def test_criterion_10_transformed_cfunction(golden, measure_systems, synth_syste
     for system in [golden] + measure_systems + synth_systems[:2]:
         F = system.caratheodory
         for k in range(min(3, system.n_max) + 1):
-            anchor_worst = max(anchor_worst, arf_anchor_residual(system, F, k))
             arf = arf_recurrence(system, k)
+            anchor_worst = max(anchor_worst, anchor_residual(arf.quad, F))
             re_min = min(re_min, float(np.min(np.real(arf.F_k(zs)))))
     ok = _line("criterion 10: transformed C-function anchored at 1", anchor_worst, 1e-9)
     ok &= _line("criterion 10: positive real part (min Re)", re_min, 0.0, ok=re_min > 0.0)

@@ -182,6 +182,11 @@ class TestConfigValidation:
             {"lambdas": 3},
             {"poles": [[float("nan"), 0], [0.5, 0], [0, 0]]},
             {"lambdas": [[float("nan"), 0], [0, 0]]},
+            # only an absent key or null means no tolerances; a falsy non-object is an error
+            {"tolerances": []},
+            {"tolerances": 0},
+            {"tolerances": False},
+            {"tolerances": ""},
         ],
     )
     def test_non_numeric_values(self, tmp_path, capsys, override):
@@ -213,6 +218,11 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, {**WORKED, "tolerances": tolerances})
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config error: tolerance 'orthonormality'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tolerances", [None, {}])
+    def test_null_or_empty_tolerances_mean_none(self, tmp_path, tolerances):
+        cfg = write_config(tmp_path, {**WORKED, "tolerances": tolerances})
+        assert cli.JobConfig.from_file(cfg).tolerances == {}
 
     def test_unknown_tolerance_name_rejected(self, tmp_path, capsys):
         # a misspelt check name once left its check at the default tolerance
@@ -409,3 +419,9 @@ class TestExampleCommand:
 
     def test_bad_beta(self):
         assert main(["example", "lebesgue", "--beta1", "2,0"]) == 2
+
+    @pytest.mark.parametrize("beta1", ["nan,0", "0,nan", "inf,0"])
+    def test_non_finite_beta(self, capsys, beta1):
+        # nan fails every comparison, so the cap test must reject it rather than pass it
+        assert main(["example", "lebesgue", "--beta1", beta1]) == 2
+        assert "config error" in capsys.readouterr().err

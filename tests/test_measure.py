@@ -321,6 +321,11 @@ class TestCaratheodory:
             F = caratheodory_from_measure(mu, 0.1)
             assert np.min(np.real(F(disk_points(4)))) > 0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.1, float("nan"))])
+    def test_rejects_non_finite_anchor(self, bad):
+        with pytest.raises(DomainError):
+            CaratheodoryFn(lambda z: np.ones_like(z), bad)
+
     def test_rejects_outside_disk(self):
         F = caratheodory_from_measure(builtin_measure("lebesgue"), 0.0)
         with pytest.raises(KernelSingularity):

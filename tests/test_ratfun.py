@@ -6,7 +6,6 @@ from numpy.polynomial import polynomial as npp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from orfkit import (
-    DivisionByZeroBlaschke,
     DomainError,
     KernelParams,
     KernelSingularity,
@@ -41,6 +40,12 @@ class TestPoleSequence:
     def test_rejects_pole_on_circle(self):
         with pytest.raises(DomainError):
             PoleSequence([0.5, 1.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.1, float("nan"))])
+    def test_rejects_non_finite_pole(self, bad):
+        # |beta| >= 1 is False for nan, so the test must be |beta| < 1 failing
+        with pytest.raises(DomainError):
+            PoleSequence([0.0, bad])
 
     def test_repeated_poles_allowed(self):
         p = PoleSequence([0.0, 0.5, 0.5])
@@ -171,15 +176,17 @@ class TestBlaschke:
         rhs = p.upsilon(n) * np.prod([zs - b for b in p.beta[1 : n + 1]], axis=0) / p.pi(n, zs)
         assert_allclose(lhs, rhs, rtol=1e-12)
 
-    def test_inverse_factor(self):
-        p = PoleSequence([0.4, 0.5])
-        z = 0.1 + 0.2j
-        assert_allclose(blaschke_product(p, -1, z) * blaschke_factor(p, 0, z), 1.0)
-        with pytest.raises(DivisionByZeroBlaschke):
-            blaschke_product(p, -1, 0.4)
+    def test_negative_index_rejected(self):
+        with pytest.raises(DomainError):
+            blaschke_product(PoleSequence([0.4, 0.5]), -1, 0.1 + 0.2j)
 
 
 class TestKernels:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.1, float("nan"))])
+    def test_rejects_non_finite_anchor(self, bad):
+        with pytest.raises(DomainError):
+            KernelParams(bad)
+
     def test_herglotz_centered(self):
         kp = KernelParams(0.0)
         assert_allclose(herglotz_kernel(kp, 1.0, 0.5), 3.0)
@@ -210,6 +217,11 @@ class TestKernels:
     def test_poisson_rejects_interior_t(self):
         with pytest.raises(DomainError):
             poisson_kernel(KernelParams(0.0), 0.5, 0.2)
+
+    @pytest.mark.parametrize("t, z", [(float("nan"), 0.2), (1.0, float("nan")), (1.0, complex(0.1, float("nan")))])
+    def test_poisson_rejects_non_finite_points(self, t, z):
+        with pytest.raises(DomainError):
+            poisson_kernel(KernelParams(0.0), t, z)
 
     def test_poisson_is_symmetrized_herglotz(self):
         # D(t,z) + D_*(t,z) (substar in t) = 2 P(t,z)

@@ -10,24 +10,24 @@ from orfkit import (
     PoleSequence,
     RatFun,
     SelfReciprocalQuad,
-    arf_caratheodory,
-    arf_explicit,
     arf_quad,
     arf_recurrence,
     check_quad,
     gram_schmidt_orf,
+    para_pair,
     identity_quad,
     lebesgue_arf,
     relation_residuals,
     superstar,
     synthesize,
     transformed_caratheodory,
+    weight_from_caratheodory,
 )
 from orfkit import transforms
 from orfkit.engine import _FIT_POINTS, _fit_values, identity_residual_stack
-from orfkit.measure import CaratheodoryFn, boundary_grid
+from orfkit.measure import CaratheodoryFn, boundary_grid, ratio_caratheodory
 from orfkit.ratfun import blaschke_factor, evaluate_stack
-from orfkit.transforms import arf_anchor_residual, arf_discrepancy, apply_transform_stack, relation_residual_stack
+from orfkit.transforms import anchor_residual, arf_discrepancy, apply_transform_stack, relation_residual_stack
 
 SQ3 = np.sqrt(3.0)
 
@@ -76,6 +76,13 @@ class TestArfQuad:
     def test_report_attached_and_passed(self, poisson_system):
         quad = arf_quad(poisson_system, 2)
         assert quad.report is not None and quad.report.passed
+
+
+@pytest.mark.parametrize("tau_A", [float("nan"), complex(1.0, float("nan")), 0.5])
+def test_quad_signature_must_be_unimodular(tau_A):
+    one = RatFun(PoleSequence([0.0]), [1.0], 0)
+    with pytest.raises(DomainError):
+        SelfReciprocalQuad(one, one, one, one, tau_A, 0, 0, PoleSequence([0.0]))
 
 
 class TestCheckQuad:
@@ -212,28 +219,28 @@ class TestTransformedCaratheodory:
 
 
 class TestArfExplicit:
+    # ArfSystem.explicit[n - k] is the order-k pair at level n
     def test_order_zero_identity(self, poisson_system):
+        explicit = arf_recurrence(poisson_system, 0).explicit
         for n in range(poisson_system.n_max + 1):
-            phi, psi = arf_explicit(poisson_system, 0, n)
+            phi, psi = explicit[n]
             assert sup_diff(phi, poisson_system.level(n).phi) < 1e-12
             assert sup_diff(psi, poisson_system.level(n).psi) < 1e-12
 
     def test_base_level_is_one(self, poisson_system):
-        phi, psi = arf_explicit(poisson_system, 2, 2)
+        phi, psi = arf_recurrence(poisson_system, 2).explicit[0]
         assert_allclose(phi.numer, [1.0])
         assert_allclose(psi.numer, [1.0])
 
     def test_worked_closed_form(self, worked_system):
-        phi, psi = arf_explicit(worked_system, 1, 2)
+        phi, psi = arf_recurrence(worked_system, 1).explicit[1]
         assert_allclose(phi.numer, [-1 / SQ3, 2 / SQ3], atol=1e-12)
         assert_allclose(psi.numer, phi.numer, atol=1e-12)
 
     def test_lebesgue_closed_form_general_poles(self, lebesgue):
         poles = PoleSequence([0.0, 0.5, -0.3 + 0.2j, 0.4j, 0.25])
         s = gram_schmidt_orf(lebesgue, poles, 4)
-        quad = arf_quad(s, 1)
-        for n in range(1, 5):
-            phi, _ = arf_explicit(s, 1, n, quad=quad)
+        for n, (phi, _) in enumerate(arf_recurrence(s, 1).explicit, start=1):
             assert sup_diff(phi, lebesgue_arf(poles, 1, n)) < 1e-10
 
 
@@ -246,10 +253,8 @@ class TestArfRecurrence:
     def test_matches_explicit(self, synth_system, poisson_system):
         for s in (synth_system, poisson_system):
             for k in range(min(3, s.n_max) + 1):
-                quad = arf_quad(s, k)
                 rec = arf_recurrence(s, k)
-                for n in range(k, s.n_max + 1):
-                    phi_e, psi_e = arf_explicit(s, k, n, quad=quad)
+                for n, (phi_e, psi_e) in enumerate(rec.explicit, start=k):
                     assert sup_diff(phi_e, rec.level(n).phi) < 1e-9
                     assert sup_diff(psi_e, rec.level(n).psi) < 1e-9
 
@@ -269,26 +274,73 @@ class TestArfRecurrence:
 
 
 class TestArfCaratheodory:
+    # F_k is the base C-function through the order's quad
     def test_order_zero_is_base(self, poisson_system):
-        F0 = arf_caratheodory(poisson_system, poisson_system.caratheodory, 0)
+        F0 = arf_recurrence(poisson_system, 0).F_k
         zs = disk_points(5, cap=0.8)
         assert_allclose(F0(zs), poisson_system.caratheodory(zs), rtol=1e-10)
 
     def test_worked_order_one_constant(self, worked_system):
-        F1 = arf_caratheodory(worked_system, worked_system.caratheodory, 1)
+        F1 = arf_recurrence(worked_system, 1).F_k
         assert_allclose(F1(disk_points(6, cap=0.8)), 1.0, atol=1e-12)
 
     def test_anchor_and_positivity_random(self, synth_system):
         for k in range(min(3, synth_system.n_max) + 1):
-            Fk = arf_caratheodory(synth_system, synth_system.caratheodory, k)
-            assert abs(arf_anchor_residual(synth_system, synth_system.caratheodory, k)) < 1e-9
-            assert np.min(np.real(Fk(disk_points(7)))) > 0
+            arf = arf_recurrence(synth_system, k)
+            assert abs(anchor_residual(arf.quad, synth_system.caratheodory)) < 1e-9
+            assert np.min(np.real(arf.F_k(disk_points(7)))) > 0
 
     def test_repeated_pole_anchor(self, worked_system):
         # beta_2 = beta_0 makes the anchor a removable point; the residual
         # stays at rounding level through the limit form
-        res = arf_anchor_residual(worked_system, worked_system.caratheodory, 2)
+        res = anchor_residual(arf_quad(worked_system, 2), worked_system.caratheodory)
         assert res < 1e-12
+
+
+def reference_terms(system, F, k):
+    """The order-k ratio written in the level-k para-orthogonal pairs:
+    (Phi_{k,1} F + Psi_{k,1}, Phi_{k,-1} F + Psi_{k,-1})."""
+    pp1 = para_pair(system, k, 1.0)
+    ppm = para_pair(system, k, -1.0)
+
+    def terms(z):
+        phi1, psi1, phim, psim = evaluate_stack((pp1.Phi, pp1.Psi, ppm.Phi, ppm.Psi), z)
+        f = np.asarray(F(z))
+        return phi1 * f + psi1, phim * f + psim
+
+    return terms
+
+
+def reference_anchor_residual(system, F, k):
+    """|ratio - 1| at beta_k, or the limit form on a 16-point ring when the
+    anchor is a removable point."""
+    b_k = system.poles.beta[k]
+    ring = b_k + 0.3 * np.exp(2j * np.pi * (np.arange(16) + 0.41) / 16)
+    ring = ring[np.abs(ring) < 0.97]
+    nums, dens = reference_terms(system, F, k)(np.concatenate([[b_k], ring]))
+    num, den = complex(nums[0]), complex(dens[0])
+    den_scale = float(np.max(np.abs(dens[1:])))
+    if abs(den) > 1e-6 * den_scale:
+        return abs(num / den - 1.0)
+    return abs(num - den) / den_scale
+
+
+@pytest.mark.parametrize(
+    "ladder, k",
+    [("synth_system", k) for k in range(4)] + [("poisson_system", k) for k in range(4)] + [("worked_system", 2)],
+)
+def test_F_k_is_the_para_pair_ratio(request, ladder, k):
+    # the general transform through the order's quad gives the para-pair
+    # ratio bit for bit: F_k, its density table and its anchor residual
+    # (worked_system at k = 2 has beta_2 = beta_0, a removable anchor)
+    s = request.getfixturevalue(ladder)
+    arf = arf_recurrence(s, k)
+    ref = ratio_caratheodory(reference_terms(s, s.caratheodory, k), s.poles.beta[k])
+    zs = disk_points(8)
+    assert np.array_equal(arf.F_k(zs), ref(zs))
+    theta = arf.mu_k.params["theta"]
+    assert np.array_equal(arf.mu_k.params["w"], weight_from_caratheodory(ref, s.poles.beta[k], theta))
+    assert arf.F_k.anchor_residual == reference_anchor_residual(s, s.caratheodory, k)
 
 
 class TestRelations:
@@ -402,7 +454,7 @@ class TestArfSystemLaziness:
         def fail(*args, **kwargs):
             raise AssertionError("derived part built before it was used")
 
-        monkeypatch.setattr(transforms, "arf_caratheodory", fail)
+        monkeypatch.setattr(transforms, "transformed_caratheodory", fail)
         monkeypatch.setattr(transforms, "check_quad", fail)
         s = synth_system
         for k in range(s.n_max + 1):
@@ -412,7 +464,7 @@ class TestArfSystemLaziness:
         assert relation_residuals(arf_recurrence(s, 0), arf_recurrence(s, 1), 2).max_residual() < 1e-10
 
     def test_derived_parts_built_once(self, monkeypatch, poisson_system):
-        calls = {"arf_caratheodory": 0, "check_quad": 0}
+        calls = {"transformed_caratheodory": 0, "check_quad": 0}
 
         def counted(name):
             original = getattr(transforms, name)
@@ -423,12 +475,12 @@ class TestArfSystemLaziness:
 
             monkeypatch.setattr(transforms, name, wrapper)
 
-        counted("arf_caratheodory")
+        counted("transformed_caratheodory")
         counted("check_quad")
         arf = arf_recurrence(poisson_system, 2)
-        assert calls == {"arf_caratheodory": 0, "check_quad": 0}
+        assert calls == {"transformed_caratheodory": 0, "check_quad": 0}
         assert arf.F_k is arf.F_k
         assert arf.mu_k is arf.mu_k
         assert arf.quad is arf.quad
         assert arf_discrepancy(arf) < 1e-9
-        assert calls == {"arf_caratheodory": 1, "check_quad": 1}
+        assert calls == {"transformed_caratheodory": 1, "check_quad": 1}

@@ -74,12 +74,12 @@ def test_verify_builds_each_order_once(monkeypatch):
     calls = {}
     for module, name in (
         (transforms, "check_quad"),
-        (transforms, "arf_caratheodory"),
+        (transforms, "transformed_caratheodory"),
         (verify, "measure_from_system"),
         (verify, "arf_recurrence"),
         (transforms, "arf_recurrence"),
-        (verify, "arf_anchor_residual"),
-        (transforms, "arf_anchor_residual"),
+        (verify, "anchor_residual"),
+        (transforms, "anchor_residual"),
         (transforms, "apply_transform_stack"),
         (verify, "apply_transform_stack"),
     ):
@@ -94,10 +94,10 @@ def test_verify_builds_each_order_once(monkeypatch):
     # remark check reuses those of orders 1..3
     assert calls == {
         "check_quad": 4,
-        "arf_caratheodory": 4,
+        "transformed_caratheodory": 4,
         "measure_from_system": 1,
         "arf_recurrence": 4,
-        "arf_anchor_residual": 4,
+        "anchor_residual": 4,
         "apply_transform_stack": 4,
     }
 
@@ -420,7 +420,7 @@ def reference_arf_consistency(ctx):
     worst = 0.0
     for k in range(min(3, ctx.system.n_max) + 1):
         arf = ctx.arf(k)
-        quad = arf.quad  # built and checked at every order, as arf_explicit did
+        quad = arf.quad  # built and checked at every order, as ArfSystem.explicit does
         for n in range(k, ctx.system.n_max + 1):
             lv = arf.level(n)
             if n == k:
