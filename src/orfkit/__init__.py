@@ -30,7 +30,6 @@ from .ratfun import (
     evaluate_stack,
     herglotz_kernel,
     poisson_kernel,
-    substar_eval,
     superstar,
 )
 from .measure import (
@@ -49,7 +48,6 @@ from .engine import (
     OrfSystem,
     ParaPair,
     caratheodory_from_system,
-    extract_parameters,
     gram_schmidt_orf,
     lebesgue_arf,
     lebesgue_orf,

@@ -213,14 +213,9 @@ def build_system(cfg: JobConfig):
             synth = OrfSystem(synth.poles, synth.levels, synth.source, n_points=cfg.grid)
     if gs is not None and synth is not None:
         _, t = boundary_grid(TABLE_POINTS)
-        worst = 0.0
-        for n in range(cfg.n_max + 1):
-            worst = max(
-                worst,
-                float(np.max(np.abs(np.abs(gs.level(n).phi(t)) - np.abs(synth.level(n).phi(t))))),
-            )
-            if n >= 1:
-                worst = max(worst, abs(abs(gs.level(n).lam) - abs(synth.level(n).lam)))
+        gs_t, synth_t = np.split(np.abs(evaluate_stack([lv.phi for lv in gs.levels + synth.levels], t)), 2)
+        lams = [abs(abs(a.lam) - abs(b.lam)) for a, b in zip(gs.levels[1:], synth.levels[1:])]
+        worst = max([float(np.max(np.abs(gs_t - synth_t)))] + lams)
         if worst > 1e-8:
             raise OrfkitError(
                 f"measure and lambda routes disagree (max deviation {worst:.2e}); "

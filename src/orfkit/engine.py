@@ -41,7 +41,6 @@ from .ratfun import (
     PoleSequence,
     RatFun,
     blaschke_factor,
-    blaschke_product,
     evaluate_stack,
     herglotz_kernel,
     poisson_kernel,
@@ -155,12 +154,11 @@ def _fit_values(poles, n, prev_z, star_z, phi_z):
     return a, b, resid, scale
 
 
-def _fit_ladder(poles, phis, stars) -> list:
-    """_fit_values at every level 1..m of phi_0..phi_m (with their superstars),
-    from one evaluation of all of them at the fit points."""
-    m = len(phis) - 1
-    vals = evaluate_stack(list(phis) + list(stars), _FIT_POINTS)
-    return [_fit_values(poles, n, vals[n - 1], vals[m + n], vals[n]) for n in range(1, m + 1)]
+def _fit_ladder(poles, phi_z, star_z) -> list:
+    """_fit_values at every level 1..m, from the values of phi_0..phi_m
+    (phi_z) and of their superstars (star_z) at the fit points, one row
+    per level."""
+    return [_fit_values(poles, n, phi_z[n - 1], star_z[n - 1], phi_z[n]) for n in range(1, len(phi_z))]
 
 
 def _parameters(n, fit):
@@ -172,20 +170,6 @@ def _parameters(n, fit):
             f"level {n} does not satisfy the recurrence (residual {resid:.2e} vs scale {scale:.2e})"
         )
     return complex(np.conj(b / a)), float(abs(a)), complex(a / abs(a))
-
-
-def extract_parameters(system: OrfSystem, n: int):
-    """Recover (lambda_n, e_n, rho_n) from consecutive levels by inverting the
-    recurrence in least squares over 16 points of the unit circle.
-
-    Raises FitResidualTooLarge when the levels do not actually satisfy a
-    recurrence (wrong poles, broken orthogonality).
-    """
-    if n < 1 or n > system.n_max:
-        raise DomainError("extraction needs 1 <= n <= n_max")
-    prev = system.level(n - 1)
-    vals = evaluate_stack((prev.phi, prev.phi_star, system.level(n).phi), _FIT_POINTS)
-    return _parameters(n, _fit_values(system.poles, n, *vals))
 
 
 def _trimmed(c):
@@ -333,6 +317,22 @@ def _circle_nodes(count: int, n_points: int) -> np.ndarray:
     return np.exp(1j * (2.0 * np.pi * np.arange(count) / count + np.pi / n_points))
 
 
+def _herglotz_sums(kp, w, nodes, rows):
+    """Sums over the grid t = e^{2 pi i j / N}, N = w.size, of D(t, z) h w at
+    the nodes z and of h w, for each row h of rows(block) (its values on
+    t[block]) and the constant 1 as the last row. One kernel and one rows
+    call per _BLOCK points: no table of either on the whole grid is held."""
+    _, t = boundary_grid(w.size)
+    d_hw = h_w = 0.0
+    for lo in range(0, w.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        h = rows(block)
+        hw = np.concatenate([h, np.ones((1, h.shape[1]))]) * w[block]
+        d_hw = d_hw + hw @ herglotz_kernel(kp, t[None, block], nodes[:, None]).T
+        h_w = h_w + hw.sum(axis=1)
+    return d_hw, h_w
+
+
 def second_kind_integral_stack(mu: CircleMeasure, system: OrfSystem, levels) -> list:
     """Second-kind functions of the levels, in order, straight from their
     defining quadrature against mu on the grid t = e^{2 pi i j / N}:
@@ -344,29 +344,19 @@ def second_kind_integral_stack(mu: CircleMeasure, system: OrfSystem, levels) -> 
     level, on |z| = 1, where the trapezoidal rule still converges
     geometrically. With delta = pi / N each node sits midway between two
     grid points (an M that does not divide N brings nodes within 1/(2M) of
-    a step of one, where D loses digits). The means are summed over blocks
-    of the grid as D @ (phi_n w) - phi_n(z) (D @ w), one kernel and one
-    evaluation of every phi_n per block, so no table of every node or
-    level on the whole grid is held. psi_n pi_n takes the values
+    a step of one, where D loses digits). The means come from one
+    _herglotz_sums pass over the phi_n. psi_n pi_n takes the values
     sum_j c_j e^{i j delta} omega^{jk} at the nodes, so one M-point FFT
     gives c_0..c_n once the phase e^{i j delta} is removed.
     """
     levels = list(levels)
     if not levels:
         return []
-    poles, kp, n_points = system.poles, system.kernel, system.n_points
+    poles, n_points = system.poles, system.n_points
     phis = [system.level(n).phi for n in levels]
     nodes = _circle_nodes(1 << max(levels).bit_length(), n_points)
     theta, t = boundary_grid(n_points)
-    w = mu.weight(theta)
-    # the constant 1 rides along as the last row, so its row of D @ (f w) is D @ w
-    with_one = phis + [RatFun(poles, [1.0], 0)]
-    d_fw = f_w = 0.0
-    for lo in range(0, n_points, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        fw = evaluate_stack(with_one, t[block]) * w[block]
-        d_fw = d_fw + fw @ herglotz_kernel(kp, t[None, block], nodes[:, None]).T
-        f_w = f_w + fw.sum(axis=1)
+    d_fw, f_w = _herglotz_sums(system.kernel, mu.weight(theta), nodes, lambda block: evaluate_stack(phis, t[block]))
     values = (d_fw[:-1] - evaluate_stack(phis, nodes) * d_fw[-1] + f_w[:-1, None]) / n_points
     values *= np.array([poles.pi(n, nodes) for n in levels])
     coeffs = np.fft.fft(values, axis=1) / nodes.size * np.exp(-1j * np.pi / n_points * np.arange(nodes.size))
@@ -417,9 +407,7 @@ def gram_schmidt_orf(
     basis = _basis(poles, n_max, _FIT_POINTS)
     phi_z = (basis @ coef).T
     star_z = basis.T * np.conj(phi_z)
-    fitted = [
-        _parameters(k, _fit_values(poles, k, phi_z[k - 1], star_z[k - 1], phi_z[k])) for k in range(1, n_max + 1)
-    ]
+    fitted = [_parameters(k, fit) for k, fit in enumerate(_fit_ladder(poles, phi_z, star_z), start=1)]
     # e_n at its orthonormal default, as synthesize runs the recurrence
     params = ((lam, rho, None) for lam, _, rho in fitted)
     levels = _run_recurrence(poles, _level_zero(poles, coef[0, 0]), params)
@@ -446,15 +434,14 @@ def _gram_defect(vals, w) -> float:
 
 
 def zeros_factor(poles: PoleSequence, m: int, z):
-    """zeta_0(z) B_{m-1}(z): the product with zeros beta_0..beta_{m-1}.
+    """zeta_0(z) B_{m-1}(z) on the 1-d array z: the product with zeros beta_0..beta_{m-1}.
 
     Identically 1 for m = 0 (the two factors cancel exactly).
     """
     z = np.asarray(z, dtype=complex)
     if m == 0:
         return np.ones_like(z)
-    kp = KernelParams(poles.beta[0])
-    return np.asarray(kp.zeta0(z)) * np.asarray(blaschke_product(poles, m - 1, z))
+    return KernelParams(poles.beta[0]).zeta0(z) * _basis(poles, m - 1, z)[:, -1]
 
 
 def para_pair(system: OrfSystem, n: int, tau) -> ParaPair:
@@ -568,19 +555,16 @@ def identity_residual_stack(fs, gs, f_stars, g_stars):
     (d, resid), one row per (f, g, f^*, g^*); m and the poles come from f.
     The starred functions are passed in, so a check covers stored ones too.
     The functions may have different degrees over one pole prefix: they are
-    evaluated in one call, B_m grows one Blaschke factor at a time, and the
-    Poisson kernels P(t, beta_m) of every row come from one broadcast."""
+    evaluated in one call, B_0..B_m come from one _basis, and the Poisson
+    kernels P(t, beta_m) of every row from one broadcast."""
     rows = len(fs)
     _, t = boundary_grid(512)
     fs_t, g_t, f_t, gs_t = evaluate_stack((*f_stars, *gs, *fs, *g_stars), t).reshape(4, rows, -1)
     left = fs_t * g_t + f_t * gs_t
     degs = np.array([f.n for f in fs])
     poles = fs[int(np.argmax(degs))].poles
-    blaschke = [np.ones_like(t)]
-    for m in range(1, int(degs.max()) + 1):
-        blaschke.append(blaschke[-1] * blaschke_factor(poles, m, t))
     kernels = poisson_kernel(KernelParams(poles.beta[0]), t, poles.beta[degs][:, None])
-    right = kernels * np.stack(blaschke)[degs]
+    right = kernels * _basis(poles, int(degs.max()), t).T[degs]
     at = np.argmax(np.abs(right), axis=1)
     d = left[np.arange(rows), at] / right[np.arange(rows), at]
     resid = np.max(np.abs(left - d.real[:, None] * right), axis=1) / np.max(np.abs(left), axis=1)
@@ -661,55 +645,46 @@ def second_kind_functional_residual_stack(system: OrfSystem, mu: CircleMeasure, 
     """Residuals of the extended functional identities relating phi_n, psi_n
     through the kernel, one per level, as an array: each tests a random
     multiplier f in L_{(n-1)*} and g in zeta_{n*} L_{(n-1)*}, relative sup
-    over six points of the circle. D(t, z) at the six nodes is formed once,
-    so a level's means are D @ (f w)/N - f(z) (D @ w)/N. The functions and
-    multipliers of every level are evaluated at the nodes in one call each,
-    and on the quadrature grid one level at a time: no table of every level
-    on the grid is held.
+    over six points of the circle. There a substar h_*(t) is conj(h(t)),
+    and g enters divided by zeta_n. phi_n f_* and phi_n^* g_*/zeta_n of
+    every level go through one _herglotz_sums pass, which evaluates them
+    one grid block at a time.
     """
-    poles, kp, n_points = system.poles, system.kernel, system.n_points
+    levels = list(levels)
+    poles, n_points = system.poles, system.n_points
     theta, t = boundary_grid(n_points)
-    w = mu.weight(theta)
     # on the circle h_* is as tame as h, and off the grid the means never meet 0/0
     zs = _circle_nodes(6, n_points)
-    kernel = herglotz_kernel(kp, t, zs[:, None])
-    kernel_w = kernel @ w / n_points
-    at_zs = evaluate_stack([f for n in levels for f in _four(system.level(n))], zs).reshape(-1, 4, zs.size)
     # the multipliers f, g of each level, from a stream seeded afresh per level
     mults = []
     for n in levels:
-        rng = np.random.default_rng(seed)
-        deg = max(n - 1, 0)
-        mults += [
-            RatFun(poles, rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1), deg)
-            for _ in range(2)
-        ]
-    # the multipliers enter as substar values, conj(h(1/conj(z)))
-    inv_t, inv_zs = 1.0 / np.conj(t), 1.0 / np.conj(zs)
-    mults_z = np.conj(evaluate_stack(mults, inv_zs)).reshape(-1, 2, zs.size)
+        c = np.random.default_rng(seed).standard_normal((2, 2, max(n, 1)))
+        mults += [RatFun(poles, re + 1j * im, max(n - 1, 0)) for re, im in c]
 
-    def means(vals_t, vals_z):
-        fw = vals_t * w
-        return kernel @ fw / n_points - vals_z * kernel_w, fw.mean()
+    def multipliers(z):
+        # f_* and g_*/zeta_n of every level at z on the circle, (levels, 2, z.size)
+        fg = np.conj(evaluate_stack(mults, z)).reshape(-1, 2, z.size)
+        for i, n in enumerate(levels):
+            if n:
+                fg[i, 1] /= blaschke_factor(poles, n, z)
+        return fg
 
-    out = []
-    for i, n in enumerate(levels):
-        phi_z, phi_s_z, psi_z, psi_s_z = at_zs[i]
-        f_z, g_z = mults_z[i]
-        f_t, g_t = np.conj(evaluate_stack(mults[2 * i : 2 * i + 2], inv_t))
-        if n:
-            g_t, g_z = g_t / blaschke_factor(poles, n, t), g_z / blaschke_factor(poles, n, zs)
-        lv = system.level(n)
-        phi_t, phi_s_t = evaluate_stack((lv.phi, lv.phi_star), t)
+    phis = [f for n in levels for f in (system.level(n).phi, system.level(n).phi_star)]
+    at_zs = evaluate_stack([f for n in levels for f in _four(system.level(n))], zs).reshape(-1, 4, zs.size)
+    fg_z = multipliers(zs)
+    h_z = (at_zs[:, :2] * fg_z).reshape(-1, zs.size)
 
-        herglotz, mean = means(phi_t * f_t, phi_z * f_z)
-        rhs1 = psi_z * f_z
-        res1 = np.max(np.abs(herglotz + mean - rhs1)) / max(np.max(np.abs(rhs1)), 1e-30)
-        herglotz, mean = means(phi_s_t * g_t, phi_s_z * g_z)
-        rhs2 = -psi_s_z * g_z
-        res2 = np.max(np.abs(herglotz - mean - rhs2)) / max(np.max(np.abs(rhs2)), 1e-30)
-        out.append(max(res1, res2))
-    return np.array(out, dtype=float)
+    def rows(block):
+        return evaluate_stack(phis, t[block]) * multipliers(t[block]).reshape(len(phis), -1)
+
+    d_hw, h_w = _herglotz_sums(system.kernel, mu.weight(theta), zs, rows)
+    herglotz = (d_hw[:-1] - h_z * d_hw[-1]).reshape(-1, 2, zs.size) / n_points
+    # the mean enters the f line with +, the g line with -, as does psi
+    sign = np.array([1.0, -1.0])[:, None]
+    lhs = herglotz + sign * h_w[:-1].reshape(-1, 2, 1) / n_points
+    rhs = sign * at_zs[:, 2:] * fg_z
+    res = np.max(np.abs(lhs - rhs), axis=2) / np.maximum(np.max(np.abs(rhs), axis=2), 1e-30)
+    return np.max(res, axis=1)
 
 
 def lebesgue_orf(poles: PoleSequence, n: int) -> RatFun:

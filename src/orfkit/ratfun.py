@@ -233,21 +233,6 @@ def _pole_guard(conj_beta, z):
                 raise PoleProximity(f"evaluation within tolerance of pole 1/conj(beta_{j})")
 
 
-def substar_eval(f: RatFun, z) -> complex | np.ndarray:
-    """Evaluate the substar conjugate f_*(z) = conj(f(1/conj(z))).
-
-    On |z| = 1 this equals conj(f(z)). z = 0 is rejected unless f is
-    constant (degree 0), where the limit is conj(c_0).
-    """
-    z = np.asarray(z, dtype=complex)
-    if f.n == 0:
-        out = np.full_like(z, np.conj(f.numer[0]))
-        return out if out.ndim else complex(out)
-    if np.any(np.abs(z) < _pole_tol(z)):
-        raise DomainError("substar of a non-constant function is singular at z = 0")
-    return np.conj(evaluate(f, 1.0 / np.conj(z)))
-
-
 def superstar(f: RatFun) -> RatFun:
     """Superstar conjugate f^* = B_n f_* at the declared degree n.
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import serialize
 from .engine import (
+    _FIT_POINTS,
     OrfSystem,
     _fit_ladder,
     _gram_defect,
@@ -95,8 +96,9 @@ def _sampled_gram_defect(system, mu, n_points):
 
 
 def _ladder_fits(system):
-    """_fit_values at every level 1..n_max, from one evaluation at the fit points."""
-    return _fit_ladder(system.poles, [lv.phi for lv in system.levels], [lv.phi_star for lv in system.levels])
+    """_fit_ladder of every level, from one evaluation of phi_n and phi_n^* at the fit points."""
+    funcs = [lv.phi for lv in system.levels] + [lv.phi_star for lv in system.levels]
+    return _fit_ladder(system.poles, *np.split(evaluate_stack(funcs, _FIT_POINTS), 2))
 
 
 def check_orthonormality(ctx):
@@ -187,7 +189,7 @@ def check_positivity(ctx):
     for k in range(min(3, s.n_max) + 1):
         Fk = ctx.arf(k).F_k
         worst = max(worst, Fk.anchor_residual)
-        if np.min(np.real(np.asarray(Fk(zs)))) <= 0:
+        if not np.min(np.real(np.asarray(Fk(zs)))) > 0:
             worst = max(worst, 1.0)
     return worst
 

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from orfkit import PoleSequence, builtin_measure, gram_schmidt_orf, synthesize
+from orfkit import (
+    DomainError,
+    PoleSequence,
+    RatFun,
+    builtin_measure,
+    evaluate,
+    evaluate_stack,
+    gram_schmidt_orf,
+    synthesize,
+)
+from orfkit.engine import _FIT_POINTS, _fit_ladder
+from orfkit.measure import boundary_grid
+from orfkit.ratfun import _pole_tol
 
 
 def random_poles(seed, count, cap=0.7):
@@ -14,6 +26,27 @@ def random_poles(seed, count, cap=0.7):
 def random_lambdas(seed, count, cap=0.6):
     rng = np.random.default_rng(seed)
     return cap * np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
+
+
+def substar_eval(f: RatFun, z):
+    """The substar conjugate f_*(z) = conj(f(1/conj(z))), evaluated as defined:
+    a reference for superstar and the multiplier identities.
+
+    On |z| = 1 this equals conj(f(z)). z = 0 is rejected unless f is
+    constant (degree 0), where the limit is conj(c_0).
+    """
+    z = np.asarray(z, dtype=complex)
+    if f.n == 0:
+        out = np.full_like(z, np.conj(f.numer[0]))
+        return out if out.ndim else complex(out)
+    if np.any(np.abs(z) < _pole_tol(z)):
+        raise DomainError("substar of a non-constant function is singular at z = 0")
+    return np.conj(evaluate(f, 1.0 / np.conj(z)))
+
+
+def fit_at_points(poles, phis, stars):
+    """_fit_ladder of phi_0..phi_m and their superstars, evaluated at the fit points."""
+    return _fit_ladder(poles, evaluate_stack(phis, _FIT_POINTS), evaluate_stack(stars, _FIT_POINTS))
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +72,12 @@ def poisson_system():
 def synth_system():
     # parameter-sourced ladder, nontrivial lambdas and poles
     return synthesize(random_lambdas(11, 4), random_poles(7, 5))
+
+
+@pytest.fixture(scope="session")
+def expcos_system():
+    # measure-sourced ladder whose associated C-functions are not constant:
+    # the table of exp(cos theta) on 512 points, poles disk(0.7, 13) of seed 0
+    theta = boundary_grid(512)[0]
+    mu = builtin_measure("samples", theta=theta, w=np.exp(np.cos(theta)))
+    return gram_schmidt_orf(mu, random_poles(0, 13), 12)

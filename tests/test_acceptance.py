@@ -24,7 +24,6 @@ from orfkit import (
     weight_from_caratheodory,
 )
 from orfkit.engine import (
-    _fit_ladder,
     determinant_residual_stack,
     identity_residual_stack,
     interpolation_residual_stack,
@@ -35,6 +34,8 @@ from orfkit.transforms import apply_transform_stack
 from orfkit.measure import boundary_grid
 from orfkit.serialize import dumps, system_from_dict, system_to_dict
 from orfkit.transforms import anchor_residual
+
+from conftest import fit_at_points
 
 SQ3 = np.sqrt(3.0)
 
@@ -236,7 +237,7 @@ def test_criterion_12_round_trips(measure_systems):
     # synthesize -> extract
     system, lams = _random_synth(99, 8)
     worst = 0.0
-    fits = _fit_ladder(system.poles, [lv.phi for lv in system.levels], [lv.phi_star for lv in system.levels])
+    fits = fit_at_points(system.poles, [lv.phi for lv in system.levels], [lv.phi_star for lv in system.levels])
     for n, (a, b, _, _) in enumerate(fits, start=1):
         worst = max(worst, abs(np.conj(b / a) - lams[n - 1]))
     ok = _line("criterion 12: synthesize -> extract recovers parameters", worst, 1e-10)

@@ -18,7 +18,6 @@ from orfkit import (
     builtin_measure,
     caratheodory_from_system,
     evaluate_stack,
-    extract_parameters,
     gram_schmidt_orf,
     lebesgue_orf,
     measure_from_system,
@@ -31,7 +30,6 @@ from orfkit import (
 from orfkit import engine, ratfun
 from orfkit.engine import (
     _circle_nodes,
-    _fit_ladder,
     _gram_defect,
     _level_zero,
     _parameters,
@@ -44,6 +42,8 @@ from orfkit.engine import (
 from orfkit.measure import boundary_grid
 from orfkit.transforms import arf_recurrence
 from orfkit.verify import VerifyContext, run_verification
+
+from conftest import fit_at_points
 
 SQ3 = np.sqrt(3.0)
 
@@ -185,7 +185,7 @@ class TestGramSchmidt:
             assert _rel(lv.phi.numer, phi.numer) < 1e-12
             psi = reference_second_kind_on_grid(poles, kp, phi, k, w, zt, phi(t))
             assert _rel(lv.psi.numer, psi.numer) < 1e-12
-        fits = _fit_ladder(poles, ref, [superstar(phi) for phi in ref])
+        fits = fit_at_points(poles, ref, [superstar(phi) for phi in ref])
         ref_lams = [_parameters(k, fit)[0] for k, fit in enumerate(fits, start=1)]
         # lambda lives in the unit disk and vanishes for Lebesgue, so its
         # relative error is taken against a scale of at least 1
@@ -327,8 +327,9 @@ class TestSynthesize:
 class TestExtraction:
     def test_roundtrip(self, synth_system):
         s = synth_system
-        for n in range(1, s.n_max + 1):
-            lam, e, rho = extract_parameters(s, n)
+        fits = fit_at_points(s.poles, [lv.phi for lv in s.levels], [lv.phi_star for lv in s.levels])
+        for n, fit in enumerate(fits, start=1):
+            lam, e, rho = _parameters(n, fit)
             assert abs(lam - s.level(n).lam) < 1e-12
             assert abs(e - s.level(n).e) < 1e-12
             assert abs(rho - 1.0) < 1e-12
@@ -337,14 +338,16 @@ class TestExtraction:
         s = synth_system
         c = np.exp(0.7j)
         prev = s.level(0)
-        ((a0, b0, _, _),) = _fit_ladder(s.poles, [prev.phi, s.level(1).phi], [prev.phi_star, s.level(1).phi_star])
-        ((a1, b1, _, _),) = _fit_ladder(s.poles, [prev.phi, c * s.level(1).phi], [prev.phi_star, s.level(1).phi_star])
+        ((a0, b0, _, _),) = fit_at_points(s.poles, [prev.phi, s.level(1).phi], [prev.phi_star, s.level(1).phi_star])
+        ((a1, b1, _, _),) = fit_at_points(s.poles, [prev.phi, c * s.level(1).phi], [prev.phi_star, s.level(1).phi_star])
         assert abs(np.conj(b1 / a1) - np.conj(b0 / a0)) < 1e-12
         assert abs(a1 / abs(a1) - c * a0 / abs(a0)) < 1e-12
 
     def test_gram_schmidt_levels_fit(self, poisson_system):
-        for n in range(1, poisson_system.n_max + 1):
-            lam, e, rho = extract_parameters(poisson_system, n)
+        levels = poisson_system.levels
+        fits = fit_at_points(poisson_system.poles, [lv.phi for lv in levels], [lv.phi_star for lv in levels])
+        for n, fit in enumerate(fits, start=1):
+            lam, e, rho = _parameters(n, fit)
             assert abs(lam) < 1.0
             # orthonormal ladder: e matches its closed form
             b_prev = poisson_system.poles.beta[n - 1]
@@ -537,13 +540,15 @@ class TestFunctionalIdentities:
             )
             assert res < 1e-7
 
-    def test_wrong_second_kind_is_caught(self, poisson_system):
+    @pytest.mark.parametrize("ladder", ["poisson_system", "synth_system", "expcos_system"])
+    def test_wrong_second_kind_is_caught(self, request, ladder):
         # psi_4 off by a relative 1e-6 gives a residual of that size
-        s = poisson_system
+        s = request.getfixturevalue(ladder)
+        mu = s.measure or measure_from_system(s)
         lv = s.level(4)
         wrong = _with_level(s, 4, psi=(1 + 1e-6) * lv.psi, psi_star=(1 + 1e-6) * lv.psi_star)
-        assert second_kind_functional_residual_stack(s, s.measure, [4])[0] < 1e-12
-        assert 5e-7 < second_kind_functional_residual_stack(wrong, s.measure, [4])[0] < 2e-6
+        assert second_kind_functional_residual_stack(s, mu, [4])[0] < 1e-12
+        assert 5e-7 < second_kind_functional_residual_stack(wrong, mu, [4])[0] < 2e-6
 
 
 class TestRationalCompletion:
@@ -665,7 +670,7 @@ class TestBitIdenticalKernels:
             "poisson": poisson_system,
             "lebesgue": gram_schmidt_orf(lebesgue, disk_poles(2, 8, 0.3j), 7),
         }[which]
-        fits = _fit_ladder(s.poles, [lv.phi for lv in s.levels], [lv.phi_star for lv in s.levels])
+        fits = fit_at_points(s.poles, [lv.phi for lv in s.levels], [lv.phi_star for lv in s.levels])
         assert len(fits) == s.n_max
         for n, fit in enumerate(fits, start=1):
             prev, cur = s.level(n - 1), s.level(n)

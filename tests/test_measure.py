@@ -19,7 +19,6 @@ from orfkit import (
     caratheodory_from_system,
     inner_product,
     measure_from_config,
-    substar_eval,
     synthesize,
     weight_from_caratheodory,
 )
@@ -28,6 +27,8 @@ from orfkit.cli import main
 from orfkit.measure import CaratheodoryFn, _trig_eval, boundary_grid, default_grid
 from orfkit.ratfun import KernelParams
 from orfkit.verify import DEFAULT_TOLERANCES, VerifyContext, check_arf_orthogonality
+
+from conftest import substar_eval
 
 
 EPS = np.finfo(float).eps

@@ -18,11 +18,12 @@ from orfkit import (
     evaluate_stack,
     herglotz_kernel,
     poisson_kernel,
-    substar_eval,
     superstar,
     synthesize,
 )
 from orfkit.ratfun import TAU_POLE
+
+from conftest import substar_eval
 
 SQ3 = np.sqrt(3.0)
 

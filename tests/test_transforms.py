@@ -7,6 +7,7 @@ from orfkit import (
     ConditionUnchecked,
     DivisionRemainderTooLarge,
     DomainError,
+    NumericalFailure,
     PoleSequence,
     RatFun,
     SelfReciprocalQuad,
@@ -73,9 +74,10 @@ class TestArfQuad:
         assert_allclose(superstar(quad.C).numer, -quad.C.numer, atol=1e-12)
         assert_allclose(superstar(quad.D).numer, quad.D.numer, atol=1e-12)
 
-    def test_report_attached_and_passed(self, poisson_system):
-        quad = arf_quad(poisson_system, 2)
-        assert quad.report is not None and quad.report.passed
+    def test_report_attached_and_passed(self, poisson_system, expcos_system):
+        for s in (poisson_system, expcos_system):
+            quad = arf_quad(s, 2)
+            assert quad.report is not None and quad.report.passed
 
 
 @pytest.mark.parametrize("tau_A", [float("nan"), complex(1.0, float("nan")), 0.5])
@@ -91,11 +93,11 @@ class TestCheckQuad:
         rep = check_quad(iq, synth_system.caratheodory, synth_system.poles, synth_system.n_points)
         assert rep.passed and rep.a1_residual == 0.0
 
-    def test_arf_quad_passes_full_check(self, poisson_system):
-        quad = arf_quad(poisson_system, 1)
-        rep = check_quad(quad, poisson_system.caratheodory, poisson_system.poles, poisson_system.n_points)
-        assert rep.passed
-        assert rep.a3_max < 1e-10 and rep.a42_max < 1e-10
+    def test_arf_quad_passes_full_check(self, poisson_system, expcos_system):
+        for s in (poisson_system, expcos_system):
+            rep = check_quad(arf_quad(s, 1), s.caratheodory, s.poles, s.n_points)
+            assert rep.passed
+            assert rep.a3_max < 1e-10 and rep.a42_max < 1e-10
 
     def test_vanishing_b_fails_a2(self):
         # self-reciprocal quad over [0, 0.5, -0.3] with B = c z, which kills
@@ -168,11 +170,11 @@ class TestApplyTransform:
             assert_allclose(J.numer, synth_system.level(n).psi.numer, atol=1e-14)
             assert_allclose(H.numer, synth_system.level(n).phi_star.numer, atol=1e-14)
 
-    def test_superstar_pairing(self, poisson_system):
-        quad = arf_quad(poisson_system, 2)
-        ((G, H, J, K),) = apply_transform_stack(poisson_system, quad, 2.0, [2])
-        assert_allclose(superstar(G).numer, H.numer, atol=1e-12)
-        assert_allclose(superstar(J).numer, K.numer, atol=1e-12)
+    def test_superstar_pairing(self, poisson_system, expcos_system):
+        for s in (poisson_system, expcos_system):
+            ((G, H, J, K),) = apply_transform_stack(s, arf_quad(s, 2), 2.0, [2])
+            assert_allclose(superstar(G).numer, H.numer, atol=1e-12)
+            assert_allclose(superstar(J).numer, K.numer, atol=1e-12)
 
     def test_requires_report(self, synth_system):
         quad = replace(arf_quad(synth_system, 1), report=None)
@@ -188,7 +190,7 @@ class TestApplyTransform:
             apply_transform_stack(synth_system, bad, 2.0, [2])
 
     def test_transformed_pair_recurrence(self, synth_system):
-        # shifted recurrence with gamma = conj(tau_A) lambda_{N+n} and the
+        # shifted recurrence with gamma = tau_A lambda_{N+n} and the
         # stored e (the c-ratio is 1 here)
         s = synth_system
         quad = arf_quad(s, 1)
@@ -201,11 +203,18 @@ class TestApplyTransform:
 
 
 class TestTransformedCaratheodory:
-    def test_identity(self, poisson_system):
-        iq = identity_quad(poisson_system.poles)
-        Ft = transformed_caratheodory(iq, poisson_system.caratheodory)
+    def test_identity(self, poisson_system, expcos_system):
         zs = disk_points(1, cap=0.8)
-        assert_allclose(Ft(zs), poisson_system.caratheodory(zs), rtol=1e-12)
+        for s in (poisson_system, expcos_system):
+            Ft = transformed_caratheodory(identity_quad(s.poles), s.caratheodory)
+            assert_allclose(Ft(zs), s.caratheodory(zs), rtol=1e-12)
+
+    def test_nan_is_a_failure(self):
+        # nan fails every comparison, so the anchor and positivity tests are
+        # written to fail on it
+        F = CaratheodoryFn(lambda z: np.nan * z, 0.0)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure):
+            transformed_caratheodory(identity_quad(PoleSequence([0.0, 0.3])), F)
 
     def test_worked_order_one_is_constant(self, worked_system):
         quad = arf_quad(worked_system, 1)
@@ -220,17 +229,17 @@ class TestTransformedCaratheodory:
 
 class TestArfExplicit:
     # ArfSystem.explicit[n - k] is the order-k pair at level n
-    def test_order_zero_identity(self, poisson_system):
-        explicit = arf_recurrence(poisson_system, 0).explicit
-        for n in range(poisson_system.n_max + 1):
-            phi, psi = explicit[n]
-            assert sup_diff(phi, poisson_system.level(n).phi) < 1e-12
-            assert sup_diff(psi, poisson_system.level(n).psi) < 1e-12
+    def test_order_zero_identity(self, poisson_system, expcos_system):
+        for s in (poisson_system, expcos_system):
+            for n, (phi, psi) in enumerate(arf_recurrence(s, 0).explicit):
+                assert sup_diff(phi, s.level(n).phi) < 1e-12
+                assert sup_diff(psi, s.level(n).psi) < 1e-12
 
-    def test_base_level_is_one(self, poisson_system):
-        phi, psi = arf_recurrence(poisson_system, 2).explicit[0]
-        assert_allclose(phi.numer, [1.0])
-        assert_allclose(psi.numer, [1.0])
+    def test_base_level_is_one(self, poisson_system, expcos_system):
+        for s in (poisson_system, expcos_system):
+            phi, psi = arf_recurrence(s, 2).explicit[0]
+            assert_allclose(phi.numer, [1.0])
+            assert_allclose(psi.numer, [1.0])
 
     def test_worked_closed_form(self, worked_system):
         phi, psi = arf_recurrence(worked_system, 1).explicit[1]
@@ -250,8 +259,8 @@ class TestArfRecurrence:
         for n in range(synth_system.n_max + 1):
             assert_allclose(arf.level(n).phi.numer, synth_system.level(n).phi.numer, atol=1e-13)
 
-    def test_matches_explicit(self, synth_system, poisson_system):
-        for s in (synth_system, poisson_system):
+    def test_matches_explicit(self, synth_system, poisson_system, expcos_system):
+        for s in (synth_system, poisson_system, expcos_system):
             for k in range(min(3, s.n_max) + 1):
                 rec = arf_recurrence(s, k)
                 for n, (phi_e, psi_e) in enumerate(rec.explicit, start=k):
@@ -263,32 +272,39 @@ class TestArfRecurrence:
         for n in (1, 2):
             assert_allclose(arf.level(n).phi.numer, arf.level(n).psi.numer, atol=1e-13)
 
-    def test_orthonormal_under_recovered_measure(self, poisson_system):
-        arf = arf_recurrence(poisson_system, 1)
+    def test_orthonormal_under_recovered_measure(self, poisson_system, expcos_system):
         theta, t = boundary_grid(1024)
-        w = arf.mu_k.weight(theta)
-        for i in range(arf.system.n_max + 1):
-            for j in range(arf.system.n_max + 1):
-                g = (arf.system.level(i).phi(t) * np.conj(arf.system.level(j).phi(t)) * w).mean()
-                assert abs(g - (i == j)) < 1e-8
+        for s in (poisson_system, expcos_system):
+            arf = arf_recurrence(s, 1)
+            phi = evaluate_stack([lv.phi for lv in arf.system.levels], t)
+            gram = (phi * arf.mu_k.weight(theta)) @ phi.conj().T / t.size
+            assert np.max(np.abs(gram - np.eye(len(phi)))) < 1e-8
 
 
 class TestArfCaratheodory:
     # F_k is the base C-function through the order's quad
-    def test_order_zero_is_base(self, poisson_system):
-        F0 = arf_recurrence(poisson_system, 0).F_k
+    def test_order_zero_is_base(self, poisson_system, expcos_system):
         zs = disk_points(5, cap=0.8)
-        assert_allclose(F0(zs), poisson_system.caratheodory(zs), rtol=1e-10)
+        for s in (poisson_system, expcos_system):
+            assert_allclose(arf_recurrence(s, 0).F_k(zs), s.caratheodory(zs), rtol=1e-10)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_expcos_is_not_degenerate(self, expcos_system, k):
+        # Poisson and Lebesgue ladders have F_k = 1 for k >= 1, so only a
+        # ladder like this one tests the associated checks on a real case
+        F = arf_recurrence(expcos_system, k).F_k
+        assert np.max(np.abs(F(disk_points(5, cap=0.8)) - 1.0)) > 1e-2
 
     def test_worked_order_one_constant(self, worked_system):
         F1 = arf_recurrence(worked_system, 1).F_k
         assert_allclose(F1(disk_points(6, cap=0.8)), 1.0, atol=1e-12)
 
-    def test_anchor_and_positivity_random(self, synth_system):
-        for k in range(min(3, synth_system.n_max) + 1):
-            arf = arf_recurrence(synth_system, k)
-            assert abs(anchor_residual(arf.quad, synth_system.caratheodory)) < 1e-9
-            assert np.min(np.real(arf.F_k(disk_points(7)))) > 0
+    def test_anchor_and_positivity_random(self, synth_system, expcos_system):
+        for s in (synth_system, expcos_system):
+            for k in range(min(3, s.n_max) + 1):
+                arf = arf_recurrence(s, k)
+                assert abs(anchor_residual(arf.quad, s.caratheodory)) < 1e-9
+                assert np.min(np.real(arf.F_k(disk_points(7)))) > 0
 
     def test_repeated_pole_anchor(self, worked_system):
         # beta_2 = beta_0 makes the anchor a removable point; the residual
@@ -327,7 +343,8 @@ def reference_anchor_residual(system, F, k):
 
 @pytest.mark.parametrize(
     "ladder, k",
-    [("synth_system", k) for k in range(4)] + [("poisson_system", k) for k in range(4)] + [("worked_system", 2)],
+    [(ladder, k) for ladder in ("synth_system", "poisson_system", "expcos_system") for k in range(4)]
+    + [("worked_system", 2)],
 )
 def test_F_k_is_the_para_pair_ratio(request, ladder, k):
     # the general transform through the order's quad gives the para-pair
@@ -353,9 +370,9 @@ class TestRelations:
         assert rep.max_residual() < 1e-10
 
     @pytest.mark.parametrize("jkn", [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-    def test_random_systems(self, jkn, synth_system, poisson_system):
+    def test_random_systems(self, jkn, synth_system, poisson_system, expcos_system):
         j, k, n = jkn
-        for s in (synth_system, poisson_system):
+        for s in (synth_system, poisson_system, expcos_system):
             rep = relation_residuals(arf_recurrence(s, j), arf_recurrence(s, k), n)
             assert rep.max_residual() < 1e-10
 
@@ -396,10 +413,10 @@ def reference_relation_residuals(aj, ak, n):
     )
 
 
-def test_relation_stack_matches_per_triple(synth_system, poisson_system):
+def test_relation_stack_matches_per_triple(synth_system, poisson_system, expcos_system):
     # one table per order gives every residual of the per-triple form, bit for bit
     triples = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (1, 1, 4), (0, 3, 4)]
-    for s in (synth_system, poisson_system):
+    for s in (synth_system, poisson_system, expcos_system):
         arfs = {k: arf_recurrence(s, k) for k in range(4)}
         for (j, k, n), rep in zip(triples, relation_residual_stack(arfs, triples), strict=True):
             got = (rep.rel1, rep.rel2, rep.rel3, rep.rel1_swapped, rep.rel2_swapped, rep.rel3_swapped)
@@ -438,8 +455,8 @@ class TestRemarkIdentity:
         assert abs(d.real - 2.0) < 1e-10
         assert resid < 1e-10
 
-    def test_arf_transforms(self, synth_system, poisson_system):
-        for s in (synth_system, poisson_system):
+    def test_arf_transforms(self, synth_system, poisson_system, expcos_system):
+        for s in (synth_system, poisson_system, expcos_system):
             for k in (1, 2):
                 quad = arf_quad(s, k)
                 for n in range(1, s.n_max - k + 1):

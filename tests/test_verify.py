@@ -21,7 +21,6 @@ from orfkit import (
     measure,
     poisson_kernel,
     ratfun,
-    substar_eval,
     superstar,
     synthesize,
     transforms,
@@ -30,6 +29,8 @@ from orfkit import (
 from orfkit.engine import _circle_nodes, _min_separation, zeros_factor
 from orfkit.measure import boundary_grid, default_grid
 from orfkit.verify import CHECK_NAMES, DEFAULT_TOLERANCES, VerifyContext, run_verification
+
+from conftest import substar_eval
 
 
 def _ladder():
