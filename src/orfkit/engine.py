@@ -41,6 +41,7 @@ from .ratfun import (
     PoleSequence,
     RatFun,
     blaschke_factor,
+    blaschke_product,
     evaluate_stack,
     herglotz_kernel,
     poisson_kernel,
@@ -441,7 +442,7 @@ def zeros_factor(poles: PoleSequence, m: int, z):
     z = np.asarray(z, dtype=complex)
     if m == 0:
         return np.ones_like(z)
-    return KernelParams(poles.beta[0]).zeta0(z) * _basis(poles, m - 1, z)[:, -1]
+    return KernelParams(poles.beta[0]).zeta0(z) * blaschke_product(poles, m - 1, z)
 
 
 def para_pair(system: OrfSystem, n: int, tau) -> ParaPair:
@@ -664,9 +665,8 @@ def second_kind_functional_residual_stack(system: OrfSystem, mu: CircleMeasure, 
     def multipliers(z):
         # f_* and g_*/zeta_n of every level at z on the circle, (levels, 2, z.size)
         fg = np.conj(evaluate_stack(mults, z)).reshape(-1, 2, z.size)
-        for i, n in enumerate(levels):
-            if n:
-                fg[i, 1] /= blaschke_factor(poles, n, z)
+        for i in np.flatnonzero(levels):
+            fg[i, 1] /= blaschke_factor(poles, levels[i], z)
         return fg
 
     phis = [f for n in levels for f in (system.level(n).phi, system.level(n).phi_star)]

@@ -474,6 +474,8 @@ def relation_residuals(aj: ArfSystem, ak: ArfSystem, n: int) -> RelationReport:
     orders j and k of one base ladder at level n (orthonormal normalization,
     so all coupling constants are 1), plus the same relations with phi and
     psi exchanged."""
+    if ak.base is not aj.base:
+        raise DomainError("both associated ladders must come from one base ladder")
     return relation_residual_stack({aj.order: aj, ak.order: ak}, [(aj.order, ak.order, n)])[0]
 
 

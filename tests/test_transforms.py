@@ -380,6 +380,12 @@ class TestRelations:
         with pytest.raises(DomainError):
             relation_residuals(arf_recurrence(synth_system, 2), arf_recurrence(synth_system, 1), 3)
 
+    @pytest.mark.parametrize("jk", [(1, 1), (0, 1)])
+    def test_mixed_base_rejected(self, jk, synth_system, poisson_system):
+        j, k = jk
+        with pytest.raises(DomainError):
+            relation_residuals(arf_recurrence(synth_system, j), arf_recurrence(poisson_system, k), 3)
+
 
 def reference_relation_residuals(aj, ak, n):
     """The relations of one (j, k, n), each level evaluated on its own."""
