@@ -31,8 +31,8 @@ from .engine import (
     synthesize,
 )
 from .errors import DomainError, NonPositiveWeight, OrfkitError
-from .measure import boundary_grid, builtin_measure, measure_from_config
-from .ratfun import PoleSequence, evaluate_stack
+from .measure import _check_grid, boundary_grid, builtin_measure, measure_from_config
+from .ratfun import PoleSequence, _disk_sample, evaluate_stack
 from .transforms import arf_discrepancy, arf_recurrence
 from .verify import CHECK_NAMES, VerifyContext, run_verification
 
@@ -159,8 +159,11 @@ class JobConfig:
         env = os.environ.get("ORFKIT_GRID")
         if env:
             grid = _number(int, env, "ORFKIT_GRID")
-        if grid is not None and (grid < 256 or grid & (grid - 1)):
-            raise ConfigError("grid must be a power of two >= 256")
+        if grid is not None:
+            try:
+                _check_grid(grid)
+            except DomainError as exc:
+                raise ConfigError(str(exc)) from exc
         return cls(
             poles=poles,
             lambdas=lambdas,
@@ -327,8 +330,7 @@ def cmd_example(args) -> int:
     line("orthonormal functions vs closed form", err, 1e-10)
     lam = max(abs(system.level(m).lam) for m in range(1, n + 1))
     line("recurrence parameters vanish", lam, 1e-10)
-    rng = np.random.default_rng(0)
-    zs = 0.8 * np.sqrt(rng.uniform(size=50)) * np.exp(2j * np.pi * rng.uniform(size=50))
+    zs = _disk_sample(0, 0.8, 50)
     line("C-function is 1 on the disk", float(np.max(np.abs(system.caratheodory(zs) - 1.0))), 1e-10)
     arf = arf_recurrence(system, 1)
     err = max(

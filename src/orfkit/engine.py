@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .errors import (
     DomainError,
@@ -40,6 +39,7 @@ from .ratfun import (
     KernelParams,
     PoleSequence,
     RatFun,
+    _disk_sample,
     blaschke_factor,
     blaschke_product,
     evaluate_stack,
@@ -182,10 +182,11 @@ def _trimmed(c):
 
 
 def _padded_polymul(a, b, size):
-    """Coefficients of a*b zero-padded to size: numpy.polynomial's polymul,
-    which trims trailing zeros around one convolve, without its series
-    checks. The trim matters for the bits: it decides which factor np.convolve
-    runs over, and so the order in which two products are summed."""
+    """Coefficients of a*b zero-padded to size: the power-series polymul of
+    numpy's polynomial package, which trims trailing zeros around one
+    convolve, without its series checks. The trim matters for the bits: it
+    decides which factor np.convolve runs over, and so the order in which
+    two products are summed."""
     out = np.zeros(size, dtype=complex)
     c = np.convolve(_trimmed(a), _trimmed(b))
     out[: c.size] = c
@@ -267,10 +268,8 @@ def _completion_grid(top: OrfLevel, n_max: int) -> int:
     rounding level, where rho_max is the largest zero modulus.
     """
     base = default_grid(n_max)
-    if top.n == 0:
-        return base
-    roots = npp.polyroots(top.phi.numer)
-    rho = float(np.max(np.abs(roots))) if roots.size else 0.0
+    c = _trimmed(top.phi.numer)
+    rho = float(np.max(np.abs(_companion_roots(c[None])))) if c.size > 1 else 0.0
     if rho <= 0.5:
         return base
     needed = int(np.ceil(30.0 / -np.log(min(rho, 0.9999))))
@@ -523,19 +522,25 @@ def _para_numerator(pair: ParaPair) -> np.ndarray:
     return c[: m + 1]
 
 
-def _polished_roots(c) -> np.ndarray:
-    """Roots of each row of c (k, m + 1), leading coefficients nonzero, as
-    numpy.polynomial's polyroots finds them (companion eigenvalues, sorted),
-    then one Newton step wherever the derivative is nonzero."""
+def _companion_roots(c) -> np.ndarray:
+    """Roots of each row of c (k, m + 1), m >= 1, leading coefficients
+    nonzero: the eigenvalues of its companion matrix, sorted."""
     m = c.shape[1] - 1
     if m == 1:
-        roots = -c[:, :1] / c[:, 1:]
-    else:
-        companion = np.zeros((c.shape[0], m, m), dtype=complex)
-        companion[:, np.arange(1, m), np.arange(m - 1)] = 1
-        companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
-        roots = np.linalg.eigvals(companion)
-        roots.sort(axis=1)
+        return -c[:, :1] / c[:, 1:]
+    companion = np.zeros((c.shape[0], m, m), dtype=complex)
+    companion[:, np.arange(1, m), np.arange(m - 1)] = 1
+    companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
+    roots = np.linalg.eigvals(companion)
+    roots.sort(axis=1)
+    return roots
+
+
+def _polished_roots(c) -> np.ndarray:
+    """_companion_roots of each row of c, then one Newton step wherever the
+    derivative is nonzero."""
+    m = c.shape[1] - 1
+    roots = _companion_roots(c)
     pv = _polyval_rows(roots, c)
     dv = _polyval_rows(roots, c[:, 1:] * np.arange(1, m + 1))
     ok = np.abs(dv) > 0
@@ -543,7 +548,7 @@ def _polished_roots(c) -> np.ndarray:
 
 
 def _polyval_rows(x, c):
-    """Horner on each row: sum_j c[i, j] x[i]^j, as numpy.polynomial's polyval."""
+    """Horner on each row: sum_j c[i, j] x[i]^j."""
     acc = c[:, -1:] + x * 0
     for i in range(2, c.shape[1] + 1):
         acc = c[:, -i, None] + acc * x
@@ -656,11 +661,12 @@ def second_kind_functional_residual_stack(system: OrfSystem, mu: CircleMeasure, 
     theta, t = boundary_grid(n_points)
     # on the circle h_* is as tame as h, and off the grid the means never meet 0/0
     zs = _circle_nodes(6, n_points)
-    # the multipliers f, g of each level, from a stream seeded afresh per level
+    # the coefficients of f, g of each level: points of the unit disk, drawn
+    # from a generator seeded afresh per level
     mults = []
     for n in levels:
-        c = np.random.default_rng(seed).standard_normal((2, 2, max(n, 1)))
-        mults += [RatFun(poles, re + 1j * im, max(n - 1, 0)) for re, im in c]
+        coeffs = np.split(_disk_sample(seed, 1.0, 2 * max(n, 1)), 2)
+        mults += [RatFun(poles, c, max(n - 1, 0)) for c in coeffs]
 
     def multipliers(z):
         # f_* and g_*/zeta_n of every level at z on the circle, (levels, 2, z.size)
@@ -687,12 +693,20 @@ def second_kind_functional_residual_stack(system: OrfSystem, mu: CircleMeasure, 
     return np.max(res, axis=1)
 
 
+def _monic_from_roots(roots) -> np.ndarray:
+    """Coefficients, constant first, of the product of z - r over the roots."""
+    core = np.ones(1, dtype=complex)
+    for r in roots:
+        core = np.convolve(core, [-r, 1.0])
+    return core
+
+
 def lebesgue_orf(poles: PoleSequence, n: int) -> RatFun:
     """Closed-form orthonormal function for the Lebesgue measure:
     phi_n = sqrt(1 - |beta_n|^2) z B_n(z) / (z - beta_n)."""
     if n == 0:
         return RatFun(poles, [1.0], 0)
-    core = npp.polymul([0.0, 1.0], npp.polyfromroots(poles.beta[1:n]))
+    core = _monic_from_roots(np.concatenate([[0.0], poles.beta[1:n]]))
     scale = np.sqrt(1.0 - abs(poles.beta[n]) ** 2) * poles.upsilon(n)
     return RatFun(poles, scale * core, n)
 
@@ -709,6 +723,6 @@ def lebesgue_arf(poles: PoleSequence, k: int, n: int) -> RatFun:
     ups = 1.0 + 0.0j
     for i in range(k + 1, n + 1):
         ups *= poles.eta(i)
-    core = npp.polymul([-poles.beta[k], 1.0], npp.polyfromroots(poles.beta[k + 1 : n]))
+    core = _monic_from_roots(poles.beta[k:n])
     scale = np.sqrt((1.0 - abs(poles.beta[n]) ** 2) / (1.0 - abs(poles.beta[k]) ** 2)) * ups
     return RatFun(shifted, scale * core, n - k)

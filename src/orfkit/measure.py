@@ -8,7 +8,6 @@ density w(theta) against dtheta/2pi, normalized so the total mass is 1.
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .errors import (
     DomainError,
@@ -18,7 +17,7 @@ from .errors import (
     NonPositiveWeight,
     NumericalFailure,
 )
-from .ratfun import KernelParams
+from .ratfun import KernelParams, _horner
 
 # C-functions built from quadrature reject evaluation beyond this modulus:
 # the closed disk, up to rounding.
@@ -309,7 +308,7 @@ def caratheodory_from_measure(mu: CircleMeasure, beta0, n_points: int = 2048) ->
         z = np.asarray(z, dtype=complex)
         if (np.abs(z) > MAX_MODULUS).any():
             raise KernelSingularity("C-function evaluation requires |z| <= 1")
-        return 1.0 + npp.polyval(kp.zeta0(z), coeffs)
+        return 1.0 + _horner(coeffs[None], kp.zeta0(z))[0]
 
     return CaratheodoryFn(_grid_memo(ev, _grid_points_size), beta0)
 

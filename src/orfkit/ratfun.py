@@ -11,6 +11,8 @@ the first Blaschke factor zeta_0 and both kernels.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from .errors import (
@@ -192,7 +194,8 @@ def _horner(numers, z):
     """The rows numers (m, n+1) of polynomial coefficients, evaluated at z.
 
     Horner runs as c_n + 0 z, then c_{n-i} + acc z: the same operations, in
-    the same order, as numpy.polynomial's polyval.
+    the same order, as the power-series polyval of numpy's polynomial
+    package.
     Horner runs on z1, z with a leading axis of length 1, so a single
     member at a single point multiplies two arrays of one shape: numpy
     takes a different complex-multiply loop for a one-element broadcast,
@@ -318,3 +321,14 @@ def poisson_kernel(kp: KernelParams, t, z) -> complex | np.ndarray:
     den = (1.0 - abs(b0) ** 2) * (1.0 - np.conj(z) * t) * (t - z)
     out = num / den
     return out if out.ndim else complex(out)
+
+
+def _disk_sample(seed: int, radius: float, count: int) -> np.ndarray:
+    """count area-uniform points of the disk |z| < radius,
+    radius sqrt(u) e^(2 pi i u'), drawn from the stdlib generator
+    random.Random(seed): the u of every point first, then every u'. Only
+    random() is drawn, the one method whose sequence Python keeps from
+    version to version."""
+    draw = random.Random(seed).random
+    u = np.array([draw() for _ in range(2 * count)])
+    return radius * np.sqrt(u[:count]) * np.exp(2j * np.pi * u[count:])

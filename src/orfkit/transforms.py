@@ -45,6 +45,7 @@ from .engine import (
 from .ratfun import (
     PoleSequence,
     RatFun,
+    _disk_sample,
     blaschke_factor,
     evaluate_stack,
     superstar,
@@ -298,9 +299,7 @@ def transformed_caratheodory(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> Car
     Ft.anchor_residual = anchor_residual(quad, F)
     if not Ft.anchor_residual <= 1e-9:
         raise NumericalFailure(f"transformed C-function anchor defect {Ft.anchor_residual:.2e}")
-    rng = np.random.default_rng(0)
-    zs = 0.95 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
-    re_min = float(np.min(np.real(np.asarray(Ft(zs)))))
+    re_min = float(np.min(np.real(np.asarray(Ft(_disk_sample(0, 0.95, 200))))))
     if not re_min > 0.0:
         raise NumericalFailure(f"transformed C-function lost positivity (min Re = {re_min:.2e})")
     return Ft

@@ -19,7 +19,9 @@ from .engine import (
     OrfSystem,
     _fit_ladder,
     _gram_defect,
+    _level_zero,
     _parameters,
+    _run_recurrence,
     determinant_residual_stack,
     identity_residual_stack,
     interpolation_residual_stack,
@@ -28,11 +30,10 @@ from .engine import (
     para_zeros_stack,
     second_kind_functional_residual_stack,
     second_kind_integral_stack,
-    synthesize,
 )
 from .errors import OrfkitError
 from .measure import boundary_grid
-from .ratfun import PoleSequence, evaluate_stack, superstar
+from .ratfun import PoleSequence, _disk_sample, evaluate_stack, superstar
 from .transforms import (
     arf_discrepancy,
     arf_recurrence,
@@ -63,8 +64,11 @@ CHECK_NAMES = tuple(DEFAULT_TOLERANCES)
 @dataclass
 class VerifyContext:
     """Everything a check needs: the system, its measure and C-function, its
-    associated ladders, and the shared RNG seed for sampled checks. The
-    measure and each associated ladder are built once per context."""
+    associated ladders, and the seed of the sampled checks. positivity,
+    roundtrip_lambda (with seed + 1) and multiplier_identities draw their
+    samples through ratfun._disk_sample, from the stdlib generator
+    random.Random. The measure and each associated ladder are built once
+    per context."""
 
     system: OrfSystem
     seed: int
@@ -95,10 +99,10 @@ def _sampled_gram_defect(system, mu, n_points):
     return _gram_defect(evaluate_stack([lv.phi for lv in system.levels], t), mu.weight(theta))
 
 
-def _ladder_fits(system):
+def _ladder_fits(poles, levels):
     """_fit_ladder of every level, from one evaluation of phi_n and phi_n^* at the fit points."""
-    funcs = [lv.phi for lv in system.levels] + [lv.phi_star for lv in system.levels]
-    return _fit_ladder(system.poles, *np.split(evaluate_stack(funcs, _FIT_POINTS), 2))
+    funcs = [lv.phi for lv in levels] + [lv.phi_star for lv in levels]
+    return _fit_ladder(poles, *np.split(evaluate_stack(funcs, _FIT_POINTS), 2))
 
 
 def check_orthonormality(ctx):
@@ -107,7 +111,7 @@ def check_orthonormality(ctx):
 
 def check_recurrence_fit(ctx):
     worst = 0.0
-    for _, _, resid, scale in _ladder_fits(ctx.system):
+    for _, _, resid, scale in _ladder_fits(ctx.system.poles, ctx.system.levels):
         worst = max(worst, resid / scale)
     return worst
 
@@ -183,8 +187,7 @@ def check_remark(ctx):
 
 def check_positivity(ctx):
     s = ctx.system
-    rng = np.random.default_rng(ctx.seed)
-    zs = 0.9 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+    zs = _disk_sample(ctx.seed, 0.9, 200)
     worst = 0.0
     for k in range(min(3, s.n_max) + 1):
         Fk = ctx.arf(k).F_k
@@ -196,13 +199,13 @@ def check_positivity(ctx):
 
 def check_roundtrip_lambda(ctx):
     s = ctx.system
-    rng = np.random.default_rng(ctx.seed + 1)
     n = max(s.n_max, 1)
-    lams = 0.6 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    lams = _disk_sample(ctx.seed + 1, 0.6, n)
     poles = s.poles if len(s.poles) >= n + 1 else PoleSequence(np.concatenate([s.poles.beta, [0.0]]))
-    synth = synthesize(lams, poles)
+    # the recurrence on the ladder's own poles, which the config has admitted
+    levels = _run_recurrence(poles, _level_zero(poles, 1.0), ((lam, 1.0, None) for lam in lams))
     worst = 0.0
-    for i, fit in enumerate(_ladder_fits(synth), start=1):
+    for i, fit in enumerate(_ladder_fits(poles, levels), start=1):
         worst = max(worst, abs(_parameters(i, fit)[0] - lams[i - 1]))
     return worst
 

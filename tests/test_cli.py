@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +300,15 @@ class TestConfigValidation:
         monkeypatch.setenv("ORFKIT_GRID", "500")
         assert main(["synth", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("where", ["config", "env"])
+    def test_grid_follows_the_quadrature_rule(self, tmp_path, monkeypatch, capsys, where):
+        # one rule for a grid, the one the quadrature applies, as a config error
+        if where == "env":
+            monkeypatch.setenv("ORFKIT_GRID", "500")
+        cfg = write_config(tmp_path, {**WORKED, "grid": 500} if where == "config" else WORKED)
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error: grid size must be a power of two >= 256, got 500" in capsys.readouterr().err
+
 
 class TestArfCommand:
     def test_worked_order_one(self, tmp_path, capsys):
@@ -380,6 +393,25 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "verify.json").read_text())
         assert "roundtrip_measure" not in report
 
+    @pytest.mark.parametrize(
+        "poles",
+        [
+            [[0.95, 0.0], [0.0, 0.95], [-0.95, 0.0]],
+            [[0.0, 0.0], [0.0, 0.95], [-0.95, 0.0]],
+            [[0.95, 0.0], [0.3, 0.1], [-0.2, 0.4]],
+        ],
+    )
+    def test_roundtrip_lambda_near_circle(self, tmp_path, poles):
+        # the round trip runs on the poles the config admitted, beyond the cap too
+        cfg = write_config(
+            tmp_path,
+            {"poles": poles, "lambdas": [[0.2, 0.0], [0.1, -0.2]], "allow_poles_near_circle": True},
+        )
+        with pytest.warns(UserWarning):
+            assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert report["roundtrip_lambda"]["residual"] <= 1e-14
+
     def test_tolerance_override_forces_failure(self, tmp_path):
         cfg = write_config(
             tmp_path, {**WORKED, "tolerances": {"determinant": 1e-30}}
@@ -425,3 +457,37 @@ class TestExampleCommand:
         # nan fails every comparison, so the cap test must reject it rather than pass it
         assert main(["example", "lebesgue", "--beta1", beta1]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+# runs in a fresh interpreter: the commands, then the numpy subpackages loaded
+FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+from orfkit import cli
+
+lam_cfg, samples_cfg, out = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    for cfg in (lam_cfg, samples_cfg):
+        for argv in (["synth"], ["arf", "--order", "1"], ["verify"]):
+            assert cli.main(argv + ["--config", cfg, "--out", out]) == 0, (argv, cfg)
+    assert cli.main(["example", "lebesgue"]) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_commands_load_neither_numpy_random_nor_polynomial(tmp_path):
+    theta = 2.0 * np.pi * np.arange(256) / 256
+    poles = [[0.0, 0.0], [0.4, 0.1], [-0.3, 0.3], [0.1, -0.5]]
+    lam_cfg = write_config(
+        tmp_path, {"poles": poles, "lambdas": [[0.2, 0.1], [-0.3, 0.2], [0.1, -0.4]], "seed": 3}, "lam.json"
+    )
+    samples = {"type": "samples", "theta": theta.tolist(), "w": np.exp(np.cos(theta)).tolist()}
+    samples_cfg = write_config(tmp_path, {"poles": poles, "measure": samples, "n_max": 3, "seed": 5}, "samples.json")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, lam_cfg, samples_cfg, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    loaded = json.loads(done.stdout)
+    assert "numpy.linalg" in loaded
+    assert not [m for m in loaded if m.startswith(("numpy.random", "numpy.polynomial"))]
+

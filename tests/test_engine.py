@@ -39,7 +39,7 @@ from orfkit.engine import (
     second_kind_functional_residual_stack,
     second_kind_integral_stack,
 )
-from orfkit.measure import boundary_grid
+from orfkit.measure import boundary_grid, default_grid
 from orfkit.transforms import arf_recurrence
 from orfkit.verify import VerifyContext, run_verification
 
@@ -639,7 +639,34 @@ def _recurrence_cases(n):
     return cases
 
 
+def reference_completion_grid(top, n_max):
+    """_completion_grid with rho read from numpy.polynomial's polyroots."""
+    base = default_grid(n_max)
+    if top.n == 0:
+        return base
+    roots = npp.polyroots(top.phi.numer)
+    rho = float(np.max(np.abs(roots))) if roots.size else 0.0
+    if rho <= 0.5:
+        return base
+    needed = int(np.ceil(30.0 / -np.log(min(rho, 0.9999))))
+    needed = 1 << (needed - 1).bit_length()
+    return int(min(max(base, needed), 32768))
+
+
 class TestBitIdenticalKernels:
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_completion_grid_matches_polyroots(self, n):
+        # the tops of seeded ladders, and the same levels with phi_n^* in
+        # the place of phi_n: its numerator carries the trailing zeros that
+        # phi_n's leading zeros become, which the roots must drop
+        trimmed = 0
+        for lams, poles in _recurrence_cases(n):
+            top = synthesize(lams, poles).levels[-1]
+            for lv in (top, dataclasses.replace(top, phi=top.phi_star)):
+                trimmed += lv.phi.numer[-1] == 0
+                assert engine._completion_grid(lv, n) == reference_completion_grid(lv, n)
+        assert trimmed > 0
+
     @pytest.mark.parametrize("n", range(1, 13))
     def test_convolve_recurrence_matches_polymul(self, monkeypatch, n):
         def built():

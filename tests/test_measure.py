@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from orfkit import (
@@ -376,6 +377,32 @@ class TestMomentSeries:
         c, floor = measure._moment_series(mu, KernelParams(beta0), 2048)
         assert_allclose(c[:41], _direct_moments(mu, beta0, 4096, 40), rtol=0, atol=1e-14)
         assert 0 < floor < 1e-12
+
+    @pytest.mark.parametrize(
+        "kind, beta0",
+        [("lebesgue", 0.3 - 0.4j), ("poisson", 0.4 + 0.1j), ("samples", 0.0)],
+    )
+    def test_series_values_match_polyval(self, monkeypatch, kind, beta0):
+        # the series runs through ratfun's Horner with polyval's operations:
+        # on grid arrays the values keep polyval's bits
+        mu = {
+            "lebesgue": builtin_measure("lebesgue"),
+            "poisson": builtin_measure("poisson", alpha=0.3 - 0.2j),
+            "samples": _table_measure(256),
+        }[kind]
+        seen = []
+
+        def spy(numers, z):
+            seen.append(numers[0].copy())
+            return ratfun._horner(numers, z)
+
+        monkeypatch.setattr(measure, "_horner", spy)
+        F = caratheodory_from_measure(mu, beta0, n_points=256)
+        for n_points in (256, 1024, 4096):
+            _, t = boundary_grid(n_points)
+            vals = F(t)
+            assert_array_equal(vals, 1.0 + npp.polyval(KernelParams(beta0).zeta0(t), seen[-1]))
+        assert len({c.size for c in seen}) == 1 and seen[-1].size > 2
 
     def test_grid_angles_at_beta0_zero(self, monkeypatch):
         # beta_0 = 0 pulls back to the grid 2 pi j / N itself, so a table

@@ -21,7 +21,7 @@ from orfkit import (
     superstar,
     synthesize,
 )
-from orfkit.ratfun import TAU_POLE
+from orfkit.ratfun import TAU_POLE, _disk_sample
 
 from conftest import substar_eval
 
@@ -35,6 +35,23 @@ def circle(n=64):
 def disk_grid(seed=0, n=50, cap=0.8):
     rng = np.random.default_rng(seed)
     return cap * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+
+
+@pytest.mark.parametrize(
+    "seed, first",
+    [
+        (0, [-0.051456350635756785 + 0.9174824769467251j, -0.8684221265816928 - 0.06162315314581557j,
+             -0.5362231855343722 + 0.3647413825249546j]),
+        (7, [0.5111345001865913 + 0.2501485309814268j, -0.3785639550796065 - 0.08682456932797088j,
+             -0.5361644163257271 + 0.6028782561230304j]),
+    ],
+)
+def test_disk_sample_draws_are_pinned(seed, first):
+    # random.Random(seed).random() keeps its sequence across Python
+    # versions; the tolerance admits only a last-bit libm difference
+    assert_allclose(_disk_sample(seed, 1.0, 3), first, rtol=1e-15, atol=0)
+    zs = _disk_sample(seed, 0.9, 200)
+    assert zs.shape == (200,) and np.abs(zs).max() < 0.9
 
 
 class TestPoleSequence:
