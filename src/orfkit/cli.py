@@ -6,13 +6,15 @@ Subcommands:
   verify   run identity checks, write verify.json
   example  run the worked Lebesgue example against its closed forms
 
-Exit codes: 0 ok, 1 verification failure, 2 config error, 3 numerical failure.
+Exit codes: 0 ok, 1 verification failure, 2 config error or an --out that
+cannot be made or written, 3 numerical failure.
 ORFKIT_GRID overrides the quadrature size (power of two >= 256).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -227,6 +229,16 @@ def build_system(cfg: JobConfig):
     return gs if cfg.source == "measure" else synth
 
 
+@contextlib.contextmanager
+def _writing_to(out):
+    """An OSError making the directory --out names, or writing into it, as
+    a ConfigError: one line and exit 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out}: {exc}") from exc
+
+
 def _write_table(path, system, n_points=TABLE_POINTS):
     theta, t = boundary_grid(n_points)
     vals = evaluate_stack([lv.phi for lv in system.levels], t)
@@ -242,10 +254,12 @@ def cmd_synth(args) -> int:
     cfg = JobConfig.from_file(args.config)
     if args.table_points < 2:
         raise ConfigError("--table-points must be >= 2")
-    os.makedirs(args.out, exist_ok=True)
+    with _writing_to(args.out):
+        os.makedirs(args.out, exist_ok=True)
     system = build_system(cfg)
-    serialize.write_json_atomic(os.path.join(args.out, "orf.json"), serialize.system_to_dict(system))
-    _write_table(os.path.join(args.out, "orf_table.csv"), system, args.table_points)
+    with _writing_to(args.out):
+        serialize.write_json_atomic(os.path.join(args.out, "orf.json"), serialize.system_to_dict(system))
+        _write_table(os.path.join(args.out, "orf_table.csv"), system, args.table_points)
     print(f"wrote {args.out}/orf.json and {args.out}/orf_table.csv (n_max={system.n_max})")
     return 0
 
@@ -257,16 +271,16 @@ def cmd_arf(args) -> int:
         raise ConfigError("give --order or set arf_order in the config")
     if not 0 <= k <= cfg.n_max:
         raise ConfigError("arf order must satisfy 0 <= k <= n_max")
-    os.makedirs(args.out, exist_ok=True)
+    with _writing_to(args.out):
+        os.makedirs(args.out, exist_ok=True)
     system = build_system(cfg)
     arf = arf_recurrence(system, k)
     disc = arf_discrepancy(arf)
-    serialize.write_json_atomic(os.path.join(args.out, f"arf_{k}.json"), serialize.arf_to_dict(arf))
-    theta = arf.mu_k.params["theta"]
-    w = arf.mu_k.params["w"]
-    serialize.write_csv_atomic(
-        os.path.join(args.out, f"mu_{k}.csv"), ["theta", "weight"], np.stack([theta, w], axis=1)
-    )
+    arf_dict = serialize.arf_to_dict(arf)
+    table = np.stack([arf.mu_k.params["theta"], arf.mu_k.params["w"]], axis=1)
+    with _writing_to(args.out):
+        serialize.write_json_atomic(os.path.join(args.out, f"arf_{k}.json"), arf_dict)
+        serialize.write_csv_atomic(os.path.join(args.out, f"mu_{k}.csv"), ["theta", "weight"], table)
     print(f"explicit-vs-recurrence max discrepancy: {disc:.3e}")
     if disc >= ARF_AGREEMENT:
         print(f"FAIL: associated-ladder routes disagree by {disc:.3e} >= {ARF_AGREEMENT}", file=sys.stderr)
@@ -285,11 +299,13 @@ def cmd_verify(args) -> int:
             raise ConfigError("roundtrip_measure needs a measure in the config")
     elif cfg.measure_spec is None:
         checks = [c for c in CHECK_NAMES if c != "roundtrip_measure"]
-    os.makedirs(args.out, exist_ok=True)
+    with _writing_to(args.out):
+        os.makedirs(args.out, exist_ok=True)
     system = build_system(cfg)
     ctx = VerifyContext(system=system, seed=cfg.seed, tolerances=cfg.tolerances)
     report = run_verification(ctx, checks)
-    serialize.write_json_atomic(os.path.join(args.out, "verify.json"), report)
+    with _writing_to(args.out):
+        serialize.write_json_atomic(os.path.join(args.out, "verify.json"), report)
     ok = True
     for name, entry in report.items():
         status = "pass" if entry["pass"] else "FAIL"

@@ -40,6 +40,7 @@ from .ratfun import (
     PoleSequence,
     RatFun,
     _disk_sample,
+    _slice_evaluator,
     blaschke_factor,
     blaschke_product,
     evaluate_stack,
@@ -52,8 +53,13 @@ TOL_ORTHO = 1e-9
 # Quadrature accuracy degrades as poles approach the circle; beyond this the
 # constructors demand an explicit override.
 POLE_CAP = 0.9
-# grid points per block of the sums over the quadrature grid
+# grid points per block of the passes over the quadrature grid
 _BLOCK = 1024
+
+
+def _blocks(size):
+    """Slices of _BLOCK consecutive points that cover range(size), in order."""
+    return (slice(lo, lo + _BLOCK) for lo in range(0, size, _BLOCK))
 
 
 @dataclass(frozen=True)
@@ -141,16 +147,19 @@ def _fit_values(poles, n, prev_z, star_z, phi_z):
     """Least-squares fit of phi_n varpi_n/varpi_{n-1} = a zeta_{n-1} phi_{n-1} + b phi*_{n-1}
     from the values of phi_{n-1}, phi*_{n-1} and phi_n at the 16 fit points.
 
-    Returns (a, b, residual, scale) with the residual in sup norm over the
-    sample and scale = max |phi_n| there.
+    The 16 x 2 system is solved by one reduced QR and back substitution
+    on its 2 x 2 triangle. Returns (a, b, residual, scale) with the
+    residual in sup norm over the sample and scale = max |phi_n| there.
     """
     zs = _FIT_POINTS
     lhs = phi_z * poles.varpi(n, zs) / poles.varpi(n - 1, zs)
     col1 = blaschke_factor(poles, n - 1, zs) * prev_z
     mat = np.stack([col1, star_z], axis=1)
-    sol, *_ = np.linalg.lstsq(mat, lhs, rcond=None)
-    a, b = sol
-    resid = float(np.abs(mat @ sol - lhs).max())
+    q, r = np.linalg.qr(mat)
+    y = q.conj().T @ lhs
+    b = y[1] / r[1, 1]
+    a = (y[0] - r[0, 1] * b) / r[0, 0]
+    resid = float(np.abs(mat @ np.array([a, b]) - lhs).max())
     scale = float(np.abs(phi_z).max())
     return a, b, resid, scale
 
@@ -324,8 +333,7 @@ def _herglotz_sums(kp, w, nodes, rows):
     call per _BLOCK points: no table of either on the whole grid is held."""
     _, t = boundary_grid(w.size)
     d_hw = h_w = 0.0
-    for lo in range(0, w.size, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
+    for block in _blocks(w.size):
         h = rows(block)
         hw = np.concatenate([h, np.ones((1, h.shape[1]))]) * w[block]
         d_hw = d_hw + hw @ herglotz_kernel(kp, t[None, block], nodes[:, None]).T
@@ -412,25 +420,28 @@ def gram_schmidt_orf(
     params = ((lam, rho, None) for lam, _, rho in fitted)
     levels = _run_recurrence(poles, _level_zero(poles, coef[0, 0]), params)
 
-    defect = _gram_defect(evaluate_stack([lv.phi for lv in levels], t), w)
+    defect = _gram_defect([lv.phi for lv in levels], w)
     if defect > TOL_ORTHO:
         raise NumericalFailure(f"Gram matrix deviates from identity by {defect:.2e}")
     F = caratheodory_from_measure(mu, poles.beta[0], n_points=n_points)
     return OrfSystem(poles, levels, source="measure", measure=mu, caratheodory=F, n_points=n_points)
 
 
-def _gram_defect(vals, w) -> float:
-    """Sup deviation from the identity of the Gram matrix of sampled
-    functions under the boundary weight w (uniform-grid quadrature).
+def _gram_defect(funcs, w) -> float:
+    """Sup deviation from the identity of the Gram matrix of the RatFuns
+    funcs under the boundary weight w, sampled on the grid 2 pi j / N,
+    N = w.size (uniform-grid quadrature).
 
-    The matrix is summed over blocks of the grid, so the stacked samples
-    take a block's worth of memory, not the grid's.
+    The functions are evaluated and the matrix summed one block of the
+    grid at a time, so their samples take a block's worth of memory, not
+    the grid's.
     """
+    _, t = boundary_grid(w.size)
     gram = 0.0
-    for lo in range(0, w.size, _BLOCK):
-        v = np.array([x[lo : lo + _BLOCK] for x in vals])
-        gram = gram + (v * w[lo : lo + _BLOCK]) @ v.conj().T
-    return float(np.max(np.abs(gram / w.size - np.eye(len(vals)))))
+    for block in _blocks(w.size):
+        v = evaluate_stack(funcs, t[block])
+        gram = gram + (v * w[block]) @ v.conj().T
+    return float(np.max(np.abs(gram / w.size - np.eye(len(funcs)))))
 
 
 def zeros_factor(poles: PoleSequence, m: int, z):
@@ -587,23 +598,29 @@ def determinant_residual_stack(system: OrfSystem, levels):
     return d.real, resid
 
 
-def _negative_modes(g, scale):
-    """Largest |Fourier mode| k = -N/4..-1 of each row of g, sampled on the
-    grid 2 pi j / N, over scale. The row extends analytically into the disk
-    exactly when these vanish; the modes nearer -N/2 are left out, as the
-    positive modes of an analytic row alias there."""
-    n = g.shape[-1]
-    modes = np.fft.fft(g, axis=-1)[..., n - n // 4 :]
-    return np.max(np.abs(modes), axis=-1) / (n * np.maximum(scale, 1e-300))
+def _negative_modes(g, scale) -> float:
+    """Largest |Fourier mode| k = -N/4..-1 of the line g, sampled on the
+    grid 2 pi j / N, over scale. The line extends analytically into the
+    disk exactly when these vanish; the modes nearer -N/2 are left out, as
+    the positive modes of an analytic line alias there."""
+    n = g.size
+    modes = np.fft.fft(g)[n - n // 4 :]
+    return float(np.max(np.abs(modes))) / (n * max(scale, 1e-300))
 
 
-def _zero_free(g):
-    """min |g| / max |g| of each row of g on the grid 2 pi j / N, or 0 where
-    the summed phase steps show that the row winds around the origin. An
-    analytic row has no zero in the closed disk exactly when this is > 0."""
+def _zero_free(g) -> float:
+    """min |g| / max |g| of the line g on the grid 2 pi j / N, or 0 when g
+    winds around the origin. An analytic line has no zero in the closed
+    disk exactly when this is > 0.
+
+    The winding is read from the phase alone: the raw steps of arg g
+    around the closed loop sum to 0, and each step across the cut at +-pi
+    is a whole turn, so g winds exactly when the steps over 2 pi, each
+    rounded to an integer, do not sum to 0."""
     mag = np.abs(g)
-    turns = np.round(np.sum(np.angle(np.roll(g, -1, axis=-1) * np.conj(g)), axis=-1) / (2 * np.pi))
-    return np.where(turns == 0, np.min(mag, axis=-1) / np.maximum(np.max(mag, axis=-1), 1e-300), 0.0)
+    phase = np.angle(g)
+    turns = np.sum(np.round(np.diff(phase, append=phase[0]) / (2 * np.pi)))
+    return float(np.min(mag)) / max(float(np.max(mag)), 1e-300) if turns == 0 else 0.0
 
 
 def interpolation_residual_stack(system: OrfSystem, F: CaratheodoryFn, levels):
@@ -618,9 +635,11 @@ def interpolation_residual_stack(system: OrfSystem, F: CaratheodoryFn, levels):
     there, conj(zeta_0) (conj(phi_n) F - conj(psi_n)). The residual is the
     largest negative Fourier mode of either over max |g_n|; the second line
     is identically 0 at the top level of a lambda ladder, so its own
-    maximum would be rounding noise. The witness is _zero_free(g_n). Each
-    level is evaluated on the grid on its own, and conj(zeta_0 B_{n-1})
-    grows one factor per level.
+    maximum would be rounding noise. The witness is _zero_free(g_n).
+    F(t) and conj(zeta_0 B_{n-1}) are held on the whole grid, the latter
+    growing one factor per level. phi_n and psi_n are evaluated in place
+    in the level's two lines, which then become g_n and the starred line
+    in place, so a level holds no table besides its lines.
     """
     levels = list(levels)
     _, t = boundary_grid(system.n_points)
@@ -628,6 +647,7 @@ def interpolation_residual_stack(system: OrfSystem, F: CaratheodoryFn, levels):
     conj_zeta0 = np.conj(system.kernel.zeta0(t))
     out = {}
     conj_zeros = np.ones_like(t)
+    lines = np.empty((2, t.size), dtype=complex)
     for m in range(max(levels) + 1):
         if m == 1:
             conj_zeros = conj_zeta0
@@ -635,10 +655,23 @@ def interpolation_residual_stack(system: OrfSystem, F: CaratheodoryFn, levels):
             conj_zeros = conj_zeros * np.conj(blaschke_factor(system.poles, m - 1, t))
         if m in levels:
             lv = system.level(m)
-            phi, psi = evaluate_stack((lv.phi, lv.psi), t)
-            g = (phi * f_t + psi) * conj_zeros
-            lines = np.stack([g, conj_zeta0 * (np.conj(phi) * f_t - np.conj(psi))])
-            out[m] = np.max(_negative_modes(lines, np.max(np.abs(g)))), _zero_free(g)
+            # phi_n and psi_n on the whole grid, in place in the lines
+            _slice_evaluator((lv.phi, lv.psi), t)(slice(None), lines)
+            # the two lines in place of the values, each product with its
+            # operands in the order of (phi F + psi) conj_zeros and
+            # conj_zeta0 (conj(phi) F - conj(psi))
+            phi, psi = lines
+            second = np.conj(phi)
+            second *= f_t
+            phi *= f_t
+            phi += psi
+            phi *= conj_zeros
+            np.conj(psi, out=psi)
+            np.subtract(second, psi, out=psi)
+            np.multiply(conj_zeta0, psi, out=psi)
+            del second
+            scale = float(np.max(np.abs(lines[0])))
+            out[m] = np.max([_negative_modes(line, scale) for line in lines]), _zero_free(lines[0])
     resid, witness = np.array([out[n] for n in levels], dtype=float).T
     return resid, witness
 

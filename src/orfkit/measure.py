@@ -102,6 +102,17 @@ def _trig_eval(coeffs, freqs, theta):
     return out
 
 
+def _trig_interpolant(table):
+    """Coefficients c_k and integer frequencies k of the trigonometric
+    interpolant of the values table on the grid 2 pi j / M, M = table.size."""
+    m = table.size
+    # the frequencies of fftfreq(M, 1/M) as integers; that float array
+    # misses them by an ulp for some M (49, 98, 103, ...)
+    freqs = np.arange(m)
+    freqs[(m + 1) // 2 :] -= m
+    return np.fft.fft(table) / m, freqs
+
+
 class CircleMeasure:
     """Positive density on the circle against dtheta/2pi, normalized to mass 1.
 
@@ -140,7 +151,9 @@ def builtin_measure(kind: str, alpha=None, theta=None, w=None) -> CircleMeasure:
     b_r = sum_{k = r mod N} c_k, since e^(i k theta_j) depends on k only
     mod N there, and the interpolant is Re(N ifft(b)), an unscaled inverse
     FFT: O(N log N), and the same bits on every call. Other angles cost
-    O(N M) each call.
+    O(N M) each call. The coefficients are computed on the first read off
+    the table grids and kept; a density read only on them never makes
+    them.
     """
     if kind == "lebesgue":
         return CircleMeasure("lebesgue", lambda th: np.ones_like(np.asarray(th, float)), mass=1.0)
@@ -167,20 +180,20 @@ def builtin_measure(kind: str, alpha=None, theta=None, w=None) -> CircleMeasure:
         m = th.size
         if np.max(np.abs(th - _grid_angles(m))) > 1e-9:
             raise DomainError("sample table must sit on the uniform grid 2 pi j / M")
-        coeffs = np.fft.fft(vals) / m
-        # the frequencies of fftfreq(M, 1/M) as integers; that float array
-        # misses them by an ulp for some M (49, 98, 103, ...)
-        freqs = np.arange(m)
-        freqs[(m + 1) // 2 :] -= m
         table = vals.copy()
         table.flags.writeable = False
+        interpolant = []
 
         def fn(t):
             n = _uniform_size(t)
+            if n and m % n == 0:
+                return table[:: m // n]
+            if not interpolant:
+                # callers racing here at worst both append; each reads the first
+                interpolant.append(_trig_interpolant(table))
+            coeffs, freqs = interpolant[0]
             if not n:
                 return np.real(_trig_eval(coeffs, freqs, t)).reshape(t.shape)
-            if m % n == 0:
-                return table[:: m // n]
             bins = freqs % n
             b = np.bincount(bins, coeffs.real, n) + 1j * np.bincount(bins, coeffs.imag, n)
             return np.real(np.fft.ifft(b, norm="forward"))
@@ -325,9 +338,14 @@ def weight_from_caratheodory(F: CaratheodoryFn, beta0, theta):
     rounding) are analytic across it.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    b0 = complex(beta0)
     t = np.exp(1j * theta)
-    w = np.real(np.asarray(F(t))) * (1.0 - abs(b0) ** 2) / np.abs(t - b0) ** 2
+    return _boundary_weight(F(t), beta0, t)
+
+
+def _boundary_weight(f, beta0, t):
+    """weight_from_caratheodory from the values f of F at the points t."""
+    b0 = complex(beta0)
+    w = np.real(np.asarray(f)) * (1.0 - abs(b0) ** 2) / np.abs(t - b0) ** 2
     if np.any(w < 0):
         raise NegativeDensity("recovered density negative; F is not a C-function here")
     return w
@@ -337,10 +355,11 @@ def ratio_caratheodory(terms, beta0) -> CaratheodoryFn:
     """C-function realized as a pointwise ratio top/bot, where terms(z)
     returns the pair (top, bot) of values at z in one call."""
 
-    def ev(z):
-        top, bot = terms(np.asarray(z, dtype=complex))
-        if (np.abs(bot) < 1e-13 * (np.abs(top) + np.abs(bot) + 1.0)).any():
-            raise DenominatorVanishes("ratio C-function hit a zero of its denominator")
-        return top / bot
+    return CaratheodoryFn(lambda z: _ratio(*terms(np.asarray(z, dtype=complex))), beta0)
 
-    return CaratheodoryFn(ev, beta0)
+
+def _ratio(top, bot):
+    """top / bot, or DenominatorVanishes where bot is 0 to rounding."""
+    if (np.abs(bot) < 1e-13 * (np.abs(top) + np.abs(bot) + 1.0)).any():
+        raise DenominatorVanishes("ratio C-function hit a zero of its denominator")
+    return top / bot

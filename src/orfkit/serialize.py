@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 import numpy as np
 
@@ -146,9 +145,13 @@ def dumps(obj) -> str:
 
 
 def _write_atomic(path, lines):
-    """Write via a temp file and rename, so readers never see a torn file."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    """Write via a temp file and rename, so readers never see a torn file.
+
+    The temp file is created with mode 0666, so the umask gives the file
+    the mode a plain open() would; O_EXCL keeps it from clobbering another.
+    """
+    tmp = f"{os.path.abspath(path)}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines(lines)

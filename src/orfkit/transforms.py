@@ -27,13 +27,15 @@ from .errors import (
 from .measure import (
     CaratheodoryFn,
     CircleMeasure,
+    _boundary_weight,
+    _ratio,
     boundary_grid,
     builtin_measure,
     ratio_caratheodory,
-    weight_from_caratheodory,
 )
 from .engine import (
     OrfSystem,
+    _blocks,
     _completion_grid,
     _level_zero,
     _negative_modes,
@@ -46,6 +48,7 @@ from .ratfun import (
     PoleSequence,
     RatFun,
     _disk_sample,
+    _slice_evaluator,
     blaschke_factor,
     evaluate_stack,
     superstar,
@@ -160,6 +163,8 @@ def check_quad(
     are unimodular on the grid, so each cofactor is the line times their
     conjugate: it must have no negative Fourier modes (a3, a42, at most
     VANISH_TOL) and no zero in the closed disk (a33, a42_f, above QUAD_TOL).
+    F(t) and the zeros factors are held on the whole grid; A, B, C and D
+    are evaluated one block of it at a time into the two lines.
     """
     N, r = quad.N, quad.r
     tau = quad.tau_A
@@ -172,20 +177,25 @@ def check_quad(
         a1 = max(a1, float(np.abs(superstar(f).numer - sign * tau * f.numer).max()) / scale)
 
     _, t = boundary_grid(n_points)
-    a, b, c, d = evaluate_stack((quad.A, quad.B, quad.C, quad.D), t)
+    values = _slice_evaluator((quad.A, quad.B, quad.C, quad.D), t)
+    f_t = np.asarray(F(t))
+    conj_zeros = np.conj(zeros_factor(base_poles, N, t))
+    conj_tilde = np.conj(zeros_factor(quad.tilde_poles, r, t))
+    lines = np.empty((2, t.size), dtype=complex)
+    b_max = 0.0
+    for block in _blocks(t.size):
+        a, b, c, d = values(block)
+        b_max = np.maximum(b_max, np.max(np.abs(b)))
+        lines[0, block] = (a - b * f_t[block]) * conj_zeros[block]
+        lines[1, block] = (a * d - b * c) * conj_zeros[block] * conj_tilde[block]
     if N > 0:
         b_zeros = np.abs(quad.B(base_poles.beta[:N]))
-        a2_min = float(np.min(b_zeros)) / max(float(np.max(np.abs(b))), 1e-300)
+        a2_min = float(np.min(b_zeros)) / max(float(b_max), 1e-300)
     else:
         a2_min = np.inf
 
-    conj_zeros = np.conj(zeros_factor(base_poles, N, t))
-    lines = np.stack([
-        (a - b * np.asarray(F(t))) * conj_zeros,
-        (a * d - b * c) * conj_zeros * np.conj(zeros_factor(quad.tilde_poles, r, t)),
-    ])
-    a3_max, a42_max = _negative_modes(lines, np.max(np.abs(lines), axis=1)).tolist()
-    a33_min, a42_f_min = _zero_free(lines).tolist()
+    a3_max, a42_max = (_negative_modes(line, float(np.max(np.abs(line)))) for line in lines)
+    a33_min, a42_f_min = (_zero_free(line) for line in lines)
 
     passed = bool(
         a1 <= QUAD_TOL
@@ -308,13 +318,15 @@ def transformed_caratheodory(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> Car
 def _quad_terms(quad: SelfReciprocalQuad, F: CaratheodoryFn):
     """terms(z) -> (-C + D F, A - B F), the numerator and denominator of the
     transformed C-function; F is evaluated once per call."""
+    funcs = (quad.A, quad.B, quad.C, quad.D)
+    return lambda z: _quad_values(evaluate_stack(funcs, z), np.asarray(F(z)))
 
-    def terms(z):
-        a, b, c, d = evaluate_stack((quad.A, quad.B, quad.C, quad.D), z)
-        f = np.asarray(F(z))
-        return -c + d * f, a - b * f
 
-    return terms
+def _quad_values(abcd, f):
+    """(-C + D f, A - B f) from the values abcd of A, B, C, D and f of F at
+    the same points."""
+    a, b, c, d = abcd
+    return -c + d * f, a - b * f
 
 
 def anchor_residual(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> float:
@@ -410,11 +422,20 @@ class ArfSystem:
 
         The grid is the larger of the base ladder's and the completion grid
         of this ladder's own top level, whose zeros can lie closer to the
-        circle than the base ladder's.
+        circle than the base ladder's. The base C-function is read on the
+        whole grid once; F_k, whose checks run first, is formed from it one
+        block of the grid at a time.
         """
         own = _completion_grid(self.system.levels[-1], self.system.n_max)
-        theta, _ = boundary_grid(max(self.base.n_points, own))
-        w = weight_from_caratheodory(self.F_k, self.system.poles.beta[0], theta)
+        theta, t = boundary_grid(max(self.base.n_points, own))
+        b0 = self.F_k.beta0
+        quad = self.quad
+        values = _slice_evaluator((quad.A, quad.B, quad.C, quad.D), t)
+        f_t = np.asarray(self.base.caratheodory(t))
+        w = np.empty(theta.size)
+        for block in _blocks(theta.size):
+            # weight_from_caratheodory(F_k, b0, theta[block]), F_k from its terms
+            w[block] = _boundary_weight(_ratio(*_quad_values(values(block), f_t[block])), b0, t[block])
         return builtin_measure("samples", theta=theta, w=w)
 
 

@@ -94,9 +94,7 @@ class VerifyContext:
 
 
 def _sampled_gram_defect(system, mu, n_points):
-    # one evaluation of every level on the grid; the table ends with the check
-    theta, t = boundary_grid(n_points)
-    return _gram_defect(evaluate_stack([lv.phi for lv in system.levels], t), mu.weight(theta))
+    return _gram_defect([lv.phi for lv in system.levels], mu.weight(boundary_grid(n_points)[0]))
 
 
 def _ladder_fits(poles, levels):

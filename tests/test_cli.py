@@ -339,6 +339,38 @@ class TestArfCommand:
         assert main(["arf", "--config", cfg, "--order", "5", "--out", str(tmp_path)]) == 2
 
 
+COMMANDS = [["synth"], ["arf", "--order", "1"], ["verify"]]
+
+
+class TestOutput:
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_artifacts_take_the_umask_mode(self, tmp_path, umask):
+        cfg = write_config(tmp_path, WORKED)
+        out = tmp_path / "out"
+        old = os.umask(umask)
+        try:
+            for command in COMMANDS:
+                assert main(command + ["--config", cfg, "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        names = ("orf.json", "orf_table.csv", "arf_1.json", "mu_1.csv", "verify.json")
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        for name in names:
+            assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("where", ["file", "under a file"])
+    def test_out_that_cannot_be_made(self, tmp_path, capsys, command, where):
+        cfg = write_config(tmp_path, WORKED)
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken if where == "file" else taken / "sub"
+        assert main(command + ["--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"config error: cannot write --out {out}: ")
+        assert taken.read_text() == "kept"
+
+
 class TestVerifyCommand:
     def test_worked_all_pass(self, tmp_path, capsys):
         cfg = write_config(tmp_path, WORKED)

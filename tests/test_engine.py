@@ -154,13 +154,14 @@ class TestGramSchmidt:
         rng = np.random.default_rng(4)
         theta, t = boundary_grid(n_points)
         w = builtin_measure("poisson", alpha=0.3 + 0.2j).weight(theta)
-        vals = [npp.polyval(t, rng.standard_normal(k + 1)) for k in range(5)]
+        poles = PoleSequence(np.zeros(5))
+        funcs = [RatFun(poles, rng.standard_normal(k + 1)) for k in range(5)]
         for scale in np.eye(5):
-            scaled = [v * (1.0 + 3.0 * s) for v, s in zip(vals, scale)]
+            scaled = [f * (1.0 + 3.0 * s) for f, s in zip(funcs, scale)]
             expected = max(
-                abs((vi * np.conj(vj) * w).mean() - (i == j))
-                for i, vi in enumerate(scaled)
-                for j, vj in enumerate(scaled)
+                abs((fi(t) * np.conj(fj(t)) * w).mean() - (i == j))
+                for i, fi in enumerate(scaled)
+                for j, fj in enumerate(scaled)
             )
             assert_allclose(_gram_defect(scaled, w), expected, rtol=1e-12)
 
@@ -603,9 +604,32 @@ def reference_fit_step(poles, n, phi_prev, phi_star_prev, phi_n):
     prev_z, col2 = evaluate_stack((phi_prev, phi_star_prev), zs)
     col1 = blaschke_factor(poles, n - 1, zs) * prev_z
     mat = np.stack([col1, col2], axis=1)
-    sol, *_ = np.linalg.lstsq(mat, lhs, rcond=None)
-    a, b = sol
-    return a, b, float(np.max(np.abs(mat @ sol - lhs))), float(np.max(np.abs(phi_z)))
+    # reduced QR, then back substitution on the 2 x 2 triangle
+    q, r = np.linalg.qr(mat)
+    y = q.conj().T @ lhs
+    b = y[1] / r[1, 1]
+    a = (y[0] - r[0, 1] * b) / r[0, 0]
+    return a, b, float(np.max(np.abs(mat @ np.array([a, b]) - lhs))), float(np.max(np.abs(phi_z)))
+
+
+@pytest.mark.parametrize("which", ["synth", "poisson", "lebesgue"])
+def test_fit_matches_lstsq(which, synth_system, poisson_system, lebesgue):
+    # the QR solve and the SVD least-squares driver agree to rounding
+    s = {
+        "synth": synth_system,
+        "poisson": poisson_system,
+        "lebesgue": gram_schmidt_orf(lebesgue, disk_poles(2, 8, 0.3j), 7),
+    }[which]
+    zs = engine._FIT_POINTS
+    phi_z = evaluate_stack([lv.phi for lv in s.levels], zs)
+    star_z = evaluate_stack([lv.phi_star for lv in s.levels], zs)
+    for n in range(1, s.n_max + 1):
+        a, b, resid, scale = engine._fit_values(s.poles, n, phi_z[n - 1], star_z[n - 1], phi_z[n])
+        lhs = phi_z[n] * s.poles.varpi(n, zs) / s.poles.varpi(n - 1, zs)
+        mat = np.stack([blaschke_factor(s.poles, n - 1, zs) * phi_z[n - 1], star_z[n - 1]], axis=1)
+        sol = np.linalg.lstsq(mat, lhs, rcond=None)[0]
+        assert np.max(np.abs(np.array([a, b]) - sol)) <= 1e-13 * np.max(np.abs(sol))
+        assert resid <= 1e-13 * scale
 
 
 def _numerators(systems):

@@ -180,6 +180,32 @@ class TestSampledGrids:
         monkeypatch.setattr(measure, "_trig_eval", dense)
         assert main(command + ["--config", str(cfg), "--out", str(tmp_path)]) == 0
 
+    def test_interpolant_waits_for_an_off_table_read(self, monkeypatch):
+        made = []
+        real = measure._trig_interpolant
+        def counted(table):
+            made.append(table.size)
+            return real(table)
+
+        monkeypatch.setattr(measure, "_trig_interpolant", counted)
+        mu, w = sampled_table(512)
+        for n in (512, 256, 128):
+            mu.weight(boundary_grid(n)[0])
+        assert made == []
+        # off-table reads, against the interpolant's formulas with the
+        # coefficients made up front: zero padding, folding, other angles
+        coeffs = np.fft.fft(w) / w.size
+        freqs = np.arange(w.size)
+        freqs[w.size // 2 :] -= w.size
+        for n in (1024, 384):
+            bins = freqs % n
+            b = np.bincount(bins, coeffs.real, n) + 1j * np.bincount(bins, coeffs.imag, n)
+            expected = np.real(np.fft.ifft(b, norm="forward")) / mu.mass
+            assert_array_equal(mu.weight(boundary_grid(n)[0]), expected)
+        angles = np.random.default_rng(9).uniform(0.0, 2 * np.pi, size=100)
+        assert_array_equal(mu.weight(angles), np.real(_trig_eval(coeffs, freqs, angles)) / mu.mass)
+        assert made == [512]
+
     def test_off_grid_angles_use_dense_path(self):
         mu, w = sampled_table()
         shifted = boundary_grid(256)[0] + 1e-3

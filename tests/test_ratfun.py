@@ -219,6 +219,22 @@ class TestKernels:
         with pytest.raises(KernelSingularity):
             herglotz_kernel(kp, 0.5, 0.5)
 
+    def test_herglotz_tests_points_only_where_the_bound_fails(self):
+        kp = KernelParams(0.3 - 0.1j)
+        t = circle(64)[None, :]
+        nodes = 0.9 * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)[:, None]
+        zt, zz = kp.zeta0(t), kp.zeta0(nodes)
+        assert same_bits(herglotz_kernel(kp, t, nodes), (zt + zz) / (zt - zz))
+        # a node on a grid point raises from inside the table
+        with pytest.raises(KernelSingularity):
+            herglotz_kernel(kp, t, np.concatenate([nodes, [[t[0, 5]]]]))
+        # |den| = 1.5e-12 fails the bound from the largest moduli, 2e-12,
+        # and clears its own points' 1.2e-12, so nothing raises
+        kp = KernelParams(0.0)
+        t, z = np.array([0.1]), np.array([0.1 + 1.5e-12, 0.9])
+        zt, zz = kp.zeta0(t), kp.zeta0(z)
+        assert same_bits(herglotz_kernel(kp, t, z), (zt + zz) / (zt - zz))
+
     def test_poisson_centered(self):
         kp = KernelParams(0.0)
         assert_allclose(poisson_kernel(kp, circle(), 0.0), 1.0)
