@@ -40,7 +40,6 @@ from .ratfun import (
     PoleSequence,
     RatFun,
     _disk_sample,
-    _slice_evaluator,
     blaschke_factor,
     blaschke_product,
     evaluate_stack,
@@ -55,11 +54,19 @@ TOL_ORTHO = 1e-9
 POLE_CAP = 0.9
 # grid points per block of the passes over the quadrature grid
 _BLOCK = 1024
+# bytes of complex values per block of a pass that evaluates several
+# functions on the grid
+_BLOCK_BYTES = 1 << 18
 
 
-def _blocks(size):
-    """Slices of _BLOCK consecutive points that cover range(size), in order."""
-    return (slice(lo, lo + _BLOCK) for lo in range(0, size, _BLOCK))
+def _blocks(size, rows=None):
+    """Slices of consecutive points that cover range(size), in order. Each
+    has _BLOCK points or, in a pass that holds rows complex values per
+    point of a block, as many as hold _BLOCK_BYTES of them, but no fewer.
+    A stack of one degree counts twice: evaluate_stack holds its values
+    and their Horner table."""
+    step = _BLOCK if rows is None else max(_BLOCK, _BLOCK_BYTES // (16 * rows))
+    return (slice(lo, lo + step) for lo in range(0, size, step))
 
 
 @dataclass(frozen=True)
@@ -438,7 +445,7 @@ def _gram_defect(funcs, w) -> float:
     """
     _, t = boundary_grid(w.size)
     gram = 0.0
-    for block in _blocks(w.size):
+    for block in _blocks(w.size, len(funcs)):
         v = evaluate_stack(funcs, t[block])
         gram = gram + (v * w[block]) @ v.conj().T
     return float(np.max(np.abs(gram / w.size - np.eye(len(funcs)))))
@@ -598,14 +605,15 @@ def determinant_residual_stack(system: OrfSystem, levels):
     return d.real, resid
 
 
-def _negative_modes(g, scale) -> float:
-    """Largest |Fourier mode| k = -N/4..-1 of the line g, sampled on the
-    grid 2 pi j / N, over scale. The line extends analytically into the
-    disk exactly when these vanish; the modes nearer -N/2 are left out, as
-    the positive modes of an analytic line alias there."""
-    n = g.size
-    modes = np.fft.fft(g)[n - n // 4 :]
-    return float(np.max(np.abs(modes))) / (n * max(scale, 1e-300))
+def _negative_modes(g, scale):
+    """Largest |Fourier mode| k = -N/4..-1 of each row of g, sampled on the
+    grid 2 pi j / N, over scale. The row extends analytically into the disk
+    exactly when these vanish; the modes nearer -N/2 are left out, as the
+    positive modes of an analytic row alias there. The rows take one FFT
+    call, which numpy runs faster than one call per row."""
+    n = g.shape[-1]
+    modes = np.fft.fft(g, axis=-1)[..., n - n // 4 :]
+    return np.max(np.abs(modes), axis=-1) / (n * np.maximum(scale, 1e-300))
 
 
 def _zero_free(g) -> float:
@@ -637,9 +645,8 @@ def interpolation_residual_stack(system: OrfSystem, F: CaratheodoryFn, levels):
     is identically 0 at the top level of a lambda ladder, so its own
     maximum would be rounding noise. The witness is _zero_free(g_n).
     F(t) and conj(zeta_0 B_{n-1}) are held on the whole grid, the latter
-    growing one factor per level. phi_n and psi_n are evaluated in place
-    in the level's two lines, which then become g_n and the starred line
-    in place, so a level holds no table besides its lines.
+    growing one factor per level, and the two lines of one level; phi_n
+    and psi_n are evaluated, and the lines formed, one block at a time.
     """
     levels = list(levels)
     _, t = boundary_grid(system.n_points)
@@ -655,23 +662,14 @@ def interpolation_residual_stack(system: OrfSystem, F: CaratheodoryFn, levels):
             conj_zeros = conj_zeros * np.conj(blaschke_factor(system.poles, m - 1, t))
         if m in levels:
             lv = system.level(m)
-            # phi_n and psi_n on the whole grid, in place in the lines
-            _slice_evaluator((lv.phi, lv.psi), t)(slice(None), lines)
-            # the two lines in place of the values, each product with its
-            # operands in the order of (phi F + psi) conj_zeros and
-            # conj_zeta0 (conj(phi) F - conj(psi))
-            phi, psi = lines
-            second = np.conj(phi)
-            second *= f_t
-            phi *= f_t
-            phi += psi
-            phi *= conj_zeros
-            np.conj(psi, out=psi)
-            np.subtract(second, psi, out=psi)
-            np.multiply(conj_zeta0, psi, out=psi)
-            del second
+            # phi_n, psi_n and their Horner table: 4 values per point
+            for block in _blocks(t.size, 4):
+                phi, psi = evaluate_stack((lv.phi, lv.psi), t[block])
+                f = f_t[block]
+                lines[0, block] = (phi * f + psi) * conj_zeros[block]
+                lines[1, block] = conj_zeta0[block] * (np.conj(phi) * f - np.conj(psi))
             scale = float(np.max(np.abs(lines[0])))
-            out[m] = np.max([_negative_modes(line, scale) for line in lines]), _zero_free(lines[0])
+            out[m] = np.max(_negative_modes(lines, scale)), _zero_free(lines[0])
     resid, witness = np.array([out[n] for n in levels], dtype=float).T
     return resid, witness
 

@@ -338,14 +338,9 @@ def weight_from_caratheodory(F: CaratheodoryFn, beta0, theta):
     rounding) are analytic across it.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    t = np.exp(1j * theta)
-    return _boundary_weight(F(t), beta0, t)
-
-
-def _boundary_weight(f, beta0, t):
-    """weight_from_caratheodory from the values f of F at the points t."""
     b0 = complex(beta0)
-    w = np.real(np.asarray(f)) * (1.0 - abs(b0) ** 2) / np.abs(t - b0) ** 2
+    t = np.exp(1j * theta)
+    w = np.real(np.asarray(F(t))) * (1.0 - abs(b0) ** 2) / np.abs(t - b0) ** 2
     if np.any(w < 0):
         raise NegativeDensity("recovered density negative; F is not a C-function here")
     return w
@@ -355,11 +350,10 @@ def ratio_caratheodory(terms, beta0) -> CaratheodoryFn:
     """C-function realized as a pointwise ratio top/bot, where terms(z)
     returns the pair (top, bot) of values at z in one call."""
 
-    return CaratheodoryFn(lambda z: _ratio(*terms(np.asarray(z, dtype=complex))), beta0)
+    def ev(z):
+        top, bot = terms(np.asarray(z, dtype=complex))
+        if (np.abs(bot) < 1e-13 * (np.abs(top) + np.abs(bot) + 1.0)).any():
+            raise DenominatorVanishes("ratio C-function hit a zero of its denominator")
+        return top / bot
 
-
-def _ratio(top, bot):
-    """top / bot, or DenominatorVanishes where bot is 0 to rounding."""
-    if (np.abs(bot) < 1e-13 * (np.abs(top) + np.abs(bot) + 1.0)).any():
-        raise DenominatorVanishes("ratio C-function hit a zero of its denominator")
-    return top / bot
+    return CaratheodoryFn(ev, beta0)

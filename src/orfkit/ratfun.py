@@ -168,68 +168,30 @@ def evaluate_stack(fs, z) -> np.ndarray:
     evaluate on that function alone. Points near a pole of the
     highest-degree member raise PoleProximity for the whole stack.
     """
-    z = np.asarray(z, dtype=complex)
-    conj_beta = _checked_poles(fs, z)
-    rows = {}
-    for i, f in enumerate(fs):
-        rows.setdefault(f.n, []).append(i)
-    out = np.empty((len(fs),) + z.shape, dtype=complex)
-    pi = np.ones_like(z)
-    for j in range(conj_beta.size + 1):
-        if j:
-            pi = pi * (1.0 - conj_beta[j - 1] * z)
-        if j in rows:
-            out[rows[j]] = _horner(np.array([fs[i].numer for i in rows[j]]), z) / pi
-    return out
-
-
-def _checked_poles(fs, z):
-    """conj(beta_1..beta_n) of the member of fs of highest degree n, once
-    the members pass the pole-prefix test (PoleMismatch) and the points z
-    the pole guard (PoleProximity)."""
     top = max(fs, key=lambda f: f.n)
     beta = top.poles.beta
     for f in fs:
         if not (f.poles is top.poles or np.array_equal(f.poles.beta[: f.n + 1], beta[: f.n + 1])):
             raise PoleMismatch("stacked functions need one pole prefix")
+    z = np.asarray(z, dtype=complex)
     conj_beta = np.conj(beta[1 : top.n + 1])
     if top.n:
         _pole_guard(conj_beta, z)
-    return conj_beta
-
-
-def _slice_evaluator(fs, z):
-    """values(block, out=None) = evaluate_stack(fs, z[block]), bit for bit,
-    written into out (a new array if None), for RatFuns fs of one degree n,
-    the 1-d array z and slices block of more than one point.
-
-    The pole-prefix test and the pole guard run once on all of z, and pi_n
-    is formed once there and kept. Each call runs Horner and the division
-    by pi_n in place in out, so it holds nothing of the size of out
-    besides out: on more than one point numpy's in-place product has the
-    bits of the plain one (see _horner).
-    """
-    z = np.asarray(z, dtype=complex)
-    conj_beta = _checked_poles(fs, z)
+    rows = {}
+    for i, f in enumerate(fs):
+        rows.setdefault(f.n, []).append(i)
+    # members of one degree: the quotient is the stack, and no copy is made
+    out = np.empty((len(fs),) + z.shape, dtype=complex) if len(rows) > 1 else None
     pi = np.ones_like(z)
-    for cb in conj_beta:
-        pi = pi * (1.0 - cb * z)
-    c = np.array([f.numer for f in fs])[:, :, None]
-
-    def values(block, out=None):
-        zb = z[block]
-        if out is None:
-            out = np.empty((len(c),) + zb.shape, dtype=complex)
-        # c_n + 0 z as (0 z) + c_n, which has the same bits
-        np.multiply(zb, 0, out=out)
-        out += c[:, -1]
-        for i in range(2, c.shape[1] + 1):
-            out *= zb
-            out += c[:, -i]
-        out /= pi[block]
-        return out
-
-    return values
+    for j in range(top.n + 1):
+        if j:
+            pi = pi * (1.0 - conj_beta[j - 1] * z)
+        if j in rows:
+            vals = _horner(np.array([fs[i].numer for i in rows[j]]), z) / pi
+            if out is None:
+                return vals
+            out[rows[j]] = vals
+    return out
 
 
 def _horner(numers, z):
@@ -338,16 +300,17 @@ def herglotz_kernel(kp: KernelParams, t, z) -> complex | np.ndarray:
     Equals 1 at z = beta_0 for every admissible t. KernelSingularity where
     |den| < 1e-12 (|zeta_0(t)| + |zeta_0(z)| + 1), den = zeta_0(t) - zeta_0(z).
     As in _pole_guard, that test runs point by point only when the smallest
-    |den| fails it against the largest moduli: when it clears, every point
-    does, since rounding is monotone.
+    |den| fails it against the largest moduli (when it clears, every point
+    does, since rounding is monotone), which spares the (nodes x points)
+    sum of moduli and comparison on every call that clears.
     """
     zt = np.asarray(kp.zeta0(t))
     zz = np.asarray(kp.zeta0(z))
     den = zt - zz
-    abs_zt, abs_zz = np.abs(zt), np.abs(zz)
+    abs_den, abs_zt, abs_zz = np.abs(den), np.abs(zt), np.abs(zz)
     bound = 1e-12 * (np.max(abs_zt, initial=0.0) + np.max(abs_zz, initial=0.0) + 1.0)
-    if not np.min(np.abs(den), initial=np.inf) >= bound:
-        if np.any(np.abs(den) < 1e-12 * (abs_zt + abs_zz + 1.0)):
+    if not np.min(abs_den, initial=np.inf) >= bound:
+        if np.any(abs_den < 1e-12 * (abs_zt + abs_zz + 1.0)):
             raise KernelSingularity("Herglotz kernel evaluated with zeta_0(t) ~ zeta_0(z)")
     out = (zt + zz) / den
     return out if out.ndim else complex(out)

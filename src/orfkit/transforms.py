@@ -27,11 +27,10 @@ from .errors import (
 from .measure import (
     CaratheodoryFn,
     CircleMeasure,
-    _boundary_weight,
-    _ratio,
     boundary_grid,
     builtin_measure,
     ratio_caratheodory,
+    weight_from_caratheodory,
 )
 from .engine import (
     OrfSystem,
@@ -48,7 +47,6 @@ from .ratfun import (
     PoleSequence,
     RatFun,
     _disk_sample,
-    _slice_evaluator,
     blaschke_factor,
     evaluate_stack,
     superstar,
@@ -177,24 +175,24 @@ def check_quad(
         a1 = max(a1, float(np.abs(superstar(f).numer - sign * tau * f.numer).max()) / scale)
 
     _, t = boundary_grid(n_points)
-    values = _slice_evaluator((quad.A, quad.B, quad.C, quad.D), t)
     f_t = np.asarray(F(t))
     conj_zeros = np.conj(zeros_factor(base_poles, N, t))
     conj_tilde = np.conj(zeros_factor(quad.tilde_poles, r, t))
     lines = np.empty((2, t.size), dtype=complex)
     b_max = 0.0
-    for block in _blocks(t.size):
-        a, b, c, d = values(block)
-        b_max = np.maximum(b_max, np.max(np.abs(b)))
+    # A, B, C, D and their Horner table: 8 values per point
+    for block in _blocks(t.size, 8):
+        a, b, c, d = evaluate_stack((quad.A, quad.B, quad.C, quad.D), t[block])
+        b_max = max(b_max, float(np.max(np.abs(b))))
         lines[0, block] = (a - b * f_t[block]) * conj_zeros[block]
         lines[1, block] = (a * d - b * c) * conj_zeros[block] * conj_tilde[block]
     if N > 0:
         b_zeros = np.abs(quad.B(base_poles.beta[:N]))
-        a2_min = float(np.min(b_zeros)) / max(float(b_max), 1e-300)
+        a2_min = float(np.min(b_zeros)) / max(b_max, 1e-300)
     else:
         a2_min = np.inf
 
-    a3_max, a42_max = (_negative_modes(line, float(np.max(np.abs(line)))) for line in lines)
+    a3_max, a42_max = _negative_modes(lines, np.max(np.abs(lines), axis=1)).tolist()
     a33_min, a42_f_min = (_zero_free(line) for line in lines)
 
     passed = bool(
@@ -305,7 +303,9 @@ def transformed_caratheodory(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> Car
     and positive real part on a fixed seeded sample of 200 disk points
     before returning.
     """
-    Ft = ratio_caratheodory(_quad_terms(quad, F), quad.tilde_poles.beta[0])
+    terms_on = _quad_terms(quad, F)
+    # z[...] is all of z, whatever its shape
+    Ft = ratio_caratheodory(lambda z: terms_on(z)(...), quad.tilde_poles.beta[0])
     Ft.anchor_residual = anchor_residual(quad, F)
     if not Ft.anchor_residual <= 1e-9:
         raise NumericalFailure(f"transformed C-function anchor defect {Ft.anchor_residual:.2e}")
@@ -316,17 +316,22 @@ def transformed_caratheodory(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> Car
 
 
 def _quad_terms(quad: SelfReciprocalQuad, F: CaratheodoryFn):
-    """terms(z) -> (-C + D F, A - B F), the numerator and denominator of the
-    transformed C-function; F is evaluated once per call."""
+    """terms_on(z) -> terms, where terms(part) -> (-C + D F, A - B F) are the
+    numerator and denominator of the transformed C-function at z[part]. F
+    is read on all of z once; A, B, C and D on z[part] alone at each call,
+    so the parts of a grid can be taken one block at a time."""
     funcs = (quad.A, quad.B, quad.C, quad.D)
-    return lambda z: _quad_values(evaluate_stack(funcs, z), np.asarray(F(z)))
 
+    def terms_on(z):
+        f = np.asarray(F(z))
 
-def _quad_values(abcd, f):
-    """(-C + D f, A - B f) from the values abcd of A, B, C, D and f of F at
-    the same points."""
-    a, b, c, d = abcd
-    return -c + d * f, a - b * f
+        def terms(part):
+            a, b, c, d = evaluate_stack(funcs, z[part])
+            return -c + d * f[part], a - b * f[part]
+
+        return terms
+
+    return terms_on
 
 
 def anchor_residual(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> float:
@@ -342,7 +347,7 @@ def anchor_residual(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> float:
     ring = b0 + 0.3 * np.exp(2j * np.pi * (np.arange(16) + 0.41) / 16)
     ring = ring[np.abs(ring) < 0.97]
     # the anchor and the ring in one evaluation
-    nums, dens = _quad_terms(quad, F)(np.concatenate([[b0], ring]))
+    nums, dens = _quad_terms(quad, F)(np.concatenate([[b0], ring]))(...)
     num, den = complex(nums[0]), complex(dens[0])
     den_scale = float(np.max(np.abs(dens[1:])))
     if abs(den) > 1e-6 * den_scale:
@@ -423,19 +428,19 @@ class ArfSystem:
         The grid is the larger of the base ladder's and the completion grid
         of this ladder's own top level, whose zeros can lie closer to the
         circle than the base ladder's. The base C-function is read on the
-        whole grid once; F_k, whose checks run first, is formed from it one
-        block of the grid at a time.
+        whole grid once; F_k, whose checks run first, is formed from its
+        terms there one block of the grid at a time.
         """
         own = _completion_grid(self.system.levels[-1], self.system.n_max)
         theta, t = boundary_grid(max(self.base.n_points, own))
         b0 = self.F_k.beta0
-        quad = self.quad
-        values = _slice_evaluator((quad.A, quad.B, quad.C, quad.D), t)
-        f_t = np.asarray(self.base.caratheodory(t))
+        terms = _quad_terms(self.quad, self.base.caratheodory)(t)
         w = np.empty(theta.size)
-        for block in _blocks(theta.size):
-            # weight_from_caratheodory(F_k, b0, theta[block]), F_k from its terms
-            w[block] = _boundary_weight(_ratio(*_quad_values(values(block), f_t[block])), b0, t[block])
+        # A, B, C, D and their Horner table: 8 values per point
+        for block in _blocks(theta.size, 8):
+            # F_k on t[block], the points weight_from_caratheodory reads it at
+            f_k = ratio_caratheodory(lambda _: terms(block), b0)
+            w[block] = weight_from_caratheodory(f_k, b0, theta[block])
         return builtin_measure("samples", theta=theta, w=w)
 
 
