@@ -59,13 +59,17 @@ _BLOCK = 1024
 _BLOCK_BYTES = 1 << 18
 
 
-def _blocks(size, rows=None):
+def _blocks(size, funcs=None):
     """Slices of consecutive points that cover range(size), in order. Each
-    has _BLOCK points or, in a pass that holds rows complex values per
-    point of a block, as many as hold _BLOCK_BYTES of them, but no fewer.
-    A stack of one degree counts twice: evaluate_stack holds its values
-    and their Horner table."""
-    step = _BLOCK if rows is None else max(_BLOCK, _BLOCK_BYTES // (16 * rows))
+    has _BLOCK points or, in a pass that evaluates the RatFuns funcs on a
+    block, as many as hold _BLOCK_BYTES of their complex values, but no
+    fewer. A stack of one degree counts twice: evaluate_stack holds its
+    values and their Horner table."""
+    if funcs is None:
+        step = _BLOCK
+    else:
+        rows = len(funcs) * (2 if len({f.n for f in funcs}) == 1 else 1)
+        step = max(_BLOCK, _BLOCK_BYTES // (16 * rows))
     return (slice(lo, lo + step) for lo in range(0, size, step))
 
 
@@ -214,8 +218,8 @@ def recurrence_step(prev: OrfLevel, lam, rho, poles: PoleSequence, n: int, e=Non
 
     e_n defaults to the orthonormal value
     sqrt[(1 - |beta_n|^2)/((1 - |beta_{n-1}|^2)(1 - |lambda_n|^2))].
-    The second matrix row is computed independently and cross-checked
-    against the coefficient-reversal superstar of the first.
+    phi_n and psi_n come from the first matrix row; phi_n^* and psi_n^* are
+    their superstars.
     """
     lam = complex(lam)
     rho = complex(rho)
@@ -225,21 +229,13 @@ def recurrence_step(prev: OrfLevel, lam, rho, poles: PoleSequence, n: int, e=Non
     if e is None:
         e = np.sqrt((1.0 - abs(b_n) ** 2) / (1.0 - abs(b_prev) ** 2) / (1.0 - abs(lam) ** 2))
     e = float(e)
-    eta_prev, eta_n = poles.eta(n - 1), poles.eta(n)
-    sigma = np.conj(rho) * np.conj(eta_prev) * eta_n
-    up = eta_prev * np.array([-b_prev, 1.0])      # eta_{n-1} (z - beta_{n-1})
-    down = np.array([1.0, -np.conj(b_prev)])      # 1 - conj(beta_{n-1}) z
+    up = poles.eta(n - 1) * np.array([-b_prev, 1.0])  # eta_{n-1} (z - beta_{n-1})
+    down = np.array([1.0, -np.conj(b_prev)])          # 1 - conj(beta_{n-1}) z
 
     def step(f, f_star, sign):
         a, b = _padded_polymul(up, f.numer, n + 1), _padded_polymul(down, f_star.numer, n + 1)
-        row1 = e * rho * (a + sign * np.conj(lam) * b)
-        row2 = e * sigma * (sign * lam * a + b)
-        new = RatFun(poles, row1, n)
-        new_star = superstar(new)
-        scale = max(np.abs(row1).max(), 1e-300)
-        if np.abs(new_star.numer - row2).max() > 1e-12 * scale:
-            raise NumericalFailure("recurrence rows inconsistent with the superstar")
-        return new, new_star
+        new = RatFun(poles, e * rho * (a + sign * np.conj(lam) * b), n)
+        return new, superstar(new)
 
     phi, phi_star = step(prev.phi, prev.phi_star, +1)
     psi, psi_star = step(prev.psi, prev.psi_star, -1)
@@ -253,11 +249,11 @@ def _level_zero(poles, phi0) -> OrfLevel:
 
 
 def _run_recurrence(poles, level0: OrfLevel, params) -> list:
-    """Level 0, then one recurrence_step per (lambda_n, rho_n, e_n) triple
-    (e_n None for the orthonormal default)."""
+    """Level 0, then one recurrence_step per (lambda_n, rho_n) pair, e_n at
+    its orthonormal value."""
     levels = [level0]
-    for n, (lam, rho, e) in enumerate(params, start=1):
-        levels.append(recurrence_step(levels[-1], lam, rho, poles, n, e=e))
+    for n, (lam, rho) in enumerate(params, start=1):
+        levels.append(recurrence_step(levels[-1], lam, rho, poles, n))
     return levels
 
 
@@ -272,7 +268,7 @@ def synthesize(lambdas, poles: PoleSequence, allow_poles_near_circle=False) -> O
     lambdas = [complex(v) for v in lambdas]
     n_max = len(lambdas)
     _check_poles(poles, n_max, allow_poles_near_circle)
-    levels = _run_recurrence(poles, _level_zero(poles, 1.0), ((lam, 1.0, None) for lam in lambdas))
+    levels = _run_recurrence(poles, _level_zero(poles, 1.0), ((lam, 1.0) for lam in lambdas))
     return OrfSystem(poles, levels, source="parameters", n_points=_completion_grid(levels[-1], n_max))
 
 
@@ -423,8 +419,7 @@ def gram_schmidt_orf(
     phi_z = (basis @ coef).T
     star_z = basis.T * np.conj(phi_z)
     fitted = [_parameters(k, fit) for k, fit in enumerate(_fit_ladder(poles, phi_z, star_z), start=1)]
-    # e_n at its orthonormal default, as synthesize runs the recurrence
-    params = ((lam, rho, None) for lam, _, rho in fitted)
+    params = ((lam, rho) for lam, _, rho in fitted)
     levels = _run_recurrence(poles, _level_zero(poles, coef[0, 0]), params)
 
     defect = _gram_defect([lv.phi for lv in levels], w)
@@ -445,7 +440,7 @@ def _gram_defect(funcs, w) -> float:
     """
     _, t = boundary_grid(w.size)
     gram = 0.0
-    for block in _blocks(w.size, len(funcs)):
+    for block in _blocks(w.size, funcs):
         v = evaluate_stack(funcs, t[block])
         gram = gram + (v * w[block]) @ v.conj().T
     return float(np.max(np.abs(gram / w.size - np.eye(len(funcs)))))
@@ -662,8 +657,7 @@ def interpolation_residual_stack(system: OrfSystem, F: CaratheodoryFn, levels):
             conj_zeros = conj_zeros * np.conj(blaschke_factor(system.poles, m - 1, t))
         if m in levels:
             lv = system.level(m)
-            # phi_n, psi_n and their Horner table: 4 values per point
-            for block in _blocks(t.size, 4):
+            for block in _blocks(t.size, (lv.phi, lv.psi)):
                 phi, psi = evaluate_stack((lv.phi, lv.psi), t[block])
                 f = f_t[block]
                 lines[0, block] = (phi * f + psi) * conj_zeros[block]

@@ -26,10 +26,6 @@ from .errors import (
 TAU_POLE = 1e-13
 
 
-def _pole_tol(z):
-    return TAU_POLE * (1.0 + np.abs(z))
-
-
 class PoleSequence:
     """Points beta_0, beta_1, ... strictly inside the unit disk.
 
@@ -176,7 +172,7 @@ def evaluate_stack(fs, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     conj_beta = np.conj(beta[1 : top.n + 1])
     if top.n:
-        _pole_guard(conj_beta, z)
+        _pole_guard(conj_beta, z, 1)
     rows = {}
     for i, f in enumerate(fs):
         rows.setdefault(f.n, []).append(i)
@@ -217,9 +213,9 @@ def _horner(numers, z):
     return acc
 
 
-def _pole_guard(conj_beta, z):
+def _pole_guard(conj_beta, z, first):
     """PoleProximity naming the first j with |1 - conj(beta_j) z| < TAU_POLE (1 + |z|)
-    at some point.
+    at some point, conj_beta holding conj(beta_j) for j = first, first + 1, ...
 
     As |1 - conj(b) z| >= 1 - |b||z|, no factor is near where
     1 - max|b| |z| clears twice the tolerance; only the other points are
@@ -235,7 +231,7 @@ def _pole_guard(conj_beta, z):
     near = 1.0 - b_max * abs_z <= 2.0 * tol
     if np.any(near):
         zn, tn = z[near], tol[near]
-        for j, cb in enumerate(conj_beta, start=1):
+        for j, cb in enumerate(conj_beta, start=first):
             if np.any(np.abs(1.0 - cb * zn) < tn):
                 raise PoleProximity(f"evaluation within tolerance of pole 1/conj(beta_{j})")
 
@@ -256,10 +252,8 @@ def blaschke_factor(poles: PoleSequence, k: int, z) -> complex | np.ndarray:
     Unimodular on |z| = 1, zero at beta_k; reduces to z when beta_k = 0.
     """
     z = np.asarray(z, dtype=complex)
-    den = poles.varpi(k, z)
-    if (np.abs(den) < _pole_tol(z)).any():
-        raise PoleProximity(f"zeta_{k} evaluated too close to its pole")
-    out = poles.eta(k) * poles.varpi_star(k, z) / den
+    _pole_guard(np.conj(poles.beta[k : k + 1]), z, k)
+    out = poles.eta(k) * poles.varpi_star(k, z) / poles.varpi(k, z)
     return out if out.ndim else complex(out)
 
 
@@ -287,11 +281,9 @@ class KernelParams:
 
     def zeta0(self, z):
         z = np.asarray(z, dtype=complex)
-        den = 1.0 - np.conj(self.beta0) * z
-        if (np.abs(den) < _pole_tol(z)).any():
-            raise PoleProximity("zeta_0 evaluated too close to its pole")
+        _pole_guard(np.conj([self.beta0]), z, 0)
         eta0 = np.conj(self.beta0) / abs(self.beta0) if self.beta0 != 0 else 1.0
-        return eta0 * (z - self.beta0) / den
+        return eta0 * (z - self.beta0) / (1.0 - np.conj(self.beta0) * z)
 
 
 def herglotz_kernel(kp: KernelParams, t, z) -> complex | np.ndarray:

@@ -68,7 +68,6 @@ class QuadConditionReport:
     a33_min: float
     a42_max: float
     a42_f_min: float
-    tolerance: float
     passed: bool
 
 
@@ -110,7 +109,7 @@ def identity_quad(poles: PoleSequence) -> SelfReciprocalQuad:
     one = RatFun(poles, [1.0], 0)
     zero = RatFun(poles, [0.0], 0)
     quad = SelfReciprocalQuad(one, zero, zero, one, 1.0, 0, 0, PoleSequence([poles.beta[0]]))
-    report = QuadConditionReport(0.0, np.inf, 0.0, 1.0, 0.0, 1.0, QUAD_TOL, True)
+    report = QuadConditionReport(0.0, np.inf, 0.0, 1.0, 0.0, 1.0, True)
     return replace(quad, report=report)
 
 
@@ -180,9 +179,9 @@ def check_quad(
     conj_tilde = np.conj(zeros_factor(quad.tilde_poles, r, t))
     lines = np.empty((2, t.size), dtype=complex)
     b_max = 0.0
-    # A, B, C, D and their Horner table: 8 values per point
-    for block in _blocks(t.size, 8):
-        a, b, c, d = evaluate_stack((quad.A, quad.B, quad.C, quad.D), t[block])
+    funcs = (quad.A, quad.B, quad.C, quad.D)
+    for block in _blocks(t.size, funcs):
+        a, b, c, d = evaluate_stack(funcs, t[block])
         b_max = max(b_max, float(np.max(np.abs(b))))
         lines[0, block] = (a - b * f_t[block]) * conj_zeros[block]
         lines[1, block] = (a * d - b * c) * conj_zeros[block] * conj_tilde[block]
@@ -203,7 +202,7 @@ def check_quad(
         and a42_max <= VANISH_TOL
         and a42_f_min > QUAD_TOL
     )
-    return QuadConditionReport(a1, a2_min, a3_max, a33_min, a42_max, a42_f_min, QUAD_TOL, passed)
+    return QuadConditionReport(a1, a2_min, a3_max, a33_min, a42_max, a42_f_min, passed)
 
 
 def apply_transform_stack(system: OrfSystem, quad: SelfReciprocalQuad, c_n, offsets):
@@ -436,8 +435,7 @@ class ArfSystem:
         b0 = self.F_k.beta0
         terms = _quad_terms(self.quad, self.base.caratheodory)(t)
         w = np.empty(theta.size)
-        # A, B, C, D and their Horner table: 8 values per point
-        for block in _blocks(theta.size, 8):
+        for block in _blocks(theta.size, (self.quad.A, self.quad.B, self.quad.C, self.quad.D)):
             # F_k on t[block], the points weight_from_caratheodory reads it at
             f_k = ratio_caratheodory(lambda _: terms(block), b0)
             w[block] = weight_from_caratheodory(f_k, b0, theta[block])
@@ -455,7 +453,7 @@ def arf_recurrence(system: OrfSystem, k: int) -> ArfSystem:
         sub = OrfSystem(system.poles, system.levels, source=system.source, n_points=system.n_points)
     else:
         shifted = PoleSequence(system.poles.beta[k : system.n_max + 1])
-        params = ((lv.lam, lv.rho, lv.e) for lv in system.levels[k + 1 :])
+        params = ((lv.lam, lv.rho) for lv in system.levels[k + 1 :])
         levels = _run_recurrence(shifted, _level_zero(shifted, 1.0), params)
         sub = OrfSystem(shifted, levels, source="parameters", n_points=system.n_points)
     return ArfSystem(system, k, sub)

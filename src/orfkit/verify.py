@@ -201,7 +201,7 @@ def check_roundtrip_lambda(ctx):
     lams = _disk_sample(ctx.seed + 1, 0.6, n)
     poles = s.poles if len(s.poles) >= n + 1 else PoleSequence(np.concatenate([s.poles.beta, [0.0]]))
     # the recurrence on the ladder's own poles, which the config has admitted
-    levels = _run_recurrence(poles, _level_zero(poles, 1.0), ((lam, 1.0, None) for lam in lams))
+    levels = _run_recurrence(poles, _level_zero(poles, 1.0), ((lam, 1.0) for lam in lams))
     worst = 0.0
     for i, fit in enumerate(_ladder_fits(poles, levels), start=1):
         worst = max(worst, abs(_parameters(i, fit)[0] - lams[i - 1]))

@@ -13,7 +13,12 @@ from orfkit import (
 )
 from orfkit.engine import _FIT_POINTS, _fit_ladder
 from orfkit.measure import boundary_grid
-from orfkit.ratfun import _pole_tol
+from orfkit.ratfun import TAU_POLE
+
+
+def _pole_tol(z):
+    """The pole-proximity tolerance TAU_POLE (1 + |z|) at the points z."""
+    return TAU_POLE * (1.0 + np.abs(z))
 
 
 def random_poles(seed, count, cap=0.7):

@@ -1,8 +1,10 @@
-"""Smoke test of the benchmark's outside-in tracer (perfbench/spans.py).
+"""Smoke tests of the benchmark (perfbench/) against the library it runs.
 
-The tracer wraps orfkit's public functions and verify checks by name; a
-refactor that renames or hides what it hooks breaks the benchmark without
-breaking any library test, so run the three CLI commands under it here.
+The tracer (spans.py) wraps orfkit's public functions and verify checks by
+name, and the runner (run.py) expects a fixed list of checks; a refactor
+that renames or hides what they rely on breaks the benchmark without
+breaking any library test, so run the three CLI commands under the tracer
+and compare the runner's check list with verify's here.
 """
 
 import importlib.util
@@ -12,7 +14,7 @@ from pathlib import Path
 from orfkit import verify
 from orfkit.cli import main
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # the README's example config
 GOLDEN = {
@@ -26,8 +28,9 @@ GOLDEN = {
 }
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load(name):
+    """The module perfbench/<name>.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -38,7 +41,7 @@ def test_tracer_runs_cli(tmp_path):
     cfg.write_text(json.dumps(GOLDEN))
     out = str(tmp_path / "out")
     originals = dict(verify._CHECKS)
-    tracer = load_spans().Tracer()
+    tracer = load("spans").Tracer()
     tracer.install()
     try:
         codes = [
@@ -55,3 +58,12 @@ def test_tracer_runs_cli(tmp_path):
     assert len(summary["grid_points"]) == 3
     assert summary["counts"]["serialize.bytes_written"] > 0
     assert summary["calls"]["verify.determinant"] == 1
+
+
+def test_benchmark_check_counts_match_verify():
+    # the benchmark marks a verify op failed when verify.json holds another
+    # number of checks than it expects, so its list and counts follow verify's
+    run = load("run")
+    assert run.CHECK_NAMES == verify.CHECK_NAMES
+    assert run.LAMBDA_CHECKS == len(verify.CHECK_NAMES) - 1
+    assert run.MEASURE_CHECKS == len(verify.CHECK_NAMES)

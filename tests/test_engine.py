@@ -40,7 +40,7 @@ from orfkit.engine import (
     second_kind_integral_stack,
 )
 from orfkit.measure import boundary_grid, default_grid
-from orfkit.transforms import arf_recurrence
+from orfkit.transforms import arf_quad, arf_recurrence
 from orfkit.verify import VerifyContext, run_verification
 
 from conftest import fit_at_points
@@ -165,6 +165,26 @@ class TestGramSchmidt:
             )
             assert_allclose(_gram_defect(scaled, w), expected, rtol=1e-12)
 
+    def test_blocks_count_rows_from_the_functions(self, synth_system):
+        # at N = 8192 the blocks of a quad's four functions, of a (phi_n,
+        # psi_n) pair and of a 7-level Gram stack are those of the hand
+        # counts 8, 4 and 7 complex values per point; a pass with no
+        # functions takes 1024-point blocks
+        def counted(rows):
+            step = max(1024, (1 << 18) // (16 * rows))
+            return [slice(lo, lo + step) for lo in range(0, 8192, step)]
+
+        quad = arf_quad(synth_system, 1)
+        lv = synth_system.level(3)
+        ladder = synthesize(np.full(6, 0.2), PoleSequence(np.zeros(7)))
+        for funcs, rows in (
+            ((quad.A, quad.B, quad.C, quad.D), 8),
+            ((lv.phi, lv.psi), 4),
+            ([level.phi for level in ladder.levels], 7),
+        ):
+            assert list(engine._blocks(8192, funcs)) == counted(rows)
+        assert list(engine._blocks(8192)) == [slice(lo, lo + 1024) for lo in range(0, 8192, 1024)]
+
     @pytest.mark.parametrize("n", [3, 12, 24])
     @pytest.mark.parametrize("beta0", [0.0, 0.3 - 0.4j])
     @pytest.mark.parametrize("kind", ["lebesgue", "poisson", "samples"])
@@ -203,14 +223,15 @@ class TestGramSchmidt:
     @pytest.mark.parametrize("kind", ["poisson", "samples"])
     def test_ladder_is_recurrence_of_its_parameters(self, kind):
         # the measure route ends in the recurrence that synthesize runs, so
-        # the stored levels are that recurrence on the stored (lambda, rho, e)
+        # the stored levels are that recurrence on the stored (lambda, rho),
+        # e at its orthonormal value
         theta = boundary_grid(512)[0]
         mu = {
             "poisson": builtin_measure("poisson", alpha=0.3 - 0.2j),
             "samples": builtin_measure("samples", theta=theta, w=1.0 + 0.4 * np.cos(theta - 0.7)),
         }[kind]
         s = gram_schmidt_orf(mu, disk_poles(5, 13, 0.2 - 0.1j), 12)
-        params = ((lv.lam, lv.rho, lv.e) for lv in s.levels[1:])
+        params = ((lv.lam, lv.rho) for lv in s.levels[1:])
         rebuilt = _run_recurrence(s.poles, _level_zero(s.poles, s.level(0).phi.numer[0]), params)
         for lv, ref in zip(s.levels, rebuilt, strict=True):
             for name in ("phi", "phi_star", "psi", "psi_star"):
@@ -290,6 +311,33 @@ class TestRecurrenceStep:
         with pytest.raises(ParameterOutOfDisk):
             recurrence_step(_level_zero(poles, 1.0), bad, 1.0, poles, 1)
 
+    @pytest.mark.parametrize("which", ["synth24", "poisson_system", "expcos_system"])
+    def test_starred_rows_are_superstars(self, which, request):
+        # each level's phi_n^* and psi_n^* are superstar(phi_n) and
+        # superstar(psi_n) to the bit, on the ladder and its order-1..3
+        # associated ladders
+        s = _starred_case(which, request)
+        for ladder in [s] + [arf_recurrence(s, k).system for k in (1, 2, 3)]:
+            for lv in ladder.levels:
+                assert_array_equal(_bits(lv.phi_star.numer), _bits(superstar(lv.phi).numer))
+                assert_array_equal(_bits(lv.psi_star.numer), _bits(superstar(lv.psi).numer))
+
+    @pytest.mark.parametrize("which", ["synth24", "poisson_system", "expcos_system"])
+    def test_associated_ladder_is_chain_on_stored_e(self, which, request):
+        # arf_recurrence takes e_n at its orthonormal value; the chain that
+        # passes the stored e_n gives the same bits
+        s = _starred_case(which, request)
+        for k in (1, 2, 3):
+            arf = arf_recurrence(s, k).system
+            lv = _level_zero(arf.poles, 1.0)
+            assert arf.levels[0] == lv
+            for n, src in enumerate(s.levels[k + 1 :], start=1):
+                lv = recurrence_step(lv, src.lam, src.rho, arf.poles, n, e=src.e)
+                got = arf.levels[n]
+                for name in ("phi", "phi_star", "psi", "psi_star"):
+                    assert_array_equal(_bits(getattr(got, name).numer), _bits(getattr(lv, name).numer))
+                assert (got.lam, got.e, got.rho) == (lv.lam, lv.e, lv.rho)
+
     def test_psi_sign_structure(self, synth_system):
         # the psi ladder satisfies the same recurrence with the sign flip;
         # rebuilt levels must reproduce the stored ones exactly
@@ -298,6 +346,14 @@ class TestRecurrenceStep:
         for n in range(1, s.n_max + 1):
             lv = recurrence_step(lv, s.level(n).lam, s.level(n).rho, s.poles, n, e=s.level(n).e)
         assert_allclose(lv.psi.numer, s.level(s.n_max).psi.numer, atol=1e-14)
+
+
+def _starred_case(which, request):
+    """A synthesized n = 24 ladder, or the named fixture ladder."""
+    if which != "synth24":
+        return request.getfixturevalue(which)
+    rng = np.random.default_rng(24)
+    return synthesize(_disk(rng, 0.5, 24), PoleSequence(_disk(rng, 0.7, 25)))
 
 
 class TestSynthesize:

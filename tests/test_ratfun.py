@@ -199,6 +199,77 @@ class TestBlaschke:
             blaschke_product(PoleSequence([0.4, 0.5]), -1, 0.1 + 0.2j)
 
 
+def reference_blaschke_factor(poles, k, z):
+    """blaschke_factor with its own point-by-point test of |1 - conj(beta_k) z|."""
+    z = np.asarray(z, dtype=complex)
+    den = poles.varpi(k, z)
+    if (np.abs(den) < TAU_POLE * (1.0 + np.abs(z))).any():
+        raise PoleProximity(f"zeta_{k} evaluated too close to its pole")
+    out = poles.eta(k) * poles.varpi_star(k, z) / den
+    return out if out.ndim else complex(out)
+
+
+def reference_zeta0(beta0, z):
+    """KernelParams(beta0).zeta0 with its own point-by-point pole test."""
+    z = np.asarray(z, dtype=complex)
+    den = 1.0 - np.conj(beta0) * z
+    if (np.abs(den) < TAU_POLE * (1.0 + np.abs(z))).any():
+        raise PoleProximity("zeta_0 evaluated too close to its pole")
+    eta0 = np.conj(beta0) / abs(beta0) if beta0 != 0 else 1.0
+    return eta0 * (z - beta0) / den
+
+
+class TestFactorPoleGuard:
+    # zeta_k and zeta_0 test their pole with the bound-first guard of
+    # evaluate_stack; away from it they keep the bits of the elementwise test
+
+    BETA = [0.25 - 0.15j, 0.6 * np.exp(0.7j), 0.0, -0.85j, 0.6 * np.exp(0.7j)]
+
+    def factors(self):
+        poles = PoleSequence(self.BETA)
+        kp = KernelParams(self.BETA[0])
+        yield 0, lambda z: kp.zeta0(z), lambda z: reference_zeta0(kp.beta0, z)
+        for k in (1, 3, 4):
+            yield (
+                k,
+                lambda z, k=k: blaschke_factor(poles, k, z),
+                lambda z, k=k: reference_blaschke_factor(poles, k, z),
+            )
+
+    def test_pole_names_its_index(self):
+        for k, got, _ in self.factors():
+            pole = 1.0 / np.conj(self.BETA[k])
+            for z in (pole, np.array([0.1, pole, 0.3j])):
+                with pytest.raises(PoleProximity, match=rf"1/conj\(beta_{k}\)"):
+                    got(z)
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.9, 0.99, 1.01, 1.1, 1.9, 2.1, 3.0])
+    def test_threshold_matches_elementwise_test(self, ratio):
+        # |1 - conj(beta_k) z| at ratio times the tolerance, along the ray and off it
+        for k, got, ref in self.factors():
+            b = self.BETA[k]
+            pole = 1.0 / np.conj(b)
+            tol = TAU_POLE * (1.0 + abs(pole))
+            for direction in (1.0, 1j, -1.0):
+                z = np.array([0.0, pole - ratio * tol * direction / np.conj(b)])
+                try:
+                    expected = ref(z)
+                except PoleProximity:
+                    with pytest.raises(PoleProximity, match=rf"beta_{k}\)"):
+                        got(z)
+                else:
+                    assert same_bits(got(z), expected)
+
+    def test_bits_away_from_the_pole(self):
+        points = [disk_grid(8, n=200, cap=0.99), circle(256), 3.0 * circle(16), np.array([]), 0.3 - 0.4j]
+        for k, got, ref in self.factors():
+            for z in points:
+                assert same_bits(got(z), ref(z))
+        # zeta_k of a pole at the origin has no pole to guard
+        poles, z = PoleSequence(self.BETA), 1e6 * circle(8)
+        assert same_bits(blaschke_factor(poles, 2, z), reference_blaschke_factor(poles, 2, z))
+
+
 class TestKernels:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.1, float("nan"))])
     def test_rejects_non_finite_anchor(self, bad):
