@@ -26,6 +26,7 @@ from .errors import (
     ZeroOffCircle,
 )
 from .measure import (
+    _BLOCK_BYTES,
     CaratheodoryFn,
     CircleMeasure,
     _grid_memo,
@@ -54,9 +55,6 @@ TOL_ORTHO = 1e-9
 POLE_CAP = 0.9
 # grid points per block of the passes over the quadrature grid
 _BLOCK = 1024
-# bytes of complex values per block of a pass that evaluates several
-# functions on the grid
-_BLOCK_BYTES = 1 << 18
 
 
 def _blocks(size, funcs=None):

@@ -17,11 +17,13 @@ from .errors import (
     NonPositiveWeight,
     NumericalFailure,
 )
-from .ratfun import KernelParams, _horner
+from .ratfun import _horner
 
 # C-functions built from quadrature reject evaluation beyond this modulus:
 # the closed disk, up to rounding.
 MAX_MODULUS = 1.0 + 1e-12
+# bytes of complex values per block of a pass that evaluates several values per point
+_BLOCK_BYTES = 1 << 18
 
 
 def _grid_angles(n_points: int):
@@ -92,10 +94,10 @@ def _check_grid(n_points: int):
 
 
 def _trig_eval(coeffs, freqs, theta):
-    """Evaluate a trigonometric interpolant sum_k c_k e^(i k theta), chunked."""
+    """Evaluate a trigonometric interpolant sum_k c_k e^(i k theta), _BLOCK_BYTES at a time."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     out = np.empty(theta.size, dtype=complex)
-    step = max(1, 2**22 // max(1, freqs.size))
+    step = max(1, _BLOCK_BYTES // (16 * freqs.size))
     for lo in range(0, theta.size, step):
         block = theta[lo : lo + step]
         out[lo : lo + step] = np.exp(1j * np.outer(block, freqs)) @ coeffs
@@ -263,33 +265,27 @@ class CaratheodoryFn:
         return out if out.ndim else complex(out)
 
 
-def _moment_series(mu, kp, n_points):
-    """Moments c_k = mean_t w(t) zeta_0(t)^(-k), k = 0..N-1, from one FFT,
-    and the rounding floor 64 eps max g below which they carry no digits.
-
-    The nodes s_j = e^(2 pi i j/N) are pulled back through zeta_0: with
-    u = s/eta_0, t = zeta_0^(-1)(s) has the angle
-    arg s - arg eta_0 - 2 arg(1 + conj(beta_0) u), and
-    dtheta/darg s = (1 - |beta_0|^2)/|1 + conj(beta_0) u|^2. The pulled-back
-    density g_j = w(theta_j) dtheta/darg s has the Fourier coefficients
-    c = fft(g)/N. As conj(beta_0) u = |beta_0| s, beta_0 = 0 gives exactly
-    the grid angles 2 pi j / N, so sampled and per-grid densities serve it.
+def _moment_series(mu, beta0, n_points):
+    """Moments c_k = mean_t v(t) t^(-k), k = 0..N-1, of v = w |t - beta_0|^2/(1 - |beta_0|^2)
+    on the grid t_j = e^(2 pi i j/N), from one FFT, and the rounding floor
+    64 eps max v below which they carry no digits. |t - beta_0|^2 is formed
+    as 1 - 2 Re(conj(beta_0) t) + |beta_0|^2: exactly 1 at beta_0 = 0, where
+    v is w bit for bit.
     """
-    arg_s, s = boundary_grid(n_points)
-    b0 = kp.beta0
-    v = 1.0 + abs(b0) * s
-    w = mu.weight(arg_s + np.angle(b0) - 2.0 * np.angle(v))
+    theta, t = boundary_grid(n_points)
+    w = mu.weight(theta)
     if np.any(w <= 0):
         raise NonPositiveWeight("sampled density non-positive on the quadrature grid")
-    g = w * (1.0 - abs(b0) ** 2) / np.abs(v) ** 2
-    return np.fft.fft(g) / n_points, 64.0 * np.finfo(float).eps * float(g.max())
+    v = w * (1.0 - 2.0 * np.real(np.conj(beta0) * t) + abs(beta0) ** 2) / (1.0 - abs(beta0) ** 2)
+    return np.fft.fft(v) / n_points, 64.0 * np.finfo(float).eps * float(v.max())
 
 
 def caratheodory_from_measure(mu: CircleMeasure, beta0, n_points: int = 2048) -> CaratheodoryFn:
     """C-function F(z) of the measure, anchored at beta0.
 
-    Uses the geometric expansion of the Herglotz kernel in powers of
-    zeta_0(z)/zeta_0(t): F(z) = 1 + 2 sum_k c_k zeta_0(z)^k with the
+    As Re D_{beta_0}(t, z) = P(t, z)/P(t, beta_0), F is the Herglotz
+    transform of v = w/P(., beta_0) plus the constant that makes F(beta_0)
+    exactly 1: F(z) = 1 + 2 sum_{k>=1} c_k (z^k - beta_0^k), with the
     moments c_k of `_moment_series`. A grid of N points is accepted when
     the moments N/4 <= k < N/2 are at or below the rounding floor, and the
     series then ends at the last moment above it; otherwise N doubles, up
@@ -299,10 +295,10 @@ def caratheodory_from_measure(mu: CircleMeasure, beta0, n_points: int = 2048) ->
     points of a `boundary_grid(N)` are computed once and kept.
     """
     _check_grid(n_points)
-    kp = KernelParams(beta0)
+    F = CaratheodoryFn(None, beta0)  # rejects |beta_0| >= 1 before any FFT
     n = n_points
     while True:
-        c, floor = _moment_series(mu, kp, n)
+        c, floor = _moment_series(mu, F.beta0, n)
         tail = float(np.max(np.abs(c[n // 4 : n // 2])))
         if tail <= floor:
             break
@@ -314,16 +310,18 @@ def caratheodory_from_measure(mu: CircleMeasure, beta0, n_points: int = 2048) ->
             )
         n *= 2
     last = np.flatnonzero(np.abs(c[: n // 4]) > floor)[-1]
-    coeffs = 2.0 * c[: last + 1]
-    coeffs[0] = 0.0
+    coeffs = 2.0 * c[None, : last + 1]
+    coeffs[0, 0] = 0.0
+    at_beta0 = _horner(coeffs, np.asarray(F.beta0))[0]
 
     def ev(z):
         z = np.asarray(z, dtype=complex)
         if (np.abs(z) > MAX_MODULUS).any():
             raise KernelSingularity("C-function evaluation requires |z| <= 1")
-        return 1.0 + _horner(coeffs[None], kp.zeta0(z))[0]
+        return 1.0 + (_horner(coeffs, z)[0] - at_beta0)
 
-    return CaratheodoryFn(_grid_memo(ev, _grid_points_size), beta0)
+    F.evaluator = _grid_memo(ev, _grid_points_size)
+    return F
 
 
 def weight_from_caratheodory(F: CaratheodoryFn, beta0, theta):

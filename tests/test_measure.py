@@ -213,6 +213,21 @@ class TestSampledGrids:
         for theta in (shifted, angles):
             assert_array_equal(mu.weight(theta), dense_weight(w, theta))
 
+    def test_off_grid_memory(self):
+        # the exponentials are made a few rows at a time, and each row's
+        # product has the bits of the one-shot (angles x M) product
+        mu, w = sampled_table(512)
+        angles = np.random.default_rng(12).uniform(0.0, 2 * np.pi, size=8192)
+        coeffs, freqs = measure._trig_interpolant(w)
+        tracemalloc.start()
+        try:
+            got = mu.weight(angles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert_array_equal(got, np.real(np.exp(1j * np.outer(angles, freqs)) @ coeffs) / mu.mass)
+
     def test_returned_arrays_are_private(self):
         mu, w = sampled_table()
         for n in (256, 128, 1024):
@@ -375,15 +390,38 @@ class TestCaratheodory:
 
 
 def _direct_moments(mu, beta0, n_points, count):
-    """c_k = mean_t w(t) zeta_0(t)^(-k), k = 0..count, one product per k."""
+    """c_k = mean_t w(t) |t - beta_0|^2/(1 - |beta_0|^2) t^(-k), k = 0..count,
+    one product per k."""
     theta, t = boundary_grid(n_points)
-    zinv = 1.0 / KernelParams(beta0).zeta0(t)
-    acc = mu.weight(theta).astype(complex)
+    acc = mu.weight(theta) * np.abs(t - beta0) ** 2 / (1.0 - abs(beta0) ** 2) + 0j
     out = [acc.mean()]
     for _ in range(count):
-        acc = acc * zinv
+        acc = acc / t
         out.append(acc.mean())
     return np.array(out)
+
+
+def _pulled_back_series(mu, beta0, n_points):
+    """The moments as first written: the grid s_j = e^(2 pi i j/N) pulled
+    back through zeta_0, the density read at t = zeta_0^(-1)(s) and scaled
+    by dtheta/darg s, with the floor 64 eps max of that."""
+    arg_s, s = boundary_grid(n_points)
+    v = 1.0 + abs(beta0) * s
+    g = mu.weight(arg_s + np.angle(beta0) - 2.0 * np.angle(v)) * (1.0 - abs(beta0) ** 2) / np.abs(v) ** 2
+    return np.fft.fft(g) / n_points, 64.0 * EPS * float(g.max())
+
+
+def _pulled_back_caratheodory(mu, beta0, n):
+    """F(z) = 1 + 2 sum_k c_k zeta_0(z)^k from those moments, with the
+    same doubling and cut as caratheodory_from_measure."""
+    while True:
+        c, floor = _pulled_back_series(mu, beta0, n)
+        if np.max(np.abs(c[n // 4 : n // 2])) <= floor:
+            break
+        n *= 2
+    coeffs = 2.0 * c[: np.flatnonzero(np.abs(c[: n // 4]) > floor)[-1] + 1]
+    coeffs[0] = 0.0
+    return lambda z: 1.0 + ratfun._horner(coeffs[None], KernelParams(beta0).zeta0(z))[0]
 
 
 def _table_measure(m):
@@ -400,9 +438,28 @@ class TestMomentSeries:
             "poisson": builtin_measure("poisson", alpha=0.5 + 0.2j),
             "samples": _table_measure(64),
         }[kind]
-        c, floor = measure._moment_series(mu, KernelParams(beta0), 2048)
+        c, floor = measure._moment_series(mu, beta0, 2048)
         assert_allclose(c[:41], _direct_moments(mu, beta0, 4096, 40), rtol=0, atol=1e-14)
         assert 0 < floor < 1e-12
+
+    @pytest.mark.parametrize("n_points", [256, 1024, 4096])
+    @pytest.mark.parametrize("kind", ["lebesgue", "poisson", "table-64", "table-256"])
+    def test_beta0_zero_keeps_the_pulled_back_bits(self, kind, n_points):
+        # |t - 0|^2 is formed as exactly 1, and zeta_0(z) = z at beta_0 = 0,
+        # so the moments, the floor and F keep the bits of the pull-back
+        mu = {
+            "lebesgue": builtin_measure("lebesgue"),
+            "poisson": builtin_measure("poisson", alpha=0.5 + 0.2j),
+            "table-64": _table_measure(64),
+            "table-256": _table_measure(256),
+        }[kind]
+        c, floor = measure._moment_series(mu, 0.0, n_points)
+        c_old, floor_old = _pulled_back_series(mu, 0.0, n_points)
+        assert_array_equal(c, c_old)
+        assert floor == floor_old
+        F, F_old = caratheodory_from_measure(mu, 0.0, n_points), _pulled_back_caratheodory(mu, 0.0, n_points)
+        for z in (boundary_grid(n_points)[1], disk_points(6, cap=1.0), np.array([0.0, 0.3 - 0.2j])):
+            assert_array_equal(F(z), F_old(z))
 
     @pytest.mark.parametrize(
         "kind, beta0",
@@ -410,7 +467,9 @@ class TestMomentSeries:
     )
     def test_series_values_match_polyval(self, monkeypatch, kind, beta0):
         # the series runs through ratfun's Horner with polyval's operations:
-        # on grid arrays the values keep polyval's bits
+        # on grid arrays the values keep polyval's bits. The value at beta_0
+        # is taken on a one-element array, as _horner takes it (numpy
+        # multiplies scalars in another loop, which rounds differently).
         mu = {
             "lebesgue": builtin_measure("lebesgue"),
             "poisson": builtin_measure("poisson", alpha=0.3 - 0.2j),
@@ -427,20 +486,34 @@ class TestMomentSeries:
         for n_points in (256, 1024, 4096):
             _, t = boundary_grid(n_points)
             vals = F(t)
-            assert_array_equal(vals, 1.0 + npp.polyval(KernelParams(beta0).zeta0(t), seen[-1]))
-        assert len({c.size for c in seen}) == 1 and seen[-1].size > 2
+            at_beta0 = npp.polyval(np.array([beta0]), seen[-1])[0]
+            assert_array_equal(vals, 1.0 + (npp.polyval(t, seen[-1]) - at_beta0))
+        assert F(beta0) == 1.0
+        # Lebesgue anchored at beta_0 is the linear 1 - 2 conj(beta_0)(z - beta_0)/(1 - |beta_0|^2)
+        assert len({c.size for c in seen}) == 1 and seen[-1].size > 1
 
     def test_grid_angles_at_beta0_zero(self, monkeypatch):
-        # beta_0 = 0 pulls back to the grid 2 pi j / N itself, so a table
-        # that N divides answers from its samples, never the dense kernel
+        # the density is read on the grid 2 pi j / N itself at beta_0 = 0
+        # and at every other beta_0, so a table that N divides answers from
+        # its samples, never the dense kernel
         mu = _table_measure(4096)
 
         def dense(*args):
             raise AssertionError("dense trigonometric evaluation on a table grid")
 
         monkeypatch.setattr(measure, "_trig_eval", dense)
-        F = caratheodory_from_measure(mu, 0.0)
-        assert np.min(np.real(F(disk_points(5)))) > 0
+        for beta0 in (0.0, 0.3 - 0.4j):
+            F = caratheodory_from_measure(mu, beta0)
+            assert np.min(np.real(F(disk_points(5)))) > 0
+
+    def test_series_between_its_own_samples(self):
+        # the moments come from the grid 2 pi j / N; half a step of the
+        # 512-point grid off it, the density recovered from F is the Poisson one
+        alpha, beta0 = 0.4 - 0.3j, 0.3 - 0.4j
+        F = caratheodory_from_measure(builtin_measure("poisson", alpha=alpha), beta0, n_points=256)
+        theta = boundary_grid(512)[0] + np.pi / 512
+        exact = (1.0 - abs(alpha) ** 2) / np.abs(np.exp(1j * theta) - alpha) ** 2
+        assert_allclose(weight_from_caratheodory(F, beta0, theta), exact, rtol=1e-12, atol=0)
 
     def test_rational_measure_gives_its_completion(self):
         # a lambda ladder's density goes back through the series to the

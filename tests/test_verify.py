@@ -195,20 +195,29 @@ def test_rational_completion_has_mass_one():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_roundtrip_measure_on_lambda_ladder(seed):
-    # beta_0 is drawn with the other poles, so the moment series runs
-    # through zeta_0 with beta_0 != 0
+    # beta_0 is drawn with the other poles, so the moment series is
+    # anchored away from the origin
     rng = np.random.default_rng(seed)
     lams, betas = _disk(rng, 0.4, 6), _disk(rng, 0.7, 7)
     assert abs(betas[0]) > 0.1
     assert _failing(synthesize(lams, PoleSequence(betas)), ["roundtrip_measure"]) == {}
 
 
+def test_roundtrip_measure_where_zeta0_ran_out():
+    # poles first, |beta_0| = 0.55, top zero 0.9975: pulled back through
+    # zeta_0 this density needed more than 65536 moments; read on the grid
+    # it lives on, its series converges at 65536
+    rng = np.random.default_rng(7)
+    betas, lams = _disk(rng, 0.7, 17), _disk(rng, 0.4, 16)
+    assert _failing(synthesize(lams, PoleSequence(betas)), ["roundtrip_measure"]) == {}
+
+
 def test_poisson_ladder_with_random_beta0(monkeypatch):
-    # alpha first, then all 17 poles with beta_0 among them; |zeta_0(alpha)|
-    # is 0.88, so the moments decay slowly, yet the first grid resolves them
+    # alpha first, then all 17 poles with beta_0 among them; the moments
+    # decay as |alpha|^k, and the first grid resolves them
     grids = []
     original = measure._moment_series
-    monkeypatch.setattr(measure, "_moment_series", lambda mu, kp, n: grids.append(n) or original(mu, kp, n))
+    monkeypatch.setattr(measure, "_moment_series", lambda mu, b0, n: grids.append(n) or original(mu, b0, n))
     rng = np.random.default_rng(1032)
     mu = builtin_measure("poisson", alpha=complex(_disk(rng, 0.6, 1)[0]))
     s = gram_schmidt_orf(mu, PoleSequence(_disk(rng, 0.7, 17)), 16)
