@@ -94,10 +94,10 @@ class OrfSystem:
 
     source is "measure" or "parameters": where the recurrence data came
     from. Both are orthonormal, and both are the recurrence run on that
-    data from level 0. A measure-sourced system keeps its measure; every
-    system carries an evaluable C-function, by default the rational
-    completion psi*_m/phi*_m of its top level m. A system given no grid
-    size gets the default one for its n_max.
+    data from level 0. A system given no grid size gets the default one
+    for its n_max. Its C-function is settled here, once: the one given,
+    else the moment series of its measure on its grid, else the rational
+    completion psi*_m/phi*_m of its top level m.
     """
 
     __slots__ = ("poles", "levels", "source", "measure", "caratheodory", "n_points")
@@ -107,8 +107,10 @@ class OrfSystem:
         self.levels = tuple(levels)
         self.source = source
         self.measure = measure
-        self.caratheodory = caratheodory or caratheodory_from_system(self)
         self.n_points = n_points or default_grid(len(self.levels) - 1)
+        if caratheodory is None and measure is not None:
+            caratheodory = caratheodory_from_measure(measure, poles.beta[0], n_points=self.n_points)
+        self.caratheodory = caratheodory or caratheodory_from_system(self)
 
     @property
     def n_max(self):
@@ -255,19 +257,20 @@ def _run_recurrence(poles, level0: OrfLevel, params) -> list:
     return levels
 
 
-def synthesize(lambdas, poles: PoleSequence, allow_poles_near_circle=False) -> OrfSystem:
+def synthesize(lambdas, poles: PoleSequence, n_points=None, allow_poles_near_circle=False) -> OrfSystem:
     """Build the ladder from recurrence parameters alone (rho_n = 1), from
     the constant phi_0 = 1.
 
     Every |lambda_n| < 1 yields a ladder orthonormal with respect to some
     C-function; the canonical one attached here is the rational completion
-    psi*_m/phi*_m at the top level m.
+    psi*_m/phi*_m at the top level m. The grid is n_points when given,
+    else the completion grid of the top level.
     """
     lambdas = [complex(v) for v in lambdas]
     n_max = len(lambdas)
     _check_poles(poles, n_max, allow_poles_near_circle)
     levels = _run_recurrence(poles, _level_zero(poles, 1.0), ((lam, 1.0) for lam in lambdas))
-    return OrfSystem(poles, levels, source="parameters", n_points=_completion_grid(levels[-1], n_max))
+    return OrfSystem(poles, levels, source="parameters", n_points=n_points or _completion_grid(levels[-1], n_max))
 
 
 def _completion_grid(top: OrfLevel, n_max: int) -> int:
@@ -423,8 +426,7 @@ def gram_schmidt_orf(
     defect = _gram_defect([lv.phi for lv in levels], w)
     if defect > TOL_ORTHO:
         raise NumericalFailure(f"Gram matrix deviates from identity by {defect:.2e}")
-    F = caratheodory_from_measure(mu, poles.beta[0], n_points=n_points)
-    return OrfSystem(poles, levels, source="measure", measure=mu, caratheodory=F, n_points=n_points)
+    return OrfSystem(poles, levels, source="measure", measure=mu, n_points=n_points)
 
 
 def _gram_defect(funcs, w) -> float:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .engine import OrfLevel, OrfSystem
 from .errors import DomainError
+from .measure import _check_grid
 from .ratfun import PoleSequence, RatFun
 
 
@@ -31,7 +32,8 @@ def _carray(arr):
 
 
 def _from_c(pair):
-    return complex(pair[0], pair[1])
+    re, im = pair  # exactly two numbers
+    return complex(re, im)
 
 
 def _from_carray(pairs):
@@ -65,25 +67,30 @@ def system_to_dict(system: OrfSystem) -> dict:
 
 
 def system_from_dict(data: dict) -> OrfSystem:
-    if data.get("kind") != "orf_system":
+    """The ladder of a system_to_dict dump. A dump is outside input: one
+    that does not hold levels 0..m in order, each entry in its place, on
+    no grid or a grid the quadrature accepts, raises DomainError."""
+    if not isinstance(data, dict) or data.get("kind") != "orf_system":
         raise DomainError("not a serialized ladder")
-    poles = PoleSequence(_from_carray(data["poles"]))
-    levels = []
-    for item in data["levels"]:
-        n = item["n"]
-        levels.append(
-            OrfLevel(
-                n,
-                RatFun(poles, _from_carray(item["phi"]), n),
-                RatFun(poles, _from_carray(item["phi_star"]), n),
-                RatFun(poles, _from_carray(item["psi"]), n),
-                RatFun(poles, _from_carray(item["psi_star"]), n),
-                None if item["lambda"] is None else _from_c(item["lambda"]),
-                item["e"],
-                None if item["rho"] is None else _from_c(item["rho"]),
-            )
-        )
-    return OrfSystem(poles, levels, source=data["source"], n_points=data.get("n_points"))
+    try:
+        poles = PoleSequence(_from_carray(data["poles"]))
+        levels = []
+        for n, item in enumerate(data["levels"]):
+            if item["n"] != n:
+                raise DomainError(f"level {n} of the ladder is stored as level {item['n']!r}")
+            funcs = [RatFun(poles, _from_carray(item[key]), n) for key in ("phi", "phi_star", "psi", "psi_star")]
+            lam, rho = (None if item[key] is None else _from_c(item[key]) for key in ("lambda", "rho"))
+            levels.append(OrfLevel(n, *funcs, lam, item["e"], rho))
+        source, n_points = data["source"], data.get("n_points")
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed serialized ladder: {type(exc).__name__}: {exc}") from exc
+    if not levels:
+        raise DomainError("a serialized ladder needs level 0")
+    if n_points is not None:
+        if isinstance(n_points, bool) or not isinstance(n_points, int):
+            raise DomainError(f"n_points must be an integer or null, got {n_points!r}")
+        _check_grid(n_points)
+    return OrfSystem(poles, levels, source=source, n_points=n_points)
 
 
 def arf_to_dict(arf) -> dict:

@@ -450,13 +450,11 @@ def arf_recurrence(system: OrfSystem, k: int) -> ArfSystem:
         raise DomainError("arf order k must satisfy 0 <= k <= n_max")
     if k == 0:
         # order 0 leaves the ladder untouched
-        sub = OrfSystem(system.poles, system.levels, source=system.source, n_points=system.n_points)
-    else:
-        shifted = PoleSequence(system.poles.beta[k : system.n_max + 1])
-        params = ((lv.lam, lv.rho) for lv in system.levels[k + 1 :])
-        levels = _run_recurrence(shifted, _level_zero(shifted, 1.0), params)
-        sub = OrfSystem(shifted, levels, source="parameters", n_points=system.n_points)
-    return ArfSystem(system, k, sub)
+        return ArfSystem(system, 0, system)
+    shifted = PoleSequence(system.poles.beta[k : system.n_max + 1])
+    params = ((lv.lam, lv.rho) for lv in system.levels[k + 1 :])
+    levels = _run_recurrence(shifted, _level_zero(shifted, 1.0), params)
+    return ArfSystem(system, k, OrfSystem(shifted, levels, source="parameters", n_points=system.n_points))
 
 
 def arf_discrepancy(arf: ArfSystem) -> float:

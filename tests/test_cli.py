@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orfkit import cli
+from orfkit import OrfSystem, PoleSequence, cli, synthesize
 from orfkit.cli import main
 from orfkit.engine import lebesgue_orf
 from orfkit.measure import boundary_grid
-from orfkit.serialize import system_from_dict
+from orfkit.serialize import dumps, system_from_dict
+from orfkit.verify import CHECK_NAMES, VerifyContext, run_verification
 
 SQ3 = np.sqrt(3.0)
 
@@ -30,6 +31,13 @@ README_CONFIG = {
     "arf_order": 1,
     "seed": 0,
     "tolerances": {"determinant": 1e-10},
+}
+
+
+LAMBDA_CONFIG = {
+    "poles": [[0.1, 0.1], [-0.3, 0.0], [0.2, 0.3], [0.0, -0.25]],
+    "lambdas": [[0.3, 0.1], [0.0, -0.35], [0.2, 0.0]],
+    "n_max": 3,
 }
 
 
@@ -293,19 +301,10 @@ class TestConfigValidation:
         assert main(["arf", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert (tmp_path / "arf_1.json").is_file()
 
-    def test_grid_env_override(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, WORKED)
-        monkeypatch.setenv("ORFKIT_GRID", "512")
-        assert main(["synth", "--config", cfg, "--out", str(tmp_path)]) == 0
-        monkeypatch.setenv("ORFKIT_GRID", "500")
-        assert main(["synth", "--config", cfg, "--out", str(tmp_path)]) == 2
-
-    @pytest.mark.parametrize("where", ["config", "env"])
-    def test_grid_follows_the_quadrature_rule(self, tmp_path, monkeypatch, capsys, where):
+    @pytest.mark.parametrize("where", ["config"])
+    def test_grid_follows_the_quadrature_rule(self, tmp_path, capsys, where):
         # one rule for a grid, the one the quadrature applies, as a config error
-        if where == "env":
-            monkeypatch.setenv("ORFKIT_GRID", "500")
-        cfg = write_config(tmp_path, {**WORKED, "grid": 500} if where == "config" else WORKED)
+        cfg = write_config(tmp_path, {**WORKED, "grid": 500})
         assert main(["synth", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config error: grid size must be a power of two >= 256, got 500" in capsys.readouterr().err
 
@@ -413,17 +412,29 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--check", "nope"]) == 2
 
     def test_lambda_config_runs(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            {
-                "poles": [[0.1, 0.1], [-0.3, 0.0], [0.2, 0.3], [0.0, -0.25]],
-                "lambdas": [[0.3, 0.1], [0.0, -0.35], [0.2, 0.0]],
-                "n_max": 3,
-            },
-        )
+        cfg = write_config(tmp_path, LAMBDA_CONFIG)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify.json").read_text())
         assert "roundtrip_measure" not in report
+
+    def test_lambda_config_runs_roundtrip_measure_on_request(self, tmp_path):
+        cfg = write_config(tmp_path, LAMBDA_CONFIG)
+        assert main(["verify", "--config", cfg, "--check", "roundtrip_measure", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert list(report) == ["roundtrip_measure"] and report["roundtrip_measure"]["pass"]
+
+    def test_pinned_grid_lambda_report_matches_a_rebuilt_system(self, tmp_path):
+        # synthesize on the config's grid verifies bit for bit as its levels
+        # put on that grid afterwards, the one C-function psi*_m/phi*_m
+        cfg = write_config(tmp_path, {**LAMBDA_CONFIG, "grid": 4096})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        poles, lams = ([complex(*p) for p in LAMBDA_CONFIG[key]] for key in ("poles", "lambdas"))
+        s = synthesize(lams, PoleSequence(poles))
+        assert s.n_points < 4096
+        pinned = OrfSystem(s.poles, s.levels, s.source, n_points=4096)
+        checks = [c for c in CHECK_NAMES if c != "roundtrip_measure"]
+        report = run_verification(VerifyContext(pinned, seed=0, tolerances={}), checks)
+        assert (tmp_path / "verify.json").read_text() == dumps(report) + "\n"
 
     @pytest.mark.parametrize(
         "poles",

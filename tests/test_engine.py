@@ -16,6 +16,7 @@ from orfkit import (
     RatFun,
     blaschke_factor,
     builtin_measure,
+    caratheodory_from_measure,
     caratheodory_from_system,
     evaluate_stack,
     gram_schmidt_orf,
@@ -30,6 +31,7 @@ from orfkit import (
 from orfkit import engine, ratfun
 from orfkit.engine import (
     _circle_nodes,
+    _four,
     _gram_defect,
     _level_zero,
     _parameters,
@@ -380,6 +382,22 @@ class TestSynthesize:
         assert s.n_max == 0
         assert_allclose(s.level(0).phi.numer, [1.0])
 
+    def test_given_grid_skips_the_completion_grid(self, monkeypatch, synth_system):
+        # n_points as gram_schmidt_orf takes it: the ladder is the default
+        # build's, bit for bit, and its zeros are never sought
+        lams = [lv.lam for lv in synth_system.levels[1:]]
+
+        def no_grid(*_):
+            raise AssertionError("_completion_grid called")
+
+        monkeypatch.setattr(engine, "_completion_grid", no_grid)
+        s = synthesize(lams, synth_system.poles, n_points=4096)
+        assert s.n_points == 4096
+        for lv, ref in zip(s.levels, synth_system.levels, strict=True):
+            for f, g in zip(_four(lv), _four(ref)):
+                assert_array_equal(f.numer, g.numer)
+            assert (lv.lam, lv.e, lv.rho) == (ref.lam, ref.e, ref.rho)
+
 
 class TestExtraction:
     def test_roundtrip(self, synth_system):
@@ -606,6 +624,17 @@ class TestFunctionalIdentities:
         wrong = _with_level(s, 4, psi=(1 + 1e-6) * lv.psi, psi_star=(1 + 1e-6) * lv.psi_star)
         assert second_kind_functional_residual_stack(s, mu, [4])[0] < 1e-12
         assert 5e-7 < second_kind_functional_residual_stack(wrong, mu, [4])[0] < 2e-6
+
+
+def test_measure_system_builds_its_moment_series(poisson_system):
+    # given a measure and no C-function, a system reads the measure's
+    # moment series on its own grid
+    s, mu = poisson_system, poisson_system.measure
+    own = OrfSystem(s.poles, s.levels, s.source, measure=mu, n_points=s.n_points)
+    ref = caratheodory_from_measure(mu, s.poles.beta[0], n_points=s.n_points)
+    zs = np.concatenate([boundary_grid(s.n_points)[1], 0.9 * np.exp(2j * np.pi * np.arange(64) / 64)])
+    assert_array_equal(own.caratheodory(zs), ref(zs))
+    assert_array_equal(s.caratheodory(zs), ref(zs))
 
 
 class TestRationalCompletion:

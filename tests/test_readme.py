@@ -44,9 +44,9 @@ def _known_names():
     return names | {f.name for cls in (JobConfig, ArfSystem) for f in dataclasses.fields(cls)}
 
 
-# names the prose uses for things that are not attributes: an environment
-# variable, the callable a ratio C-function takes, and a generic function
-NOT_ATTRIBUTES = {"ORFKIT_GRID", "terms", "f"}
+# names the prose uses for things that are not attributes: the callable a
+# ratio C-function takes, and a generic function
+NOT_ATTRIBUTES = {"terms", "f"}
 
 
 def test_backticked_names_resolve():

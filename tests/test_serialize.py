@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from orfkit import CircleMeasure, PoleSequence, arf_recurrence, default_grid, synthesize
+from orfkit import CircleMeasure, DomainError, PoleSequence, arf_recurrence, default_grid, synthesize
 from orfkit.serialize import (
     arf_to_dict,
     dumps,
@@ -84,6 +84,28 @@ def test_reload_without_grid_uses_one_default(monkeypatch):
     )
     assert all(entry["pass"] for entry in report.values())
     assert sizes == {grid}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda data: data.pop("levels"), id="no-levels"),
+        pytest.param(lambda data: data.pop("poles"), id="no-poles"),
+        pytest.param(lambda data: data.update(levels=[]), id="empty-levels"),
+        pytest.param(lambda data: data["levels"][1].update({"lambda": [0.25]}), id="one-number-lambda"),
+        pytest.param(lambda data: data["levels"].reverse(), id="levels-out-of-order"),
+        pytest.param(lambda data: data.update(n_points=100), id="grid-100"),
+        pytest.param(lambda data: data.update(n_points=-4), id="grid-negative"),
+        pytest.param(lambda data: data.update(n_points="1024"), id="grid-string"),
+    ],
+)
+def test_malformed_ladder_is_a_domain_error(synth_system, edit):
+    # a stored ladder is outside input: each defect is refused on load, not
+    # met later as a KeyError, IndexError or a check reading nonsense
+    data = json.loads(dumps(system_to_dict(synth_system)))
+    edit(data)
+    with pytest.raises(DomainError):
+        system_from_dict(data)
 
 
 def test_arf_serialization(worked_system):

@@ -259,6 +259,10 @@ class TestArfRecurrence:
         for n in range(synth_system.n_max + 1):
             assert_allclose(arf.level(n).phi.numer, synth_system.level(n).phi.numer, atol=1e-13)
 
+    def test_order_zero_is_the_ladder_itself(self, synth_system, poisson_system):
+        for s in (synth_system, poisson_system):
+            assert arf_recurrence(s, 0).system is s
+
     def test_matches_explicit(self, synth_system, poisson_system, expcos_system):
         for s in (synth_system, poisson_system, expcos_system):
             for k in range(min(3, s.n_max) + 1):

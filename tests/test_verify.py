@@ -15,16 +15,19 @@ from orfkit import (
     blaschke_factor,
     blaschke_product,
     builtin_measure,
+    caratheodory_from_measure,
     cli,
     evaluate_stack,
     gram_schmidt_orf,
     measure,
+    measure_from_system,
     poisson_kernel,
     ratfun,
     superstar,
     synthesize,
     transforms,
     verify,
+    weight_from_caratheodory,
 )
 from orfkit.engine import _circle_nodes, _min_separation, zeros_factor
 from orfkit.measure import boundary_grid, default_grid
@@ -193,6 +196,15 @@ def test_rational_completion_has_mass_one():
     assert verify.check_orthonormality(ctx) < 1e-9
 
 
+def _series_roundtrip(s):
+    """The density of a lambda ladder back through the moment series of its
+    rational completion density, against that density on 512 points."""
+    mu, b0 = measure_from_system(s), s.poles.beta[0]
+    theta = boundary_grid(512)[0]
+    F = caratheodory_from_measure(mu, b0, n_points=s.n_points)
+    return float(np.max(np.abs(weight_from_caratheodory(F, b0, theta) - mu.weight(theta))))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_roundtrip_measure_on_lambda_ladder(seed):
     # beta_0 is drawn with the other poles, so the moment series is
@@ -200,7 +212,7 @@ def test_roundtrip_measure_on_lambda_ladder(seed):
     rng = np.random.default_rng(seed)
     lams, betas = _disk(rng, 0.4, 6), _disk(rng, 0.7, 7)
     assert abs(betas[0]) > 0.1
-    assert _failing(synthesize(lams, PoleSequence(betas)), ["roundtrip_measure"]) == {}
+    assert _series_roundtrip(synthesize(lams, PoleSequence(betas))) <= 1e-6
 
 
 def test_roundtrip_measure_where_zeta0_ran_out():
@@ -209,7 +221,19 @@ def test_roundtrip_measure_where_zeta0_ran_out():
     # it lives on, its series converges at 65536
     rng = np.random.default_rng(7)
     betas, lams = _disk(rng, 0.7, 17), _disk(rng, 0.4, 16)
-    assert _failing(synthesize(lams, PoleSequence(betas)), ["roundtrip_measure"]) == {}
+    assert _series_roundtrip(synthesize(lams, PoleSequence(betas))) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_roundtrip_measure_reads_the_ladders_own_c_function(monkeypatch, seed):
+    # the synthesized n = 64 probes (poles first, cap 0.7, lcap 0.2), whose
+    # moment series runs out at 65536 points; the check reads psi*_m/phi*_m
+    # and runs no series
+    rng = np.random.default_rng(seed)
+    betas, lams = _disk(rng, 0.7, 65), _disk(rng, 0.2, 64)
+    s = synthesize(lams, PoleSequence(betas))
+    monkeypatch.setattr(measure, "_moment_series", None)
+    assert _failing(s, ["roundtrip_measure"]) == {}
 
 
 def test_poisson_ladder_with_random_beta0(monkeypatch):
