@@ -26,7 +26,6 @@ from .errors import (
     ZeroOffCircle,
 )
 from .measure import (
-    _BLOCK_BYTES,
     CaratheodoryFn,
     CircleMeasure,
     _grid_memo,
@@ -37,10 +36,12 @@ from .measure import (
     ratio_caratheodory,
 )
 from .ratfun import (
+    _BLOCK_POINTS,
     KernelParams,
     PoleSequence,
     RatFun,
     _disk_sample,
+    _evaluate_blocks,
     blaschke_factor,
     blaschke_product,
     evaluate_stack,
@@ -53,24 +54,8 @@ TOL_ORTHO = 1e-9
 # Quadrature accuracy degrades as poles approach the circle; beyond this the
 # constructors demand an explicit override.
 POLE_CAP = 0.9
-# grid points per block of the passes over the quadrature grid
-_BLOCK = 1024
-
-
-def _blocks(size, funcs=None):
-    """Slices of consecutive points that cover range(size), in order. Each
-    has _BLOCK points or, in a pass that evaluates the RatFuns funcs on a
-    block, as many as hold _BLOCK_BYTES of their complex values, but no
-    fewer. A stack of one degree counts twice: evaluate_stack holds its
-    values and their Horner table."""
-    if funcs is None:
-        step = _BLOCK
-    else:
-        rows = len(funcs) * (2 if len({f.n for f in funcs}) == 1 else 1)
-        step = max(_BLOCK, _BLOCK_BYTES // (16 * rows))
-    return (slice(lo, lo + step) for lo in range(0, size, step))
-
-
+# the zero-free gate: a cofactor line whose _zero_free reads at most this has a zero in the closed disk
+_ZERO_FREE_MIN = 1e-8
 @dataclass(frozen=True)
 class OrfLevel:
     """One rung of the ladder: the four functions plus recurrence data.
@@ -334,10 +319,11 @@ def _herglotz_sums(kp, w, nodes, rows):
     """Sums over the grid t = e^{2 pi i j / N}, N = w.size, of D(t, z) h w at
     the nodes z and of h w, for each row h of rows(block) (its values on
     t[block]) and the constant 1 as the last row. One kernel and one rows
-    call per _BLOCK points: no table of either on the whole grid is held."""
+    call per _BLOCK_POINTS points, not more, as the kernel at the nodes sits
+    beside the rows: no table of either on the whole grid is held."""
     _, t = boundary_grid(w.size)
     d_hw = h_w = 0.0
-    for block in _blocks(w.size):
+    for block in (slice(lo, lo + _BLOCK_POINTS) for lo in range(0, w.size, _BLOCK_POINTS)):
         h = rows(block)
         hw = np.concatenate([h, np.ones((1, h.shape[1]))]) * w[block]
         d_hw = d_hw + hw @ herglotz_kernel(kp, t[None, block], nodes[:, None]).T
@@ -440,8 +426,7 @@ def _gram_defect(funcs, w) -> float:
     """
     _, t = boundary_grid(w.size)
     gram = 0.0
-    for block in _blocks(w.size, funcs):
-        v = evaluate_stack(funcs, t[block])
+    for block, v in _evaluate_blocks(funcs, t):
         gram = gram + (v * w[block]) @ v.conj().T
     return float(np.max(np.abs(gram / w.size - np.eye(len(funcs)))))
 
@@ -657,8 +642,7 @@ def interpolation_residual_stack(system: OrfSystem, F: CaratheodoryFn, levels):
             conj_zeros = conj_zeros * np.conj(blaschke_factor(system.poles, m - 1, t))
         if m in levels:
             lv = system.level(m)
-            for block in _blocks(t.size, (lv.phi, lv.psi)):
-                phi, psi = evaluate_stack((lv.phi, lv.psi), t[block])
+            for block, (phi, psi) in _evaluate_blocks((lv.phi, lv.psi), t):
                 f = f_t[block]
                 lines[0, block] = (phi * f + psi) * conj_zeros[block]
                 lines[1, block] = conj_zeta0[block] * (np.conj(phi) * f - np.conj(psi))

@@ -17,13 +17,11 @@ from .errors import (
     NonPositiveWeight,
     NumericalFailure,
 )
-from .ratfun import _horner
+from .ratfun import _BLOCK_BYTES, _horner
 
 # C-functions built from quadrature reject evaluation beyond this modulus:
 # the closed disk, up to rounding.
 MAX_MODULUS = 1.0 + 1e-12
-# bytes of complex values per block of a pass that evaluates several values per point
-_BLOCK_BYTES = 1 << 18
 
 
 def _grid_angles(n_points: int):
@@ -94,7 +92,8 @@ def _check_grid(n_points: int):
 
 
 def _trig_eval(coeffs, freqs, theta):
-    """Evaluate a trigonometric interpolant sum_k c_k e^(i k theta), _BLOCK_BYTES at a time."""
+    """Evaluate a trigonometric interpolant sum_k c_k e^(i k theta), _BLOCK_BYTES at a time:
+    a point holds one value per frequency, so a block may be a single point."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     out = np.empty(theta.size, dtype=complex)
     step = max(1, _BLOCK_BYTES // (16 * freqs.size))

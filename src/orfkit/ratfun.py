@@ -24,6 +24,9 @@ from .errors import (
 
 # Pole-proximity guard: reject |1 - conj(beta) z| < TAU_POLE * (1 + |z|).
 TAU_POLE = 1e-13
+# a block of a grid pass holds this many bytes of values, and at least _BLOCK_POINTS points
+_BLOCK_BYTES = 1 << 18
+_BLOCK_POINTS = 1024
 
 
 class PoleSequence:
@@ -188,6 +191,18 @@ def evaluate_stack(fs, z) -> np.ndarray:
                 return vals
             out[rows[j]] = vals
     return out
+
+
+def _evaluate_blocks(fs, z):
+    """(block, evaluate_stack(fs, z[block])) for slices block of consecutive
+    points that cover the 1-d array z, in order, each holding _BLOCK_BYTES of
+    the values a call holds and at least _BLOCK_POINTS points. A stack of one
+    degree counts twice: evaluate_stack holds its values and their Horner table."""
+    rows = len(fs) * (2 if len({f.n for f in fs}) == 1 else 1)
+    step = max(_BLOCK_POINTS, _BLOCK_BYTES // (16 * rows))
+    for lo in range(0, z.size, step):
+        block = slice(lo, lo + step)
+        yield block, evaluate_stack(fs, z[block])
 
 
 def _horner(numers, z):

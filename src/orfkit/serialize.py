@@ -68,8 +68,9 @@ def system_to_dict(system: OrfSystem) -> dict:
 
 def system_from_dict(data: dict) -> OrfSystem:
     """The ladder of a system_to_dict dump. A dump is outside input: one
-    that does not hold levels 0..m in order, each entry in its place, on
-    no grid or a grid the quadrature accepts, raises DomainError."""
+    that does not hold levels 0..m in order, each entry in its place, with
+    recurrence data (lambda, e, rho) above level 0 only, from a known
+    source, on no grid or a grid the quadrature accepts, raises DomainError."""
     if not isinstance(data, dict) or data.get("kind") != "orf_system":
         raise DomainError("not a serialized ladder")
     try:
@@ -80,10 +81,15 @@ def system_from_dict(data: dict) -> OrfSystem:
                 raise DomainError(f"level {n} of the ladder is stored as level {item['n']!r}")
             funcs = [RatFun(poles, _from_carray(item[key]), n) for key in ("phi", "phi_star", "psi", "psi_star")]
             lam, rho = (None if item[key] is None else _from_c(item[key]) for key in ("lambda", "rho"))
-            levels.append(OrfLevel(n, *funcs, lam, item["e"], rho))
+            e = item["e"]
+            if (lam, e, rho) != (None,) * 3 if n == 0 else (None in (lam, rho) or type(e) not in _NUMBERS):
+                raise DomainError(f"level {n} holds recurrence data no ladder has there: {lam}, {e!r}, {rho}")
+            levels.append(OrfLevel(n, *funcs, lam, e, rho))
         source, n_points = data["source"], data.get("n_points")
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed serialized ladder: {type(exc).__name__}: {exc}") from exc
+    if source not in ("measure", "parameters"):
+        raise DomainError(f"a ladder's source is 'measure' or 'parameters', got {source!r}")
     if not levels:
         raise DomainError("a serialized ladder needs level 0")
     if n_points is not None:

@@ -33,8 +33,8 @@ from .measure import (
     weight_from_caratheodory,
 )
 from .engine import (
+    _ZERO_FREE_MIN,
     OrfSystem,
-    _blocks,
     _completion_grid,
     _level_zero,
     _negative_modes,
@@ -47,12 +47,13 @@ from .ratfun import (
     PoleSequence,
     RatFun,
     _disk_sample,
+    _evaluate_blocks,
     blaschke_factor,
     evaluate_stack,
     superstar,
 )
 
-# threshold of the transform conditions that check_quad tests
+# threshold of check_quad's superstar condition a1
 QUAD_TOL = 1e-8
 # threshold of the negative Fourier modes of the cofactors that check_quad reads
 VANISH_TOL = 1e-10
@@ -159,9 +160,9 @@ def check_quad(
     btilde_0..btilde_{r-1}, with a zero-free cofactor f. The zeros factors
     are unimodular on the grid, so each cofactor is the line times their
     conjugate: it must have no negative Fourier modes (a3, a42, at most
-    VANISH_TOL) and no zero in the closed disk (a33, a42_f, above QUAD_TOL).
-    F(t) and the zeros factors are held on the whole grid; A, B, C and D
-    are evaluated one block of it at a time into the two lines.
+    VANISH_TOL) and no zero in the closed disk (a33, a42_f, above
+    _ZERO_FREE_MIN). F(t) and the zeros factors are held on the whole grid;
+    A, B, C and D are evaluated one block of it at a time into the two lines.
     """
     N, r = quad.N, quad.r
     tau = quad.tau_A
@@ -180,8 +181,7 @@ def check_quad(
     lines = np.empty((2, t.size), dtype=complex)
     b_max = 0.0
     funcs = (quad.A, quad.B, quad.C, quad.D)
-    for block in _blocks(t.size, funcs):
-        a, b, c, d = evaluate_stack(funcs, t[block])
+    for block, (a, b, c, d) in _evaluate_blocks(funcs, t):
         b_max = max(b_max, float(np.max(np.abs(b))))
         lines[0, block] = (a - b * f_t[block]) * conj_zeros[block]
         lines[1, block] = (a * d - b * c) * conj_zeros[block] * conj_tilde[block]
@@ -198,9 +198,9 @@ def check_quad(
         a1 <= QUAD_TOL
         and (N == 0 or a2_min > 1e-10)
         and a3_max <= VANISH_TOL
-        and a33_min > QUAD_TOL
+        and a33_min > _ZERO_FREE_MIN
         and a42_max <= VANISH_TOL
-        and a42_f_min > QUAD_TOL
+        and a42_f_min > _ZERO_FREE_MIN
     )
     return QuadConditionReport(a1, a2_min, a3_max, a33_min, a42_max, a42_f_min, passed)
 
@@ -302,9 +302,7 @@ def transformed_caratheodory(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> Car
     and positive real part on a fixed seeded sample of 200 disk points
     before returning.
     """
-    terms_on = _quad_terms(quad, F)
-    # z[...] is all of z, whatever its shape
-    Ft = ratio_caratheodory(lambda z: terms_on(z)(...), quad.tilde_poles.beta[0])
+    Ft = ratio_caratheodory(_quad_terms(quad, F), quad.tilde_poles.beta[0])
     Ft.anchor_residual = anchor_residual(quad, F)
     if not Ft.anchor_residual <= 1e-9:
         raise NumericalFailure(f"transformed C-function anchor defect {Ft.anchor_residual:.2e}")
@@ -315,22 +313,15 @@ def transformed_caratheodory(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> Car
 
 
 def _quad_terms(quad: SelfReciprocalQuad, F: CaratheodoryFn):
-    """terms_on(z) -> terms, where terms(part) -> (-C + D F, A - B F) are the
-    numerator and denominator of the transformed C-function at z[part]. F
-    is read on all of z once; A, B, C and D on z[part] alone at each call,
-    so the parts of a grid can be taken one block at a time."""
+    """terms(z) -> (-C + D F, A - B F), the transformed C-function's numerator and denominator at z."""
     funcs = (quad.A, quad.B, quad.C, quad.D)
+    return lambda z: _ratio_terms(np.asarray(F(z)), evaluate_stack(funcs, z))
 
-    def terms_on(z):
-        f = np.asarray(F(z))
 
-        def terms(part):
-            a, b, c, d = evaluate_stack(funcs, z[part])
-            return -c + d * f[part], a - b * f[part]
-
-        return terms
-
-    return terms_on
+def _ratio_terms(f, abcd):
+    """(-C + D F, A - B F) from the values f of F and abcd of A, B, C, D."""
+    a, b, c, d = abcd
+    return -c + d * f, a - b * f
 
 
 def anchor_residual(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> float:
@@ -346,7 +337,7 @@ def anchor_residual(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> float:
     ring = b0 + 0.3 * np.exp(2j * np.pi * (np.arange(16) + 0.41) / 16)
     ring = ring[np.abs(ring) < 0.97]
     # the anchor and the ring in one evaluation
-    nums, dens = _quad_terms(quad, F)(np.concatenate([[b0], ring]))(...)
+    nums, dens = _quad_terms(quad, F)(np.concatenate([[b0], ring]))
     num, den = complex(nums[0]), complex(dens[0])
     den_scale = float(np.max(np.abs(dens[1:])))
     if abs(den) > 1e-6 * den_scale:
@@ -433,11 +424,11 @@ class ArfSystem:
         own = _completion_grid(self.system.levels[-1], self.system.n_max)
         theta, t = boundary_grid(max(self.base.n_points, own))
         b0 = self.F_k.beta0
-        terms = _quad_terms(self.quad, self.base.caratheodory)(t)
+        f = np.asarray(self.base.caratheodory(t))
         w = np.empty(theta.size)
-        for block in _blocks(theta.size, (self.quad.A, self.quad.B, self.quad.C, self.quad.D)):
+        for block, abcd in _evaluate_blocks((self.quad.A, self.quad.B, self.quad.C, self.quad.D), t):
             # F_k on t[block], the points weight_from_caratheodory reads it at
-            f_k = ratio_caratheodory(lambda _: terms(block), b0)
+            f_k = ratio_caratheodory(lambda _: _ratio_terms(f[block], abcd), b0)
             w[block] = weight_from_caratheodory(f_k, b0, theta[block])
         return builtin_measure("samples", theta=theta, w=w)
 

@@ -168,24 +168,31 @@ class TestGramSchmidt:
             assert_allclose(_gram_defect(scaled, w), expected, rtol=1e-12)
 
     def test_blocks_count_rows_from_the_functions(self, synth_system):
-        # at N = 8192 the blocks of a quad's four functions, of a (phi_n,
-        # psi_n) pair and of a 7-level Gram stack are those of the hand
-        # counts 8, 4 and 7 complex values per point; a pass with no
-        # functions takes 1024-point blocks
-        def counted(rows):
-            step = max(1024, (1 << 18) // (16 * rows))
-            return [slice(lo, lo + step) for lo in range(0, 8192, step)]
-
+        # at N = 8192 the reader's blocks of a quad's four functions, of a
+        # (phi_n, psi_n) pair and of a 7-level Gram stack are those of the
+        # hand counts 8, 4 and 7 complex values per point: 2048, 4096 and
+        # 2340 points
+        _, t = boundary_grid(8192)
         quad = arf_quad(synth_system, 1)
         lv = synth_system.level(3)
         ladder = synthesize(np.full(6, 0.2), PoleSequence(np.zeros(7)))
-        for funcs, rows in (
-            ((quad.A, quad.B, quad.C, quad.D), 8),
-            ((lv.phi, lv.psi), 4),
-            ([level.phi for level in ladder.levels], 7),
+        for funcs, step in (
+            ((quad.A, quad.B, quad.C, quad.D), 2048),
+            ((lv.phi, lv.psi), 4096),
+            ([level.phi for level in ladder.levels], 2340),
         ):
-            assert list(engine._blocks(8192, funcs)) == counted(rows)
-        assert list(engine._blocks(8192)) == [slice(lo, lo + 1024) for lo in range(0, 8192, 1024)]
+            blocks = [block for block, _ in ratfun._evaluate_blocks(funcs, t)]
+            assert blocks == [slice(lo, lo + step) for lo in range(0, 8192, step)]
+
+    def test_blocks_cover_the_points_in_order_with_the_bits_of_one_call(self):
+        # 7 levels take 2340-point blocks: 3000 points are one full block
+        # and a remainder, read in order, with the bits of one call
+        z = 0.999 * np.exp(2j * np.pi * np.random.default_rng(3).random(3000))
+        ladder = synthesize(np.full(6, 0.2 - 0.1j), PoleSequence(0.5 * np.exp(1j * np.arange(7))))
+        phis = [lv.phi for lv in ladder.levels]
+        blocks, values = zip(*ratfun._evaluate_blocks(phis, z))
+        assert blocks == (slice(0, 2340), slice(2340, 4680))
+        assert_array_equal(np.concatenate(values, axis=1), evaluate_stack(phis, z))
 
     @pytest.mark.parametrize("n", [3, 12, 24])
     @pytest.mark.parametrize("beta0", [0.0, 0.3 - 0.4j])

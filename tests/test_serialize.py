@@ -97,6 +97,16 @@ def test_reload_without_grid_uses_one_default(monkeypatch):
         pytest.param(lambda data: data.update(n_points=100), id="grid-100"),
         pytest.param(lambda data: data.update(n_points=-4), id="grid-negative"),
         pytest.param(lambda data: data.update(n_points="1024"), id="grid-string"),
+        pytest.param(lambda data: data["levels"][2].update(rho=None), id="null-rho"),
+        pytest.param(lambda data: data["levels"][1].update({"lambda": None}), id="null-lambda"),
+        pytest.param(lambda data: data["levels"][3].update(e=None), id="null-e"),
+        pytest.param(lambda data: data["levels"][1].update(e="1.0"), id="string-e"),
+        pytest.param(lambda data: data["levels"][2].update(e=True), id="bool-e"),
+        pytest.param(lambda data: data["levels"][0].update({"lambda": [0.25, 0.0]}), id="lambda-at-level-0"),
+        pytest.param(lambda data: data["levels"][0].update(e=1.0), id="e-at-level-0"),
+        pytest.param(lambda data: data["levels"][0].update(rho=[1.0, 0.0]), id="rho-at-level-0"),
+        pytest.param(lambda data: data.update(source="moments"), id="unknown-source"),
+        pytest.param(lambda data: data.update(source=None), id="null-source"),
     ],
 )
 def test_malformed_ladder_is_a_domain_error(synth_system, edit):

@@ -17,6 +17,7 @@ from orfkit import (
     builtin_measure,
     caratheodory_from_measure,
     cli,
+    engine,
     evaluate_stack,
     gram_schmidt_orf,
     measure,
@@ -528,12 +529,18 @@ def test_system_without_a_grid_gets_the_default():
 
 def _traced_verify_peak(s, n_points):
     """Traced peak of a verify of s on n_points, every check but
-    roundtrip_measure, which all must pass."""
-    ctx = VerifyContext(OrfSystem(s.poles, s.levels, s.source, n_points=n_points), seed=0, tolerances={})
-    boundary_grid(n_points)
+    roundtrip_measure, which all must pass. An untraced verify of a copy
+    runs first, so what earlier tests left cached does not move the peak."""
+    names = [c for c in CHECK_NAMES if c != "roundtrip_measure"]
+
+    def fresh():
+        return VerifyContext(OrfSystem(s.poles, s.levels, s.source, n_points=n_points), seed=0, tolerances={})
+
+    run_verification(fresh(), names)
+    ctx = fresh()
     tracemalloc.start()
     try:
-        report = run_verification(ctx, [c for c in CHECK_NAMES if c != "roundtrip_measure"])
+        report = run_verification(ctx, names)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -541,20 +548,51 @@ def _traced_verify_peak(s, n_points):
     return peak
 
 
+def _n6_ladder():
+    rng = np.random.default_rng(12)
+    return synthesize(_disk(rng, 0.5, 6), PoleSequence(_disk(rng, 0.7, 7)))
+
+
 def test_verify_memory_stays_per_level():
     # no table of several functions on the quadrature grid: phi_n of the 7
     # levels on 8192 points is 0.9 MiB, and whole-grid tables of the four
     # functions of a quad, or of phi_n and psi_n beside their two lines,
-    # lift the peak to 2.8 MiB
-    rng = np.random.default_rng(12)
-    s = synthesize(_disk(rng, 0.5, 6), PoleSequence(_disk(rng, 0.7, 7)))
-    assert _traced_verify_peak(s, 8192) <= 2 * 2**20
+    # lift the peak to 2.8 MiB. The peak reads 1.43 MiB; Herglotz blocks
+    # sized by their rows instead of 1024 points read 1.91
+    assert _traced_verify_peak(_n6_ladder(), 8192) <= 1.6 * 2**20
 
 
 def test_verify_memory_stays_per_block_at_n24():
     # 25 levels on 16384 points: phi_n of every level is 6.3 MiB, and
-    # whole-grid tables of several functions lift the peak to 9.4 MiB
+    # whole-grid tables of several functions lift the peak to 9.4 MiB. The
+    # peak reads 4.48 MiB; Herglotz blocks sized by their rows read 5.58
     rng = np.random.default_rng(24)
     poles = PoleSequence(_disk(rng, 0.7, 25))
     s = synthesize(_disk(rng, 0.3, 24), poles)
-    assert _traced_verify_peak(s, 16384) <= 6 * 2**20
+    assert _traced_verify_peak(s, 16384) <= 5.0 * 2**20
+
+
+def test_verify_reads_the_grid_in_reader_blocks(monkeypatch):
+    # every evaluate_stack call of a verify on more than 1024 points of the
+    # 8192-point grid is a block of ratfun._evaluate_blocks (the step for
+    # its function count, or the last remainder), the density read (one
+    # function on the whole grid) or the C-function read (two functions)
+    calls = []
+    stack = ratfun.evaluate_stack
+
+    def spy(fs, z):
+        fs = list(fs)
+        calls.append((len(fs), len({f.n for f in fs}), np.size(z)))
+        return stack(fs, z)
+
+    for module in (ratfun, engine, transforms, verify, cli):
+        monkeypatch.setattr(module, "evaluate_stack", spy)
+    s = _n6_ladder()
+    report = run_verification(VerifyContext(OrfSystem(s.poles, s.levels, s.source, n_points=8192), 0, {}))
+    assert all(entry["pass"] for entry in report.values()), report
+    large = [call for call in calls if call[2] > 1024]
+    for count, degrees, points in large:
+        step = max(1024, (1 << 18) // (16 * count * (2 if degrees == 1 else 1)))
+        assert points in (step, 8192 % step) or (count, points) in ((1, 8192), (2, 8192)), (count, points)
+    assert sum(points == 8192 for _, _, points in large) == 2
+    assert len(large) > 40
