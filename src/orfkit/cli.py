@@ -298,7 +298,10 @@ def cmd_verify(args) -> int:
     ctx = VerifyContext(system=system, seed=cfg.seed, tolerances=cfg.tolerances)
     report = run_verification(ctx, checks)
     with _writing_to(args.out):
-        serialize.write_json_atomic(os.path.join(args.out, "verify.json"), report)
+        # JSON has no infinity: a residual that is not finite (a check raised) is written as null
+        written = {name: {**e, "residual": e["residual"] if math.isfinite(e["residual"]) else None}
+                   for name, e in report.items()}
+        serialize.write_json_atomic(os.path.join(args.out, "verify.json"), written)
     ok = True
     for name, entry in report.items():
         status = "pass" if entry["pass"] else "FAIL"

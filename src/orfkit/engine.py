@@ -42,6 +42,7 @@ from .ratfun import (
     RatFun,
     _disk_sample,
     _evaluate_blocks,
+    _horner,
     blaschke_factor,
     blaschke_product,
     evaluate_stack,
@@ -198,22 +199,23 @@ def _padded_polymul(a, b, size):
     return out
 
 
-def recurrence_step(prev: OrfLevel, lam, rho, poles: PoleSequence, n: int, e=None) -> OrfLevel:
-    """Advance the ladder one level with parameters (lambda_n, rho_n).
+def _orthonormal_e(poles: PoleSequence, n: int, lam) -> float:
+    """The orthonormal e_n = sqrt[(1 - |beta_n|^2)/((1 - |beta_{n-1}|^2)(1 - |lambda_n|^2))], |lambda_n| < 1."""
+    b_prev, b_n = poles.beta[n - 1], poles.beta[n]
+    return float(np.sqrt((1.0 - abs(b_n) ** 2) / (1.0 - abs(b_prev) ** 2) / (1.0 - abs(lam) ** 2)))
 
-    e_n defaults to the orthonormal value
-    sqrt[(1 - |beta_n|^2)/((1 - |beta_{n-1}|^2)(1 - |lambda_n|^2))].
-    phi_n and psi_n come from the first matrix row; phi_n^* and psi_n^* are
-    their superstars.
+
+def recurrence_step(prev: OrfLevel, lam, rho, poles: PoleSequence, n: int) -> OrfLevel:
+    """Advance the ladder one level with parameters (lambda_n, rho_n), e_n at
+    its orthonormal value. phi_n and psi_n come from the first matrix row;
+    phi_n^* and psi_n^* are their superstars.
     """
     lam = complex(lam)
     rho = complex(rho)
     if not abs(lam) < 1.0:
         raise ParameterOutOfDisk(f"|lambda_{n}| = {abs(lam):.4f} must be < 1")
-    b_prev, b_n = poles.beta[n - 1], poles.beta[n]
-    if e is None:
-        e = np.sqrt((1.0 - abs(b_n) ** 2) / (1.0 - abs(b_prev) ** 2) / (1.0 - abs(lam) ** 2))
-    e = float(e)
+    e = _orthonormal_e(poles, n, lam)
+    b_prev = poles.beta[n - 1]
     up = poles.eta(n - 1) * np.array([-b_prev, 1.0])  # eta_{n-1} (z - beta_{n-1})
     down = np.array([1.0, -np.conj(b_prev)])          # 1 - conj(beta_{n-1}) z
 
@@ -478,15 +480,10 @@ def para_zeros(pair: ParaPair) -> np.ndarray:
 def para_zeros_stack(pairs) -> list:
     """para_zeros of each pair, in order. The companion matrices of one size
     go through one batched eigvals and the polish runs on their rows
-    together; a pair that fails raises as para_zeros would, after every
-    earlier pair has passed."""
-    coeffs, error = [], None
-    for pair in pairs:
-        try:
-            coeffs.append(_para_numerator(pair))
-        except DomainError as exc:
-            error = exc
-            break
+    together. Every numerator is taken first, so a degenerate one raises
+    before any zeros are checked; then the first pair whose zeros fail
+    raises, as para_zeros would."""
+    coeffs = [_para_numerator(pair) for pair in pairs]
     roots = [None] * len(coeffs)
     for size in {c.size for c in coeffs}:
         rows = [i for i, c in enumerate(coeffs) if c.size == size]
@@ -501,8 +498,6 @@ def para_zeros_stack(pairs) -> list:
         if sep < 1e-8:
             raise ZeroCollision(f"para zeros separated by only {sep:.2e}")
         out.append(r[np.argsort(np.angle(r))])
-    if error is not None:
-        raise error
     return out
 
 
@@ -512,9 +507,7 @@ def _para_numerator(pair: ParaPair) -> np.ndarray:
     scale = float(np.abs(c).max())
     if scale == 0.0:
         raise DomainError("zero numerator")
-    m = pair.Phi.n
-    while m >= 0 and abs(c[m]) < 1e-13 * scale:
-        m -= 1
+    m = np.flatnonzero(~(np.abs(c) < 1e-13 * scale))[-1]
     if m < 1:
         raise DomainError("numerator degree must be >= 1")
     return c[: m + 1]
@@ -537,20 +530,13 @@ def _companion_roots(c) -> np.ndarray:
 def _polished_roots(c) -> np.ndarray:
     """_companion_roots of each row of c, then one Newton step wherever the
     derivative is nonzero."""
-    m = c.shape[1] - 1
     roots = _companion_roots(c)
-    pv = _polyval_rows(roots, c)
-    dv = _polyval_rows(roots, c[:, 1:] * np.arange(1, m + 1))
+    # _horner takes every row at the roots of every row; row i at its own roots is on the diagonal
+    rows = np.arange(c.shape[0])
+    pv = _horner(c, roots)[rows, rows]
+    dv = _horner(c[:, 1:] * np.arange(1, c.shape[1]), roots)[rows, rows]
     ok = np.abs(dv) > 0
     return np.where(ok, roots - np.where(ok, pv / np.where(ok, dv, 1.0), 0.0), roots)
-
-
-def _polyval_rows(x, c):
-    """Horner on each row: sum_j c[i, j] x[i]^j."""
-    acc = c[:, -1:] + x * 0
-    for i in range(2, c.shape[1] + 1):
-        acc = c[:, -i, None] + acc * x
-    return acc
 
 
 def identity_residual_stack(fs, gs, f_stars, g_stars):

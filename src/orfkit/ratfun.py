@@ -47,6 +47,8 @@ class PoleSequence:
         arr.flags.writeable = False
         self.beta = arr
         self._ups = [1.0 + 0.0j]
+        for k in range(1, arr.size):
+            self._ups.append(self._ups[-1] * self.eta(k))
 
     def __len__(self):
         return self.beta.size
@@ -63,20 +65,9 @@ class PoleSequence:
         return np.conj(b) / abs(b) if b != 0 else 1.0 + 0.0j
 
     def upsilon(self, k):
-        """Product eta_1 * ... * eta_k (equals 1 for k <= 0).
-
-        The prefix products are kept as they are first asked for, each one
-        the previous times the next eta, as a running product would form it.
-        A longer list is built on a copy and stored in one assignment, so
-        callers racing on one sequence at worst repeat the work.
-        """
-        ups = self._ups
-        if len(ups) <= k:
-            ups = list(ups)
-            while len(ups) <= k:
-                ups.append(ups[-1] * self.eta(len(ups)))
-            self._ups = ups
-        return ups[max(k, 0)]
+        """Product eta_1 * ... * eta_k (equals 1 for k <= 0), each made at
+        construction as the previous one times the next eta."""
+        return self._ups[max(k, 0)]
 
     def varpi(self, k, z):
         """1 - conj(beta_k) z."""

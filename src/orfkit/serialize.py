@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .engine import OrfLevel, OrfSystem
+from .engine import OrfLevel, OrfSystem, _orthonormal_e
 from .errors import DomainError
 from .measure import _check_grid
 from .ratfun import PoleSequence, RatFun
@@ -69,8 +69,9 @@ def system_to_dict(system: OrfSystem) -> dict:
 def system_from_dict(data: dict) -> OrfSystem:
     """The ladder of a system_to_dict dump. A dump is outside input: one
     that does not hold levels 0..m in order, each entry in its place, with
-    recurrence data (lambda, e, rho) above level 0 only, from a known
-    source, on no grid or a grid the quadrature accepts, raises DomainError."""
+    recurrence data (lambda, e, rho) above level 0 only, |lambda| < 1 and e
+    its orthonormal value, from a known source, on no grid or a grid the
+    quadrature accepts, raises DomainError."""
     if not isinstance(data, dict) or data.get("kind") != "orf_system":
         raise DomainError("not a serialized ladder")
     try:
@@ -82,7 +83,8 @@ def system_from_dict(data: dict) -> OrfSystem:
             funcs = [RatFun(poles, _from_carray(item[key]), n) for key in ("phi", "phi_star", "psi", "psi_star")]
             lam, rho = (None if item[key] is None else _from_c(item[key]) for key in ("lambda", "rho"))
             e = item["e"]
-            if (lam, e, rho) != (None,) * 3 if n == 0 else (None in (lam, rho) or type(e) not in _NUMBERS):
+            held = None not in (lam, rho) and type(e) in _NUMBERS and abs(lam) < 1.0
+            if (lam, e, rho) != (None,) * 3 if n == 0 else not (held and e == _orthonormal_e(poles, n, lam)):
                 raise DomainError(f"level {n} holds recurrence data no ladder has there: {lam}, {e!r}, {rho}")
             levels.append(OrfLevel(n, *funcs, lam, e, rho))
         source, n_points = data["source"], data.get("n_points")

@@ -515,26 +515,27 @@ def relation_residual_stack(arfs: dict, triples) -> list:
     def rel(lhs, rhs):
         return float(np.abs(lhs - rhs).max() / np.abs(lhs).max())
 
+    def rels(fj_n, fj_k, fk_n, pr, br):
+        # r1, r2, r3 from the rows (phi, phi*, psi, psi*) of order j at n and k, and of order k at n
+        (pj_n, pj_n_s), (pj_k, pj_k_s) = fj_n[:2], fj_k[:2]
+        pk_n, pk_n_s, qk_n, qk_n_s = fk_n
+        return (
+            rel(2 * pj_n, (pj_k + pj_k_s) * pk_n + (pj_k - pj_k_s) * qk_n),
+            rel(2 * pj_n, (pk_n + qk_n) * pj_k + (pk_n - qk_n) * pj_k_s),
+            rel(2 * pr * br * pj_k, (qk_n_s + pk_n_s) * pj_n + (qk_n - pk_n) * pj_n_s),
+        )
+
     beta = system.poles.beta
     out = []
     for j, k, n in triples:
-        pj_n, pj_n_s, qj_n, qj_n_s = tables[j][n - j]
-        pj_k, pj_k_s, qj_k, qj_k_s = tables[j][k - j]
-        pk_n, pk_n_s, qk_n, qk_n_s = tables[k][n - k]
-
-        r1 = rel(2 * pj_n, (pj_k + pj_k_s) * pk_n + (pj_k - pj_k_s) * qk_n)
-        r2 = rel(2 * pj_n, (pk_n + qk_n) * pj_k + (pk_n - qk_n) * pj_k_s)
-        r1s = rel(2 * qj_n, (qj_k + qj_k_s) * qk_n + (qj_k - qj_k_s) * pk_n)
-        r2s = rel(2 * qj_n, (qk_n + pk_n) * qj_k + (qk_n - pk_n) * qj_k_s)
-
         pr = (1.0 - abs(beta[n]) ** 2) / (1.0 - abs(beta[k]) ** 2)
         pr = pr * system.poles.varpi(k, t) * system.poles.varpi_star(k, t)
         pr = pr / (system.poles.varpi(n, t) * system.poles.varpi_star(n, t))
         br = np.ones_like(t)
         for i in range(k + 1, n + 1):
             br = br * blaschke_factor(system.poles, i, t)
-        r3 = rel(2 * pr * br * pj_k, (qk_n_s + pk_n_s) * pj_n + (qk_n - pk_n) * pj_n_s)
-        r3s = rel(2 * pr * br * qj_k, (pk_n_s + qk_n_s) * qj_n + (pk_n - qk_n) * qj_n_s)
-        out.append(RelationReport(r1, r2, r3, r1s, r2s, r3s))
+        rows = tables[j][n - j], tables[j][k - j], tables[k][n - k]
+        # the relations, then the same with phi and psi exchanged
+        out.append(RelationReport(*rels(*rows, pr, br), *rels(*(f[[2, 3, 0, 1]] for f in rows), pr, br)))
     return out
 

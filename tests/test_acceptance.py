@@ -142,7 +142,7 @@ def test_criterion_05_second_kind_cross_check(measure_systems):
         rebuilt = [lv]
         for n in range(1, 9):
             src = system.level(n)
-            rebuilt.append(recurrence_step(rebuilt[-1], src.lam, src.rho, system.poles, n, e=src.e))
+            rebuilt.append(recurrence_step(rebuilt[-1], src.lam, src.rho, system.poles, n))
         for n in range(9):
             psi = second_kind_integral_stack(system.measure, system, [n])[0]
             worst = max(worst, float(np.max(np.abs(psi(t) - rebuilt[n].psi(t)))))

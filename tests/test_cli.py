@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -337,6 +338,52 @@ class TestArfCommand:
         cfg = write_config(tmp_path, WORKED)
         assert main(["arf", "--config", cfg, "--order", "5", "--out", str(tmp_path)]) == 2
 
+    def test_routes_that_disagree_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "arf_discrepancy", lambda arf: 1e-7)
+        cfg = write_config(tmp_path, WORKED)
+        assert main(["arf", "--config", cfg, "--order", "1", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("FAIL: associated-ladder routes disagree by 1.000e-07 >= 1e-08")
+        # the artifacts are written all the same
+        assert json.loads((tmp_path / "arf_1.json").read_text())["order"] == 1
+        assert (tmp_path / "mu_1.csv").read_text().startswith("theta,weight\n")
+
+
+# sha256 of the synth and arf --order 1 artifacts, recorded on x86-64 with
+# numpy 2.4.6; a change that moves these bytes updates them and says so
+PINNED_CONFIGS = {
+    "n3": LAMBDA_CONFIG,
+    "n6-grid4096": {
+        "poles": [[0.2, -0.1], [0.45, 0.3], [-0.6, 0.15], [0.05, 0.55], [-0.25, -0.5], [0.6, -0.2], [-0.1, 0.35]],
+        "lambdas": [[0.25, 0.1], [-0.15, 0.3], [0.05, -0.4], [0.35, 0.0], [-0.2, -0.2], [0.1, 0.45]],
+        "n_max": 6,
+        "grid": 4096,
+    },
+}
+PINNED_DIGESTS = {
+    "n3": {
+        "orf.json": "78e2a1ae55a5c9a447183639f5deefbc9e734086a292e8312ea40e27610ecc0f",
+        "orf_table.csv": "900a89f57762a98008a0896e9f8c5ae9f3ca9b4104eb76b8b4aa3104e92be52c",
+        "arf_1.json": "17227a6d13ee233e702ad8c6509daf03461dfea3f92cd21d66c591f6a541cfbb",
+        "mu_1.csv": "174550a588c27e38b28244192d76cb6c2869cee4a329589c6fb5fc0cf7bc5756",
+    },
+    "n6-grid4096": {
+        "orf.json": "eaac47853ab2e48ffecec9fe1005e313e24fb3ad0c0049cd6e6168c5c527094f",
+        "orf_table.csv": "e17b3bb69554a01a2be1f94877be5e6fda6b32a0d1a998daacb8a8646d0635c9",
+        "arf_1.json": "e9f00aff482010842c48dfa66910a0f43f746bc0e0e4bdd01fe98bccd289bebd",
+        "mu_1.csv": "1d733544702e20709685805ef0f64ca2c371319111e32e0c1de2fbc797f4877c",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+def test_artifact_bytes_are_pinned(tmp_path, name):
+    cfg = write_config(tmp_path, PINNED_CONFIGS[name])
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["arf", "--config", cfg, "--order", "1", "--out", str(tmp_path)]) == 0
+    digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in PINNED_DIGESTS[name]}
+    assert digests == PINNED_DIGESTS[name]
+
 
 COMMANDS = [["synth"], ["arf", "--order", "1"], ["verify"]]
 
@@ -454,6 +501,32 @@ class TestVerifyCommand:
             assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify.json").read_text())
         assert report["roundtrip_lambda"]["residual"] <= 1e-14
+
+    def test_failed_check_writes_null_residual(self, tmp_path, capsys):
+        # the associated quad of this ladder fails its zero-free gate, so four
+        # checks raise; verify.json must still be strict JSON
+        cfg = write_config(
+            tmp_path,
+            {
+                "poles": [[0.99, 0.0], [0.0, 0.99], [-0.99, 0.0], [0.0, -0.99]],
+                "lambdas": [[0.1, 0.0], [0.1, 0.0], [0.1, 0.0]],
+                "allow_poles_near_circle": True,
+            },
+        )
+        with pytest.warns(UserWarning):
+            assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+        def no_constants(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads((tmp_path / "verify.json").read_text(), parse_constant=no_constants)
+        raised = {"arf_consistency", "arf_orthogonality", "remark", "positivity"}
+        assert {name for name, entry in report.items() if "error" in entry} == raised
+        for name in raised:
+            assert report[name]["residual"] is None and report[name]["pass"] is False
+        assert all(report[name]["pass"] for name in report.keys() - raised)
+        out = capsys.readouterr().out
+        assert all(f"FAIL {name:20s} residual=inf " in out for name in raised)
 
     def test_tolerance_override_forces_failure(self, tmp_path):
         cfg = write_config(

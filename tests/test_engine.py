@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,8 @@ from orfkit import (
     PoleSequence,
     RankDeficiency,
     RatFun,
+    ZeroCollision,
+    ZeroOffCircle,
     blaschke_factor,
     builtin_measure,
     caratheodory_from_measure,
@@ -30,6 +33,7 @@ from orfkit import (
 )
 from orfkit import engine, ratfun
 from orfkit.engine import (
+    ParaPair,
     _circle_nodes,
     _four,
     _gram_defect,
@@ -38,6 +42,7 @@ from orfkit.engine import (
     _run_recurrence,
     determinant_residual_stack,
     interpolation_residual_stack,
+    para_zeros_stack,
     second_kind_functional_residual_stack,
     second_kind_integral_stack,
 )
@@ -305,7 +310,7 @@ class TestRecurrenceStep:
         s = worked_system
         lv = _level_zero(s.poles, 1.0)
         for n in (1, 2):
-            lv = recurrence_step(lv, s.level(n).lam, s.level(n).rho, s.poles, n, e=s.level(n).e)
+            lv = recurrence_step(lv, s.level(n).lam, s.level(n).rho, s.poles, n)
             assert sup_diff(lv.phi, s.level(n).phi) < 1e-9
             assert sup_diff(lv.psi, s.level(n).psi) < 1e-9
 
@@ -341,7 +346,7 @@ class TestRecurrenceStep:
             lv = _level_zero(arf.poles, 1.0)
             assert arf.levels[0] == lv
             for n, src in enumerate(s.levels[k + 1 :], start=1):
-                lv = recurrence_step(lv, src.lam, src.rho, arf.poles, n, e=src.e)
+                lv = recurrence_step(lv, src.lam, src.rho, arf.poles, n)
                 got = arf.levels[n]
                 for name in ("phi", "phi_star", "psi", "psi_star"):
                     assert_array_equal(_bits(getattr(got, name).numer), _bits(getattr(lv, name).numer))
@@ -353,7 +358,7 @@ class TestRecurrenceStep:
         s = synth_system
         lv = _level_zero(s.poles, 1.0)
         for n in range(1, s.n_max + 1):
-            lv = recurrence_step(lv, s.level(n).lam, s.level(n).rho, s.poles, n, e=s.level(n).e)
+            lv = recurrence_step(lv, s.level(n).lam, s.level(n).rho, s.poles, n)
         assert_allclose(lv.psi.numer, s.level(s.n_max).psi.numer, atol=1e-14)
 
 
@@ -469,7 +474,7 @@ class TestSecondKind:
         s = poisson_system
         lv = _level_zero(s.poles, s.level(0).phi.numer[0])
         for n in range(1, s.n_max + 1):
-            lv = recurrence_step(lv, s.level(n).lam, s.level(n).rho, s.poles, n, e=s.level(n).e)
+            lv = recurrence_step(lv, s.level(n).lam, s.level(n).rho, s.poles, n)
             psi = second_kind_integral_stack(s.measure, s, [n])[0]
             assert sup_diff(psi, lv.psi, 512) < 1e-8
 
@@ -528,6 +533,54 @@ class TestParaOrthogonal:
                     zs = para_zeros(para_pair(s, n, tau))
                     assert len(zs) == n
                     assert np.max(np.abs(np.abs(zs) - 1.0)) < 1e-9
+
+
+def _pair(numer):
+    """A ParaPair whose Phi (and Psi) is numer over the trivial denominator."""
+    f = RatFun(PoleSequence([0.0] * len(numer)), numer, len(numer) - 1)
+    return ParaPair(f.n, 1.0, f, f)
+
+
+# zeros 0.5 and -0.5: off the circle
+OFF_CIRCLE = [-0.25, 0.0, 1.0]
+# (z - w)^2, w = e^{0.91 pi i}: its two computed zeros lie on the circle, 8.9e-16 apart
+DOUBLE_ZERO = [0.8443279255020146 - 0.5358267949789971j, 1.920587371353886 - 0.5579822120784591j, 1.0]
+
+
+class TestParaZeroFailures:
+    @pytest.mark.parametrize(
+        "numer, error, match",
+        [
+            pytest.param(OFF_CIRCLE, ZeroOffCircle, "left the circle", id="off-circle"),
+            pytest.param(DOUBLE_ZERO, ZeroCollision, "separated by only", id="double-zero"),
+            pytest.param([0.0, 0.0, 0.0], DomainError, "zero numerator", id="zero-numerator"),
+            pytest.param([1.0, 1e-14], DomainError, "degree must be >= 1", id="degree-0"),
+        ],
+    )
+    def test_each_failure(self, numer, error, match):
+        with pytest.raises(error, match=match):
+            para_zeros(_pair(numer))
+        with pytest.raises(error, match=match):
+            para_zeros_stack([_pair([-1.0, 0.0, 1.0]), _pair(numer)])
+
+    @pytest.mark.parametrize(
+        "first, second, error",
+        [
+            (OFF_CIRCLE, DOUBLE_ZERO, ZeroOffCircle),
+            (DOUBLE_ZERO, OFF_CIRCLE, ZeroCollision),
+            ([0.0, 0.0], [1.0, 0.0], DomainError),
+        ],
+        ids=["off-circle-first", "double-zero-first", "zero-numerator-first"],
+    )
+    def test_first_failing_pair_raises(self, first, second, error):
+        with pytest.raises(error) as caught:
+            para_zeros_stack([_pair([-1.0, 0.0, 1.0]), _pair(first), _pair(second)])
+        with pytest.raises(type(caught.value), match=re.escape(str(caught.value))):
+            para_zeros(_pair(first))
+
+    def test_degenerate_numerator_raises_before_any_zeros(self):
+        with pytest.raises(DomainError, match="zero numerator"):
+            para_zeros_stack([_pair(OFF_CIRCLE), _pair([0.0, 0.0])])
 
 
 class TestDeterminant:

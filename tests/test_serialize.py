@@ -102,6 +102,10 @@ def test_reload_without_grid_uses_one_default(monkeypatch):
         pytest.param(lambda data: data["levels"][3].update(e=None), id="null-e"),
         pytest.param(lambda data: data["levels"][1].update(e="1.0"), id="string-e"),
         pytest.param(lambda data: data["levels"][2].update(e=True), id="bool-e"),
+        pytest.param(lambda data: data["levels"][2].update(e=float("nan")), id="nan-e"),
+        pytest.param(lambda data: data["levels"][2].update(e=data["levels"][2]["e"] * (1 + 1e-12)), id="wrong-e"),
+        # refused before e_n's square root runs: a RuntimeWarning there fails the test
+        pytest.param(lambda data: data["levels"][2].update({"lambda": [1.2, 0.0]}), id="lambda-outside-disk"),
         pytest.param(lambda data: data["levels"][0].update({"lambda": [0.25, 0.0]}), id="lambda-at-level-0"),
         pytest.param(lambda data: data["levels"][0].update(e=1.0), id="e-at-level-0"),
         pytest.param(lambda data: data["levels"][0].update(rho=[1.0, 0.0]), id="rho-at-level-0"),
