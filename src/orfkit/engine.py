@@ -29,7 +29,6 @@ from .measure import (
     CaratheodoryFn,
     CircleMeasure,
     _grid_memo,
-    _grid_points_size,
     boundary_grid,
     caratheodory_from_measure,
     default_grid,
@@ -261,15 +260,25 @@ def synthesize(lambdas, poles: PoleSequence, n_points=None, allow_poles_near_cir
 
 
 def _completion_grid(top: OrfLevel, n_max: int) -> int:
-    """Quadrature size resolving the rational-completion density.
-
-    That density carries 1/|phi*_m|^2, whose structure sharpens as the zeros
-    of phi_m approach the circle; the grid is sized so rho_max^N stays at
-    rounding level, where rho_max is the largest zero modulus.
-    """
-    base = default_grid(n_max)
+    """Quadrature size resolving the rational-completion density, which
+    carries 1/|phi*_m|^2: the `_modulus_grid` of phi_m's largest zero modulus."""
     c = _trimmed(top.phi.numer)
-    rho = float(np.max(np.abs(_companion_roots(c[None])))) if c.size > 1 else 0.0
+    return _modulus_grid(float(np.max(np.abs(_companion_roots(c[None])))) if c.size > 1 else 0.0, n_max)
+
+
+def fourier_grid(system: OrfSystem) -> int:
+    """The grid the Fourier tests of a ladder read: its own when it has a
+    measure, else the `_modulus_grid` of its largest pole modulus, as those
+    tests then read their lines times phi*_m, free of phi_m's zeros."""
+    if system.measure is not None:
+        return system.n_points
+    return _modulus_grid(float(np.max(np.abs(system.poles.beta[: system.n_max + 1]))), system.n_max)
+
+
+def _modulus_grid(rho: float, n_max: int) -> int:
+    """default_grid(n_max), raised so rho^N, the decay of N Fourier modes of
+    a function analytic out to |z| = 1/rho, is at rounding level; at most 32768."""
+    base = default_grid(n_max)
     if rho <= 0.5:
         return base
     needed = int(np.ceil(30.0 / -np.log(min(rho, 0.9999))))
@@ -282,14 +291,10 @@ def caratheodory_from_system(system: OrfSystem) -> CaratheodoryFn:
 
     It is holomorphic with positive real part (phi*_m is zero-free on the
     closed disk), satisfies F(beta_0) = 1, and the ladder is orthonormal
-    with respect to it through level m. Its values on the points of a
-    `boundary_grid(N)` are computed once and kept: each associated density
-    reads them.
+    with respect to it through level m.
     """
     top = system.level(system.n_max)
-    F = ratio_caratheodory(lambda z: evaluate_stack((top.psi_star, top.phi_star), z), system.poles.beta[0])
-    F.evaluator = _grid_memo(F.evaluator, _grid_points_size)
-    return F
+    return ratio_caratheodory(lambda z: evaluate_stack((top.psi_star, top.phi_star), z), system.poles.beta[0])
 
 
 def measure_from_system(system: OrfSystem) -> CircleMeasure:
@@ -317,49 +322,83 @@ def _circle_nodes(count: int, n_points: int) -> np.ndarray:
     return np.exp(1j * (2.0 * np.pi * np.arange(count) / count + np.pi / n_points))
 
 
-def _herglotz_sums(kp, w, nodes, rows):
-    """Sums over the grid t = e^{2 pi i j / N}, N = w.size, of D(t, z) h w at
-    the nodes z and of h w, for each row h of rows(block) (its values on
-    t[block]) and the constant 1 as the last row. One kernel and one rows
-    call per _BLOCK_POINTS points, not more, as the kernel at the nodes sits
-    beside the rows: no table of either on the whole grid is held."""
-    _, t = boundary_grid(w.size)
+@dataclass(frozen=True)
+class Quadrature:
+    """The rule sum_j weights_j f(nodes_j) of a measure on the circle. Herglotz
+    means are read off the nodes: at equispaced points of |z| = radius turned
+    by phase, or at the six points of |z| = 1 in circle."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    radius: float
+    phase: float
+    circle: np.ndarray
+
+
+def grid_quadrature(mu: CircleMeasure, n_points: int) -> Quadrature:
+    """mu's uniform rule on t_j = e^{2 pi i j / N}, weights w(theta_j)/N, read half a step off its nodes."""
+    theta, t = boundary_grid(n_points)
+    return Quadrature(t, mu.weight(theta) / n_points, 1.0, np.pi / n_points, _circle_nodes(6, n_points))
+
+
+def szego_rule(system: OrfSystem) -> Quadrature:
+    """The rational Szegő rule of a ladder's rational completion measure: the
+    ladder continued with lambda = 0 at beta_{m+1} = 0 stays orthonormal, and
+    the para zeros (tau = 1) of level m + 1 with weights 1/sum_{k<=m} |phi_k|^2
+    integrate L_m L_{m*} exactly (Bultheel et al. 1999, ch. 5). It is read on
+    |z| = r = 2^(-1/(m+1)), where r^(-m) <= 2, and midway between nodes."""
+    m = system.n_max
+    poles = PoleSequence(np.concatenate([system.poles.beta[: m + 1], [0.0]]))
+    levels = [*system.levels, recurrence_step(system.level(m), 0.0, 1.0, poles, m + 1)]
+    ext = OrfSystem(poles, levels, system.source, caratheodory=system.caratheodory, n_points=system.n_points)
+    nodes = para_zeros(para_pair(ext, m + 1, 1.0))
+    weights = 1.0 / np.sum(np.abs(evaluate_stack([lv.phi for lv in system.levels], nodes)) ** 2, axis=0)
+    # the circle points: the midpoint of the gap between nodes that each angle 2 pi k / 6 falls in
+    ang = np.sort(np.angle(nodes) % (2.0 * np.pi))
+    ring = np.concatenate([ang[-1:] - 2.0 * np.pi, ang, ang[:1] + 2.0 * np.pi])
+    at = np.searchsorted(ang, np.pi * np.arange(6) / 3)
+    return Quadrature(nodes, weights, 2.0 ** (-1.0 / (m + 1)), 0.0, np.exp(0.5j * (ring[at] + ring[at + 1])))
+
+
+def _herglotz_sums(kp, quad: Quadrature, zs, rows):
+    """Sums over the rule of D(t, z) h(t) w at the points zs and of h(t) w,
+    for each row h of rows(t) (its values at nodes t) and the constant 1 as
+    the last row, one _BLOCK_POINTS block of nodes per kernel and rows call."""
     d_hw = h_w = 0.0
-    for block in (slice(lo, lo + _BLOCK_POINTS) for lo in range(0, w.size, _BLOCK_POINTS)):
-        h = rows(block)
-        hw = np.concatenate([h, np.ones((1, h.shape[1]))]) * w[block]
-        d_hw = d_hw + hw @ herglotz_kernel(kp, t[None, block], nodes[:, None]).T
+    for lo in range(0, quad.nodes.size, _BLOCK_POINTS):
+        t, w = quad.nodes[lo : lo + _BLOCK_POINTS], quad.weights[lo : lo + _BLOCK_POINTS]
+        h = rows(t)
+        hw = np.concatenate([h, np.ones((1, h.shape[1]))]) * w
+        d_hw = d_hw + hw @ herglotz_kernel(kp, t[None], zs[:, None]).T
         h_w = h_w + hw.sum(axis=1)
     return d_hw, h_w
 
 
-def second_kind_integral_stack(mu: CircleMeasure, system: OrfSystem, levels) -> list:
+def second_kind_integral_stack(quad: Quadrature, system: OrfSystem, levels) -> list:
     """Second-kind functions of the levels, in order, straight from their
-    defining quadrature against mu on the grid t = e^{2 pi i j / N}:
-    psi_n(z) = mean_t D(t, z) (phi_n(t) - phi_n(z)) w(t) + mean_t phi_n(t) w(t),
-    D the Riesz-Herglotz kernel.
+    defining quadrature on the rule quad, D the Riesz-Herglotz kernel:
+    psi_n(z) = sum_t D(t, z) (phi_n(t) - phi_n(z)) w(t) + sum_t phi_n(t) w(t).
 
-    Every level is taken at the same nodes z_k = e^{i delta} omega^k,
+    Every level is taken at the same points z_k = r e^{i delta} omega^k,
     omega = e^{2 pi i/M}, M the smallest power of two above the highest
-    level, on |z| = 1, where the trapezoidal rule still converges
-    geometrically. With delta = pi / N each node sits midway between two
-    grid points (an M that does not divide N brings nodes within 1/(2M) of
-    a step of one, where D loses digits). The means come from one
-    _herglotz_sums pass over the phi_n. psi_n pi_n takes the values
-    sum_j c_j e^{i j delta} omega^{jk} at the nodes, so one M-point FFT
-    gives c_0..c_n once the phase e^{i j delta} is removed.
+    level, r and delta the rule's radius and phase: on a grid of N points
+    r = 1 and delta = pi / N, midway between two grid points. The means come
+    from one _herglotz_sums pass over the phi_n. psi_n pi_n takes the values
+    sum_j c_j r^j e^{i j delta} omega^{jk} there, so one M-point FFT gives
+    c_0..c_n once r^j e^{i j delta} is divided out.
     """
     levels = list(levels)
     if not levels:
         return []
-    poles, n_points = system.poles, system.n_points
+    poles = system.poles
     phis = [system.level(n).phi for n in levels]
-    nodes = _circle_nodes(1 << max(levels).bit_length(), n_points)
-    theta, t = boundary_grid(n_points)
-    d_fw, f_w = _herglotz_sums(system.kernel, mu.weight(theta), nodes, lambda block: evaluate_stack(phis, t[block]))
-    values = (d_fw[:-1] - evaluate_stack(phis, nodes) * d_fw[-1] + f_w[:-1, None]) / n_points
-    values *= np.array([poles.pi(n, nodes) for n in levels])
-    coeffs = np.fft.fft(values, axis=1) / nodes.size * np.exp(-1j * np.pi / n_points * np.arange(nodes.size))
+    count = 1 << max(levels).bit_length()
+    j = np.arange(count)
+    zs = quad.radius * np.exp(1j * (2.0 * np.pi * j / count + quad.phase))
+    d_fw, f_w = _herglotz_sums(system.kernel, quad, zs, lambda t: evaluate_stack(phis, t))
+    values = d_fw[:-1] - evaluate_stack(phis, zs) * d_fw[-1] + f_w[:-1, None]
+    values *= np.array([poles.pi(n, zs) for n in levels])
+    coeffs = np.fft.fft(values, axis=1) / count * (np.exp(-1j * quad.phase * j) / quad.radius**j)
     return [RatFun(poles, coeffs[i, : n + 1], n) for i, n in enumerate(levels)]
 
 
@@ -393,10 +432,9 @@ def gram_schmidt_orf(
     n_points = n_points or default_grid(n_max)
     if n_max >= n_points:
         raise RankDeficiency(f"basis numerically dependent at level {n_points}")
-    theta, t = boundary_grid(n_points)
-    w = mu.weight(theta)
+    quad = grid_quadrature(mu, n_points)
 
-    r = np.linalg.qr(_basis(poles, n_max, t) * np.sqrt(w / n_points)[:, None], mode="r")
+    r = np.linalg.qr(_basis(poles, n_max, quad.nodes) * np.sqrt(quad.weights)[:, None], mode="r")
     diag = np.diagonal(r)
     small = np.flatnonzero(~(np.abs(diag) > 1e-10))
     if small.size:
@@ -411,26 +449,20 @@ def gram_schmidt_orf(
     params = ((lam, rho) for lam, _, rho in fitted)
     levels = _run_recurrence(poles, _level_zero(poles, coef[0, 0]), params)
 
-    defect = _gram_defect([lv.phi for lv in levels], w)
+    defect = _gram_defect([lv.phi for lv in levels], quad)
     if defect > TOL_ORTHO:
         raise NumericalFailure(f"Gram matrix deviates from identity by {defect:.2e}")
     return OrfSystem(poles, levels, source="measure", measure=mu, n_points=n_points)
 
 
-def _gram_defect(funcs, w) -> float:
+def _gram_defect(funcs, quad: Quadrature) -> float:
     """Sup deviation from the identity of the Gram matrix of the RatFuns
-    funcs under the boundary weight w, sampled on the grid 2 pi j / N,
-    N = w.size (uniform-grid quadrature).
-
-    The functions are evaluated and the matrix summed one block of the
-    grid at a time, so their samples take a block's worth of memory, not
-    the grid's.
-    """
-    _, t = boundary_grid(w.size)
+    funcs on the rule quad, summed one block of nodes at a time: their
+    samples take a block's worth of memory, not a whole grid's."""
     gram = 0.0
-    for block, v in _evaluate_blocks(funcs, t):
-        gram = gram + (v * w[block]) @ v.conj().T
-    return float(np.max(np.abs(gram / w.size - np.eye(len(funcs)))))
+    for block, v in _evaluate_blocks(funcs, quad.nodes):
+        gram = gram + (v * quad.weights[block]) @ v.conj().T
+    return float(np.max(np.abs(gram - np.eye(len(funcs)))))
 
 
 def zeros_factor(poles: PoleSequence, m: int, z):
@@ -602,21 +634,24 @@ def interpolation_residual_stack(system: OrfSystem, F: CaratheodoryFn, levels):
     F, as arrays (residual, witness), one entry per level, in order.
 
     phi_n F + psi_n must vanish at beta_0..beta_{n-1} and phi_n^* F - psi_n^*
-    at beta_0..beta_n, each to every pole's multiplicity. On the grid
-    2 pi j / N of the system the zeros factors zeta_0 B_{n-1} and zeta_0 B_n
-    are unimodular, so the cofactors are the lines times their conjugates:
-    g_n = (phi_n F + psi_n) conj(zeta_0 B_{n-1}) and, as f^* = B_n conj(f)
-    there, conj(zeta_0) (conj(phi_n) F - conj(psi_n)). The residual is the
+    at beta_0..beta_n, each to every pole's multiplicity; both are read
+    times bot, F = top/bot (`CaratheodoryFn.terms`), bot zero-free in the
+    closed disk. On the `fourier_grid` 2 pi j / N the zeros factors
+    zeta_0 B_{n-1} and zeta_0 B_n are unimodular, so the cofactors are the
+    lines times their conjugates: g_n = (phi_n top + psi_n bot)
+    conj(zeta_0 B_{n-1}) and, as f^* = B_n conj(f) there,
+    conj(zeta_0) (conj(phi_n) top - conj(psi_n) bot). The residual is the
     largest negative Fourier mode of either over max |g_n|; the second line
     is identically 0 at the top level of a lambda ladder, so its own
-    maximum would be rounding noise. The witness is _zero_free(g_n).
-    F(t) and conj(zeta_0 B_{n-1}) are held on the whole grid, the latter
-    growing one factor per level, and the two lines of one level; phi_n
-    and psi_n are evaluated, and the lines formed, one block at a time.
+    maximum would be rounding noise. The witness is _zero_free(g_n / bot),
+    as the spread of |bot| is no property of g_n. top, bot and
+    conj(zeta_0 B_{n-1}) are held on the whole grid, the last growing one
+    factor per level; phi_n and psi_n are evaluated, and the lines formed,
+    one block at a time.
     """
     levels = list(levels)
-    _, t = boundary_grid(system.n_points)
-    f_t = np.asarray(F(t))
+    _, t = boundary_grid(fourier_grid(system))
+    top, bot = F.terms(t)
     conj_zeta0 = np.conj(system.kernel.zeta0(t))
     out = {}
     conj_zeros = np.ones_like(t)
@@ -629,11 +664,11 @@ def interpolation_residual_stack(system: OrfSystem, F: CaratheodoryFn, levels):
         if m in levels:
             lv = system.level(m)
             for block, (phi, psi) in _evaluate_blocks((lv.phi, lv.psi), t):
-                f = f_t[block]
-                lines[0, block] = (phi * f + psi) * conj_zeros[block]
-                lines[1, block] = conj_zeta0[block] * (np.conj(phi) * f - np.conj(psi))
+                f, g = top[block], bot[block]
+                lines[0, block] = (phi * f + psi * g) * conj_zeros[block]
+                lines[1, block] = conj_zeta0[block] * (np.conj(phi) * f - np.conj(psi) * g)
             scale = float(np.max(np.abs(lines[0])))
-            out[m] = np.max(_negative_modes(lines, scale)), _zero_free(lines[0])
+            out[m] = np.max(_negative_modes(lines, scale)), _zero_free(lines[0] / bot)
     resid, witness = np.array([out[n] for n in levels], dtype=float).T
     return resid, witness
 
@@ -642,20 +677,19 @@ def _four(lv: OrfLevel):
     return lv.phi, lv.phi_star, lv.psi, lv.psi_star
 
 
-def second_kind_functional_residual_stack(system: OrfSystem, mu: CircleMeasure, levels, seed: int = 0):
+def second_kind_functional_residual_stack(system: OrfSystem, quad: Quadrature, levels, seed: int = 0):
     """Residuals of the extended functional identities relating phi_n, psi_n
-    through the kernel, one per level, as an array: each tests a random
-    multiplier f in L_{(n-1)*} and g in zeta_{n*} L_{(n-1)*}, relative sup
-    over six points of the circle. There a substar h_*(t) is conj(h(t)),
-    and g enters divided by zeta_n. phi_n f_* and phi_n^* g_*/zeta_n of
-    every level go through one _herglotz_sums pass, which evaluates them
-    one grid block at a time.
+    through the kernel on the rule quad, one per level, as an array: each
+    tests a random multiplier f in L_{(n-1)*} and g in zeta_{n*} L_{(n-1)*},
+    relative sup over the rule's six circle points. There a substar h_*(t)
+    is conj(h(t)), and g enters divided by zeta_n. phi_n f_* and
+    phi_n^* g_*/zeta_n of every level go through one _herglotz_sums pass,
+    which evaluates them one block of nodes at a time.
     """
     levels = list(levels)
-    poles, n_points = system.poles, system.n_points
-    theta, t = boundary_grid(n_points)
-    # on the circle h_* is as tame as h, and off the grid the means never meet 0/0
-    zs = _circle_nodes(6, n_points)
+    poles = system.poles
+    # on the circle h_* is as tame as h, and off the nodes the means never meet 0/0
+    zs = quad.circle
     # the coefficients of f, g of each level: points of the unit disk, drawn
     # from a generator seeded afresh per level
     mults = []
@@ -675,14 +709,14 @@ def second_kind_functional_residual_stack(system: OrfSystem, mu: CircleMeasure, 
     fg_z = multipliers(zs)
     h_z = (at_zs[:, :2] * fg_z).reshape(-1, zs.size)
 
-    def rows(block):
-        return evaluate_stack(phis, t[block]) * multipliers(t[block]).reshape(len(phis), -1)
+    def rows(t):
+        return evaluate_stack(phis, t) * multipliers(t).reshape(len(phis), -1)
 
-    d_hw, h_w = _herglotz_sums(system.kernel, mu.weight(theta), zs, rows)
-    herglotz = (d_hw[:-1] - h_z * d_hw[-1]).reshape(-1, 2, zs.size) / n_points
+    d_hw, h_w = _herglotz_sums(system.kernel, quad, zs, rows)
+    herglotz = (d_hw[:-1] - h_z * d_hw[-1]).reshape(-1, 2, zs.size)
     # the mean enters the f line with +, the g line with -, as does psi
     sign = np.array([1.0, -1.0])[:, None]
-    lhs = herglotz + sign * h_w[:-1].reshape(-1, 2, 1) / n_points
+    lhs = herglotz + sign * h_w[:-1].reshape(-1, 2, 1)
     rhs = sign * at_zs[:, 2:] * fg_z
     res = np.max(np.abs(lhs - rhs), axis=2) / np.maximum(np.max(np.abs(rhs), axis=2), 1e-30)
     return np.max(res, axis=1)

@@ -248,20 +248,27 @@ class CaratheodoryFn:
     F(beta0) = 1 when the builder checked it, else None.
     """
 
-    __slots__ = ("evaluator", "beta0", "anchor_residual")
+    __slots__ = ("evaluator", "beta0", "anchor_residual", "_terms")
 
-    def __init__(self, evaluator, beta0):
+    def __init__(self, evaluator, beta0, terms=None):
         beta0 = complex(beta0)
         if not abs(beta0) < 1.0:
             raise DomainError("|beta_0| < 1 required")
         self.evaluator = evaluator
         self.beta0 = beta0
         self.anchor_residual = None
+        self._terms = terms
 
     def __call__(self, z):
         out = self.evaluator(np.asarray(z, dtype=complex))
         out = np.asarray(out)
         return out if out.ndim else complex(out)
+
+    def terms(self, z):
+        """(top, bot) at z, F = top/bot: a ratio's own terms, else F over a read-only 1."""
+        if self._terms is None:
+            return np.asarray(self(z)), np.broadcast_to(1.0, np.shape(z))
+        return self._terms(np.asarray(z, dtype=complex))
 
 
 def _moment_series(mu, beta0, n_points):
@@ -353,4 +360,4 @@ def ratio_caratheodory(terms, beta0) -> CaratheodoryFn:
             raise DenominatorVanishes("ratio C-function hit a zero of its denominator")
         return top / bot
 
-    return CaratheodoryFn(ev, beta0)
+    return CaratheodoryFn(ev, beta0, terms)

@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from .engine import OrfLevel, OrfSystem, _orthonormal_e
-from .errors import DomainError
+from .errors import DomainError, NumericalFailure
 from .measure import _check_grid
 from .ratfun import PoleSequence, RatFun
 
@@ -121,7 +121,8 @@ _NUMBERS = {float, int}
 
 
 def dumps(obj) -> str:
-    """json.dumps(obj, indent=1), byte for byte.
+    """json.dumps(obj, indent=1), byte for byte, or NumericalFailure for an
+    object holding a float JSON has no number for (NaN, +-inf).
 
     Python's indented encoder formats one value at a time. A dict entry that
     is a list of 16 or more plain numbers (a density table) is instead
@@ -142,20 +143,25 @@ def dumps(obj) -> str:
             return f"{_TABLE}{len(tables) - 1}@"
         return value
 
+    def text(value, **kw):
+        try:
+            return json.dumps(value, allow_nan=False, **kw)
+        except ValueError as exc:
+            raise NumericalFailure(f"artifact not written: {exc}") from exc
+
     stripped = strip(obj, 0)
     if not tables:
-        return json.dumps(obj, indent=1)
-    text = json.dumps(stripped, indent=1)
-    pieces = text.split('"' + _TABLE)
+        return text(obj, indent=1)
+    pieces = text(stripped, indent=1).split('"' + _TABLE)
     if len(pieces) != len(tables) + 1:
         # a string of the object itself looks like a marker
-        return json.dumps(obj, indent=1)
+        return text(obj, indent=1)
     out = [pieces[0]]
     for piece in pieces[1:]:
         index, rest = piece.split('@"', 1)
         values, depth = tables[int(index)]
         inner = "\n" + " " * (depth + 1)
-        out += ["[", inner, json.dumps(values)[1:-1].replace(", ", "," + inner), "\n", " " * depth, "]", rest]
+        out += ["[", inner, text(values)[1:-1].replace(", ", "," + inner), "\n", " " * depth, "]", rest]
     return "".join(out)
 
 
@@ -184,7 +190,11 @@ def write_json_atomic(path, obj: dict):
 
 def write_csv_atomic(path, header, rows):
     """CSV of a 2-D float array with 17-significant-digit decimals (lossless
-    for doubles), the whole body from one %-format."""
+    for doubles), the whole body from one %-format; NumericalFailure, and
+    no file, for a value that is not finite."""
+    values = np.asarray(rows, dtype=float)
+    if not np.isfinite(values).all():
+        raise NumericalFailure("artifact not written: a table value is not finite")
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
-    body = (row_format * len(rows)) % tuple(np.asarray(rows, dtype=float).ravel().tolist())
+    body = (row_format * len(rows)) % tuple(values.ravel().tolist())
     _write_atomic(path, [",".join(header) + "\n", body])

@@ -40,6 +40,7 @@ from .engine import (
     _negative_modes,
     _run_recurrence,
     _zero_free,
+    fourier_grid,
     para_pair,
     zeros_factor,
 )
@@ -157,12 +158,14 @@ def check_quad(
     beta_0..beta_{N-1}, and on the grid 2 pi j / n_points the vanishing of
     A - B F at those points with a zero-free cofactor g, and the
     determinant condition that A D - B C vanishes there and at
-    btilde_0..btilde_{r-1}, with a zero-free cofactor f. The zeros factors
-    are unimodular on the grid, so each cofactor is the line times their
-    conjugate: it must have no negative Fourier modes (a3, a42, at most
-    VANISH_TOL) and no zero in the closed disk (a33, a42_f, above
-    _ZERO_FREE_MIN). F(t) and the zeros factors are held on the whole grid;
-    A, B, C and D are evaluated one block of it at a time into the two lines.
+    btilde_0..btilde_{r-1}, with a zero-free cofactor f. The first line is
+    read times bot, as A bot - B top, F = top/bot (`CaratheodoryFn.terms`),
+    and its witness over bot. The zeros factors are unimodular on the grid,
+    so each cofactor is the line times their conjugate: it must have no
+    negative Fourier modes (a3, a42, at most VANISH_TOL) and no zero in the
+    closed disk (a33, a42_f, above _ZERO_FREE_MIN). top, bot and the zeros
+    factors are held on the whole grid; A, B, C and D are evaluated one
+    block of it at a time into the two lines.
     """
     N, r = quad.N, quad.r
     tau = quad.tau_A
@@ -175,7 +178,7 @@ def check_quad(
         a1 = max(a1, float(np.abs(superstar(f).numer - sign * tau * f.numer).max()) / scale)
 
     _, t = boundary_grid(n_points)
-    f_t = np.asarray(F(t))
+    top, bot = F.terms(t)
     conj_zeros = np.conj(zeros_factor(base_poles, N, t))
     conj_tilde = np.conj(zeros_factor(quad.tilde_poles, r, t))
     lines = np.empty((2, t.size), dtype=complex)
@@ -183,7 +186,7 @@ def check_quad(
     funcs = (quad.A, quad.B, quad.C, quad.D)
     for block, (a, b, c, d) in _evaluate_blocks(funcs, t):
         b_max = max(b_max, float(np.max(np.abs(b))))
-        lines[0, block] = (a - b * f_t[block]) * conj_zeros[block]
+        lines[0, block] = (a * bot[block] - b * top[block]) * conj_zeros[block]
         lines[1, block] = (a * d - b * c) * conj_zeros[block] * conj_tilde[block]
     if N > 0:
         b_zeros = np.abs(quad.B(base_poles.beta[:N]))
@@ -192,7 +195,7 @@ def check_quad(
         a2_min = np.inf
 
     a3_max, a42_max = _negative_modes(lines, np.max(np.abs(lines), axis=1)).tolist()
-    a33_min, a42_f_min = (_zero_free(line) for line in lines)
+    a33_min, a42_f_min = _zero_free(lines[0] / bot), _zero_free(lines[1])
 
     passed = bool(
         a1 <= QUAD_TOL
@@ -348,7 +351,8 @@ def anchor_residual(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> float:
 def arf_quad(system: OrfSystem, k: int) -> SelfReciprocalQuad:
     """Quad generating the order-k associated ladder: built from the level-k
     para-orthogonal pairs at tau = -1 and tau = +1, with signature 1 and the
-    single tilde point beta_k. The condition check runs by construction."""
+    single tilde point beta_k. The condition check runs by construction,
+    on the ladder's `fourier_grid`."""
     if not 0 <= k <= system.n_max:
         raise DomainError("arf order k must satisfy 0 <= k <= n_max")
     pp1 = para_pair(system, k, 1.0)
@@ -363,7 +367,7 @@ def arf_quad(system: OrfSystem, k: int) -> SelfReciprocalQuad:
         r=0,
         tilde_poles=PoleSequence([system.poles.beta[k]]),
     )
-    report = check_quad(quad, system.caratheodory, system.poles, system.n_points)
+    report = check_quad(quad, system.caratheodory, system.poles, fourier_grid(system))
     if not report.passed:
         raise NumericalFailure(f"associated quad failed its own condition check: {report}")
     return replace(quad, report=report)

@@ -24,6 +24,7 @@ from .engine import (
     _parameters,
     _run_recurrence,
     determinant_residual_stack,
+    grid_quadrature,
     identity_residual_stack,
     interpolation_residual_stack,
     measure_from_system,
@@ -31,6 +32,7 @@ from .engine import (
     para_zeros_stack,
     second_kind_functional_residual_stack,
     second_kind_integral_stack,
+    szego_rule,
 )
 from .errors import OrfkitError
 from .measure import boundary_grid, weight_from_caratheodory
@@ -64,27 +66,40 @@ CHECK_NAMES = tuple(DEFAULT_TOLERANCES)
 
 @dataclass
 class VerifyContext:
-    """Everything a check needs: the system, its measure and C-function, its
-    associated ladders, and the seed of the sampled checks. positivity,
-    roundtrip_lambda (with seed + 1) and multiplier_identities draw their
-    samples through ratfun._disk_sample, from the stdlib generator
-    random.Random. The measure and each associated ladder are built once
-    per context."""
+    """Everything a check needs: the system, its measure, quadrature and
+    C-function, its associated ladders and their rules, and the seed of the
+    sampled checks. positivity, roundtrip_lambda (with seed + 1) and
+    multiplier_identities draw their samples through ratfun._disk_sample,
+    from the stdlib generator random.Random. Each is built once per context."""
 
     system: OrfSystem
     seed: int
     tolerances: dict
     arfs: dict = field(default_factory=dict, init=False, repr=False)
+    rules: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def measure(self):
         return self.system.measure or measure_from_system(self.system)
+
+    @cached_property
+    def quadrature(self):
+        """What the Gram and Herglotz checks sum on: the measure's grid, or
+        without a measure the ladder's own rule."""
+        s = self.system
+        return self.rule(0) if s.measure is None else grid_quadrature(s.measure, s.n_points)
 
     def arf(self, k):
         """The order-k associated ladder of the system."""
         if k not in self.arfs:
             self.arfs[k] = arf_recurrence(self.system, k)
         return self.arfs[k]
+
+    def rule(self, k):
+        """The Szegő rule of the order-k associated ladder (k = 0: the system)."""
+        if k not in self.rules:
+            self.rules[k] = szego_rule(self.arf(k).system)
+        return self.rules[k]
 
     @property
     def F(self):
@@ -94,10 +109,6 @@ class VerifyContext:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
 
-def _sampled_gram_defect(system, mu, n_points):
-    return _gram_defect([lv.phi for lv in system.levels], mu.weight(boundary_grid(n_points)[0]))
-
-
 def _ladder_fits(poles, levels):
     """_fit_ladder of every level, from one evaluation of phi_n and phi_n^* at the fit points."""
     funcs = [lv.phi for lv in levels] + [lv.phi_star for lv in levels]
@@ -105,7 +116,7 @@ def _ladder_fits(poles, levels):
 
 
 def check_orthonormality(ctx):
-    return _sampled_gram_defect(ctx.system, ctx.measure, ctx.system.n_points)
+    return _gram_defect([lv.phi for lv in ctx.system.levels], ctx.quadrature)
 
 
 def check_recurrence_fit(ctx):
@@ -130,7 +141,7 @@ def check_second_kind(ctx):
     s = ctx.system
     _, t = boundary_grid(512)
     # one quadrature for every level; the comparison is one evaluation
-    integral = second_kind_integral_stack(ctx.measure, s, range(s.n_max + 1))
+    integral = second_kind_integral_stack(ctx.quadrature, s, range(s.n_max + 1))
     psi_int, psi_rec = np.split(evaluate_stack(integral + [lv.psi for lv in s.levels], t), 2)
     return float(np.max(np.abs(psi_int - psi_rec)))
 
@@ -144,7 +155,7 @@ def check_interpolation(ctx):
 def check_multiplier_identities(ctx):
     s = ctx.system
     levels = range(s.n_max + 1)
-    return float(np.max(second_kind_functional_residual_stack(s, ctx.measure, levels, seed=ctx.seed)))
+    return float(np.max(second_kind_functional_residual_stack(s, ctx.quadrature, levels, seed=ctx.seed)))
 
 
 def check_arf_consistency(ctx):
@@ -155,11 +166,24 @@ def check_arf_consistency(ctx):
     return worst
 
 
+def _caratheodory_gap(arf):
+    """Relative sup gap between F_k and the order's own psi*_(k)/phi*_(k) on
+    512 circle points, which bounds it in the disk (maximum principle)."""
+    _, t = boundary_grid(512)
+    own = np.asarray(arf.system.caratheodory(t))
+    return float(np.max(np.abs(np.asarray(arf.F_k(t)) - own)) / np.max(np.abs(own)))
+
+
 def check_arf_orthogonality(ctx):
-    worst = 0.0
+    # with a measure, each order against the samples of its density mu_k;
+    # without one, at the order's own rule, whose measure is mu_k when F_k
+    # equals that order's own psi*_(k)/phi*_(k)
+    worst, rational = 0.0, ctx.system.measure is None
     for k in range(min(2, ctx.system.n_max) + 1):
         arf = ctx.arf(k)
-        worst = max(worst, _sampled_gram_defect(arf.system, arf.mu_k, arf.mu_k.params["w"].size))
+        quad = ctx.rule(k) if rational else grid_quadrature(arf.mu_k, arf.mu_k.params["w"].size)
+        gap = _caratheodory_gap(arf) if rational else 0.0
+        worst = max(worst, _gram_defect([lv.phi for lv in arf.system.levels], quad), gap)
     return worst
 
 

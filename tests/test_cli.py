@@ -338,6 +338,15 @@ class TestArfCommand:
         cfg = write_config(tmp_path, WORKED)
         assert main(["arf", "--config", cfg, "--order", "5", "--out", str(tmp_path)]) == 2
 
+    def test_non_finite_density_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a NaN in the order-k density is a numerical failure, and no
+        # artifact holds it
+        monkeypatch.setattr(cli.serialize, "arf_to_dict", lambda arf: {"w": [1.0, float("nan")]})
+        cfg = write_config(tmp_path, WORKED)
+        assert main(["arf", "--config", cfg, "--order", "1", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: NumericalFailure: artifact not written")
+        assert not (tmp_path / "arf_1.json").exists()
+
     def test_routes_that_disagree_exit_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "arf_discrepancy", lambda arf: 1e-7)
         cfg = write_config(tmp_path, WORKED)
@@ -383,6 +392,38 @@ def test_artifact_bytes_are_pinned(tmp_path, name):
     assert main(["arf", "--config", cfg, "--order", "1", "--out", str(tmp_path)]) == 0
     digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in PINNED_DIGESTS[name]}
     assert digests == PINNED_DIGESTS[name]
+
+
+# sha256 of verify.json of two measure configs, recorded as above: a
+# measure ladder's checks sum on its grid, and their residuals keep their bits
+_THETA = 2.0 * np.pi * np.arange(256) / 256
+PINNED_VERIFY = {
+    "poisson-n5": (
+        {
+            "poles": [[0.2, -0.1], [0.45, 0.3], [-0.6, 0.15], [0.05, 0.55], [-0.25, -0.5], [0.6, -0.2]],
+            "measure": {"type": "poisson", "alpha": [0.3, -0.2]},
+            "n_max": 5,
+        },
+        "083f8d837eea99c42be15481758a820afd6a223568d63a2f5bf4e0570348269a",
+    ),
+    "samples-n4-grid2048": (
+        {
+            "poles": [[0.0, 0.0], [0.4, 0.2], [-0.3, 0.5], [0.1, -0.6], [-0.5, -0.1]],
+            "measure": {"type": "samples", "theta": _THETA.tolist(), "w": np.exp(np.cos(_THETA)).tolist()},
+            "n_max": 4,
+            "grid": 2048,
+        },
+        "a48e35b5851a6c22f96eb435f16e2d8caaf2e50d2fe3cb787d79a6423f4d9e43",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_VERIFY))
+def test_measure_verify_bytes_are_pinned(tmp_path, name):
+    config, digest = PINNED_VERIFY[name]
+    cfg = write_config(tmp_path, config)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest() == digest
 
 
 COMMANDS = [["synth"], ["arf", "--order", "1"], ["verify"]]

@@ -41,10 +41,12 @@ from orfkit.engine import (
     _parameters,
     _run_recurrence,
     determinant_residual_stack,
+    grid_quadrature,
     interpolation_residual_stack,
     para_zeros_stack,
     second_kind_functional_residual_stack,
     second_kind_integral_stack,
+    szego_rule,
 )
 from orfkit.measure import boundary_grid, default_grid
 from orfkit.transforms import arf_quad, arf_recurrence
@@ -60,6 +62,11 @@ def _with_level(s, n, **changes):
     levels = list(s.levels)
     levels[n] = dataclasses.replace(levels[n], **changes)
     return OrfSystem(s.poles, levels, s.source, s.measure, s.caratheodory, s.n_points)
+
+
+def _grid(s):
+    """The uniform rule of a measure ladder's own measure on its own grid."""
+    return grid_quadrature(s.measure, s.n_points)
 
 
 def disk_poles(seed, count, beta0, cap=0.7):
@@ -160,7 +167,8 @@ class TestGramSchmidt:
         # entry of the blocked matrix product is compared with its loop value
         rng = np.random.default_rng(4)
         theta, t = boundary_grid(n_points)
-        w = builtin_measure("poisson", alpha=0.3 + 0.2j).weight(theta)
+        mu = builtin_measure("poisson", alpha=0.3 + 0.2j)
+        w = mu.weight(theta)
         poles = PoleSequence(np.zeros(5))
         funcs = [RatFun(poles, rng.standard_normal(k + 1)) for k in range(5)]
         for scale in np.eye(5):
@@ -170,7 +178,7 @@ class TestGramSchmidt:
                 for i, fi in enumerate(scaled)
                 for j, fj in enumerate(scaled)
             )
-            assert_allclose(_gram_defect(scaled, w), expected, rtol=1e-12)
+            assert_allclose(_gram_defect(scaled, grid_quadrature(mu, n_points)), expected, rtol=1e-12)
 
     def test_blocks_count_rows_from_the_functions(self, synth_system):
         # at N = 8192 the reader's blocks of a quad's four functions, of a
@@ -447,7 +455,7 @@ class TestExtraction:
 
 class TestSecondKind:
     def test_level_zero_is_phi(self, poisson_system):
-        psi = second_kind_integral_stack(poisson_system.measure, poisson_system, [0])[0]
+        psi = second_kind_integral_stack(_grid(poisson_system), poisson_system, [0])[0]
         assert_allclose(psi.numer, poisson_system.level(0).phi.numer, atol=1e-13)
 
     def test_nodes_off_the_grid(self):
@@ -467,7 +475,7 @@ class TestSecondKind:
         nodes = _circle_nodes(5, s.n_points)
         zt = kp.zeta0(t)
         ref = [((zt + kp.zeta0(z)) / (zt - kp.zeta0(z)) * (phi(t) - phi(z)) * w).mean() for z in nodes]
-        psi = second_kind_integral_stack(s.measure, s, [4])[0]
+        psi = second_kind_integral_stack(_grid(s), s, [4])[0]
         assert_allclose(psi(nodes), np.array(ref) + (phi(t) * w).mean(), rtol=1e-12)
 
     def test_integral_matches_recurrence(self, poisson_system):
@@ -475,7 +483,7 @@ class TestSecondKind:
         lv = _level_zero(s.poles, s.level(0).phi.numer[0])
         for n in range(1, s.n_max + 1):
             lv = recurrence_step(lv, s.level(n).lam, s.level(n).rho, s.poles, n)
-            psi = second_kind_integral_stack(s.measure, s, [n])[0]
+            psi = second_kind_integral_stack(_grid(s), s, [n])[0]
             assert sup_diff(psi, lv.psi, 512) < 1e-8
 
     def test_full_degree(self, poisson_system):
@@ -649,6 +657,15 @@ class TestInterpolation:
         assert not report["interpolation"]["pass"]
         assert report["interpolation"]["residual"] > 1e-9
 
+    def test_perturbed_level_fails_on_a_lambda_ladder(self, synth_system):
+        # the lines are read times phi*_m on the grid the poles ask for, and
+        # a relative 1e-7 in phi_3 still reads 2e-8
+        s = synth_system
+        wrong = _with_level(s, 3, phi=(1 + 1e-7) * s.level(3).phi)
+        report = run_verification(VerifyContext(wrong, seed=0, tolerances={}), ["interpolation"])
+        assert not report["interpolation"]["pass"]
+        assert report["interpolation"]["residual"] > 1e-9
+
     def test_repeated_pole_multiplicity(self):
         # beta_2 = beta_0 = 0 doubles the zero of the starred line at 0:
         # value and first derivative both vanish there
@@ -667,23 +684,76 @@ class TestInterpolation:
         assert abs(g(0.5)) < 1e-12
 
 
+def _lambda_ladder(n, seed, lcap):
+    rng = np.random.default_rng(seed)
+    lams, betas = _disk(rng, lcap, n), _disk(rng, 0.7, n + 1)
+    return synthesize(lams, PoleSequence(betas))
+
+
+class TestSzegoRule:
+    @pytest.mark.parametrize("n, seed, lcap", [(1, 0, 0.5), (4, 1, 0.5), (12, 2, 0.4), (24, 5, 0.3)])
+    def test_gram_is_identity_at_the_nodes(self, n, seed, lcap):
+        s = _lambda_ladder(n, seed, lcap)
+        rule = szego_rule(s)
+        assert rule.nodes.size == rule.weights.size == n + 1
+        assert np.max(np.abs(np.abs(rule.nodes) - 1.0)) < 1e-12
+        assert abs(rule.weights.sum() - 1.0) < 1e-13
+        v = evaluate_stack([lv.phi for lv in s.levels], rule.nodes)
+        assert np.max(np.abs((v * rule.weights) @ v.conj().T - np.eye(n + 1))) < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 4, 24])
+    def test_points_stay_off_the_nodes(self, n):
+        # the six circle points sit midway in a gap between two nodes; the
+        # second-kind points lie on |z| = 2^(-1/(n+1)), where recovering
+        # the numerator costs a factor r^(-n) < 2 at most
+        rule = szego_rule(_lambda_ladder(n, n, 0.4))
+        assert_allclose(np.abs(rule.circle), 1.0, rtol=0, atol=1e-15)
+        chords = np.abs(rule.nodes[:, None] - rule.nodes[None, :])
+        spacing = np.min(chords + 3.0 * np.eye(n + 1))
+        assert np.min(np.abs(rule.circle[:, None] - rule.nodes[None, :])) >= 0.49 * spacing
+        assert rule.radius ** -n < 2.0 and 1.0 - rule.radius > 0.69 / (n + 2)
+
+    @pytest.mark.parametrize("n, seed, lcap", [(4, 1, 0.5), (24, 5, 0.3)])
+    def test_perturbed_phi_fails_orthonormality(self, n, seed, lcap):
+        # a relative 1e-7 in phi_3's numerator, as a scale or as noise,
+        # reads 1.5e-8 to 2.1e-7 at the rule against the 1e-9 tolerance
+        s = _lambda_ladder(n, seed, lcap)
+        numer = s.level(3).phi.numer
+        noise = 1.0 + 1e-7 * np.random.default_rng(0).standard_normal(numer.size)
+        for phi in ((1 + 1e-7) * s.level(3).phi, RatFun(s.poles, numer * noise, 3)):
+            report = run_verification(VerifyContext(_with_level(s, 3, phi=phi), 0, {}), ["orthonormality"])
+            assert not report["orthonormality"]["pass"]
+            assert report["orthonormality"]["residual"] > 1e-8
+
+    @pytest.mark.parametrize("n, seed, lcap", [(4, 1, 0.5), (24, 5, 0.3)])
+    def test_perturbed_top_coefficient_fails_second_kind(self, n, seed, lcap):
+        # psi_n's top coefficient off by a relative 1e-7 reads 4e-7 and 1.3e-6
+        s = _lambda_ladder(n, seed, lcap)
+        numer = s.level(n).psi.numer.copy()
+        numer[-1] *= 1 + 1e-7
+        wrong = _with_level(s, n, psi=RatFun(s.poles, numer, n))
+        assert run_verification(VerifyContext(s, 0, {}), ["second_kind"])["second_kind"]["residual"] < 1e-12
+        report = run_verification(VerifyContext(wrong, 0, {}), ["second_kind"])
+        assert not report["second_kind"]["pass"]
+        assert report["second_kind"]["residual"] > 1e-7
+
+
 class TestFunctionalIdentities:
     def test_multiplied_second_kind(self, poisson_system):
         for n in range(poisson_system.n_max + 1):
-            (res,) = second_kind_functional_residual_stack(
-                poisson_system, poisson_system.measure, [n], seed=n
-            )
+            (res,) = second_kind_functional_residual_stack(poisson_system, _grid(poisson_system), [n], seed=n)
             assert res < 1e-7
 
     @pytest.mark.parametrize("ladder", ["poisson_system", "synth_system", "expcos_system"])
     def test_wrong_second_kind_is_caught(self, request, ladder):
-        # psi_4 off by a relative 1e-6 gives a residual of that size
+        # psi_4 off by a relative 1e-6 gives a residual of that size, on the
+        # measure's grid and on a lambda ladder's own rule alike
         s = request.getfixturevalue(ladder)
-        mu = s.measure or measure_from_system(s)
+        quad = VerifyContext(s, seed=0, tolerances={}).quadrature
         lv = s.level(4)
         wrong = _with_level(s, 4, psi=(1 + 1e-6) * lv.psi, psi_star=(1 + 1e-6) * lv.psi_star)
-        assert second_kind_functional_residual_stack(s, mu, [4])[0] < 1e-12
-        assert 5e-7 < second_kind_functional_residual_stack(wrong, mu, [4])[0] < 2e-6
+        assert second_kind_functional_residual_stack(s, quad, [4])[0] < 1e-12
+        assert 5e-7 < second_kind_functional_residual_stack(wrong, quad, [4])[0] < 2e-6
 
 
 def test_measure_system_builds_its_moment_series(poisson_system):
@@ -876,7 +946,7 @@ class TestBitIdenticalKernels:
 
     def test_second_kind_stack_matches_per_level(self, poisson_system):
         s = poisson_system
-        stacked = second_kind_integral_stack(s.measure, s, range(s.n_max + 1))
+        stacked = second_kind_integral_stack(_grid(s), s, range(s.n_max + 1))
         for n, psi in enumerate(stacked):
             # the per-level difference-form quadrature, reading the grid itself
             assert _rel(psi.numer, reference_second_kind(s.measure, s, n).numer) < 1e-12
@@ -937,13 +1007,13 @@ class TestSecondKindStack:
         for n_points in (256, 2048, 8192):
             s, mu = _second_kind_case(kind, n, n_points)
             for levels in (range(n + 1), [n, n // 2], [n // 3]):
-                stacked = second_kind_integral_stack(mu, s, levels)
+                stacked = second_kind_integral_stack(grid_quadrature(mu, n_points), s, levels)
                 for m, psi in zip(levels, stacked, strict=True):
                     assert psi.n == m
                     assert _rel(psi.numer, reference_second_kind(mu, s, m).numer) < 1e-12
 
     def test_empty_level_list(self, poisson_system):
-        assert second_kind_integral_stack(poisson_system.measure, poisson_system, []) == []
+        assert second_kind_integral_stack(_grid(poisson_system), poisson_system, []) == []
 
     def test_memory_stays_per_block(self):
         # n = 24 on 32768 points: a table of every node (or level) on the
@@ -957,7 +1027,7 @@ class TestSecondKindStack:
         boundary_grid(32768)
         tracemalloc.start()
         try:
-            stacked = second_kind_integral_stack(mu, s, range(25))
+            stacked = second_kind_integral_stack(grid_quadrature(mu, 32768), s, range(25))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from orfkit import CircleMeasure, DomainError, PoleSequence, arf_recurrence, default_grid, synthesize
+from orfkit import CircleMeasure, DomainError, NumericalFailure, PoleSequence, arf_recurrence, default_grid, synthesize
 from orfkit.serialize import (
     arf_to_dict,
     dumps,
@@ -60,7 +60,7 @@ def test_reloaded_measure_ladder_passes_all_checks(poisson_system):
 
 def test_reload_without_grid_uses_one_default(monkeypatch):
     # a ladder stored without n_points gets default_grid(n_max) on reload,
-    # and every grid-dependent check and the order-k density use that grid
+    # and the order-k density uses that grid
     rng = np.random.default_rng(12)
     lams = 0.2 * np.sqrt(rng.uniform(size=16)) * np.exp(2j * np.pi * rng.uniform(size=16))
     poles = 0.6 * np.sqrt(rng.uniform(size=17)) * np.exp(2j * np.pi * rng.uniform(size=17))
@@ -83,7 +83,9 @@ def test_reload_without_grid_uses_one_default(monkeypatch):
         ["orthonormality", "second_kind", "multiplier_identities", "arf_orthogonality"],
     )
     assert all(entry["pass"] for entry in report.values())
-    assert sizes == {grid}
+    # none of these checks reads the density: without a measure they sum
+    # on the ladder's own rule
+    assert sizes == set()
 
 
 @pytest.mark.parametrize(
@@ -143,7 +145,7 @@ def test_csv_17g_roundtrip(tmp_path):
 
 
 def test_csv_matches_per_value_format(tmp_path):
-    vals = np.array([[-0.0, 1.0, 5e-324], [1e308, np.nan, np.inf], [-np.inf, 0.1, -2.5e-17]])
+    vals = np.array([[-0.0, 1.0, 5e-324], [1e308, -1.7976931348623157e308, 2.0**-1074], [-1e-300, 0.1, -2.5e-17]])
     path = tmp_path / "t.csv"
     write_csv_atomic(path, ["a", "b", "c"], vals)
     expected = "a,b,c\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in vals)
@@ -186,7 +188,7 @@ def _nested(seed):
         "one": _floats(rng, 1),
         "nine": _floats(rng, 9),
         "table": _floats(rng, 2048),
-        "special": [float("nan"), float("inf"), -float("inf"), -0.0, 0.0] + _floats(rng, 20),
+        "special": [-0.0, 0.0, 5e-324, 1.7976931348623157e308] + _floats(rng, 20),
         "with_int": _floats(rng, 10) + [3, -7, 2**70] + _floats(rng, 10),
         "bools": [True, False] * 10,
         "strings": ["x, y", "]", "[1.0, 2.0]", ", ]"] * 5,
@@ -205,6 +207,39 @@ def test_dumps_equals_indented_json(seed):
     for key in ("table", "special", "with_int", "empty", "strings"):
         _assert_same_text(dumps(obj[key]), json.dumps(obj[key], indent=1))
         _assert_same_text(dumps({key: obj[key]}), json.dumps({key: obj[key]}, indent=1))
+
+
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda rng, bad: {"table": _floats(rng, 20) + [bad]},
+        lambda rng, bad: {"pair": [bad, 0.0]},
+        lambda rng, bad: {"levels": [{"e": bad}]},
+        lambda rng, bad: [bad],
+    ],
+    ids=["table", "pair", "nested", "list"],
+)
+def test_dumps_rejects_non_finite_numbers(place, bad):
+    # JSON has no number for NaN or +-inf: the writer raises, where
+    # json.dumps writes the bare NaN, Infinity or -Infinity
+    obj = place(np.random.default_rng(3), bad)
+    with pytest.raises(NumericalFailure, match="artifact not written"):
+        dumps(obj)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
+def test_writers_leave_no_file_for_non_finite_numbers(tmp_path, bad):
+    rows = np.ones((4, 2))
+    rows[2, 1] = bad
+    with pytest.raises(NumericalFailure, match="artifact not written"):
+        write_csv_atomic(tmp_path / "t.csv", ["a", "b"], rows)
+    with pytest.raises(NumericalFailure, match="artifact not written"):
+        write_json_atomic(tmp_path / "t.json", {"w": rows[:, 1].tolist()})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dumps_with_a_marker_like_string():
@@ -231,7 +266,7 @@ def reference_csv_body(header, rows):
 def test_csv_one_format_matches_per_row(tmp_path, shape):
     rng = np.random.default_rng(shape[1])
     rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
-    rows.flat[:6] = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.0]
+    rows.flat[:3] = [-0.0, 5e-324, 1.0]
     header = [f"c{i}" for i in range(shape[1])]
     path = tmp_path / "t.csv"
     write_csv_atomic(path, header, rows)

@@ -534,7 +534,7 @@ def _traced_verify_peak(s, n_points):
     names = [c for c in CHECK_NAMES if c != "roundtrip_measure"]
 
     def fresh():
-        return VerifyContext(OrfSystem(s.poles, s.levels, s.source, n_points=n_points), seed=0, tolerances={})
+        return VerifyContext(OrfSystem(s.poles, s.levels, s.source, s.measure, n_points=n_points), seed=0, tolerances={})
 
     run_verification(fresh(), names)
     ctx = fresh()
@@ -553,13 +553,26 @@ def _n6_ladder():
     return synthesize(_disk(rng, 0.5, 6), PoleSequence(_disk(rng, 0.7, 7)))
 
 
+def _n6_measure_ladder():
+    # the poles of _n6_ladder under a Poisson measure, on 8192 points
+    rng = np.random.default_rng(12)
+    _disk(rng, 0.5, 6)
+    poles = PoleSequence(_disk(rng, 0.7, 7))
+    return gram_schmidt_orf(builtin_measure("poisson", alpha=0.3 - 0.2j), poles, 6, n_points=8192)
+
+
 def test_verify_memory_stays_per_level():
     # no table of several functions on the quadrature grid: phi_n of the 7
     # levels on 8192 points is 0.9 MiB, and whole-grid tables of the four
     # functions of a quad, or of phi_n and psi_n beside their two lines,
-    # lift the peak to 2.8 MiB. The peak reads 1.43 MiB; Herglotz blocks
-    # sized by their rows instead of 1024 points read 1.91
+    # lift the peak to 2.8 MiB. The peak read 1.43 MiB while this lambda
+    # ladder was verified on its 8192-point grid
     assert _traced_verify_peak(_n6_ladder(), 8192) <= 1.6 * 2**20
+
+
+def test_verify_memory_stays_per_level_on_a_measure_ladder():
+    # the same bound on a measure ladder, whose checks still sum on its grid
+    assert _traced_verify_peak(_n6_measure_ladder(), 8192) <= 1.6 * 2**20
 
 
 def test_verify_memory_stays_per_block_at_n24():
@@ -572,11 +585,8 @@ def test_verify_memory_stays_per_block_at_n24():
     assert _traced_verify_peak(s, 16384) <= 5.0 * 2**20
 
 
-def test_verify_reads_the_grid_in_reader_blocks(monkeypatch):
-    # every evaluate_stack call of a verify on more than 1024 points of the
-    # 8192-point grid is a block of ratfun._evaluate_blocks (the step for
-    # its function count, or the last remainder), the density read (one
-    # function on the whole grid) or the C-function read (two functions)
+def _stack_calls(monkeypatch, s):
+    """(functions, degrees, points) of every evaluate_stack call of a verify of s, which must pass."""
     calls = []
     stack = ratfun.evaluate_stack
 
@@ -587,12 +597,29 @@ def test_verify_reads_the_grid_in_reader_blocks(monkeypatch):
 
     for module in (ratfun, engine, transforms, verify, cli):
         monkeypatch.setattr(module, "evaluate_stack", spy)
-    s = _n6_ladder()
-    report = run_verification(VerifyContext(OrfSystem(s.poles, s.levels, s.source, n_points=8192), 0, {}))
+    report = run_verification(VerifyContext(s, 0, {}))
     assert all(entry["pass"] for entry in report.values()), report
-    large = [call for call in calls if call[2] > 1024]
+    return calls
+
+
+def test_verify_reads_the_grid_in_reader_blocks(monkeypatch):
+    # every evaluate_stack call of a measure ladder's verify on more than
+    # 1024 points of the 8192-point grid is a block of
+    # ratfun._evaluate_blocks (the step for its function count, or the last
+    # remainder); its density and its moment-series C-function are read
+    # without one
+    large = [call for call in _stack_calls(monkeypatch, _n6_measure_ladder()) if call[2] > 1024]
     for count, degrees, points in large:
         step = max(1024, (1 << 18) // (16 * count * (2 if degrees == 1 else 1)))
-        assert points in (step, 8192 % step) or (count, points) in ((1, 8192), (2, 8192)), (count, points)
-    assert sum(points == 8192 for _, _, points in large) == 2
+        assert points in (step, 8192 % step), (count, points)
     assert len(large) > 40
+
+
+def test_lambda_verify_reads_no_more_than_the_fourier_grid(monkeypatch):
+    # on its 8192-point grid the lambda ladder's checks sum on its rule and
+    # read their Fourier tests on the 1024 points its poles ask for: no
+    # evaluate_stack call takes more
+    s = _n6_ladder()
+    s = OrfSystem(s.poles, s.levels, s.source, n_points=8192)
+    assert engine.fourier_grid(s) == 1024
+    assert max(points for _, _, points in _stack_calls(monkeypatch, s)) == 1024
