@@ -4,9 +4,9 @@ A ladder holds, per level n, the orthonormal function phi_n, its superstar,
 the second-kind companion psi_n and its superstar, and the recurrence data
 (lambda_n, e_n, rho_n). Every ladder is its poles and those parameters run
 through one recurrence: synthesis takes the parameters as given, the
-measure route fits them from one weighted QR. The second-kind quadrature
-against the measure builds no ladder; it stays as the independent check of
-the fitted parameters.
+measure route reads them off the rational Szegő recursion run on grid
+values. The second-kind quadrature against the measure builds no ladder;
+it stays as the independent check of the parameters.
 """
 
 from __future__ import annotations
@@ -409,6 +409,29 @@ def _basis(poles, n_max, z) -> np.ndarray:
     return np.cumprod(np.stack(factors, axis=1), axis=1)
 
 
+def _szego_parameters(poles, n_max, t, w):
+    """Level 0 and the (lambda_k, rho_k) of the ladder orthonormal on the grid t_j = e^(2 pi i j / N),
+    weights w, by the rational Szegő recursion on its values there (Bultheel et al. 1999, ch. 4):
+    lambda_k makes phi_k orthogonal to phi*_{k-1}, rho_k makes phi*_k(beta_k) > 0, read by Cauchy's
+    formula. RankDeficiency when 1 - |lambda_k|^2 is rounding noise."""
+    phi = star = np.full_like(t, 1.0 / np.sqrt(np.sum(w)))
+    level0, params = _level_zero(poles, phi[0]), []
+    for k in range(1, n_max + 1):
+        c = poles.varpi(k - 1, t) / poles.varpi(k, t)
+        a, b = c * blaschke_factor(poles, k - 1, t) * phi, c * star
+        star_w = np.conj(star) * w
+        lam = -complex(np.conj((a @ star_w) / (b @ star_w)))
+        if not 1.0 - abs(lam) ** 2 > 1e-13:
+            raise RankDeficiency(f"basis numerically dependent at level {k}")
+        e = _orthonormal_e(poles, k, lam)
+        star = (b + lam * a) * (poles.eta(k) * np.conj(poles.eta(k - 1)))
+        at_beta = np.mean(star * t / poles.varpi_star(k, t))
+        rho = complex(at_beta / abs(at_beta))
+        phi, star = e * rho * (a + np.conj(lam) * b), e * np.conj(rho) * star
+        params.append((lam, rho))
+    return level0, params
+
+
 def gram_schmidt_orf(
     mu: CircleMeasure,
     poles: PoleSequence,
@@ -416,16 +439,8 @@ def gram_schmidt_orf(
     n_points=None,
     allow_poles_near_circle=False,
 ) -> OrfSystem:
-    """Orthonormal ladder for a measure from one weighted QR of B_0..B_n.
-
-    The values of B_0..B_n on the grid 2 pi j / N, rows scaled by sqrt(w/N),
-    go through one Householder QR (Cholesky of the Gram matrix would square
-    its condition number). With R's diagonal made real and positive,
-    phi_k = sum_j B_j (R^-1)_jk, so phi_k^*(beta_k) = 1/R_kk > 0 fixes the
-    phase. (lambda_k, rho_k) are fitted from those phi_k at the fit points,
-    and the ladder, second-kind companions included, is the recurrence run
-    on them, as `synthesize` runs it.
-    """
+    """Orthonormal ladder for a measure: the recurrence, as `synthesize` runs it, on the (lambda_k, rho_k)
+    `_szego_parameters` reads off the grid 2 pi j / N, weights w/N, closed by a Gram check on that grid."""
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
     _check_poles(poles, n_max, allow_poles_near_circle)
@@ -433,22 +448,7 @@ def gram_schmidt_orf(
     if n_max >= n_points:
         raise RankDeficiency(f"basis numerically dependent at level {n_points}")
     quad = grid_quadrature(mu, n_points)
-
-    r = np.linalg.qr(_basis(poles, n_max, quad.nodes) * np.sqrt(quad.weights)[:, None], mode="r")
-    diag = np.diagonal(r)
-    small = np.flatnonzero(~(np.abs(diag) > 1e-10))
-    if small.size:
-        raise RankDeficiency(f"basis numerically dependent at level {small[0]}")
-    coef = np.linalg.inv(r * (np.conj(diag) / np.abs(diag))[:, None])
-
-    # row k: phi_k at the fit points, and phi_k^* = B_k conj(phi_k) there (|z| = 1)
-    basis = _basis(poles, n_max, _FIT_POINTS)
-    phi_z = (basis @ coef).T
-    star_z = basis.T * np.conj(phi_z)
-    fitted = [_parameters(k, fit) for k, fit in enumerate(_fit_ladder(poles, phi_z, star_z), start=1)]
-    params = ((lam, rho) for lam, _, rho in fitted)
-    levels = _run_recurrence(poles, _level_zero(poles, coef[0, 0]), params)
-
+    levels = _run_recurrence(poles, *_szego_parameters(poles, n_max, quad.nodes, quad.weights))
     defect = _gram_defect([lv.phi for lv in levels], quad)
     if defect > TOL_ORTHO:
         raise NumericalFailure(f"Gram matrix deviates from identity by {defect:.2e}")

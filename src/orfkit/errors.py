@@ -35,7 +35,7 @@ class NegativeDensity(OrfkitError):
 
 
 class RankDeficiency(OrfkitError):
-    """Gram-Schmidt norm collapsed; basis numerically dependent."""
+    """A ladder level with no direction of its own; basis numerically dependent."""
 
 
 class ParameterOutOfDisk(OrfkitError):

@@ -269,6 +269,50 @@ class TestGramSchmidt:
         s = gram_schmidt_orf(builtin_measure("poisson", alpha=0.3 - 0.2j), disk_poles(3, 7, 0.2j), 6)
         assert s.n_max == 6
 
+    def test_build_takes_no_factorization(self, monkeypatch):
+        # the parameters come from the recursion on grid values: no QR of a
+        # basis table, no inverse and no least-squares fit
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("a matrix factorization ran in a build")
+
+        for name in ("qr", "inv", "lstsq", "solve"):
+            monkeypatch.setattr(np.linalg, name, no_factorization)
+        s = gram_schmidt_orf(builtin_measure("poisson", alpha=0.3 - 0.2j), disk_poles(3, 7, 0.2j), 6)
+        assert s.n_max == 6
+
+    def test_build_memory_stays_per_level(self):
+        # n = 64 on 8192 points: B_0..B_64 on the grid is an 8.1 MiB table,
+        # and a build through that table and its QR traces 24.4 MiB; the
+        # recursion holds a few grid arrays per level, and the closing Gram
+        # check one block of levels
+        rng = np.random.default_rng(64)
+        poles = PoleSequence(_disk(rng, 0.7, 65))
+        mu = builtin_measure("poisson", alpha=0.3 - 0.2j)
+        gram_schmidt_orf(mu, poles, 64, n_points=8192)
+        tracemalloc.start()
+        try:
+            s = gram_schmidt_orf(mu, poles, 64, n_points=8192)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.n_max == 64
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("floor", [1e-30, 1e-20, 1e-16])
+    @pytest.mark.parametrize("n_max", [3, 5])
+    def test_collapse_names_its_level(self, floor, n_max):
+        # a table numerically supported on three nodes: L_0..L_2 are
+        # independent there, and level 3 has no direction of its own:
+        # 1 - |lambda_3|^2 reads 2e-16 at the floors 1e-30 and 1e-20, and
+        # 2e-14 at 1e-16
+        theta = boundary_grid(256)[0]
+        w = np.full(256, floor)
+        w[[0, 85, 170]] = 1.0
+        mu = builtin_measure("samples", theta=theta, w=w)
+        poles = PoleSequence([0.0, 0.3, -0.2j, 0.1, 0.4, -0.5])
+        with pytest.raises(RankDeficiency, match="level 3$"):
+            gram_schmidt_orf(mu, poles, n_max, n_points=256)
+
     def test_more_levels_than_grid_points(self, lebesgue):
         with pytest.raises(RankDeficiency, match="level 256"):
             gram_schmidt_orf(lebesgue, PoleSequence([0.0] * 257), 256, n_points=256)
