@@ -22,8 +22,6 @@ from .errors import (
     NumericalFailure,
     ParameterOutOfDisk,
     RankDeficiency,
-    ZeroCollision,
-    ZeroOffCircle,
 )
 from .measure import (
     CaratheodoryFn,
@@ -41,7 +39,6 @@ from .ratfun import (
     RatFun,
     _disk_sample,
     _evaluate_blocks,
-    _horner,
     blaschke_factor,
     blaschke_product,
     evaluate_stack,
@@ -49,6 +46,7 @@ from .ratfun import (
     poisson_kernel,
     superstar,
 )
+from .zeros import circle_zeros, polynomial_roots
 
 TOL_ORTHO = 1e-9
 # Quadrature accuracy degrades as poles approach the circle; beyond this the
@@ -139,36 +137,55 @@ def _check_poles(poles, n_max, allow_poles_near_circle):
 _FIT_POINTS = np.exp(2j * np.pi * ((np.arange(16) + 0.37) * (np.sqrt(5.0) - 1.0) / 2.0 % 1.0))
 
 
-def _fit_values(poles, n, prev_z, star_z, phi_z):
-    """Least-squares fit of phi_n varpi_n/varpi_{n-1} = a zeta_{n-1} phi_{n-1} + b phi*_{n-1}
-    from the values of phi_{n-1}, phi*_{n-1} and phi_n at the 16 fit points.
+def _two_column_solve(u, v, y):
+    """Least-squares (a, b) of a u + b v = y along the last axis, for every
+    leading index at once, each kept as an axis of length 1: Gram-Schmidt
+    on (u, v) with one reorthogonalisation of v, then back substitution on
+    the 2 x 2 triangle. Every product runs on arrays, never on numpy
+    scalars, whose arithmetic rounds differently, so a row's bits do not
+    depend on the rows beside it."""
 
-    The 16 x 2 system is solved by one reduced QR and back substitution
-    on its 2 x 2 triangle. Returns (a, b, residual, scale) with the
-    residual in sup norm over the sample and scale = max |phi_n| there.
-    """
+    def dot(p, q):
+        return np.sum(np.conj(p) * q, axis=-1, keepdims=True)
+
+    r11 = np.sqrt(dot(u, u).real)
+    q1 = u / r11
+    r12 = dot(q1, v)
+    w = v - q1 * r12
+    s = dot(q1, w)
+    w = w - q1 * s
+    r22 = np.sqrt(dot(w, w).real)
+    b = dot(w / r22, y) / r22
+    a = (dot(q1, y) - (r12 + s) * b) / r11
+    return a, b
+
+
+def _fit_levels(poles, levels, prev_z, star_z, phi_z) -> list:
+    """(a, b, residual, scale) of the least-squares fit
+    phi_n varpi_n/varpi_{n-1} = a zeta_{n-1} phi_{n-1} + b phi*_{n-1} at each
+    level n of levels, from the values of phi_{n-1}, phi*_{n-1} and phi_n at
+    the 16 fit points (one row per level), in one _two_column_solve; the
+    residual is in sup norm over the fit points, and scale = max |phi_n| there."""
     zs = _FIT_POINTS
-    lhs = phi_z * poles.varpi(n, zs) / poles.varpi(n - 1, zs)
-    col1 = blaschke_factor(poles, n - 1, zs) * prev_z
-    mat = np.stack([col1, star_z], axis=1)
-    q, r = np.linalg.qr(mat)
-    y = q.conj().T @ lhs
-    b = y[1] / r[1, 1]
-    a = (y[0] - r[0, 1] * b) / r[0, 0]
-    resid = float(np.abs(mat @ np.array([a, b]) - lhs).max())
-    scale = float(np.abs(phi_z).max())
-    return a, b, resid, scale
+    lhs = np.stack([phi * poles.varpi(n, zs) / poles.varpi(n - 1, zs) for n, phi in zip(levels, phi_z)])
+    col1 = np.stack([blaschke_factor(poles, n - 1, zs) * prev for n, prev in zip(levels, prev_z)])
+    a, b = _two_column_solve(col1, star_z, lhs)
+    resid = np.max(np.abs(a * col1 + b * star_z - lhs), axis=-1)
+    scale = np.max(np.abs(phi_z), axis=-1)
+    return [(a[i, 0], b[i, 0], float(resid[i]), float(scale[i])) for i in range(len(resid))]
 
 
 def _fit_ladder(poles, phi_z, star_z) -> list:
-    """_fit_values at every level 1..m, from the values of phi_0..phi_m
+    """_fit_levels at every level 1..m, from the values of phi_0..phi_m
     (phi_z) and of their superstars (star_z) at the fit points, one row
     per level."""
-    return [_fit_values(poles, n, phi_z[n - 1], star_z[n - 1], phi_z[n]) for n in range(1, len(phi_z))]
+    if len(phi_z) < 2:
+        return []
+    return _fit_levels(poles, range(1, len(phi_z)), phi_z[:-1], star_z[:-1], phi_z[1:])
 
 
 def _parameters(n, fit):
-    """(lambda_n, e_n, rho_n) = (conj(b/a), |a|, a/|a|) from the _fit_values
+    """(lambda_n, e_n, rho_n) = (conj(b/a), |a|, a/|a|) from a _fit_levels
     result; FitResidualTooLarge when the fit does not close."""
     a, b, resid, scale = fit
     if resid > 1e-9 * scale:
@@ -261,9 +278,10 @@ def synthesize(lambdas, poles: PoleSequence, n_points=None, allow_poles_near_cir
 
 def _completion_grid(top: OrfLevel, n_max: int) -> int:
     """Quadrature size resolving the rational-completion density, which
-    carries 1/|phi*_m|^2: the `_modulus_grid` of phi_m's largest zero modulus."""
+    carries 1/|phi*_m|^2: the `_modulus_grid` of phi_m's largest zero
+    modulus, read off `polynomial_roots`."""
     c = _trimmed(top.phi.numer)
-    return _modulus_grid(float(np.max(np.abs(_companion_roots(c[None])))) if c.size > 1 else 0.0, n_max)
+    return _modulus_grid(float(np.max(np.abs(polynomial_roots(c)))) if c.size > 1 else 0.0, n_max)
 
 
 def fourier_grid(system: OrfSystem) -> int:
@@ -494,81 +512,18 @@ def para_pair(system: OrfSystem, n: int, tau) -> ParaPair:
     )
 
 
-def _min_separation(pts) -> float:
-    """Smallest pairwise distance among the points (inf for fewer than two)."""
-    if len(pts) < 2:
-        return np.inf
-    diffs = np.abs(pts[:, None] - pts[None, :])
-    np.fill_diagonal(diffs, np.inf)
-    return float(diffs.min())
-
-
 def para_zeros(pair: ParaPair) -> np.ndarray:
-    """Zeros of the para-orthogonal numerator: companion-matrix eigenvalues
-    plus one Newton polish. All must sit on the circle and be simple."""
+    """Zeros of the para-orthogonal numerator, sorted by angle: read on the
+    circle from its phase line (`para_zeros_stack`); all must be simple."""
     return para_zeros_stack([pair])[0]
 
 
 def para_zeros_stack(pairs) -> list:
-    """para_zeros of each pair, in order. The companion matrices of one size
-    go through one batched eigvals and the polish runs on their rows
-    together. Every numerator is taken first, so a degenerate one raises
-    before any zeros are checked; then the first pair whose zeros fail
-    raises, as para_zeros would."""
-    coeffs = [_para_numerator(pair) for pair in pairs]
-    roots = [None] * len(coeffs)
-    for size in {c.size for c in coeffs}:
-        rows = [i for i, c in enumerate(coeffs) if c.size == size]
-        for i, r in zip(rows, _polished_roots(np.stack([coeffs[i] for i in rows]))):
-            roots[i] = r
-    out = []
-    for r in roots:
-        off = np.abs(np.abs(r) - 1.0)
-        if (off > 1e-9).any():
-            raise ZeroOffCircle(f"para zero left the circle by {off.max():.2e}")
-        sep = _min_separation(r)
-        if sep < 1e-8:
-            raise ZeroCollision(f"para zeros separated by only {sep:.2e}")
-        out.append(r[np.argsort(np.angle(r))])
-    return out
-
-
-def _para_numerator(pair: ParaPair) -> np.ndarray:
-    """Numerator of Phi up to its last coefficient above 1e-13 of the largest."""
-    c = pair.Phi.numer
-    scale = float(np.abs(c).max())
-    if scale == 0.0:
-        raise DomainError("zero numerator")
-    m = np.flatnonzero(~(np.abs(c) < 1e-13 * scale))[-1]
-    if m < 1:
-        raise DomainError("numerator degree must be >= 1")
-    return c[: m + 1]
-
-
-def _companion_roots(c) -> np.ndarray:
-    """Roots of each row of c (k, m + 1), m >= 1, leading coefficients
-    nonzero: the eigenvalues of its companion matrix, sorted."""
-    m = c.shape[1] - 1
-    if m == 1:
-        return -c[:, :1] / c[:, 1:]
-    companion = np.zeros((c.shape[0], m, m), dtype=complex)
-    companion[:, np.arange(1, m), np.arange(m - 1)] = 1
-    companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
-    roots = np.linalg.eigvals(companion)
-    roots.sort(axis=1)
-    return roots
-
-
-def _polished_roots(c) -> np.ndarray:
-    """_companion_roots of each row of c, then one Newton step wherever the
-    derivative is nonzero."""
-    roots = _companion_roots(c)
-    # _horner takes every row at the roots of every row; row i at its own roots is on the diagonal
-    rows = np.arange(c.shape[0])
-    pv = _horner(c, roots)[rows, rows]
-    dv = _horner(c[:, 1:] * np.arange(1, c.shape[1]), roots)[rows, rows]
-    ok = np.abs(dv) > 0
-    return np.where(ok, roots - np.where(ok, pv / np.where(ok, dv, 1.0), 0.0), roots)
+    """para_zeros of each pair, in order: the `circle_zeros` of their
+    numerators, read on the circle from the phase. Every numerator is
+    taken first, so a degenerate one raises before any zeros are sought;
+    then the first pair whose zeros fail raises, as para_zeros would."""
+    return circle_zeros([pair.Phi.numer for pair in pairs])
 
 
 def identity_residual_stack(fs, gs, f_stars, g_stars):

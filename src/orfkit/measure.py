@@ -281,7 +281,7 @@ def _moment_series(mu, beta0, n_points):
     theta, t = boundary_grid(n_points)
     w = mu.weight(theta)
     if np.any(w <= 0):
-        raise NonPositiveWeight("sampled density non-positive on the quadrature grid")
+        raise NonPositiveWeight(f"sampled density non-positive on the {n_points}-point grid of its moment series")
     v = w * (1.0 - 2.0 * np.real(np.conj(beta0) * t) + abs(beta0) ** 2) / (1.0 - abs(beta0) ** 2)
     return np.fft.fft(v) / n_points, 64.0 * np.finfo(float).eps * float(v.max())
 

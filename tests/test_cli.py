@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orfkit import OrfSystem, PoleSequence, cli, synthesize
+from orfkit import OrfSystem, PoleSequence, cli, engine, synthesize
 from orfkit.cli import main
 from orfkit.engine import lebesgue_orf
 from orfkit.measure import boundary_grid
@@ -406,7 +406,7 @@ PINNED_VERIFY = {
             "measure": {"type": "poisson", "alpha": [0.3, -0.2]},
             "n_max": 5,
         },
-        "180ab12f920fc937e208b79ba070e791b6cb3a8d7ee47bb40eaabecd947b909e",
+        "3c1212f15e2b460b30d2b06cfe8e5bb009077fa152cd6628e2df337d7cf0c6bd",
     ),
     "samples-n4-grid2048": (
         {
@@ -415,7 +415,7 @@ PINNED_VERIFY = {
             "n_max": 4,
             "grid": 2048,
         },
-        "31dbd491d07a3f77975875dd88b3061089c43bc8d77731ab940194c335b4d2f2",
+        "8ae05821fd9c9d5632da5e243d7d05c9b94d3ffa2d31753e277824abefc18ce5",
     ),
 }
 
@@ -633,7 +633,9 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
-def test_commands_load_neither_numpy_random_nor_polynomial(tmp_path):
+def _footprint_configs(tmp_path):
+    """A lambda config without a grid, so its ladder takes the completion
+    grid, and a samples config."""
     theta = 2.0 * np.pi * np.arange(256) / 256
     poles = [[0.0, 0.0], [0.4, 0.1], [-0.3, 0.3], [0.1, -0.5]]
     lam_cfg = write_config(
@@ -641,6 +643,28 @@ def test_commands_load_neither_numpy_random_nor_polynomial(tmp_path):
     )
     samples = {"type": "samples", "theta": theta.tolist(), "w": np.exp(np.cos(theta)).tolist()}
     samples_cfg = write_config(tmp_path, {"poles": poles, "measure": samples, "n_max": 3, "seed": 5}, "samples.json")
+    return lam_cfg, samples_cfg
+
+
+def test_commands_make_no_linalg_call(tmp_path, monkeypatch, capsys):
+    # every public numpy.linalg function raises; the completion grid's root
+    # iteration must still run
+    def no_linalg(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, no_linalg)
+    roots = []
+    monkeypatch.setattr(engine, "polynomial_roots", lambda c, real=engine.polynomial_roots: roots.append(c) or real(c))
+    for cfg in _footprint_configs(tmp_path):
+        for argv in COMMANDS:
+            assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 0, (argv, cfg)
+    assert roots
+
+
+def test_commands_load_neither_numpy_random_nor_polynomial(tmp_path):
+    lam_cfg, samples_cfg = _footprint_configs(tmp_path)
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", FOOTPRINT_SCRIPT, lam_cfg, samples_cfg, str(tmp_path / "out")],

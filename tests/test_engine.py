@@ -595,6 +595,8 @@ def _pair(numer):
 
 # zeros 0.5 and -0.5: off the circle
 OFF_CIRCLE = [-0.25, 0.0, 1.0]
+# zeros 2 and 0.5: self-reciprocal, so its phase line is real, but it has no zero on the circle
+RECIPROCAL_OFF_CIRCLE = [1.0, -2.5, 1.0]
 # (z - w)^2, w = e^{0.91 pi i}: its two computed zeros lie on the circle, 8.9e-16 apart
 DOUBLE_ZERO = [0.8443279255020146 - 0.5358267949789971j, 1.920587371353886 - 0.5579822120784591j, 1.0]
 
@@ -604,6 +606,7 @@ class TestParaZeroFailures:
         "numer, error, match",
         [
             pytest.param(OFF_CIRCLE, ZeroOffCircle, "left the circle", id="off-circle"),
+            pytest.param(RECIPROCAL_OFF_CIRCLE, ZeroOffCircle, "left the circle", id="reciprocal-off-circle"),
             pytest.param(DOUBLE_ZERO, ZeroCollision, "separated by only", id="double-zero"),
             pytest.param([0.0, 0.0, 0.0], DomainError, "zero numerator", id="zero-numerator"),
             pytest.param([1.0, 1e-14], DomainError, "degree must be >= 1", id="degree-0"),
@@ -633,6 +636,50 @@ class TestParaZeroFailures:
     def test_degenerate_numerator_raises_before_any_zeros(self):
         with pytest.raises(DomainError, match="zero numerator"):
             para_zeros_stack([_pair(OFF_CIRCLE), _pair([0.0, 0.0])])
+
+    def test_double_zeros_collide(self):
+        # (z - w)^2 all round the circle: the companion eigenvalues split such
+        # a zero by about 1e-8 and mostly called it off the circle
+        for k in range(1, 400):
+            w = np.exp(1j * np.pi * k / 200)
+            with pytest.raises(ZeroCollision, match="separated by only"):
+                para_zeros(_pair([w * w, -2.0 * w, 1.0]))
+
+    def test_close_zeros_in_one_grid_cell_are_found(self):
+        # zeros at angles 1 and 1 + 1e-5, far inside one step of the grid
+        zeros = np.exp(1j * np.array([1.0, 1.0 + 1e-5, 2.5, 4.0]))
+        numer = engine._monic_from_roots(zeros)
+        assert_allclose(np.sort(np.angle(para_zeros(_pair(numer)))), np.sort(np.angle(zeros)), atol=1e-9)
+
+    def test_cap_09_ladder_at_n_64(self):
+        # the n = 64 ladder whose companion eigenvalues left the circle by 1.54e-9
+        s, _ = _cap_09_ladder()
+        pairs = [para_pair(s, n, tau) for n in range(1, 65) for tau in (1.0, 1.0j, -1.0, -1.0j)]
+        for pair, zs in zip(pairs, para_zeros_stack(pairs), strict=True):
+            assert zs.size == pair.n
+            assert np.max(np.abs(np.abs(zs) - 1.0)) < 1e-15
+            # each is a zero of the numerator, to the rounding of its coefficients
+            c = pair.Phi.numer
+            assert np.max(np.abs(npp.polyval(zs, c))) < 1e-11 * np.sum(np.abs(c))
+        report = run_verification(VerifyContext(s, seed=0, tolerances={}), ["para_zeros"])
+        assert report["para_zeros"]["pass"]
+
+    def test_cap_09_perturbed_level_fails(self):
+        # a relative 1e-7 in phi_3's numerator, phi_3^* as stored: its pairs
+        # are no longer self-reciprocal, and their zeros leave the circle
+        s, _ = _cap_09_ladder()
+        wrong = _with_level(s, 3, phi=(1 + 1e-7) * s.level(3).phi)
+        report = run_verification(VerifyContext(wrong, seed=0, tolerances={}), ["para_zeros"])
+        assert not report["para_zeros"]["pass"]
+        assert "left the circle" in report["para_zeros"]["error"]
+
+
+def _cap_09_ladder():
+    """The default_rng(0) ladder: poles disk(0.9, 65) drawn first, then lambdas disk(0.2, 64)."""
+    rng = np.random.default_rng(0)
+    poles = PoleSequence(_disk(rng, 0.9, 65))
+    lams = _disk(rng, 0.2, 64)
+    return synthesize(lams, poles), lams
 
 
 class TestDeterminant:
@@ -862,18 +909,14 @@ def reference_fit_step(poles, n, phi_prev, phi_star_prev, phi_n):
     lhs = phi_z * poles.varpi(n, zs) / poles.varpi(n - 1, zs)
     prev_z, col2 = evaluate_stack((phi_prev, phi_star_prev), zs)
     col1 = blaschke_factor(poles, n - 1, zs) * prev_z
-    mat = np.stack([col1, col2], axis=1)
-    # reduced QR, then back substitution on the 2 x 2 triangle
-    q, r = np.linalg.qr(mat)
-    y = q.conj().T @ lhs
-    b = y[1] / r[1, 1]
-    a = (y[0] - r[0, 1] * b) / r[0, 0]
-    return a, b, float(np.max(np.abs(mat @ np.array([a, b]) - lhs))), float(np.max(np.abs(phi_z)))
+    # the two-column solve on this level alone
+    a, b = engine._two_column_solve(col1, col2, lhs)
+    return a[0], b[0], float(np.max(np.abs(a * col1 + b * col2 - lhs))), float(np.max(np.abs(phi_z)))
 
 
 @pytest.mark.parametrize("which", ["synth", "poisson", "lebesgue"])
 def test_fit_matches_lstsq(which, synth_system, poisson_system, lebesgue):
-    # the QR solve and the SVD least-squares driver agree to rounding
+    # the two-column Gram-Schmidt solve and the SVD least-squares driver agree to rounding
     s = {
         "synth": synth_system,
         "poisson": poisson_system,
@@ -883,7 +926,7 @@ def test_fit_matches_lstsq(which, synth_system, poisson_system, lebesgue):
     phi_z = evaluate_stack([lv.phi for lv in s.levels], zs)
     star_z = evaluate_stack([lv.phi_star for lv in s.levels], zs)
     for n in range(1, s.n_max + 1):
-        a, b, resid, scale = engine._fit_values(s.poles, n, phi_z[n - 1], star_z[n - 1], phi_z[n])
+        ((a, b, resid, scale),) = engine._fit_levels(s.poles, [n], phi_z[n - 1 : n], star_z[n - 1 : n], phi_z[n : n + 1])
         lhs = phi_z[n] * s.poles.varpi(n, zs) / s.poles.varpi(n - 1, zs)
         mat = np.stack([blaschke_factor(s.poles, n - 1, zs) * phi_z[n - 1], star_z[n - 1]], axis=1)
         sol = np.linalg.lstsq(mat, lhs, rcond=None)[0]

@@ -18,6 +18,7 @@ from orfkit import (
     builtin_measure,
     caratheodory_from_measure,
     caratheodory_from_system,
+    gram_schmidt_orf,
     inner_product,
     measure_from_config,
     synthesize,
@@ -531,6 +532,17 @@ class TestMomentSeries:
         with pytest.raises(NumericalFailure, match=r"grids up to 65536: its tail is .* times the rounding floor"):
             caratheodory_from_measure(mu, 0.0)
         assert time.perf_counter() - start < 1.0
+
+    def test_non_positive_doubled_grid_names_the_series(self):
+        # three spikes on a 256-point table: the ladder builds on its own
+        # 256 points, but the moment series doubles to 512, where the
+        # table's trigonometric interpolant dips below 0
+        theta = 2.0 * np.pi * np.arange(256) / 256
+        w = np.full(256, 1e-30)
+        w[[0, 85, 170]] = 1.0
+        mu = builtin_measure("samples", theta=theta, w=w)
+        with pytest.raises(NonPositiveWeight, match="on the 512-point grid of its moment series"):
+            gram_schmidt_orf(mu, PoleSequence([0.0, 0.3, -0.2j]), 2, n_points=256)
 
 
 class TestWeightRecovery:

@@ -25,7 +25,7 @@ from orfkit import (
     weight_from_caratheodory,
 )
 from orfkit import transforms
-from orfkit.engine import _FIT_POINTS, _fit_values, identity_residual_stack
+from orfkit.engine import _FIT_POINTS, _fit_levels, identity_residual_stack
 from orfkit.measure import CaratheodoryFn, boundary_grid, ratio_caratheodory
 from orfkit.ratfun import blaschke_factor, evaluate_stack
 from orfkit.transforms import anchor_residual, arf_discrepancy, apply_transform_stack, relation_residual_stack
@@ -196,7 +196,7 @@ class TestApplyTransform:
         quad = arf_quad(s, 1)
         ((G1, _, _, _),) = apply_transform_stack(s, quad, 2.0, [1])
         ((G2, _, _, _),) = apply_transform_stack(s, quad, 2.0, [2])
-        a, b, resid, scale = _fit_values(G2.poles, 2, *evaluate_stack((G1, superstar(G1), G2), _FIT_POINTS))
+        ((a, b, resid, scale),) = _fit_levels(G2.poles, [2], *evaluate_stack((G1, superstar(G1), G2), _FIT_POINTS)[:, None])
         assert resid < 1e-9 * scale
         assert abs(np.conj(b / a) - s.level(3).lam) < 1e-10
         assert abs(abs(a) - s.level(3).e) < 1e-10

@@ -30,7 +30,7 @@ from orfkit import (
     verify,
     weight_from_caratheodory,
 )
-from orfkit.engine import _circle_nodes, _min_separation, zeros_factor
+from orfkit.engine import _circle_nodes, zeros_factor
 from orfkit.measure import boundary_grid, default_grid
 from orfkit.verify import CHECK_NAMES, DEFAULT_TOLERANCES, VerifyContext, run_verification
 
@@ -306,6 +306,15 @@ def reference_determinant(ctx):
         d, resid = reference_identity_residual(lv.phi, lv.psi, lv.phi_star, lv.psi_star)
         worst = max(worst, resid, abs(d - 2.0))
     return worst
+
+
+def _min_separation(pts) -> float:
+    """Smallest pairwise distance among the points (inf for fewer than two)."""
+    if len(pts) < 2:
+        return np.inf
+    diffs = np.abs(pts[:, None] - pts[None, :])
+    np.fill_diagonal(diffs, np.inf)
+    return float(diffs.min())
 
 
 def reference_para_zeros(c):
