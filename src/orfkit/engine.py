@@ -100,6 +100,9 @@ class OrfSystem:
         return len(self.levels) - 1
 
     def level(self, n) -> OrfLevel:
+        """Level n, 0 <= n <= n_max."""
+        if not 0 <= n <= self.n_max:
+            raise DomainError(f"level {n} outside 0..{self.n_max}")
         return self.levels[n]
 
     @property

@@ -55,7 +55,7 @@ class ZeroCollision(OrfkitError):
 
 
 class DivisionRemainderTooLarge(OrfkitError):
-    """Synthetic division left a remainder; transform conditions not actually met."""
+    """Dividing out a transform's common factor left a remainder; transform conditions not actually met."""
 
 
 class ConditionUnchecked(OrfkitError):

@@ -105,6 +105,8 @@ class RatFun:
         arr = np.array(numer, dtype=complex, ndmin=1)
         if n is None:
             n = arr.size - 1
+        if n < 0:
+            raise DomainError(f"degree {n} is negative")
         if arr.size != n + 1:
             raise DomainError(f"degree {n} needs {n + 1} coefficients, got {arr.size}")
         if len(poles) < n + 1:

@@ -2,8 +2,9 @@
 
 The transform takes a ladder level, multiplies it by a 2x2 matrix of
 self-reciprocal rational functions, and divides out the known kernel-times-
-Blaschke factor. The division is done synthetically on numerator
-polynomials with an explicit remainder bound, which turns the membership
+Blaschke factor. The division is done pointwise on roots of unity, where
+that factor has no zero, and one FFT reads the quotient back; its modes
+above the target degree bound the remainder, which turns the membership
 claim of the transform into a checkable quantity.
 
 Associated ladders of order k arise from the particular quad built out of
@@ -49,6 +50,7 @@ from .ratfun import (
     RatFun,
     _disk_sample,
     _evaluate_blocks,
+    _horner,
     blaschke_factor,
     evaluate_stack,
     superstar,
@@ -113,37 +115,6 @@ def identity_quad(poles: PoleSequence) -> SelfReciprocalQuad:
     quad = SelfReciprocalQuad(one, zero, zero, one, 1.0, 0, 0, PoleSequence([poles.beta[0]]))
     report = QuadConditionReport(0.0, np.inf, 0.0, 1.0, 0.0, 1.0, True)
     return replace(quad, report=report)
-
-
-def _deflate_root(p, r):
-    """Divide each row of p by (z - r) from the leading coefficient; stable
-    for |r| <= 1. Zeros above a row's own leading coefficient stay zeros.
-
-    Returns (quotients, |remainders|).
-    """
-    q = np.zeros((p.shape[0], p.shape[1] - 1), dtype=complex)
-    acc = p[:, -1]
-    for i in range(p.shape[1] - 2, -1, -1):
-        q[:, i] = acc
-        acc = p[:, i] + r * acc
-    return q, np.abs(acc)
-
-
-def _deflate_reciprocal(p, c, sizes):
-    """Divide each row of p by (1 - c z) from the constant term; stable for
-    |c| < 1. Row i holds sizes[i] coefficients and zeros above them.
-
-    Returns (quotients, |remainders|), each remainder taken at its row's top
-    degree and each quotient zero above its own size.
-    """
-    q = np.zeros(p.shape, dtype=complex)
-    acc = np.zeros(p.shape[0], dtype=complex)
-    for i in range(p.shape[1]):
-        acc = p[:, i] + c * acc
-        q[:, i] = acc
-    rem = np.abs(q[np.arange(p.shape[0]), sizes - 1])
-    q[np.arange(p.shape[1]) >= (sizes - 1)[:, None]] = 0.0
-    return q[:, :-1], rem
 
 
 def check_quad(
@@ -211,13 +182,18 @@ def check_quad(
 def apply_transform_stack(system: OrfSystem, quad: SelfReciprocalQuad, c_n, offsets):
     """(G, H, J, K) over the tilde poles for each level N + n, n in offsets, in order.
 
-    The numerators are formed by polynomial arithmetic and the common factor
-    of c_n P_N B_N is cancelled by synthetic division; a remainder above
-    1e-10 of the numerator scale means the quad conditions do not actually
-    hold. Post-asserts the superstar pairing G^* = tau_A H, J^* = tau_A K.
-    The levels go through one pass, as rows of one array per function;
-    every row keeps its own remainder, overflow and pairing test, and the
-    first level that fails one raises.
+    The numerators are read on the M-th roots of unity, M the power of two
+    above the degree 2N + r + max(offsets) of their products with A, B, C
+    and D. There each line is divided by the known common factor of c_n P_N
+    B_N, kappa prod_{j<N} (z - beta_j)(1 - conj(beta_j) z), which has no
+    zero on the circle, and one FFT gives the quotient's coefficients. An
+    exact quotient has degree r + n; one that is not has poles inside the
+    disk, whose negative modes alias into the modes above that degree, so
+    those modes above 1e-10 of the quotient's scale mean the quad
+    conditions do not actually hold. Post-asserts the superstar pairing
+    G^* = tau_A H, J^* = tau_A K. The levels go through one pass, as rows
+    of one array per function; every row keeps its own mode and pairing
+    test, and the first level that fails one raises.
     """
     if quad.report is None:
         raise ConditionUnchecked("run check_quad before applying a transform")
@@ -243,53 +219,31 @@ def apply_transform_stack(system: OrfSystem, quad: SelfReciprocalQuad, c_n, offs
             1.0 - abs(b0) ** 2
         )
 
+    size = 1 << (top + N + r).bit_length()
+    _, t = boundary_grid(size)
     # numerators of phi, phi^*, psi, psi^* at each level, zero-padded to degree top
     numers = np.zeros((4, len(offsets), top + 1), dtype=complex)
     for i, v in enumerate(offsets):
         lv = system.level(N + v)
         for row, f in zip(numers[:, i], (lv.phi, lv.phi_star, lv.psi, lv.psi_star)):
             row[: N + v + 1] = f.numer
-    # [G; H; J; K] = sum_j z^j M_j [phi; phi^*; psi; psi^*], M_j holding the
-    # j-th coefficients of A, B, C and D; level N + v has 2N + r + v + 1 of them
-    a, b, c, d = (f.numer for f in (quad.A, quad.B, quad.C, quad.D))
-    num = np.zeros((4, len(offsets), top + N + r + 1), dtype=complex)
-    for j in range(N + r + 1):
-        m = np.array([[a[j], 0, b[j], 0], [0, a[j], 0, -b[j]], [c[j], 0, d[j], 0], [0, -c[j], 0, d[j]]])
-        num[:, :, j : j + top + 1] += np.tensordot(m, numers, axes=1)
-    num = num.reshape(4 * len(offsets), -1)
-    sizes = np.tile([2 * N + r + v + 1 for v in offsets], 4)
-    scale = np.maximum(np.max(np.abs(num), axis=1), 1e-300)
-    # the known common factor: (z - beta_0)(1 - conj(beta_0) z) times
-    # (z - beta_j)(1 - conj(beta_j) z) for j = 1..N-1, removed one stable
-    # deflation at a time; nothing to remove when N = 0
-    roots = [base.beta[0]] + list(base.beta[1:N]) if N > 0 else []
-    quo, worst = num, np.zeros(num.shape[0])
-    for root in roots:
-        quo, rem = _deflate_root(quo, root)
-        worst, sizes = np.maximum(worst, rem), sizes - 1
-    for root in roots:
-        quo, rem = _deflate_reciprocal(quo, np.conj(root), sizes)
-        worst, sizes = np.maximum(worst, rem), sizes - 1
-    quo = quo / kappa
-    target = np.tile([r + v + 1 for v in offsets], 4)
-    beyond = np.arange(quo.shape[1]) >= target[:, None]
-    overflow = np.max(np.abs(quo) * beyond, axis=1, initial=0.0)
-    quo_scale = np.maximum(np.max(np.abs(quo), axis=1), 1e-300)
+    p, p_s, q, q_s = _horner(numers.reshape(-1, top + 1), t).reshape(4, len(offsets), size)
+    a, b, c, d = _horner(np.array([f.numer for f in (quad.A, quad.B, quad.C, quad.D)]), t)
+    factor = np.full(size, kappa)
+    for root in base.beta[:N]:
+        factor = factor * (t - root) * (1.0 - np.conj(root) * t)
+    lines = np.stack([a * p + b * q, a * p_s - b * q_s, c * p + d * q, d * q_s - c * p_s])
+    quo = np.fft.fft(lines / factor, axis=-1) / size
+    scale = np.maximum(np.max(np.abs(quo), axis=-1), 1e-300)
 
     out = []
     for i, v in enumerate(offsets):
-        funcs = []
-        for row in range(i, num.shape[0], len(offsets)):
-            if worst[row] > 1e-10 * scale[row]:
-                raise DivisionRemainderTooLarge(
-                    f"cancellation remainder {worst[row]:.2e} vs scale {scale[row]:.2e}"
-                )
-            if overflow[row] > 1e-10 * quo_scale[row]:
-                raise DivisionRemainderTooLarge(
-                    f"quotient degree exceeds the target space by {overflow[row]:.2e}"
-                )
-            funcs.append(RatFun(res_poles, quo[row, : r + v + 1], r + v))
-        G, H, J, K = funcs
+        excess = np.max(np.abs(quo[:, i, r + v + 1 :]), axis=-1, initial=0.0) / scale[:, i]
+        if excess.max() > 1e-10:
+            raise DivisionRemainderTooLarge(
+                f"quotient modes above degree {r + v} reach {excess.max():.2e} of its scale"
+            )
+        G, H, J, K = (RatFun(res_poles, row[: r + v + 1], r + v) for row in quo[:, i])
         for x, y in ((G, H), (J, K)):
             y_scale = max(float(np.abs(y.numer).max()), 1e-300)
             if float(np.abs(superstar(x).numer - quad.tau_A * y.numer).max()) > 1e-10 * y_scale:
@@ -392,6 +346,8 @@ class ArfSystem:
 
     def level(self, n):
         """Level by original index n (order <= n <= n_max)."""
+        if not self.order <= n <= self.base.n_max:
+            raise DomainError(f"level {n} outside {self.order}..{self.base.n_max}")
         return self.system.level(n - self.order)
 
     @cached_property

@@ -406,7 +406,7 @@ PINNED_VERIFY = {
             "measure": {"type": "poisson", "alpha": [0.3, -0.2]},
             "n_max": 5,
         },
-        "3c1212f15e2b460b30d2b06cfe8e5bb009077fa152cd6628e2df337d7cf0c6bd",
+        "92cc7ce70a62cd3e2d90a41cb9dd4d02dcb787a33fa8c0ef8c1ef23d8a1c2910",
     ),
     "samples-n4-grid2048": (
         {
@@ -415,7 +415,7 @@ PINNED_VERIFY = {
             "n_max": 4,
             "grid": 2048,
         },
-        "8ae05821fd9c9d5632da5e243d7d05c9b94d3ffa2d31753e277824abefc18ce5",
+        "dfa1cf96b135c86a42686cc56ae86bec4290fb2b183b1485570ff2e35e1f45bd",
     ),
 }
 

@@ -446,6 +446,13 @@ class TestSynthesize:
         assert s.n_max == 0
         assert_allclose(s.level(0).phi.numer, [1.0])
 
+    @pytest.mark.parametrize("n", [-1, -3, 4])
+    def test_level_outside_the_ladder(self, n):
+        # a negative index would otherwise wrap round to a level from the top
+        s = synthesize([0.1, 0.2, 0.3], PoleSequence([0.0] * 4))
+        with pytest.raises(DomainError, match="outside 0..3"):
+            s.level(n)
+
     def test_given_grid_skips_the_completion_grid(self, monkeypatch, synth_system):
         # n_points as gram_schmidt_orf takes it: the ladder is the default
         # build's, bit for bit, and its zeros are never sought

@@ -99,6 +99,13 @@ class TestEvaluate:
         assert f.n == 1
         assert_allclose(f(0.2), 1.0 / (1 - 0.25 * 0.4))
 
+    def test_negative_degree_is_rejected(self):
+        # no coefficients would otherwise build a degree -1 function
+        with pytest.raises(DomainError, match="negative"):
+            RatFun(PoleSequence([0.0]), [])
+        with pytest.raises(DomainError, match="negative"):
+            RatFun(PoleSequence([0.0]), [], -1)
+
 
 class TestSubstar:
     def test_constant(self):

@@ -24,7 +24,7 @@ from orfkit import (
     transformed_caratheodory,
     weight_from_caratheodory,
 )
-from orfkit import transforms
+from orfkit import cli, transforms
 from orfkit.engine import _FIT_POINTS, _fit_levels, identity_residual_stack
 from orfkit.measure import CaratheodoryFn, boundary_grid, ratio_caratheodory
 from orfkit.ratfun import blaschke_factor, evaluate_stack
@@ -253,11 +253,29 @@ class TestArfExplicit:
             assert sup_diff(phi, lebesgue_arf(poles, 1, n)) < 1e-10
 
 
+    @pytest.mark.parametrize("k", [31, 38, 46])
+    def test_high_orders_of_the_n48_probe(self, k):
+        # orders 31-46 of this ladder lose the superstar pairing when the
+        # common factor is divided out of the coefficients one root at a time
+        rng = np.random.default_rng(1)
+        poles = PoleSequence(0.7 * np.sqrt(rng.uniform(size=49)) * np.exp(2j * np.pi * rng.uniform(size=49)))
+        lams = 0.2 * np.sqrt(rng.uniform(size=48)) * np.exp(2j * np.pi * rng.uniform(size=48))
+        s = synthesize(lams, poles)
+        assert arf_discrepancy(arf_recurrence(s, k)) < cli.ARF_AGREEMENT
+
+
 class TestArfRecurrence:
     def test_order_zero_reproduces_base(self, synth_system):
         arf = arf_recurrence(synth_system, 0)
         for n in range(synth_system.n_max + 1):
             assert_allclose(arf.level(n).phi.numer, synth_system.level(n).phi.numer, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [-1, 1, 4])
+    def test_level_outside_the_order_range(self, n):
+        # n - order would otherwise index the shifted ladder from its top
+        arf = arf_recurrence(synthesize([0.1, 0.2, 0.3], PoleSequence([0.0] * 4)), 2)
+        with pytest.raises(DomainError, match="outside 2..3"):
+            arf.level(n)
 
     def test_order_zero_is_the_ladder_itself(self, synth_system, poisson_system):
         for s in (synth_system, poisson_system):
