@@ -26,6 +26,7 @@ from .errors import (
 from .measure import (
     CaratheodoryFn,
     CircleMeasure,
+    _check_grid,
     _grid_memo,
     boundary_grid,
     caratheodory_from_measure,
@@ -46,7 +47,7 @@ from .ratfun import (
     poisson_kernel,
     superstar,
 )
-from .zeros import circle_zeros, polynomial_roots
+from .zeros import circle_zeros, zeros_inside
 
 TOL_ORTHO = 1e-9
 # Quadrature accuracy degrades as poles approach the circle; beyond this the
@@ -78,9 +79,10 @@ class OrfSystem:
     source is "measure" or "parameters": where the recurrence data came
     from. Both are orthonormal, and both are the recurrence run on that
     data from level 0. A system given no grid size gets the default one
-    for its n_max. Its C-function is settled here, once: the one given,
-    else the moment series of its measure on its grid, else the rational
-    completion psi*_m/phi*_m of its top level m.
+    for its n_max; a grid size given must pass `_check_grid`. Its
+    C-function is settled here, once: the one given, else the moment
+    series of its measure on its grid, else the rational completion
+    psi*_m/phi*_m of its top level m.
     """
 
     __slots__ = ("poles", "levels", "source", "measure", "caratheodory", "n_points")
@@ -90,6 +92,8 @@ class OrfSystem:
         self.levels = tuple(levels)
         self.source = source
         self.measure = measure
+        if n_points is not None:
+            _check_grid(n_points)
         self.n_points = n_points or default_grid(len(self.levels) - 1)
         if caratheodory is None and measure is not None:
             caratheodory = caratheodory_from_measure(measure, poles.beta[0], n_points=self.n_points)
@@ -178,13 +182,13 @@ def _fit_levels(poles, levels, prev_z, star_z, phi_z) -> list:
     return [(a[i, 0], b[i, 0], float(resid[i]), float(scale[i])) for i in range(len(resid))]
 
 
-def _fit_ladder(poles, phi_z, star_z) -> list:
-    """_fit_levels at every level 1..m, from the values of phi_0..phi_m
-    (phi_z) and of their superstars (star_z) at the fit points, one row
-    per level."""
-    if len(phi_z) < 2:
+def _fit_ladder(poles, phis, stars) -> list:
+    """_fit_levels at every level 1..m of phi_0..phi_m (phis) and their
+    superstars (stars), from one evaluate_stack call at the fit points."""
+    if len(phis) < 2:
         return []
-    return _fit_levels(poles, range(1, len(phi_z)), phi_z[:-1], star_z[:-1], phi_z[1:])
+    phi_z, star_z = np.split(evaluate_stack([*phis, *stars], _FIT_POINTS), 2)
+    return _fit_levels(poles, range(1, len(phis)), phi_z[:-1], star_z[:-1], phi_z[1:])
 
 
 def _parameters(n, fit):
@@ -281,30 +285,30 @@ def synthesize(lambdas, poles: PoleSequence, n_points=None, allow_poles_near_cir
 
 def _completion_grid(top: OrfLevel, n_max: int) -> int:
     """Quadrature size resolving the rational-completion density, which
-    carries 1/|phi*_m|^2: the `_modulus_grid` of phi_m's largest zero
-    modulus, read off `polynomial_roots`."""
+    carries 1/|phi*_m|^2: the `_modulus_grid` that holds phi_m's zeros."""
     c = _trimmed(top.phi.numer)
-    return _modulus_grid(float(np.max(np.abs(polynomial_roots(c)))) if c.size > 1 else 0.0, n_max)
+    return _modulus_grid(n_max, lambda r: zeros_inside(c, r))
 
 
 def fourier_grid(system: OrfSystem) -> int:
     """The grid the Fourier tests of a ladder read: its own when it has a
-    measure, else the `_modulus_grid` of its largest pole modulus, as those
-    tests then read their lines times phi*_m, free of phi_m's zeros."""
+    measure, else the `_modulus_grid` that holds its poles, as those tests
+    then read their lines times phi*_m, free of phi_m's zeros."""
     if system.measure is not None:
         return system.n_points
-    return _modulus_grid(float(np.max(np.abs(system.poles.beta[: system.n_max + 1]))), system.n_max)
+    rho = float(np.max(np.abs(system.poles.beta[: system.n_max + 1])))
+    return _modulus_grid(system.n_max, lambda r: rho <= r)
 
 
-def _modulus_grid(rho: float, n_max: int) -> int:
-    """default_grid(n_max), raised so rho^N, the decay of N Fourier modes of
-    a function analytic out to |z| = 1/rho, is at rounding level; at most 32768."""
-    base = default_grid(n_max)
-    if rho <= 0.5:
-        return base
-    needed = int(np.ceil(30.0 / -np.log(min(rho, 0.9999))))
-    needed = 1 << (needed - 1).bit_length()
-    return int(min(max(base, needed), 32768))
+def _modulus_grid(n_max: int, within) -> int:
+    """default_grid(n_max), doubled up to 32768 until within(exp(-30/N)):
+    the Fourier modes of a function analytic out to |z| = 1/r decay as
+    r^N = e^-30 at mode N, and within(r) says whether the points whose
+    reflections bound it (poles, phi_m's zeros) lie within r."""
+    n = default_grid(n_max)
+    while n < 32768 and not within(np.exp(-30.0 / n)):
+        n *= 2
+    return n
 
 
 def caratheodory_from_system(system: OrfSystem) -> CaratheodoryFn:
@@ -370,9 +374,8 @@ def szego_rule(system: OrfSystem) -> Quadrature:
     |z| = r = 2^(-1/(m+1)), where r^(-m) <= 2, and midway between nodes."""
     m = system.n_max
     poles = PoleSequence(np.concatenate([system.poles.beta[: m + 1], [0.0]]))
-    levels = [*system.levels, recurrence_step(system.level(m), 0.0, 1.0, poles, m + 1)]
-    ext = OrfSystem(poles, levels, system.source, caratheodory=system.caratheodory, n_points=system.n_points)
-    nodes = para_zeros(para_pair(ext, m + 1, 1.0))
+    ext = recurrence_step(system.level(m), 0.0, 1.0, poles, m + 1)
+    (nodes,) = circle_zeros([ext.phi.numer + ext.phi_star.numer])
     weights = 1.0 / np.sum(np.abs(evaluate_stack([lv.phi for lv in system.levels], nodes)) ** 2, axis=0)
     # the circle points: the midpoint of the gap between nodes that each angle 2 pi k / 6 falls in
     ang = np.sort(np.angle(nodes) % (2.0 * np.pi))
@@ -517,16 +520,8 @@ def para_pair(system: OrfSystem, n: int, tau) -> ParaPair:
 
 def para_zeros(pair: ParaPair) -> np.ndarray:
     """Zeros of the para-orthogonal numerator, sorted by angle: read on the
-    circle from its phase line (`para_zeros_stack`); all must be simple."""
-    return para_zeros_stack([pair])[0]
-
-
-def para_zeros_stack(pairs) -> list:
-    """para_zeros of each pair, in order: the `circle_zeros` of their
-    numerators, read on the circle from the phase. Every numerator is
-    taken first, so a degenerate one raises before any zeros are sought;
-    then the first pair whose zeros fail raises, as para_zeros would."""
-    return circle_zeros([pair.Phi.numer for pair in pairs])
+    circle from its phase line (`circle_zeros`); all must be simple."""
+    return circle_zeros([pair.Phi.numer])[0]
 
 
 def identity_residual_stack(fs, gs, f_stars, g_stars):

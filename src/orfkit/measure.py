@@ -7,6 +7,8 @@ density w(theta) against dtheta/2pi, normalized so the total mass is 1.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import (
@@ -159,6 +161,8 @@ def builtin_measure(kind: str, alpha=None, theta=None, w=None) -> CircleMeasure:
     if kind == "lebesgue":
         return CircleMeasure("lebesgue", lambda th: np.ones_like(np.asarray(th, float)), mass=1.0)
     if kind == "poisson":
+        if not isinstance(alpha, numbers.Number):
+            raise DomainError(f"poisson measure needs a numeric alpha, got {alpha!r}")
         a = complex(alpha)
         if not abs(a) < 1.0:
             raise DomainError("poisson measure needs |alpha| < 1")

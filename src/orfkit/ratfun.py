@@ -160,12 +160,14 @@ def evaluate_stack(fs, z) -> np.ndarray:
     evaluate on that function alone. Points near a pole of the
     highest-degree member raise PoleProximity for the whole stack.
     """
+    z = np.asarray(z, dtype=complex)
+    if not len(fs):
+        return np.empty((0,) + z.shape, dtype=complex)
     top = max(fs, key=lambda f: f.n)
     beta = top.poles.beta
     for f in fs:
         if not (f.poles is top.poles or np.array_equal(f.poles.beta[: f.n + 1], beta[: f.n + 1])):
             raise PoleMismatch("stacked functions need one pole prefix")
-    z = np.asarray(z, dtype=complex)
     conj_beta = np.conj(beta[1 : top.n + 1])
     if top.n:
         _pole_guard(conj_beta, z, 1)
@@ -259,6 +261,8 @@ def blaschke_factor(poles: PoleSequence, k: int, z) -> complex | np.ndarray:
 
     Unimodular on |z| = 1, zero at beta_k; reduces to z when beta_k = 0.
     """
+    if not 0 <= k < len(poles):
+        raise DomainError(f"Blaschke factor index {k} outside 0..{len(poles) - 1}")
     z = np.asarray(z, dtype=complex)
     _pole_guard(np.conj(poles.beta[k : k + 1]), z, k)
     out = poles.eta(k) * poles.varpi_star(k, z) / poles.varpi(k, z)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .engine import OrfLevel, OrfSystem, _orthonormal_e
 from .errors import DomainError, NumericalFailure
-from .measure import _check_grid
 from .ratfun import PoleSequence, RatFun
 
 
@@ -94,10 +93,8 @@ def system_from_dict(data: dict) -> OrfSystem:
         raise DomainError(f"a ladder's source is 'measure' or 'parameters', got {source!r}")
     if not levels:
         raise DomainError("a serialized ladder needs level 0")
-    if n_points is not None:
-        if isinstance(n_points, bool) or not isinstance(n_points, int):
-            raise DomainError(f"n_points must be an integer or null, got {n_points!r}")
-        _check_grid(n_points)
+    if n_points is not None and (isinstance(n_points, bool) or not isinstance(n_points, int)):
+        raise DomainError(f"n_points must be an integer or null, got {n_points!r}")
     return OrfSystem(poles, levels, source=source, n_points=n_points)
 
 

@@ -302,13 +302,18 @@ def anchor_residual(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> float:
     return abs(num - den) / den_scale
 
 
+def _check_order(system: OrfSystem, k):
+    """DomainError unless the order k is an integer with 0 <= k <= n_max."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= system.n_max:
+        raise DomainError(f"arf order k must satisfy 0 <= k <= n_max and be an integer, got {k!r}")
+
+
 def arf_quad(system: OrfSystem, k: int) -> SelfReciprocalQuad:
     """Quad generating the order-k associated ladder: built from the level-k
     para-orthogonal pairs at tau = -1 and tau = +1, with signature 1 and the
     single tilde point beta_k. The condition check runs by construction,
     on the ladder's `fourier_grid`."""
-    if not 0 <= k <= system.n_max:
-        raise DomainError("arf order k must satisfy 0 <= k <= n_max")
+    _check_order(system, k)
     pp1 = para_pair(system, k, 1.0)
     ppm = para_pair(system, k, -1.0)
     quad = SelfReciprocalQuad(
@@ -397,8 +402,7 @@ def arf_recurrence(system: OrfSystem, k: int) -> ArfSystem:
     """Order-k associated ladder by running the recurrence with the stored
     parameters shifted by k, over the shifted pole sequence, from the
     constant initial level 1. Its quad, F_k and mu_k follow on first use."""
-    if not 0 <= k <= system.n_max:
-        raise DomainError("arf order k must satisfy 0 <= k <= n_max")
+    _check_order(system, k)
     if k == 0:
         # order 0 leaves the ladder untouched
         return ArfSystem(system, 0, system)
@@ -456,18 +460,21 @@ def relation_residual_stack(arfs: dict, triples) -> list:
     of triples, in order. The levels of each order's ladder (arfs is keyed
     by order) up to the highest n of triples are evaluated on the 256-point
     boundary grid in one call."""
+    if not triples:
+        return []
+    orders = {o for j, k, _ in triples for o in (j, k)}
+    if orders - arfs.keys():
+        raise DomainError(f"arfs holds no ladder of order {min(orders - arfs.keys())}")
     system = next(iter(arfs.values())).base
     if any(arf.base is not system for arf in arfs.values()):
         raise DomainError("the associated ladders must come from one base ladder")
     for j, k, n in triples:
         if not 0 <= j <= k <= n <= system.n_max:
             raise DomainError("need 0 <= j <= k <= n <= n_max")
-    if not triples:
-        return []
     _, t = boundary_grid(256)
     hi = max(n for _, _, n in triples)
     tables = {}
-    for order in {o for j, k, _ in triples for o in (j, k)}:
+    for order in orders:
         levels = arfs[order].system.levels[: hi - order + 1]
         funcs = [f for lv in levels for f in (lv.phi, lv.phi_star, lv.psi, lv.psi_star)]
         tables[order] = evaluate_stack(funcs, t).reshape(len(levels), 4, t.size)

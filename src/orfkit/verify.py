@@ -15,7 +15,6 @@ import numpy as np
 
 from . import serialize
 from .engine import (
-    _FIT_POINTS,
     _ZERO_FREE_MIN,
     OrfSystem,
     _fit_ladder,
@@ -29,7 +28,6 @@ from .engine import (
     interpolation_residual_stack,
     measure_from_system,
     para_pair,
-    para_zeros_stack,
     second_kind_functional_residual_stack,
     second_kind_integral_stack,
     szego_rule,
@@ -42,6 +40,7 @@ from .transforms import (
     arf_recurrence,
     relation_residual_stack,
 )
+from .zeros import circle_zeros
 
 DEFAULT_TOLERANCES = {
     "orthonormality": 1e-9,
@@ -109,19 +108,15 @@ class VerifyContext:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
 
-def _ladder_fits(poles, levels):
-    """_fit_ladder of every level, from one evaluation of phi_n and phi_n^* at the fit points."""
-    funcs = [lv.phi for lv in levels] + [lv.phi_star for lv in levels]
-    return _fit_ladder(poles, *np.split(evaluate_stack(funcs, _FIT_POINTS), 2))
-
-
 def check_orthonormality(ctx):
     return _gram_defect([lv.phi for lv in ctx.system.levels], ctx.quadrature)
 
 
 def check_recurrence_fit(ctx):
+    levels = ctx.system.levels
+    fits = _fit_ladder(ctx.system.poles, [lv.phi for lv in levels], [lv.phi_star for lv in levels])
     worst = 0.0
-    for _, _, resid, scale in _ladder_fits(ctx.system.poles, ctx.system.levels):
+    for _, _, resid, scale in fits:
         worst = max(worst, resid / scale)
     return worst
 
@@ -133,8 +128,8 @@ def check_determinant(ctx):
 
 def check_para_zeros(ctx):
     s = ctx.system
-    pairs = [para_pair(s, n, tau) for n in range(1, s.n_max + 1) for tau in (1.0, 1.0j, -1.0, -1.0j)]
-    return max((float(np.abs(np.abs(zs) - 1.0).max()) for zs in para_zeros_stack(pairs)), default=0.0)
+    numers = [para_pair(s, n, tau).Phi.numer for n in range(1, s.n_max + 1) for tau in (1.0, 1.0j, -1.0, -1.0j)]
+    return max((float(np.abs(np.abs(zs) - 1.0).max()) for zs in circle_zeros(numers)), default=0.0)
 
 
 def check_second_kind(ctx):
@@ -227,8 +222,9 @@ def check_roundtrip_lambda(ctx):
     poles = s.poles if len(s.poles) >= n + 1 else PoleSequence(np.concatenate([s.poles.beta, [0.0]]))
     # the recurrence on the ladder's own poles, which the config has admitted
     levels = _run_recurrence(poles, _level_zero(poles, 1.0), ((lam, 1.0) for lam in lams))
+    fits = _fit_ladder(poles, [lv.phi for lv in levels], [lv.phi_star for lv in levels])
     worst = 0.0
-    for i, fit in enumerate(_ladder_fits(poles, levels), start=1):
+    for i, fit in enumerate(fits, start=1):
         worst = max(worst, abs(_parameters(i, fit)[0] - lams[i - 1]))
     return worst
 

@@ -1,11 +1,11 @@
-"""Zeros of polynomials: on the unit circle from the phase, elsewhere by
-a root iteration.
+"""Zeros of polynomials: on the unit circle from the phase, inside a disk
+by the Schur-Cohn test.
 
 `circle_zeros` finds the zeros of self-reciprocal polynomials, such as
 the numerators of para-orthogonal functions, as the zeros of a real
 trigonometric line, bracketed on a grid and refined by Newton steps;
-`polynomial_roots` runs the Aberth-Ehrlich iteration. Neither factors a
-matrix, so no LAPACK code is loaded for them.
+`zeros_inside` says whether every zero lies in a disk without finding
+any. Neither factors a matrix, so no LAPACK code is loaded for them.
 """
 
 from __future__ import annotations
@@ -36,15 +36,15 @@ def circle_zeros(numerators) -> list:
     (Bultheel et al. 1999, ch. 5; Jones, Njåstad & Thron, Bull. LMS 21,
     1989). Then g(theta) = c(e^(i theta)) e^(-i (arg kappa + m theta)/2)
     is real, and its zeros are the zeros' angles. A polynomial further
-    than 1e-9 from self-reciprocal raises ZeroOffCircle by the distance of
-    its zeros from the circle (`_off_circle`). `_brackets` finds an
-    interval about every zero of the others, `_phase_roots` refines the
-    zeros of every polynomial together, and `_collisions` raises
-    ZeroCollision for two zeros closer than 1e-8, or with g between them
-    at rounding. Each polynomial is cut after its last coefficient above
-    1e-13 of its largest; one that is 0, or then of degree 0, raises
-    DomainError before any zeros are sought. Then the first polynomial
-    whose zeros fail raises.
+    than 1e-9 from self-reciprocal raises ZeroOffCircle, naming that
+    defect (`_phase_lines`). `_brackets` finds an interval about every
+    zero of the others, `_phase_roots` refines the zeros of every
+    polynomial together, and `_collisions` raises ZeroCollision for two
+    zeros closer than 1e-8, or with g between them at rounding. Each
+    polynomial is cut after its last coefficient above 1e-13 of its
+    largest; one that is 0, or then of degree 0, raises DomainError
+    before any zeros are sought. Then the first polynomial whose zeros
+    fail raises.
     """
     if not numerators:
         return []
@@ -54,7 +54,7 @@ def circle_zeros(numerators) -> list:
     tol = 8.0 * _EPS * np.sum(np.abs(lines) * (1.0 + 7.0 * np.abs(nu)), axis=1)
     ok = defect <= 1e-9
     errors = {
-        int(i): ZeroOffCircle(f"para zero left the circle by {_off_circle(lines[i, : m[i] + 1]):.2e}")
+        int(i): ZeroOffCircle(f"para zero left the circle: self-reciprocity defect {defect[i]:.2e}")
         for i in np.flatnonzero(~ok)
     }
     row, lo, hi, up, start = _brackets(lines, m, nu, tol, ok, errors)
@@ -92,11 +92,6 @@ def _phase_lines(numerators):
     kappa = np.where(kappa == 0, 1.0, kappa / np.abs(kappa))
     defect = np.max(np.abs(lines - kappa[:, None] * np.conj(mirror)), axis=1)
     return lines * np.exp(-0.5j * np.angle(kappa))[:, None], m, defect
-
-
-def _off_circle(c) -> float:
-    """The largest distance from the circle of a zero of the polynomial c."""
-    return float(np.max(np.abs(np.abs(polynomial_roots(c)) - 1.0)))
 
 
 def _phase_values(coeffs, nu, theta):
@@ -158,7 +153,7 @@ def _short_line(line, m, nu, tol, n_grid):
     read from g'' there); else they are a pair off the circle,
     ZeroOffCircle by sqrt(2 |g| / |g''|). When the extrema do not account
     for every zero, the grid grows fourfold, up to _PHASE_GRID_MAX, where
-    the zeros' distance from the circle comes from `_off_circle`."""
+    ZeroOffCircle says how many of the m zeros it placed."""
     slope = line * nu
     while True:
         h = 2.0 * np.pi / n_grid
@@ -181,7 +176,8 @@ def _short_line(line, m, nu, tol, n_grid):
         if (~cross).any():
             return ZeroCollision(f"para zeros separated by only {2.0 * spread[~cross].min():.2e}")
         if n_grid >= _PHASE_GRID_MAX:
-            return ZeroOffCircle(f"para zero left the circle by {_off_circle(line[0, : m[0] + 1]):.2e}")
+            placed = lo.size + 2 * np.count_nonzero(cross)
+            return ZeroOffCircle(f"para zero left the circle: {placed} of {m[0]} zeros placed on it")
         n_grid *= 4
 
 
@@ -230,32 +226,18 @@ def _collisions(lines, nu, tol, row, theta, errors):
         errors.setdefault(int(i), ZeroCollision(f"para zeros separated by only {sep[bad[row[bad] == i]].min():.2e}"))
 
 
-def polynomial_roots(c) -> np.ndarray:
-    """Zeros of the polynomial c (constant first, last coefficient nonzero):
-    its exact zeros at 0, then the Aberth-Ehrlich iteration from a circle of
-    the zeros' geometric-mean modulus, all zeros updated together, until the
-    largest correction is below 1e-7 of the largest zero (the iteration
-    converges cubically, so the next correction would be at rounding)."""
-    at_zero = np.flatnonzero(c)[0]
-    c = c[at_zero:]
-    m = c.size - 1
-    z = np.zeros(at_zero + m, dtype=complex)
-    if m == 0:
-        return z
-    dc = c[1:] * np.arange(1, m + 1)
-    x = abs(c[0] / c[-1]) ** (1.0 / m) * np.exp(1j * (2.0 * np.pi * np.arange(m) / m + 0.4))
-    powers = np.empty((m, m + 1), dtype=complex)
-    powers[:, 0] = 1.0
-    others = ~np.eye(m, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(200):
-            powers[:, 1:] = x[:, None]
-            np.cumprod(powers, axis=1, out=powers)
-            # p'/p at each x, less the pull of the other approximations
-            step = 1.0 / ((powers[:, :m] @ dc) / (powers @ c) - np.sum(1.0 / (x[:, None] - x), axis=1, where=others))
-            step[~np.isfinite(step)] = 0.0
-            x = x - step
-            if not np.abs(step).max() > 1e-7 * np.abs(x).max():
-                break
-    z[at_zero:] = x
-    return z
+def zeros_inside(c, r) -> bool:
+    """Whether every zero of the polynomial c (constant first, last
+    coefficient nonzero) lies in |z| < r, by the Schur-Cohn test on
+    p(z) = c(r z) (Cohn, Math. Z. 14, 1922): all m zeros of p lie in the
+    unit disk exactly when |p_0| < |p_m| and all m - 1 of
+    (conj(p_m) p - p_0 p^*)/z do, p^* the reversed conjugate. Each step is
+    scaled to its largest coefficient, else the leading ones, which square
+    at every step, overflow."""
+    p = np.asarray(c, dtype=complex) * r ** np.arange(len(c))
+    while p.size > 1:
+        p = p / np.max(np.abs(p))
+        if not abs(p[0]) < abs(p[-1]):
+            return False
+        p = (np.conj(p[-1]) * p - p[0] * np.conj(p[::-1]))[1:]
+    return True

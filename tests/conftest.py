@@ -7,11 +7,10 @@ from orfkit import (
     RatFun,
     builtin_measure,
     evaluate,
-    evaluate_stack,
     gram_schmidt_orf,
     synthesize,
 )
-from orfkit.engine import _FIT_POINTS, _fit_ladder
+from orfkit.engine import POLE_CAP
 from orfkit.measure import boundary_grid
 from orfkit.ratfun import TAU_POLE
 
@@ -49,9 +48,18 @@ def substar_eval(f: RatFun, z):
     return np.conj(evaluate(f, 1.0 / np.conj(z)))
 
 
-def fit_at_points(poles, phis, stars):
-    """_fit_ladder of phi_0..phi_m and their superstars, evaluated at the fit points."""
-    return _fit_ladder(poles, evaluate_stack(phis, _FIT_POINTS), evaluate_stack(stars, _FIT_POINTS))
+def probe_ladder(n, seed, cap=0.7, lcap=0.2):
+    """The seeded probe ladder, synthesized on its completion grid: from
+    default_rng(seed), poles disk(cap, n + 1), beta_0 included, drawn first,
+    then lambdas disk(lcap, n), disk(c, m) holding m points c sqrt(u) e^(2 pi i v)
+    for uniform u, v. The pole cap is overridden only above POLE_CAP."""
+    rng = np.random.default_rng(seed)
+
+    def disk(c, m):
+        return c * np.sqrt(rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
+
+    poles = PoleSequence(disk(cap, n + 1))
+    return synthesize(disk(lcap, n), poles, allow_poles_near_circle=cap > POLE_CAP)
 
 
 @pytest.fixture(scope="session")

@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 
 from orfkit import (
+    DomainError,
     PoleSequence,
     arf_quad,
     arf_recurrence,
+    blaschke_factor,
     builtin_measure,
     caratheodory_from_measure,
+    evaluate_stack,
     gram_schmidt_orf,
     para_pair,
     para_zeros,
@@ -24,6 +27,7 @@ from orfkit import (
     weight_from_caratheodory,
 )
 from orfkit.engine import (
+    _fit_ladder,
     determinant_residual_stack,
     grid_quadrature,
     identity_residual_stack,
@@ -34,9 +38,7 @@ from orfkit.engine import (
 from orfkit.transforms import apply_transform_stack
 from orfkit.measure import boundary_grid
 from orfkit.serialize import dumps, system_from_dict, system_to_dict
-from orfkit.transforms import anchor_residual
-
-from conftest import fit_at_points
+from orfkit.transforms import anchor_residual, relation_residual_stack
 
 SQ3 = np.sqrt(3.0)
 
@@ -238,7 +240,7 @@ def test_criterion_12_round_trips(measure_systems):
     # synthesize -> extract
     system, lams = _random_synth(99, 8)
     worst = 0.0
-    fits = fit_at_points(system.poles, [lv.phi for lv in system.levels], [lv.phi_star for lv in system.levels])
+    fits = _fit_ladder(system.poles, [lv.phi for lv in system.levels], [lv.phi_star for lv in system.levels])
     for n, (a, b, _, _) in enumerate(fits, start=1):
         worst = max(worst, abs(np.conj(b / a) - lams[n - 1]))
     ok = _line("criterion 12: synthesize -> extract recovers parameters", worst, 1e-10)
@@ -267,3 +269,31 @@ def test_criterion_12_round_trips(measure_systems):
         exact = exact and dumps(system_to_dict(again)) == blob
     ok &= _line("criterion 12: serialization bit-exact", 0.0 if exact else 1.0, 0.5, ok=exact)
     assert ok
+
+
+@pytest.mark.parametrize(
+    "call, outcome",
+    [
+        pytest.param(lambda s: evaluate_stack([], np.zeros((2, 3))).shape, (0, 2, 3), id="evaluate-nothing"),
+        pytest.param(lambda s: relation_residual_stack({}, []), [], id="relations-of-nothing"),
+        pytest.param(
+            lambda s: relation_residual_stack({0: arf_recurrence(s, 0)}, [(0, 1, 2)]),
+            "no ladder of order 1",
+            id="relations-missing-order",
+        ),
+        pytest.param(lambda s: blaschke_factor(s.poles, len(s.poles), 0.5), "index 5 outside", id="blaschke-past-end"),
+        pytest.param(lambda s: blaschke_factor(s.poles, -1, 0.5), "index -1 outside", id="blaschke-negative"),
+        pytest.param(lambda s: arf_recurrence(s, 1.5), "arf order k", id="arf-recurrence-float-order"),
+        pytest.param(lambda s: arf_quad(s, 1.0), "arf order k", id="arf-quad-float-order"),
+        pytest.param(lambda s: builtin_measure("poisson"), "numeric alpha", id="poisson-without-alpha"),
+        pytest.param(lambda s: builtin_measure("poisson", alpha="0.3"), "numeric alpha", id="poisson-string-alpha"),
+    ],
+)
+def test_public_api_edges(synth_system, call, outcome):
+    # an empty request gets an empty answer; a bad argument a DomainError
+    # that names it, never a bare Python error from inside
+    if isinstance(outcome, str):
+        with pytest.raises(DomainError, match=outcome):
+            call(synth_system)
+    else:
+        assert call(synth_system) == outcome

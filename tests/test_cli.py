@@ -647,20 +647,20 @@ def _footprint_configs(tmp_path):
 
 
 def test_commands_make_no_linalg_call(tmp_path, monkeypatch, capsys):
-    # every public numpy.linalg function raises; the completion grid's root
-    # iteration must still run
+    # every public numpy.linalg function raises; the completion grid's
+    # Schur-Cohn test must still run
     def no_linalg(*args, **kwargs):
         raise AssertionError("numpy.linalg called")
 
     for name in np.linalg.__all__:
         if not isinstance(getattr(np.linalg, name), type):
             monkeypatch.setattr(np.linalg, name, no_linalg)
-    roots = []
-    monkeypatch.setattr(engine, "polynomial_roots", lambda c, real=engine.polynomial_roots: roots.append(c) or real(c))
+    tested = []
+    monkeypatch.setattr(engine, "zeros_inside", lambda c, r, real=engine.zeros_inside: tested.append(c) or real(c, r))
     for cfg in _footprint_configs(tmp_path):
         for argv in COMMANDS:
             assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 0, (argv, cfg)
-    assert roots
+    assert tested
 
 
 def test_commands_load_neither_numpy_random_nor_polynomial(tmp_path):

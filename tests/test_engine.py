@@ -1,6 +1,8 @@
 import dataclasses
 import re
 import tracemalloc
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from orfkit import engine, ratfun
 from orfkit.engine import (
     ParaPair,
     _circle_nodes,
+    _fit_ladder,
     _four,
     _gram_defect,
     _level_zero,
@@ -43,7 +46,6 @@ from orfkit.engine import (
     determinant_residual_stack,
     grid_quadrature,
     interpolation_residual_stack,
-    para_zeros_stack,
     second_kind_functional_residual_stack,
     second_kind_integral_stack,
     szego_rule,
@@ -51,8 +53,9 @@ from orfkit.engine import (
 from orfkit.measure import boundary_grid, default_grid
 from orfkit.transforms import arf_quad, arf_recurrence
 from orfkit.verify import VerifyContext, run_verification
+from orfkit.zeros import circle_zeros
 
-from conftest import fit_at_points
+from conftest import probe_ladder
 
 SQ3 = np.sqrt(3.0)
 
@@ -228,7 +231,7 @@ class TestGramSchmidt:
             assert _rel(lv.phi.numer, phi.numer) < 1e-12
             psi = reference_second_kind_on_grid(poles, kp, phi, k, w, zt, phi(t))
             assert _rel(lv.psi.numer, psi.numer) < 1e-12
-        fits = fit_at_points(poles, ref, [superstar(phi) for phi in ref])
+        fits = _fit_ladder(poles, ref, [superstar(phi) for phi in ref])
         ref_lams = [_parameters(k, fit)[0] for k, fit in enumerate(fits, start=1)]
         # lambda lives in the unit disk and vanishes for Lebesgue, so its
         # relative error is taken against a scale of at least 1
@@ -453,6 +456,12 @@ class TestSynthesize:
         with pytest.raises(DomainError, match="outside 0..3"):
             s.level(n)
 
+    @pytest.mark.parametrize("n_points", [100, 3000])
+    def test_given_grid_is_checked(self, n_points):
+        # a grid the serialization check would refuse is refused when built
+        with pytest.raises(DomainError, match="power of two >= 256"):
+            synthesize([0.1], PoleSequence([0.0, 0.1]), n_points=n_points)
+
     def test_given_grid_skips_the_completion_grid(self, monkeypatch, synth_system):
         # n_points as gram_schmidt_orf takes it: the ladder is the default
         # build's, bit for bit, and its zeros are never sought
@@ -473,7 +482,7 @@ class TestSynthesize:
 class TestExtraction:
     def test_roundtrip(self, synth_system):
         s = synth_system
-        fits = fit_at_points(s.poles, [lv.phi for lv in s.levels], [lv.phi_star for lv in s.levels])
+        fits = _fit_ladder(s.poles, [lv.phi for lv in s.levels], [lv.phi_star for lv in s.levels])
         for n, fit in enumerate(fits, start=1):
             lam, e, rho = _parameters(n, fit)
             assert abs(lam - s.level(n).lam) < 1e-12
@@ -484,14 +493,14 @@ class TestExtraction:
         s = synth_system
         c = np.exp(0.7j)
         prev = s.level(0)
-        ((a0, b0, _, _),) = fit_at_points(s.poles, [prev.phi, s.level(1).phi], [prev.phi_star, s.level(1).phi_star])
-        ((a1, b1, _, _),) = fit_at_points(s.poles, [prev.phi, c * s.level(1).phi], [prev.phi_star, s.level(1).phi_star])
+        ((a0, b0, _, _),) = _fit_ladder(s.poles, [prev.phi, s.level(1).phi], [prev.phi_star, s.level(1).phi_star])
+        ((a1, b1, _, _),) = _fit_ladder(s.poles, [prev.phi, c * s.level(1).phi], [prev.phi_star, s.level(1).phi_star])
         assert abs(np.conj(b1 / a1) - np.conj(b0 / a0)) < 1e-12
         assert abs(a1 / abs(a1) - c * a0 / abs(a0)) < 1e-12
 
     def test_gram_schmidt_levels_fit(self, poisson_system):
         levels = poisson_system.levels
-        fits = fit_at_points(poisson_system.poles, [lv.phi for lv in levels], [lv.phi_star for lv in levels])
+        fits = _fit_ladder(poisson_system.poles, [lv.phi for lv in levels], [lv.phi_star for lv in levels])
         for n, fit in enumerate(fits, start=1):
             lam, e, rho = _parameters(n, fit)
             assert abs(lam) < 1.0
@@ -600,6 +609,11 @@ def _pair(numer):
     return ParaPair(f.n, 1.0, f, f)
 
 
+def _numers(*numers):
+    """The numerators of the _pair of each list of coefficients."""
+    return [_pair(c).Phi.numer for c in numers]
+
+
 # zeros 0.5 and -0.5: off the circle
 OFF_CIRCLE = [-0.25, 0.0, 1.0]
 # zeros 2 and 0.5: self-reciprocal, so its phase line is real, but it has no zero on the circle
@@ -612,7 +626,10 @@ class TestParaZeroFailures:
     @pytest.mark.parametrize(
         "numer, error, match",
         [
-            pytest.param(OFF_CIRCLE, ZeroOffCircle, "left the circle", id="off-circle"),
+            # its nearest self-reciprocal fit, kappa = -1, misses the first and last coefficients by 0.75
+            pytest.param(
+                OFF_CIRCLE, ZeroOffCircle, r"left the circle: self-reciprocity defect 7\.50e-01", id="off-circle"
+            ),
             pytest.param(RECIPROCAL_OFF_CIRCLE, ZeroOffCircle, "left the circle", id="reciprocal-off-circle"),
             pytest.param(DOUBLE_ZERO, ZeroCollision, "separated by only", id="double-zero"),
             pytest.param([0.0, 0.0, 0.0], DomainError, "zero numerator", id="zero-numerator"),
@@ -623,7 +640,7 @@ class TestParaZeroFailures:
         with pytest.raises(error, match=match):
             para_zeros(_pair(numer))
         with pytest.raises(error, match=match):
-            para_zeros_stack([_pair([-1.0, 0.0, 1.0]), _pair(numer)])
+            circle_zeros(_numers([-1.0, 0.0, 1.0], numer))
 
     @pytest.mark.parametrize(
         "first, second, error",
@@ -636,13 +653,13 @@ class TestParaZeroFailures:
     )
     def test_first_failing_pair_raises(self, first, second, error):
         with pytest.raises(error) as caught:
-            para_zeros_stack([_pair([-1.0, 0.0, 1.0]), _pair(first), _pair(second)])
+            circle_zeros(_numers([-1.0, 0.0, 1.0], first, second))
         with pytest.raises(type(caught.value), match=re.escape(str(caught.value))):
             para_zeros(_pair(first))
 
     def test_degenerate_numerator_raises_before_any_zeros(self):
         with pytest.raises(DomainError, match="zero numerator"):
-            para_zeros_stack([_pair(OFF_CIRCLE), _pair([0.0, 0.0])])
+            circle_zeros(_numers(OFF_CIRCLE, [0.0, 0.0]))
 
     def test_double_zeros_collide(self):
         # (z - w)^2 all round the circle: the companion eigenvalues split such
@@ -660,9 +677,9 @@ class TestParaZeroFailures:
 
     def test_cap_09_ladder_at_n_64(self):
         # the n = 64 ladder whose companion eigenvalues left the circle by 1.54e-9
-        s, _ = _cap_09_ladder()
+        s = _cap_09_ladder()
         pairs = [para_pair(s, n, tau) for n in range(1, 65) for tau in (1.0, 1.0j, -1.0, -1.0j)]
-        for pair, zs in zip(pairs, para_zeros_stack(pairs), strict=True):
+        for pair, zs in zip(pairs, circle_zeros([pair.Phi.numer for pair in pairs]), strict=True):
             assert zs.size == pair.n
             assert np.max(np.abs(np.abs(zs) - 1.0)) < 1e-15
             # each is a zero of the numerator, to the rounding of its coefficients
@@ -674,7 +691,7 @@ class TestParaZeroFailures:
     def test_cap_09_perturbed_level_fails(self):
         # a relative 1e-7 in phi_3's numerator, phi_3^* as stored: its pairs
         # are no longer self-reciprocal, and their zeros leave the circle
-        s, _ = _cap_09_ladder()
+        s = _cap_09_ladder()
         wrong = _with_level(s, 3, phi=(1 + 1e-7) * s.level(3).phi)
         report = run_verification(VerifyContext(wrong, seed=0, tolerances={}), ["para_zeros"])
         assert not report["para_zeros"]["pass"]
@@ -682,11 +699,8 @@ class TestParaZeroFailures:
 
 
 def _cap_09_ladder():
-    """The default_rng(0) ladder: poles disk(0.9, 65) drawn first, then lambdas disk(0.2, 64)."""
-    rng = np.random.default_rng(0)
-    poles = PoleSequence(_disk(rng, 0.9, 65))
-    lams = _disk(rng, 0.2, 64)
-    return synthesize(lams, poles), lams
+    """The n = 64, seed 0 probe ladder at pole cap 0.9."""
+    return probe_ladder(64, 0, cap=0.9)
 
 
 class TestDeterminant:
@@ -972,13 +986,11 @@ def _recurrence_cases(n):
     return cases
 
 
-def reference_completion_grid(top, n_max):
-    """_completion_grid with rho read from numpy.polynomial's polyroots."""
+def reference_modulus_grid(rho, n_max):
+    """The grid size of the largest modulus rho by the formula _modulus_grid
+    once ran: 30 / -log(rho) rounded up to a power of two, within
+    default_grid(n_max)..32768."""
     base = default_grid(n_max)
-    if top.n == 0:
-        return base
-    roots = npp.polyroots(top.phi.numer)
-    rho = float(np.max(np.abs(roots))) if roots.size else 0.0
     if rho <= 0.5:
         return base
     needed = int(np.ceil(30.0 / -np.log(min(rho, 0.9999))))
@@ -986,19 +998,57 @@ def reference_completion_grid(top, n_max):
     return int(min(max(base, needed), 32768))
 
 
+def reference_completion_grid(top, n_max):
+    """_completion_grid with rho read from numpy.polynomial's polyroots."""
+    if top.n == 0:
+        return default_grid(n_max)
+    roots = npp.polyroots(top.phi.numer)
+    return reference_modulus_grid(float(np.max(np.abs(roots))) if roots.size else 0.0, n_max)
+
+
 class TestBitIdenticalKernels:
-    @pytest.mark.parametrize("n", range(1, 25))
+    @pytest.mark.parametrize("n", [*range(1, 25), 32, 64, 96, 128])
     def test_completion_grid_matches_polyroots(self, n):
         # the tops of seeded ladders, and the same levels with phi_n^* in
         # the place of phi_n: its numerator carries the trailing zeros that
-        # phi_n's leading zeros become, which the roots must drop
-        trimmed = 0
-        for lams, poles in _recurrence_cases(n):
-            top = synthesize(lams, poles).levels[-1]
+        # phi_n's leading zeros become, which the roots must drop. From
+        # n = 32 on, the probe ladders out to pole cap 0.9 too, where
+        # phi_n's zeros near the circle raise the grid above default_grid(n)
+        tops = [synthesize(lams, poles).levels[-1] for lams, poles in _recurrence_cases(n)]
+        if n >= 32:
+            tops += [probe_ladder(n, seed, cap).levels[-1] for seed in range(3) for cap in (0.7, 0.85, 0.9)]
+        trimmed, grids = 0, []
+        for top in tops:
             for lv in (top, dataclasses.replace(top, phi=top.phi_star)):
                 trimmed += lv.phi.numer[-1] == 0
-                assert engine._completion_grid(lv, n) == reference_completion_grid(lv, n)
+                grids.append(engine._completion_grid(lv, n))
+                assert grids[-1] == reference_completion_grid(lv, n)
         assert trimmed > 0
+        assert n < 32 or max(grids) > default_grid(n)
+
+    @pytest.mark.parametrize("n", [1, 16, 64])
+    def test_fourier_grid_matches_the_modulus_formula(self, n):
+        # seeded pole sets scaled to largest modulus 0.5..0.99, then a sweep
+        # of largest moduli across every step exp(-30/N) of the grid. The
+        # doubling rule and the formula part only for a modulus within an
+        # ulp of exp(-30/N), where the formula's log and ceil round either
+        # way; the sweep keeps 1e-12 from those points
+        rng = np.random.default_rng(n)
+        for seed in range(3):
+            beta = _disk(rng, 1.0, n + 1)
+            for top in (0.5, 0.7, 0.9, 0.99):
+                poles = PoleSequence(beta * (top / np.max(np.abs(beta))))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    s = synthesize(np.zeros(n), poles, allow_poles_near_circle=True)
+                assert engine.fourier_grid(s) == reference_modulus_grid(float(np.max(np.abs(poles.beta))), n), top
+        steps = np.exp(-30.0 / (1 << np.arange(10, 16)))
+        rhos = np.concatenate([np.linspace(0.0, 0.9995, 4001), steps * (1.0 - 1e-12), steps * (1.0 + 1e-12)])
+        for rho in rhos:
+            beta = np.zeros(n + 1, dtype=complex)
+            beta[-1] = rho
+            fake = types.SimpleNamespace(measure=None, n_max=n, poles=PoleSequence(beta))
+            assert engine.fourier_grid(fake) == reference_modulus_grid(float(rho), n), rho
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_convolve_recurrence_matches_polymul(self, monkeypatch, n):
@@ -1030,7 +1080,7 @@ class TestBitIdenticalKernels:
             "poisson": poisson_system,
             "lebesgue": gram_schmidt_orf(lebesgue, disk_poles(2, 8, 0.3j), 7),
         }[which]
-        fits = fit_at_points(s.poles, [lv.phi for lv in s.levels], [lv.phi_star for lv in s.levels])
+        fits = _fit_ladder(s.poles, [lv.phi for lv in s.levels], [lv.phi_star for lv in s.levels])
         assert len(fits) == s.n_max
         for n, fit in enumerate(fits, start=1):
             prev, cur = s.level(n - 1), s.level(n)

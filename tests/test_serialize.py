@@ -97,6 +97,7 @@ def test_reload_without_grid_uses_one_default(monkeypatch):
         pytest.param(lambda data: data["levels"][1].update({"lambda": [0.25]}), id="one-number-lambda"),
         pytest.param(lambda data: data["levels"].reverse(), id="levels-out-of-order"),
         pytest.param(lambda data: data.update(n_points=100), id="grid-100"),
+        pytest.param(lambda data: data.update(n_points=0), id="grid-zero"),
         pytest.param(lambda data: data.update(n_points=-4), id="grid-negative"),
         pytest.param(lambda data: data.update(n_points="1024"), id="grid-string"),
         pytest.param(lambda data: data["levels"][2].update(rho=None), id="null-rho"),
