@@ -32,7 +32,7 @@ from .engine import (
     synthesize,
 )
 from .errors import DomainError, NonPositiveWeight, OrfkitError
-from .measure import _check_grid, boundary_grid, builtin_measure, measure_from_config
+from .measure import _check_grid, _is_number, boundary_grid, builtin_measure, measure_from_config
 from .ratfun import PoleSequence, _disk_sample, evaluate_stack
 from .transforms import arf_discrepancy, arf_recurrence
 from .verify import CHECK_NAMES, VerifyContext, run_verification
@@ -45,11 +45,12 @@ class ConfigError(DomainError):
     pass
 
 
-def _number(convert, value, what):
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what} must be numeric, got {value!r}") from exc
+def _number(value, what):
+    """A JSON number (int or float, not bool) as a float."""
+    if _is_number(value):
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise ConfigError(f"{what} must be numeric, got {value!r}")
 
 
 def _integer(value, what, low=None):
@@ -65,9 +66,7 @@ def _tolerance(name, value):
     """A check's tolerance: a JSON number, finite and >= 0."""
     if name not in CHECK_NAMES:
         raise ConfigError(f"unknown tolerance {name!r}; known: {', '.join(CHECK_NAMES)}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"tolerance {name!r} must be a number, got {value!r}")
-    tol = _number(float, value, f"tolerance {name!r}")
+    tol = _number(value, f"tolerance {name!r}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ConfigError(f"tolerance {name!r} must be finite and >= 0, got {value!r}")
     return tol
@@ -81,7 +80,7 @@ def _complex_pairs(raw, what):
     for item in raw:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise ConfigError(f"{what} entries must be [re, im] pairs")
-        re, im = _number(float, item[0], what), _number(float, item[1], what)
+        re, im = _number(item[0], what), _number(item[1], what)
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ConfigError(f"{what} entries must be finite, got {item!r}")
         out.append(complex(re, im))

@@ -398,32 +398,30 @@ def _herglotz_sums(kp, quad: Quadrature, zs, rows):
     return d_hw, h_w
 
 
-def second_kind_integral_stack(quad: Quadrature, system: OrfSystem, levels) -> list:
-    """Second-kind functions of the levels, in order, straight from their
-    defining quadrature on the rule quad, D the Riesz-Herglotz kernel:
+def second_kind_integral_stack(quad: Quadrature, system: OrfSystem) -> list:
+    """Second-kind functions psi_0..psi_m of the ladder, m its top level,
+    straight from their defining quadrature on the rule quad, D the
+    Riesz-Herglotz kernel:
     psi_n(z) = sum_t D(t, z) (phi_n(t) - phi_n(z)) w(t) + sum_t phi_n(t) w(t).
 
     Every level is taken at the same points z_k = r e^{i delta} omega^k,
-    omega = e^{2 pi i/M}, M the smallest power of two above the highest
-    level, r and delta the rule's radius and phase: on a grid of N points
-    r = 1 and delta = pi / N, midway between two grid points. The means come
-    from one _herglotz_sums pass over the phi_n. psi_n pi_n takes the values
+    omega = e^{2 pi i/M}, M the smallest power of two above m, r and delta
+    the rule's radius and phase: on a grid of N points r = 1 and
+    delta = pi / N, midway between two grid points. The means come from one
+    _herglotz_sums pass over the phi_n. psi_n pi_n takes the values
     sum_j c_j r^j e^{i j delta} omega^{jk} there, so one M-point FFT gives
     c_0..c_n once r^j e^{i j delta} is divided out.
     """
-    levels = list(levels)
-    if not levels:
-        return []
-    poles = system.poles
-    phis = [system.level(n).phi for n in levels]
-    count = 1 << max(levels).bit_length()
+    poles, m = system.poles, system.n_max
+    phis = [lv.phi for lv in system.levels]
+    count = 1 << m.bit_length()
     j = np.arange(count)
     zs = quad.radius * np.exp(1j * (2.0 * np.pi * j / count + quad.phase))
     d_fw, f_w = _herglotz_sums(system.kernel, quad, zs, lambda t: evaluate_stack(phis, t))
     values = d_fw[:-1] - evaluate_stack(phis, zs) * d_fw[-1] + f_w[:-1, None]
-    values *= np.array([poles.pi(n, zs) for n in levels])
+    values *= np.array([poles.pi(n, zs) for n in range(m + 1)])
     coeffs = np.fft.fft(values, axis=1) / count * (np.exp(-1j * quad.phase * j) / quad.radius**j)
-    return [RatFun(poles, coeffs[i, : n + 1], n) for i, n in enumerate(levels)]
+    return [RatFun(poles, c[: n + 1], n) for n, c in enumerate(coeffs)]
 
 
 def _basis(poles, n_max, z) -> np.ndarray:
@@ -472,11 +470,11 @@ def gram_schmidt_orf(
     if n_max >= n_points:
         raise RankDeficiency(f"basis numerically dependent at level {n_points}")
     quad = grid_quadrature(mu, n_points)
-    levels = _run_recurrence(poles, *_szego_parameters(poles, n_max, quad.nodes, quad.weights))
-    defect = _gram_defect([lv.phi for lv in levels], quad)
+    ladder = _run_recurrence(poles, *_szego_parameters(poles, n_max, quad.nodes, quad.weights))
+    defect = _gram_defect([lv.phi for lv in ladder], quad)
     if defect > TOL_ORTHO:
         raise NumericalFailure(f"Gram matrix deviates from identity by {defect:.2e}")
-    return OrfSystem(poles, levels, source="measure", measure=mu, n_points=n_points)
+    return OrfSystem(poles, ladder, source="measure", measure=mu, n_points=n_points)
 
 
 def _gram_defect(funcs, quad: Quadrature) -> float:
@@ -533,6 +531,8 @@ def identity_residual_stack(fs, gs, f_stars, g_stars):
     evaluated in one call, B_0..B_m come from one _basis, and the Poisson
     kernels P(t, beta_m) of every row from one broadcast."""
     rows = len(fs)
+    if not rows:
+        return np.empty(0, dtype=complex), np.empty(0)
     _, t = boundary_grid(512)
     fs_t, g_t, f_t, gs_t = evaluate_stack((*f_stars, *gs, *fs, *g_stars), t).reshape(4, rows, -1)
     left = fs_t * g_t + f_t * gs_t
@@ -544,16 +544,6 @@ def identity_residual_stack(fs, gs, f_stars, g_stars):
     d = left[np.arange(rows), at] / right[np.arange(rows), at]
     resid = np.max(np.abs(left - d.real[:, None] * right), axis=1) / np.max(np.abs(left), axis=1)
     return d, resid
-
-
-def determinant_residual_stack(system: OrfSystem, levels):
-    """Constant d_n and sup residual of phi_n^* psi_n + phi_n psi_n^* = d_n P_n B_n
-    over a boundary grid at each of the levels, as arrays (d_n, resid), from
-    one identity_residual_stack. Orthonormal ladders must give d_n = 2; a
-    caller compares d_n with 2 itself."""
-    phi, phi_s, psi, psi_s = zip(*(_four(system.level(n)) for n in levels))
-    d, resid = identity_residual_stack(phi, psi, phi_s, psi_s)
-    return d.real, resid
 
 
 def _negative_modes(g, scale):
@@ -582,9 +572,9 @@ def _zero_free(g) -> float:
     return float(np.min(mag)) / max(float(np.max(mag)), 1e-300) if turns == 0 else 0.0
 
 
-def interpolation_residual_stack(system: OrfSystem, F: CaratheodoryFn, levels):
-    """Interpolation structure of each of the levels against the C-function
-    F, as arrays (residual, witness), one entry per level, in order.
+def interpolation_residual_stack(system: OrfSystem):
+    """Interpolation structure of each level 0..m of the ladder against its
+    C-function F, as arrays (residual, witness), one entry per level.
 
     phi_n F + psi_n must vanish at beta_0..beta_{n-1} and phi_n^* F - psi_n^*
     at beta_0..beta_n, each to every pole's multiplicity; both are read
@@ -602,27 +592,23 @@ def interpolation_residual_stack(system: OrfSystem, F: CaratheodoryFn, levels):
     factor per level; phi_n and psi_n are evaluated, and the lines formed,
     one block at a time.
     """
-    levels = list(levels)
     _, t = boundary_grid(fourier_grid(system))
-    top, bot = F.terms(t)
+    top, bot = system.caratheodory.terms(t)
     conj_zeta0 = np.conj(system.kernel.zeta0(t))
-    out = {}
+    resid, witness = np.empty((2, system.n_max + 1))
     conj_zeros = np.ones_like(t)
     lines = np.empty((2, t.size), dtype=complex)
-    for m in range(max(levels) + 1):
+    for m, lv in enumerate(system.levels):
         if m == 1:
             conj_zeros = conj_zeta0
         elif m > 1:
             conj_zeros = conj_zeros * np.conj(blaschke_factor(system.poles, m - 1, t))
-        if m in levels:
-            lv = system.level(m)
-            for block, (phi, psi) in _evaluate_blocks((lv.phi, lv.psi), t):
-                f, g = top[block], bot[block]
-                lines[0, block] = (phi * f + psi * g) * conj_zeros[block]
-                lines[1, block] = conj_zeta0[block] * (np.conj(phi) * f - np.conj(psi) * g)
-            scale = float(np.max(np.abs(lines[0])))
-            out[m] = np.max(_negative_modes(lines, scale)), _zero_free(lines[0] / bot)
-    resid, witness = np.array([out[n] for n in levels], dtype=float).T
+        for block, (phi, psi) in _evaluate_blocks((lv.phi, lv.psi), t):
+            f, g = top[block], bot[block]
+            lines[0, block] = (phi * f + psi * g) * conj_zeros[block]
+            lines[1, block] = conj_zeta0[block] * (np.conj(phi) * f - np.conj(psi) * g)
+        scale = float(np.max(np.abs(lines[0])))
+        resid[m], witness[m] = np.max(_negative_modes(lines, scale)), _zero_free(lines[0] / bot)
     return resid, witness
 
 
@@ -630,35 +616,34 @@ def _four(lv: OrfLevel):
     return lv.phi, lv.phi_star, lv.psi, lv.psi_star
 
 
-def second_kind_functional_residual_stack(system: OrfSystem, quad: Quadrature, levels, seed: int = 0):
+def second_kind_functional_residual_stack(system: OrfSystem, quad: Quadrature, seed: int = 0):
     """Residuals of the extended functional identities relating phi_n, psi_n
-    through the kernel on the rule quad, one per level, as an array: each
-    tests a random multiplier f in L_{(n-1)*} and g in zeta_{n*} L_{(n-1)*},
-    relative sup over the rule's six circle points. There a substar h_*(t)
-    is conj(h(t)), and g enters divided by zeta_n. phi_n f_* and
-    phi_n^* g_*/zeta_n of every level go through one _herglotz_sums pass,
-    which evaluates them one block of nodes at a time.
+    through the kernel on the rule quad, one per level 0..m of the ladder,
+    as an array: each tests a random multiplier f in L_{(n-1)*} and g in
+    zeta_{n*} L_{(n-1)*}, relative sup over the rule's six circle points.
+    There a substar h_*(t) is conj(h(t)), and g enters divided by zeta_n.
+    phi_n f_* and phi_n^* g_*/zeta_n of every level go through one
+    _herglotz_sums pass, which evaluates them one block of nodes at a time.
     """
-    levels = list(levels)
-    poles = system.poles
+    poles, m = system.poles, system.n_max
     # on the circle h_* is as tame as h, and off the nodes the means never meet 0/0
     zs = quad.circle
     # the coefficients of f, g of each level: points of the unit disk, drawn
     # from a generator seeded afresh per level
     mults = []
-    for n in levels:
+    for n in range(m + 1):
         coeffs = np.split(_disk_sample(seed, 1.0, 2 * max(n, 1)), 2)
         mults += [RatFun(poles, c, max(n - 1, 0)) for c in coeffs]
 
     def multipliers(z):
         # f_* and g_*/zeta_n of every level at z on the circle, (levels, 2, z.size)
         fg = np.conj(evaluate_stack(mults, z)).reshape(-1, 2, z.size)
-        for i in np.flatnonzero(levels):
-            fg[i, 1] /= blaschke_factor(poles, levels[i], z)
+        for n in range(1, m + 1):
+            fg[n, 1] /= blaschke_factor(poles, n, z)
         return fg
 
-    phis = [f for n in levels for f in (system.level(n).phi, system.level(n).phi_star)]
-    at_zs = evaluate_stack([f for n in levels for f in _four(system.level(n))], zs).reshape(-1, 4, zs.size)
+    phis = [f for lv in system.levels for f in (lv.phi, lv.phi_star)]
+    at_zs = evaluate_stack([f for lv in system.levels for f in _four(lv)], zs).reshape(-1, 4, zs.size)
     fg_z = multipliers(zs)
     h_z = (at_zs[:, :2] * fg_z).reshape(-1, zs.size)
 

@@ -207,6 +207,11 @@ def builtin_measure(kind: str, alpha=None, theta=None, w=None) -> CircleMeasure:
     raise DomainError(f"unknown measure kind {kind!r}")
 
 
+def _is_number(value) -> bool:
+    """Whether value is a JSON number: an int or a float, not a bool (an int subclass)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def measure_from_config(spec: dict) -> CircleMeasure:
     """Parse the JSON measure spec: {"type": "lebesgue"|"poisson"|"samples", ...}."""
     if not isinstance(spec, dict) or "type" not in spec:
@@ -216,15 +221,18 @@ def measure_from_config(spec: dict) -> CircleMeasure:
         return builtin_measure("lebesgue")
     if kind == "poisson":
         a = spec.get("alpha")
-        if not (isinstance(a, (list, tuple)) and len(a) == 2):
-            raise DomainError("poisson measure spec needs \"alpha\": [re, im]")
+        if not (isinstance(a, (list, tuple)) and len(a) == 2 and all(map(_is_number, a))):
+            raise DomainError(f"poisson measure spec needs \"alpha\": [re, im], two numbers, got {a!r}")
         try:
             alpha = complex(a[0], a[1])
-        except (TypeError, OverflowError) as exc:
+        except OverflowError as exc:
             raise DomainError(f"poisson \"alpha\" must hold two numbers: {exc}") from exc
         return builtin_measure("poisson", alpha=alpha)
     if kind == "samples":
-        return builtin_measure("samples", theta=spec.get("theta"), w=spec.get("w"))
+        theta, w = spec.get("theta"), spec.get("w")
+        if not all(isinstance(v, (list, tuple)) and all(map(_is_number, v)) for v in (theta, w)):
+            raise DomainError("samples measure spec needs \"theta\" and \"w\" lists of numbers")
+        return builtin_measure("samples", theta=theta, w=w)
     raise DomainError(f"unknown measure type {kind!r}")
 
 

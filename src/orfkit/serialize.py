@@ -18,6 +18,7 @@ import numpy as np
 
 from .engine import OrfLevel, OrfSystem, _orthonormal_e
 from .errors import DomainError, NumericalFailure
+from .measure import _is_number
 from .ratfun import PoleSequence, RatFun
 
 
@@ -32,6 +33,8 @@ def _carray(arr):
 
 def _from_c(pair):
     re, im = pair  # exactly two numbers
+    if not (_is_number(re) and _is_number(im)):
+        raise DomainError(f"a stored complex number is two numbers, got {pair!r}")
     return complex(re, im)
 
 
@@ -77,12 +80,12 @@ def system_from_dict(data: dict) -> OrfSystem:
         poles = PoleSequence(_from_carray(data["poles"]))
         levels = []
         for n, item in enumerate(data["levels"]):
-            if item["n"] != n:
+            if item["n"] != n or not _is_number(item["n"]):
                 raise DomainError(f"level {n} of the ladder is stored as level {item['n']!r}")
             funcs = [RatFun(poles, _from_carray(item[key]), n) for key in ("phi", "phi_star", "psi", "psi_star")]
             lam, rho = (None if item[key] is None else _from_c(item[key]) for key in ("lambda", "rho"))
             e = item["e"]
-            held = None not in (lam, rho) and type(e) in _NUMBERS and abs(lam) < 1.0
+            held = None not in (lam, rho) and _is_number(e) and abs(lam) < 1.0
             if (lam, e, rho) != (None,) * 3 if n == 0 else not (held and e == _orthonormal_e(poles, n, lam)):
                 raise DomainError(f"level {n} holds recurrence data no ladder has there: {lam}, {e!r}, {rho}")
             levels.append(OrfLevel(n, *funcs, lam, e, rho))

@@ -207,6 +207,8 @@ def apply_transform_stack(system: OrfSystem, quad: SelfReciprocalQuad, c_n, offs
     for v in offsets:
         if v < 0 or N + v > system.n_max:
             raise DomainError(f"transform level N + n = {N + v} outside the ladder")
+    if not offsets:
+        return ()
     base = system.poles
     top = N + max(offsets)
     res_poles = PoleSequence(np.concatenate([quad.tilde_poles.beta, base.beta[N + 1 : top + 1]]))
@@ -368,8 +370,7 @@ class ArfSystem:
         one included."""
         quad = self.quad  # built even when no level lies above the order
         one = RatFun(self.system.poles, [1.0], 0)
-        above = range(1, self.system.n_max + 1)
-        moved = apply_transform_stack(self.base, quad, 2.0, above) if above else ()
+        moved = apply_transform_stack(self.base, quad, 2.0, range(1, self.system.n_max + 1))
         return ((one, one),) + tuple((G, J) for G, _, J, _ in moved)
 
     @cached_property
@@ -475,9 +476,9 @@ def relation_residual_stack(arfs: dict, triples) -> list:
     hi = max(n for _, _, n in triples)
     tables = {}
     for order in orders:
-        levels = arfs[order].system.levels[: hi - order + 1]
-        funcs = [f for lv in levels for f in (lv.phi, lv.phi_star, lv.psi, lv.psi_star)]
-        tables[order] = evaluate_stack(funcs, t).reshape(len(levels), 4, t.size)
+        ladder = arfs[order].system.levels[: hi - order + 1]
+        funcs = [f for lv in ladder for f in (lv.phi, lv.phi_star, lv.psi, lv.psi_star)]
+        tables[order] = evaluate_stack(funcs, t).reshape(len(ladder), 4, t.size)
 
     def rel(lhs, rhs):
         return float(np.abs(lhs - rhs).max() / np.abs(lhs).max())

@@ -18,11 +18,11 @@ from .engine import (
     _ZERO_FREE_MIN,
     OrfSystem,
     _fit_ladder,
+    _four,
     _gram_defect,
     _level_zero,
     _parameters,
     _run_recurrence,
-    determinant_residual_stack,
     grid_quadrature,
     identity_residual_stack,
     interpolation_residual_stack,
@@ -113,8 +113,8 @@ def check_orthonormality(ctx):
 
 
 def check_recurrence_fit(ctx):
-    levels = ctx.system.levels
-    fits = _fit_ladder(ctx.system.poles, [lv.phi for lv in levels], [lv.phi_star for lv in levels])
+    s = ctx.system
+    fits = _fit_ladder(s.poles, [lv.phi for lv in s.levels], [lv.phi_star for lv in s.levels])
     worst = 0.0
     for _, _, resid, scale in fits:
         worst = max(worst, resid / scale)
@@ -122,8 +122,9 @@ def check_recurrence_fit(ctx):
 
 
 def check_determinant(ctx):
-    d, resid = determinant_residual_stack(ctx.system, range(ctx.system.n_max + 1))
-    return float(max(np.max(resid), np.max(np.abs(d - 2.0))))
+    phi, phi_s, psi, psi_s = zip(*map(_four, ctx.system.levels))
+    d, resid = identity_residual_stack(phi, psi, phi_s, psi_s)
+    return float(max(np.max(resid), np.max(np.abs(d.real - 2.0))))
 
 
 def check_para_zeros(ctx):
@@ -136,21 +137,19 @@ def check_second_kind(ctx):
     s = ctx.system
     _, t = boundary_grid(512)
     # one quadrature for every level; the comparison is one evaluation
-    integral = second_kind_integral_stack(ctx.quadrature, s, range(s.n_max + 1))
+    integral = second_kind_integral_stack(ctx.quadrature, s)
     psi_int, psi_rec = np.split(evaluate_stack(integral + [lv.psi for lv in s.levels], t), 2)
     return float(np.max(np.abs(psi_int - psi_rec)))
 
 
 def check_interpolation(ctx):
-    resid, witness = interpolation_residual_stack(ctx.system, ctx.F, range(ctx.system.n_max + 1))
+    resid, witness = interpolation_residual_stack(ctx.system)
     worst = float(np.max(resid))
     return max(worst, 1.0) if np.min(witness) <= _ZERO_FREE_MIN else worst
 
 
 def check_multiplier_identities(ctx):
-    s = ctx.system
-    levels = range(s.n_max + 1)
-    return float(np.max(second_kind_functional_residual_stack(s, ctx.quadrature, levels, seed=ctx.seed)))
+    return float(np.max(second_kind_functional_residual_stack(ctx.system, ctx.quadrature, seed=ctx.seed)))
 
 
 def check_arf_consistency(ctx):
@@ -172,9 +171,10 @@ def _caratheodory_gap(arf):
 def check_arf_orthogonality(ctx):
     # with a measure, each order against the samples of its density mu_k;
     # without one, at the order's own rule, whose measure is mu_k when F_k
-    # equals that order's own psi*_(k)/phi*_(k)
+    # equals that order's own psi*_(k)/phi*_(k); order 0 there is the
+    # orthonormality check's own Gram sum, so it starts at order 1
     worst, rational = 0.0, ctx.system.measure is None
-    for k in range(min(2, ctx.system.n_max) + 1):
+    for k in range(int(rational), min(2, ctx.system.n_max) + 1):
         arf = ctx.arf(k)
         quad = ctx.rule(k) if rational else grid_quadrature(arf.mu_k, arf.mu_k.params["w"].size)
         gap = _caratheodory_gap(arf) if rational else 0.0
@@ -221,8 +221,8 @@ def check_roundtrip_lambda(ctx):
     lams = _disk_sample(ctx.seed + 1, 0.6, n)
     poles = s.poles if len(s.poles) >= n + 1 else PoleSequence(np.concatenate([s.poles.beta, [0.0]]))
     # the recurrence on the ladder's own poles, which the config has admitted
-    levels = _run_recurrence(poles, _level_zero(poles, 1.0), ((lam, 1.0) for lam in lams))
-    fits = _fit_ladder(poles, [lv.phi for lv in levels], [lv.phi_star for lv in levels])
+    ladder = _run_recurrence(poles, _level_zero(poles, 1.0), ((lam, 1.0) for lam in lams))
+    fits = _fit_ladder(poles, [lv.phi for lv in ladder], [lv.phi_star for lv in ladder])
     worst = 0.0
     for i, fit in enumerate(fits, start=1):
         worst = max(worst, abs(_parameters(i, fit)[0] - lams[i - 1]))

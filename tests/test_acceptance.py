@@ -28,7 +28,7 @@ from orfkit import (
 )
 from orfkit.engine import (
     _fit_ladder,
-    determinant_residual_stack,
+    _four,
     grid_quadrature,
     identity_residual_stack,
     interpolation_residual_stack,
@@ -116,8 +116,9 @@ def test_criterion_02_orthonormality():
 def test_criterion_03_determinant_formula(synth_systems):
     worst = 0.0
     for system in synth_systems:
-        for d, resid in zip(*determinant_residual_stack(system, range(9)), strict=True):
-            worst = max(worst, resid, abs(d - 2.0))
+        phi, phi_s, psi, psi_s = zip(*map(_four, system.levels))
+        d, resid = identity_residual_stack(phi, psi, phi_s, psi_s)
+        worst = max(worst, np.max(resid), np.max(np.abs(d.real - 2.0)))
     assert _line("criterion 3: determinant formula (5 random configs)", worst, 1e-10)
 
 
@@ -146,9 +147,9 @@ def test_criterion_05_second_kind_cross_check(measure_systems):
         for n in range(1, 9):
             src = system.level(n)
             rebuilt.append(recurrence_step(rebuilt[-1], src.lam, src.rho, system.poles, n))
-        for n in range(9):
-            psi = second_kind_integral_stack(grid_quadrature(system.measure, system.n_points), system, [n])[0]
-            worst = max(worst, float(np.max(np.abs(psi(t) - rebuilt[n].psi(t)))))
+        stacked = second_kind_integral_stack(grid_quadrature(system.measure, system.n_points), system)
+        for psi, ref in zip(stacked, rebuilt, strict=True):
+            worst = max(worst, float(np.max(np.abs(psi(t) - ref.psi(t)))))
     assert _line("criterion 5: second-kind integral vs recurrence", worst, 1e-8)
 
 
@@ -156,8 +157,7 @@ def test_criterion_06_interpolation(measure_systems, synth_systems):
     worst = 0.0
     g_ok = True
     for system in measure_systems + synth_systems[:2]:
-        F = system.caratheodory
-        resid, witness = interpolation_residual_stack(system, F, range(system.n_max + 1))
+        resid, witness = interpolation_residual_stack(system)
         worst = max(worst, float(np.max(resid)))
         g_ok = g_ok and bool(np.all(witness > 1e-8))
     ok = _line("criterion 6: interpolation residuals", worst, 1e-10)

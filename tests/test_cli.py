@@ -200,6 +200,13 @@ class TestConfigValidation:
             {"tolerances": 0},
             {"tolerances": False},
             {"tolerances": ""},
+            # a JSON number only: booleans and numeric strings are config errors too
+            {"poles": [[False, False], [0.5, 0], [0, 0]]},
+            {"poles": [["0.1", "0"], [0.5, 0], [0, 0]]},
+            {"lambdas": [["0", "0"], [0, 0]]},
+            {"measure": {"type": "poisson", "alpha": [False, 0.2]}},
+            {"measure": {"type": "samples", "theta": [0, 1.5707963267948966, 3.141592653589793,
+                                                      4.71238898038469], "w": [True, 1, 1, 1]}},
         ],
     )
     def test_non_numeric_values(self, tmp_path, capsys, override):
@@ -394,12 +401,13 @@ def test_artifact_bytes_are_pinned(tmp_path, name):
     assert digests == PINNED_DIGESTS[name]
 
 
-# sha256 of verify.json of two measure configs, recorded as above. The
-# residuals carry the rounding of the recursion that builds the ladder:
-# a change to that build moves them at rounding level, and their pass flags
-# must hold before the digests are recorded again
+# sha256 of verify.json of two measure configs and one lambda config,
+# recorded as above. The residuals carry the rounding of the recursion that
+# builds the ladder: a change to that build moves them at rounding level,
+# and their pass flags must hold before the digests are recorded again
 _THETA = 2.0 * np.pi * np.arange(256) / 256
 PINNED_VERIFY = {
+    "lambdas-n3": (LAMBDA_CONFIG, "99f34d5d9e73ce0f019c19cc45757bb9598f56a985b4e67a2b85b9a02e2816b1"),
     "poisson-n5": (
         {
             "poles": [[0.2, -0.1], [0.45, 0.3], [-0.6, 0.15], [0.05, 0.55], [-0.25, -0.5], [0.6, -0.2]],

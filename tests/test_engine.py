@@ -43,8 +43,8 @@ from orfkit.engine import (
     _level_zero,
     _parameters,
     _run_recurrence,
-    determinant_residual_stack,
     grid_quadrature,
+    identity_residual_stack,
     interpolation_residual_stack,
     second_kind_functional_residual_stack,
     second_kind_integral_stack,
@@ -70,6 +70,14 @@ def _with_level(s, n, **changes):
 def _grid(s):
     """The uniform rule of a measure ladder's own measure on its own grid."""
     return grid_quadrature(s.measure, s.n_points)
+
+
+def _determinant(s):
+    """d_n and the residual of phi_n^* psi_n + phi_n psi_n^* = d_n P_n B_n
+    at every level of the ladder, as arrays."""
+    phi, phi_s, psi, psi_s = zip(*map(_four, s.levels))
+    d, resid = identity_residual_stack(phi, psi, phi_s, psi_s)
+    return d.real, resid
 
 
 def disk_poles(seed, count, beta0, cap=0.7):
@@ -515,7 +523,7 @@ class TestExtraction:
 
 class TestSecondKind:
     def test_level_zero_is_phi(self, poisson_system):
-        psi = second_kind_integral_stack(_grid(poisson_system), poisson_system, [0])[0]
+        psi = second_kind_integral_stack(_grid(poisson_system), poisson_system)[0]
         assert_allclose(psi.numer, poisson_system.level(0).phi.numer, atol=1e-13)
 
     def test_nodes_off_the_grid(self):
@@ -535,16 +543,16 @@ class TestSecondKind:
         nodes = _circle_nodes(5, s.n_points)
         zt = kp.zeta0(t)
         ref = [((zt + kp.zeta0(z)) / (zt - kp.zeta0(z)) * (phi(t) - phi(z)) * w).mean() for z in nodes]
-        psi = second_kind_integral_stack(_grid(s), s, [4])[0]
+        psi = second_kind_integral_stack(_grid(s), s)[4]
         assert_allclose(psi(nodes), np.array(ref) + (phi(t) * w).mean(), rtol=1e-12)
 
     def test_integral_matches_recurrence(self, poisson_system):
         s = poisson_system
         lv = _level_zero(s.poles, s.level(0).phi.numer[0])
+        stacked = second_kind_integral_stack(_grid(s), s)
         for n in range(1, s.n_max + 1):
             lv = recurrence_step(lv, s.level(n).lam, s.level(n).rho, s.poles, n)
-            psi = second_kind_integral_stack(_grid(s), s, [n])[0]
-            assert sup_diff(psi, lv.psi, 512) < 1e-8
+            assert sup_diff(stacked[n], lv.psi, 512) < 1e-8
 
     def test_full_degree(self, poisson_system):
         # psi_n does not collapse into the previous space: its numerator does
@@ -705,8 +713,8 @@ def _cap_09_ladder():
 
 class TestDeterminant:
     def test_level_zero(self, worked_system):
-        (d,), (resid,) = determinant_residual_stack(worked_system, [0])
-        assert abs(d - 2.0) < 1e-12 and resid < 1e-12
+        d, resid = _determinant(worked_system)
+        assert abs(d[0] - 2.0) < 1e-12 and resid[0] < 1e-12
 
     def test_polynomial_level_one(self):
         s = synthesize([0.0], PoleSequence([0.0, 0.0]))
@@ -717,7 +725,7 @@ class TestDeterminant:
 
     def test_residuals(self, synth_system, poisson_system):
         for s in (synth_system, poisson_system):
-            for d, resid in zip(*determinant_residual_stack(s, range(s.n_max + 1)), strict=True):
+            for d, resid in zip(*_determinant(s), strict=True):
                 assert abs(d - 2.0) < 1e-9
                 assert resid < 1e-10
 
@@ -731,19 +739,18 @@ class TestDeterminant:
 
 class TestInterpolation:
     def test_worked_distinct_levels(self, worked_system):
-        resid, witness = interpolation_residual_stack(worked_system, worked_system.caratheodory, [1])
-        assert resid[0] < 1e-12
-        assert witness[0] > 1e-8
+        resid, witness = interpolation_residual_stack(worked_system)
+        assert resid[1] < 1e-12
+        assert witness[1] > 1e-8
 
     def test_level_zero(self, poisson_system):
         # phi_0 (F + 1) vanishes nowhere; phi_0^* (F - 1) vanishes at beta_0
-        resid, witness = interpolation_residual_stack(poisson_system, poisson_system.caratheodory, [0])
+        resid, witness = interpolation_residual_stack(poisson_system)
         assert resid[0] < 1e-12
         assert witness[0] > 1e-8
 
     def test_all_levels(self, poisson_system):
-        levels = range(poisson_system.n_max + 1)
-        resid, witness = interpolation_residual_stack(poisson_system, poisson_system.caratheodory, levels)
+        resid, witness = interpolation_residual_stack(poisson_system)
         assert resid.shape == witness.shape == (poisson_system.n_max + 1,)
         assert np.all(resid < 1e-12)
         assert np.all(witness > 1e-8)
@@ -754,7 +761,7 @@ class TestInterpolation:
     def test_repeated_poles_checked(self, betas):
         # a repeated pole is a zero of higher multiplicity, read at every level
         s = gram_schmidt_orf(builtin_measure("lebesgue"), PoleSequence(betas), len(betas) - 1)
-        resid, witness = interpolation_residual_stack(s, s.caratheodory, range(s.n_max + 1))
+        resid, witness = interpolation_residual_stack(s)
         assert resid.size == s.n_max + 1
         assert np.all(resid < 1e-12)
         assert np.all(witness > 1e-8)
@@ -850,11 +857,23 @@ class TestSzegoRule:
         assert report["second_kind"]["residual"] > 1e-7
 
 
+def test_arf_orthogonality_leaves_the_ladder_to_orthonormality():
+    # a relative 1e-6 in phi_4 reads 1.69e-6 in the ladder's Gram sum; on a
+    # lambda ladder that sum is orthonormality's alone, and the associated
+    # orders do not read phi_4
+    s = probe_ladder(6, 3)
+    wrong = _with_level(s, 4, phi=(1 + 1e-6) * s.level(4).phi)
+    report = run_verification(VerifyContext(wrong, 0, {}), ["orthonormality", "arf_orthogonality"])
+    assert not report["orthonormality"]["pass"]
+    assert report["orthonormality"]["residual"] == pytest.approx(1.69e-6, rel=0.01)
+    assert report["arf_orthogonality"]["pass"]
+
+
 class TestFunctionalIdentities:
     def test_multiplied_second_kind(self, poisson_system):
         for n in range(poisson_system.n_max + 1):
-            (res,) = second_kind_functional_residual_stack(poisson_system, _grid(poisson_system), [n], seed=n)
-            assert res < 1e-7
+            res = second_kind_functional_residual_stack(poisson_system, _grid(poisson_system), seed=n)
+            assert res[n] < 1e-7
 
     @pytest.mark.parametrize("ladder", ["poisson_system", "synth_system", "expcos_system"])
     def test_wrong_second_kind_is_caught(self, request, ladder):
@@ -864,8 +883,8 @@ class TestFunctionalIdentities:
         quad = VerifyContext(s, seed=0, tolerances={}).quadrature
         lv = s.level(4)
         wrong = _with_level(s, 4, psi=(1 + 1e-6) * lv.psi, psi_star=(1 + 1e-6) * lv.psi_star)
-        assert second_kind_functional_residual_stack(s, quad, [4])[0] < 1e-12
-        assert 5e-7 < second_kind_functional_residual_stack(wrong, quad, [4])[0] < 2e-6
+        assert second_kind_functional_residual_stack(s, quad)[4] < 1e-12
+        assert 5e-7 < second_kind_functional_residual_stack(wrong, quad)[4] < 2e-6
 
 
 def test_measure_system_builds_its_moment_series(poisson_system):
@@ -1090,7 +1109,7 @@ class TestBitIdenticalKernels:
 
     def test_second_kind_stack_matches_per_level(self, poisson_system):
         s = poisson_system
-        stacked = second_kind_integral_stack(_grid(s), s, range(s.n_max + 1))
+        stacked = second_kind_integral_stack(_grid(s), s)
         for n, psi in enumerate(stacked):
             # the per-level difference-form quadrature, reading the grid itself
             assert _rel(psi.numer, reference_second_kind(s.measure, s, n).numer) < 1e-12
@@ -1150,14 +1169,10 @@ class TestSecondKindStack:
     def test_matches_per_level_reference(self, kind, n):
         for n_points in (256, 2048, 8192):
             s, mu = _second_kind_case(kind, n, n_points)
-            for levels in (range(n + 1), [n, n // 2], [n // 3]):
-                stacked = second_kind_integral_stack(grid_quadrature(mu, n_points), s, levels)
-                for m, psi in zip(levels, stacked, strict=True):
-                    assert psi.n == m
-                    assert _rel(psi.numer, reference_second_kind(mu, s, m).numer) < 1e-12
-
-    def test_empty_level_list(self, poisson_system):
-        assert second_kind_integral_stack(_grid(poisson_system), poisson_system, []) == []
+            stacked = second_kind_integral_stack(grid_quadrature(mu, n_points), s)
+            assert [psi.n for psi in stacked] == list(range(n + 1))
+            for m, psi in enumerate(stacked):
+                assert _rel(psi.numer, reference_second_kind(mu, s, m).numer) < 1e-12
 
     def test_memory_stays_per_block(self):
         # n = 24 on 32768 points: a table of every node (or level) on the
@@ -1171,7 +1186,7 @@ class TestSecondKindStack:
         boundary_grid(32768)
         tracemalloc.start()
         try:
-            stacked = second_kind_integral_stack(grid_quadrature(mu, 32768), s, range(25))
+            stacked = second_kind_integral_stack(grid_quadrature(mu, 32768), s)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -112,6 +112,8 @@ def test_reload_without_grid_uses_one_default(monkeypatch):
         pytest.param(lambda data: data["levels"][0].update({"lambda": [0.25, 0.0]}), id="lambda-at-level-0"),
         pytest.param(lambda data: data["levels"][0].update(e=1.0), id="e-at-level-0"),
         pytest.param(lambda data: data["levels"][0].update(rho=[1.0, 0.0]), id="rho-at-level-0"),
+        pytest.param(lambda data: data["levels"][1].update(n=True), id="bool-n"),
+        pytest.param(lambda data: data["levels"][1]["phi"].__setitem__(0, [True, False]), id="bool-pair"),
         pytest.param(lambda data: data.update(source="moments"), id="unknown-source"),
         pytest.param(lambda data: data.update(source=None), id="null-source"),
     ],

@@ -161,6 +161,19 @@ class TestCheckQuad:
         assert not rep.passed
 
 
+@pytest.mark.parametrize(
+    "call, shapes",
+    [
+        (lambda s: identity_residual_stack([], [], [], []), [(0,), (0,)]),
+        (lambda s: apply_transform_stack(s, arf_quad(s, 2), 2.0, []), []),
+    ],
+    ids=["identity_residual_stack", "apply_transform_stack"],
+)
+def test_empty_stack_gives_empty_output(synth_system, call, shapes):
+    # no rows in, no rows out, as evaluate_stack([], z) does
+    assert [np.shape(x) for x in call(synth_system)] == shapes
+
+
 class TestApplyTransform:
     def test_identity_quad_reproduces_ladder(self, synth_system):
         iq = identity_quad(synth_system.poles)

@@ -34,7 +34,7 @@ from orfkit.engine import _circle_nodes, zeros_factor
 from orfkit.measure import boundary_grid, default_grid
 from orfkit.verify import CHECK_NAMES, DEFAULT_TOLERANCES, VerifyContext, run_verification
 
-from conftest import substar_eval
+from conftest import probe_ladder, substar_eval
 
 
 def _ladder():
@@ -267,6 +267,13 @@ def test_densities_read_on_the_circle(seed, check, limit, rows):
     ctx = VerifyContext(synthesize(lams, PoleSequence(betas)), seed=0, tolerances={})
     assert run_verification(ctx, [check])[check]["residual"] <= limit
     assert ctx.arf(1).mu_k.params["w"].size == rows
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_synthesized_n_64_passes_every_check(seed):
+    # the lambda path at n = 64, where rounding in any layer shows first;
+    # seed 0 fails orthonormality at 1.1e-9 (ROADMAP item 4)
+    assert _failing(probe_ladder(64, seed)) == {}
 
 
 def test_wrong_determinant_constant_fails_the_check():
