@@ -375,7 +375,7 @@ def szego_rule(system: OrfSystem) -> Quadrature:
     m = system.n_max
     poles = PoleSequence(np.concatenate([system.poles.beta[: m + 1], [0.0]]))
     ext = recurrence_step(system.level(m), 0.0, 1.0, poles, m + 1)
-    (nodes,) = circle_zeros([ext.phi.numer + ext.phi_star.numer])
+    nodes = circle_zeros(ext.phi.numer + ext.phi_star.numer)
     weights = 1.0 / np.sum(np.abs(evaluate_stack([lv.phi for lv in system.levels], nodes)) ** 2, axis=0)
     # the circle points: the midpoint of the gap between nodes that each angle 2 pi k / 6 falls in
     ang = np.sort(np.angle(nodes) % (2.0 * np.pi))
@@ -519,7 +519,7 @@ def para_pair(system: OrfSystem, n: int, tau) -> ParaPair:
 def para_zeros(pair: ParaPair) -> np.ndarray:
     """Zeros of the para-orthogonal numerator, sorted by angle: read on the
     circle from its phase line (`circle_zeros`); all must be simple."""
-    return circle_zeros([pair.Phi.numer])[0]
+    return circle_zeros(pair.Phi.numer)
 
 
 def identity_residual_stack(fs, gs, f_stars, g_stars):

@@ -27,12 +27,11 @@ from .engine import (
     identity_residual_stack,
     interpolation_residual_stack,
     measure_from_system,
-    para_pair,
     second_kind_functional_residual_stack,
     second_kind_integral_stack,
     szego_rule,
 )
-from .errors import OrfkitError
+from .errors import OrfkitError, ZeroOffCircle
 from .measure import boundary_grid, weight_from_caratheodory
 from .ratfun import PoleSequence, _disk_sample, evaluate_stack, superstar
 from .transforms import (
@@ -40,7 +39,7 @@ from .transforms import (
     arf_recurrence,
     relation_residual_stack,
 )
-from .zeros import circle_zeros
+from .zeros import zeros_inside
 
 DEFAULT_TOLERANCES = {
     "orthonormality": 1e-9,
@@ -128,9 +127,19 @@ def check_determinant(ctx):
 
 
 def check_para_zeros(ctx):
-    s = ctx.system
-    numers = [para_pair(s, n, tau).Phi.numer for n in range(1, s.n_max + 1) for tau in (1.0, 1.0j, -1.0, -1.0j)]
-    return max((float(np.abs(np.abs(zs) - 1.0).max()) for zs in circle_zeros(numers)), default=0.0)
+    """The zeros of phi_n + tau phi_n^* are simple and on the circle for
+    every unimodular tau when phi_n^* is the superstar of phi_n and phi_n's
+    zeros lie in the disk: then phi_n/phi_n^* is a Blaschke product of
+    degree n, whose phase rises strictly around the circle (Bultheel et al.
+    1999, ch. 5). A zero of phi_n on or outside the circle, by the
+    Schur-Cohn test, raises ZeroOffCircle; the residual is the largest
+    superstar defect, relative to phi_n's largest coefficient."""
+    defects = [0.0]
+    for n, lv in enumerate(ctx.system.levels[1:], start=1):
+        if not zeros_inside(lv.phi.numer, 1.0):
+            raise ZeroOffCircle(f"para zeros of level {n} leave the circle: phi_{n} has a zero on or outside it")
+        defects.append(np.abs(lv.phi_star.numer - superstar(lv.phi).numer).max() / np.abs(lv.phi.numer).max())
+    return float(np.max(defects))
 
 
 def check_second_kind(ctx):

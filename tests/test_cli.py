@@ -407,14 +407,14 @@ def test_artifact_bytes_are_pinned(tmp_path, name):
 # and their pass flags must hold before the digests are recorded again
 _THETA = 2.0 * np.pi * np.arange(256) / 256
 PINNED_VERIFY = {
-    "lambdas-n3": (LAMBDA_CONFIG, "99f34d5d9e73ce0f019c19cc45757bb9598f56a985b4e67a2b85b9a02e2816b1"),
+    "lambdas-n3": (LAMBDA_CONFIG, "8755cb9bd9f2111087d4ae4f8c8d0308f1ef1d9c772384fa8692b2081885c6ae"),
     "poisson-n5": (
         {
             "poles": [[0.2, -0.1], [0.45, 0.3], [-0.6, 0.15], [0.05, 0.55], [-0.25, -0.5], [0.6, -0.2]],
             "measure": {"type": "poisson", "alpha": [0.3, -0.2]},
             "n_max": 5,
         },
-        "92cc7ce70a62cd3e2d90a41cb9dd4d02dcb787a33fa8c0ef8c1ef23d8a1c2910",
+        "2ea1591ad6eadbb31a3bf0639de7fe2593c200e706d15aaa20e5f322cf9b7500",
     ),
     "samples-n4-grid2048": (
         {
@@ -423,7 +423,7 @@ PINNED_VERIFY = {
             "n_max": 4,
             "grid": 2048,
         },
-        "dfa1cf96b135c86a42686cc56ae86bec4290fb2b183b1485570ff2e35e1f45bd",
+        "fc3fea9e894959071c8497d01e7c2a93184b324610f3dd57daac38ebd2d79806",
     ),
 }
 

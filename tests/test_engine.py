@@ -1,5 +1,4 @@
 import dataclasses
-import re
 import tracemalloc
 import types
 import warnings
@@ -52,7 +51,7 @@ from orfkit.engine import (
 )
 from orfkit.measure import boundary_grid, default_grid
 from orfkit.transforms import arf_quad, arf_recurrence
-from orfkit.verify import VerifyContext, run_verification
+from orfkit.verify import VerifyContext, check_para_zeros, run_verification
 from orfkit.zeros import circle_zeros
 
 from conftest import probe_ladder
@@ -617,11 +616,6 @@ def _pair(numer):
     return ParaPair(f.n, 1.0, f, f)
 
 
-def _numers(*numers):
-    """The numerators of the _pair of each list of coefficients."""
-    return [_pair(c).Phi.numer for c in numers]
-
-
 # zeros 0.5 and -0.5: off the circle
 OFF_CIRCLE = [-0.25, 0.0, 1.0]
 # zeros 2 and 0.5: self-reciprocal, so its phase line is real, but it has no zero on the circle
@@ -648,26 +642,16 @@ class TestParaZeroFailures:
         with pytest.raises(error, match=match):
             para_zeros(_pair(numer))
         with pytest.raises(error, match=match):
-            circle_zeros(_numers([-1.0, 0.0, 1.0], numer))
+            circle_zeros(_pair(numer).Phi.numer)
 
-    @pytest.mark.parametrize(
-        "first, second, error",
-        [
-            (OFF_CIRCLE, DOUBLE_ZERO, ZeroOffCircle),
-            (DOUBLE_ZERO, OFF_CIRCLE, ZeroCollision),
-            ([0.0, 0.0], [1.0, 0.0], DomainError),
-        ],
-        ids=["off-circle-first", "double-zero-first", "zero-numerator-first"],
-    )
-    def test_first_failing_pair_raises(self, first, second, error):
-        with pytest.raises(error) as caught:
-            circle_zeros(_numers([-1.0, 0.0, 1.0], first, second))
-        with pytest.raises(type(caught.value), match=re.escape(str(caught.value))):
-            para_zeros(_pair(first))
+    def test_nan_numerator_raises_at_the_defect_gate(self, monkeypatch):
+        # a NaN defect fails the 1e-9 gate at once: the grid never grows
+        def no_grid(*args):
+            raise AssertionError("a NaN numerator reached the phase grid")
 
-    def test_degenerate_numerator_raises_before_any_zeros(self):
-        with pytest.raises(DomainError, match="zero numerator"):
-            circle_zeros(_numers(OFF_CIRCLE, [0.0, 0.0]))
+        monkeypatch.setattr("orfkit.zeros._brackets", no_grid)
+        with np.errstate(invalid="ignore"), pytest.raises(ZeroOffCircle, match="self-reciprocity defect nan"):
+            circle_zeros(np.array([1.0, np.nan, 1.0]))
 
     def test_double_zeros_collide(self):
         # (z - w)^2 all round the circle: the companion eigenvalues split such
@@ -686,8 +670,8 @@ class TestParaZeroFailures:
     def test_cap_09_ladder_at_n_64(self):
         # the n = 64 ladder whose companion eigenvalues left the circle by 1.54e-9
         s = _cap_09_ladder()
-        pairs = [para_pair(s, n, tau) for n in range(1, 65) for tau in (1.0, 1.0j, -1.0, -1.0j)]
-        for pair, zs in zip(pairs, circle_zeros([pair.Phi.numer for pair in pairs]), strict=True):
+        for pair in (para_pair(s, n, tau) for n in range(1, 65) for tau in (1.0, 1.0j, -1.0, -1.0j)):
+            zs = circle_zeros(pair.Phi.numer)
             assert zs.size == pair.n
             assert np.max(np.abs(np.abs(zs) - 1.0)) < 1e-15
             # each is a zero of the numerator, to the rounding of its coefficients
@@ -697,13 +681,25 @@ class TestParaZeroFailures:
         assert report["para_zeros"]["pass"]
 
     def test_cap_09_perturbed_level_fails(self):
-        # a relative 1e-7 in phi_3's numerator, phi_3^* as stored: its pairs
-        # are no longer self-reciprocal, and their zeros leave the circle
+        # a relative 1e-7 in phi_3's numerator, phi_3^* as stored: phi_3^*
+        # is no longer its superstar, by 1e-7 of its largest coefficient
         s = _cap_09_ladder()
         wrong = _with_level(s, 3, phi=(1 + 1e-7) * s.level(3).phi)
         report = run_verification(VerifyContext(wrong, seed=0, tolerances={}), ["para_zeros"])
         assert not report["para_zeros"]["pass"]
-        assert "left the circle" in report["para_zeros"]["error"]
+        assert 5e-8 < report["para_zeros"]["residual"] < 2e-7
+
+    def test_exchanged_level_fails(self):
+        # phi_3 and phi_3^* exchanged: each is still the other's superstar,
+        # so the pairs' zeros stay on the circle, but phi_3's zeros now lie
+        # outside the disk and the level is no ORF level
+        s = probe_ladder(6, 3)
+        lv = s.level(3)
+        wrong = _with_level(s, 3, phi=lv.phi_star, phi_star=lv.phi)
+        for tau in (1.0, 1.0j, -1.0, -1.0j):
+            assert np.max(np.abs(np.abs(para_zeros(para_pair(wrong, 3, tau))) - 1.0)) < 1e-12
+        with pytest.raises(ZeroOffCircle, match="level 3"):
+            check_para_zeros(VerifyContext(wrong, seed=0, tolerances={}))
 
 
 def _cap_09_ladder():

@@ -601,6 +601,20 @@ def test_verify_memory_stays_per_block_at_n24():
     assert _traced_verify_peak(s, 16384) <= 5.0 * 2**20
 
 
+def test_para_zeros_check_memory_at_n64():
+    # the check reads each level's phi_n and phi_n^* once: a batch search
+    # for the zeros of all 4n para pairs traces 34.8 MiB on this ladder
+    ctx = VerifyContext(probe_ladder(64, 1), seed=0, tolerances={})
+    tracemalloc.start()
+    try:
+        report = run_verification(ctx, ["para_zeros"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["para_zeros"]["pass"], report
+    assert peak < 2**20
+
+
 def _stack_calls(monkeypatch, s):
     """(functions, degrees, points) of every evaluate_stack call of a verify of s, which must pass."""
     calls = []
