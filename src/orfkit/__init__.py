@@ -17,7 +17,6 @@ from .errors import (
     PoleMismatch,
     PoleProximity,
     RankDeficiency,
-    ZeroCollision,
     ZeroOffCircle,
 )
 from .ratfun import (

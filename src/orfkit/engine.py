@@ -47,7 +47,7 @@ from .ratfun import (
     poisson_kernel,
     superstar,
 )
-from .zeros import circle_zeros, zeros_inside
+from .zeros import phase_zeros, zeros_inside
 
 TOL_ORTHO = 1e-9
 # Quadrature accuracy degrades as poles approach the circle; beyond this the
@@ -369,19 +369,17 @@ def grid_quadrature(mu: CircleMeasure, n_points: int) -> Quadrature:
 def szego_rule(system: OrfSystem) -> Quadrature:
     """The rational Szegő rule of a ladder's rational completion measure: the
     ladder continued with lambda = 0 at beta_{m+1} = 0 stays orthonormal, and
-    the para zeros (tau = 1) of level m + 1 with weights 1/sum_{k<=m} |phi_k|^2
-    integrate L_m L_{m*} exactly (Bultheel et al. 1999, ch. 5). It is read on
-    |z| = r = 2^(-1/(m+1)), where r^(-m) <= 2, and midway between nodes."""
+    the para zeros (tau = 1) of level m + 1 with weights 1/sum_{k<=m} |phi_k|^2, both
+    from (lambda_k, rho_k) by `phase_zeros`, integrate L_m L_{m*} exactly (Bultheel et al.
+    1999, ch. 5). It is read on |z| = r = 2^(-1/(m+1)), where r^(-m) <= 2, and midway between nodes."""
     m = system.n_max
-    poles = PoleSequence(np.concatenate([system.poles.beta[: m + 1], [0.0]]))
-    ext = recurrence_step(system.level(m), 0.0, 1.0, poles, m + 1)
-    nodes = circle_zeros(ext.phi.numer + ext.phi_star.numer)
-    weights = 1.0 / np.sum(np.abs(evaluate_stack([lv.phi for lv in system.levels], nodes)) ** 2, axis=0)
+    params = [(lv.lam, lv.rho) for lv in system.levels[1:]] + [(0.0, 1.0)]
+    nodes, sums = phase_zeros(np.append(system.poles.beta[: m + 1], 0.0), system.levels[0].phi.numer[0], params, 1.0)
     # the circle points: the midpoint of the gap between nodes that each angle 2 pi k / 6 falls in
     ang = np.sort(np.angle(nodes) % (2.0 * np.pi))
     ring = np.concatenate([ang[-1:] - 2.0 * np.pi, ang, ang[:1] + 2.0 * np.pi])
     at = np.searchsorted(ang, np.pi * np.arange(6) / 3)
-    return Quadrature(nodes, weights, 2.0 ** (-1.0 / (m + 1)), 0.0, np.exp(0.5j * (ring[at] + ring[at + 1])))
+    return Quadrature(nodes, 1.0 / sums, 2.0 ** (-1.0 / (m + 1)), 0.0, np.exp(0.5j * (ring[at] + ring[at + 1])))
 
 
 def _herglotz_sums(kp, quad: Quadrature, zs, rows):
@@ -498,15 +496,19 @@ def zeros_factor(poles: PoleSequence, m: int, z):
     return KernelParams(poles.beta[0]).zeta0(z) * blaschke_product(poles, m - 1, z)
 
 
+def _unimodular(tau) -> complex:
+    if not abs(abs(complex(tau)) - 1.0) <= 1e-12:
+        raise DomainError("tau must be unimodular")
+    return complex(tau)
+
+
 def para_pair(system: OrfSystem, n: int, tau) -> ParaPair:
     """Para-orthogonal pair Phi = phi_n + tau phi_n^*, Psi = psi_n - tau psi_n^*.
 
     A function and its superstar share one degree and one denominator, so
     the pair adds numerators.
     """
-    tau = complex(tau)
-    if not abs(abs(tau) - 1.0) <= 1e-12:
-        raise DomainError("tau must be unimodular")
+    tau = _unimodular(tau)
     lv = system.level(n)
     return ParaPair(
         n,
@@ -516,10 +518,13 @@ def para_pair(system: OrfSystem, n: int, tau) -> ParaPair:
     )
 
 
-def para_zeros(pair: ParaPair) -> np.ndarray:
-    """Zeros of the para-orthogonal numerator, sorted by angle: read on the
-    circle from its phase line (`circle_zeros`); all must be simple."""
-    return circle_zeros(pair.Phi.numer)
+def para_zeros(system: OrfSystem, n: int, tau) -> np.ndarray:
+    """The n zeros of phi_n + tau phi_n^*, n >= 1, simple and on the circle and sorted by angle: where
+    the lifted phase of phi_n/phi_n^*, run from the ladder's (lambda_k, rho_k), meets arg(-tau) (`phase_zeros`)."""
+    if not 1 <= n <= system.n_max:
+        raise DomainError(f"para zeros need a level in 1..{system.n_max}, got {n}")
+    tau, params = _unimodular(tau), [(lv.lam, lv.rho) for lv in system.levels[1 : n + 1]]
+    return phase_zeros(system.poles.beta[: n + 1], system.levels[0].phi.numer[0], params, tau)[0]
 
 
 def identity_residual_stack(fs, gs, f_stars, g_stars):

@@ -50,10 +50,6 @@ class ZeroOffCircle(OrfkitError):
     """A para-orthogonal zero left the unit circle beyond tolerance."""
 
 
-class ZeroCollision(OrfkitError):
-    """Two para-orthogonal zeros closer than the simplicity tolerance."""
-
-
 class DivisionRemainderTooLarge(OrfkitError):
     """Dividing out a transform's common factor left a remainder; transform conditions not actually met."""
 

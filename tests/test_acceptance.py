@@ -19,7 +19,6 @@ from orfkit import (
     caratheodory_from_measure,
     evaluate_stack,
     gram_schmidt_orf,
-    para_pair,
     para_zeros,
     relation_residuals,
     superstar,
@@ -127,7 +126,7 @@ def test_criterion_04_para_zeros(synth_systems, measure_systems):
     for system in synth_systems + measure_systems:
         for n in range(1, 9):
             for tau in (1.0, 1.0j, -1.0, -1.0j):
-                zs = para_zeros(para_pair(system, n, tau))
+                zs = para_zeros(system, n, tau)
                 worst_mod = max(worst_mod, float(np.max(np.abs(np.abs(zs) - 1.0))))
                 if len(zs) > 1:
                     d = np.abs(zs[:, None] - zs[None, :])

@@ -407,7 +407,7 @@ def test_artifact_bytes_are_pinned(tmp_path, name):
 # and their pass flags must hold before the digests are recorded again
 _THETA = 2.0 * np.pi * np.arange(256) / 256
 PINNED_VERIFY = {
-    "lambdas-n3": (LAMBDA_CONFIG, "8755cb9bd9f2111087d4ae4f8c8d0308f1ef1d9c772384fa8692b2081885c6ae"),
+    "lambdas-n3": (LAMBDA_CONFIG, "8b9a3e2d8918716d9e9b961b008ebd9b919fad34c8a1afa9d8628435d99a17f9"),
     "poisson-n5": (
         {
             "poles": [[0.2, -0.1], [0.45, 0.3], [-0.6, 0.15], [0.05, 0.55], [-0.25, -0.5], [0.6, -0.2]],

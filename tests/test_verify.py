@@ -272,8 +272,19 @@ def test_densities_read_on_the_circle(seed, check, limit, rows):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_synthesized_n_64_passes_every_check(seed):
     # the lambda path at n = 64, where rounding in any layer shows first;
-    # seed 0 fails orthonormality at 1.1e-9 (ROADMAP item 4)
+    # seed 0 fails determinant, second_kind (about 1.7e-8), interpolation,
+    # arf_consistency and remark, all from the rounding of its stored
+    # numerators (ROADMAP items 2 and 21)
     assert _failing(probe_ladder(64, seed)) == {}
+
+
+def test_synthesized_n_64_seed_0_passes_on_its_rule():
+    # the checks that sum on the Szegő rule pass on this ladder (cond
+    # 1.1e6): the rule's nodes and weights come from (lambda_k, rho_k), not
+    # from the stored numerators, whose rounding would move a node by up
+    # to about 6e-5; orthonormality reads about 2.3e-10 against 1e-9
+    checks = ["orthonormality", "multiplier_identities", "arf_orthogonality"]
+    assert _failing(probe_ladder(64, 0), checks) == {}
 
 
 def test_wrong_determinant_constant_fails_the_check():
