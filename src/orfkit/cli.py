@@ -8,7 +8,7 @@ Subcommands:
 
 Exit codes: 0 ok, 1 verification failure, 2 config error or an --out that
 cannot be made or written, 3 numerical failure.
-The config's "grid" sets the quadrature size (power of two >= 256).
+The config's "grid" sets the quadrature size (a power of two, 256..2^20).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .engine import (
     synthesize,
 )
 from .errors import DomainError, NonPositiveWeight, OrfkitError
-from .measure import _check_grid, _is_number, boundary_grid, builtin_measure, measure_from_config
+from .measure import MAX_GRID, _check_grid, _is_number, boundary_grid, builtin_measure, measure_from_config
 from .ratfun import PoleSequence, _disk_sample, evaluate_stack
 from .transforms import arf_discrepancy, arf_recurrence
 from .verify import CHECK_NAMES, VerifyContext, run_verification
@@ -246,8 +246,8 @@ def _write_table(path, system, n_points=TABLE_POINTS):
 
 def cmd_synth(args) -> int:
     cfg = JobConfig.from_file(args.config)
-    if args.table_points < 2:
-        raise ConfigError("--table-points must be >= 2")
+    if not 2 <= args.table_points <= MAX_GRID:
+        raise ConfigError(f"--table-points must be in 2..{MAX_GRID}, got {args.table_points}")
     with _writing_to(args.out):
         os.makedirs(args.out, exist_ok=True)
     system = build_system(cfg)

@@ -28,6 +28,7 @@ from .measure import (
     CircleMeasure,
     _check_grid,
     _grid_memo,
+    _grid_points_size,
     boundary_grid,
     caratheodory_from_measure,
     default_grid,
@@ -316,10 +317,11 @@ def caratheodory_from_system(system: OrfSystem) -> CaratheodoryFn:
 
     It is holomorphic with positive real part (phi*_m is zero-free on the
     closed disk), satisfies F(beta_0) = 1, and the ladder is orthonormal
-    with respect to it through level m.
+    with respect to it through level m. Its terms on a `boundary_grid` are kept.
     """
     top = system.level(system.n_max)
-    return ratio_caratheodory(lambda z: evaluate_stack((top.psi_star, top.phi_star), z), system.poles.beta[0])
+    terms = _grid_memo(lambda z: evaluate_stack((top.psi_star, top.phi_star), z), _grid_points_size)
+    return ratio_caratheodory(terms, system.poles.beta[0])
 
 
 def measure_from_system(system: OrfSystem) -> CircleMeasure:
@@ -465,6 +467,7 @@ def gram_schmidt_orf(
         raise DomainError("n_max must be >= 0")
     _check_poles(poles, n_max, allow_poles_near_circle)
     n_points = n_points or default_grid(n_max)
+    _check_grid(n_points)
     if n_max >= n_points:
         raise RankDeficiency(f"basis numerically dependent at level {n_points}")
     quad = grid_quadrature(mu, n_points)

@@ -24,6 +24,8 @@ from .ratfun import _BLOCK_BYTES, _horner
 # C-functions built from quadrature reject evaluation beyond this modulus:
 # the closed disk, up to rounding.
 MAX_MODULUS = 1.0 + 1e-12
+# the largest grid or table accepted from outside: 16 MiB per complex row
+MAX_GRID = 1 << 20
 
 
 def _grid_angles(n_points: int):
@@ -91,6 +93,8 @@ def default_grid(n_max: int) -> int:
 def _check_grid(n_points: int):
     if n_points < 256 or (n_points & (n_points - 1)) != 0:
         raise DomainError(f"grid size must be a power of two >= 256, got {n_points}")
+    if n_points > MAX_GRID:
+        raise DomainError(f"grid size must be at most {MAX_GRID}, got {n_points}")
 
 
 def _trig_eval(coeffs, freqs, theta):
@@ -240,7 +244,7 @@ def inner_product(mu: CircleMeasure, f, g, n_points: int = 1024) -> complex:
     """Quadrature of f(t) conj(g(t)) against the measure on |t| = 1.
 
     f and g are anything evaluable at complex points (RatFun instances or
-    plain callables). The grid must be a power of two >= 256; the rule is
+    plain callables). The grid must pass `_check_grid`; the rule is
     the uniform composite one, spectrally accurate for smooth densities.
     """
     _check_grid(n_points)

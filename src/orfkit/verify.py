@@ -20,9 +20,7 @@ from .engine import (
     _fit_ladder,
     _four,
     _gram_defect,
-    _level_zero,
     _parameters,
-    _run_recurrence,
     grid_quadrature,
     identity_residual_stack,
     interpolation_residual_stack,
@@ -33,7 +31,7 @@ from .engine import (
 )
 from .errors import OrfkitError, ZeroOffCircle
 from .measure import boundary_grid, weight_from_caratheodory
-from .ratfun import PoleSequence, _disk_sample, evaluate_stack, superstar
+from .ratfun import _disk_sample, evaluate_stack, superstar
 from .transforms import (
     arf_discrepancy,
     arf_recurrence,
@@ -65,9 +63,9 @@ CHECK_NAMES = tuple(DEFAULT_TOLERANCES)
 @dataclass
 class VerifyContext:
     """Everything a check needs: the system, its measure, quadrature and
-    C-function, its associated ladders and their rules, and the seed of the
-    sampled checks. positivity, roundtrip_lambda (with seed + 1) and
-    multiplier_identities draw their samples through ratfun._disk_sample,
+    C-function, the recurrence fit of its stored functions, its associated
+    ladders and their rules, and the seed of the sampled checks. positivity
+    and multiplier_identities draw their samples through ratfun._disk_sample,
     from the stdlib generator random.Random. Each is built once per context."""
 
     system: OrfSystem
@@ -86,6 +84,12 @@ class VerifyContext:
         without a measure the ladder's own rule."""
         s = self.system
         return self.rule(0) if s.measure is None else grid_quadrature(s.measure, s.n_points)
+
+    @cached_property
+    def fits(self):
+        """The `_fit_ladder` pass of the stored phi_n and phi_n^*, which both fit checks read."""
+        s = self.system
+        return _fit_ladder(s.poles, [lv.phi for lv in s.levels], [lv.phi_star for lv in s.levels])
 
     def arf(self, k):
         """The order-k associated ladder of the system."""
@@ -112,12 +116,7 @@ def check_orthonormality(ctx):
 
 
 def check_recurrence_fit(ctx):
-    s = ctx.system
-    fits = _fit_ladder(s.poles, [lv.phi for lv in s.levels], [lv.phi_star for lv in s.levels])
-    worst = 0.0
-    for _, _, resid, scale in fits:
-        worst = max(worst, resid / scale)
-    return worst
+    return max((resid / scale for _, _, resid, scale in ctx.fits), default=0.0)
 
 
 def check_determinant(ctx):
@@ -162,11 +161,7 @@ def check_multiplier_identities(ctx):
 
 
 def check_arf_consistency(ctx):
-    s = ctx.system
-    worst = 0.0
-    for k in range(min(3, s.n_max) + 1):
-        worst = max(worst, arf_discrepancy(ctx.arf(k)))
-    return worst
+    return max(arf_discrepancy(ctx.arf(k)) for k in range(min(3, ctx.system.n_max) + 1))
 
 
 def _caratheodory_gap(arf):
@@ -225,16 +220,11 @@ def check_positivity(ctx):
 
 
 def check_roundtrip_lambda(ctx):
-    s = ctx.system
-    n = max(s.n_max, 1)
-    lams = _disk_sample(ctx.seed + 1, 0.6, n)
-    poles = s.poles if len(s.poles) >= n + 1 else PoleSequence(np.concatenate([s.poles.beta, [0.0]]))
-    # the recurrence on the ladder's own poles, which the config has admitted
-    ladder = _run_recurrence(poles, _level_zero(poles, 1.0), ((lam, 1.0) for lam in lams))
-    fits = _fit_ladder(poles, [lv.phi for lv in ladder], [lv.phi_star for lv in ladder])
+    # the (lambda_n, rho_n) fitted from the stored functions against the stored ones
     worst = 0.0
-    for i, fit in enumerate(fits, start=1):
-        worst = max(worst, abs(_parameters(i, fit)[0] - lams[i - 1]))
+    for lv, fit in zip(ctx.system.levels[1:], ctx.fits):
+        lam, _, rho = _parameters(lv.n, fit)
+        worst = max(worst, abs(lam - lv.lam), abs(rho - lv.rho))
     return worst
 
 

@@ -1,17 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from orfkit import (
     DomainError,
+    OrfSystem,
     PoleSequence,
     RatFun,
     builtin_measure,
     evaluate,
     gram_schmidt_orf,
+    superstar,
     synthesize,
 )
 from orfkit.engine import POLE_CAP
-from orfkit.measure import boundary_grid
+from orfkit.measure import CaratheodoryFn, boundary_grid
 from orfkit.ratfun import TAU_POLE
 
 
@@ -48,18 +52,64 @@ def substar_eval(f: RatFun, z):
     return np.conj(evaluate(f, 1.0 / np.conj(z)))
 
 
+def _probe_disk(seed):
+    """disk(c, m) of the probe ladders: m points c sqrt(u) e^(2 pi i v) for
+    uniform u, v, drawn in turn from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    return lambda c, m: c * np.sqrt(rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
+
+
 def probe_ladder(n, seed, cap=0.7, lcap=0.2):
     """The seeded probe ladder, synthesized on its completion grid: from
     default_rng(seed), poles disk(cap, n + 1), beta_0 included, drawn first,
-    then lambdas disk(lcap, n), disk(c, m) holding m points c sqrt(u) e^(2 pi i v)
-    for uniform u, v. The pole cap is overridden only above POLE_CAP."""
-    rng = np.random.default_rng(seed)
-
-    def disk(c, m):
-        return c * np.sqrt(rng.random(m)) * np.exp(2j * np.pi * rng.random(m))
-
+    then lambdas disk(lcap, n). The pole cap is overridden only above POLE_CAP."""
+    disk = _probe_disk(seed)
     poles = PoleSequence(disk(cap, n + 1))
     return synthesize(disk(lcap, n), poles, allow_poles_near_circle=cap > POLE_CAP)
+
+
+def probe_poisson(n, seed, cap=0.7):
+    """The Poisson probe ladder: gram_schmidt_orf of the Poisson measure of
+    alpha = 0.3 - 0.2i on the poles of probe_ladder(n, seed, cap)."""
+    poles = PoleSequence(_probe_disk(seed)(cap, n + 1))
+    return gram_schmidt_orf(builtin_measure("poisson", alpha=0.3 - 0.2j), poles, n)
+
+
+def perturbed_ladders(system, n=3, size=1e-6):
+    """Copies of the ladder, each with one stored datum off by a relative size,
+    by name:
+    - "phi", "phi*", "psi", "psi*": that function of level n, its numerator
+      coefficient c_k times 1 + size e^(ik), so that the function leaves the
+      span the recurrence allows and no real or unimodular factor undoes it;
+    - "lambda": lambda_n moved by size e^(i pi/4), the disk's radius its scale;
+    - "rho": rho_n turned by size radians; "e": e_n times 1 + size;
+    - "top": phi_m of the top level m bent as phi_n is, and phi_m^* set to
+      its superstar; the C-function is rebuilt as the constructor builds it,
+      from the top level on a ladder without a measure;
+    - "F", on a ladder with a measure only: the C-function times
+      1 + size e^(i pi/4).
+    Every other datum, and the grid, is the ladder's own."""
+
+    def bent(f):
+        return RatFun(f.poles, f.numer * (1 + size * np.exp(1j * np.arange(f.numer.size))), f.n)
+
+    def with_level(k, caratheodory=system.caratheodory, **changes):
+        levels = list(system.levels)
+        levels[k] = dataclasses.replace(levels[k], **changes)
+        return OrfSystem(system.poles, levels, system.source, system.measure, caratheodory, system.n_points)
+
+    lv, F, tilt = system.level(n), system.caratheodory, size * np.exp(0.25j * np.pi)
+    out = {name.replace("_star", "*"): with_level(n, **{name: bent(getattr(lv, name))})
+           for name in ("phi", "phi_star", "psi", "psi_star")}
+    out["lambda"] = with_level(n, lam=lv.lam + tilt)
+    out["rho"] = with_level(n, rho=lv.rho * np.exp(1j * size))
+    out["e"] = with_level(n, e=lv.e * (1 + size))
+    phi_m = bent(system.level(system.n_max).phi)
+    out["top"] = with_level(system.n_max, None, phi=phi_m, phi_star=superstar(phi_m))
+    if system.measure is not None:
+        wrong = CaratheodoryFn(lambda z: (1 + tilt) * F(z), F.beta0)
+        out["F"] = OrfSystem(system.poles, system.levels, system.source, system.measure, wrong, system.n_points)
+    return out
 
 
 @pytest.fixture(scope="session")

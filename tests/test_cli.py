@@ -317,6 +317,39 @@ class TestConfigValidation:
         assert "config error: grid size must be a power of two >= 256, got 500" in capsys.readouterr().err
 
 
+class TestSizeBound:
+    """A grid or table past 2^20 points is a config error, found before
+    anything is built or written: 2^40 points would take 16 TiB a row."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_built(self, monkeypatch):
+        monkeypatch.setattr(cli, "build_system", lambda cfg: pytest.fail("a ladder was built"))
+
+    @pytest.mark.parametrize(
+        "config, command",
+        [
+            pytest.param(LAMBDA_CONFIG, ["synth"], id="lambda-synth"),
+            pytest.param(LAMBDA_CONFIG, ["arf", "--order", "1"], id="lambda-arf"),
+            pytest.param(WORKED, ["synth"], id="lebesgue-synth"),
+            pytest.param(WORKED, ["arf", "--order", "1"], id="lebesgue-arf"),
+            pytest.param(WORKED, ["verify"], id="lebesgue-verify"),
+        ],
+    )
+    def test_grid_past_the_bound(self, tmp_path, capsys, config, command):
+        cfg = write_config(tmp_path, {**config, "grid": 1 << 40})
+        out = tmp_path / "out"
+        assert main(command + ["--config", cfg, "--out", str(out)]) == 2
+        assert "config error: grid size must be at most 1048576, got 1099511627776" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_table_points_past_the_bound(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, LAMBDA_CONFIG)
+        out = tmp_path / "out"
+        assert main(["synth", "--config", cfg, "--out", str(out), "--table-points", "1000000000000"]) == 2
+        assert "config error: --table-points must be in 2..1048576, got 1000000000000" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestArfCommand:
     def test_worked_order_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**WORKED, "arf_order": 1})
@@ -407,14 +440,14 @@ def test_artifact_bytes_are_pinned(tmp_path, name):
 # and their pass flags must hold before the digests are recorded again
 _THETA = 2.0 * np.pi * np.arange(256) / 256
 PINNED_VERIFY = {
-    "lambdas-n3": (LAMBDA_CONFIG, "8b9a3e2d8918716d9e9b961b008ebd9b919fad34c8a1afa9d8628435d99a17f9"),
+    "lambdas-n3": (LAMBDA_CONFIG, "9ff78bc42282381351f33cbdec270af1ebabd6f20511f2e269c1053ba9e9173b"),
     "poisson-n5": (
         {
             "poles": [[0.2, -0.1], [0.45, 0.3], [-0.6, 0.15], [0.05, 0.55], [-0.25, -0.5], [0.6, -0.2]],
             "measure": {"type": "poisson", "alpha": [0.3, -0.2]},
             "n_max": 5,
         },
-        "2ea1591ad6eadbb31a3bf0639de7fe2593c200e706d15aaa20e5f322cf9b7500",
+        "8db7071daec4f43e769b0f2d8fa5bad16ad1d6ce19bd55c1ae9e111ab0d74860",
     ),
     "samples-n4-grid2048": (
         {
@@ -423,7 +456,7 @@ PINNED_VERIFY = {
             "n_max": 4,
             "grid": 2048,
         },
-        "fc3fea9e894959071c8497d01e7c2a93184b324610f3dd57daac38ebd2d79806",
+        "2e6cd61e1a5c93f5a788fbaa4cfb8174a56744c00001d20870cdc93288cac971",
     ),
 }
 

@@ -48,6 +48,7 @@ from orfkit.engine import (
     szego_rule,
 )
 from orfkit.measure import boundary_grid, default_grid
+from orfkit.ratfun import _disk_sample
 from orfkit.transforms import arf_quad, arf_recurrence
 from orfkit.verify import VerifyContext, check_para_zeros, run_verification
 
@@ -466,6 +467,11 @@ class TestSynthesize:
         with pytest.raises(DomainError, match="power of two >= 256"):
             synthesize([0.1], PoleSequence([0.0, 0.1]), n_points=n_points)
 
+    def test_gram_schmidt_checks_its_grid_before_sampling(self, lebesgue):
+        # 2^40 points would take 16 TiB a row: refused before any is made
+        with pytest.raises(DomainError, match="at most 1048576, got 1099511627776"):
+            gram_schmidt_orf(lebesgue, PoleSequence([0.0, 0.5, 0.0]), 2, n_points=1 << 40)
+
     def test_given_grid_skips_the_completion_grid(self, monkeypatch, synth_system):
         # n_points as gram_schmidt_orf takes it: the ladder is the default
         # build's, bit for bit, and its zeros are never sought
@@ -492,6 +498,27 @@ class TestExtraction:
             assert abs(lam - s.level(n).lam) < 1e-12
             assert abs(e - s.level(n).e) < 1e-12
             assert abs(rho - 1.0) < 1e-12
+
+    @pytest.mark.parametrize(
+        "n, seed, poles",
+        [pytest.param(n, seed, None, id=f"probe-{n}-{seed}") for n, seed in ((6, 3), (24, 5), (64, 0))]
+        + [
+            pytest.param(2, None, poles, id=f"near-circle-{i}")
+            for i, poles in enumerate(([0.95, 0.95j, -0.95], [0.0, 0.95j, -0.95], [0.95, 0.3 + 0.1j, -0.2 + 0.4j]))
+        ],
+    )
+    def test_fit_recovers_fresh_lambdas(self, n, seed, poles):
+        # the lambdas of ladders built here come back from the fit: probe
+        # ladders, and two lambdas disk(0.6) of seed 1 on poles past the cap
+        if poles is None:
+            s = probe_ladder(n, seed)
+        else:
+            with pytest.warns(UserWarning):
+                s = synthesize(_disk_sample(1, 0.6, n), PoleSequence(poles), allow_poles_near_circle=True)
+        fits = _fit_ladder(s.poles, [lv.phi for lv in s.levels], [lv.phi_star for lv in s.levels])
+        for lv, fit in zip(s.levels[1:], fits, strict=True):
+            lam, _, rho = _parameters(lv.n, fit)
+            assert abs(lam - lv.lam) <= 1e-10 and abs(rho - 1.0) <= 1e-10
 
     def test_phase_covariance(self, synth_system):
         s = synth_system
@@ -884,6 +911,18 @@ class TestRationalCompletion:
         rng = np.random.default_rng(9)
         zs = 0.9 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
         assert np.min(np.real(F(zs))) > 0
+
+    def test_terms_are_kept_on_library_grids(self, monkeypatch, synth_system):
+        # psi*_m and phi*_m on the points of a boundary_grid are evaluated
+        # once, and the second call hands back the same read-only values
+        F = caratheodory_from_system(synth_system)
+        top = synth_system.level(synth_system.n_max)
+        _, t = boundary_grid(1024)
+        first = F.terms(t)
+        assert_array_equal(first, evaluate_stack((top.psi_star, top.phi_star), t))
+        monkeypatch.setattr(engine, "evaluate_stack", lambda *args: pytest.fail("terms evaluated again"))
+        again = F.terms(t)
+        assert again is first and not again.flags.writeable
 
     def test_gram_schmidt_recovers_parameters(self, synth_system):
         mu = measure_from_system(synth_system)

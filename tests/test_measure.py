@@ -26,7 +26,7 @@ from orfkit import (
 )
 from orfkit import measure, measure_from_system, ratfun
 from orfkit.cli import main
-from orfkit.measure import CaratheodoryFn, _trig_eval, boundary_grid, default_grid
+from orfkit.measure import MAX_GRID, CaratheodoryFn, _check_grid, _trig_eval, boundary_grid, default_grid
 from orfkit.ratfun import KernelParams
 from orfkit.verify import DEFAULT_TOLERANCES, VerifyContext, check_arf_orthogonality
 
@@ -572,3 +572,10 @@ class TestWeightRecovery:
         theta, _ = boundary_grid(256)
         with pytest.raises(NegativeDensity):
             weight_from_caratheodory(F, 0.0, theta)
+
+
+def test_grid_bound():
+    # the largest grid accepted is 2^20 points; the check itself allocates nothing
+    _check_grid(MAX_GRID)
+    with pytest.raises(DomainError, match=f"at most {MAX_GRID}, got {2 * MAX_GRID}"):
+        _check_grid(2 * MAX_GRID)

@@ -34,7 +34,7 @@ from orfkit.engine import _circle_nodes, zeros_factor
 from orfkit.measure import boundary_grid, default_grid
 from orfkit.verify import CHECK_NAMES, DEFAULT_TOLERANCES, VerifyContext, run_verification
 
-from conftest import probe_ladder, substar_eval
+from conftest import perturbed_ladders, probe_ladder, probe_poisson, substar_eval
 
 
 def _ladder():
@@ -105,6 +105,16 @@ def test_verify_builds_each_order_once(monkeypatch):
         "anchor_residual": 4,
         "apply_transform_stack": 4,
     }
+
+
+def test_verify_fits_the_ladder_once(monkeypatch):
+    # recurrence_fit and roundtrip_lambda read one fit of the stored ladder
+    calls = {}
+    for module in (engine, verify):
+        _count(monkeypatch, calls, module, "_fit_ladder")
+    report = run_verification(VerifyContext(_ladder(), seed=0, tolerances={}))
+    assert all(entry["pass"] for entry in report.values())
+    assert calls == {"_fit_ladder": 1}
 
 
 def test_verify_checks_the_top_order_quad(monkeypatch):
@@ -300,6 +310,65 @@ def test_wrong_determinant_constant_fails_the_check():
     entry = run_verification(VerifyContext(scaled, seed=0, tolerances={}), ["determinant"])["determinant"]
     assert not entry["pass"] and "error" not in entry
     assert entry["residual"] == pytest.approx(0.0402, rel=1e-6)
+
+
+def _matrix_table(failing):
+    """The checks each perturbation fails, as text: one row per check, one
+    column per perturbation, x where it failed, grouped by ladder;
+    failing[ladder][perturbation] is the set of checks that failed."""
+
+    def row(first, mark):
+        groups = (" ".join(mark(ladder, p).center(len(p)) for p in perts) for ladder, perts in failing.items())
+        return (first.ljust(22) + " | ".join(groups)).rstrip()
+
+    names = " | ".join(ladder.ljust(len(" ".join(perts))) for ladder, perts in failing.items())
+    lines = [(" " * 22 + names).rstrip(), row("", lambda ladder, p: p)]
+    for name in CHECK_NAMES:
+        lines.append(row(name, lambda ladder, p: "x" if name in failing[ladder][p] else "."))
+    return "\n".join(lines)
+
+
+# which checks fail under each perturbation of conftest.perturbed_ladders, of
+# relative size 1e-6 at level 3 (and at the top level for "top"), on
+# probe_ladder(6, 3) and on the Poisson probe with poles disk(0.5, 7) of
+# seed 0; "none" is the ladder itself. A change that blinds a check, or
+# makes a check fail where it did not, shows here. On a mismatch the test
+# prints the observed table in this form, to be pasted here once the change
+# is meant
+PERTURBATION_MATRIX = """
+                      lambda n = 6                            | Poisson n = 6
+                      none phi phi* psi psi* lambda rho e top | none phi phi* psi psi* lambda rho e top F
+orthonormality         .    x   .    .   .     x     x  .  x  |  .    x   .    .   .     .     .  .  x  .
+recurrence_fit         .    x   x    .   .     .     .  .  x  |  .    x   .    .   .     .     .  .  x  .
+determinant            .    x   x    x   x     .     .  .  x  |  .    x   x    x   x     .     .  .  x  .
+para_zeros             .    x   x    .   .     .     .  .  .  |  .    x   x    .   .     .     .  .  .  .
+second_kind            .    x   .    x   .     x     x  .  x  |  .    x   .    x   .     .     .  .  x  .
+interpolation          .    x   .    x   .     .     .  .  x  |  .    x   .    x   .     .     .  .  x  x
+multiplier_identities  .    x   x    x   x     x     x  .  x  |  .    x   x    x   x     .     .  .  x  .
+arf_consistency        .    x   x    x   x     x     x  .  x  |  .    x   x    x   x     x     x  .  x  x
+arf_orthogonality      .    .   .    .   .     x     x  .  x  |  .    x   .    .   .     x     .  .  x  x
+relations              .    x   x    x   x     x     x  .  .  |  .    x   .    x   .     x     x  .  .  .
+remark                 .    x   x    x   x     .     .  .  x  |  .    x   x    x   x     .     .  .  x  x
+positivity             .    x   x    x   x     .     .  .  x  |  .    x   x    x   x     .     .  .  .  x
+roundtrip_lambda       .    x   x    .   .     x     x  .  x  |  .    x   .    .   .     x     x  .  x  .
+roundtrip_measure      .    .   .    .   .     .     .  .  x  |  .    .   .    .   .     .     .  .  .  x
+serialization          .    .   .    .   .     x     .  x  .  |  .    .   .    .   .     x     .  x  .  .
+"""
+
+
+def test_perturbation_matrix():
+    failing = {}
+    for ladder, s in (("lambda n = 6", probe_ladder(6, 3)), ("Poisson n = 6", probe_poisson(6, 0, cap=0.5))):
+        failing[ladder] = {
+            name: {c for c, entry in run_verification(VerifyContext(p, seed=0, tolerances={})).items() if not entry["pass"]}
+            for name, p in {"none": s, **perturbed_ladders(s)}.items()
+        }
+    observed = _matrix_table(failing)
+    if observed != PERTURBATION_MATRIX.strip("\n"):
+        print(observed)  # the observed table, in the form pinned above
+    assert observed == PERTURBATION_MATRIX.strip("\n")
+    # every check fails on some perturbation of one of the ladders
+    assert set().union(*(cells for row in failing.values() for cells in row.values())) == set(CHECK_NAMES)
 
 
 # -- per-level references ------------------------------------------------------
