@@ -7,7 +7,6 @@ from .errors import (
     DenominatorVanishes,
     DivisionRemainderTooLarge,
     DomainError,
-    FitResidualTooLarge,
     KernelSingularity,
     NegativeDensity,
     NonPositiveWeight,

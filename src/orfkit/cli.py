@@ -32,7 +32,15 @@ from .engine import (
     synthesize,
 )
 from .errors import DomainError, NonPositiveWeight, OrfkitError
-from .measure import MAX_GRID, _check_grid, _is_number, boundary_grid, builtin_measure, measure_from_config
+from .measure import (
+    MAX_GRID,
+    _check_grid,
+    _is_number,
+    boundary_grid,
+    builtin_measure,
+    default_grid,
+    measure_from_config,
+)
 from .ratfun import PoleSequence, _disk_sample, evaluate_stack
 from .transforms import arf_discrepancy, arf_recurrence
 from .verify import CHECK_NAMES, VerifyContext, run_verification
@@ -319,8 +327,8 @@ def cmd_example(args) -> int:
     if not abs(beta1) <= POLE_CAP:
         raise ConfigError(f"|beta1| <= {POLE_CAP} required")
     n = args.n
-    if n < 1:
-        raise ConfigError("--n must be >= 1")
+    if n < 1 or default_grid(n) > MAX_GRID:
+        raise ConfigError(f"--n must be >= 1 with default_grid(n) <= {MAX_GRID}, got {n}")
     poles = PoleSequence([0.0, beta1] + [0.0] * (n - 1))
     mu = builtin_measure("lebesgue")
     system = gram_schmidt_orf(mu, poles, n)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    FitResidualTooLarge,
     NumericalFailure,
     ParameterOutOfDisk,
     RankDeficiency,
@@ -192,14 +191,10 @@ def _fit_ladder(poles, phis, stars) -> list:
     return _fit_levels(poles, range(1, len(phis)), phi_z[:-1], star_z[:-1], phi_z[1:])
 
 
-def _parameters(n, fit):
+def _parameters(fit):
     """(lambda_n, e_n, rho_n) = (conj(b/a), |a|, a/|a|) from a _fit_levels
-    result; FitResidualTooLarge when the fit does not close."""
-    a, b, resid, scale = fit
-    if resid > 1e-9 * scale:
-        raise FitResidualTooLarge(
-            f"level {n} does not satisfy the recurrence (residual {resid:.2e} vs scale {scale:.2e})"
-        )
+    result, whether or not the fit closes: the recurrence_fit check reads that."""
+    a, b, _, _ = fit
     return complex(np.conj(b / a)), float(abs(a)), complex(a / abs(a))
 
 
@@ -531,16 +526,16 @@ def para_zeros(system: OrfSystem, n: int, tau) -> np.ndarray:
 
 
 def identity_residual_stack(fs, gs, f_stars, g_stars):
-    """Complex constant d and relative sup residual (against Re d) of
-    f^* g + f g^* = d P_m B_m on a 512-point boundary grid, as arrays
-    (d, resid), one row per (f, g, f^*, g^*); m and the poles come from f.
-    The starred functions are passed in, so a check covers stored ones too.
-    The functions may have different degrees over one pole prefix: they are
-    evaluated in one call, B_0..B_m come from one _basis, and the Poisson
-    kernels P(t, beta_m) of every row from one broadcast."""
+    """Relative sup residual of f^* g + f g^* = 2 P_m B_m, the constant of an
+    orthonormal ladder and its associated pairs, against max |f^* g + f g^*|
+    on a 512-point boundary grid, as an array with one row per (f, g, f^*, g^*);
+    m and the poles come from f. The starred functions are passed in, so a
+    check covers stored ones too. The functions may have different degrees over
+    one pole prefix: they are evaluated in one call, B_0..B_m come from one
+    _basis, and the Poisson kernels P(t, beta_m) of every row from one broadcast."""
     rows = len(fs)
     if not rows:
-        return np.empty(0, dtype=complex), np.empty(0)
+        return np.empty(0)
     _, t = boundary_grid(512)
     fs_t, g_t, f_t, gs_t = evaluate_stack((*f_stars, *gs, *fs, *g_stars), t).reshape(4, rows, -1)
     left = fs_t * g_t + f_t * gs_t
@@ -548,10 +543,7 @@ def identity_residual_stack(fs, gs, f_stars, g_stars):
     poles = fs[int(np.argmax(degs))].poles
     kernels = poisson_kernel(KernelParams(poles.beta[0]), t, poles.beta[degs][:, None])
     right = kernels * _basis(poles, int(degs.max()), t).T[degs]
-    at = np.argmax(np.abs(right), axis=1)
-    d = left[np.arange(rows), at] / right[np.arange(rows), at]
-    resid = np.max(np.abs(left - d.real[:, None] * right), axis=1) / np.max(np.abs(left), axis=1)
-    return d, resid
+    return np.max(np.abs(left - 2.0 * right), axis=1) / np.max(np.abs(left), axis=1)
 
 
 def _negative_modes(g, scale):

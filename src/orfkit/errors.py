@@ -42,10 +42,6 @@ class ParameterOutOfDisk(OrfkitError):
     """Recurrence parameter with modulus >= 1."""
 
 
-class FitResidualTooLarge(OrfkitError):
-    """Least-squares recurrence fit did not close; input is not a valid ladder."""
-
-
 class ZeroOffCircle(OrfkitError):
     """A para-orthogonal zero left the unit circle beyond tolerance."""
 

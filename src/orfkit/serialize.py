@@ -12,6 +12,7 @@ normalization; they are written as format constants and ignored on load.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -33,8 +34,8 @@ def _carray(arr):
 
 def _from_c(pair):
     re, im = pair  # exactly two numbers
-    if not (_is_number(re) and _is_number(im)):
-        raise DomainError(f"a stored complex number is two numbers, got {pair!r}")
+    if not (_is_number(re) and _is_number(im) and math.isfinite(re) and math.isfinite(im)):
+        raise DomainError(f"a stored complex number is two finite numbers, got {pair!r}")
     return complex(re, im)
 
 
@@ -71,9 +72,9 @@ def system_to_dict(system: OrfSystem) -> dict:
 def system_from_dict(data: dict) -> OrfSystem:
     """The ladder of a system_to_dict dump. A dump is outside input: one
     that does not hold levels 0..m in order, each entry in its place, with
-    recurrence data (lambda, e, rho) above level 0 only, |lambda| < 1 and e
-    its orthonormal value, from a known source, on no grid or a grid the
-    quadrature accepts, raises DomainError."""
+    finite numbers, recurrence data (lambda, e, rho) above level 0 only,
+    |lambda| < 1, e its orthonormal value and |rho| = 1 within 1e-12, from a
+    known source, on no grid or a grid the quadrature accepts, raises DomainError."""
     if not isinstance(data, dict) or data.get("kind") != "orf_system":
         raise DomainError("not a serialized ladder")
     try:
@@ -85,12 +86,12 @@ def system_from_dict(data: dict) -> OrfSystem:
             funcs = [RatFun(poles, _from_carray(item[key]), n) for key in ("phi", "phi_star", "psi", "psi_star")]
             lam, rho = (None if item[key] is None else _from_c(item[key]) for key in ("lambda", "rho"))
             e = item["e"]
-            held = None not in (lam, rho) and _is_number(e) and abs(lam) < 1.0
+            held = None not in (lam, rho) and _is_number(e) and abs(lam) < 1.0 and abs(abs(rho) - 1.0) <= 1e-12
             if (lam, e, rho) != (None,) * 3 if n == 0 else not (held and e == _orthonormal_e(poles, n, lam)):
                 raise DomainError(f"level {n} holds recurrence data no ladder has there: {lam}, {e!r}, {rho}")
             levels.append(OrfLevel(n, *funcs, lam, e, rho))
         source, n_points = data["source"], data.get("n_points")
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed serialized ladder: {type(exc).__name__}: {exc}") from exc
     if source not in ("measure", "parameters"):
         raise DomainError(f"a ladder's source is 'measure' or 'parameters', got {source!r}")

@@ -349,6 +349,13 @@ class TestSizeBound:
         assert "config error: --table-points must be in 2..1048576, got 1000000000000" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", [0, 16384, 20000])
+    def test_example_order_out_of_range(self, monkeypatch, capsys, n):
+        # default_grid(16383) is 2^20, the bound; one more level doubles it
+        monkeypatch.setattr(cli, "PoleSequence", lambda beta: pytest.fail("a pole sequence was built"))
+        assert main(["example", "lebesgue", "--n", str(n)]) == 2
+        assert f"config error: --n must be >= 1 with default_grid(n) <= 1048576, got {n}" in capsys.readouterr().err
+
 
 class TestArfCommand:
     def test_worked_order_one(self, tmp_path, capsys):
@@ -440,14 +447,14 @@ def test_artifact_bytes_are_pinned(tmp_path, name):
 # and their pass flags must hold before the digests are recorded again
 _THETA = 2.0 * np.pi * np.arange(256) / 256
 PINNED_VERIFY = {
-    "lambdas-n3": (LAMBDA_CONFIG, "9ff78bc42282381351f33cbdec270af1ebabd6f20511f2e269c1053ba9e9173b"),
+    "lambdas-n3": (LAMBDA_CONFIG, "e6390aeb8ec0f88f49ab24957f6e0b92c900100b9ca0f9d985384bbf19435aca"),
     "poisson-n5": (
         {
             "poles": [[0.2, -0.1], [0.45, 0.3], [-0.6, 0.15], [0.05, 0.55], [-0.25, -0.5], [0.6, -0.2]],
             "measure": {"type": "poisson", "alpha": [0.3, -0.2]},
             "n_max": 5,
         },
-        "8db7071daec4f43e769b0f2d8fa5bad16ad1d6ce19bd55c1ae9e111ab0d74860",
+        "e7ec522ba4b70fd74d982a334bf094cd461f9a99332f16361bbfbfcf8142ad79",
     ),
     "samples-n4-grid2048": (
         {
@@ -456,7 +463,7 @@ PINNED_VERIFY = {
             "n_max": 4,
             "grid": 2048,
         },
-        "2e6cd61e1a5c93f5a788fbaa4cfb8174a56744c00001d20870cdc93288cac971",
+        "e42850d8a3f669dc90496d2682594186fb5fbc32a73b3d4b86649e30676bb5fb",
     ),
 }
 

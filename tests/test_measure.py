@@ -8,6 +8,7 @@ from numpy.polynomial import polynomial as npp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from orfkit import (
+    DenominatorVanishes,
     DomainError,
     KernelSingularity,
     NegativeDensity,
@@ -26,7 +27,15 @@ from orfkit import (
 )
 from orfkit import measure, measure_from_system, ratfun
 from orfkit.cli import main
-from orfkit.measure import MAX_GRID, CaratheodoryFn, _check_grid, _trig_eval, boundary_grid, default_grid
+from orfkit.measure import (
+    MAX_GRID,
+    CaratheodoryFn,
+    _check_grid,
+    _trig_eval,
+    boundary_grid,
+    default_grid,
+    ratio_caratheodory,
+)
 from orfkit.ratfun import KernelParams
 from orfkit.verify import DEFAULT_TOLERANCES, VerifyContext, check_arf_orthogonality
 
@@ -341,6 +350,13 @@ class TestInnerProduct:
 
 
 class TestCaratheodory:
+    def test_ratio_at_a_zero_of_its_denominator(self):
+        # (1 + z)/(1 - 2z) is read at z = 0.1 and at the zero 0.5 of its denominator
+        F = ratio_caratheodory(lambda z: (1.0 + z, 1.0 - 2.0 * z), 0.0)
+        assert F(0.1) == pytest.approx(1.1 / 0.8)
+        with pytest.raises(DenominatorVanishes):
+            F(np.array([0.1, 0.5]))
+
     def test_lebesgue_is_one(self, lebesgue):
         F = caratheodory_from_measure(lebesgue, 0.0)
         zs = disk_points(1)

@@ -114,6 +114,11 @@ def test_reload_without_grid_uses_one_default(monkeypatch):
         pytest.param(lambda data: data["levels"][0].update(rho=[1.0, 0.0]), id="rho-at-level-0"),
         pytest.param(lambda data: data["levels"][1].update(n=True), id="bool-n"),
         pytest.param(lambda data: data["levels"][1]["phi"].__setitem__(0, [True, False]), id="bool-pair"),
+        pytest.param(lambda data: data["levels"][1]["phi"].__setitem__(1, [float("nan"), 0.0]), id="nan-numerator"),
+        pytest.param(lambda data: data["levels"][2]["psi"].__setitem__(0, [0.0, float("inf")]), id="inf-numerator"),
+        pytest.param(lambda data: data["levels"][3]["phi"].__setitem__(0, [10**400, 0]), id="int-past-float"),
+        pytest.param(lambda data: data["levels"][2].update(rho=[float("nan"), 0.0]), id="nan-rho"),
+        pytest.param(lambda data: data["levels"][2].update(rho=[2.0, 0.0]), id="rho-2"),
         pytest.param(lambda data: data.update(source="moments"), id="unknown-source"),
         pytest.param(lambda data: data.update(source=None), id="null-source"),
     ],

@@ -164,7 +164,7 @@ class TestCheckQuad:
 @pytest.mark.parametrize(
     "call, shapes",
     [
-        (lambda s: identity_residual_stack([], [], [], []), [(0,), (0,)]),
+        (lambda s: [identity_residual_stack([], [], [], [])], [(0,)]),
         (lambda s: apply_transform_stack(s, arf_quad(s, 2), 2.0, []), []),
     ],
     ids=["identity_residual_stack", "apply_transform_stack"],
@@ -492,8 +492,7 @@ class TestRemarkIdentity:
         # with c_n = 1 the output is the ladder itself, so dtilde = d = 2
         iq = identity_quad(synth_system.poles)
         ((G, _, J, _),) = apply_transform_stack(synth_system, iq, 1.0, [synth_system.n_max])
-        (d,), (resid,) = identity_residual_stack([G], [J], [superstar(G)], [superstar(J)])
-        assert abs(d.real - 2.0) < 1e-10
+        (resid,) = identity_residual_stack([G], [J], [superstar(G)], [superstar(J)])
         assert resid < 1e-10
 
     def test_arf_transforms(self, synth_system, poisson_system, expcos_system):
@@ -502,8 +501,7 @@ class TestRemarkIdentity:
                 quad = arf_quad(s, k)
                 for n in range(1, s.n_max - k + 1):
                     ((G, _, J, _),) = apply_transform_stack(s, quad, 2.0, [n])
-                    (d,), (resid,) = identity_residual_stack([G], [J], [superstar(G)], [superstar(J)])
-                    assert abs(d.real - 2.0) < 1e-10
+                    (resid,) = identity_residual_stack([G], [J], [superstar(G)], [superstar(J)])
                     assert resid < 1e-10
 
 
