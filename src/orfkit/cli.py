@@ -283,8 +283,8 @@ def cmd_arf(args) -> int:
     with _writing_to(args.out):
         serialize.write_json_atomic(os.path.join(args.out, f"arf_{k}.json"), arf_dict)
         serialize.write_csv_atomic(os.path.join(args.out, f"mu_{k}.csv"), ["theta", "weight"], table)
-    print(f"explicit-vs-recurrence max discrepancy: {disc:.3e}")
-    if disc >= ARF_AGREEMENT:
+    print(f"explicit-vs-recurrence max relative numerator discrepancy: {disc:.3e}")
+    if not disc < ARF_AGREEMENT:
         print(f"FAIL: associated-ladder routes disagree by {disc:.3e} >= {ARF_AGREEMENT}", file=sys.stderr)
         return 3
     return 0

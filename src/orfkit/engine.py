@@ -139,63 +139,54 @@ def _check_poles(poles, n_max, allow_poles_near_circle):
         warnings.warn(f"poles beyond {POLE_CAP} degrade quadrature accuracy", stacklevel=3)
 
 
-# golden-angle points on the circle: |phi_n| stays O(1) there, and no power
-# z^k aliases the constant as it does on equispaced points
-_FIT_POINTS = np.exp(2j * np.pi * ((np.arange(16) + 0.37) * (np.sqrt(5.0) - 1.0) / 2.0 % 1.0))
-
-
 def _two_column_solve(u, v, y):
     """Least-squares (a, b) of a u + b v = y along the last axis, for every
     leading index at once, each kept as an axis of length 1: Gram-Schmidt
     on (u, v) with one reorthogonalisation of v, then back substitution on
     the 2 x 2 triangle. Every product runs on arrays, never on numpy
     scalars, whose arithmetic rounds differently, so a row's bits do not
-    depend on the rows beside it."""
+    depend on the rows beside it. A NaN row gives NaN (a, b), silently."""
 
     def dot(p, q):
         return np.sum(np.conj(p) * q, axis=-1, keepdims=True)
 
-    r11 = np.sqrt(dot(u, u).real)
-    q1 = u / r11
-    r12 = dot(q1, v)
-    w = v - q1 * r12
-    s = dot(q1, w)
-    w = w - q1 * s
-    r22 = np.sqrt(dot(w, w).real)
-    b = dot(w / r22, y) / r22
-    a = (dot(q1, y) - (r12 + s) * b) / r11
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r11 = np.sqrt(dot(u, u).real)
+        q1 = u / r11
+        r12 = dot(q1, v)
+        w = v - q1 * r12
+        s = dot(q1, w)
+        w = w - q1 * s
+        r22 = np.sqrt(dot(w, w).real)
+        b = dot(w / r22, y) / r22
+        a = (dot(q1, y) - (r12 + s) * b) / r11
     return a, b
 
 
-def _fit_levels(poles, levels, prev_z, star_z, phi_z) -> list:
-    """(a, b, residual, scale) of the least-squares fit
-    phi_n varpi_n/varpi_{n-1} = a zeta_{n-1} phi_{n-1} + b phi*_{n-1} at each
-    level n of levels, from the values of phi_{n-1}, phi*_{n-1} and phi_n at
-    the 16 fit points (one row per level), in one _two_column_solve; the
-    residual is in sup norm over the fit points, and scale = max |phi_n| there."""
-    zs = _FIT_POINTS
-    lhs = np.stack([phi * poles.varpi(n, zs) / poles.varpi(n - 1, zs) for n, phi in zip(levels, phi_z)])
-    col1 = np.stack([blaschke_factor(poles, n - 1, zs) * prev for n, prev in zip(levels, prev_z)])
-    a, b = _two_column_solve(col1, star_z, lhs)
-    resid = np.max(np.abs(a * col1 + b * star_z - lhs), axis=-1)
-    scale = np.max(np.abs(phi_z), axis=-1)
-    return [(a[i, 0], b[i, 0], float(resid[i]), float(scale[i])) for i in range(len(resid))]
-
-
 def _fit_ladder(poles, phis, stars) -> list:
-    """_fit_levels at every level 1..m of phi_0..phi_m (phis) and their
-    superstars (stars), from one evaluate_stack call at the fit points."""
-    if len(phis) < 2:
-        return []
-    phi_z, star_z = np.split(evaluate_stack([*phis, *stars], _FIT_POINTS), 2)
-    return _fit_levels(poles, range(1, len(phis)), phi_z[:-1], star_z[:-1], phi_z[1:])
+    """(a, b, residual, scale) of the least-squares fit phi_n = a u_n + b v_n
+    of the numerators at every level n = 1..m of phi_0..phi_m (phis), (u_n,
+    v_n) the `_step_columns` of phi_{n-1} and its superstar (stars), zero-padded
+    to degree m, in one _two_column_solve. The residual is the largest
+    coefficient of the misfit, and scale that of phi_n's numerator."""
+    m = len(phis) - 1
+    cols = np.zeros((3, m, m + 1), dtype=complex)
+    for n in range(1, m + 1):
+        cols[:2, n - 1, : n + 1] = _step_columns(poles, n, phis[n - 1], stars[n - 1])
+        cols[2, n - 1, : n + 1] = phis[n].numer
+    u, v, y = cols
+    a, b = _two_column_solve(u, v, y)
+    resid = np.max(np.abs(a * u + b * v - y), axis=-1)
+    scale = np.max(np.abs(y), axis=-1)
+    return [(a[i, 0], b[i, 0], float(resid[i]), float(scale[i])) for i in range(m)]
 
 
 def _parameters(fit):
-    """(lambda_n, e_n, rho_n) = (conj(b/a), |a|, a/|a|) from a _fit_levels
-    result, whether or not the fit closes: the recurrence_fit check reads that."""
+    """(lambda_n, e_n, rho_n) = (conj(b/a), |a|, a/|a|) from a _fit_ladder
+    entry, whether or not the fit closes: the recurrence_fit check reads that. A NaN fit gives NaN."""
     a, b, _, _ = fit
-    return complex(np.conj(b / a)), float(abs(a)), complex(a / abs(a))
+    with np.errstate(invalid="ignore"):
+        return complex(np.conj(b / a)), float(abs(a)), complex(a / abs(a))
 
 
 def _trimmed(c):
@@ -224,6 +215,15 @@ def _orthonormal_e(poles: PoleSequence, n: int, lam) -> float:
     return float(np.sqrt((1.0 - abs(b_n) ** 2) / (1.0 - abs(b_prev) ** 2) / (1.0 - abs(lam) ** 2)))
 
 
+def _step_columns(poles, n, f, f_star):
+    """The numerators, at degree n, of eta_{n-1} (z - beta_{n-1}) f and (1 - conj(beta_{n-1}) z) f_star
+    for f, f_star of degree n - 1: the two terms of the recurrence step to level n."""
+    b_prev = poles.beta[n - 1]
+    up = poles.eta(n - 1) * np.array([-b_prev, 1.0])
+    down = np.array([1.0, -np.conj(b_prev)])
+    return _padded_polymul(up, f.numer, n + 1), _padded_polymul(down, f_star.numer, n + 1)
+
+
 def recurrence_step(prev: OrfLevel, lam, rho, poles: PoleSequence, n: int) -> OrfLevel:
     """Advance the ladder one level with parameters (lambda_n, rho_n), e_n at
     its orthonormal value. phi_n and psi_n come from the first matrix row;
@@ -234,12 +234,9 @@ def recurrence_step(prev: OrfLevel, lam, rho, poles: PoleSequence, n: int) -> Or
     if not abs(lam) < 1.0:
         raise ParameterOutOfDisk(f"|lambda_{n}| = {abs(lam):.4f} must be < 1")
     e = _orthonormal_e(poles, n, lam)
-    b_prev = poles.beta[n - 1]
-    up = poles.eta(n - 1) * np.array([-b_prev, 1.0])  # eta_{n-1} (z - beta_{n-1})
-    down = np.array([1.0, -np.conj(b_prev)])          # 1 - conj(beta_{n-1}) z
 
     def step(f, f_star, sign):
-        a, b = _padded_polymul(up, f.numer, n + 1), _padded_polymul(down, f_star.numer, n + 1)
+        a, b = _step_columns(poles, n, f, f_star)
         new = RatFun(poles, e * rho * (a + sign * np.conj(lam) * b), n)
         return new, superstar(new)
 

@@ -60,6 +60,9 @@ from .ratfun import (
 QUAD_TOL = 1e-8
 # threshold of the negative Fourier modes of the cofactors that check_quad reads
 VANISH_TOL = 1e-10
+# the fixed disk points at which transformed_caratheodory asserts positive real part
+_POSITIVITY_POINTS = _disk_sample(0, 0.95, 200)
+_POSITIVITY_POINTS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -265,7 +268,7 @@ def transformed_caratheodory(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> Car
     Ft.anchor_residual = anchor_residual(quad, F)
     if not Ft.anchor_residual <= 1e-9:
         raise NumericalFailure(f"transformed C-function anchor defect {Ft.anchor_residual:.2e}")
-    re_min = float(np.min(np.real(np.asarray(Ft(_disk_sample(0, 0.95, 200))))))
+    re_min = float(np.min(np.real(np.asarray(Ft(_POSITIVITY_POINTS)))))
     if not re_min > 0.0:
         raise NumericalFailure(f"transformed C-function lost positivity (min Re = {re_min:.2e})")
     return Ft
@@ -414,17 +417,16 @@ def arf_recurrence(system: OrfSystem, k: int) -> ArfSystem:
 
 
 def arf_discrepancy(arf: ArfSystem) -> float:
-    """Sup distance on the circle between the explicit (transform) and the
-    recurrence route of an associated ladder, over phi and psi at every
-    level order..n_max."""
-    _, t = boundary_grid(512)
-    funcs = [
-        f
+    """Largest gap between the numerators of the explicit (transform) and the
+    recurrence route of an associated ladder, both over beta_k, beta_{k+1},
+    ..., relative to the recurrence numerator's largest coefficient, over
+    phi and psi at every level order..n_max. A NaN gap is returned as NaN."""
+    gaps = [
+        np.max(np.abs(f_e.numer - f.numer)) / np.max(np.abs(f.numer))
         for (phi_e, psi_e), lv in zip(arf.explicit, arf.system.levels)
-        for f in (phi_e, psi_e, lv.phi, lv.psi)
+        for f_e, f in ((phi_e, lv.phi), (psi_e, lv.psi))
     ]
-    pe, qe, p, q = evaluate_stack(funcs, t).reshape(-1, 4, t.size).transpose(1, 0, 2)
-    return float(max(np.max(np.abs(pe - p)), np.max(np.abs(qe - q))))
+    return float(np.max(gaps))
 
 
 @dataclass(frozen=True)

@@ -160,7 +160,7 @@ def check_multiplier_identities(ctx):
 
 
 def check_arf_consistency(ctx):
-    return max(arf_discrepancy(ctx.arf(k)) for k in range(min(3, ctx.system.n_max) + 1))
+    return float(np.max([arf_discrepancy(ctx.arf(k)) for k in range(min(3, ctx.system.n_max) + 1)]))
 
 
 def _caratheodory_gap(arf):

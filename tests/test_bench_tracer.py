@@ -4,14 +4,18 @@ The tracer (spans.py) wraps orfkit's public functions and verify checks by
 name, and the runner (run.py) expects a fixed list of checks; a refactor
 that renames or hides what they rely on breaks the benchmark without
 breaking any library test, so run the three CLI commands under the tracer
-and compare the runner's check list with verify's here.
+and compare the runner's check list with verify's here. The runner also
+marks an op failed when any check fails on its generated ladders, so the
+first round of each gated workload runs through its correctness gate here.
 """
 
 import importlib.util
 import json
 from pathlib import Path
 
-from orfkit import verify
+import pytest
+
+from orfkit import cli, verify
 from orfkit.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -67,3 +71,17 @@ def test_benchmark_check_counts_match_verify():
     assert run.CHECK_NAMES == verify.CHECK_NAMES
     assert run.LAMBDA_CHECKS == len(verify.CHECK_NAMES) - 1
     assert run.MEASURE_CHECKS == len(verify.CHECK_NAMES)
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]])
+def test_first_round_passes_the_correctness_gate(tmp_path, workload):
+    # round 0 of the seed-1 plan, each op checked as the runner checks it
+    gen, run = load("gen"), load("run")
+    ops = gen.generate(workload, 1, tmp_path / "inputs")["rounds"][0]
+    problems = {}
+    for i, op in enumerate(ops):
+        out = tmp_path / f"op{i:03d}"
+        problem = run.check_op(op, run.run_op(cli, op["command"], tmp_path / "inputs" / op["config"], out), out)
+        if problem:
+            problems[i] = problem
+    assert problems == {}

@@ -394,6 +394,12 @@ class TestArfCommand:
         assert capsys.readouterr().err.startswith("numerical failure: NumericalFailure: artifact not written")
         assert not (tmp_path / "arf_1.json").exists()
 
+    def test_a_nan_route_gap_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "arf_discrepancy", lambda arf: float("nan"))
+        cfg = write_config(tmp_path, WORKED)
+        assert main(["arf", "--config", cfg, "--order", "1", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("FAIL: associated-ladder routes disagree by nan >= 1e-08")
+
     def test_routes_that_disagree_exit_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "arf_discrepancy", lambda arf: 1e-7)
         cfg = write_config(tmp_path, WORKED)
@@ -447,14 +453,14 @@ def test_artifact_bytes_are_pinned(tmp_path, name):
 # and their pass flags must hold before the digests are recorded again
 _THETA = 2.0 * np.pi * np.arange(256) / 256
 PINNED_VERIFY = {
-    "lambdas-n3": (LAMBDA_CONFIG, "e6390aeb8ec0f88f49ab24957f6e0b92c900100b9ca0f9d985384bbf19435aca"),
+    "lambdas-n3": (LAMBDA_CONFIG, "917a1c0a7e52143ea9968704cfa12b50c74946d059e2a2afb1a68e3cc082796b"),
     "poisson-n5": (
         {
             "poles": [[0.2, -0.1], [0.45, 0.3], [-0.6, 0.15], [0.05, 0.55], [-0.25, -0.5], [0.6, -0.2]],
             "measure": {"type": "poisson", "alpha": [0.3, -0.2]},
             "n_max": 5,
         },
-        "e7ec522ba4b70fd74d982a334bf094cd461f9a99332f16361bbfbfcf8142ad79",
+        "a4b1054a4a81d57944617f288733950f55d931efb7d79c6b73fc3c7a816ada29",
     ),
     "samples-n4-grid2048": (
         {
@@ -463,7 +469,7 @@ PINNED_VERIFY = {
             "n_max": 4,
             "grid": 2048,
         },
-        "e42850d8a3f669dc90496d2682594186fb5fbc32a73b3d4b86649e30676bb5fb",
+        "c6d7aa09306988427a484deedc5757cbbaa0b31cd18b7aa6eb83518033f8fb21",
     ),
 }
 

@@ -17,7 +17,6 @@ from orfkit import (
     RankDeficiency,
     RatFun,
     ZeroOffCircle,
-    blaschke_factor,
     builtin_measure,
     caratheodory_from_measure,
     caratheodory_from_system,
@@ -958,15 +957,21 @@ def reference_upsilon(poles, k):
     return out
 
 
-def reference_fit_step(poles, n, phi_prev, phi_star_prev, phi_n):
-    zs = np.exp(2j * np.pi * ((np.arange(16) + 0.37) * (np.sqrt(5.0) - 1.0) / 2.0 % 1.0))
-    phi_z = phi_n(zs)
-    lhs = phi_z * poles.varpi(n, zs) / poles.varpi(n - 1, zs)
-    prev_z, col2 = evaluate_stack((phi_prev, phi_star_prev), zs)
-    col1 = blaschke_factor(poles, n - 1, zs) * prev_z
+def reference_step_columns(poles, n, f, f_star, size):
+    """eta_{n-1} (z - beta_{n-1}) f and (1 - conj(beta_{n-1}) z) f_star by
+    numpy's polymul, zero-padded to size coefficients."""
+    b_prev = poles.beta[n - 1]
+    up = reference_padded_polymul(poles.eta(n - 1) * np.array([-b_prev, 1.0]), f.numer, size)
+    return up, reference_padded_polymul(np.array([1.0, -np.conj(b_prev)]), f_star.numer, size)
+
+
+def reference_fit_step(poles, n, phi_prev, phi_star_prev, phi_n, size):
+    col1, col2 = reference_step_columns(poles, n, phi_prev, phi_star_prev, size)
+    lhs = np.zeros(size, dtype=complex)
+    lhs[: phi_n.numer.size] = phi_n.numer
     # the two-column solve on this level alone
     a, b = engine._two_column_solve(col1, col2, lhs)
-    return a[0], b[0], float(np.max(np.abs(a * col1 + b * col2 - lhs))), float(np.max(np.abs(phi_z)))
+    return a[0], b[0], float(np.max(np.abs(a * col1 + b * col2 - lhs))), float(np.max(np.abs(lhs)))
 
 
 @pytest.mark.parametrize("which", ["synth", "poisson", "lebesgue"])
@@ -977,14 +982,11 @@ def test_fit_matches_lstsq(which, synth_system, poisson_system, lebesgue):
         "poisson": poisson_system,
         "lebesgue": gram_schmidt_orf(lebesgue, disk_poles(2, 8, 0.3j), 7),
     }[which]
-    zs = engine._FIT_POINTS
-    phi_z = evaluate_stack([lv.phi for lv in s.levels], zs)
-    star_z = evaluate_stack([lv.phi_star for lv in s.levels], zs)
-    for n in range(1, s.n_max + 1):
-        ((a, b, resid, scale),) = engine._fit_levels(s.poles, [n], phi_z[n - 1 : n], star_z[n - 1 : n], phi_z[n : n + 1])
-        lhs = phi_z[n] * s.poles.varpi(n, zs) / s.poles.varpi(n - 1, zs)
-        mat = np.stack([blaschke_factor(s.poles, n - 1, zs) * phi_z[n - 1], star_z[n - 1]], axis=1)
-        sol = np.linalg.lstsq(mat, lhs, rcond=None)[0]
+    fits = _fit_ladder(s.poles, [lv.phi for lv in s.levels], [lv.phi_star for lv in s.levels])
+    for n, (a, b, resid, scale) in enumerate(fits, start=1):
+        prev = s.level(n - 1)
+        mat = np.stack(reference_step_columns(s.poles, n, prev.phi, prev.phi_star, n + 1), axis=1)
+        sol = np.linalg.lstsq(mat, s.level(n).phi.numer, rcond=None)[0]
         assert np.max(np.abs(np.array([a, b]) - sol)) <= 1e-13 * np.max(np.abs(sol))
         assert resid <= 1e-13 * scale
 
@@ -1118,7 +1120,7 @@ class TestBitIdenticalKernels:
         assert len(fits) == s.n_max
         for n, fit in enumerate(fits, start=1):
             prev, cur = s.level(n - 1), s.level(n)
-            ref = reference_fit_step(s.poles, n, prev.phi, prev.phi_star, cur.phi)
+            ref = reference_fit_step(s.poles, n, prev.phi, prev.phi_star, cur.phi, s.n_max + 1)
             for got, want in zip(fit, ref, strict=True):
                 assert_array_equal(_bits(got), _bits(want))
 

@@ -8,6 +8,7 @@ from orfkit import (
     DivisionRemainderTooLarge,
     DomainError,
     NumericalFailure,
+    OrfSystem,
     PoleSequence,
     RatFun,
     SelfReciprocalQuad,
@@ -25,7 +26,7 @@ from orfkit import (
     weight_from_caratheodory,
 )
 from orfkit import cli, transforms
-from orfkit.engine import _FIT_POINTS, _fit_levels, identity_residual_stack
+from orfkit.engine import _fit_ladder, identity_residual_stack
 from orfkit.measure import CaratheodoryFn, boundary_grid, ratio_caratheodory
 from orfkit.ratfun import blaschke_factor, evaluate_stack
 from orfkit.transforms import anchor_residual, arf_discrepancy, apply_transform_stack, relation_residual_stack
@@ -209,7 +210,8 @@ class TestApplyTransform:
         quad = arf_quad(s, 1)
         ((G1, _, _, _),) = apply_transform_stack(s, quad, 2.0, [1])
         ((G2, _, _, _),) = apply_transform_stack(s, quad, 2.0, [2])
-        ((a, b, resid, scale),) = _fit_levels(G2.poles, [2], *evaluate_stack((G1, superstar(G1), G2), _FIT_POINTS)[:, None])
+        one = RatFun(G2.poles, [1.0], 0)
+        (_, (a, b, resid, scale)) = _fit_ladder(G2.poles, [one, G1, G2], [one, superstar(G1), superstar(G2)])
         assert resid < 1e-9 * scale
         assert abs(np.conj(b / a) - s.level(3).lam) < 1e-10
         assert abs(abs(a) - s.level(3).e) < 1e-10
@@ -278,6 +280,17 @@ class TestArfExplicit:
 
 
 class TestArfRecurrence:
+    def test_a_nan_numerator_is_a_nan_discrepancy(self, synth_system):
+        # the routes are compared level by level, so a NaN in the last
+        # function compared is not dropped by a running maximum
+        arf = arf_recurrence(synth_system, 1)
+        top = arf.system.levels[-1]
+        numer = top.psi.numer.copy()
+        numer[0] = np.nan
+        levels = [*arf.system.levels[:-1], replace(top, psi=RatFun(top.psi.poles, numer, top.psi.n))]
+        system = OrfSystem(arf.system.poles, levels, arf.system.source, caratheodory=arf.system.caratheodory)
+        assert np.isnan(arf_discrepancy(transforms.ArfSystem(synth_system, 1, system)))
+
     def test_order_zero_reproduces_base(self, synth_system):
         arf = arf_recurrence(synth_system, 0)
         for n in range(synth_system.n_max + 1):
