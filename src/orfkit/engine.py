@@ -40,11 +40,11 @@ from .ratfun import (
     RatFun,
     _disk_sample,
     _evaluate_blocks,
+    _stack_top,
     blaschke_factor,
     blaschke_product,
     evaluate_stack,
     herglotz_kernel,
-    poisson_kernel,
     superstar,
 )
 from .zeros import phase_zeros, zeros_inside
@@ -416,13 +416,6 @@ def second_kind_integral_stack(quad: Quadrature, system: OrfSystem) -> list:
     return [RatFun(poles, c[: n + 1], n) for n, c in enumerate(coeffs)]
 
 
-def _basis(poles, n_max, z) -> np.ndarray:
-    """B_0..B_n_max at the points z, one column each: the running product of
-    the Blaschke factors zeta_1..zeta_n_max."""
-    factors = [np.ones_like(z)] + [blaschke_factor(poles, j, z) for j in range(1, n_max + 1)]
-    return np.cumprod(np.stack(factors, axis=1), axis=1)
-
-
 def _szego_parameters(poles, n_max, t, w):
     """Level 0 and the (lambda_k, rho_k) of the ladder orthonormal on the grid t_j = e^(2 pi i j / N),
     weights w, by the rational Szegő recursion on its values there (Bultheel et al. 1999, ch. 4):
@@ -522,25 +515,30 @@ def para_zeros(system: OrfSystem, n: int, tau) -> np.ndarray:
     return phase_zeros(system.poles.beta[: n + 1], system.levels[0].phi.numer[0], params, tau)[0]
 
 
+def _determinant_numerators(poles, n_max):
+    """R_0..R_n_max, the numerators of 2 P_m B_m over pi_m^2: 2 (1 - |beta_m|^2)/(1 - |beta_0|^2) upsilon_m
+    q_m(z) z^m conj(q_m(1/conj(z))) of degree 2m, for the running product q_m = prod_{0<=j<m} (z - beta_j)."""
+    qs = [np.ones(1, dtype=complex)]
+    for b in poles.beta[:n_max]:
+        qs.append(np.convolve(qs[-1], [-b, 1.0]))
+    scale = 2.0 * (1.0 - np.abs(poles.beta) ** 2) / (1.0 - abs(poles.beta[0]) ** 2)
+    return [scale[m] * poles.upsilon(m) * np.convolve(q, np.conj(q[::-1])) for m, q in enumerate(qs)]
+
+
 def identity_residual_stack(fs, gs, f_stars, g_stars):
-    """Relative sup residual of f^* g + f g^* = 2 P_m B_m, the constant of an
-    orthonormal ladder and its associated pairs, against max |f^* g + f g^*|
-    on a 512-point boundary grid, as an array with one row per (f, g, f^*, g^*);
-    m and the poles come from f. The starred functions are passed in, so a
-    check covers stored ones too. The functions may have different degrees over
-    one pole prefix: they are evaluated in one call, B_0..B_m come from one
-    _basis, and the Poisson kernels P(t, beta_m) of every row from one broadcast."""
-    rows = len(fs)
-    if not rows:
+    """Relative residual of f^* g + f g^* = 2 P_m B_m, the constant of an orthonormal ladder and its
+    associated pairs, per row (f, g, f^*, g^*) of one degree m: max |L - R_m| / max |L| over the coefficients
+    of the numerators L = F^* G + F G^* and R_m (_determinant_numerators) over pi_m^2. The starred functions
+    are passed in, so a check covers stored ones too. A row off the top degree's poles raises PoleMismatch."""
+    if not len(fs):
         return np.empty(0)
-    _, t = boundary_grid(512)
-    fs_t, g_t, f_t, gs_t = evaluate_stack((*f_stars, *gs, *fs, *g_stars), t).reshape(4, rows, -1)
-    left = fs_t * g_t + f_t * gs_t
-    degs = np.array([f.n for f in fs])
-    poles = fs[int(np.argmax(degs))].poles
-    kernels = poisson_kernel(KernelParams(poles.beta[0]), t, poles.beta[degs][:, None])
-    right = kernels * _basis(poles, int(degs.max()), t).T[degs]
-    return np.max(np.abs(left - 2.0 * right), axis=1) / np.max(np.abs(left), axis=1)
+    rows = list(zip(fs, gs, f_stars, g_stars, strict=True))
+    if any(len({h.n for h in row}) > 1 for row in rows):
+        raise DomainError("an identity row needs four functions of one degree")
+    top = _stack_top([h for row in rows for h in row])
+    right = _determinant_numerators(top.poles, top.n)
+    lefts = [(np.convolve(f_s.numer, g.numer) + np.convolve(f.numer, g_s.numer), f.n) for f, g, f_s, g_s in rows]
+    return np.array([np.max(np.abs(left - right[m])) / np.max(np.abs(left)) for left, m in lefts])
 
 
 def _negative_modes(g, scale):

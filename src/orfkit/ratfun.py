@@ -148,12 +148,19 @@ def evaluate(f: RatFun, z) -> complex | np.ndarray:
     return out if out.ndim else complex(out)
 
 
+def _stack_top(fs):
+    """The member of highest degree of the nonempty fs; each f must agree with its poles to f.n (PoleMismatch)."""
+    top = max(fs, key=lambda f: f.n)
+    if not all(f.poles is top.poles or np.array_equal(f.poles.beta[: f.n + 1], top.poles.beta[: f.n + 1]) for f in fs):
+        raise PoleMismatch("stacked functions need one pole prefix")
+    return top
+
+
 def evaluate_stack(fs, z) -> np.ndarray:
     """Values of the RatFuns fs at z, as an array of shape (len(fs),) + shape(z).
 
-    The functions may have different degrees but must share one pole prefix:
-    each f over beta_0..beta_{f.n} must agree there with the member of
-    highest degree n (PoleMismatch otherwise). The denominators pi_0..pi_n
+    The functions may have different degrees over one pole prefix, that of
+    the member of highest degree n (_stack_top). The denominators pi_0..pi_n
     come from one running product and the pole-proximity test runs once;
     one Horner pass runs over the stacked numerators of each degree, and
     each row is divided by its own pi. Each row is bit-identical to
@@ -163,12 +170,8 @@ def evaluate_stack(fs, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if not len(fs):
         return np.empty((0,) + z.shape, dtype=complex)
-    top = max(fs, key=lambda f: f.n)
-    beta = top.poles.beta
-    for f in fs:
-        if not (f.poles is top.poles or np.array_equal(f.poles.beta[: f.n + 1], beta[: f.n + 1])):
-            raise PoleMismatch("stacked functions need one pole prefix")
-    conj_beta = np.conj(beta[1 : top.n + 1])
+    top = _stack_top(fs)
+    conj_beta = np.conj(top.poles.beta[1 : top.n + 1])
     if top.n:
         _pole_guard(conj_beta, z, 1)
     rows = {}

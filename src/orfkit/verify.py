@@ -194,15 +194,13 @@ def check_relations(ctx):
 
 
 def check_remark(ctx):
-    s = ctx.system
     worst = 0.0
-    for k in range(1, min(3, s.n_max) + 1):
+    for k in range(1, min(3, ctx.system.n_max) + 1):
         # levels k + 1..n_max of the explicit route that arf_consistency built
         above = ctx.arf(k).explicit[1:]
-        if above:
-            Gs, Js = zip(*above)
-            resid = identity_residual_stack(Gs, Js, [superstar(G) for G in Gs], [superstar(J) for J in Js])
-            worst = float(np.max(resid, initial=worst))
+        Gs, Js = [G for G, _ in above], [J for _, J in above]
+        resid = identity_residual_stack(Gs, Js, [superstar(G) for G in Gs], [superstar(J) for J in Js])
+        worst = float(np.max(resid, initial=worst))
     return worst
 
 

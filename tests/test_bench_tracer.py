@@ -73,9 +73,22 @@ def test_benchmark_check_counts_match_verify():
     assert run.MEASURE_CHECKS == len(verify.CHECK_NAMES)
 
 
+# sha256 per artifact kind of round 0 of the seed-1 sweep_mixed plan, as
+# run.digests gives them: its Lebesgue, Poisson and sampled ladders pin the
+# bytes of measure-sourced artifacts, which the lambda configs of
+# test_cli.PINNED_DIGESTS do not reach
+SWEEP_DIGESTS = {
+    "arf_1.json": "9f7ef8f8530ee697d54edd1c8454a93286f90183d4847296626936bf535d556c",
+    "mu_1.csv": "3ff3034cc56baae1223c4b5dc57d75f6fd7d734f37cf8b763eb14f776144f921",
+    "orf.json": "5e269be14b3a56eb234a93444167db16fa93c88af3f3e3a7d768721beb3808fb",
+    "orf_table.csv": "09e0001cde5f58f2d09661a2a8313347ed157f785066d55250326ec681294e97",
+}
+
+
 @pytest.mark.parametrize("workload", [w["name"] for w in json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]])
 def test_first_round_passes_the_correctness_gate(tmp_path, workload):
-    # round 0 of the seed-1 plan, each op checked as the runner checks it
+    # round 0 of the seed-1 plan, each op checked as the runner checks it;
+    # the sweep's artifact bytes are pinned too
     gen, run = load("gen"), load("run")
     ops = gen.generate(workload, 1, tmp_path / "inputs")["rounds"][0]
     problems = {}
@@ -85,3 +98,5 @@ def test_first_round_passes_the_correctness_gate(tmp_path, workload):
         if problem:
             problems[i] = problem
     assert problems == {}
+    if workload == "sweep_mixed":
+        assert run.digests(ops, tmp_path) == SWEEP_DIGESTS

@@ -453,14 +453,14 @@ def test_artifact_bytes_are_pinned(tmp_path, name):
 # and their pass flags must hold before the digests are recorded again
 _THETA = 2.0 * np.pi * np.arange(256) / 256
 PINNED_VERIFY = {
-    "lambdas-n3": (LAMBDA_CONFIG, "917a1c0a7e52143ea9968704cfa12b50c74946d059e2a2afb1a68e3cc082796b"),
+    "lambdas-n3": (LAMBDA_CONFIG, "eedcfa24972d523a0cfff3e70c580f0ebbc10851230ef8beb89322f7017ebd3f"),
     "poisson-n5": (
         {
             "poles": [[0.2, -0.1], [0.45, 0.3], [-0.6, 0.15], [0.05, 0.55], [-0.25, -0.5], [0.6, -0.2]],
             "measure": {"type": "poisson", "alpha": [0.3, -0.2]},
             "n_max": 5,
         },
-        "a4b1054a4a81d57944617f288733950f55d931efb7d79c6b73fc3c7a816ada29",
+        "ad03741affbbb8c7c07f2f1ad88459e81cc7d25173ffe0c299ce8218ae8f1dff",
     ),
     "samples-n4-grid2048": (
         {
@@ -469,7 +469,7 @@ PINNED_VERIFY = {
             "n_max": 4,
             "grid": 2048,
         },
-        "c6d7aa09306988427a484deedc5757cbbaa0b31cd18b7aa6eb83518033f8fb21",
+        "49f985bc2211ff4526b626178de9040ca26165b89a755fe00ac25fc9e66a7772",
     ),
 }
 

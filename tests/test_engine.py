@@ -13,10 +13,12 @@ from orfkit import (
     KernelParams,
     OrfSystem,
     ParameterOutOfDisk,
+    PoleMismatch,
     PoleSequence,
     RankDeficiency,
     RatFun,
     ZeroOffCircle,
+    blaschke_product,
     builtin_measure,
     caratheodory_from_measure,
     caratheodory_from_system,
@@ -26,6 +28,7 @@ from orfkit import (
     measure_from_system,
     para_pair,
     para_zeros,
+    poisson_kernel,
     recurrence_step,
     superstar,
     synthesize,
@@ -33,6 +36,7 @@ from orfkit import (
 from orfkit import engine, ratfun
 from orfkit.engine import (
     _circle_nodes,
+    _determinant_numerators,
     _fit_ladder,
     _four,
     _gram_defect,
@@ -710,6 +714,29 @@ class TestDeterminant:
         wrong = _with_level(s, 3, phi_star=(1 + 1e-6) * s.level(3).phi_star)
         report = run_verification(VerifyContext(wrong, seed=0, tolerances={}), ["determinant"])
         assert not report["determinant"]["pass"]
+
+    def test_numerators_match_the_kernels(self):
+        # R_m over pi_m^2 is 2 P(t, beta_m) B_m(t), the right side the stack compares numerators against
+        poles = disk_poles(3, 9, 0.3 - 0.45j)
+        _, t = boundary_grid(64)
+        for m, numer in enumerate(_determinant_numerators(poles, 8)):
+            assert numer.size == 2 * m + 1
+            got = npp.polyval(t, numer) / poles.pi(m, t) ** 2
+            want = 2.0 * poisson_kernel(KernelParams(poles.beta[0]), t, poles.beta[m]) * blaschke_product(poles, m, t)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), m
+
+    def test_rows_over_other_poles_are_refused(self):
+        # one beta_0, other beta_1 and beta_2: the second row is not over the first row's poles
+        a = synthesize([0.1, -0.2j], PoleSequence([0.2, 0.3j, -0.4]))
+        b = synthesize([0.1, -0.2j], PoleSequence([0.2, -0.5, 0.1 + 0.6j]))
+        rows = [a.level(2), b.level(2)]
+        with pytest.raises(PoleMismatch):
+            identity_residual_stack(*([getattr(lv, f) for lv in rows] for f in ("phi", "psi", "phi_star", "psi_star")))
+
+    def test_rows_of_mixed_degree_are_refused(self, synth_system):
+        lv1, lv2 = synth_system.level(1), synth_system.level(2)
+        with pytest.raises(DomainError):
+            identity_residual_stack([lv2.phi], [lv1.psi], [lv2.phi_star], [lv1.psi_star])
 
 
 class TestInterpolation:
