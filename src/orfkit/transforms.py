@@ -14,7 +14,7 @@ running the recurrence with shifted parameters, and the two must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -37,6 +37,8 @@ from .engine import (
     _ZERO_FREE_MIN,
     OrfSystem,
     _completion_grid,
+    _determinant_numerators,
+    _four,
     _level_zero,
     _negative_modes,
     _run_recurrence,
@@ -51,7 +53,6 @@ from .ratfun import (
     _disk_sample,
     _evaluate_blocks,
     _horner,
-    blaschke_factor,
     evaluate_stack,
     superstar,
 )
@@ -431,8 +432,9 @@ def arf_discrepancy(arf: ArfSystem) -> float:
 
 @dataclass(frozen=True)
 class RelationReport:
-    """Sup-norm residuals of the order-mixing relations and their psi-swapped
-    forms, relative to the left-hand-side scale."""
+    """Residuals of the order-mixing relations and their psi-swapped forms,
+    read on numerators: max |L - R| / max |L| over the coefficients, L the
+    numerator of the left-hand side."""
 
     rel1: float
     rel2: float
@@ -442,10 +444,7 @@ class RelationReport:
     rel3_swapped: float
 
     def max_residual(self):
-        return max(
-            self.rel1, self.rel2, self.rel3,
-            self.rel1_swapped, self.rel2_swapped, self.rel3_swapped,
-        )
+        return float(np.max(astuple(self)))
 
 
 def relation_residuals(aj: ArfSystem, ak: ArfSystem, n: int) -> RelationReport:
@@ -460,9 +459,10 @@ def relation_residuals(aj: ArfSystem, ak: ArfSystem, n: int) -> RelationReport:
 
 def relation_residual_stack(arfs: dict, triples) -> list:
     """relation_residuals of arfs[j], arfs[k] at level n for each (j, k, n)
-    of triples, in order. The levels of each order's ladder (arfs is keyed
-    by order) up to the highest n of triples are evaluated on the 256-point
-    boundary grid in one call."""
+    of triples, in order (arfs is keyed by order). Both sides of r1 and r2
+    lie over prod_{i=j+1..n} (1 - conj(beta_i) z); in r3, 2 pr br is the
+    order-k ladder's 2 P B, R_{n-k} (`_determinant_numerators`) over its
+    pi_{n-k}^2. So each relation is read on numerator products."""
     if not triples:
         return []
     orders = {o for j, k, _ in triples for o in (j, k)}
@@ -474,38 +474,25 @@ def relation_residual_stack(arfs: dict, triples) -> list:
     for j, k, n in triples:
         if not 0 <= j <= k <= n <= system.n_max:
             raise DomainError("need 0 <= j <= k <= n <= n_max")
-    _, t = boundary_grid(256)
-    hi = max(n for _, _, n in triples)
-    tables = {}
-    for order in orders:
-        ladder = arfs[order].system.levels[: hi - order + 1]
-        funcs = [f for lv in ladder for f in (lv.phi, lv.phi_star, lv.psi, lv.psi_star)]
-        tables[order] = evaluate_stack(funcs, t).reshape(len(ladder), 4, t.size)
+    cv = np.convolve
 
     def rel(lhs, rhs):
-        return float(np.abs(lhs - rhs).max() / np.abs(lhs).max())
+        return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)))
 
-    def rels(fj_n, fj_k, fk_n, pr, br):
-        # r1, r2, r3 from the rows (phi, phi*, psi, psi*) of order j at n and k, and of order k at n
+    def rels(fj_n, fj_k, fk_n, pb):
+        # r1, r2, r3 from the numerators (phi, phi*, psi, psi*) of order j at n and k, and of order k at n
         (pj_n, pj_n_s), (pj_k, pj_k_s) = fj_n[:2], fj_k[:2]
         pk_n, pk_n_s, qk_n, qk_n_s = fk_n
         return (
-            rel(2 * pj_n, (pj_k + pj_k_s) * pk_n + (pj_k - pj_k_s) * qk_n),
-            rel(2 * pj_n, (pk_n + qk_n) * pj_k + (pk_n - qk_n) * pj_k_s),
-            rel(2 * pr * br * pj_k, (qk_n_s + pk_n_s) * pj_n + (qk_n - pk_n) * pj_n_s),
+            rel(2 * pj_n, cv(pj_k + pj_k_s, pk_n) + cv(pj_k - pj_k_s, qk_n)),
+            rel(2 * pj_n, cv(pk_n + qk_n, pj_k) + cv(pk_n - qk_n, pj_k_s)),
+            rel(cv(pb, pj_k), cv(qk_n_s + pk_n_s, pj_n) + cv(qk_n - pk_n, pj_n_s)),
         )
 
-    beta = system.poles.beta
     out = []
     for j, k, n in triples:
-        pr = (1.0 - abs(beta[n]) ** 2) / (1.0 - abs(beta[k]) ** 2)
-        pr = pr * system.poles.varpi(k, t) * system.poles.varpi_star(k, t)
-        pr = pr / (system.poles.varpi(n, t) * system.poles.varpi_star(n, t))
-        br = np.ones_like(t)
-        for i in range(k + 1, n + 1):
-            br = br * blaschke_factor(system.poles, i, t)
-        rows = tables[j][n - j], tables[j][k - j], tables[k][n - k]
+        pb = _determinant_numerators(arfs[k].system.poles, n - k)[n - k]
+        rows = [np.array([f.numer for f in _four(arfs[o].level(m))]) for o, m in ((j, n), (j, k), (k, n))]
         # the relations, then the same with phi and psi exchanged
-        out.append(RelationReport(*rels(*rows, pr, br), *rels(*(f[[2, 3, 0, 1]] for f in rows), pr, br)))
+        out.append(RelationReport(*rels(*rows, pb), *rels(*(f[[2, 3, 0, 1]] for f in rows), pb)))
     return out
-

@@ -129,12 +129,13 @@ def check_para_zeros(ctx):
     every unimodular tau when phi_n^* is the superstar of phi_n and phi_n's
     zeros lie in the disk: then phi_n/phi_n^* is a Blaschke product of
     degree n, whose phase rises strictly around the circle (Bultheel et al.
-    1999, ch. 5). A zero of phi_n on or outside the circle, by the
+    1999, ch. 5). A zero of a finite phi_n on or outside the circle, by the
     Schur-Cohn test, raises ZeroOffCircle; the residual is the largest
-    superstar defect, relative to phi_n's largest coefficient."""
+    superstar defect, relative to phi_n's largest coefficient, and NaN
+    where a phi_n is not finite."""
     defects = [0.0]
     for n, lv in enumerate(ctx.system.levels[1:], start=1):
-        if not zeros_inside(lv.phi.numer, 1.0):
+        if np.isfinite(lv.phi.numer).all() and not zeros_inside(lv.phi.numer, 1.0):
             raise ZeroOffCircle(f"para zeros of level {n} leave the circle: phi_{n} has a zero on or outside it")
         defects.append(np.abs(lv.phi_star.numer - superstar(lv.phi).numer).max() / np.abs(lv.phi.numer).max())
     return float(np.max(defects))
@@ -164,11 +165,17 @@ def check_arf_consistency(ctx):
 
 
 def _caratheodory_gap(arf):
-    """Relative sup gap between F_k and the order's own psi*_(k)/phi*_(k) on
-    512 circle points, which bounds it in the disk (maximum principle)."""
-    _, t = boundary_grid(512)
-    own = np.asarray(arf.system.caratheodory(t))
-    return float(np.max(np.abs(np.asarray(arf.F_k(t)) - own)) / np.max(np.abs(own)))
+    """F_k = (-C + D F)/(A - B F), (A, B, C, D) the order's quad and F =
+    psi*_m/phi*_m of the top level m, against the order's own top-level
+    psi*_(k)/phi*_(k), cross-multiplied on numerators over one pole sequence:
+    L = (D psi*_m - C phi*_m) phi*_(k), R = (A phi*_m - B psi*_m) psi*_(k),
+    read as max |L - R| / max |L| over the coefficients."""
+    a, b, c, d = (f.numer for f in (arf.quad.A, arf.quad.B, arf.quad.C, arf.quad.D))
+    top, own = arf.base.levels[-1], arf.system.levels[-1]
+    p, q, cv = top.phi_star.numer, top.psi_star.numer, np.convolve
+    left = cv(cv(d, q) - cv(c, p), own.phi_star.numer)
+    right = cv(cv(a, p) - cv(b, q), own.psi_star.numer)
+    return float(np.max(np.abs(left - right)) / np.max(np.abs(left)))
 
 
 def check_arf_orthogonality(ctx):
@@ -176,13 +183,13 @@ def check_arf_orthogonality(ctx):
     # without one, at the order's own rule, whose measure is mu_k when F_k
     # equals that order's own psi*_(k)/phi*_(k); order 0 there is the
     # orthonormality check's own Gram sum, so it starts at order 1
-    worst, rational = 0.0, ctx.system.measure is None
+    worst, rational = [0.0], ctx.system.measure is None
     for k in range(int(rational), min(2, ctx.system.n_max) + 1):
         arf = ctx.arf(k)
         quad = ctx.rule(k) if rational else grid_quadrature(arf.mu_k, arf.mu_k.params["w"].size)
         gap = _caratheodory_gap(arf) if rational else 0.0
-        worst = max(worst, _gram_defect([lv.phi for lv in arf.system.levels], quad), gap)
-    return worst
+        worst += [_gram_defect([lv.phi for lv in arf.system.levels], quad), gap]
+    return float(np.max(worst))
 
 
 def check_relations(ctx):
@@ -190,7 +197,7 @@ def check_relations(ctx):
     if not triples:
         return 0.0
     arfs = {order: ctx.arf(order) for j, k, _ in triples for order in (j, k)}
-    return max(rep.max_residual() for rep in relation_residual_stack(arfs, triples))
+    return float(np.max([rep.max_residual() for rep in relation_residual_stack(arfs, triples)]))
 
 
 def check_remark(ctx):

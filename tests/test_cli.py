@@ -453,14 +453,14 @@ def test_artifact_bytes_are_pinned(tmp_path, name):
 # and their pass flags must hold before the digests are recorded again
 _THETA = 2.0 * np.pi * np.arange(256) / 256
 PINNED_VERIFY = {
-    "lambdas-n3": (LAMBDA_CONFIG, "eedcfa24972d523a0cfff3e70c580f0ebbc10851230ef8beb89322f7017ebd3f"),
+    "lambdas-n3": (LAMBDA_CONFIG, "6d372da76a7703549271138cd3170b1bc8d0e1902554324375bc02e0eb321b09"),
     "poisson-n5": (
         {
             "poles": [[0.2, -0.1], [0.45, 0.3], [-0.6, 0.15], [0.05, 0.55], [-0.25, -0.5], [0.6, -0.2]],
             "measure": {"type": "poisson", "alpha": [0.3, -0.2]},
             "n_max": 5,
         },
-        "ad03741affbbb8c7c07f2f1ad88459e81cc7d25173ffe0c299ce8218ae8f1dff",
+        "cc678d6029970eecc90e1c9ecde8486ffca996ac5be11a141197bc360b087ba1",
     ),
     "samples-n4-grid2048": (
         {
@@ -469,7 +469,7 @@ PINNED_VERIFY = {
             "n_max": 4,
             "grid": 2048,
         },
-        "49f985bc2211ff4526b626178de9040ca26165b89a755fe00ac25fc9e66a7772",
+        "97064993b6a6f4583abea960d09d6e0abe66ac1c76fd9dbaa5221612606e4d23",
     ),
 }
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from numpy.polynomial import polynomial as npp
 from numpy.testing import assert_allclose
 
 from orfkit import (
@@ -28,7 +29,7 @@ from orfkit import (
 from orfkit import cli, transforms
 from orfkit.engine import _fit_ladder, identity_residual_stack
 from orfkit.measure import CaratheodoryFn, boundary_grid, ratio_caratheodory
-from orfkit.ratfun import blaschke_factor, evaluate_stack
+from orfkit.ratfun import evaluate_stack
 from orfkit.transforms import anchor_residual, arf_discrepancy, apply_transform_stack, relation_residual_stack
 
 SQ3 = np.sqrt(3.0)
@@ -147,8 +148,6 @@ class TestCheckQuad:
 
         def embed(f):
             numer = np.zeros(3, dtype=complex)
-            from numpy.polynomial import polynomial as npp
-
             c = npp.polymul(f.numer, [1.0, -np.conj(b1)])
             numer[: c.size] = c
             return RatFun(combined, numer, 2)
@@ -436,61 +435,61 @@ class TestRelations:
 
 
 def reference_relation_residuals(aj, ak, n):
-    """The relations of one (j, k, n), each level evaluated on its own."""
-    system, k = aj.base, ak.order
-    _, t = boundary_grid(256)
+    """The relations of one (j, k, n) on numerators, each product by polymul.
+    2 pr br is the order-k ladder's 2 P_m B_m, m = n - k, whose numerator over
+    the square of its pi_m is c q(z) z^m conj(q(1/conj(z))): q the monic
+    polynomial with zeros beta_k..beta_{n-1}, c = 2 (1 - |beta_n|^2)/(1 - |beta_k|^2)
+    eta_{k+1}...eta_n."""
+    beta, k = aj.base.poles.beta, ak.order
 
-    def values(lv):
-        return evaluate_stack((lv.phi, lv.phi_star, lv.psi, lv.psi_star), t)
+    def numers(lv):
+        return (f.numer for f in (lv.phi, lv.phi_star, lv.psi, lv.psi_star))
 
-    pj_n, pj_n_s, qj_n, qj_n_s = values(aj.level(n))
-    pj_k, pj_k_s, qj_k, qj_k_s = values(aj.level(k))
-    pk_n, pk_n_s, qk_n, qk_n_s = values(ak.level(n))
+    pj_n, pj_n_s, qj_n, qj_n_s = numers(aj.level(n))
+    pj_k, pj_k_s, qj_k, qj_k_s = numers(aj.level(k))
+    pk_n, pk_n_s, qk_n, qk_n_s = numers(ak.level(n))
+    q = npp.polyfromroots(beta[k:n])
+    ups = np.prod([np.conj(b) / abs(b) if b else 1.0 for b in beta[k + 1 : n + 1]])
+    pb = 2.0 * (1 - abs(beta[n]) ** 2) / (1 - abs(beta[k]) ** 2) * ups * npp.polymul(q, np.conj(q[::-1]))
+
+    def side(f1, g1, f2, g2):
+        # f1 g1 + f2 g2
+        return npp.polyadd(npp.polymul(f1, g1), npp.polymul(f2, g2))
 
     def rel(lhs, rhs):
-        return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)))
+        return float(np.max(np.abs(npp.polysub(lhs, rhs))) / np.max(np.abs(lhs)))
 
-    beta = system.poles.beta
-    pr = (1.0 - abs(beta[n]) ** 2) / (1.0 - abs(beta[k]) ** 2)
-    pr = pr * system.poles.varpi(k, t) * system.poles.varpi_star(k, t)
-    pr = pr / (system.poles.varpi(n, t) * system.poles.varpi_star(n, t))
-    br = np.ones_like(t)
-    for i in range(k + 1, n + 1):
-        br = br * blaschke_factor(system.poles, i, t)
     return (
-        rel(2 * pj_n, (pj_k + pj_k_s) * pk_n + (pj_k - pj_k_s) * qk_n),
-        rel(2 * pj_n, (pk_n + qk_n) * pj_k + (pk_n - qk_n) * pj_k_s),
-        rel(2 * pr * br * pj_k, (qk_n_s + pk_n_s) * pj_n + (qk_n - pk_n) * pj_n_s),
-        rel(2 * qj_n, (qj_k + qj_k_s) * qk_n + (qj_k - qj_k_s) * pk_n),
-        rel(2 * qj_n, (qk_n + pk_n) * qj_k + (qk_n - pk_n) * qj_k_s),
-        rel(2 * pr * br * qj_k, (pk_n_s + qk_n_s) * qj_n + (pk_n - qk_n) * qj_n_s),
+        rel(2 * pj_n, side(pj_k + pj_k_s, pk_n, pj_k - pj_k_s, qk_n)),
+        rel(2 * pj_n, side(pk_n + qk_n, pj_k, pk_n - qk_n, pj_k_s)),
+        rel(npp.polymul(pb, pj_k), side(qk_n_s + pk_n_s, pj_n, qk_n - pk_n, pj_n_s)),
+        rel(2 * qj_n, side(qj_k + qj_k_s, qk_n, qj_k - qj_k_s, pk_n)),
+        rel(2 * qj_n, side(qk_n + pk_n, qj_k, qk_n - pk_n, qj_k_s)),
+        rel(npp.polymul(pb, qj_k), side(pk_n_s + qk_n_s, qj_n, pk_n - qk_n, qj_n_s)),
     )
 
 
 def test_relation_stack_matches_per_triple(synth_system, poisson_system, expcos_system):
-    # one table per order gives every residual of the per-triple form, bit for bit
+    # the stack's numerator products give every residual of an independent polymul construction
     triples = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (1, 1, 4), (0, 3, 4)]
     for s in (synth_system, poisson_system, expcos_system):
         arfs = {k: arf_recurrence(s, k) for k in range(4)}
         for (j, k, n), rep in zip(triples, relation_residual_stack(arfs, triples), strict=True):
             got = (rep.rel1, rep.rel2, rep.rel3, rep.rel1_swapped, rep.rel2_swapped, rep.rel3_swapped)
-            assert got == reference_relation_residuals(arfs[j], arfs[k], n)
+            assert_allclose(got, reference_relation_residuals(arfs[j], arfs[k], n), rtol=0, atol=1e-12)
 
 
-def test_relation_stack_reads_levels_up_to_highest_n(synth_system, monkeypatch):
-    # an n_max = 4 ladder: the triple (0, 1, 2) needs levels 0..2 of order 0
-    # and 1..2 of order 1, four functions each, whatever the ladder's length
-    arfs = {k: arf_recurrence(synth_system, k) for k in range(2)}
-    sizes = []
-    real = transforms.evaluate_stack
+def test_relation_stack_evaluates_nothing(synth_system, monkeypatch):
+    # the relations compare numerator coefficients: no grid, no evaluation
+    arfs = {k: arf_recurrence(synth_system, k) for k in range(3)}
 
-    def counting(fs, z):
-        sizes.append(len(fs))
-        return real(fs, z)
+    def fail(*args, **kwargs):
+        raise AssertionError("relation_residual_stack evaluated a function")
 
-    monkeypatch.setattr(transforms, "evaluate_stack", counting)
-    relation_residual_stack(arfs, [(0, 1, 2)])
-    assert sorted(sizes) == [8, 12]
+    for name in ("evaluate_stack", "boundary_grid", "_horner", "_evaluate_blocks"):
+        monkeypatch.setattr(transforms, name, fail)
+    reps = relation_residual_stack(arfs, [(0, 1, 2), (0, 2, 4), (1, 2, 3)])
+    assert max(rep.max_residual() for rep in reps) < 1e-12
     assert relation_residual_stack(arfs, []) == []
 
 

@@ -372,6 +372,48 @@ def test_nan_ladder_fails_the_fit_checks_and_serialization():
     assert report["serialization"]["error"].startswith("ladder not serializable")
 
 
+def test_nan_ladder_fails_relations_and_para_zeros_with_nan():
+    # relations reduces its reports with np.max, which keeps a NaN that is
+    # not first; para_zeros reads a non-finite phi_3 as a NaN defect, not as
+    # a zero off the circle
+    report = run_verification(VerifyContext(_nan_ladder(), seed=0, tolerances={}), ["relations", "para_zeros"])
+    for name, entry in report.items():
+        assert np.isnan(entry["residual"]) and not entry["pass"] and "error" not in entry, name
+
+
+def test_arf_orthogonality_keeps_a_nan_gap(monkeypatch):
+    # a NaN C-function gap at order 1 fails the check, whatever order 2 reads
+    real = verify._caratheodory_gap
+    monkeypatch.setattr(verify, "_caratheodory_gap", lambda arf: np.nan if arf.order == 1 else real(arf))
+    ctx = VerifyContext(probe_ladder(6, 3), seed=0, tolerances={})
+    entry = run_verification(ctx, ["arf_orthogonality"])["arf_orthogonality"]
+    assert np.isnan(entry["residual"]) and not entry["pass"] and "error" not in entry
+
+
+@pytest.mark.parametrize("which", ["n = 64", "n = 64 cap 0.9", "n = 128 seed 2"])
+def test_caratheodory_identity_reads_numerators(monkeypatch, which):
+    # F_k = psi*_(k)/phi*_(k) of orders 1 and 2, cross-multiplied on
+    # numerators, with the quads built: no function is evaluated, and the
+    # gap reads rounding, where on 512 circle points it read 5.1e-10,
+    # 7.5e-7 and 3.8e-9
+    s = {
+        "n = 64": lambda: probe_ladder(64, 0),
+        "n = 64 cap 0.9": lambda: probe_ladder(64, 0, cap=0.9),
+        "n = 128 seed 2": lambda: probe_ladder(128, 2),
+    }[which]()
+    arfs = [transforms.arf_recurrence(s, k) for k in (1, 2)]
+    assert all(arf.quad.report.passed for arf in arfs)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the C-function gap evaluated a function")
+
+    # every evaluation runs ratfun._horner, or transforms' own import of it
+    for module, name in [(ratfun, "_horner"), (transforms, "_horner"), (ratfun, "blaschke_factor"),
+                         (measure, "boundary_grid"), (verify, "boundary_grid")]:
+        monkeypatch.setattr(module, name, fail)
+    assert max(verify._caratheodory_gap(arf) for arf in arfs) <= 1e-13
+
+
 @pytest.mark.parametrize("perturbation", ["phi", "phi*", "top"])
 def test_roundtrip_lambda_reads_a_fit_that_does_not_close(perturbation):
     # where recurrence_fit fails, roundtrip_lambda still reads the fitted
