@@ -309,11 +309,13 @@ def caratheodory_from_system(system: OrfSystem) -> CaratheodoryFn:
 
     It is holomorphic with positive real part (phi*_m is zero-free on the
     closed disk), satisfies F(beta_0) = 1, and the ladder is orthonormal
-    with respect to it through level m. Its terms on a `boundary_grid` are kept.
+    with respect to it through level m. It keeps its terms on a `boundary_grid`, and its numerators.
     """
     top = system.level(system.n_max)
     terms = _grid_memo(lambda z: evaluate_stack((top.psi_star, top.phi_star), z), _grid_points_size)
-    return ratio_caratheodory(terms, system.poles.beta[0])
+    F = ratio_caratheodory(terms, system.poles.beta[0])
+    F.numerators = top.psi_star.numer, top.phi_star.numer
+    return F
 
 
 def measure_from_system(system: OrfSystem) -> CircleMeasure:

@@ -261,10 +261,11 @@ class CaratheodoryFn:
 
     Normalized so F(beta0) = 1; beta0 anchors the Herglotz kernel that ties
     the function to its measure. `anchor_residual` is the measured defect of
-    F(beta0) = 1 when the builder checked it, else None.
+    F(beta0) = 1 when the builder checked it, else None; `numerators` is
+    the polynomials (top, bot), F = top/bot, when the builder has them.
     """
 
-    __slots__ = ("evaluator", "beta0", "anchor_residual", "_terms")
+    __slots__ = ("evaluator", "beta0", "anchor_residual", "numerators", "_terms")
 
     def __init__(self, evaluator, beta0, terms=None):
         beta0 = complex(beta0)
@@ -273,6 +274,7 @@ class CaratheodoryFn:
         self.evaluator = evaluator
         self.beta0 = beta0
         self.anchor_residual = None
+        self.numerators = None
         self._terms = terms
 
     def __call__(self, z):

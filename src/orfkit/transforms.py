@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from .engine import (
     _negative_modes,
     _run_recurrence,
     _zero_free,
-    fourier_grid,
     para_pair,
     zeros_factor,
 )
@@ -56,6 +56,7 @@ from .ratfun import (
     evaluate_stack,
     superstar,
 )
+from .zeros import zeros_inside
 
 # threshold of check_quad's superstar condition a1
 QUAD_TOL = 1e-8
@@ -122,65 +123,63 @@ def identity_quad(poles: PoleSequence) -> SelfReciprocalQuad:
 
 
 def check_quad(
-    quad: SelfReciprocalQuad,
-    F: CaratheodoryFn,
-    base_poles: PoleSequence,
-    n_points: int,
+    quad: SelfReciprocalQuad, F: CaratheodoryFn, base_poles: PoleSequence, n_points: int
 ) -> QuadConditionReport:
-    """Numerically verify the transform conditions for a quad against F.
+    """Numerically verify the transform conditions for a quad against F:
+    the four superstar sign relations (a1); B nonzero at beta_0..beta_{N-1},
+    over its numerator's largest coefficient (a2); A - B F vanishing there
+    with a zero-free cofactor (a3, a33); and A D - B C vanishing there and
+    at btilde_0..btilde_{r-1} with a zero-free cofactor (a42, a42_f).
 
-    Checks the four superstar sign relations, the nonvanishing of B at
-    beta_0..beta_{N-1}, and on the grid 2 pi j / n_points the vanishing of
-    A - B F at those points with a zero-free cofactor g, and the
-    determinant condition that A D - B C vanishes there and at
-    btilde_0..btilde_{r-1}, with a zero-free cofactor f. The first line is
-    read times bot, as A bot - B top, F = top/bot (`CaratheodoryFn.terms`),
-    and its witness over bot. The zeros factors are unimodular on the grid,
-    so each cofactor is the line times their conjugate: it must have no
-    negative Fourier modes (a3, a42, at most VANISH_TOL) and no zero in the
-    closed disk (a33, a42_f, above _ZERO_FREE_MIN). top, bot and the zeros
-    factors are held on the whole grid; A, B, C and D are evaluated one
-    block of it at a time into the two lines.
+    A D - B C is a d - b c over pi^2, read on coefficients by `_divided`;
+    so is A - B F, a bot - b top over pi bot, when F has `numerators`
+    (top, bot), as a ladder's own psi*_m/phi*_m does. Each quotient is its
+    cofactor times factors with no zero in the closed disk. Any other F, a
+    measure's moment series, is read times bot, F = top/bot
+    (`CaratheodoryFn.terms`), on the grid 2 pi j / n_points, where the
+    zeros factor is unimodular: the line times its conjugate is the
+    cofactor, which must have no negative Fourier modes (a3, at most
+    VANISH_TOL) and, over bot, no zero in the closed disk (a33, above
+    _ZERO_FREE_MIN). A and B are evaluated one block of the grid at a time.
     """
-    N, r = quad.N, quad.r
-    tau = quad.tau_A
-
-    a1 = 0.0
-    for f, sign in ((quad.A, 1.0), (quad.B, -1.0), (quad.C, -1.0), (quad.D, 1.0)):
-        scale = float(np.abs(f.numer).max())
-        if scale == 0.0:
-            continue
-        a1 = max(a1, float(np.abs(superstar(f).numer - sign * tau * f.numer).max()) / scale)
-
-    _, t = boundary_grid(n_points)
-    top, bot = F.terms(t)
-    conj_zeros = np.conj(zeros_factor(base_poles, N, t))
-    conj_tilde = np.conj(zeros_factor(quad.tilde_poles, r, t))
-    lines = np.empty((2, t.size), dtype=complex)
-    b_max = 0.0
+    N, r, tau = quad.N, quad.r, quad.tau_A
     funcs = (quad.A, quad.B, quad.C, quad.D)
-    for block, (a, b, c, d) in _evaluate_blocks(funcs, t):
-        b_max = max(b_max, float(np.max(np.abs(b))))
-        lines[0, block] = (a * bot[block] - b * top[block]) * conj_zeros[block]
-        lines[1, block] = (a * d - b * c) * conj_zeros[block] * conj_tilde[block]
-    if N > 0:
-        b_zeros = np.abs(quad.B(base_poles.beta[:N]))
-        a2_min = float(np.min(b_zeros)) / max(b_max, 1e-300)
+    a, b, c, d = (f.numer for f in funcs)
+    a1 = float(np.max([np.abs(superstar(f).numer - sign * tau * f.numer).max() / max(np.abs(f.numer).max(), 1e-300)
+                       for f, sign in zip(funcs, (1.0, -1.0, -1.0, 1.0))]))
+    a2_min = float(np.min(np.abs(quad.B(base_poles.beta[:N])), initial=np.inf) / max(np.abs(b).max(), 1e-300))
+
+    if F.numerators is None:
+        _, t = boundary_grid(n_points)
+        top, bot = F.terms(t)
+        conj_zeros = np.conj(zeros_factor(base_poles, N, t))
+        line = np.empty(t.size, dtype=complex)
+        for block, (a_t, b_t) in _evaluate_blocks((quad.A, quad.B), t):
+            line[block] = (a_t * bot[block] - b_t * top[block]) * conj_zeros[block]
+        a3_max, a33_min = float(_negative_modes(line, np.max(np.abs(line)))), _zero_free(line / bot)
     else:
-        a2_min = np.inf
+        top, bot = F.numerators
+        a3_max, a33_min = _divided(np.convolve(a, bot) - np.convolve(b, top), base_poles.beta[:N])
+    roots = np.append(base_poles.beta[:N], quad.tilde_poles.beta[:r])
+    a42_max, a42_f_min = _divided(np.convolve(a, d) - np.convolve(b, c), roots)
 
-    a3_max, a42_max = _negative_modes(lines, np.max(np.abs(lines), axis=1)).tolist()
-    a33_min, a42_f_min = _zero_free(lines[0] / bot), _zero_free(lines[1])
-
-    passed = bool(
-        a1 <= QUAD_TOL
-        and (N == 0 or a2_min > 1e-10)
-        and a3_max <= VANISH_TOL
-        and a33_min > _ZERO_FREE_MIN
-        and a42_max <= VANISH_TOL
-        and a42_f_min > _ZERO_FREE_MIN
-    )
+    passed = bool(a1 <= QUAD_TOL and a2_min > 1e-10 and a3_max <= VANISH_TOL and a42_max <= VANISH_TOL
+                  and a33_min > _ZERO_FREE_MIN and a42_f_min > _ZERO_FREE_MIN)
     return QuadConditionReport(a1, a2_min, a3_max, a33_min, a42_max, a42_f_min, passed)
+
+
+def _divided(line, roots):
+    """(residual, zero-free) of the polynomial line, constant first, with
+    zeros at roots: the largest remainder of dividing z - root out of it in
+    turn, synthetic division that |root| < 1 keeps stable, over the line's
+    largest coefficient; and 1.0 when the quotient has no zero in the
+    closed disk (`zeros_inside` on its conjugate reversal), else 0.0."""
+    rev, remainders = line[::-1].tolist(), [0.0]  # highest coefficient first, as is each quotient
+    for root in roots.tolist():
+        *rev, rem = accumulate(rev, lambda acc, coef: acc * root + coef)
+        remainders.append(abs(rem))
+    zero_free = np.isfinite(rev).all() and zeros_inside(np.conj(rev), 1.0)
+    return float(np.max(remainders)) / max(float(np.max(np.abs(line))), 1e-300), float(zero_free)
 
 
 def apply_transform_stack(system: OrfSystem, quad: SelfReciprocalQuad, c_n, offsets):
@@ -318,7 +317,7 @@ def arf_quad(system: OrfSystem, k: int) -> SelfReciprocalQuad:
     """Quad generating the order-k associated ladder: built from the level-k
     para-orthogonal pairs at tau = -1 and tau = +1, with signature 1 and the
     single tilde point beta_k. The condition check runs by construction,
-    on the ladder's `fourier_grid`."""
+    on the ladder's grid where F needs one."""
     _check_order(system, k)
     pp1 = para_pair(system, k, 1.0)
     ppm = para_pair(system, k, -1.0)
@@ -332,7 +331,7 @@ def arf_quad(system: OrfSystem, k: int) -> SelfReciprocalQuad:
         r=0,
         tilde_poles=PoleSequence([system.poles.beta[k]]),
     )
-    report = check_quad(quad, system.caratheodory, system.poles, fourier_grid(system))
+    report = check_quad(quad, system.caratheodory, system.poles, system.n_points)
     if not report.passed:
         raise NumericalFailure(f"associated quad failed its own condition check: {report}")
     return replace(quad, report=report)

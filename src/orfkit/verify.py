@@ -31,7 +31,7 @@ from .engine import (
 )
 from .errors import NumericalFailure, OrfkitError, ZeroOffCircle
 from .measure import boundary_grid, weight_from_caratheodory
-from .ratfun import _disk_sample, evaluate_stack, superstar
+from .ratfun import _disk_sample, superstar
 from .transforms import (
     arf_discrepancy,
     arf_recurrence,
@@ -142,12 +142,9 @@ def check_para_zeros(ctx):
 
 
 def check_second_kind(ctx):
-    s = ctx.system
-    _, t = boundary_grid(512)
-    # one quadrature for every level; the comparison is one evaluation
-    integral = second_kind_integral_stack(ctx.quadrature, s)
-    psi_int, psi_rec = np.split(evaluate_stack(integral + [lv.psi for lv in s.levels], t), 2)
-    return float(np.max(np.abs(psi_int - psi_rec)))
+    # one quadrature for every level; its numerators against the stored psi_n's, relative to their largest
+    pairs = zip(second_kind_integral_stack(ctx.quadrature, ctx.system), ctx.system.levels)
+    return float(np.max([np.max(np.abs(f.numer - lv.psi.numer)) / np.max(np.abs(lv.psi.numer)) for f, lv in pairs]))
 
 
 def check_interpolation(ctx):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orfkit import OrfSystem, PoleSequence, cli, engine, synthesize
+from orfkit import OrfSystem, PoleSequence, cli, engine, synthesize, transforms
 from orfkit.cli import main
 from orfkit.engine import lebesgue_orf
 from orfkit.measure import boundary_grid
@@ -453,14 +453,14 @@ def test_artifact_bytes_are_pinned(tmp_path, name):
 # and their pass flags must hold before the digests are recorded again
 _THETA = 2.0 * np.pi * np.arange(256) / 256
 PINNED_VERIFY = {
-    "lambdas-n3": (LAMBDA_CONFIG, "6d372da76a7703549271138cd3170b1bc8d0e1902554324375bc02e0eb321b09"),
+    "lambdas-n3": (LAMBDA_CONFIG, "e615078ad1c47fdc739fdde5607a1db5559c9547a5d882e404893d5bd6c11688"),
     "poisson-n5": (
         {
             "poles": [[0.2, -0.1], [0.45, 0.3], [-0.6, 0.15], [0.05, 0.55], [-0.25, -0.5], [0.6, -0.2]],
             "measure": {"type": "poisson", "alpha": [0.3, -0.2]},
             "n_max": 5,
         },
-        "cc678d6029970eecc90e1c9ecde8486ffca996ac5be11a141197bc360b087ba1",
+        "db9b3987c774c30e718b3e8ddf9fd7e174569eecd899cad2d39ac0177beb70c0",
     ),
     "samples-n4-grid2048": (
         {
@@ -469,7 +469,7 @@ PINNED_VERIFY = {
             "n_max": 4,
             "grid": 2048,
         },
-        "97064993b6a6f4583abea960d09d6e0abe66ac1c76fd9dbaa5221612606e4d23",
+        "d3b8b89d8e1f0808161f792017bf3f6c3abd8ab7b8aa46b2e0c9969a034f25c7",
     ),
 }
 
@@ -599,9 +599,29 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "verify.json").read_text())
         assert report["roundtrip_lambda"]["residual"] <= 1e-14
 
-    def test_failed_check_writes_null_residual(self, tmp_path, capsys):
-        # the associated quad of this ladder fails its zero-free gate, so four
-        # checks raise; verify.json must still be strict JSON
+    def test_poles_near_the_circle_pass_the_associated_checks(self, tmp_path):
+        # the quad's cofactors read 2.6e-9 against the 1e-8 zero-free gate
+        # as min |g| / max |g| on the circle, so these four checks raised;
+        # on numerators Schur-Cohn finds them zero-free
+        cfg = write_config(
+            tmp_path,
+            {
+                "poles": [[0.99, 0.0], [0.0, 0.99], [-0.99, 0.0], [0.0, -0.99]],
+                "lambdas": [[0.1, 0.0], [0.0, 0.2], [-0.1, 0.0]],
+                "allow_poles_near_circle": True,
+            },
+        )
+        with pytest.warns(UserWarning):
+            assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "verify.json").read_text())
+        for name in ("arf_consistency", "arf_orthogonality", "remark", "positivity"):
+            assert report[name]["residual"] <= 1e-13, name
+
+    def test_failed_check_writes_null_residual(self, tmp_path, capsys, monkeypatch):
+        # with a zero-free gate that no cofactor clears, every associated quad
+        # fails its own check, so four checks raise; verify.json must still be
+        # strict JSON
+        monkeypatch.setattr(transforms, "_ZERO_FREE_MIN", 2.0)
         cfg = write_config(
             tmp_path,
             {

@@ -31,6 +31,7 @@ from orfkit.engine import _fit_ladder, identity_residual_stack
 from orfkit.measure import CaratheodoryFn, boundary_grid, ratio_caratheodory
 from orfkit.ratfun import evaluate_stack
 from orfkit.transforms import anchor_residual, arf_discrepancy, apply_transform_stack, relation_residual_stack
+from conftest import probe_ladder
 
 SQ3 = np.sqrt(3.0)
 
@@ -137,6 +138,59 @@ class TestCheckQuad:
         rep = check_quad(bad, s.caratheodory, s.poles, s.n_points)
         assert not rep.passed
         assert rep.a3_max > transforms.VANISH_TOL
+
+    def test_tilde_point_on_a_zero_of_a_lambda_ladder(self):
+        # the same on a lambda ladder, whose lines are read on numerators: the
+        # tilde point beta_2 is beta_0, which is divided out of A - B F, and a
+        # relative 1e-7 in A leaves a remainder of 5.9e-8 of that line's scale
+        s = synthesize([0.3 + 0.1j, -0.2j], PoleSequence([0.0, 0.5, 0.0]))
+        quad = arf_quad(s, 2)
+        assert quad.report.a3_max <= 1e-12 and quad.report.a42_max <= 1e-12
+        rep = check_quad(replace(quad, A=(1 + 1e-7) * quad.A, report=None), s.caratheodory, s.poles, s.n_points)
+        assert not rep.passed
+        assert rep.a3_max > transforms.VANISH_TOL
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_lambda_quad_evaluates_nothing_on_the_circle(self, monkeypatch, synth_system, k):
+        # F = psi*_m/phi*_m carries its numerators, so both lines are read on
+        # coefficients and no grid is made or evaluated
+        def fail(*args, **kwargs):
+            raise AssertionError("check_quad evaluated on the circle")
+
+        for name in ("evaluate_stack", "_evaluate_blocks", "boundary_grid", "zeros_factor"):
+            monkeypatch.setattr(transforms, name, fail)
+        s = synth_system
+        assert check_quad(arf_quad(s, k), s.caratheodory, s.poles, s.n_points).passed
+
+    @pytest.mark.parametrize("n, seed, orders", [(256, 1, [0, 1, 2, 3]), (64, 0, [57, 58, 59, 61])])
+    def test_quads_that_the_grid_could_not_read(self, n, seed, orders):
+        # on the circle the order-1 quad of n = 256 read a33 = 4.5e-9 against
+        # the 1e-8 gate, and these n = 64 orders a3 or a42 up to 2.1e-10
+        # against 1e-10; on numerators they read at most 1.1e-12
+        s = probe_ladder(n, seed)
+        for k in orders:
+            rep = arf_quad(s, k).report
+            assert rep.passed, k
+            assert rep.a3_max <= 1e-11 and rep.a42_max <= 1e-11, k
+
+    def test_zero_in_the_cofactor_fails_a33(self):
+        # order 37 of the cap-0.9 seed-0 probe: Schur-Cohn finds a zero of the
+        # A - B F cofactor in the closed disk, while the line vanishes at the
+        # poles to 8.4e-13 of its scale
+        s = probe_ladder(64, 0, cap=0.9)
+        with pytest.raises(NumericalFailure, match="a33_min=0.0"):
+            arf_quad(s, 37)
+
+    def test_nan_fails_a1(self):
+        # a NaN in A's constant coefficient once read a1 = 4.3e-16, as
+        # Python's max drops a NaN
+        s = probe_ladder(6, 3)
+        quad = arf_quad(s, 1)
+        numer = quad.A.numer.copy()
+        numer[0] = np.nan
+        bad = replace(quad, A=RatFun(quad.A.poles, numer, quad.A.n), report=None)
+        rep = check_quad(bad, s.caratheodory, s.poles, s.n_points)
+        assert np.isnan(rep.a1_residual) and not rep.passed
 
     def test_general_r_check_path(self, synth_system):
         # r = 1 with btilde_1 = beta_1: embedding degree-1 members into the

@@ -279,8 +279,8 @@ def test_densities_read_on_the_circle(seed, check, limit, rows):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_synthesized_n_64_passes_every_check(seed):
     # the lambda path at n = 64, where rounding in any layer shows first;
-    # seed 0 fails second_kind (about 1.7e-8) and interpolation, both from
-    # the rounding of its stored numerators (ROADMAP items 2 and 21)
+    # seed 0 fails interpolation (about 1.2e-10), from the rounding of its
+    # stored numerators on the circle (ROADMAP items 2 and 21)
     assert _failing(probe_ladder(64, seed)) == {}
 
 
@@ -816,7 +816,7 @@ def _stack_calls(monkeypatch, s):
         calls.append((len(fs), len({f.n for f in fs}), np.size(z)))
         return stack(fs, z)
 
-    for module in (ratfun, engine, transforms, verify, cli):
+    for module in (ratfun, engine, transforms, cli):
         monkeypatch.setattr(module, "evaluate_stack", spy)
     report = run_verification(VerifyContext(s, 0, {}))
     assert all(entry["pass"] for entry in report.values()), report
