@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .ratfun import (
     _evaluate_blocks,
     _stack_top,
     blaschke_factor,
-    blaschke_product,
     evaluate_stack,
     herglotz_kernel,
     superstar,
@@ -284,9 +284,9 @@ def _completion_grid(top: OrfLevel, n_max: int) -> int:
 
 
 def fourier_grid(system: OrfSystem) -> int:
-    """The grid the Fourier tests of a ladder read: its own when it has a
-    measure, else the `_modulus_grid` that holds its poles, as those tests
-    then read their lines times phi*_m, free of phi_m's zeros."""
+    """The least grid of `interpolation_residual_stack`'s witness: the
+    ladder's own when it has a measure, else the `_modulus_grid` that holds
+    its poles, as the witness then reads its line times phi*_m, free of phi_m's zeros."""
     if system.measure is not None:
         return system.n_points
     rho = float(np.max(np.abs(system.poles.beta[: system.n_max + 1])))
@@ -309,11 +309,12 @@ def caratheodory_from_system(system: OrfSystem) -> CaratheodoryFn:
 
     It is holomorphic with positive real part (phi*_m is zero-free on the
     closed disk), satisfies F(beta_0) = 1, and the ladder is orthonormal
-    with respect to it through level m. It keeps its terms on a `boundary_grid`, and its numerators.
+    with respect to it through level m. Its values on the points of a
+    `boundary_grid` are computed once and kept; its numerators are those of psi*_m and phi*_m.
     """
     top = system.level(system.n_max)
-    terms = _grid_memo(lambda z: evaluate_stack((top.psi_star, top.phi_star), z), _grid_points_size)
-    F = ratio_caratheodory(terms, system.poles.beta[0])
+    F = ratio_caratheodory(lambda z: evaluate_stack((top.psi_star, top.phi_star), z), system.poles.beta[0])
+    F.evaluator = _grid_memo(F.evaluator, _grid_points_size)
     F.numerators = top.psi_star.numer, top.phi_star.numer
     return F
 
@@ -475,17 +476,6 @@ def _gram_defect(funcs, quad: Quadrature) -> float:
     return float(np.max(np.abs(gram - np.eye(len(funcs)))))
 
 
-def zeros_factor(poles: PoleSequence, m: int, z):
-    """zeta_0(z) B_{m-1}(z) on the 1-d array z: the product with zeros beta_0..beta_{m-1}.
-
-    Identically 1 for m = 0 (the two factors cancel exactly).
-    """
-    z = np.asarray(z, dtype=complex)
-    if m == 0:
-        return np.ones_like(z)
-    return KernelParams(poles.beta[0]).zeta0(z) * blaschke_product(poles, m - 1, z)
-
-
 def _unimodular(tau) -> complex:
     if not abs(abs(complex(tau)) - 1.0) <= 1e-12:
         raise DomainError("tau must be unimodular")
@@ -543,17 +533,6 @@ def identity_residual_stack(fs, gs, f_stars, g_stars):
     return np.array([np.max(np.abs(left - right[m])) / np.max(np.abs(left)) for left, m in lefts])
 
 
-def _negative_modes(g, scale):
-    """Largest |Fourier mode| k = -N/4..-1 of each row of g, sampled on the
-    grid 2 pi j / N, over scale. The row extends analytically into the disk
-    exactly when these vanish; the modes nearer -N/2 are left out, as the
-    positive modes of an analytic row alias there. The rows take one FFT
-    call, which numpy runs faster than one call per row."""
-    n = g.shape[-1]
-    modes = np.fft.fft(g, axis=-1)[..., n - n // 4 :]
-    return np.max(np.abs(modes), axis=-1) / (n * np.maximum(scale, 1e-300))
-
-
 def _zero_free(g) -> float:
     """min |g| / max |g| of the line g on the grid 2 pi j / N, or 0 when g
     winds around the origin. An analytic line has no zero in the closed
@@ -569,43 +548,53 @@ def _zero_free(g) -> float:
     return float(np.min(mag)) / max(float(np.max(mag)), 1e-300) if turns == 0 else 0.0
 
 
+def _remainders(line, roots):
+    """(quotient, remainder) of dividing z - root out of the polynomial line,
+    constant first, for each of roots in turn, by synthetic division that
+    |root| < 1 keeps stable: the quotient as a list, highest coefficient
+    first, and the largest |remainder|: 0.0 for no roots, NaN for a NaN line."""
+    rev, remainders = line[::-1].tolist(), [0.0]
+    for root in roots.tolist():
+        *rev, rem = accumulate(rev, lambda acc, coef: acc * root + coef)
+        remainders.append(abs(rem))
+    return rev, float(np.max(remainders))
+
+
 def interpolation_residual_stack(system: OrfSystem):
     """Interpolation structure of each level 0..m of the ladder against its
-    C-function F, as arrays (residual, witness), one entry per level.
+    C-function F = top/bot (`CaratheodoryFn.numerators`), as arrays
+    (residual, witness), one entry per level; DomainError when F carries no numerators.
 
     phi_n F + psi_n must vanish at beta_0..beta_{n-1} and phi_n^* F - psi_n^*
-    at beta_0..beta_n, each to every pole's multiplicity; both are read
-    times bot, F = top/bot (`CaratheodoryFn.terms`), bot zero-free in the
-    closed disk. On the `fourier_grid` 2 pi j / N the zeros factors
-    zeta_0 B_{n-1} and zeta_0 B_n are unimodular, so the cofactors are the
-    lines times their conjugates: g_n = (phi_n top + psi_n bot)
-    conj(zeta_0 B_{n-1}) and, as f^* = B_n conj(f) there,
-    conj(zeta_0) (conj(phi_n) top - conj(psi_n) bot). The residual is the
-    largest negative Fourier mode of either over max |g_n|; the second line
-    is identically 0 at the top level of a lambda ladder, so its own
-    maximum would be rounding noise. The witness is _zero_free(g_n / bot),
-    as the spread of |bot| is no property of g_n. top, bot and
-    conj(zeta_0 B_{n-1}) are held on the whole grid, the last growing one
-    factor per level; phi_n and psi_n are evaluated, and the lines formed,
-    one block at a time.
+    at beta_0..beta_n, each to every pole's multiplicity. Times pi_n bot
+    both are polynomials, the lines phi_n top + psi_n bot and
+    phi_n^* top - psi_n^* bot, the superstars taken from the stored phi_n
+    and psi_n. The residual is the largest remainder of dividing those
+    zeros out of either (`_remainders`) over the first line's largest
+    coefficient; the second line is identically 0 at the top level of a
+    lambda ladder, so its own maximum would be rounding noise. The witness
+    is `_zero_free` of the first line's cofactor on the grid 2 pi j / N,
+    N the larger of the `fourier_grid` and the power of two above the
+    lines' degree: the line's values from one FFT, over pi_n bot, times
+    conj(zeta_0 B_{n-1}), which is unimodular there.
     """
-    _, t = boundary_grid(fourier_grid(system))
-    top, bot = system.caratheodory.terms(t)
-    conj_zeta0 = np.conj(system.kernel.zeta0(t))
+    if system.caratheodory.numerators is None:
+        raise DomainError("interpolation reads the numerators of F, and this C-function carries none")
+    top, bot = system.caratheodory.numerators
+    poles = system.poles
+    size = max(fourier_grid(system), 1 << (system.n_max + top.size - 1).bit_length())
+    _, t = boundary_grid(size)
+    # conj(zeta_0 B_{n-1}) / (pi_n bot) on the grid, one factor more per level
+    factor = 1.0 / np.fft.ifft(bot, size, norm="forward")
     resid, witness = np.empty((2, system.n_max + 1))
-    conj_zeros = np.ones_like(t)
-    lines = np.empty((2, t.size), dtype=complex)
-    for m, lv in enumerate(system.levels):
-        if m == 1:
-            conj_zeros = conj_zeta0
-        elif m > 1:
-            conj_zeros = conj_zeros * np.conj(blaschke_factor(system.poles, m - 1, t))
-        for block, (phi, psi) in _evaluate_blocks((lv.phi, lv.psi), t):
-            f, g = top[block], bot[block]
-            lines[0, block] = (phi * f + psi * g) * conj_zeros[block]
-            lines[1, block] = conj_zeta0[block] * (np.conj(phi) * f - np.conj(psi) * g)
-        scale = float(np.max(np.abs(lines[0])))
-        resid[m], witness[m] = np.max(_negative_modes(lines, scale)), _zero_free(lines[0] / bot)
+    for n, lv in enumerate(system.levels):
+        if n:
+            factor = factor * np.conj(blaschke_factor(poles, n - 1, t)) / poles.varpi(n, t)
+        line = np.convolve(lv.phi.numer, top) + np.convolve(lv.psi.numer, bot)
+        star = np.convolve(superstar(lv.phi).numer, top) - np.convolve(superstar(lv.psi).numer, bot)
+        remainders = [_remainders(line, poles.beta[:n])[1], _remainders(star, poles.beta[: n + 1])[1]]
+        resid[n] = np.max(remainders) / np.max(np.abs(line))
+        witness[n] = _zero_free(np.fft.ifft(line, size, norm="forward") * factor)
     return resid, witness
 
 

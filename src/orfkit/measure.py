@@ -262,12 +262,13 @@ class CaratheodoryFn:
     Normalized so F(beta0) = 1; beta0 anchors the Herglotz kernel that ties
     the function to its measure. `anchor_residual` is the measured defect of
     F(beta0) = 1 when the builder checked it, else None; `numerators` is
-    the polynomials (top, bot), F = top/bot, when the builder has them.
+    the polynomials (top, bot) of one length, F = top/bot, which both
+    library builders of a ladder's C-function set, else None.
     """
 
-    __slots__ = ("evaluator", "beta0", "anchor_residual", "numerators", "_terms")
+    __slots__ = ("evaluator", "beta0", "anchor_residual", "numerators")
 
-    def __init__(self, evaluator, beta0, terms=None):
+    def __init__(self, evaluator, beta0):
         beta0 = complex(beta0)
         if not abs(beta0) < 1.0:
             raise DomainError("|beta_0| < 1 required")
@@ -275,18 +276,11 @@ class CaratheodoryFn:
         self.beta0 = beta0
         self.anchor_residual = None
         self.numerators = None
-        self._terms = terms
 
     def __call__(self, z):
         out = self.evaluator(np.asarray(z, dtype=complex))
         out = np.asarray(out)
         return out if out.ndim else complex(out)
-
-    def terms(self, z):
-        """(top, bot) at z, F = top/bot: a ratio's own terms, else F over a read-only 1."""
-        if self._terms is None:
-            return np.asarray(self(z)), np.broadcast_to(1.0, np.shape(z))
-        return self._terms(np.asarray(z, dtype=complex))
 
 
 def _moment_series(mu, beta0, n_points):
@@ -316,7 +310,9 @@ def caratheodory_from_measure(mu: CircleMeasure, beta0, n_points: int = 2048) ->
     to 65536 (densities with structure very close to the circle need more
     terms). The dropped tail is below rounding, so the finite series is
     accurate on the closed disk, the circle included. Its values on the
-    points of a `boundary_grid(N)` are computed once and kept.
+    points of a `boundary_grid(N)` are computed once and kept. Its
+    numerators are the series itself, constant 1 - h(beta_0) for the
+    series h of the terms k >= 1, over the constant 1 zero-padded to its length.
     """
     _check_grid(n_points)
     F = CaratheodoryFn(None, beta0)  # rejects |beta_0| >= 1 before any FFT
@@ -337,6 +333,9 @@ def caratheodory_from_measure(mu: CircleMeasure, beta0, n_points: int = 2048) ->
     coeffs = 2.0 * c[None, : last + 1]
     coeffs[0, 0] = 0.0
     at_beta0 = _horner(coeffs, np.asarray(F.beta0))[0]
+    top, bot = coeffs[0].copy(), np.zeros(last + 1, dtype=complex)
+    top[0], bot[0] = 1.0 - at_beta0, 1.0
+    F.numerators = top, bot
 
     def ev(z):
         z = np.asarray(z, dtype=complex)
@@ -378,4 +377,4 @@ def ratio_caratheodory(terms, beta0) -> CaratheodoryFn:
             raise DenominatorVanishes("ratio C-function hit a zero of its denominator")
         return top / bot
 
-    return CaratheodoryFn(ev, beta0, terms)
+    return CaratheodoryFn(ev, beta0)

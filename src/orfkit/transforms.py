@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, replace
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -41,11 +40,9 @@ from .engine import (
     _determinant_numerators,
     _four,
     _level_zero,
-    _negative_modes,
+    _remainders,
     _run_recurrence,
-    _zero_free,
     para_pair,
-    zeros_factor,
 )
 from .ratfun import (
     PoleSequence,
@@ -60,7 +57,7 @@ from .zeros import zeros_inside
 
 # threshold of check_quad's superstar condition a1
 QUAD_TOL = 1e-8
-# threshold of the negative Fourier modes of the cofactors that check_quad reads
+# threshold of the remainders of check_quad's two lines, over each line's largest coefficient
 VANISH_TOL = 1e-10
 # the fixed disk points at which transformed_caratheodory asserts positive real part
 _POSITIVITY_POINTS = _disk_sample(0, 0.95, 200)
@@ -122,44 +119,28 @@ def identity_quad(poles: PoleSequence) -> SelfReciprocalQuad:
     return replace(quad, report=report)
 
 
-def check_quad(
-    quad: SelfReciprocalQuad, F: CaratheodoryFn, base_poles: PoleSequence, n_points: int
-) -> QuadConditionReport:
+def check_quad(quad: SelfReciprocalQuad, F: CaratheodoryFn, base_poles: PoleSequence) -> QuadConditionReport:
     """Numerically verify the transform conditions for a quad against F:
     the four superstar sign relations (a1); B nonzero at beta_0..beta_{N-1},
     over its numerator's largest coefficient (a2); A - B F vanishing there
     with a zero-free cofactor (a3, a33); and A D - B C vanishing there and
     at btilde_0..btilde_{r-1} with a zero-free cofactor (a42, a42_f).
 
-    A D - B C is a d - b c over pi^2, read on coefficients by `_divided`;
-    so is A - B F, a bot - b top over pi bot, when F has `numerators`
-    (top, bot), as a ladder's own psi*_m/phi*_m does. Each quotient is its
-    cofactor times factors with no zero in the closed disk. Any other F, a
-    measure's moment series, is read times bot, F = top/bot
-    (`CaratheodoryFn.terms`), on the grid 2 pi j / n_points, where the
-    zeros factor is unimodular: the line times its conjugate is the
-    cofactor, which must have no negative Fourier modes (a3, at most
-    VANISH_TOL) and, over bot, no zero in the closed disk (a33, above
-    _ZERO_FREE_MIN). A and B are evaluated one block of the grid at a time.
+    Both lines are read on coefficients by `_divided`: A D - B C is
+    a d - b c over pi^2, and A - B F is a bot - b top over pi bot, F =
+    top/bot its `numerators`. Each quotient is its cofactor times factors
+    with no zero in the closed disk. DomainError when F carries no numerators.
     """
+    if F.numerators is None:
+        raise DomainError("check_quad reads the numerators of F, and this C-function carries none")
     N, r, tau = quad.N, quad.r, quad.tau_A
     funcs = (quad.A, quad.B, quad.C, quad.D)
     a, b, c, d = (f.numer for f in funcs)
     a1 = float(np.max([np.abs(superstar(f).numer - sign * tau * f.numer).max() / max(np.abs(f.numer).max(), 1e-300)
                        for f, sign in zip(funcs, (1.0, -1.0, -1.0, 1.0))]))
     a2_min = float(np.min(np.abs(quad.B(base_poles.beta[:N])), initial=np.inf) / max(np.abs(b).max(), 1e-300))
-
-    if F.numerators is None:
-        _, t = boundary_grid(n_points)
-        top, bot = F.terms(t)
-        conj_zeros = np.conj(zeros_factor(base_poles, N, t))
-        line = np.empty(t.size, dtype=complex)
-        for block, (a_t, b_t) in _evaluate_blocks((quad.A, quad.B), t):
-            line[block] = (a_t * bot[block] - b_t * top[block]) * conj_zeros[block]
-        a3_max, a33_min = float(_negative_modes(line, np.max(np.abs(line)))), _zero_free(line / bot)
-    else:
-        top, bot = F.numerators
-        a3_max, a33_min = _divided(np.convolve(a, bot) - np.convolve(b, top), base_poles.beta[:N])
+    top, bot = F.numerators
+    a3_max, a33_min = _divided(np.convolve(a, bot) - np.convolve(b, top), base_poles.beta[:N])
     roots = np.append(base_poles.beta[:N], quad.tilde_poles.beta[:r])
     a42_max, a42_f_min = _divided(np.convolve(a, d) - np.convolve(b, c), roots)
 
@@ -170,16 +151,13 @@ def check_quad(
 
 def _divided(line, roots):
     """(residual, zero-free) of the polynomial line, constant first, with
-    zeros at roots: the largest remainder of dividing z - root out of it in
-    turn, synthetic division that |root| < 1 keeps stable, over the line's
-    largest coefficient; and 1.0 when the quotient has no zero in the
-    closed disk (`zeros_inside` on its conjugate reversal), else 0.0."""
-    rev, remainders = line[::-1].tolist(), [0.0]  # highest coefficient first, as is each quotient
-    for root in roots.tolist():
-        *rev, rem = accumulate(rev, lambda acc, coef: acc * root + coef)
-        remainders.append(abs(rem))
-    zero_free = np.isfinite(rev).all() and zeros_inside(np.conj(rev), 1.0)
-    return float(np.max(remainders)) / max(float(np.max(np.abs(line))), 1e-300), float(zero_free)
+    zeros at roots: the largest remainder of dividing them out
+    (`_remainders`) over the line's largest coefficient; and 1.0 when the
+    quotient has no zero in the closed disk (`zeros_inside` on its
+    conjugate reversal), else 0.0."""
+    quotient, remainder = _remainders(line, roots)
+    zero_free = np.isfinite(quotient).all() and zeros_inside(np.conj(quotient), 1.0)
+    return remainder / max(float(np.max(np.abs(line))), 1e-300), float(zero_free)
 
 
 def apply_transform_stack(system: OrfSystem, quad: SelfReciprocalQuad, c_n, offsets):
@@ -316,8 +294,7 @@ def _check_order(system: OrfSystem, k):
 def arf_quad(system: OrfSystem, k: int) -> SelfReciprocalQuad:
     """Quad generating the order-k associated ladder: built from the level-k
     para-orthogonal pairs at tau = -1 and tau = +1, with signature 1 and the
-    single tilde point beta_k. The condition check runs by construction,
-    on the ladder's grid where F needs one."""
+    single tilde point beta_k. The condition check runs by construction."""
     _check_order(system, k)
     pp1 = para_pair(system, k, 1.0)
     ppm = para_pair(system, k, -1.0)
@@ -331,7 +308,7 @@ def arf_quad(system: OrfSystem, k: int) -> SelfReciprocalQuad:
         r=0,
         tilde_poles=PoleSequence([system.poles.beta[k]]),
     )
-    report = check_quad(quad, system.caratheodory, system.poles, system.n_points)
+    report = check_quad(quad, system.caratheodory, system.poles)
     if not report.passed:
         raise NumericalFailure(f"associated quad failed its own condition check: {report}")
     return replace(quad, report=report)

@@ -87,7 +87,7 @@ def perturbed_ladders(system, n=3, size=1e-6):
       its superstar; the C-function is rebuilt as the constructor builds it,
       from the top level on a ladder without a measure;
     - "F", on a ladder with a measure only: the C-function times
-      1 + size e^(i pi/4).
+      1 + size e^(i pi/4), its numerators (top, bot) as that factor times top, and bot.
     Every other datum, and the grid, is the ladder's own."""
 
     def bent(f):
@@ -108,6 +108,7 @@ def perturbed_ladders(system, n=3, size=1e-6):
     out["top"] = with_level(system.n_max, None, phi=phi_m, phi_star=superstar(phi_m))
     if system.measure is not None:
         wrong = CaratheodoryFn(lambda z: (1 + tilt) * F(z), F.beta0)
+        wrong.numerators = (1 + tilt) * F.numerators[0], F.numerators[1]
         out["F"] = OrfSystem(system.poles, system.levels, system.source, system.measure, wrong, system.n_points)
     return out
 

@@ -453,14 +453,14 @@ def test_artifact_bytes_are_pinned(tmp_path, name):
 # and their pass flags must hold before the digests are recorded again
 _THETA = 2.0 * np.pi * np.arange(256) / 256
 PINNED_VERIFY = {
-    "lambdas-n3": (LAMBDA_CONFIG, "e615078ad1c47fdc739fdde5607a1db5559c9547a5d882e404893d5bd6c11688"),
+    "lambdas-n3": (LAMBDA_CONFIG, "0ea46afc41d8be7a47d72b201956cdbc4d9d77f8a4ff4f0be89374d71a9e0265"),
     "poisson-n5": (
         {
             "poles": [[0.2, -0.1], [0.45, 0.3], [-0.6, 0.15], [0.05, 0.55], [-0.25, -0.5], [0.6, -0.2]],
             "measure": {"type": "poisson", "alpha": [0.3, -0.2]},
             "n_max": 5,
         },
-        "db9b3987c774c30e718b3e8ddf9fd7e174569eecd899cad2d39ac0177beb70c0",
+        "4678a9aa074e39a4cf789ff0dec2099da01dca04dfd72c3dd71a97bd077ce587",
     ),
     "samples-n4-grid2048": (
         {
@@ -469,7 +469,7 @@ PINNED_VERIFY = {
             "n_max": 4,
             "grid": 2048,
         },
-        "d3b8b89d8e1f0808161f792017bf3f6c3abd8ab7b8aa46b2e0c9969a034f25c7",
+        "5ca096420c074fa2d52a0bb6b6258017203bdf69d8bc4a75e68b0b7df77ea524",
     ),
 }
 

@@ -33,7 +33,7 @@ from orfkit import (
     superstar,
     synthesize,
 )
-from orfkit import engine, ratfun
+from orfkit import engine, measure, ratfun
 from orfkit.engine import (
     _circle_nodes,
     _determinant_numerators,
@@ -42,6 +42,7 @@ from orfkit.engine import (
     _gram_defect,
     _level_zero,
     _parameters,
+    _remainders,
     _run_recurrence,
     grid_quadrature,
     identity_residual_stack,
@@ -770,6 +771,28 @@ class TestInterpolation:
         report = run_verification(VerifyContext(s, seed=0, tolerances={}), ["interpolation"])
         assert report["interpolation"]["pass"]
 
+    def test_remainders_keep_a_nan(self):
+        # a NaN coefficient makes every remainder NaN, which Python's max
+        # drops behind the leading 0.0; np.max keeps it
+        _, remainder = _remainders(np.array([1.0, np.nan, 1.0]), np.array([0.5, -0.2j]))
+        assert np.isnan(remainder)
+
+    @pytest.mark.parametrize("ladder", ["synth_system", "poisson_system", "expcos_system"])
+    def test_interpolation_evaluates_no_numerator_on_the_circle(self, monkeypatch, request, ladder):
+        # both lines are numerator products divided on coefficients, and the
+        # witness reads the first line's values from one FFT: no function is
+        # evaluated, not even F, which every evaluation would run _horner for
+        s = request.getfixturevalue(ladder)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("interpolation evaluated a function")
+
+        for module, name in [(engine, "evaluate_stack"), (engine, "_evaluate_blocks"), (ratfun, "_horner"),
+                             (measure, "_horner")]:
+            monkeypatch.setattr(module, name, fail)
+        resid, witness = interpolation_residual_stack(s)
+        assert np.all(resid < 1e-12) and np.all(witness > 1e-8)
+
     def test_perturbed_level_fails(self, poisson_system):
         # a relative 1e-7 in phi_3 alone reads about 3e-8, far above 1e-10
         s = poisson_system
@@ -938,16 +961,18 @@ class TestRationalCompletion:
         zs = 0.9 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
         assert np.min(np.real(F(zs))) > 0
 
-    def test_terms_are_kept_on_library_grids(self, monkeypatch, synth_system):
-        # psi*_m and phi*_m on the points of a boundary_grid are evaluated
-        # once, and the second call hands back the same read-only values
+    def test_values_are_kept_on_library_grids(self, monkeypatch, synth_system):
+        # F on the points of a boundary_grid is computed once, from psi*_m
+        # and phi*_m evaluated there once, and the second call hands back
+        # the same read-only values
         F = caratheodory_from_system(synth_system)
         top = synth_system.level(synth_system.n_max)
         _, t = boundary_grid(1024)
-        first = F.terms(t)
-        assert_array_equal(first, evaluate_stack((top.psi_star, top.phi_star), t))
-        monkeypatch.setattr(engine, "evaluate_stack", lambda *args: pytest.fail("terms evaluated again"))
-        again = F.terms(t)
+        first = F(t)
+        psi_s, phi_s = evaluate_stack((top.psi_star, top.phi_star), t)
+        assert_array_equal(first, psi_s / phi_s)
+        monkeypatch.setattr(engine, "evaluate_stack", lambda *args: pytest.fail("F evaluated again"))
+        again = F(t)
         assert again is first and not again.flags.writeable
 
     def test_gram_schmidt_recovers_parameters(self, synth_system):

@@ -509,6 +509,25 @@ class TestMomentSeries:
         # Lebesgue anchored at beta_0 is the linear 1 - 2 conj(beta_0)(z - beta_0)/(1 - |beta_0|^2)
         assert len({c.size for c in seen}) == 1 and seen[-1].size > 1
 
+    @pytest.mark.parametrize(
+        "kind, beta0",
+        [("lebesgue", 0.3 - 0.4j), ("poisson", 0.4 + 0.1j), ("samples", 0.0), ("samples", -0.2 + 0.5j)],
+    )
+    def test_numerators_reproduce_the_series(self, kind, beta0):
+        # top/bot, bot the constant 1 padded to top's length, is F to
+        # rounding on its grid and at 200 disk points
+        mu = {
+            "lebesgue": builtin_measure("lebesgue"),
+            "poisson": builtin_measure("poisson", alpha=0.3 - 0.2j),
+            "samples": _table_measure(256),
+        }[kind]
+        F = caratheodory_from_measure(mu, beta0, n_points=1024)
+        top, bot = F.numerators
+        assert top.size == bot.size and bot[0] == 1.0 and not bot[1:].any()
+        for z in (boundary_grid(1024)[1], ratfun._disk_sample(3, 1.0, 200)):
+            f = np.asarray(F(z))
+            assert np.max(np.abs(npp.polyval(z, top) / npp.polyval(z, bot) - f)) <= 1e-13 * np.max(np.abs(f))
+
     def test_grid_angles_at_beta0_zero(self, monkeypatch):
         # the density is read on the grid 2 pi j / N itself at beta_0 = 0
         # and at every other beta_0, so a table that N divides answers from

@@ -27,7 +27,7 @@ from orfkit import (
     weight_from_caratheodory,
 )
 from orfkit import cli, transforms
-from orfkit.engine import _fit_ladder, identity_residual_stack
+from orfkit.engine import _fit_ladder, identity_residual_stack, interpolation_residual_stack
 from orfkit.measure import CaratheodoryFn, boundary_grid, ratio_caratheodory
 from orfkit.ratfun import evaluate_stack
 from orfkit.transforms import anchor_residual, arf_discrepancy, apply_transform_stack, relation_residual_stack
@@ -93,12 +93,12 @@ def test_quad_signature_must_be_unimodular(tau_A):
 class TestCheckQuad:
     def test_identity_quad_passes(self, synth_system):
         iq = identity_quad(synth_system.poles)
-        rep = check_quad(iq, synth_system.caratheodory, synth_system.poles, synth_system.n_points)
+        rep = check_quad(iq, synth_system.caratheodory, synth_system.poles)
         assert rep.passed and rep.a1_residual == 0.0
 
     def test_arf_quad_passes_full_check(self, poisson_system, expcos_system):
         for s in (poisson_system, expcos_system):
-            rep = check_quad(arf_quad(s, 1), s.caratheodory, s.poles, s.n_points)
+            rep = check_quad(arf_quad(s, 1), s.caratheodory, s.poles)
             assert rep.passed
             assert rep.a3_max < 1e-10 and rep.a42_max < 1e-10
 
@@ -109,14 +109,16 @@ class TestCheckQuad:
         a = RatFun(poles, [1.0, 0.0, -1.0], 2)
         b = RatFun(poles, [0.0, 1.0, 0.0], 2)
         quad = SelfReciprocalQuad(a, b, b, a, 1.0, 2, 0, PoleSequence([-0.3]))
-        rep = check_quad(quad, CaratheodoryFn(lambda z: np.ones_like(z), 0.0), poles, 512)
+        F = CaratheodoryFn(lambda z: np.ones_like(z), 0.0)
+        F.numerators = np.ones(1), np.ones(1)
+        rep = check_quad(quad, F, poles)
         assert not rep.passed
         assert rep.a2_min < 1e-10
 
     def test_broken_sign_fails_a1(self, synth_system):
         quad = arf_quad(synth_system, 1)
         bad = replace(quad, A=quad.B, B=quad.A, report=None)
-        rep = check_quad(bad, synth_system.caratheodory, synth_system.poles, synth_system.n_points)
+        rep = check_quad(bad, synth_system.caratheodory, synth_system.poles)
         assert not rep.passed
         assert rep.a1_residual > 1e-2
 
@@ -135,7 +137,7 @@ class TestCheckQuad:
         quad = arf_quad(s, 2)
         assert quad.report.a3_max <= 1e-12 and quad.report.a42_max <= 1e-12
         bad = replace(quad, A=(1 + 1e-7) * quad.A, report=None)
-        rep = check_quad(bad, s.caratheodory, s.poles, s.n_points)
+        rep = check_quad(bad, s.caratheodory, s.poles)
         assert not rep.passed
         assert rep.a3_max > transforms.VANISH_TOL
 
@@ -146,21 +148,34 @@ class TestCheckQuad:
         s = synthesize([0.3 + 0.1j, -0.2j], PoleSequence([0.0, 0.5, 0.0]))
         quad = arf_quad(s, 2)
         assert quad.report.a3_max <= 1e-12 and quad.report.a42_max <= 1e-12
-        rep = check_quad(replace(quad, A=(1 + 1e-7) * quad.A, report=None), s.caratheodory, s.poles, s.n_points)
+        rep = check_quad(replace(quad, A=(1 + 1e-7) * quad.A, report=None), s.caratheodory, s.poles)
         assert not rep.passed
         assert rep.a3_max > transforms.VANISH_TOL
 
     @pytest.mark.parametrize("k", [1, 3])
-    def test_lambda_quad_evaluates_nothing_on_the_circle(self, monkeypatch, synth_system, k):
-        # F = psi*_m/phi*_m carries its numerators, so both lines are read on
-        # coefficients and no grid is made or evaluated
+    def test_lambda_quad_evaluates_nothing_on_the_circle(self, monkeypatch, synth_system, poisson_system,
+                                                         expcos_system, k):
+        # F = psi*_m/phi*_m, and a measure's moment series, carry their
+        # numerators, so both lines are read on coefficients and no grid is
+        # made or evaluated, for a lambda, a Poisson and a samples ladder
         def fail(*args, **kwargs):
             raise AssertionError("check_quad evaluated on the circle")
 
-        for name in ("evaluate_stack", "_evaluate_blocks", "boundary_grid", "zeros_factor"):
+        for name in ("evaluate_stack", "_evaluate_blocks", "boundary_grid"):
             monkeypatch.setattr(transforms, name, fail)
-        s = synth_system
-        assert check_quad(arf_quad(s, k), s.caratheodory, s.poles, s.n_points).passed
+        for s in (synth_system, poisson_system, expcos_system):
+            assert check_quad(arf_quad(s, k), s.caratheodory, s.poles).passed
+
+    def test_caratheodory_without_numerators_is_refused(self, poisson_system):
+        # a C-function known only by its values has no lines to divide, and
+        # neither check_quad nor interpolation reads it another way
+        s = poisson_system
+        F = CaratheodoryFn(s.caratheodory, s.poles.beta[0])
+        with pytest.raises(DomainError, match="numerators"):
+            check_quad(arf_quad(s, 1), F, s.poles)
+        bare = OrfSystem(s.poles, s.levels, s.source, s.measure, F, s.n_points)
+        with pytest.raises(DomainError, match="numerators"):
+            interpolation_residual_stack(bare)
 
     @pytest.mark.parametrize("n, seed, orders", [(256, 1, [0, 1, 2, 3]), (64, 0, [57, 58, 59, 61])])
     def test_quads_that_the_grid_could_not_read(self, n, seed, orders):
@@ -189,7 +204,7 @@ class TestCheckQuad:
         numer = quad.A.numer.copy()
         numer[0] = np.nan
         bad = replace(quad, A=RatFun(quad.A.poles, numer, quad.A.n), report=None)
-        rep = check_quad(bad, s.caratheodory, s.poles, s.n_points)
+        rep = check_quad(bad, s.caratheodory, s.poles)
         assert np.isnan(rep.a1_residual) and not rep.passed
 
     def test_general_r_check_path(self, synth_system):
@@ -210,7 +225,7 @@ class TestCheckQuad:
             embed(quad1.A), embed(quad1.B), embed(quad1.C), embed(quad1.D),
             1.0, 1, 1, PoleSequence([b1, b1]),
         )
-        rep = check_quad(quad, s.caratheodory, s.poles, s.n_points)
+        rep = check_quad(quad, s.caratheodory, s.poles)
         assert rep.a1_residual > 1e-3
         assert not rep.passed
 
