@@ -551,13 +551,13 @@ def _zero_free(g) -> float:
 def _remainders(line, roots):
     """(quotient, remainder) of dividing z - root out of the polynomial line,
     constant first, for each of roots in turn, by synthetic division that
-    |root| < 1 keeps stable: the quotient as a list, highest coefficient
-    first, and the largest |remainder|: 0.0 for no roots, NaN for a NaN line."""
+    |root| < 1 keeps stable: the quotient, constant first, and the largest
+    |remainder|: 0.0 for no roots, NaN for a NaN line."""
     rev, remainders = line[::-1].tolist(), [0.0]
     for root in roots.tolist():
         *rev, rem = accumulate(rev, lambda acc, coef: acc * root + coef)
         remainders.append(abs(rem))
-    return rev, float(np.max(remainders))
+    return np.array(rev[::-1]), float(np.max(remainders))
 
 
 def interpolation_residual_stack(system: OrfSystem):

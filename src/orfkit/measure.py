@@ -262,8 +262,9 @@ class CaratheodoryFn:
     Normalized so F(beta0) = 1; beta0 anchors the Herglotz kernel that ties
     the function to its measure. `anchor_residual` is the measured defect of
     F(beta0) = 1 when the builder checked it, else None; `numerators` is
-    the polynomials (top, bot) of one length, F = top/bot, which both
-    library builders of a ladder's C-function set, else None.
+    the polynomials (top, bot) of one length, F = top/bot, which every
+    library builder sets (a ladder's, a moment series, a transformed
+    C-function), else None.
     """
 
     __slots__ = ("evaluator", "beta0", "anchor_residual", "numerators")

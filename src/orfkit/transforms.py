@@ -50,7 +50,6 @@ from .ratfun import (
     _disk_sample,
     _evaluate_blocks,
     _horner,
-    evaluate_stack,
     superstar,
 )
 from .zeros import zeros_inside
@@ -129,7 +128,8 @@ def check_quad(quad: SelfReciprocalQuad, F: CaratheodoryFn, base_poles: PoleSequ
     Both lines are read on coefficients by `_divided`: A D - B C is
     a d - b c over pi^2, and A - B F is a bot - b top over pi bot, F =
     top/bot its `numerators`. Each quotient is its cofactor times factors
-    with no zero in the closed disk. DomainError when F carries no numerators.
+    with no zero in the closed disk; a33 and a42_f read `zeros_inside` on
+    its conjugate reversal. DomainError when F carries no numerators.
     """
     if F.numerators is None:
         raise DomainError("check_quad reads the numerators of F, and this C-function carries none")
@@ -140,9 +140,10 @@ def check_quad(quad: SelfReciprocalQuad, F: CaratheodoryFn, base_poles: PoleSequ
                        for f, sign in zip(funcs, (1.0, -1.0, -1.0, 1.0))]))
     a2_min = float(np.min(np.abs(quad.B(base_poles.beta[:N])), initial=np.inf) / max(np.abs(b).max(), 1e-300))
     top, bot = F.numerators
-    a3_max, a33_min = _divided(np.convolve(a, bot) - np.convolve(b, top), base_poles.beta[:N])
+    q3, a3_max = _divided(np.convolve(a, bot) - np.convolve(b, top), base_poles.beta[:N])
     roots = np.append(base_poles.beta[:N], quad.tilde_poles.beta[:r])
-    a42_max, a42_f_min = _divided(np.convolve(a, d) - np.convolve(b, c), roots)
+    q42, a42_max = _divided(np.convolve(a, d) - np.convolve(b, c), roots)
+    a33_min, a42_f_min = (float(np.isfinite(q).all() and zeros_inside(np.conj(q[::-1]), 1.0)) for q in (q3, q42))
 
     passed = bool(a1 <= QUAD_TOL and a2_min > 1e-10 and a3_max <= VANISH_TOL and a42_max <= VANISH_TOL
                   and a33_min > _ZERO_FREE_MIN and a42_f_min > _ZERO_FREE_MIN)
@@ -150,14 +151,12 @@ def check_quad(quad: SelfReciprocalQuad, F: CaratheodoryFn, base_poles: PoleSequ
 
 
 def _divided(line, roots):
-    """(residual, zero-free) of the polynomial line, constant first, with
-    zeros at roots: the largest remainder of dividing them out
-    (`_remainders`) over the line's largest coefficient; and 1.0 when the
-    quotient has no zero in the closed disk (`zeros_inside` on its
-    conjugate reversal), else 0.0."""
+    """(quotient, residual) of the polynomial line, constant first, with
+    zeros at roots: the quotient of dividing them out (`_remainders`),
+    constant first, and the largest remainder over the line's largest
+    coefficient."""
     quotient, remainder = _remainders(line, roots)
-    zero_free = np.isfinite(quotient).all() and zeros_inside(np.conj(quotient), 1.0)
-    return remainder / max(float(np.max(np.abs(line))), 1e-300), float(zero_free)
+    return quotient, remainder / max(float(np.max(np.abs(line))), 1e-300)
 
 
 def apply_transform_stack(system: OrfSystem, quad: SelfReciprocalQuad, c_n, offsets):
@@ -238,12 +237,17 @@ def apply_transform_stack(system: OrfSystem, quad: SelfReciprocalQuad, c_n, offs
 def transformed_caratheodory(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> CaratheodoryFn:
     """The transformed C-function (-C + D F)/(A - B F), anchored at btilde_0.
 
-    Asserts the anchor value 1 (within 1e-9), kept as its `anchor_residual`,
-    and positive real part on a fixed seeded sample of 200 disk points
-    before returning.
+    With F = top/bot (`CaratheodoryFn.numerators`) it is the ratio of the
+    lines d top - c bot and a bot - b top, both of which vanish at
+    beta_0..beta_{N-1}. Those zeros are divided out of each (`_divided`),
+    a remainder above VANISH_TOL of its line's scale raising
+    DivisionRemainderTooLarge, and the two quotients are its numerators.
+    Asserts the anchor value 1 (within 1e-9), kept as its
+    `anchor_residual`, and positive real part on a fixed seeded sample of
+    200 disk points before returning. DomainError when F carries no numerators.
     """
-    Ft = ratio_caratheodory(_quad_terms(quad, F), quad.tilde_poles.beta[0])
-    Ft.anchor_residual = anchor_residual(quad, F)
+    Ft = _cofactor_ratio(quad, F)
+    Ft.anchor_residual = abs(Ft(Ft.beta0) - 1.0)
     if not Ft.anchor_residual <= 1e-9:
         raise NumericalFailure(f"transformed C-function anchor defect {Ft.anchor_residual:.2e}")
     re_min = float(np.min(np.real(np.asarray(Ft(_POSITIVITY_POINTS)))))
@@ -252,10 +256,20 @@ def transformed_caratheodory(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> Car
     return Ft
 
 
-def _quad_terms(quad: SelfReciprocalQuad, F: CaratheodoryFn):
-    """terms(z) -> (-C + D F, A - B F), the transformed C-function's numerator and denominator at z."""
-    funcs = (quad.A, quad.B, quad.C, quad.D)
-    return lambda z: _ratio_terms(np.asarray(F(z)), evaluate_stack(funcs, z))
+def _cofactor_ratio(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> CaratheodoryFn:
+    """The transformed C-function as the ratio of its two cofactors, unchecked."""
+    if F.numerators is None:
+        raise DomainError("the transformed C-function reads the numerators of F, and this one carries none")
+    top, bot = F.numerators
+    a, b, c, d = (f.numer for f in (quad.A, quad.B, quad.C, quad.D))
+    lines = (np.convolve(d, top) - np.convolve(c, bot), np.convolve(a, bot) - np.convolve(b, top))
+    (num, num_res), (den, den_res) = (_divided(line, quad.A.poles.beta[: quad.N]) for line in lines)
+    if not (num_res <= VANISH_TOL and den_res <= VANISH_TOL):
+        raise DivisionRemainderTooLarge(f"transformed C-function cofactor remainders {num_res:.2e}, {den_res:.2e}")
+    stack = np.array([num, den])
+    Ft = ratio_caratheodory(lambda z: _horner(stack, z), quad.tilde_poles.beta[0])
+    Ft.numerators = num, den
+    return Ft
 
 
 def _ratio_terms(f, abcd):
@@ -265,24 +279,9 @@ def _ratio_terms(f, abcd):
 
 
 def anchor_residual(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> float:
-    """Deviation of the transformed C-function from 1 at its anchor btilde_0.
-
-    When both the numerator and denominator of the defining ratio vanish
-    there (a removable point, as when earlier poles repeat btilde_0), the
-    residual is the vanishing defect of their difference, scaled by the
-    size of the denominator on a ring nearby, which is the numerical
-    content of the limit.
-    """
-    b0 = quad.tilde_poles.beta[0]
-    ring = b0 + 0.3 * np.exp(2j * np.pi * (np.arange(16) + 0.41) / 16)
-    ring = ring[np.abs(ring) < 0.97]
-    # the anchor and the ring in one evaluation
-    nums, dens = _quad_terms(quad, F)(np.concatenate([[b0], ring]))
-    num, den = complex(nums[0]), complex(dens[0])
-    den_scale = float(np.max(np.abs(dens[1:])))
-    if abs(den) > 1e-6 * den_scale:
-        return abs(num / den - 1.0)
-    return abs(num - den) / den_scale
+    """|F_k(btilde_0) - 1| of the transformed C-function's cofactor ratio,
+    which has no 0/0 at its anchor, even where earlier poles repeat btilde_0."""
+    return abs(_cofactor_ratio(quad, F)(quad.tilde_poles.beta[0]) - 1.0)
 
 
 def _check_order(system: OrfSystem, k):

@@ -14,6 +14,7 @@ from orfkit.engine import lebesgue_orf
 from orfkit.measure import boundary_grid
 from orfkit.serialize import dumps, system_from_dict
 from orfkit.verify import CHECK_NAMES, VerifyContext, run_verification
+from conftest import probe_ladder
 
 SQ3 = np.sqrt(3.0)
 
@@ -377,6 +378,19 @@ class TestArfCommand:
         arf = json.loads((tmp_path / "arf_0.json").read_text())
         assert arf["system"]["levels"][1]["phi"] == base["levels"][1]["phi"]
 
+    @pytest.mark.parametrize("order", [19, 23])
+    def test_orders_the_pointwise_ratio_failed(self, tmp_path, capsys, order):
+        # on this probe the pointwise F_k read anchor defects of 4.9e-9 and
+        # 1.1e-7 at these orders, and arf exited 3
+        s = probe_ladder(24, 5, lcap=0.3)
+        config = {"poles": [[b.real, b.imag] for b in s.poles.beta],
+                  "lambdas": [[lv.lam.real, lv.lam.imag] for lv in s.levels[1:]], "n_max": s.n_max}
+        cfg = write_config(tmp_path, config)
+        assert main(["arf", "--config", cfg, "--order", str(order), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / f"arf_{order}.json").exists() and (tmp_path / f"mu_{order}.csv").exists()
+        disc = float(capsys.readouterr().out.split("discrepancy:")[1])
+        assert disc < 1e-13
+
     def test_order_required(self, tmp_path):
         cfg = write_config(tmp_path, WORKED)
         assert main(["arf", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -453,14 +467,14 @@ def test_artifact_bytes_are_pinned(tmp_path, name):
 # and their pass flags must hold before the digests are recorded again
 _THETA = 2.0 * np.pi * np.arange(256) / 256
 PINNED_VERIFY = {
-    "lambdas-n3": (LAMBDA_CONFIG, "0ea46afc41d8be7a47d72b201956cdbc4d9d77f8a4ff4f0be89374d71a9e0265"),
+    "lambdas-n3": (LAMBDA_CONFIG, "f90a64b25729a638164666213293c8a7ef59d54a5f557f067bdff463cac677a9"),
     "poisson-n5": (
         {
             "poles": [[0.2, -0.1], [0.45, 0.3], [-0.6, 0.15], [0.05, 0.55], [-0.25, -0.5], [0.6, -0.2]],
             "measure": {"type": "poisson", "alpha": [0.3, -0.2]},
             "n_max": 5,
         },
-        "4678a9aa074e39a4cf789ff0dec2099da01dca04dfd72c3dd71a97bd077ce587",
+        "0075cf42fb2a8e3c047c9fef903da165ae2ecdc330d6a07ebbd37f4e3e84e1eb",
     ),
     "samples-n4-grid2048": (
         {
@@ -469,7 +483,7 @@ PINNED_VERIFY = {
             "n_max": 4,
             "grid": 2048,
         },
-        "5ca096420c074fa2d52a0bb6b6258017203bdf69d8bc4a75e68b0b7df77ea524",
+        "8d1dcb79cf20c3de46d5cd5e16c0c8f05e7bf724fae8f874ecb6e50f8597cd7d",
     ),
 }
 
