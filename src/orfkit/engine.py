@@ -27,8 +27,6 @@ from .measure import (
     CaratheodoryFn,
     CircleMeasure,
     _check_grid,
-    _grid_memo,
-    _grid_points_size,
     boundary_grid,
     caratheodory_from_measure,
     default_grid,
@@ -53,7 +51,7 @@ TOL_ORTHO = 1e-9
 # Quadrature accuracy degrades as poles approach the circle; beyond this the
 # constructors demand an explicit override.
 POLE_CAP = 0.9
-# the zero-free gate: a cofactor line whose _zero_free reads at most this has a zero in the closed disk
+# the gate of interpolation's witness: a `_zero_free` reading at most this marks a cofactor zero in the closed disk
 _ZERO_FREE_MIN = 1e-8
 @dataclass(frozen=True)
 class OrfLevel:
@@ -94,7 +92,7 @@ class OrfSystem:
         self.measure = measure
         if n_points is not None:
             _check_grid(n_points)
-        self.n_points = n_points or default_grid(len(self.levels) - 1)
+        self.n_points = default_grid(len(self.levels) - 1) if n_points is None else int(n_points)
         if caratheodory is None and measure is not None:
             caratheodory = caratheodory_from_measure(measure, poles.beta[0], n_points=self.n_points)
         self.caratheodory = caratheodory or caratheodory_from_system(self)
@@ -273,7 +271,8 @@ def synthesize(lambdas, poles: PoleSequence, n_points=None, allow_poles_near_cir
     n_max = len(lambdas)
     _check_poles(poles, n_max, allow_poles_near_circle)
     levels = _run_recurrence(poles, _level_zero(poles, 1.0), ((lam, 1.0) for lam in lambdas))
-    return OrfSystem(poles, levels, source="parameters", n_points=n_points or _completion_grid(levels[-1], n_max))
+    grid = _completion_grid(levels[-1], n_max) if n_points is None else n_points
+    return OrfSystem(poles, levels, source="parameters", n_points=grid)
 
 
 def _completion_grid(top: OrfLevel, n_max: int) -> int:
@@ -309,12 +308,10 @@ def caratheodory_from_system(system: OrfSystem) -> CaratheodoryFn:
 
     It is holomorphic with positive real part (phi*_m is zero-free on the
     closed disk), satisfies F(beta_0) = 1, and the ladder is orthonormal
-    with respect to it through level m. Its values on the points of a
-    `boundary_grid` are computed once and kept; its numerators are those of psi*_m and phi*_m.
+    with respect to it through level m. Its numerators are those of psi*_m and phi*_m.
     """
     top = system.level(system.n_max)
     F = ratio_caratheodory(lambda z: evaluate_stack((top.psi_star, top.phi_star), z), system.poles.beta[0])
-    F.evaluator = _grid_memo(F.evaluator, _grid_points_size)
     F.numerators = top.psi_star.numer, top.phi_star.numer
     return F
 
@@ -324,8 +321,8 @@ def measure_from_system(system: OrfSystem) -> CircleMeasure:
     w(theta) = (1 - |beta_m|^2) / (|t - beta_m|^2 |phi*_m(t)|^2).
 
     The density has mass 1 by construction, since the C-function takes 1
-    at beta_0, and is computed once per uniform grid 2 pi j / N. Its
-    C-function comes back through the moment series like any other's.
+    at beta_0. Its C-function comes back through the moment series like
+    any other's.
     """
     m = system.n_max
     b_m = system.poles.beta[m]
@@ -335,7 +332,7 @@ def measure_from_system(system: OrfSystem) -> CircleMeasure:
         t = np.exp(1j * np.asarray(theta, dtype=float))
         return (1.0 - abs(b_m) ** 2) / (np.abs(t - b_m) ** 2 * np.abs(phi_star(t)) ** 2)
 
-    return CircleMeasure("rational", _grid_memo(fn), mass=1.0)
+    return CircleMeasure("rational", fn, mass=1.0)
 
 
 def _circle_nodes(count: int, n_points: int) -> np.ndarray:
@@ -451,10 +448,10 @@ def gram_schmidt_orf(
 ) -> OrfSystem:
     """Orthonormal ladder for a measure: the recurrence, as `synthesize` runs it, on the (lambda_k, rho_k)
     `_szego_parameters` reads off the grid 2 pi j / N, weights w/N, closed by a Gram check on that grid."""
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 0:
+        raise DomainError(f"n_max must be an integer >= 0, got {n_max!r}")
     _check_poles(poles, n_max, allow_poles_near_circle)
-    n_points = n_points or default_grid(n_max)
+    n_points = default_grid(n_max) if n_points is None else n_points
     _check_grid(n_points)
     if n_max >= n_points:
         raise RankDeficiency(f"basis numerically dependent at level {n_points}")

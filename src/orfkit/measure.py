@@ -59,31 +59,6 @@ def _uniform_size(theta) -> int:
     return n if theta is grid or np.array_equal(theta, grid) else 0
 
 
-def _grid_points_size(z) -> int:
-    """N when z is exactly the points of a boundary_grid(N) already made, else 0."""
-    grid = _GRIDS.get(z.size) if z.ndim == 1 else None
-    return z.size if grid is not None and (z is grid[1] or np.array_equal(z, grid[1])) else 0
-
-
-def _grid_memo(fn, size=_uniform_size):
-    """fn (elementwise) computed once per exact uniform grid and kept
-    read-only; size(x) is the grid's N when the argument x is one, else 0.
-    By default x is angles, 2 pi j / N; other arguments are computed each
-    call."""
-    on_grid = {}
-
-    def memo(x):
-        n = size(x)
-        if not n:
-            return fn(x)
-        if n not in on_grid:
-            on_grid[n] = np.asarray(fn(x))
-            on_grid[n].flags.writeable = False
-        return on_grid[n]
-
-    return memo
-
-
 def default_grid(n_max: int) -> int:
     """Quadrature size max(1024, 64 (n_max + 1)), rounded up to a power of two."""
     n = max(1024, 64 * (n_max + 1))
@@ -91,6 +66,8 @@ def default_grid(n_max: int) -> int:
 
 
 def _check_grid(n_points: int):
+    if not isinstance(n_points, numbers.Integral):
+        raise DomainError(f"grid size must be an integer, got {n_points!r}")
     if n_points < 256 or (n_points & (n_points - 1)) != 0:
         raise DomainError(f"grid size must be a power of two >= 256, got {n_points}")
     if n_points > MAX_GRID:
@@ -310,10 +287,9 @@ def caratheodory_from_measure(mu: CircleMeasure, beta0, n_points: int = 2048) ->
     series then ends at the last moment above it; otherwise N doubles, up
     to 65536 (densities with structure very close to the circle need more
     terms). The dropped tail is below rounding, so the finite series is
-    accurate on the closed disk, the circle included. Its values on the
-    points of a `boundary_grid(N)` are computed once and kept. Its
-    numerators are the series itself, constant 1 - h(beta_0) for the
-    series h of the terms k >= 1, over the constant 1 zero-padded to its length.
+    accurate on the closed disk, the circle included. Its numerators are
+    the series itself, constant 1 - h(beta_0) for the series h of the
+    terms k >= 1, over the constant 1 zero-padded to its length.
     """
     _check_grid(n_points)
     F = CaratheodoryFn(None, beta0)  # rejects |beta_0| >= 1 before any FFT
@@ -344,7 +320,7 @@ def caratheodory_from_measure(mu: CircleMeasure, beta0, n_points: int = 2048) ->
             raise KernelSingularity("C-function evaluation requires |z| <= 1")
         return 1.0 + (_horner(coeffs, z)[0] - at_beta0)
 
-    F.evaluator = _grid_memo(ev, _grid_points_size)
+    F.evaluator = ev
     return F
 
 

@@ -34,7 +34,6 @@ from .measure import (
     weight_from_caratheodory,
 )
 from .engine import (
-    _ZERO_FREE_MIN,
     OrfSystem,
     _completion_grid,
     _determinant_numerators,
@@ -128,8 +127,9 @@ def check_quad(quad: SelfReciprocalQuad, F: CaratheodoryFn, base_poles: PoleSequ
     Both lines are read on coefficients by `_divided`: A D - B C is
     a d - b c over pi^2, and A - B F is a bot - b top over pi bot, F =
     top/bot its `numerators`. Each quotient is its cofactor times factors
-    with no zero in the closed disk; a33 and a42_f read `zeros_inside` on
-    its conjugate reversal. DomainError when F carries no numerators.
+    with no zero in the closed disk; a33 and a42_f are `zeros_inside`'s
+    verdict on its conjugate reversal, 1.0 zero-free and 0.0 not. DomainError
+    when F carries no numerators.
     """
     if F.numerators is None:
         raise DomainError("check_quad reads the numerators of F, and this C-function carries none")
@@ -146,7 +146,7 @@ def check_quad(quad: SelfReciprocalQuad, F: CaratheodoryFn, base_poles: PoleSequ
     a33_min, a42_f_min = (float(np.isfinite(q).all() and zeros_inside(np.conj(q[::-1]), 1.0)) for q in (q3, q42))
 
     passed = bool(a1 <= QUAD_TOL and a2_min > 1e-10 and a3_max <= VANISH_TOL and a42_max <= VANISH_TOL
-                  and a33_min > _ZERO_FREE_MIN and a42_f_min > _ZERO_FREE_MIN)
+                  and a33_min > 0.0 and a42_f_min > 0.0)
     return QuadConditionReport(a1, a2_min, a3_max, a33_min, a42_max, a42_f_min, passed)
 
 
@@ -246,18 +246,6 @@ def transformed_caratheodory(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> Car
     `anchor_residual`, and positive real part on a fixed seeded sample of
     200 disk points before returning. DomainError when F carries no numerators.
     """
-    Ft = _cofactor_ratio(quad, F)
-    Ft.anchor_residual = abs(Ft(Ft.beta0) - 1.0)
-    if not Ft.anchor_residual <= 1e-9:
-        raise NumericalFailure(f"transformed C-function anchor defect {Ft.anchor_residual:.2e}")
-    re_min = float(np.min(np.real(np.asarray(Ft(_POSITIVITY_POINTS)))))
-    if not re_min > 0.0:
-        raise NumericalFailure(f"transformed C-function lost positivity (min Re = {re_min:.2e})")
-    return Ft
-
-
-def _cofactor_ratio(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> CaratheodoryFn:
-    """The transformed C-function as the ratio of its two cofactors, unchecked."""
     if F.numerators is None:
         raise DomainError("the transformed C-function reads the numerators of F, and this one carries none")
     top, bot = F.numerators
@@ -269,19 +257,13 @@ def _cofactor_ratio(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> Caratheodory
     stack = np.array([num, den])
     Ft = ratio_caratheodory(lambda z: _horner(stack, z), quad.tilde_poles.beta[0])
     Ft.numerators = num, den
+    Ft.anchor_residual = abs(Ft(Ft.beta0) - 1.0)
+    if not Ft.anchor_residual <= 1e-9:
+        raise NumericalFailure(f"transformed C-function anchor defect {Ft.anchor_residual:.2e}")
+    re_min = float(np.min(np.real(np.asarray(Ft(_POSITIVITY_POINTS)))))
+    if not re_min > 0.0:
+        raise NumericalFailure(f"transformed C-function lost positivity (min Re = {re_min:.2e})")
     return Ft
-
-
-def _ratio_terms(f, abcd):
-    """(-C + D F, A - B F) from the values f of F and abcd of A, B, C, D."""
-    a, b, c, d = abcd
-    return -c + d * f, a - b * f
-
-
-def anchor_residual(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> float:
-    """|F_k(btilde_0) - 1| of the transformed C-function's cofactor ratio,
-    which has no 0/0 at its anchor, even where earlier poles repeat btilde_0."""
-    return abs(_cofactor_ratio(quad, F)(quad.tilde_poles.beta[0]) - 1.0)
 
 
 def _check_order(system: OrfSystem, k):
@@ -371,9 +353,9 @@ class ArfSystem:
         b0 = self.F_k.beta0
         f = np.asarray(self.base.caratheodory(t))
         w = np.empty(theta.size)
-        for block, abcd in _evaluate_blocks((self.quad.A, self.quad.B, self.quad.C, self.quad.D), t):
-            # F_k on t[block], the points weight_from_caratheodory reads it at
-            f_k = ratio_caratheodory(lambda _: _ratio_terms(f[block], abcd), b0)
+        for block, (a, b, c, d) in _evaluate_blocks((self.quad.A, self.quad.B, self.quad.C, self.quad.D), t):
+            # F_k = (-C + D F)/(A - B F) on t[block], the points weight_from_caratheodory reads it at
+            f_k = ratio_caratheodory(lambda _: (-c + d * f[block], a - b * f[block]), b0)
             w[block] = weight_from_caratheodory(f_k, b0, theta[block])
         return builtin_measure("samples", theta=theta, w=w)
 

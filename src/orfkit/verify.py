@@ -64,15 +64,14 @@ CHECK_NAMES = tuple(DEFAULT_TOLERANCES)
 class VerifyContext:
     """Everything a check needs: the system, its measure, quadrature and
     C-function, the recurrence fit of its stored functions, its associated
-    ladders and their rules, and the seed of the sampled checks. positivity
-    and multiplier_identities draw their samples through ratfun._disk_sample,
+    ladders and the seed of the sampled checks. positivity and
+    multiplier_identities draw their samples through ratfun._disk_sample,
     from the stdlib generator random.Random. Each is built once per context."""
 
     system: OrfSystem
     seed: int
     tolerances: dict
     arfs: dict = field(default_factory=dict, init=False, repr=False)
-    rules: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def measure(self):
@@ -83,7 +82,7 @@ class VerifyContext:
         """What the Gram and Herglotz checks sum on: the measure's grid, or
         without a measure the ladder's own rule."""
         s = self.system
-        return self.rule(0) if s.measure is None else grid_quadrature(s.measure, s.n_points)
+        return szego_rule(s) if s.measure is None else grid_quadrature(s.measure, s.n_points)
 
     @cached_property
     def fits(self):
@@ -96,12 +95,6 @@ class VerifyContext:
         if k not in self.arfs:
             self.arfs[k] = arf_recurrence(self.system, k)
         return self.arfs[k]
-
-    def rule(self, k):
-        """The Szegő rule of the order-k associated ladder (k = 0: the system)."""
-        if k not in self.rules:
-            self.rules[k] = szego_rule(self.arf(k).system)
-        return self.rules[k]
 
     @property
     def F(self):
@@ -183,7 +176,7 @@ def check_arf_orthogonality(ctx):
     worst, rational = [0.0], ctx.system.measure is None
     for k in range(int(rational), min(2, ctx.system.n_max) + 1):
         arf = ctx.arf(k)
-        quad = ctx.rule(k) if rational else grid_quadrature(arf.mu_k, arf.mu_k.params["w"].size)
+        quad = szego_rule(arf.system) if rational else grid_quadrature(arf.mu_k, arf.mu_k.params["w"].size)
         gap = _caratheodory_gap(arf) if rational else 0.0
         worst += [_gram_defect([lv.phi for lv in arf.system.levels], quad), gap]
     return float(np.max(worst))

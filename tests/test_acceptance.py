@@ -37,7 +37,7 @@ from orfkit.engine import (
 from orfkit.transforms import apply_transform_stack
 from orfkit.measure import boundary_grid
 from orfkit.serialize import dumps, system_from_dict, system_to_dict
-from orfkit.transforms import anchor_residual, relation_residual_stack
+from orfkit.transforms import relation_residual_stack
 
 SQ3 = np.sqrt(3.0)
 
@@ -212,10 +212,9 @@ def test_criterion_10_transformed_cfunction(golden, measure_systems, synth_syste
     zs = 0.9 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
     anchor_worst, re_min = 0.0, np.inf
     for system in [golden] + measure_systems + synth_systems[:2]:
-        F = system.caratheodory
         for k in range(min(3, system.n_max) + 1):
             arf = arf_recurrence(system, k)
-            anchor_worst = max(anchor_worst, anchor_residual(arf.quad, F))
+            anchor_worst = max(anchor_worst, arf.F_k.anchor_residual)
             re_min = min(re_min, float(np.min(np.real(arf.F_k(zs)))))
     ok = _line("criterion 10: transformed C-function anchored at 1", anchor_worst, 1e-9)
     ok &= _line("criterion 10: positive real part (min Re)", re_min, 0.0, ok=re_min > 0.0)

@@ -632,10 +632,10 @@ class TestVerifyCommand:
             assert report[name]["residual"] <= 1e-13, name
 
     def test_failed_check_writes_null_residual(self, tmp_path, capsys, monkeypatch):
-        # with a zero-free gate that no cofactor clears, every associated quad
-        # fails its own check, so four checks raise; verify.json must still be
-        # strict JSON
-        monkeypatch.setattr(transforms, "_ZERO_FREE_MIN", 2.0)
+        # with a Schur-Cohn test that finds every cofactor has a zero in the
+        # disk, every associated quad fails its own check, so four checks
+        # raise; verify.json must still be strict JSON
+        monkeypatch.setattr(transforms, "zeros_inside", lambda *args: False)
         cfg = write_config(
             tmp_path,
             {

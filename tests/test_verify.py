@@ -80,8 +80,7 @@ def test_verify_builds_each_order_once(monkeypatch):
         (verify, "measure_from_system"),
         (verify, "arf_recurrence"),
         (transforms, "arf_recurrence"),
-        (verify, "anchor_residual"),
-        (transforms, "anchor_residual"),
+        (verify, "szego_rule"),
         (transforms, "apply_transform_stack"),
         (verify, "apply_transform_stack"),
     ):
@@ -99,7 +98,7 @@ def test_verify_builds_each_order_once(monkeypatch):
         "transformed_caratheodory": 4,
         "measure_from_system": 1,
         "arf_recurrence": 4,
-        "anchor_residual": 0,
+        "szego_rule": 3,
         "apply_transform_stack": 4,
     }
 
