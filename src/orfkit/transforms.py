@@ -47,7 +47,6 @@ from .ratfun import (
     PoleSequence,
     RatFun,
     _disk_sample,
-    _evaluate_blocks,
     _horner,
     superstar,
 )
@@ -303,8 +302,9 @@ class ArfSystem:
     Everything else derived from (base, order) is computed on first access
     and kept: `quad` (the quad of the level-k para-orthogonal pairs),
     `explicit` (the pairs of the explicit transform route), `F_k` (the
-    base C-function through that quad's transform) and `mu_k` (the density
-    of F_k, sampled on this order's own grid). A failure in one of them is
+    base C-function through that quad's transform, on its own numerators)
+    and `mu_k` (the density of that F_k on this order's grid, the one route
+    from the quad to the transformed measure). A failure in one of them is
     raised at that first access; F_k builds and checks the quad first.
     """
 
@@ -340,23 +340,15 @@ class ArfSystem:
 
     @cached_property
     def mu_k(self) -> CircleMeasure:
-        """Samples of the F_k boundary density, Re F_k on the circle.
-
-        The grid is the larger of the base ladder's and the completion grid
-        of this ladder's own top level, whose zeros can lie closer to the
-        circle than the base ladder's. The base C-function is read on the
-        whole grid once; F_k, whose checks run first, is formed from its
-        terms there one block of the grid at a time.
+        """Samples of the density of F_k, Re F_k on the circle
+        (`weight_from_caratheodory`), on this order's grid: the larger of
+        the base ladder's and the completion grid of this ladder's own top
+        level, whose zeros can lie closer to the circle than the base
+        ladder's. F_k's checks run first.
         """
         own = _completion_grid(self.system.levels[-1], self.system.n_max)
-        theta, t = boundary_grid(max(self.base.n_points, own))
-        b0 = self.F_k.beta0
-        f = np.asarray(self.base.caratheodory(t))
-        w = np.empty(theta.size)
-        for block, (a, b, c, d) in _evaluate_blocks((self.quad.A, self.quad.B, self.quad.C, self.quad.D), t):
-            # F_k = (-C + D F)/(A - B F) on t[block], the points weight_from_caratheodory reads it at
-            f_k = ratio_caratheodory(lambda _: (-c + d * f[block], a - b * f[block]), b0)
-            w[block] = weight_from_caratheodory(f_k, b0, theta[block])
+        theta, _ = boundary_grid(max(self.base.n_points, own))
+        w = weight_from_caratheodory(self.F_k, self.F_k.beta0, theta)
         return builtin_measure("samples", theta=theta, w=w)
 
 

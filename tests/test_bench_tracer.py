@@ -78,8 +78,8 @@ def test_benchmark_check_counts_match_verify():
 # bytes of measure-sourced artifacts, which the lambda configs of
 # test_cli.PINNED_DIGESTS do not reach
 SWEEP_DIGESTS = {
-    "arf_1.json": "9f7ef8f8530ee697d54edd1c8454a93286f90183d4847296626936bf535d556c",
-    "mu_1.csv": "3ff3034cc56baae1223c4b5dc57d75f6fd7d734f37cf8b763eb14f776144f921",
+    "arf_1.json": "1c195633c66b6736223c710f09226cea9bd8d682bf3d0edc5a80e319686a259b",
+    "mu_1.csv": "b8c6a3df70d066f7fcf32645153b1aebe52a485fbb5c1c0678b1cbaccf6030fb",
     "orf.json": "5e269be14b3a56eb234a93444167db16fa93c88af3f3e3a7d768721beb3808fb",
     "orf_table.csv": "09e0001cde5f58f2d09661a2a8313347ed157f785066d55250326ec681294e97",
 }

@@ -440,14 +440,14 @@ PINNED_DIGESTS = {
     "n3": {
         "orf.json": "78e2a1ae55a5c9a447183639f5deefbc9e734086a292e8312ea40e27610ecc0f",
         "orf_table.csv": "900a89f57762a98008a0896e9f8c5ae9f3ca9b4104eb76b8b4aa3104e92be52c",
-        "arf_1.json": "17227a6d13ee233e702ad8c6509daf03461dfea3f92cd21d66c591f6a541cfbb",
-        "mu_1.csv": "174550a588c27e38b28244192d76cb6c2869cee4a329589c6fb5fc0cf7bc5756",
+        "arf_1.json": "98e62595111049c49f24efaaad92a2e9eeee68c14a7a2d5471057fbf4185dd86",
+        "mu_1.csv": "949db33bf9ff096ff9fb648db1873f8ebd749ecd0c776ae1c6b8e694f34d9b8f",
     },
     "n6-grid4096": {
         "orf.json": "eaac47853ab2e48ffecec9fe1005e313e24fb3ad0c0049cd6e6168c5c527094f",
         "orf_table.csv": "e17b3bb69554a01a2be1f94877be5e6fda6b32a0d1a998daacb8a8646d0635c9",
-        "arf_1.json": "e9f00aff482010842c48dfa66910a0f43f746bc0e0e4bdd01fe98bccd289bebd",
-        "mu_1.csv": "1d733544702e20709685805ef0f64ca2c371319111e32e0c1de2fbc797f4877c",
+        "arf_1.json": "a42e8230a99e66699fa84206b4c97a2e533117fdd534489aaa6d00aba114f130",
+        "mu_1.csv": "f5db99d99220bece1d1d60d663224ccb5b9eedfd1bd2c88cf6b3ef1ce70f47ee",
     },
 }
 
@@ -474,7 +474,7 @@ PINNED_VERIFY = {
             "measure": {"type": "poisson", "alpha": [0.3, -0.2]},
             "n_max": 5,
         },
-        "0075cf42fb2a8e3c047c9fef903da165ae2ecdc330d6a07ebbd37f4e3e84e1eb",
+        "b691cdcf7a9bc93be3c2a3feaac94d6bb619c72161546c305a15403fce1d8054",
     ),
     "samples-n4-grid2048": (
         {
@@ -483,7 +483,7 @@ PINNED_VERIFY = {
             "n_max": 4,
             "grid": 2048,
         },
-        "8d1dcb79cf20c3de46d5cd5e16c0c8f05e7bf724fae8f874ecb6e50f8597cd7d",
+        "d8b3573ef2aab5f7bcb72dc4699e2be7d54385cc8855da580d8299499ea082ad",
     ),
 }
 

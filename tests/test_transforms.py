@@ -8,6 +8,7 @@ from orfkit import (
     ConditionUnchecked,
     DivisionRemainderTooLarge,
     DomainError,
+    NegativeDensity,
     NumericalFailure,
     OrfSystem,
     PoleSequence,
@@ -162,8 +163,7 @@ class TestCheckQuad:
         def fail(*args, **kwargs):
             raise AssertionError("check_quad evaluated on the circle")
 
-        for name in ("_evaluate_blocks", "boundary_grid"):
-            monkeypatch.setattr(transforms, name, fail)
+        monkeypatch.setattr(transforms, "boundary_grid", fail)
         for s in (synth_system, poisson_system, expcos_system):
             assert check_quad(arf_quad(s, k), s.caratheodory, s.poles).passed
 
@@ -473,17 +473,30 @@ def reference_terms(system, F, k):
 )
 def test_F_k_is_the_para_pair_ratio(request, ladder, k):
     # F_k, the ratio of the cofactors of the order's quad, is the para-pair
-    # ratio to rounding, and its density table is that ratio's bit for bit;
-    # its anchor reads rounding, also where worked_system at k = 2 has
-    # beta_2 = beta_0, a 0/0 of the para-pair ratio
+    # ratio to rounding; its density table is F_k's own bit for bit and the
+    # para-pair ratio's to rounding; its anchor reads rounding, also where
+    # worked_system at k = 2 has beta_2 = beta_0, a 0/0 of the para-pair ratio
     s = request.getfixturevalue(ladder)
     arf = arf_recurrence(s, k)
     ref = ratio_caratheodory(reference_terms(s, s.caratheodory, k), s.poles.beta[k])
     zs = disk_points(8)
     assert_allclose(arf.F_k(zs), ref(zs), rtol=1e-12)
-    theta = arf.mu_k.params["theta"]
-    assert np.array_equal(arf.mu_k.params["w"], weight_from_caratheodory(ref, s.poles.beta[k], theta))
+    theta, w = arf.mu_k.params["theta"], arf.mu_k.params["w"]
+    assert np.array_equal(w, weight_from_caratheodory(arf.F_k, arf.F_k.beta0, theta))
+    assert_allclose(w, weight_from_caratheodory(ref, s.poles.beta[k], theta), rtol=1e-12)
     assert arf.F_k.anchor_residual <= 1e-13
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_mu_k_guards_its_density(poisson_system, k):
+    # mu_k is the density of the F_k it holds: one whose real part is
+    # negative on the circle (here the true F_k negated) raises, whatever
+    # the quad's A, B, C and D read there
+    arf = arf_recurrence(poisson_system, k)
+    F_k = arf.F_k
+    arf.__dict__["F_k"] = CaratheodoryFn(lambda z: -F_k(z), F_k.beta0)
+    with pytest.raises(NegativeDensity):
+        arf.mu_k
 
 
 class TestRelations:
@@ -565,7 +578,7 @@ def test_relation_stack_evaluates_nothing(synth_system, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("relation_residual_stack evaluated a function")
 
-    for name in ("boundary_grid", "_horner", "_evaluate_blocks"):
+    for name in ("boundary_grid", "_horner"):
         monkeypatch.setattr(transforms, name, fail)
     reps = relation_residual_stack(arfs, [(0, 1, 2), (0, 2, 4), (1, 2, 3)])
     assert max(rep.max_residual() for rep in reps) < 1e-12

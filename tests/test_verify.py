@@ -848,15 +848,17 @@ def test_verify_reads_the_grid_in_reader_blocks(monkeypatch):
     # every evaluate_stack call of a measure ladder's verify on more than
     # 1024 points of the 8192-point grid is a block of
     # ratfun._evaluate_blocks (the step for its function count, or the last
-    # remainder); its density and its moment-series C-function are read
+    # remainder); its density, its moment-series C-function and the
+    # transformed densities mu_k (F_k on its two numerators) are read
     # without one
     large = [call for call in _stack_calls(monkeypatch, _n6_measure_ladder()) if call[2] > 1024]
     for count, degrees, points in large:
         step = max(1024, (1 << 18) // (16 * count * (2 if degrees == 1 else 1)))
         assert points in (step, 8192 % step), (count, points)
     # interpolation and the quads of the moment-series C-function read
-    # numerators, so they evaluate no grid block
-    assert len(large) > 20
+    # numerators, and no quad's A, B, C and D are stacked on the grid
+    assert len(large) == 14
+    assert all(count != 4 for count, _, _ in large)
 
 
 def test_lambda_verify_reads_no_more_than_the_fourier_grid(monkeypatch):
