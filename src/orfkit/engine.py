@@ -30,7 +30,6 @@ from .measure import (
     boundary_grid,
     caratheodory_from_measure,
     default_grid,
-    ratio_caratheodory,
 )
 from .ratfun import (
     _BLOCK_POINTS,
@@ -311,9 +310,7 @@ def caratheodory_from_system(system: OrfSystem) -> CaratheodoryFn:
     with respect to it through level m. Its numerators are those of psi*_m and phi*_m.
     """
     top = system.level(system.n_max)
-    F = ratio_caratheodory(lambda z: evaluate_stack((top.psi_star, top.phi_star), z), system.poles.beta[0])
-    F.numerators = top.psi_star.numer, top.phi_star.numer
-    return F
+    return CaratheodoryFn(top.psi_star.numer, top.phi_star.numer, system.poles.beta[0])
 
 
 def measure_from_system(system: OrfSystem) -> CircleMeasure:
@@ -560,7 +557,7 @@ def _remainders(line, roots):
 def interpolation_residual_stack(system: OrfSystem):
     """Interpolation structure of each level 0..m of the ladder against its
     C-function F = top/bot (`CaratheodoryFn.numerators`), as arrays
-    (residual, witness), one entry per level; DomainError when F carries no numerators.
+    (residual, witness), one entry per level.
 
     phi_n F + psi_n must vanish at beta_0..beta_{n-1} and phi_n^* F - psi_n^*
     at beta_0..beta_n, each to every pole's multiplicity. Times pi_n bot
@@ -575,8 +572,6 @@ def interpolation_residual_stack(system: OrfSystem):
     lines' degree: the line's values from one FFT, over pi_n bot, times
     conj(zeta_0 B_{n-1}), which is unimodular there.
     """
-    if system.caratheodory.numerators is None:
-        raise DomainError("interpolation reads the numerators of F, and this C-function carries none")
     top, bot = system.caratheodory.numerators
     poles = system.poles
     size = max(fourier_grid(system), 1 << (system.n_max + top.size - 1).bit_length())

@@ -21,8 +21,7 @@ from .errors import (
 )
 from .ratfun import _BLOCK_BYTES, _horner
 
-# C-functions built from quadrature reject evaluation beyond this modulus:
-# the closed disk, up to rounding.
+# C-functions reject evaluation beyond this modulus: the closed disk, up to rounding.
 MAX_MODULUS = 1.0 + 1e-12
 # the largest grid or table accepted from outside: 16 MiB per complex row
 MAX_GRID = 1 << 20
@@ -233,31 +232,46 @@ def inner_product(mu: CircleMeasure, f, g, n_points: int = 1024) -> complex:
     return complex(vals.mean())
 
 
-class CaratheodoryFn:
-    """Evaluable holomorphic function on the disk with positive real part.
+def _anchor(beta0) -> complex:
+    """beta0 as a complex number; DomainError unless |beta0| < 1."""
+    beta0 = complex(beta0)
+    if not abs(beta0) < 1.0:
+        raise DomainError("|beta_0| < 1 required")
+    return beta0
 
-    Normalized so F(beta0) = 1; beta0 anchors the Herglotz kernel that ties
-    the function to its measure. `anchor_residual` is the measured defect of
-    F(beta0) = 1 when the builder checked it, else None; `numerators` is
-    the polynomials (top, bot) of one length, F = top/bot, which every
-    library builder sets (a ladder's, a moment series, a transformed
-    C-function), else None.
+
+class CaratheodoryFn:
+    """Holomorphic function on the disk with positive real part, F = top/bot:
+    it is its numerators.
+
+    `numerators` is the polynomials (top, bot), constant first: nonempty,
+    1-d and of one length, else DomainError. Normalized so F(beta0) = 1;
+    beta0 anchors the Herglotz kernel that ties the function to its
+    measure. `anchor_residual` is the measured defect of F(beta0) = 1 when
+    the builder checked it, else None. A call is one Horner pass over the
+    two numerators and their ratio; it raises KernelSingularity at a point
+    beyond the closed disk (|z| > MAX_MODULUS) and DenominatorVanishes
+    where |bot| falls below 1e-13 of |top| + |bot| + 1.
     """
 
-    __slots__ = ("evaluator", "beta0", "anchor_residual", "numerators")
+    __slots__ = ("numerators", "beta0", "anchor_residual")
 
-    def __init__(self, evaluator, beta0):
-        beta0 = complex(beta0)
-        if not abs(beta0) < 1.0:
-            raise DomainError("|beta_0| < 1 required")
-        self.evaluator = evaluator
-        self.beta0 = beta0
+    def __init__(self, top, bot, beta0):
+        top, bot = np.asarray(top, dtype=complex), np.asarray(bot, dtype=complex)
+        if top.ndim != 1 or not top.size or top.shape != bot.shape:
+            raise DomainError("C-function numerators must be nonempty 1-d arrays of one length")
+        self.numerators = np.array([top, bot])
+        self.beta0 = _anchor(beta0)
         self.anchor_residual = None
-        self.numerators = None
 
     def __call__(self, z):
-        out = self.evaluator(np.asarray(z, dtype=complex))
-        out = np.asarray(out)
+        z = np.asarray(z, dtype=complex)
+        if (np.abs(z) > MAX_MODULUS).any():
+            raise KernelSingularity("C-function evaluation requires |z| <= 1")
+        top, bot = _horner(self.numerators, z)
+        if (np.abs(bot) < 1e-13 * (np.abs(top) + np.abs(bot) + 1.0)).any():
+            raise DenominatorVanishes("C-function hit a zero of its denominator")
+        out = top / bot
         return out if out.ndim else complex(out)
 
 
@@ -281,21 +295,21 @@ def caratheodory_from_measure(mu: CircleMeasure, beta0, n_points: int = 2048) ->
 
     As Re D_{beta_0}(t, z) = P(t, z)/P(t, beta_0), F is the Herglotz
     transform of v = w/P(., beta_0) plus the constant that makes F(beta_0)
-    exactly 1: F(z) = 1 + 2 sum_{k>=1} c_k (z^k - beta_0^k), with the
+    1: F(z) = 1 + 2 sum_{k>=1} c_k (z^k - beta_0^k), with the
     moments c_k of `_moment_series`. A grid of N points is accepted when
     the moments N/4 <= k < N/2 are at or below the rounding floor, and the
     series then ends at the last moment above it; otherwise N doubles, up
     to 65536 (densities with structure very close to the circle need more
     terms). The dropped tail is below rounding, so the finite series is
-    accurate on the closed disk, the circle included. Its numerators are
-    the series itself, constant 1 - h(beta_0) for the series h of the
-    terms k >= 1, over the constant 1 zero-padded to its length.
+    accurate on the closed disk, the circle included. It is the series
+    itself, constant 1 - h(beta_0) for the series h of the terms k >= 1,
+    over the constant 1 zero-padded to its length.
     """
     _check_grid(n_points)
-    F = CaratheodoryFn(None, beta0)  # rejects |beta_0| >= 1 before any FFT
+    beta0 = _anchor(beta0)  # before any FFT
     n = n_points
     while True:
-        c, floor = _moment_series(mu, F.beta0, n)
+        c, floor = _moment_series(mu, beta0, n)
         tail = float(np.max(np.abs(c[n // 4 : n // 2])))
         if tail <= floor:
             break
@@ -307,21 +321,12 @@ def caratheodory_from_measure(mu: CircleMeasure, beta0, n_points: int = 2048) ->
             )
         n *= 2
     last = np.flatnonzero(np.abs(c[: n // 4]) > floor)[-1]
-    coeffs = 2.0 * c[None, : last + 1]
-    coeffs[0, 0] = 0.0
-    at_beta0 = _horner(coeffs, np.asarray(F.beta0))[0]
-    top, bot = coeffs[0].copy(), np.zeros(last + 1, dtype=complex)
-    top[0], bot[0] = 1.0 - at_beta0, 1.0
-    F.numerators = top, bot
-
-    def ev(z):
-        z = np.asarray(z, dtype=complex)
-        if (np.abs(z) > MAX_MODULUS).any():
-            raise KernelSingularity("C-function evaluation requires |z| <= 1")
-        return 1.0 + (_horner(coeffs, z)[0] - at_beta0)
-
-    F.evaluator = ev
-    return F
+    top = 2.0 * c[: last + 1]
+    top[0] = 0.0
+    top[0] = 1.0 - _horner(top[None], np.asarray(beta0))[0]
+    bot = np.zeros(last + 1, dtype=complex)
+    bot[0] = 1.0
+    return CaratheodoryFn(top, bot, beta0)
 
 
 def weight_from_caratheodory(F: CaratheodoryFn, beta0, theta):
@@ -342,16 +347,3 @@ def weight_from_caratheodory(F: CaratheodoryFn, beta0, theta):
     if np.any(w < 0):
         raise NegativeDensity("recovered density negative; F is not a C-function here")
     return w
-
-
-def ratio_caratheodory(terms, beta0) -> CaratheodoryFn:
-    """C-function realized as a pointwise ratio top/bot, where terms(z)
-    returns the pair (top, bot) of values at z in one call."""
-
-    def ev(z):
-        top, bot = terms(np.asarray(z, dtype=complex))
-        if (np.abs(bot) < 1e-13 * (np.abs(top) + np.abs(bot) + 1.0)).any():
-            raise DenominatorVanishes("ratio C-function hit a zero of its denominator")
-        return top / bot
-
-    return CaratheodoryFn(ev, beta0)

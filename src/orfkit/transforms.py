@@ -30,7 +30,6 @@ from .measure import (
     CircleMeasure,
     boundary_grid,
     builtin_measure,
-    ratio_caratheodory,
     weight_from_caratheodory,
 )
 from .engine import (
@@ -47,7 +46,6 @@ from .ratfun import (
     PoleSequence,
     RatFun,
     _disk_sample,
-    _horner,
     superstar,
 )
 from .zeros import zeros_inside
@@ -127,11 +125,8 @@ def check_quad(quad: SelfReciprocalQuad, F: CaratheodoryFn, base_poles: PoleSequ
     a d - b c over pi^2, and A - B F is a bot - b top over pi bot, F =
     top/bot its `numerators`. Each quotient is its cofactor times factors
     with no zero in the closed disk; a33 and a42_f are `zeros_inside`'s
-    verdict on its conjugate reversal, 1.0 zero-free and 0.0 not. DomainError
-    when F carries no numerators.
+    verdict on its conjugate reversal, 1.0 zero-free and 0.0 not.
     """
-    if F.numerators is None:
-        raise DomainError("check_quad reads the numerators of F, and this C-function carries none")
     N, r, tau = quad.N, quad.r, quad.tau_A
     funcs = (quad.A, quad.B, quad.C, quad.D)
     a, b, c, d = (f.numer for f in funcs)
@@ -163,13 +158,14 @@ def apply_transform_stack(system: OrfSystem, quad: SelfReciprocalQuad, c_n, offs
 
     The numerators are read on the M-th roots of unity, M the power of two
     above the degree 2N + r + max(offsets) of their products with A, B, C
-    and D. There each line is divided by the known common factor of c_n P_N
-    B_N, kappa prod_{j<N} (z - beta_j)(1 - conj(beta_j) z), which has no
-    zero on the circle, and one FFT gives the quotient's coefficients. An
-    exact quotient has degree r + n; one that is not has poles inside the
-    disk, whose negative modes alias into the modes above that degree, so
-    those modes above 1e-10 of the quotient's scale mean the quad
-    conditions do not actually hold. Post-asserts the superstar pairing
+    and D: their values there are one inverse FFT of their zero-padded
+    coefficients. There each line is divided by the known common factor of
+    c_n P_N B_N, kappa prod_{j<N} (z - beta_j)(1 - conj(beta_j) z), which
+    has no zero on the circle, and one FFT gives the quotient's
+    coefficients. An exact quotient has degree r + n; one that is not has
+    poles inside the disk, whose negative modes alias into the modes above
+    that degree, so those modes above 1e-10 of the quotient's scale mean
+    the quad conditions do not actually hold. Post-asserts the superstar pairing
     G^* = tau_A H, J^* = tau_A K. The levels go through one pass, as rows
     of one array per function; every row keeps its own mode and pairing
     test, and the first level that fails one raises.
@@ -208,8 +204,8 @@ def apply_transform_stack(system: OrfSystem, quad: SelfReciprocalQuad, c_n, offs
         lv = system.level(N + v)
         for row, f in zip(numers[:, i], (lv.phi, lv.phi_star, lv.psi, lv.psi_star)):
             row[: N + v + 1] = f.numer
-    p, p_s, q, q_s = _horner(numers.reshape(-1, top + 1), t).reshape(4, len(offsets), size)
-    a, b, c, d = _horner(np.array([f.numer for f in (quad.A, quad.B, quad.C, quad.D)]), t)
+    p, p_s, q, q_s = np.fft.ifft(numers, size, axis=-1, norm="forward")
+    a, b, c, d = np.fft.ifft(np.array([f.numer for f in (quad.A, quad.B, quad.C, quad.D)]), size, norm="forward")
     factor = np.full(size, kappa)
     for root in base.beta[:N]:
         factor = factor * (t - root) * (1.0 - np.conj(root) * t)
@@ -240,22 +236,18 @@ def transformed_caratheodory(quad: SelfReciprocalQuad, F: CaratheodoryFn) -> Car
     lines d top - c bot and a bot - b top, both of which vanish at
     beta_0..beta_{N-1}. Those zeros are divided out of each (`_divided`),
     a remainder above VANISH_TOL of its line's scale raising
-    DivisionRemainderTooLarge, and the two quotients are its numerators.
-    Asserts the anchor value 1 (within 1e-9), kept as its
+    DivisionRemainderTooLarge, and the two quotients are the result's
+    numerators. Asserts the anchor value 1 (within 1e-9), kept as its
     `anchor_residual`, and positive real part on a fixed seeded sample of
-    200 disk points before returning. DomainError when F carries no numerators.
+    200 disk points before returning.
     """
-    if F.numerators is None:
-        raise DomainError("the transformed C-function reads the numerators of F, and this one carries none")
     top, bot = F.numerators
     a, b, c, d = (f.numer for f in (quad.A, quad.B, quad.C, quad.D))
     lines = (np.convolve(d, top) - np.convolve(c, bot), np.convolve(a, bot) - np.convolve(b, top))
     (num, num_res), (den, den_res) = (_divided(line, quad.A.poles.beta[: quad.N]) for line in lines)
     if not (num_res <= VANISH_TOL and den_res <= VANISH_TOL):
         raise DivisionRemainderTooLarge(f"transformed C-function cofactor remainders {num_res:.2e}, {den_res:.2e}")
-    stack = np.array([num, den])
-    Ft = ratio_caratheodory(lambda z: _horner(stack, z), quad.tilde_poles.beta[0])
-    Ft.numerators = num, den
+    Ft = CaratheodoryFn(num, den, quad.tilde_poles.beta[0])
     Ft.anchor_residual = abs(Ft(Ft.beta0) - 1.0)
     if not Ft.anchor_residual <= 1e-9:
         raise NumericalFailure(f"transformed C-function anchor defect {Ft.anchor_residual:.2e}")

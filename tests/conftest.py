@@ -107,8 +107,7 @@ def perturbed_ladders(system, n=3, size=1e-6):
     phi_m = bent(system.level(system.n_max).phi)
     out["top"] = with_level(system.n_max, None, phi=phi_m, phi_star=superstar(phi_m))
     if system.measure is not None:
-        wrong = CaratheodoryFn(lambda z: (1 + tilt) * F(z), F.beta0)
-        wrong.numerators = (1 + tilt) * F.numerators[0], F.numerators[1]
+        wrong = CaratheodoryFn((1 + tilt) * F.numerators[0], F.numerators[1], F.beta0)
         out["F"] = OrfSystem(system.poles, system.levels, system.source, system.measure, wrong, system.n_points)
     return out
 

@@ -467,14 +467,14 @@ def test_artifact_bytes_are_pinned(tmp_path, name):
 # and their pass flags must hold before the digests are recorded again
 _THETA = 2.0 * np.pi * np.arange(256) / 256
 PINNED_VERIFY = {
-    "lambdas-n3": (LAMBDA_CONFIG, "f90a64b25729a638164666213293c8a7ef59d54a5f557f067bdff463cac677a9"),
+    "lambdas-n3": (LAMBDA_CONFIG, "f9cfb99b12c498c2d5e0d638d79c933e5686fe0a6f7a47894b8044084c94a15b"),
     "poisson-n5": (
         {
             "poles": [[0.2, -0.1], [0.45, 0.3], [-0.6, 0.15], [0.05, 0.55], [-0.25, -0.5], [0.6, -0.2]],
             "measure": {"type": "poisson", "alpha": [0.3, -0.2]},
             "n_max": 5,
         },
-        "b691cdcf7a9bc93be3c2a3feaac94d6bb619c72161546c305a15403fce1d8054",
+        "b6c65ae589b267d59630a8b8753da029a15bdb809e82370bde8464a84cd00dfe",
     ),
     "samples-n4-grid2048": (
         {
@@ -483,7 +483,7 @@ PINNED_VERIFY = {
             "n_max": 4,
             "grid": 2048,
         },
-        "d8b3573ef2aab5f7bcb72dc4699e2be7d54385cc8855da580d8299499ea082ad",
+        "fe35004f98eae4cae2fb9711bc986a486392c2946ba864461a603239f53ad325",
     ),
 }
 

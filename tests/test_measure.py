@@ -16,6 +16,7 @@ from orfkit import (
     NumericalFailure,
     PoleSequence,
     RatFun,
+    arf_recurrence,
     builtin_measure,
     caratheodory_from_measure,
     caratheodory_from_system,
@@ -34,7 +35,6 @@ from orfkit.measure import (
     _trig_eval,
     boundary_grid,
     default_grid,
-    ratio_caratheodory,
 )
 from orfkit.ratfun import KernelParams
 from orfkit.verify import DEFAULT_TOLERANCES, VerifyContext, check_arf_orthogonality
@@ -345,7 +345,7 @@ class TestInnerProduct:
 class TestCaratheodory:
     def test_ratio_at_a_zero_of_its_denominator(self):
         # (1 + z)/(1 - 2z) is read at z = 0.1 and at the zero 0.5 of its denominator
-        F = ratio_caratheodory(lambda z: (1.0 + z, 1.0 - 2.0 * z), 0.0)
+        F = CaratheodoryFn([1.0, 1.0], [1.0, -2.0], 0.0)
         assert F(0.1) == pytest.approx(1.1 / 0.8)
         with pytest.raises(DenominatorVanishes):
             F(np.array([0.1, 0.5]))
@@ -377,12 +377,35 @@ class TestCaratheodory:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.1, float("nan"))])
     def test_rejects_non_finite_anchor(self, bad):
         with pytest.raises(DomainError):
-            CaratheodoryFn(lambda z: np.ones_like(z), bad)
+            CaratheodoryFn([1.0], [1.0], bad)
 
     def test_rejects_outside_disk(self):
         F = caratheodory_from_measure(builtin_measure("lebesgue"), 0.0)
         with pytest.raises(KernelSingularity):
             F(1.0 + 1e-9)
+
+    @pytest.mark.parametrize(
+        "top, bot", [([], []), ([[1.0, 0.5]], [[1.0, 0.0]]), ([1.0, 0.5], [1.0])], ids=["empty", "2-d", "unequal"]
+    )
+    def test_rejects_malformed_numerators(self, top, bot):
+        with pytest.raises(DomainError, match="numerators"):
+            CaratheodoryFn(top, bot, 0.0)
+
+    @pytest.mark.parametrize("which", ["ladder", "F_k"])
+    def test_every_c_function_keeps_both_guards(self, synth_system, which):
+        # a ladder's psi*_m/phi*_m and an F_k evaluate as the moment series
+        # does: KernelSingularity beyond the closed disk. Their denominators
+        # have no zero in it, so the conjugate reversal of bot, whose zeros
+        # are the reflections of bot's, stands in: DenominatorVanishes at one
+        F = synth_system.caratheodory if which == "ladder" else arf_recurrence(synth_system, 1).F_k
+        with pytest.raises(KernelSingularity):
+            F(1.0 + 1e-9)
+        top, bot = F.numerators
+        reflected = np.conj(bot[::-1])
+        zero = min(np.roots(reflected[::-1]), key=abs)
+        assert abs(zero) < 1.0
+        with pytest.raises(DenominatorVanishes):
+            CaratheodoryFn(top, reflected, F.beta0)(np.array([0.0, zero]))
 
     def test_finite_on_circle(self):
         # the series is cut below rounding, so it converges on |z| = 1
@@ -475,32 +498,30 @@ class TestMomentSeries:
         "kind, beta0",
         [("lebesgue", 0.3 - 0.4j), ("poisson", 0.4 + 0.1j), ("samples", 0.0)],
     )
-    def test_series_values_match_polyval(self, monkeypatch, kind, beta0):
-        # the series runs through ratfun's Horner with polyval's operations:
-        # on grid arrays the values keep polyval's bits. The value at beta_0
-        # is taken on a one-element array, as _horner takes it (numpy
-        # multiplies scalars in another loop, which rounds differently).
+    def test_series_values_match_polyval(self, kind, beta0):
+        # F is one Horner pass over its numerators, with polyval's
+        # operations: on grid arrays the values keep the bits of the
+        # polyval ratio. The series 1 + (h(z) - h(beta_0)) of the terms
+        # k >= 1 it sums agrees within 1e-15 of its largest value, and
+        # F(beta_0) is 1 within an ulp: the constant 1 - h(beta_0) rounds once
         mu = {
             "lebesgue": builtin_measure("lebesgue"),
             "poisson": builtin_measure("poisson", alpha=0.3 - 0.2j),
             "samples": _table_measure(256),
         }[kind]
-        seen = []
-
-        def spy(numers, z):
-            seen.append(numers[0].copy())
-            return ratfun._horner(numers, z)
-
-        monkeypatch.setattr(measure, "_horner", spy)
         F = caratheodory_from_measure(mu, beta0, n_points=256)
+        top, bot = F.numerators
+        terms = np.append(0.0, top[1:])
+        at_beta0 = npp.polyval(np.array([beta0]), terms)[0]
         for n_points in (256, 1024, 4096):
             _, t = boundary_grid(n_points)
             vals = F(t)
-            at_beta0 = npp.polyval(np.array([beta0]), seen[-1])[0]
-            assert_array_equal(vals, 1.0 + (npp.polyval(t, seen[-1]) - at_beta0))
-        assert F(beta0) == 1.0
+            assert_array_equal(vals, npp.polyval(t, top) / npp.polyval(t, bot))
+            series = 1.0 + (npp.polyval(t, terms) - at_beta0)
+            assert np.max(np.abs(vals - series)) <= 1e-15 * np.max(np.abs(series))
+        assert abs(F(beta0) - 1.0) <= EPS
         # Lebesgue anchored at beta_0 is the linear 1 - 2 conj(beta_0)(z - beta_0)/(1 - |beta_0|^2)
-        assert len({c.size for c in seen}) == 1 and seen[-1].size > 1
+        assert top.size > 1
 
     @pytest.mark.parametrize(
         "kind, beta0",
@@ -575,14 +596,14 @@ class TestMomentSeries:
 
 class TestWeightRecovery:
     def test_identity_case(self):
-        F = CaratheodoryFn(lambda z: np.ones_like(z), 0.0)
+        F = CaratheodoryFn([1.0], [1.0], 0.0)
         theta, _ = boundary_grid(256)
         assert_allclose(weight_from_caratheodory(F, 0.0, theta), 1.0, atol=1e-12)
 
     def test_anchored_constant_gives_rational_modification(self):
         # F = 1 anchored at beta_1 recovers (1-|beta_1|^2)/|t - beta_1|^2
         b1 = 0.5
-        F = CaratheodoryFn(lambda z: np.ones_like(z), b1)
+        F = CaratheodoryFn([1.0], [1.0], b1)
         theta, t = boundary_grid(256)
         w = weight_from_caratheodory(F, b1, theta)
         assert_allclose(w, (1 - b1**2) / np.abs(t - b1) ** 2, rtol=1e-10)
@@ -596,7 +617,7 @@ class TestWeightRecovery:
         assert np.max(np.abs(w - mu.weight(theta))) < 1e-12
 
     def test_negative_density_detected(self):
-        F = CaratheodoryFn(lambda z: -np.ones_like(z), 0.0)
+        F = CaratheodoryFn([-1.0], [1.0], 0.0)
         theta, _ = boundary_grid(256)
         with pytest.raises(NegativeDensity):
             weight_from_caratheodory(F, 0.0, theta)

@@ -28,9 +28,9 @@ from orfkit import (
     transformed_caratheodory,
     weight_from_caratheodory,
 )
-from orfkit import cli, transforms
-from orfkit.engine import _fit_ladder, identity_residual_stack, interpolation_residual_stack
-from orfkit.measure import CaratheodoryFn, boundary_grid, ratio_caratheodory
+from orfkit import cli, measure, ratfun, transforms
+from orfkit.engine import _fit_ladder, identity_residual_stack
+from orfkit.measure import CaratheodoryFn, boundary_grid
 from orfkit.ratfun import evaluate_stack
 from orfkit.transforms import arf_discrepancy, apply_transform_stack, relation_residual_stack
 from conftest import probe_ladder, random_poles
@@ -111,8 +111,7 @@ class TestCheckQuad:
         a = RatFun(poles, [1.0, 0.0, -1.0], 2)
         b = RatFun(poles, [0.0, 1.0, 0.0], 2)
         quad = SelfReciprocalQuad(a, b, b, a, 1.0, 2, 0, PoleSequence([-0.3]))
-        F = CaratheodoryFn(lambda z: np.ones_like(z), 0.0)
-        F.numerators = np.ones(1), np.ones(1)
+        F = CaratheodoryFn(np.ones(1), np.ones(1), 0.0)
         rep = check_quad(quad, F, poles)
         assert not rep.passed
         assert rep.a2_min < 1e-10
@@ -166,20 +165,6 @@ class TestCheckQuad:
         monkeypatch.setattr(transforms, "boundary_grid", fail)
         for s in (synth_system, poisson_system, expcos_system):
             assert check_quad(arf_quad(s, k), s.caratheodory, s.poles).passed
-
-    def test_caratheodory_without_numerators_is_refused(self, poisson_system):
-        # a C-function known only by its values has no lines to divide, and
-        # neither check_quad, the transformed C-function nor interpolation
-        # reads it another way
-        s = poisson_system
-        F = CaratheodoryFn(s.caratheodory, s.poles.beta[0])
-        with pytest.raises(DomainError, match="numerators"):
-            check_quad(arf_quad(s, 1), F, s.poles)
-        with pytest.raises(DomainError, match="numerators"):
-            transformed_caratheodory(arf_quad(s, 1), F)
-        bare = OrfSystem(s.poles, s.levels, s.source, s.measure, F, s.n_points)
-        with pytest.raises(DomainError, match="numerators"):
-            interpolation_residual_stack(bare)
 
     @pytest.mark.parametrize("n, seed, orders", [(256, 1, [0, 1, 2, 3]), (64, 0, [57, 58, 59, 61])])
     def test_quads_that_the_grid_could_not_read(self, n, seed, orders):
@@ -299,8 +284,7 @@ class TestTransformedCaratheodory:
     def test_nan_is_a_failure(self):
         # nan fails every comparison, so the remainder, anchor and positivity
         # tests are written to fail on it: NaN numerators give a NaN residual
-        F = CaratheodoryFn(lambda z: np.nan * z, 0.0)
-        F.numerators = np.array([np.nan, 1.0]), np.array([1.0, 0.0])
+        F = CaratheodoryFn([np.nan, 1.0], [1.0, 0.0], 0.0)
         with np.errstate(invalid="ignore"), pytest.raises(DivisionRemainderTooLarge, match="nan"):
             transformed_caratheodory(identity_quad(PoleSequence([0.0, 0.3])), F)
 
@@ -452,18 +436,15 @@ class TestArfCaratheodory:
             assert np.isfinite(arf.mu_k.params["w"]).all(), k
 
 
-def reference_terms(system, F, k):
-    """The order-k ratio written in the level-k para-orthogonal pairs:
-    (Phi_{k,1} F + Psi_{k,1}, Phi_{k,-1} F + Psi_{k,-1})."""
+def reference_numerators(system, F, k):
+    """The order-k ratio written in the level-k para-orthogonal pairs,
+    (Phi_{k,1} F + Psi_{k,1})/(Phi_{k,-1} F + Psi_{k,-1}), as numerators:
+    with F = top/bot, both lines times bot, with the zeros they share at
+    beta_0..beta_{k-1} left in."""
     pp1 = para_pair(system, k, 1.0)
     ppm = para_pair(system, k, -1.0)
-
-    def terms(z):
-        phi1, psi1, phim, psim = evaluate_stack((pp1.Phi, pp1.Psi, ppm.Phi, ppm.Psi), z)
-        f = np.asarray(F(z))
-        return phi1 * f + psi1, phim * f + psim
-
-    return terms
+    top, bot = F.numerators
+    return tuple(np.convolve(pp.Phi.numer, top) + np.convolve(pp.Psi.numer, bot) for pp in (pp1, ppm))
 
 
 @pytest.mark.parametrize(
@@ -478,7 +459,7 @@ def test_F_k_is_the_para_pair_ratio(request, ladder, k):
     # worked_system at k = 2 has beta_2 = beta_0, a 0/0 of the para-pair ratio
     s = request.getfixturevalue(ladder)
     arf = arf_recurrence(s, k)
-    ref = ratio_caratheodory(reference_terms(s, s.caratheodory, k), s.poles.beta[k])
+    ref = CaratheodoryFn(*reference_numerators(s, s.caratheodory, k), s.poles.beta[k])
     zs = disk_points(8)
     assert_allclose(arf.F_k(zs), ref(zs), rtol=1e-12)
     theta, w = arf.mu_k.params["theta"], arf.mu_k.params["w"]
@@ -494,7 +475,7 @@ def test_mu_k_guards_its_density(poisson_system, k):
     # the quad's A, B, C and D read there
     arf = arf_recurrence(poisson_system, k)
     F_k = arf.F_k
-    arf.__dict__["F_k"] = CaratheodoryFn(lambda z: -F_k(z), F_k.beta0)
+    arf.__dict__["F_k"] = CaratheodoryFn(-F_k.numerators[0], F_k.numerators[1], F_k.beta0)
     with pytest.raises(NegativeDensity):
         arf.mu_k
 
@@ -578,8 +559,8 @@ def test_relation_stack_evaluates_nothing(synth_system, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("relation_residual_stack evaluated a function")
 
-    for name in ("boundary_grid", "_horner"):
-        monkeypatch.setattr(transforms, name, fail)
+    for module, name in [(transforms, "boundary_grid"), (ratfun, "_horner"), (measure, "_horner")]:
+        monkeypatch.setattr(module, name, fail)
     reps = relation_residual_stack(arfs, [(0, 1, 2), (0, 2, 4), (1, 2, 3)])
     assert max(rep.max_residual() for rep in reps) < 1e-12
     assert relation_residual_stack(arfs, []) == []
