@@ -19,7 +19,6 @@ from .errors import (
     ZeroOffCircle,
 )
 from .ratfun import (
-    KernelParams,
     PoleSequence,
     RatFun,
     blaschke_factor,

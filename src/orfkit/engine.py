@@ -32,12 +32,9 @@ from .measure import (
     default_grid,
 )
 from .ratfun import (
-    _BLOCK_POINTS,
-    KernelParams,
     PoleSequence,
     RatFun,
     _disk_sample,
-    _evaluate_blocks,
     _stack_top,
     blaschke_factor,
     evaluate_stack,
@@ -105,10 +102,6 @@ class OrfSystem:
         if not 0 <= n <= self.n_max:
             raise DomainError(f"level {n} outside 0..{self.n_max}")
         return self.levels[n]
-
-    @property
-    def kernel(self) -> KernelParams:
-        return KernelParams(self.poles.beta[0])
 
 
 @dataclass(frozen=True)
@@ -338,6 +331,10 @@ def _circle_nodes(count: int, n_points: int) -> np.ndarray:
     return np.exp(1j * (2.0 * np.pi * np.arange(count) / count + np.pi / n_points))
 
 
+# every sum over a Quadrature reads its nodes in blocks of this many
+_BLOCK_POINTS = 1024
+
+
 @dataclass(frozen=True)
 class Quadrature:
     """The rule sum_j weights_j f(nodes_j) of a measure on the circle. Herglotz
@@ -373,16 +370,17 @@ def szego_rule(system: OrfSystem) -> Quadrature:
     return Quadrature(nodes, 1.0 / sums, 2.0 ** (-1.0 / (m + 1)), 0.0, np.exp(0.5j * (ring[at] + ring[at + 1])))
 
 
-def _herglotz_sums(kp, quad: Quadrature, zs, rows):
+def _herglotz_sums(poles: PoleSequence, quad: Quadrature, zs, rows):
     """Sums over the rule of D(t, z) h(t) w at the points zs and of h(t) w,
-    for each row h of rows(t) (its values at nodes t) and the constant 1 as
-    the last row, one _BLOCK_POINTS block of nodes per kernel and rows call."""
+    D the Herglotz kernel of poles' anchor, for each row h of rows(t) (its
+    values at nodes t) and the constant 1 as the last row, one _BLOCK_POINTS
+    block of nodes per kernel and rows call."""
     d_hw = h_w = 0.0
     for lo in range(0, quad.nodes.size, _BLOCK_POINTS):
         t, w = quad.nodes[lo : lo + _BLOCK_POINTS], quad.weights[lo : lo + _BLOCK_POINTS]
         h = rows(t)
         hw = np.concatenate([h, np.ones((1, h.shape[1]))]) * w
-        d_hw = d_hw + hw @ herglotz_kernel(kp, t[None], zs[:, None]).T
+        d_hw = d_hw + hw @ herglotz_kernel(poles, t[None], zs[:, None]).T
         h_w = h_w + hw.sum(axis=1)
     return d_hw, h_w
 
@@ -406,7 +404,7 @@ def second_kind_integral_stack(quad: Quadrature, system: OrfSystem) -> list:
     count = 1 << m.bit_length()
     j = np.arange(count)
     zs = quad.radius * np.exp(1j * (2.0 * np.pi * j / count + quad.phase))
-    d_fw, f_w = _herglotz_sums(system.kernel, quad, zs, lambda t: evaluate_stack(phis, t))
+    d_fw, f_w = _herglotz_sums(poles, quad, zs, lambda t: evaluate_stack(phis, t))
     values = d_fw[:-1] - evaluate_stack(phis, zs) * d_fw[-1] + f_w[:-1, None]
     values *= np.array([poles.pi(n, zs) for n in range(m + 1)])
     coeffs = np.fft.fft(values, axis=1) / count * (np.exp(-1j * quad.phase * j) / quad.radius**j)
@@ -462,11 +460,13 @@ def gram_schmidt_orf(
 
 def _gram_defect(funcs, quad: Quadrature) -> float:
     """Sup deviation from the identity of the Gram matrix of the RatFuns
-    funcs on the rule quad, summed one block of nodes at a time: their
-    samples take a block's worth of memory, not a whole grid's."""
+    funcs on the rule quad, summed over the _BLOCK_POINTS blocks of nodes
+    that _herglotz_sums walks: their samples take a block's worth of
+    memory, not a whole grid's."""
     gram = 0.0
-    for block, v in _evaluate_blocks(funcs, quad.nodes):
-        gram = gram + (v * quad.weights[block]) @ v.conj().T
+    for lo in range(0, quad.nodes.size, _BLOCK_POINTS):
+        v = evaluate_stack(funcs, quad.nodes[lo : lo + _BLOCK_POINTS])
+        gram = gram + (v * quad.weights[lo : lo + _BLOCK_POINTS]) @ v.conj().T
     return float(np.max(np.abs(gram - np.eye(len(funcs)))))
 
 
@@ -628,7 +628,7 @@ def second_kind_functional_residual_stack(system: OrfSystem, quad: Quadrature, s
     def rows(t):
         return evaluate_stack(phis, t) * multipliers(t).reshape(len(phis), -1)
 
-    d_hw, h_w = _herglotz_sums(system.kernel, quad, zs, rows)
+    d_hw, h_w = _herglotz_sums(system.poles, quad, zs, rows)
     herglotz = (d_hw[:-1] - h_z * d_hw[-1]).reshape(-1, 2, zs.size)
     # the mean enters the f line with +, the g line with -, as does psi
     sign = np.array([1.0, -1.0])[:, None]

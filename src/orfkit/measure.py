@@ -19,7 +19,7 @@ from .errors import (
     NonPositiveWeight,
     NumericalFailure,
 )
-from .ratfun import _BLOCK_BYTES, _horner
+from .ratfun import _horner
 
 # C-functions reject evaluation beyond this modulus: the closed disk, up to rounding.
 MAX_MODULUS = 1.0 + 1e-12
@@ -71,6 +71,10 @@ def _check_grid(n_points: int):
         raise DomainError(f"grid size must be a power of two >= 256, got {n_points}")
     if n_points > MAX_GRID:
         raise DomainError(f"grid size must be at most {MAX_GRID}, got {n_points}")
+
+
+# _trig_eval holds this many bytes of values at a time
+_BLOCK_BYTES = 1 << 18
 
 
 def _trig_eval(coeffs, freqs, theta):
@@ -329,19 +333,20 @@ def caratheodory_from_measure(mu: CircleMeasure, beta0, n_points: int = 2048) ->
     return CaratheodoryFn(top, bot, beta0)
 
 
-def weight_from_caratheodory(F: CaratheodoryFn, beta0, theta):
+def weight_from_caratheodory(F: CaratheodoryFn, theta):
     """Recover the boundary density w(theta) from a C-function.
 
-    w(theta) = Re F(t) (1 - |beta0|^2)/|t - beta0|^2 at t = e^(i theta).
-    The beta0-dependent factor compensates the anchored Poisson kernel; with
-    F = 1 and beta0 = beta_1 this reproduces the rational modification
+    w(theta) = Re F(t) (1 - |beta_0|^2)/|t - beta_0|^2 at t = e^(i theta),
+    beta_0 = F.beta0, the point where F takes 1: the factor compensates the
+    Poisson kernel anchored there, so it is read off F, not given beside it.
+    With F = 1 anchored at beta_1 this reproduces the rational modification
     (1 - |beta_1|^2)/|t - beta_1|^2 of the Lebesgue density, the case that
     pins the formula down. F is read on the circle itself: the C-functions
     built here (ratios of rational functions, moment series cut below
     rounding) are analytic across it.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    b0 = complex(beta0)
+    b0 = F.beta0
     t = np.exp(1j * theta)
     w = np.real(np.asarray(F(t))) * (1.0 - abs(b0) ** 2) / np.abs(t - b0) ** 2
     if np.any(w < 0):

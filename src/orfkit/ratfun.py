@@ -24,9 +24,6 @@ from .errors import (
 
 # Pole-proximity guard: reject |1 - conj(beta) z| < TAU_POLE * (1 + |z|).
 TAU_POLE = 1e-13
-# a block of a grid pass holds this many bytes of values, and at least _BLOCK_POINTS points
-_BLOCK_BYTES = 1 << 18
-_BLOCK_POINTS = 1024
 
 
 class PoleSequence:
@@ -191,18 +188,6 @@ def evaluate_stack(fs, z) -> np.ndarray:
     return out
 
 
-def _evaluate_blocks(fs, z):
-    """(block, evaluate_stack(fs, z[block])) for slices block of consecutive
-    points that cover the 1-d array z, in order, each holding _BLOCK_BYTES of
-    the values a call holds and at least _BLOCK_POINTS points. A stack of one
-    degree counts twice: evaluate_stack holds its values and their Horner table."""
-    rows = len(fs) * (2 if len({f.n for f in fs}) == 1 else 1)
-    step = max(_BLOCK_POINTS, _BLOCK_BYTES // (16 * rows))
-    for lo in range(0, z.size, step):
-        block = slice(lo, lo + step)
-        yield block, evaluate_stack(fs, z[block])
-
-
 def _horner(numers, z):
     """The rows numers (m, n+1) of polynomial coefficients, evaluated at z.
 
@@ -283,26 +268,9 @@ def blaschke_product(poles: PoleSequence, k: int, z) -> complex | np.ndarray:
     return out if out.ndim else complex(out)
 
 
-class KernelParams:
-    """The distinguished point beta_0 anchoring the two circle kernels."""
-
-    __slots__ = ("beta0",)
-
-    def __init__(self, beta0):
-        beta0 = complex(beta0)
-        if not abs(beta0) < 1.0:
-            raise DomainError("|beta_0| < 1 required")
-        self.beta0 = beta0
-
-    def zeta0(self, z):
-        z = np.asarray(z, dtype=complex)
-        _pole_guard(np.conj([self.beta0]), z, 0)
-        eta0 = np.conj(self.beta0) / abs(self.beta0) if self.beta0 != 0 else 1.0
-        return eta0 * (z - self.beta0) / (1.0 - np.conj(self.beta0) * z)
-
-
-def herglotz_kernel(kp: KernelParams, t, z) -> complex | np.ndarray:
-    """Riesz-Herglotz kernel D(t, z) = (zeta_0(t) + zeta_0(z))/(zeta_0(t) - zeta_0(z)).
+def herglotz_kernel(poles: PoleSequence, t, z) -> complex | np.ndarray:
+    """Riesz-Herglotz kernel D(t, z) = (zeta_0(t) + zeta_0(z))/(zeta_0(t) - zeta_0(z)),
+    zeta_0 = blaschke_factor(poles, 0, .), the factor of the anchor beta_0.
 
     Equals 1 at z = beta_0 for every admissible t. KernelSingularity where
     |den| < 1e-12 (|zeta_0(t)| + |zeta_0(z)| + 1), den = zeta_0(t) - zeta_0(z).
@@ -311,8 +279,8 @@ def herglotz_kernel(kp: KernelParams, t, z) -> complex | np.ndarray:
     does, since rounding is monotone), which spares the (nodes x points)
     sum of moduli and comparison on every call that clears.
     """
-    zt = np.asarray(kp.zeta0(t))
-    zz = np.asarray(kp.zeta0(z))
+    zt = np.asarray(blaschke_factor(poles, 0, t))
+    zz = np.asarray(blaschke_factor(poles, 0, z))
     den = zt - zz
     abs_den, abs_zt, abs_zz = np.abs(den), np.abs(zt), np.abs(zz)
     bound = 1e-12 * (np.max(abs_zt, initial=0.0) + np.max(abs_zz, initial=0.0) + 1.0)
@@ -323,8 +291,9 @@ def herglotz_kernel(kp: KernelParams, t, z) -> complex | np.ndarray:
     return out if out.ndim else complex(out)
 
 
-def poisson_kernel(kp: KernelParams, t, z) -> complex | np.ndarray:
-    """Poisson kernel P(t, z) for t on the circle and z in the disk.
+def poisson_kernel(poles: PoleSequence, t, z) -> complex | np.ndarray:
+    """Poisson kernel P(t, z) for t on the circle and z in the disk, anchored
+    at beta_0 = poles.beta[0].
 
     Computed from the closed product form; the value is real and positive
     (any imaginary part is rounding noise). P(t, beta_n) is the weight P_n.
@@ -335,7 +304,7 @@ def poisson_kernel(kp: KernelParams, t, z) -> complex | np.ndarray:
         raise DomainError("Poisson kernel requires |t| = 1")
     if not np.all(np.abs(z) < 1.0):
         raise DomainError("Poisson kernel requires |z| < 1")
-    b0 = kp.beta0
+    b0 = poles.beta[0]
     num = (1.0 - np.abs(z) ** 2) * (1.0 - np.conj(b0) * t) * (t - b0)
     den = (1.0 - abs(b0) ** 2) * (1.0 - np.conj(z) * t) * (t - z)
     out = num / den

@@ -340,7 +340,7 @@ class ArfSystem:
         """
         own = _completion_grid(self.system.levels[-1], self.system.n_max)
         theta, _ = boundary_grid(max(self.base.n_points, own))
-        w = weight_from_caratheodory(self.F_k, self.F_k.beta0, theta)
+        w = weight_from_caratheodory(self.F_k, theta)
         return builtin_measure("samples", theta=theta, w=w)
 
 

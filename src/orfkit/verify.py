@@ -226,7 +226,7 @@ def check_roundtrip_measure(ctx):
     # the density back from the ladder's own C-function: a lambda ladder's
     # psi*_m/phi*_m needs no moment series of its density
     theta, _ = boundary_grid(512)
-    w = weight_from_caratheodory(ctx.F, ctx.system.poles.beta[0], theta)
+    w = weight_from_caratheodory(ctx.F, theta)
     return float(np.max(np.abs(w - ctx.measure.weight(theta))))
 
 

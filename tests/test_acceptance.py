@@ -252,7 +252,7 @@ def test_criterion_12_round_trips(measure_systems):
          -0.2),
     ):
         F = caratheodory_from_measure(mu, b0)
-        w = weight_from_caratheodory(F, b0, theta)
+        w = weight_from_caratheodory(F, theta)
         w_err = max(w_err, float(np.max(np.abs(w - mu.weight(theta)))))
     ok &= _line("criterion 12: measure -> C-function -> density", w_err, 1e-6)
 

@@ -483,7 +483,7 @@ PINNED_VERIFY = {
             "n_max": 4,
             "grid": 2048,
         },
-        "fe35004f98eae4cae2fb9711bc986a486392c2946ba864461a603239f53ad325",
+        "a3aca0421d88696cb5995621961b93926f4cb288fa65257a64139fe18d17b9af",
     ),
 }
 

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from orfkit import (
     DomainError,
-    KernelParams,
     OrfSystem,
     ParameterOutOfDisk,
     PoleMismatch,
@@ -18,6 +17,7 @@ from orfkit import (
     RankDeficiency,
     RatFun,
     ZeroOffCircle,
+    blaschke_factor,
     blaschke_product,
     builtin_measure,
     caratheodory_from_measure,
@@ -53,7 +53,7 @@ from orfkit.engine import (
 )
 from orfkit.measure import boundary_grid, default_grid
 from orfkit.ratfun import _disk_sample
-from orfkit.transforms import arf_quad, arf_recurrence
+from orfkit.transforms import arf_recurrence
 from orfkit.verify import VerifyContext, check_para_zeros, run_verification
 
 from conftest import probe_ladder
@@ -191,33 +191,6 @@ class TestGramSchmidt:
             )
             assert_allclose(_gram_defect(scaled, grid_quadrature(mu, n_points)), expected, rtol=1e-12)
 
-    def test_blocks_count_rows_from_the_functions(self, synth_system):
-        # at N = 8192 the reader's blocks of a quad's four functions, of a
-        # (phi_n, psi_n) pair and of a 7-level Gram stack are those of the
-        # hand counts 8, 4 and 7 complex values per point: 2048, 4096 and
-        # 2340 points
-        _, t = boundary_grid(8192)
-        quad = arf_quad(synth_system, 1)
-        lv = synth_system.level(3)
-        ladder = synthesize(np.full(6, 0.2), PoleSequence(np.zeros(7)))
-        for funcs, step in (
-            ((quad.A, quad.B, quad.C, quad.D), 2048),
-            ((lv.phi, lv.psi), 4096),
-            ([level.phi for level in ladder.levels], 2340),
-        ):
-            blocks = [block for block, _ in ratfun._evaluate_blocks(funcs, t)]
-            assert blocks == [slice(lo, lo + step) for lo in range(0, 8192, step)]
-
-    def test_blocks_cover_the_points_in_order_with_the_bits_of_one_call(self):
-        # 7 levels take 2340-point blocks: 3000 points are one full block
-        # and a remainder, read in order, with the bits of one call
-        z = 0.999 * np.exp(2j * np.pi * np.random.default_rng(3).random(3000))
-        ladder = synthesize(np.full(6, 0.2 - 0.1j), PoleSequence(0.5 * np.exp(1j * np.arange(7))))
-        phis = [lv.phi for lv in ladder.levels]
-        blocks, values = zip(*ratfun._evaluate_blocks(phis, z))
-        assert blocks == (slice(0, 2340), slice(2340, 4680))
-        assert_array_equal(np.concatenate(values, axis=1), evaluate_stack(phis, z))
-
     @pytest.mark.parametrize("n", [3, 12, 24])
     @pytest.mark.parametrize("beta0", [0.0, 0.3 - 0.4j])
     @pytest.mark.parametrize("kind", ["lebesgue", "poisson", "samples"])
@@ -231,13 +204,12 @@ class TestGramSchmidt:
         poles = disk_poles(n, n + 1, beta0)
         s = gram_schmidt_orf(mu, poles, n)
         ref = reference_gram_schmidt(mu, poles, n, s.n_points)
-        kp = KernelParams(beta0)
         theta, t = boundary_grid(s.n_points)
-        w, zt = mu.weight(theta), kp.zeta0(t)
+        w, zt = mu.weight(theta), blaschke_factor(poles, 0, t)
         for k, phi in enumerate(ref):
             lv = s.level(k)
             assert _rel(lv.phi.numer, phi.numer) < 1e-12
-            psi = reference_second_kind_on_grid(poles, kp, phi, k, w, zt, phi(t))
+            psi = reference_second_kind_on_grid(poles, phi, k, w, zt, phi(t))
             assert _rel(lv.psi.numer, psi.numer) < 1e-12
         fits = _fit_ladder(poles, ref, [superstar(phi) for phi in ref])
         ref_lams = [_parameters(fit)[0] for fit in fits]
@@ -562,13 +534,13 @@ class TestSecondKind:
     def test_herglotz_means_match_nodewise_loop(self, poisson_system):
         # psi_4 from the stack, at its five nodes, against the defining
         # difference-form means taken one node at a time
-        s, kp = poisson_system, poisson_system.kernel
+        s = poisson_system
         theta, t = boundary_grid(s.n_points)
         w = s.measure.weight(theta)
         phi = s.level(4).phi
         nodes = _circle_nodes(5, s.n_points)
-        zt = kp.zeta0(t)
-        ref = [((zt + kp.zeta0(z)) / (zt - kp.zeta0(z)) * (phi(t) - phi(z)) * w).mean() for z in nodes]
+        zt, zz = blaschke_factor(s.poles, 0, t), blaschke_factor(s.poles, 0, nodes)
+        ref = [((zt + zn) / (zt - zn) * (phi(t) - phi(z)) * w).mean() for z, zn in zip(nodes, zz)]
         psi = second_kind_integral_stack(_grid(s), s)[4]
         assert_allclose(psi(nodes), np.array(ref) + (phi(t) * w).mean(), rtol=1e-12)
 
@@ -723,7 +695,7 @@ class TestDeterminant:
         for m, numer in enumerate(_determinant_numerators(poles, 8)):
             assert numer.size == 2 * m + 1
             got = npp.polyval(t, numer) / poles.pi(m, t) ** 2
-            want = 2.0 * poisson_kernel(KernelParams(poles.beta[0]), t, poles.beta[m]) * blaschke_product(poles, m, t)
+            want = 2.0 * poisson_kernel(poles, t, poles.beta[m]) * blaschke_product(poles, m, t)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), m
 
     def test_rows_over_other_poles_are_refused(self):
@@ -787,8 +759,7 @@ class TestInterpolation:
         def fail(*args, **kwargs):
             raise AssertionError("interpolation evaluated a function")
 
-        for module, name in [(engine, "evaluate_stack"), (engine, "_evaluate_blocks"), (ratfun, "_horner"),
-                             (measure, "_horner")]:
+        for module, name in [(engine, "evaluate_stack"), (ratfun, "_horner"), (measure, "_horner")]:
             monkeypatch.setattr(module, name, fail)
         resid, witness = interpolation_residual_stack(s)
         assert np.all(resid < 1e-12) and np.all(witness > 1e-8)
@@ -1191,15 +1162,15 @@ class TestBitIdenticalKernels:
 # n + 1 nodes, through one (n + 1) x N table of D(t, z) (phi(t) - phi(z)) w(t).
 
 
-def reference_herglotz_means(kp, zt, w, f_t, nodes, f_nodes):
-    zz = kp.zeta0(nodes)[:, None]
+def reference_herglotz_means(poles, zt, w, f_t, nodes, f_nodes):
+    zz = blaschke_factor(poles, 0, nodes)[:, None]
     return ((zt + zz) / (zt - zz) * (f_t - f_nodes[:, None]) * w).mean(axis=1)
 
 
-def reference_second_kind_on_grid(poles, kp, phi, n, w, zt, phi_t):
+def reference_second_kind_on_grid(poles, phi, n, w, zt, phi_t):
     n_points = w.size
     nodes = _circle_nodes(n + 1, n_points)
-    values = reference_herglotz_means(kp, zt, w, phi_t, nodes, phi(nodes)) + (phi_t * w).mean()
+    values = reference_herglotz_means(poles, zt, w, phi_t, nodes, phi(nodes)) + (phi_t * w).mean()
     coeffs = np.fft.fft(values * poles.pi(n, nodes)) / (n + 1)
     return RatFun(poles, coeffs * np.exp(-1j * np.pi / n_points * np.arange(n + 1)), n)
 
@@ -1207,7 +1178,7 @@ def reference_second_kind_on_grid(poles, kp, phi, n, w, zt, phi_t):
 def reference_second_kind(mu, s, n):
     theta, t = boundary_grid(s.n_points)
     phi = s.level(n).phi
-    return reference_second_kind_on_grid(s.poles, s.kernel, phi, n, mu.weight(theta), s.kernel.zeta0(t), phi(t))
+    return reference_second_kind_on_grid(s.poles, phi, n, mu.weight(theta), blaschke_factor(s.poles, 0, t), phi(t))
 
 
 def _disk(rng, cap, size):

@@ -17,6 +17,7 @@ from orfkit import (
     PoleSequence,
     RatFun,
     arf_recurrence,
+    blaschke_factor,
     builtin_measure,
     caratheodory_from_measure,
     caratheodory_from_system,
@@ -36,7 +37,6 @@ from orfkit.measure import (
     boundary_grid,
     default_grid,
 )
-from orfkit.ratfun import KernelParams
 from orfkit.verify import DEFAULT_TOLERANCES, VerifyContext, check_arf_orthogonality
 
 from conftest import substar_eval
@@ -454,7 +454,7 @@ def _pulled_back_caratheodory(mu, beta0, n):
         n *= 2
     coeffs = 2.0 * c[: np.flatnonzero(np.abs(c[: n // 4]) > floor)[-1] + 1]
     coeffs[0] = 0.0
-    return lambda z: 1.0 + ratfun._horner(coeffs[None], KernelParams(beta0).zeta0(z))[0]
+    return lambda z: 1.0 + ratfun._horner(coeffs[None], blaschke_factor(PoleSequence([beta0]), 0, z))[0]
 
 
 def _table_measure(m):
@@ -563,7 +563,7 @@ class TestMomentSeries:
         F = caratheodory_from_measure(builtin_measure("poisson", alpha=alpha), beta0, n_points=256)
         theta = boundary_grid(512)[0] + np.pi / 512
         exact = (1.0 - abs(alpha) ** 2) / np.abs(np.exp(1j * theta) - alpha) ** 2
-        assert_allclose(weight_from_caratheodory(F, beta0, theta), exact, rtol=1e-12, atol=0)
+        assert_allclose(weight_from_caratheodory(F, theta), exact, rtol=1e-12, atol=0)
 
     def test_rational_measure_gives_its_completion(self):
         # a lambda ladder's density goes back through the series to the
@@ -598,14 +598,14 @@ class TestWeightRecovery:
     def test_identity_case(self):
         F = CaratheodoryFn([1.0], [1.0], 0.0)
         theta, _ = boundary_grid(256)
-        assert_allclose(weight_from_caratheodory(F, 0.0, theta), 1.0, atol=1e-12)
+        assert_allclose(weight_from_caratheodory(F, theta), 1.0, atol=1e-12)
 
     def test_anchored_constant_gives_rational_modification(self):
         # F = 1 anchored at beta_1 recovers (1-|beta_1|^2)/|t - beta_1|^2
         b1 = 0.5
         F = CaratheodoryFn([1.0], [1.0], b1)
         theta, t = boundary_grid(256)
-        w = weight_from_caratheodory(F, b1, theta)
+        w = weight_from_caratheodory(F, theta)
         assert_allclose(w, (1 - b1**2) / np.abs(t - b1) ** 2, rtol=1e-10)
 
     @pytest.mark.parametrize("alpha,beta0", [(0.3, 0.0), (0.4 - 0.3j, 0.1 + 0.1j)])
@@ -613,14 +613,14 @@ class TestWeightRecovery:
         mu = builtin_measure("poisson", alpha=alpha)
         F = caratheodory_from_measure(mu, beta0)
         theta, _ = boundary_grid(512)
-        w = weight_from_caratheodory(F, beta0, theta)
+        w = weight_from_caratheodory(F, theta)
         assert np.max(np.abs(w - mu.weight(theta))) < 1e-12
 
     def test_negative_density_detected(self):
         F = CaratheodoryFn([-1.0], [1.0], 0.0)
         theta, _ = boundary_grid(256)
         with pytest.raises(NegativeDensity):
-            weight_from_caratheodory(F, 0.0, theta)
+            weight_from_caratheodory(F, theta)
 
 
 def test_grid_bound():

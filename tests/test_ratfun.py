@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from orfkit import (
     DomainError,
-    KernelParams,
     KernelSingularity,
     PoleMismatch,
     PoleProximity,
@@ -216,16 +215,6 @@ def reference_blaschke_factor(poles, k, z):
     return out if out.ndim else complex(out)
 
 
-def reference_zeta0(beta0, z):
-    """KernelParams(beta0).zeta0 with its own point-by-point pole test."""
-    z = np.asarray(z, dtype=complex)
-    den = 1.0 - np.conj(beta0) * z
-    if (np.abs(den) < TAU_POLE * (1.0 + np.abs(z))).any():
-        raise PoleProximity("zeta_0 evaluated too close to its pole")
-    eta0 = np.conj(beta0) / abs(beta0) if beta0 != 0 else 1.0
-    return eta0 * (z - beta0) / den
-
-
 class TestFactorPoleGuard:
     # zeta_k and zeta_0 test their pole with the bound-first guard of
     # evaluate_stack; away from it they keep the bits of the elementwise test
@@ -234,9 +223,7 @@ class TestFactorPoleGuard:
 
     def factors(self):
         poles = PoleSequence(self.BETA)
-        kp = KernelParams(self.BETA[0])
-        yield 0, lambda z: kp.zeta0(z), lambda z: reference_zeta0(kp.beta0, z)
-        for k in (1, 3, 4):
+        for k in (0, 1, 3, 4):
             yield (
                 k,
                 lambda z, k=k: blaschke_factor(poles, k, z),
@@ -281,75 +268,75 @@ class TestKernels:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.1, float("nan"))])
     def test_rejects_non_finite_anchor(self, bad):
         with pytest.raises(DomainError):
-            KernelParams(bad)
+            PoleSequence([bad])
 
     def test_herglotz_centered(self):
-        kp = KernelParams(0.0)
-        assert_allclose(herglotz_kernel(kp, 1.0, 0.5), 3.0)
-        assert_allclose(herglotz_kernel(kp, circle(), 0.0), 1.0)
+        poles = PoleSequence([0.0])
+        assert_allclose(herglotz_kernel(poles, 1.0, 0.5), 3.0)
+        assert_allclose(herglotz_kernel(poles, circle(), 0.0), 1.0)
 
     def test_herglotz_anchor(self):
-        kp = KernelParams(0.3 - 0.1j)
-        assert_allclose(herglotz_kernel(kp, circle(), 0.3 - 0.1j), 1.0, atol=1e-14)
+        poles = PoleSequence([0.3 - 0.1j])
+        assert_allclose(herglotz_kernel(poles, circle(), 0.3 - 0.1j), 1.0, atol=1e-14)
 
     def test_herglotz_singularity(self):
-        kp = KernelParams(0.0)
+        poles = PoleSequence([0.0])
         with pytest.raises(KernelSingularity):
-            herglotz_kernel(kp, 0.5, 0.5)
+            herglotz_kernel(poles, 0.5, 0.5)
 
     def test_herglotz_tests_points_only_where_the_bound_fails(self):
-        kp = KernelParams(0.3 - 0.1j)
+        poles = PoleSequence([0.3 - 0.1j])
         t = circle(64)[None, :]
         nodes = 0.9 * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)[:, None]
-        zt, zz = kp.zeta0(t), kp.zeta0(nodes)
-        assert same_bits(herglotz_kernel(kp, t, nodes), (zt + zz) / (zt - zz))
+        zt, zz = blaschke_factor(poles, 0, t), blaschke_factor(poles, 0, nodes)
+        assert same_bits(herglotz_kernel(poles, t, nodes), (zt + zz) / (zt - zz))
         # a node on a grid point raises from inside the table
         with pytest.raises(KernelSingularity):
-            herglotz_kernel(kp, t, np.concatenate([nodes, [[t[0, 5]]]]))
+            herglotz_kernel(poles, t, np.concatenate([nodes, [[t[0, 5]]]]))
         # |den| = 1.5e-12 fails the bound from the largest moduli, 2e-12,
         # and clears its own points' 1.2e-12, so nothing raises
-        kp = KernelParams(0.0)
+        poles = PoleSequence([0.0])
         t, z = np.array([0.1]), np.array([0.1 + 1.5e-12, 0.9])
-        zt, zz = kp.zeta0(t), kp.zeta0(z)
-        assert same_bits(herglotz_kernel(kp, t, z), (zt + zz) / (zt - zz))
+        zt, zz = blaschke_factor(poles, 0, t), blaschke_factor(poles, 0, z)
+        assert same_bits(herglotz_kernel(poles, t, z), (zt + zz) / (zt - zz))
 
     def test_poisson_centered(self):
-        kp = KernelParams(0.0)
-        assert_allclose(poisson_kernel(kp, circle(), 0.0), 1.0)
-        assert_allclose(poisson_kernel(kp, 1.0, 0.5), 3.0)
+        poles = PoleSequence([0.0])
+        assert_allclose(poisson_kernel(poles, circle(), 0.0), 1.0)
+        assert_allclose(poisson_kernel(poles, 1.0, 0.5), 3.0)
 
     def test_poisson_real_positive(self):
-        kp = KernelParams(0.3 + 0.2j)
+        poles = PoleSequence([0.3 + 0.2j])
         t = circle(128)
         for z in (0.0, 0.5j, -0.6 + 0.1j):
-            vals = poisson_kernel(kp, t, z)
+            vals = poisson_kernel(poles, t, z)
             assert np.all(vals.real > 0)
             assert np.max(np.abs(vals.imag)) < 1e-12
 
     def test_poisson_rejects_interior_t(self):
         with pytest.raises(DomainError):
-            poisson_kernel(KernelParams(0.0), 0.5, 0.2)
+            poisson_kernel(PoleSequence([0.0]), 0.5, 0.2)
 
     @pytest.mark.parametrize("t, z", [(float("nan"), 0.2), (1.0, float("nan")), (1.0, complex(0.1, float("nan")))])
     def test_poisson_rejects_non_finite_points(self, t, z):
         with pytest.raises(DomainError):
-            poisson_kernel(KernelParams(0.0), t, z)
+            poisson_kernel(PoleSequence([0.0]), t, z)
 
     def test_poisson_is_symmetrized_herglotz(self):
         # D(t,z) + D_*(t,z) (substar in t) = 2 P(t,z)
-        kp = KernelParams(0.25 - 0.15j)
+        poles = PoleSequence([0.25 - 0.15j])
         t = circle(32)
         for z in (0.3, -0.2 + 0.4j):
-            d = herglotz_kernel(kp, t, z)
-            dsub = np.conj(herglotz_kernel(kp, 1.0 / np.conj(t), z))
-            assert_allclose(d + dsub, 2.0 * poisson_kernel(kp, t, z), atol=1e-12)
+            d = herglotz_kernel(poles, t, z)
+            dsub = np.conj(herglotz_kernel(poles, 1.0 / np.conj(t), z))
+            assert_allclose(d + dsub, 2.0 * poisson_kernel(poles, t, z), atol=1e-12)
 
     def test_poisson_matches_real_part_on_boundary(self):
-        kp = KernelParams(0.25 - 0.15j)
+        poles = PoleSequence([0.25 - 0.15j])
         t = circle(32)
         z = 0.55 * np.exp(0.3j)
         assert_allclose(
-            poisson_kernel(kp, t, z).real, herglotz_kernel(kp, t, z).real, atol=1e-12
+            poisson_kernel(poles, t, z).real, herglotz_kernel(poles, t, z).real, atol=1e-12
         )
 
 
@@ -415,6 +402,8 @@ class TestEvaluationKernel:
         for f, row in zip(funcs, stacked):
             assert same_bits(row, f(z))
         assert same_bits(evaluate_stack(funcs[:1], z)[0], funcs[0](z))
+        # a block of a rule walk, a slice of the points, gets the bits of the whole call
+        assert same_bits(evaluate_stack(funcs, z[17:40]), stacked[:, 17:40])
 
     def test_pole_proximity_names_the_same_factor(self):
         rng = np.random.default_rng(6)

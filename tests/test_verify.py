@@ -206,10 +206,9 @@ def test_rational_completion_has_mass_one():
 def _series_roundtrip(s):
     """The density of a lambda ladder back through the moment series of its
     rational completion density, against that density on 512 points."""
-    mu, b0 = measure_from_system(s), s.poles.beta[0]
-    theta = boundary_grid(512)[0]
-    F = caratheodory_from_measure(mu, b0, n_points=s.n_points)
-    return float(np.max(np.abs(weight_from_caratheodory(F, b0, theta) - mu.weight(theta))))
+    mu, theta = measure_from_system(s), boundary_grid(512)[0]
+    F = caratheodory_from_measure(mu, s.poles.beta[0], n_points=s.n_points)
+    return float(np.max(np.abs(weight_from_caratheodory(F, theta) - mu.weight(theta))))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -587,7 +586,7 @@ def reference_check_interpolation(ctx):
 
 def reference_multiplier(s, mu, n, seed):
     N = s.n_points
-    poles, kp = s.poles, s.kernel
+    poles = s.poles
     theta, t = boundary_grid(N)
     w = mu.weight(theta)
     rng = np.random.default_rng(seed)
@@ -598,7 +597,7 @@ def reference_multiplier(s, mu, n, seed):
     zs = _circle_nodes(6, N)
 
     def means(f_t, f_z):
-        zt, zz = kp.zeta0(t), kp.zeta0(zs)[:, None]
+        zt, zz = blaschke_factor(poles, 0, t), blaschke_factor(poles, 0, zs)[:, None]
         return ((zt + zz) / (zt - zz) * (f_t - f_z[:, None]) * w).mean(axis=1)
 
     phi_t, phi_s_t = evaluate_stack((lv.phi, lv.phi_star), t)
@@ -845,20 +844,17 @@ def _stack_calls(monkeypatch, s):
 
 
 def test_verify_reads_the_grid_in_reader_blocks(monkeypatch):
-    # every evaluate_stack call of a measure ladder's verify on more than
-    # 1024 points of the 8192-point grid is a block of
-    # ratfun._evaluate_blocks (the step for its function count, or the last
-    # remainder); its density, its moment-series C-function and the
-    # transformed densities mu_k (F_k on its two numerators) are read
-    # without one
-    large = [call for call in _stack_calls(monkeypatch, _n6_measure_ladder()) if call[2] > 1024]
-    for count, degrees, points in large:
-        step = max(1024, (1 << 18) // (16 * count * (2 if degrees == 1 else 1)))
-        assert points in (step, 8192 % step), (count, points)
-    # interpolation and the quads of the moment-series C-function read
-    # numerators, and no quad's A, B, C and D are stacked on the grid
-    assert len(large) == 14
-    assert all(count != 4 for count, _, _ in large)
+    # a measure ladder's verify walks its 8192-point grid in the 1024-node
+    # blocks of engine._BLOCK_POINTS: no evaluate_stack call takes more
+    # points; its density, its moment-series C-function and the transformed
+    # densities mu_k (F_k on its two numerators) are read without one
+    calls = _stack_calls(monkeypatch, _n6_measure_ladder())
+    assert max(points for _, _, points in calls) <= 1024
+    # seven walks of eight blocks: interpolation and the quads of the
+    # moment-series C-function read numerators, and no quad's A, B, C and
+    # D are stacked on the grid
+    blocks = [count for count, _, points in calls if points == 1024]
+    assert len(blocks) == 56 and 4 not in blocks
 
 
 def test_lambda_verify_reads_no_more_than_the_fourier_grid(monkeypatch):
